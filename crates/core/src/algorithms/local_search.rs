@@ -95,44 +95,40 @@ impl Default for LocalSearchParams {
 }
 
 /// Run LOCALSEARCH from the configured initial clustering.
+///
+/// # Panics
+/// Panics if a [`LocalSearchInit::Given`] clustering does not match the
+/// instance.
 pub fn local_search<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: LocalSearchParams,
 ) -> Clustering {
-    let n = oracle.len();
-    let start = match &params.init {
-        LocalSearchInit::Singletons => Clustering::singletons(n),
-        LocalSearchInit::OneCluster => Clustering::one_cluster(n),
-        LocalSearchInit::Random { k, seed } => {
-            let k = (*k).max(1) as u32;
-            let mut rng = StdRng::seed_from_u64(*seed);
-            Clustering::from_labels((0..n).map(|_| rng.gen_range(0..k)).collect())
-        }
-        LocalSearchInit::Given(c) => {
-            assert_eq!(c.len(), n, "given clustering does not match the instance");
-            c.clone()
-        }
-    };
+    let (start, _) = initial_clustering(&params.init, oracle.len());
     local_search_from(oracle, &start, params.max_passes, params.epsilon)
 }
 
 /// Run LOCALSEARCH as a post-processing step from an explicit start.
 ///
 /// Guaranteed never to increase the correlation cost; each accepted move
-/// strictly decreases it by more than `epsilon`.
+/// strictly decreases it by more than `epsilon`. A NaN `epsilon` accepts
+/// no move and returns `start`.
+///
+/// # Panics
+/// Panics if `start` does not match the instance.
 pub fn local_search_from<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     start: &Clustering,
     max_passes: usize,
     epsilon: f64,
 ) -> Clustering {
-    let n = oracle.len();
-    assert_eq!(start.len(), n, "clustering does not match the instance");
-    if n <= 1 {
-        return start.clone();
-    }
-    let (labels, _, _) = descend(oracle, start, max_passes, epsilon, &RunBudget::unlimited());
-    Clustering::from_labels(labels)
+    assert_eq!(
+        start.len(),
+        oracle.len(),
+        "clustering does not match the instance"
+    );
+    let outcome =
+        local_search_from_budgeted(oracle, start, max_passes, epsilon, &RunBudget::unlimited());
+    outcome.map_or_else(|_| start.clone(), |outcome| outcome.clustering)
 }
 
 /// Budget-aware [`local_search`]: validates the parameters and runs the
@@ -170,57 +166,17 @@ pub fn local_search_resumable<O: DistanceOracle + Sync + ?Sized>(
     resume: Option<&LocalSearchSnapshot>,
     ckpt: Option<&mut Checkpointer>,
 ) -> AggResult<RunOutcome> {
-    let n = oracle.len();
-    let resume = resume.filter(|s| s.labels.len() == n && s.next_node as usize <= n);
-    let (start, rng_state) = if resume.is_some() {
-        // The snapshot supersedes the init; the labels inside it are the
-        // start. A placeholder keeps the code path uniform.
-        (Clustering::singletons(n), resume.map_or([0; 4], |s| s.rng))
-    } else {
-        match &params.init {
-            LocalSearchInit::Singletons => (Clustering::singletons(n), [0; 4]),
-            LocalSearchInit::OneCluster => (Clustering::one_cluster(n), [0; 4]),
-            LocalSearchInit::Random { k, seed } => {
-                let k = (*k).max(1) as u32;
-                let mut rng = StdRng::seed_from_u64(*seed);
-                let labels = (0..n).map(|_| rng.gen_range(0..k)).collect();
-                (Clustering::from_labels(labels), rng.state())
-            }
-            LocalSearchInit::Given(c) => {
-                if c.len() != n {
-                    return Err(AggError::invalid_parameter(
-                        "init",
-                        format!(
-                            "given clustering covers {} objects, instance has {n}",
-                            c.len()
-                        ),
-                    ));
-                }
-                (c.clone(), [0; 4])
-            }
-        }
-    };
-    if params.epsilon.is_nan() {
-        return Err(AggError::invalid_parameter("epsilon", "must not be NaN"));
-    }
-    if n <= 1 {
-        return Ok(RunOutcome::converged(start));
-    }
-    let (labels, status, iterations) = descend_resumable(
+    let (start, rng_state) = initial_clustering(&params.init, oracle.len());
+    run(
         oracle,
         &start,
+        rng_state,
         params.max_passes,
         params.epsilon,
         budget,
         resume,
         ckpt,
-        rng_state,
-    );
-    Ok(RunOutcome {
-        clustering: Clustering::from_labels(labels),
-        status,
-        iterations,
-    })
+    )
 }
 
 /// Budget-aware [`local_search_from`] with **anytime semantics**: every
@@ -236,28 +192,7 @@ pub fn local_search_from_budgeted<O: DistanceOracle + Sync + ?Sized>(
     epsilon: f64,
     budget: &RunBudget,
 ) -> AggResult<RunOutcome> {
-    let n = oracle.len();
-    if start.len() != n {
-        return Err(AggError::invalid_parameter(
-            "start",
-            format!(
-                "clustering covers {} objects, instance has {n}",
-                start.len()
-            ),
-        ));
-    }
-    if epsilon.is_nan() {
-        return Err(AggError::invalid_parameter("epsilon", "must not be NaN"));
-    }
-    if n <= 1 {
-        return Ok(RunOutcome::converged(start.clone()));
-    }
-    let (labels, status, iterations) = descend(oracle, start, max_passes, epsilon, budget);
-    Ok(RunOutcome {
-        clustering: Clustering::from_labels(labels),
-        status,
-        iterations,
-    })
+    local_search_from_resumable(oracle, start, max_passes, epsilon, budget, None, None)
 }
 
 /// [`local_search_from_budgeted`] with crash-safe checkpoint/resume; the
@@ -266,6 +201,41 @@ pub fn local_search_from_budgeted<O: DistanceOracle + Sync + ?Sized>(
 pub fn local_search_from_resumable<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     start: &Clustering,
+    max_passes: usize,
+    epsilon: f64,
+    budget: &RunBudget,
+    resume: Option<&LocalSearchSnapshot>,
+    ckpt: Option<&mut Checkpointer>,
+) -> AggResult<RunOutcome> {
+    run(
+        oracle, start, [0; 4], max_passes, epsilon, budget, resume, ckpt,
+    )
+}
+
+/// The configured start clustering and the RNG state a `Random` init leaves
+/// behind (stamped into snapshots). A `Given` clustering is taken as is;
+/// [`run`] checks that it covers the instance.
+fn initial_clustering(init: &LocalSearchInit, n: usize) -> (Clustering, [u64; 4]) {
+    match init {
+        LocalSearchInit::Singletons => (Clustering::singletons(n), [0; 4]),
+        LocalSearchInit::OneCluster => (Clustering::one_cluster(n), [0; 4]),
+        LocalSearchInit::Random { k, seed } => {
+            let k = (*k).max(1) as u32;
+            let mut rng = StdRng::seed_from_u64(*seed);
+            let labels = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            (Clustering::from_labels(labels), rng.state())
+        }
+        LocalSearchInit::Given(c) => (c.clone(), [0; 4]),
+    }
+}
+
+/// Validate `start` and `epsilon`, then descend. A `resume` snapshot that
+/// covers the instance supersedes `start` and `rng_state`.
+#[allow(clippy::too_many_arguments)]
+fn run<O: DistanceOracle + Sync + ?Sized>(
+    oracle: &O,
+    start: &Clustering,
+    rng_state: [u64; 4],
     max_passes: usize,
     epsilon: f64,
     budget: &RunBudget,
@@ -289,8 +259,8 @@ pub fn local_search_from_resumable<O: DistanceOracle + Sync + ?Sized>(
         return Ok(RunOutcome::converged(start.clone()));
     }
     let resume = resume.filter(|s| s.labels.len() == n && s.next_node as usize <= n);
-    let rng_state = resume.map_or([0; 4], |s| s.rng);
-    let (labels, status, iterations) = descend_resumable(
+    let rng_state = resume.map_or(rng_state, |s| s.rng);
+    let (labels, status, iterations) = descend(
         oracle, start, max_passes, epsilon, budget, resume, ckpt, rng_state,
     );
     Ok(RunOutcome {
@@ -300,26 +270,13 @@ pub fn local_search_from_resumable<O: DistanceOracle + Sync + ?Sized>(
     })
 }
 
-/// The steepest-descent engine shared by the panicking and budgeted entry
-/// points. Callers guarantee `start.len() == oracle.len()` and `n >= 2`.
-fn descend<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    start: &Clustering,
-    max_passes: usize,
-    epsilon: f64,
-    budget: &RunBudget,
-) -> (Vec<u32>, RunStatus, u64) {
-    descend_resumable(
-        oracle, start, max_passes, epsilon, budget, None, None, [0; 4],
-    )
-}
-
-/// The descent engine with checkpoint/resume hooks. `resume`, when present,
-/// is pre-validated (`labels.len() == n`, `next_node <= n`) and overrides
-/// `start`; `rng_state` is stamped into snapshots so a resumed `Random`-init
-/// run stays fully determined by the file.
+/// The steepest-descent engine with checkpoint/resume hooks. Callers
+/// guarantee `start.len() == oracle.len()` and `n >= 2`. `resume`, when
+/// present, is pre-validated (`labels.len() == n`, `next_node <= n`) and
+/// overrides `start`; `rng_state` is stamped into snapshots so a resumed
+/// `Random`-init run stays fully determined by the file.
 #[allow(clippy::too_many_arguments)]
-fn descend_resumable<O: DistanceOracle + Sync + ?Sized>(
+fn descend<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     start: &Clustering,
     max_passes: usize,

@@ -38,13 +38,14 @@ pub enum SampleSize {
 }
 
 impl SampleSize {
-    /// Resolve to a concrete sample size for an instance with `n` nodes.
+    /// Resolve to a concrete sample size for an instance with `n` nodes
+    /// (0 for an empty instance).
     pub fn resolve(self, n: usize) -> usize {
         match self {
             SampleSize::Absolute(s) => s.min(n),
             SampleSize::LogFactor(c) => {
                 let s = (c * (n.max(2) as f64).ln()).ceil() as usize;
-                s.clamp(1, n)
+                s.max(1).min(n)
             }
         }
     }
@@ -97,9 +98,58 @@ pub struct SamplingDetails {
     pub recluster_time: Duration,
 }
 
+impl SamplingDetails {
+    fn empty() -> Self {
+        SamplingDetails {
+            clustering: Clustering::from_labels(Vec::new()),
+            sample: Vec::new(),
+            sample_clusters: 0,
+            singletons_before_recluster: 0,
+            cluster_time: Duration::ZERO,
+            assign_time: Duration::ZERO,
+            recluster_time: Duration::ZERO,
+        }
+    }
+}
+
 /// Run the SAMPLING algorithm, returning just the clustering.
+///
+/// # Panics
+/// Panics if the base algorithm rejects its parameters (see
+/// [`sampling_with_details`]).
 pub fn sampling<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> Clustering {
     sampling_with_details(oracle, params).clustering
+}
+
+/// Run the SAMPLING algorithm with phase-level instrumentation (used by the
+/// Figure-5 experiments): [`sampling_resumable`] under
+/// [`RunBudget::unlimited`].
+///
+/// # Panics
+/// Panics if the base algorithm rejects its parameters, which the budgeted
+/// entry points report as a typed error instead.
+pub fn sampling_with_details<O: DistanceOracle + Sync>(
+    oracle: &O,
+    params: &SamplingParams,
+) -> SamplingDetails {
+    let mut details = SamplingDetails::empty();
+    let outcome = run(
+        oracle,
+        params,
+        &RunBudget::unlimited(),
+        None,
+        None,
+        &mut details,
+    );
+    assert!(
+        outcome.is_ok(),
+        "SAMPLING base algorithm rejected its parameters: {:?}",
+        outcome.as_ref().err()
+    );
+    if let Ok(outcome) = outcome {
+        details.clustering = outcome.clustering;
+    }
+    details
 }
 
 /// Budgeted SAMPLING with anytime semantics. The base algorithm runs under
@@ -131,13 +181,34 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
     params: &SamplingParams,
     budget: &RunBudget,
     resume: Option<&SamplingSnapshot>,
+    ckpt: Option<&mut Checkpointer>,
+) -> AggResult<RunOutcome> {
+    run(
+        oracle,
+        params,
+        budget,
+        resume,
+        ckpt,
+        &mut SamplingDetails::empty(),
+    )
+}
+
+/// The SAMPLING engine behind every entry point. Records the phase data of
+/// [`SamplingDetails`] (all but the final clustering) into `details`.
+fn run<O: DistanceOracle + Sync>(
+    oracle: &O,
+    params: &SamplingParams,
+    budget: &RunBudget,
+    resume: Option<&SamplingSnapshot>,
     mut ckpt: Option<&mut Checkpointer>,
+    details: &mut SamplingDetails,
 ) -> AggResult<RunOutcome> {
     let n = oracle.len();
     let _span = crate::span!(
         "sampling",
         n = n,
         base = params.base.name(),
+        s = params.size.resolve(n),
         resuming = resume.is_some()
     );
     if n == 0 {
@@ -184,15 +255,16 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
             m.sampling_sampled.add(s as u64);
         }
 
-        // Phase 1: uniform sample without replacement (same RNG discipline
-        // as the unbudgeted path, so results match when nothing trips).
+        // Phase 1: uniform sample without replacement.
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut smp: Vec<usize> = index_sample(&mut rng, n, s).into_vec();
         smp.sort_unstable();
 
-        // Phase 2: aggregate the sample with the budgeted base algorithm.
+        // Phase 2: aggregate the sample with the base algorithm.
+        let t0 = Instant::now();
         let sub = oracle.restrict(&smp);
         let base_outcome = params.base.run_budgeted(&sub, budget)?;
+        details.cluster_time = t0.elapsed();
         status = base_outcome.status;
         iterations = base_outcome.iterations;
         sample_labels = (0..smp.len())
@@ -222,6 +294,7 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
     // or to a fresh singleton. Fresh singleton labels are handed out in
     // node order, so the resumed `next_label` is recoverable from the
     // assignments already made.
+    let t1 = Instant::now();
     let mut next_label = labels
         .iter()
         .filter(|&&l| l != u32::MAX)
@@ -273,6 +346,8 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
             m_sums[sample_labels[si] as usize] += x;
             t_sum += x;
         }
+        // cost(join C_i) = M_i + Σ_{j≠i}(|C_j| − M_j)
+        //               = 2·M_i − T + s − |C_i|;   cost(singleton) = s − T.
         let mut best = f64::INFINITY;
         let mut best_i = usize::MAX;
         for i in 0..ell {
@@ -305,163 +380,44 @@ pub fn sampling_resumable<O: DistanceOracle + Sync>(
             });
         }
     }
+    details.assign_time = t1.elapsed();
     iterations = iterations.saturating_add(meter.iterations());
 
-    // Phase 3b: re-aggregate the singletons, skipped when the budget
-    // already tripped.
-    if !tripped && params.recluster_singletons {
-        let mut sizes = vec![0usize; next_label as usize];
-        for &l in &labels {
-            sizes[l as usize] += 1;
-        }
-        let singleton_nodes: Vec<usize> =
-            (0..n).filter(|&v| sizes[labels[v] as usize] == 1).collect();
-        if singleton_nodes.len() >= 2 {
-            telemetry::metrics()
-                .sampling_reclustered
-                .add_if_enabled(singleton_nodes.len() as u64);
-            let sub = oracle.restrict(&singleton_nodes);
-            let re = params.base.run_budgeted(&sub, budget)?;
-            status = status.combine(re.status);
-            iterations = iterations.saturating_add(re.iterations);
-            for (i, &v) in singleton_nodes.iter().enumerate() {
-                labels[v] = next_label + re.clustering.label(i);
-            }
+    // Singletons after assignment: freshly assigned ones and sample
+    // clusters of size one that attracted nobody.
+    let mut sizes = vec![0usize; next_label as usize];
+    for &l in &labels {
+        sizes[l as usize] += 1;
+    }
+    let singleton_nodes: Vec<usize> = (0..n).filter(|&v| sizes[labels[v] as usize] == 1).collect();
+
+    // Phase 3b: re-aggregate the singletons among themselves (paper: "we
+    // collect all singleton clusters and run the clustering aggregation
+    // again on this subset of nodes"), skipped when the budget already
+    // tripped.
+    let t2 = Instant::now();
+    if !tripped && params.recluster_singletons && singleton_nodes.len() >= 2 {
+        telemetry::metrics()
+            .sampling_reclustered
+            .add_if_enabled(singleton_nodes.len() as u64);
+        let sub = oracle.restrict(&singleton_nodes);
+        let re = params.base.run_budgeted(&sub, budget)?;
+        status = status.combine(re.status);
+        iterations = iterations.saturating_add(re.iterations);
+        for (i, &v) in singleton_nodes.iter().enumerate() {
+            labels[v] = next_label + re.clustering.label(i);
         }
     }
+    details.recluster_time = t2.elapsed();
+    details.sample_clusters = ell;
+    details.singletons_before_recluster = singleton_nodes.len();
+    details.sample = sample;
 
     Ok(RunOutcome {
         clustering: Clustering::from_labels(labels),
         status,
         iterations,
     })
-}
-
-/// Run the SAMPLING algorithm with phase-level instrumentation (used by the
-/// Figure-5 experiments).
-pub fn sampling_with_details<O: DistanceOracle + Sync>(
-    oracle: &O,
-    params: &SamplingParams,
-) -> SamplingDetails {
-    let n = oracle.len();
-    let s = params.size.resolve(n);
-    let _span = crate::span!("sampling", n = n, base = params.base.name(), s = s);
-    if n == 0 {
-        return SamplingDetails {
-            clustering: Clustering::from_labels(Vec::new()),
-            sample: Vec::new(),
-            sample_clusters: 0,
-            singletons_before_recluster: 0,
-            cluster_time: Duration::ZERO,
-            assign_time: Duration::ZERO,
-            recluster_time: Duration::ZERO,
-        };
-    }
-
-    if telemetry::metrics_enabled() {
-        let m = telemetry::metrics();
-        m.sampling_runs.incr();
-        m.sampling_sampled.add(s as u64);
-    }
-
-    // Phase 1: uniform sample without replacement.
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut sample: Vec<usize> = index_sample(&mut rng, n, s).into_vec();
-    sample.sort_unstable();
-
-    // Phase 2: aggregate the sample with the base algorithm.
-    let t0 = Instant::now();
-    let sub = oracle.restrict(&sample);
-    let sample_clustering = params.base.run(&sub);
-    let cluster_time = t0.elapsed();
-    let ell = sample_clustering.num_clusters();
-
-    // Cluster membership of the sample, as oracle-level node ids.
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); ell];
-    for (si, &v) in sample.iter().enumerate() {
-        clusters[sample_clustering.label(si) as usize].push(v);
-    }
-
-    // Phase 3: assign every non-sampled node to the cheapest sample cluster
-    // or to a fresh singleton.
-    let t1 = Instant::now();
-    let mut labels = vec![u32::MAX; n];
-    for (si, &v) in sample.iter().enumerate() {
-        labels[v] = sample_clustering.label(si);
-    }
-    let mut next_label = ell as u32;
-    let mut in_sample = vec![false; n];
-    for &v in &sample {
-        in_sample[v] = true;
-    }
-    let mut m_sums = vec![0.0f64; ell];
-    for v in 0..n {
-        if in_sample[v] {
-            continue;
-        }
-        m_sums.iter_mut().for_each(|x| *x = 0.0);
-        let mut t_sum = 0.0;
-        for (si, &u) in sample.iter().enumerate() {
-            let x = oracle.dist(v, u);
-            m_sums[sample_clustering.label(si) as usize] += x;
-            t_sum += x;
-        }
-        // cost(join C_i) = M_i + Σ_{j≠i}(|C_j| − M_j)
-        //               = 2·M_i − T + s − |C_i|;   cost(singleton) = s − T.
-        let mut best = f64::INFINITY;
-        let mut best_i = usize::MAX;
-        for i in 0..ell {
-            let c = 2.0 * m_sums[i] - t_sum + s as f64 - clusters[i].len() as f64;
-            if c < best {
-                best = c;
-                best_i = i;
-            }
-        }
-        let singleton_cost = s as f64 - t_sum;
-        if best_i == usize::MAX || singleton_cost < best {
-            labels[v] = next_label;
-            next_label += 1;
-        } else {
-            labels[v] = best_i as u32;
-        }
-        telemetry::metrics().sampling_assigned.incr_if_enabled();
-    }
-    let assign_time = t1.elapsed();
-
-    // Count cluster sizes to find singletons (both freshly-assigned ones and
-    // sample clusters of size one that attracted nobody).
-    let mut sizes = vec![0usize; next_label as usize];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    let singleton_nodes: Vec<usize> = (0..n).filter(|&v| sizes[labels[v] as usize] == 1).collect();
-    let singletons_before = singleton_nodes.len();
-
-    // Phase 3b: re-aggregate the singletons among themselves (paper: "we
-    // collect all singleton clusters and run the clustering aggregation
-    // again on this subset of nodes").
-    let t2 = Instant::now();
-    if params.recluster_singletons && singleton_nodes.len() >= 2 {
-        telemetry::metrics()
-            .sampling_reclustered
-            .add_if_enabled(singleton_nodes.len() as u64);
-        let sub = oracle.restrict(&singleton_nodes);
-        let re = params.base.run(&sub);
-        for (i, &v) in singleton_nodes.iter().enumerate() {
-            labels[v] = next_label + re.label(i);
-        }
-    }
-    let recluster_time = t2.elapsed();
-
-    SamplingDetails {
-        clustering: Clustering::from_labels(labels),
-        sample,
-        sample_clusters: ell,
-        singletons_before_recluster: singletons_before,
-        cluster_time,
-        assign_time,
-        recluster_time,
-    }
 }
 
 #[cfg(test)]
@@ -503,6 +459,7 @@ mod tests {
             s >= (3.0 * 1000f64.ln()) as usize && s <= 1 + (3.0 * 1000f64.ln()).ceil() as usize
         );
         assert_eq!(SampleSize::LogFactor(100.0).resolve(10), 10);
+        assert_eq!(SampleSize::LogFactor(3.0).resolve(0), 0);
     }
 
     #[test]
@@ -623,7 +580,15 @@ mod tests {
             Algorithm::Agglomerative(AgglomerativeParams::default()),
             42,
         );
-        let full = sampling(&oracle, &params);
+        let full = sampling_resumable(
+            &oracle,
+            &params,
+            &crate::robust::RunBudget::unlimited(),
+            None,
+            None,
+        )
+        .unwrap()
+        .clustering;
 
         let dir = std::env::temp_dir().join("aggclust_sampling_resume_test");
         std::fs::create_dir_all(&dir).expect("mkdir");

@@ -12,9 +12,10 @@
 //!     Clustering::from_labels(vec![0, 1, 0, 1, 2, 3]),
 //!     Clustering::from_labels(vec![0, 1, 0, 1, 2, 2]),
 //! ];
-//! let result = ConsensusBuilder::new().aggregate(&inputs);
+//! let result = ConsensusBuilder::new().try_aggregate(&inputs)?;
 //! assert_eq!(result.clustering.num_clusters(), 3);
 //! assert_eq!(result.disagreements, 5);
+//! # Ok::<(), aggclust_core::AggError>(())
 //! ```
 //!
 //! Defaults follow the paper's practice: AGGLOMERATIVE (parameter-free,
@@ -23,16 +24,15 @@
 //! automatically above a size threshold where the dense `O(n²)` matrix
 //! stops being reasonable.
 
-use crate::algorithms::local_search::local_search_from;
 use crate::algorithms::local_search::local_search_from_resumable;
-use crate::algorithms::sampling::{sampling, sampling_resumable, SamplingParams};
+use crate::algorithms::sampling::{sampling_resumable, SamplingParams};
 use crate::algorithms::{AgglomerativeParams, Algorithm, BallsParams};
 use crate::clustering::{Clustering, PartialClustering};
 use crate::cost::{correlation_cost, lower_bound};
-use crate::distance::{disagreement_distance_gauged, total_disagreement};
+use crate::distance::disagreement_distance_gauged;
 use crate::error::AggResult;
 use crate::exact::{branch_and_bound_budgeted, MAX_BNB_N};
-use crate::instance::{ClusteringsOracle, CorrelationInstance, DistanceOracle, MissingPolicy};
+use crate::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
 use crate::robust::{Interrupt, RunBudget, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, LocalSearchSnapshot, Snapshot};
 use crate::spill::{SpillConfig, SpillError, SpilledOracle};
@@ -218,9 +218,8 @@ pub struct ConsensusResult {
     pub lower_bound: Option<f64>,
     /// Whether the SAMPLING path was taken.
     pub sampled: bool,
-    /// How the run ended. Always `Converged` on the panicking API; the
-    /// budgeted [`ConsensusBuilder::try_aggregate`] path reports
-    /// `BudgetExceeded`/`Cancelled` when the result is best-so-far.
+    /// How the run ended: `Converged`, or `BudgetExceeded`/`Cancelled`
+    /// when the configured budget tripped and the result is best-so-far.
     pub status: RunStatus,
     /// Graceful-degradation steps taken (exact solver skipped, refinement
     /// interrupted, …), as typed [`Warning`] values whose `Display` gives
@@ -308,9 +307,8 @@ impl ConsensusBuilder {
         self
     }
 
-    /// Run budget (deadline / iteration cap / cancel token) honored by the
-    /// budgeted [`ConsensusBuilder::try_aggregate`] entry points. The
-    /// panicking `aggregate` API always runs unlimited. Default: unlimited.
+    /// Run budget (deadline / iteration cap / cancel token / memory cap)
+    /// honored with anytime semantics. Default: unlimited.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
         self
@@ -318,8 +316,7 @@ impl ConsensusBuilder {
 
     /// Prefer an exact branch-and-bound solve when the instance is small
     /// enough (`n <= 24`); above that the builder degrades to the BALLS
-    /// 3-approximation with a warning instead of erroring. Only honored by
-    /// the budgeted `try_aggregate` entry points. Default: off.
+    /// 3-approximation with a warning instead of erroring. Default: off.
     pub fn prefer_exact(mut self, prefer_exact: bool) -> Self {
         self.prefer_exact = prefer_exact;
         self
@@ -328,10 +325,9 @@ impl ConsensusBuilder {
     /// Periodically persist in-flight algorithm state to `path` (atomic,
     /// checksummed writes — see [`crate::snapshot`]), no more often than
     /// `every`, plus a final save whenever the budget or cancel token trips
-    /// mid-run. Only honored by the budgeted `try_aggregate` entry points,
-    /// and only by the long-running stages (AGGLOMERATIVE merging,
-    /// LOCALSEARCH passes, SAMPLING assignment); checkpoint failures are
-    /// recorded, never fatal. Default: off.
+    /// mid-run. Only honored by the long-running stages (AGGLOMERATIVE
+    /// merging, LOCALSEARCH passes, SAMPLING assignment); checkpoint
+    /// failures are recorded, never fatal. Default: off.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: Duration) -> Self {
         self.checkpoint_path = Some(path.into());
         self.checkpoint_every = every;
@@ -342,7 +338,6 @@ impl ConsensusBuilder {
     /// [`crate::snapshot::load_snapshot`]. A snapshot that does not match
     /// this run's instance or configuration is silently ignored (the run
     /// starts fresh); load-time corruption is the *caller's* signal to warn.
-    /// Only honored by the budgeted `try_aggregate` entry points.
     pub fn resume_from(mut self, snapshot: Snapshot) -> Self {
         self.resume_from = Some(snapshot);
         self
@@ -352,80 +347,15 @@ impl ConsensusBuilder {
     /// disk as checksummed tiles under `dir` (see [`crate::spill`]) instead
     /// of degrading straight to the lazy oracle. Distances served from the
     /// spill store are bit-identical to the dense run at any thread count.
-    /// Only honored by the budgeted `try_aggregate` entry points; not used
-    /// by AGGLOMERATIVE, which needs a mutable in-RAM matrix and keeps its
-    /// clamped-SAMPLING fallback. Valid orphaned tiles already in `dir`
-    /// (from a killed run) are reclaimed. Default: off.
+    /// Not used by AGGLOMERATIVE, which needs a mutable in-RAM matrix and
+    /// keeps its clamped-SAMPLING fallback. Valid orphaned tiles already in
+    /// `dir` (from a killed run) are reclaimed. Default: off.
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
     }
 
     /// Aggregate total clusterings.
-    ///
-    /// # Panics
-    /// Panics if `inputs` is empty or the clusterings disagree on `n`.
-    pub fn aggregate(&self, inputs: &[Clustering]) -> ConsensusResult {
-        let partial: Vec<PartialClustering> =
-            inputs.iter().map(PartialClustering::from_total).collect();
-        let mut result = self.aggregate_partial(partial);
-        // Exact integer disagreement count for total inputs.
-        result.disagreements = total_disagreement(inputs, &result.clustering);
-        result
-    }
-
-    /// Aggregate partial clusterings (missing labels allowed).
-    ///
-    /// # Panics
-    /// Panics if `inputs` is empty or the clusterings disagree on `n`.
-    pub fn aggregate_partial(&self, inputs: Vec<PartialClustering>) -> ConsensusResult {
-        assert!(!inputs.is_empty(), "need at least one input clustering");
-        let m = inputs.len();
-        let n = inputs[0].len();
-        let _span = crate::span!(
-            "consensus",
-            n = n,
-            m = m,
-            algorithm = self.algorithm.name(),
-            refine = self.refine
-        );
-        let oracle = ClusteringsOracle::new(inputs.clone(), self.missing_policy);
-
-        if n > self.sampling_threshold {
-            let params = SamplingParams::new(self.sample_size, self.algorithm.clone(), self.seed);
-            let clustering = sampling(&oracle, &params);
-            // d(C) over all pairs would be O(n²); report the objective the
-            // caller can evaluate later if needed.
-            return ConsensusResult {
-                cost: f64::NAN,
-                disagreements: 0,
-                lower_bound: None,
-                sampled: true,
-                status: RunStatus::Converged,
-                warnings: Vec::new(),
-                clustering,
-            };
-        }
-
-        let instance = CorrelationInstance::from_partial(inputs, self.missing_policy);
-        let dense = instance.dense_oracle();
-        let mut clustering = self.algorithm.run(&dense);
-        if self.refine {
-            clustering = local_search_from(&dense, &clustering, 200, 1e-9);
-        }
-        let cost = correlation_cost(&dense, &clustering);
-        ConsensusResult {
-            disagreements: (cost * m as f64).round() as u64,
-            lower_bound: Some(lower_bound(&dense)),
-            sampled: false,
-            status: RunStatus::Converged,
-            warnings: Vec::new(),
-            cost,
-            clustering,
-        }
-    }
-
-    /// Fallible, budget-aware variant of [`ConsensusBuilder::aggregate`].
     ///
     /// Invalid input (empty set, mismatched object counts) comes back as a
     /// typed [`crate::AggError`] instead of a panic, and the configured
@@ -448,7 +378,9 @@ impl ConsensusBuilder {
         Ok(result)
     }
 
-    /// Fallible, budget-aware variant of [`ConsensusBuilder::aggregate_partial`].
+    /// Aggregate partial clusterings (missing labels allowed), with the same
+    /// typed errors and anytime semantics as
+    /// [`ConsensusBuilder::try_aggregate`].
     ///
     /// Graceful-degradation chain:
     /// 1. `n` over the sampling threshold → SAMPLING (budgeted).
@@ -778,18 +710,20 @@ fn largest_sample_within(bytes: u64) -> usize {
     usize::try_from(s).unwrap_or(usize::MAX)
 }
 
-/// One-call consensus with the default pipeline.
+/// One-call consensus with the default pipeline
+/// ([`ConsensusBuilder::try_aggregate`] on [`ConsensusBuilder::new`]).
 ///
 /// ```
 /// use aggclust_core::clustering::Clustering;
 /// let a = Clustering::from_labels(vec![0, 0, 1, 1]);
 /// let b = Clustering::from_labels(vec![0, 0, 1, 1]);
 /// let c = Clustering::from_labels(vec![0, 1, 1, 1]);
-/// let result = aggclust_core::consensus::aggregate(&[a.clone(), b, c]);
+/// let result = aggclust_core::consensus::aggregate(&[a.clone(), b, c])?;
 /// assert_eq!(result.clustering, a); // the 2-of-3 majority wins
+/// # Ok::<(), aggclust_core::AggError>(())
 /// ```
-pub fn aggregate(inputs: &[Clustering]) -> ConsensusResult {
-    ConsensusBuilder::new().aggregate(inputs)
+pub fn aggregate(inputs: &[Clustering]) -> AggResult<ConsensusResult> {
+    ConsensusBuilder::new().try_aggregate(inputs)
 }
 
 #[cfg(test)]
@@ -811,7 +745,7 @@ mod tests {
 
     #[test]
     fn default_pipeline_solves_figure1() {
-        let result = aggregate(&figure1());
+        let result = aggregate(&figure1()).unwrap();
         assert_eq!(result.clustering, c(&[0, 1, 0, 1, 2, 2]));
         assert_eq!(result.disagreements, 5);
         assert!((result.cost - 5.0 / 3.0).abs() < 1e-9);
@@ -822,8 +756,11 @@ mod tests {
     #[test]
     fn refinement_can_be_disabled() {
         let inputs = figure1();
-        let with = ConsensusBuilder::new().aggregate(&inputs);
-        let without = ConsensusBuilder::new().refine(false).aggregate(&inputs);
+        let with = ConsensusBuilder::new().try_aggregate(&inputs).unwrap();
+        let without = ConsensusBuilder::new()
+            .refine(false)
+            .try_aggregate(&inputs)
+            .unwrap();
         assert!(with.cost <= without.cost + 1e-12);
     }
 
@@ -831,7 +768,8 @@ mod tests {
     fn custom_algorithm() {
         let result = ConsensusBuilder::new()
             .algorithm(Algorithm::Balls(BallsParams::practical()))
-            .aggregate(&figure1());
+            .try_aggregate(&figure1())
+            .unwrap();
         assert_eq!(result.clustering, c(&[0, 1, 0, 1, 2, 2]));
     }
 
@@ -843,7 +781,8 @@ mod tests {
         let result = ConsensusBuilder::new()
             .sampling_threshold(30)
             .sample_size(25)
-            .aggregate(&inputs);
+            .try_aggregate(&inputs)
+            .unwrap();
         assert!(result.sampled);
         assert!(result.lower_bound.is_none());
         assert_eq!(result.clustering, c(&truth));
@@ -853,22 +792,23 @@ mod tests {
     fn partial_inputs_are_accepted() {
         let p1 = PartialClustering::from_labels(vec![Some(0), Some(0), Some(1), None]);
         let p2 = PartialClustering::from_labels(vec![Some(0), Some(0), None, Some(1)]);
-        let result = ConsensusBuilder::new().aggregate_partial(vec![p1, p2]);
+        let result = ConsensusBuilder::new()
+            .try_aggregate_partial(vec![p1, p2])
+            .unwrap();
         assert!(result.clustering.same_cluster(0, 1));
         assert!(!result.sampled);
     }
 
     #[test]
-    #[should_panic(expected = "at least one input")]
-    fn empty_inputs_rejected() {
-        let _ = aggregate(&[]);
-    }
-
-    #[test]
     fn try_aggregate_matches_aggregate_when_unlimited() {
+        // A live but generous budget polls every check site and still
+        // reproduces the unlimited run.
         let inputs = figure1();
-        let plain = ConsensusBuilder::new().aggregate(&inputs);
-        let tried = ConsensusBuilder::new().try_aggregate(&inputs).unwrap();
+        let plain = aggregate(&inputs).unwrap();
+        let tried = ConsensusBuilder::new()
+            .budget(RunBudget::unlimited().with_deadline_ms(60_000))
+            .try_aggregate(&inputs)
+            .unwrap();
         assert_eq!(tried.clustering, plain.clustering);
         assert_eq!(tried.disagreements, plain.disagreements);
         assert!(tried.status.is_converged());
@@ -879,6 +819,10 @@ mod tests {
     fn try_aggregate_rejects_empty_and_mismatched_inputs() {
         let empty = ConsensusBuilder::new().try_aggregate(&[]);
         assert!(matches!(empty, Err(crate::AggError::Degenerate { .. })));
+        assert!(matches!(
+            aggregate(&[]),
+            Err(crate::AggError::Degenerate { .. })
+        ));
         let mismatched = vec![c(&[0, 0, 1]), c(&[0, 1])];
         let err = ConsensusBuilder::new().try_aggregate(&mismatched);
         assert!(matches!(err, Err(crate::AggError::InvalidInstance { .. })));
@@ -1146,6 +1090,7 @@ mod tests {
 
     #[test]
     fn spilled_run_matches_the_unconstrained_run_at_every_thread_count() {
+        let _guard = crate::telemetry::global_state_lock();
         let n = 120;
         let inputs: Vec<Clustering> = (0..4)
             .map(|i| {
@@ -1198,6 +1143,7 @@ mod tests {
 
     #[test]
     fn unwritable_spill_dir_degrades_to_lazy_with_a_typed_warning() {
+        let _guard = crate::telemetry::global_state_lock();
         let n = 80;
         let inputs: Vec<Clustering> = (0..3)
             .map(|i| c(&(0..n).map(|v| ((v + i) % 5) as u32).collect::<Vec<_>>()))

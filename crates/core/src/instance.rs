@@ -15,11 +15,13 @@
 //!   vectors (`O(m)` lookups, `O(nm)` memory), which is what makes
 //!   [`crate::algorithms::sampling`] scale to millions of objects.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::clustering::{Clustering, PartialClustering};
 use crate::error::{AggError, AggResult};
 use crate::kernels::{self, LabelMatrix};
+use crate::parallel;
 use crate::robust::{Interrupt, MemCharge, RunBudget};
 
 /// How a clustering with missing labels contributes to pairwise distances
@@ -176,14 +178,23 @@ impl DenseOracle {
     /// in parallel row chunks (see [`crate::parallel`]). Produces exactly
     /// the same matrix as [`DenseOracle::from_fn`] at any thread count.
     pub fn from_fn_sync(n: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        let data = crate::parallel::fill_condensed(n, |u, v| {
+        let pair = |u, v| {
             let d = f(u, v);
             debug_assert!((0.0..=1.0).contains(&d), "distance {d} out of [0,1]");
             d
-        });
+        };
+        let fill = parallel::try_fill_condensed(
+            n,
+            0..n,
+            n,
+            || (),
+            parallel::pairwise(pair),
+            &RunBudget::unlimited(),
+        );
         DenseOracle {
             n,
-            data,
+            // An unlimited budget never trips.
+            data: fill.unwrap_or_default(),
             m: None,
             charge: None,
         }
@@ -273,48 +284,14 @@ impl DenseOracle {
     }
 
     /// Build directly from total clusterings: `X_uv` is the fraction of
-    /// clusterings separating `u` and `v`.
+    /// clusterings separating `u` and `v`. The same build as
+    /// [`CorrelationInstance::dense_oracle`].
     ///
-    /// The inputs are transposed once into a packed [`LabelMatrix`] and
-    /// every pair is answered by the SWAR separation kernel
-    /// ([`crate::kernels`]), filled in cache-blocked bands — same values
-    /// as the scalar per-clustering walk, at a fraction of the memory
-    /// traffic.
+    /// # Panics
+    /// Panics if `clusterings` is empty or they disagree on the object
+    /// count.
     pub fn from_clusterings(clusterings: &[Clustering]) -> Self {
-        assert!(!clusterings.is_empty(), "need at least one clustering");
-        let n = clusterings[0].len();
-        assert!(
-            clusterings.iter().all(|c| c.len() == n),
-            "all clusterings must cover the same objects"
-        );
-        let _span = crate::span!("dense_build", n = n, m = clusterings.len());
-        let m = clusterings.len() as f64;
-        let matrix = LabelMatrix::from_total(clusterings);
-        let band = matrix.preferred_band();
-        // One scratch count buffer per worker job, reused across every row
-        // segment it fills (the `kernels_row_batches` counter tracks how
-        // many batches share each buffer).
-        let data = crate::parallel::fill_condensed_banded_rows_scratch(
-            n,
-            band,
-            || vec![0u32; band],
-            |counts: &mut Vec<u32>, u, vs, seg| {
-                let counts = &mut counts[..seg.len()];
-                matrix.sep_row_into(u, vs.start, counts);
-                for (entry, &c) in seg.iter_mut().zip(counts.iter()) {
-                    let d = c as f64 / m;
-                    debug_assert!((0.0..=1.0).contains(&d), "distance {d} out of [0,1]");
-                    *entry = d;
-                }
-            },
-        );
-        crate::telemetry::count_packed_evals((n * n.saturating_sub(1) / 2) as u64);
-        DenseOracle {
-            n,
-            data,
-            m: Some(clusterings.len()),
-            charge: None,
-        }
+        CorrelationInstance::from_clusterings(clusterings).dense_oracle()
     }
 
     /// Build from *weighted* clusterings: `X_uv` is the weight fraction of
@@ -388,8 +365,9 @@ impl DenseOracle {
             })
             .min()
             .unwrap_or(kernels::PACKED_BAND);
-        let data = crate::parallel::fill_condensed_banded_rows_scratch(
+        let fill = parallel::try_fill_condensed(
             n,
+            0..n,
             band,
             || vec![0u32; band],
             |counts: &mut Vec<u32>, u, vs, seg| {
@@ -421,7 +399,10 @@ impl DenseOracle {
                     debug_assert!((0.0..=1.0).contains(entry), "distance {entry} out of [0,1]");
                 }
             },
+            &RunBudget::unlimited(),
         );
+        // An unlimited budget never trips.
+        let data = fill.unwrap_or_default();
         let pairs = (n * n.saturating_sub(1) / 2) as u64;
         if tail_members < clusterings.len() {
             crate::telemetry::count_packed_evals(pairs);
@@ -592,6 +573,54 @@ impl ClusteringsOracle {
     pub fn packed_bytes(&self) -> u64 {
         self.packed.bytes()
     }
+
+    /// The condensed `X_uv` values of `rows` (pairs `(u, v)` with `u` in
+    /// `rows`, `u < v < n`, in row-major order), filled under `budget` by
+    /// [`parallel::try_fill_condensed`] in the matrix's preferred band.
+    ///
+    /// This is the one place packed separation counts become distances.
+    /// When every input labels every object, `X_uv` reduces to `sep / m`
+    /// under either [`MissingPolicy`] ([`MissingPolicy::Ignore`]:
+    /// `defined == m`; [`MissingPolicy::Coin`]: `missing == 0` contributes
+    /// exactly `+0.0`), bit-for-bit, so rows go through the batched
+    /// `sep_row_into` kernel with one scratch count buffer per worker job
+    /// (counted by `kernels_row_batches`). Genuinely partial inputs stay on
+    /// the per-pair [`DistanceOracle::dist`] path.
+    pub(crate) fn try_fill_rows(
+        &self,
+        rows: Range<usize>,
+        budget: &RunBudget,
+    ) -> Result<Vec<f64>, Interrupt> {
+        let band = self.preferred_band();
+        if self.clusterings.iter().any(|c| c.num_missing() > 0) {
+            let pair = |u, v| self.dist(u, v);
+            return parallel::try_fill_condensed(
+                self.n,
+                rows,
+                band,
+                || (),
+                parallel::pairwise(pair),
+                budget,
+            );
+        }
+        let m = self.clusterings.len() as f64;
+        let data = parallel::try_fill_condensed(
+            self.n,
+            rows,
+            band,
+            || vec![0u32; band],
+            |counts: &mut Vec<u32>, u, vs, seg| {
+                let counts = &mut counts[..seg.len()];
+                self.packed.sep_row_into(u, vs.start, counts);
+                for (entry, &c) in seg.iter_mut().zip(counts.iter()) {
+                    *entry = f64::from(c) / m;
+                }
+            },
+            budget,
+        )?;
+        crate::telemetry::count_packed_evals(data.len() as u64);
+        Ok(data)
+    }
 }
 
 impl DistanceOracle for ClusteringsOracle {
@@ -719,49 +748,18 @@ impl CorrelationInstance {
         &self.inputs
     }
 
-    /// `true` when every input labels every object: with no missing lanes
-    /// anywhere, `X_uv` reduces to `sep / m` under either
-    /// [`MissingPolicy`] ([`MissingPolicy::Ignore`]: `defined == m`;
-    /// [`MissingPolicy::Coin`]: `missing == 0` contributes exactly
-    /// `+0.0`), bit-for-bit — which lets the dense fills use the batched
-    /// row kernel instead of per-pair `sep_missing`.
-    pub(crate) fn all_total(&self) -> bool {
-        self.inputs.iter().all(|c| c.num_missing() == 0)
-    }
-
-    /// Precompute the full distance matrix (`O(n² m)` time, `O(n²)` space).
-    /// Pairs are served by the packed lazy oracle and filled in
-    /// cache-blocked bands — same values as a row-major scalar fill.
-    /// All-total inputs go through the batched `sep_row_into` kernel
-    /// (one scratch buffer per worker, counted by `kernels_row_batches`);
-    /// genuinely partial inputs stay on the per-pair `sep_missing` path.
+    /// Precompute the full distance matrix (`O(n² m)` time, `O(n²)` space)
+    /// from the packed label rows, in cache-blocked bands: all-total inputs
+    /// through the batched separation kernel, partial inputs per pair.
     pub fn dense_oracle(&self) -> DenseOracle {
         let _span = crate::span!("dense_build", n = self.n, m = self.inputs.len());
-        let lazy = self.lazy_oracle();
-        let band = lazy.preferred_band();
-        let data = if self.all_total() {
-            let m = self.inputs.len() as f64;
-            let matrix = lazy.packed();
-            let data = crate::parallel::fill_condensed_banded_rows_scratch(
-                self.n,
-                band,
-                || vec![0u32; band],
-                |counts: &mut Vec<u32>, u, vs, seg| {
-                    let counts = &mut counts[..seg.len()];
-                    matrix.sep_row_into(u, vs.start, counts);
-                    for (entry, &c) in seg.iter_mut().zip(counts.iter()) {
-                        *entry = f64::from(c) / m;
-                    }
-                },
-            );
-            crate::telemetry::count_packed_evals((self.n * self.n.saturating_sub(1) / 2) as u64);
-            data
-        } else {
-            crate::parallel::fill_condensed_banded(self.n, band, |u, v| lazy.dist(u, v))
-        };
+        let fill = self
+            .lazy_oracle()
+            .try_fill_rows(0..self.n, &RunBudget::unlimited());
         DenseOracle {
             n: self.n,
-            data,
+            // An unlimited budget never trips.
+            data: fill.unwrap_or_default(),
             m: Some(self.inputs.len()),
             charge: None,
         }
@@ -793,35 +791,7 @@ impl CorrelationInstance {
         // observe it on the gauge (high-water accounting) for the fill's
         // duration without holding it against the cap afterwards.
         let packed_charge = budget.mem_gauge().charge(lazy.packed_bytes());
-        let band = lazy.preferred_band();
-        // Same all-total batching split as [`CorrelationInstance::
-        // dense_oracle`], threaded through the budget-polling fills.
-        let data = if self.all_total() {
-            let m = self.inputs.len() as f64;
-            let matrix = lazy.packed();
-            let data = crate::parallel::try_fill_condensed_banded_rows_scratch(
-                self.n,
-                band,
-                || vec![0u32; band],
-                |counts: &mut Vec<u32>, u, vs, seg| {
-                    let counts = &mut counts[..seg.len()];
-                    matrix.sep_row_into(u, vs.start, counts);
-                    for (entry, &c) in seg.iter_mut().zip(counts.iter()) {
-                        *entry = f64::from(c) / m;
-                    }
-                },
-                budget,
-            )?;
-            crate::telemetry::count_packed_evals((self.n * self.n.saturating_sub(1) / 2) as u64);
-            data
-        } else {
-            crate::parallel::try_fill_condensed_banded(
-                self.n,
-                band,
-                |u, v| lazy.dist(u, v),
-                budget,
-            )?
-        };
+        let data = lazy.try_fill_rows(0..self.n, budget)?;
         drop(packed_charge);
         Ok(DenseOracle {
             n: self.n,

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use crate::clustering::Clustering;
 use crate::instance::DistanceOracle;
 use crate::parallel;
-use crate::robust::{MemCharge, RunBudget, RunStatus};
+use crate::robust::{Interrupt, MemCharge, RunBudget, RunStatus};
 use crate::snapshot::{AgglomerativeSnapshot, AlgorithmSnapshot, Checkpointer, MergeRecord};
 use crate::telemetry;
 
@@ -94,9 +94,18 @@ impl CondensedMatrix {
     /// parallel row chunks. Same matrix as [`CondensedMatrix::from_fn`] at
     /// any thread count.
     pub fn from_fn_sync(n: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
+        let fill = parallel::try_fill_condensed(
+            n,
+            0..n,
+            n,
+            || (),
+            parallel::pairwise(f),
+            &RunBudget::unlimited(),
+        );
         CondensedMatrix {
             n,
-            data: parallel::fill_condensed(n, f),
+            // An unlimited budget never trips.
+            data: fill.unwrap_or_default(),
             charge: None,
         }
     }
@@ -108,37 +117,47 @@ impl CondensedMatrix {
     pub fn from_oracle<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> Self {
         CondensedMatrix {
             n: oracle.len(),
-            data: parallel::fill_condensed_banded(oracle.len(), oracle.preferred_band(), |u, v| {
-                oracle.dist(u, v)
-            }),
+            // An unlimited budget never trips.
+            data: Self::try_fill(oracle, &RunBudget::unlimited()).unwrap_or_default(),
             charge: None,
         }
     }
 
     /// Budgeted [`CondensedMatrix::from_oracle`]: the `n(n−1)/2 × 8`-byte
     /// allocation is first reserved against the budget's memory cap —
-    /// [`crate::robust::Interrupt::MemoryExceeded`] if it does not fit —
+    /// [`Interrupt::MemoryExceeded`] if it does not fit —
     /// and the parallel fill then polls the budget between row chunks and
     /// aborts early on a trip, since a half-filled matrix is useless. The
     /// matrix holds its memory charge for as long as it lives.
     pub fn try_from_oracle<O: DistanceOracle + Sync + ?Sized>(
         oracle: &O,
         budget: &RunBudget,
-    ) -> Result<Self, crate::robust::Interrupt> {
+    ) -> Result<Self, Interrupt> {
         let n = oracle.len();
         let bytes = (n as u64) * (n.saturating_sub(1) as u64) / 2 * 8;
         let charge = budget.try_reserve(bytes)?;
-        let data = parallel::try_fill_condensed_banded(
-            n,
-            oracle.preferred_band(),
-            |u, v| oracle.dist(u, v),
-            budget,
-        )?;
         Ok(CondensedMatrix {
             n,
-            data,
+            data: Self::try_fill(oracle, budget)?,
             charge: Some(Arc::new(charge)),
         })
+    }
+
+    /// The oracle's condensed triangle, filled in its preferred band.
+    fn try_fill<O: DistanceOracle + Sync + ?Sized>(
+        oracle: &O,
+        budget: &RunBudget,
+    ) -> Result<Vec<f64>, Interrupt> {
+        let n = oracle.len();
+        let pair = |u, v| oracle.dist(u, v);
+        parallel::try_fill_condensed(
+            n,
+            0..n,
+            oracle.preferred_band(),
+            || (),
+            parallel::pairwise(pair),
+            budget,
+        )
     }
 
     /// Bytes this matrix holds against a budget's

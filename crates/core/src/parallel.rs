@@ -30,6 +30,8 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::OnceLock;
 
+use crate::robust::{Interrupt, RunBudget};
+
 /// Upper bound on the number of chunks a task is split into. More chunks
 /// than threads keeps the shared queue effective at balancing uneven work;
 /// the constant is fixed so chunk boundaries never depend on thread count.
@@ -287,391 +289,102 @@ fn alloc_condensed(len: usize) -> Vec<f64> {
     data
 }
 
-/// Build the condensed upper-triangle vector `[f(u, v) for u < v]` of
-/// length `n(n−1)/2` in parallel row chunks. Every entry is written exactly
-/// once, so the result is trivially independent of thread count.
-pub fn fill_condensed<F>(n: usize, f: F) -> Vec<f64>
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    let len = n * n.saturating_sub(1) / 2;
-    let mut data = alloc_condensed(len);
-    let mut jobs: Vec<(Range<usize>, &mut [f64])> = Vec::new();
-    let mut rest: &mut [f64] = &mut data;
-    for rows in row_ranges(n) {
-        let pairs: usize = rows.clone().map(|u| n - 1 - u).sum();
-        let (head, tail) = rest.split_at_mut(pairs);
-        jobs.push((rows, head));
-        rest = tail;
-    }
-    let _fill = crate::span!("condensed_fill", len = len);
-    run_jobs(jobs, |(rows, out)| {
-        let mut i = 0usize;
-        for u in rows {
-            for v in u + 1..n {
-                out[i] = f(u, v);
-                i += 1;
-            }
-        }
-    });
-    data
-}
-
-/// Cache-blocked variant of [`fill_condensed`]: each row chunk walks its
-/// columns in fixed `band`-wide stripes (`for band: for u: for v in band`)
-/// so a short stripe of packed label rows stays cache-resident while the
-/// chunk's rows stream against it. Every entry is still written exactly
-/// once, at the same index as [`fill_condensed`] would place it, so the
-/// result is identical to the row-major fill at any thread count and any
-/// band width.
-pub fn fill_condensed_banded<F>(n: usize, band: usize, f: F) -> Vec<f64>
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    let band = band.max(1);
-    let len = n * n.saturating_sub(1) / 2;
-    let mut data = alloc_condensed(len);
-    let mut jobs: Vec<(Range<usize>, &mut [f64])> = Vec::new();
-    let mut rest: &mut [f64] = &mut data;
-    for rows in row_ranges(n) {
-        let pairs: usize = rows.clone().map(|u| n - 1 - u).sum();
-        let (head, tail) = rest.split_at_mut(pairs);
-        jobs.push((rows, head));
-        rest = tail;
-    }
-    let _fill = crate::span!("condensed_fill", len = len);
-    run_jobs(jobs, |(rows, out)| {
-        fill_rows_banded(n, band, &rows, out, &f);
-    });
-    data
-}
-
-/// Row-segment variant of [`fill_condensed_banded`] for batch kernels:
-/// instead of one `f(u, v)` call per pair, the fill hands each `(row,
-/// column-band)` intersection to `g(u, lo..hi, seg)` where `seg` is the
-/// condensed slice for pairs `(u, lo), …, (u, hi − 1)`. Segment boundaries
-/// depend only on `n` and `band`, every entry is written exactly once at
-/// its row-major condensed index, and segments never exceed `band`
-/// entries — so a `g` that writes `seg` from pure per-pair values produces
-/// the identical vector at any thread count and any band width.
-pub fn fill_condensed_banded_rows<G>(n: usize, band: usize, g: G) -> Vec<f64>
-where
-    G: Fn(usize, Range<usize>, &mut [f64]) + Sync,
-{
-    fill_condensed_banded_rows_scratch(n, band, || (), |(): &mut (), u, vs, seg| g(u, vs, seg))
-}
-
-/// Scratch-carrying variant of [`fill_condensed_banded_rows`]: each worker
-/// job calls `make_scratch()` once and threads the same `&mut S` through
-/// every `g` call it makes, so batch kernels can reuse one count buffer
-/// across all their row segments instead of allocating (or re-zeroing) per
-/// row. The scratch never influences segment boundaries or write indices,
-/// so the determinism guarantee of the scratch-free variant carries over
-/// unchanged.
-pub fn fill_condensed_banded_rows_scratch<S, M, G>(
-    n: usize,
-    band: usize,
-    make_scratch: M,
-    g: G,
-) -> Vec<f64>
-where
-    M: Fn() -> S + Sync,
-    G: Fn(&mut S, usize, Range<usize>, &mut [f64]) + Sync,
-{
-    let band = band.max(1);
-    let len = n * n.saturating_sub(1) / 2;
-    let mut data = alloc_condensed(len);
-    let mut jobs: Vec<(Range<usize>, &mut [f64])> = Vec::new();
-    let mut rest: &mut [f64] = &mut data;
-    for rows in row_ranges(n) {
-        let pairs: usize = rows.clone().map(|u| n - 1 - u).sum();
-        let (head, tail) = rest.split_at_mut(pairs);
-        jobs.push((rows, head));
-        rest = tail;
-    }
-    let _fill = crate::span!("condensed_fill", len = len);
-    run_jobs(jobs, |(rows, out)| {
-        let mut scratch = make_scratch();
-        fill_rows_banded_scratch_segments(n, band, &rows, out, &mut scratch, &g);
-    });
-    data
-}
-
-/// Restriction of [`fill_condensed_banded_rows_scratch`] to one row range:
-/// returns only the condensed slice covering rows `rows.start..rows.end`
-/// (pairs `(u, v)` with `u` in `rows`, `u < v < n`), filled with the same
-/// banded walk and therefore bit-identical to the matching slice of the
-/// full fill at any thread count. This is the tile-construction primitive
-/// of [`crate::spill`]: each tile is one row range, built independently.
-pub fn fill_condensed_rows_banded_scratch<S, M, G>(
-    n: usize,
-    band: usize,
-    rows: Range<usize>,
-    make_scratch: M,
-    g: G,
-) -> Vec<f64>
-where
-    M: Fn() -> S + Sync,
-    G: Fn(&mut S, usize, Range<usize>, &mut [f64]) + Sync,
-{
-    let band = band.max(1);
-    let rows = rows.start.min(n)..rows.end.min(n);
-    let len: usize = rows.clone().map(|u| n - 1 - u).sum();
-    let mut data = alloc_condensed(len);
-    // Split the row range into pair-balanced sub-jobs exactly like the full
-    // fill splits 0..n, so a wide tile still uses every worker.
-    let sub = balanced_ranges(rows.len(), MIN_CHUNK_PAIRS, |i| n - 1 - (rows.start + i));
-    let mut jobs: Vec<(Range<usize>, &mut [f64])> = Vec::new();
-    let mut rest: &mut [f64] = &mut data;
-    for r in sub {
-        let abs = rows.start + r.start..rows.start + r.end;
-        let pairs: usize = abs.clone().map(|u| n - 1 - u).sum();
-        let (head, tail) = rest.split_at_mut(pairs);
-        jobs.push((abs, head));
-        rest = tail;
-    }
-    let _fill = crate::span!("condensed_fill", len = len);
-    run_jobs(jobs, |(abs, out)| {
-        let mut scratch = make_scratch();
-        fill_rows_banded_scratch_segments(n, band, &abs, out, &mut scratch, &g);
-    });
-    data
-}
-
-/// One row chunk of [`fill_condensed_banded`]: fill `out` (the chunk's
-/// condensed slice, row `rows.start`'s pairs first) in column bands.
-/// `out[row_offset(u) + (v − u − 1)]` holds `f(u, v)`, matching the
-/// row-major condensed layout exactly.
-fn fill_rows_banded<F>(n: usize, band: usize, rows: &Range<usize>, out: &mut [f64], f: &F)
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    fill_rows_banded_segments(
-        n,
-        band,
-        rows,
-        out,
-        &|u, vs: Range<usize>, seg: &mut [f64]| {
-            for (entry, v) in seg.iter_mut().zip(vs) {
-                *entry = f(u, v);
-            }
-        },
-    );
-}
-
-/// Shared banded walk: hand each `(u, column-band)` intersection to `g` as
-/// one contiguous condensed segment.
-fn fill_rows_banded_segments<G>(n: usize, band: usize, rows: &Range<usize>, out: &mut [f64], g: &G)
-where
-    G: Fn(usize, Range<usize>, &mut [f64]) + Sync,
-{
-    fill_rows_banded_scratch_segments(n, band, rows, out, &mut (), &|(): &mut (), u, vs, seg| {
-        g(u, vs, seg)
-    });
-}
-
-/// The scratch-threading core of the banded walks.
-fn fill_rows_banded_scratch_segments<S, G>(
-    n: usize,
-    band: usize,
-    rows: &Range<usize>,
-    out: &mut [f64],
-    scratch: &mut S,
-    g: &G,
-) where
-    G: Fn(&mut S, usize, Range<usize>, &mut [f64]) + Sync,
-{
-    let mut band_start = rows.start + 1;
-    while band_start < n {
-        let band_end = (band_start + band).min(n);
-        let mut off = 0usize;
-        for u in rows.clone() {
-            let lo = band_start.max(u + 1);
-            if lo < band_end {
-                let idx0 = off + (lo - u - 1);
-                g(
-                    scratch,
-                    u,
-                    lo..band_end,
-                    &mut out[idx0..idx0 + (band_end - lo)],
-                );
-            }
-            off += n - 1 - u;
-        }
-        band_start = band_end;
-    }
-}
-
-/// Budget-aware variant of [`fill_condensed`]: workers check the budget's
-/// deadline and cancel token between chunk jobs, so a trip is honored
-/// within one chunk's worth of work. On a trip the partially-filled buffer
-/// is discarded and the interrupt returned; callers degrade gracefully
-/// (e.g. fall back to singletons). Iteration caps are algorithm-level and
-/// are not consumed here.
+/// Fill the condensed slice of `rows`: every pair `(u, v)` with `u` in
+/// `rows` and `u < v < n`, in row-major order (`0..n` is the whole
+/// `n(n−1)/2` triangle). This is the crate's one condensed fill; an
+/// unbudgeted caller passes [`RunBudget::unlimited`], whose poll never
+/// trips.
 ///
-/// When the budget is unlimited this is exactly [`fill_condensed`] — same
-/// chunk layout, same bit-identical result at any thread count.
-pub fn try_fill_condensed<F>(
+/// The rows are split into pair-balanced chunk jobs whose boundaries depend
+/// only on `n` and `rows`. Each job walks its columns in fixed `band`-wide
+/// stripes (`for band: for u: for v in band`), so a short stripe of packed
+/// label rows stays cache-resident while the job's rows stream against it;
+/// a `band` of `n` or more is the plain row-major walk. Every `(row,
+/// column-band)` intersection goes to `g(scratch, u, lo..hi, seg)`, where
+/// `seg` is the condensed slice for pairs `(u, lo), …, (u, hi − 1)` and
+/// `scratch` is the job's own `make_scratch()` value, reused across all of
+/// its segments. Every entry is written exactly once at its row-major
+/// index, so a `g` that writes pure per-pair values produces the identical
+/// vector at any thread count, band width and row split.
+///
+/// Workers poll the budget's deadline and cancel token before each job, so
+/// a trip is honored within one job's worth of work; the partly filled
+/// buffer is then dropped and the interrupt returned. Iteration caps are
+/// algorithm-level and are not consumed here, and memory is reserved by
+/// the caller.
+pub fn try_fill_condensed<S, M, G>(
     n: usize,
-    f: F,
-    budget: &crate::robust::RunBudget,
-) -> Result<Vec<f64>, crate::robust::Interrupt>
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    use crate::robust::Interrupt;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    if budget.is_unlimited() {
-        return Ok(fill_condensed(n, f));
-    }
-    // 0 = running, 1 = deadline, 2 = cancelled. First trip wins; later
-    // jobs see the flag and return immediately without touching the clock.
-    let tripped = AtomicU8::new(0);
-    let len = n * n.saturating_sub(1) / 2;
-    let mut data = alloc_condensed(len);
-    let mut jobs: Vec<(Range<usize>, &mut [f64])> = Vec::new();
-    let mut rest: &mut [f64] = &mut data;
-    for rows in row_ranges(n) {
-        let pairs: usize = rows.clone().map(|u| n - 1 - u).sum();
-        let (head, tail) = rest.split_at_mut(pairs);
-        jobs.push((rows, head));
-        rest = tail;
-    }
-    let _fill = crate::span!("condensed_fill", len = len);
-    run_jobs(jobs, |(rows, out)| {
-        if tripped.load(Ordering::Relaxed) != 0 {
-            return;
-        }
-        if let Err(interrupt) = budget.poll() {
-            let code = match interrupt {
-                Interrupt::Cancelled => 2,
-                _ => 1,
-            };
-            tripped.store(code, Ordering::Relaxed);
-            return;
-        }
-        let mut i = 0usize;
-        for u in rows {
-            for v in u + 1..n {
-                out[i] = f(u, v);
-                i += 1;
-            }
-        }
-    });
-    match tripped.load(Ordering::Relaxed) {
-        0 => Ok(data),
-        2 => Err(Interrupt::Cancelled),
-        _ => Err(Interrupt::Deadline),
-    }
-}
-
-/// Budget-aware [`fill_condensed_banded`]: the same cache-blocked fill,
-/// polling the budget between chunk jobs exactly like
-/// [`try_fill_condensed`]. Unlimited budgets take the unpolled fast path.
-pub fn try_fill_condensed_banded<F>(
-    n: usize,
-    band: usize,
-    f: F,
-    budget: &crate::robust::RunBudget,
-) -> Result<Vec<f64>, crate::robust::Interrupt>
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    use crate::robust::Interrupt;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    if budget.is_unlimited() {
-        return Ok(fill_condensed_banded(n, band, f));
-    }
-    let band = band.max(1);
-    let tripped = AtomicU8::new(0);
-    let len = n * n.saturating_sub(1) / 2;
-    let mut data = alloc_condensed(len);
-    let mut jobs: Vec<(Range<usize>, &mut [f64])> = Vec::new();
-    let mut rest: &mut [f64] = &mut data;
-    for rows in row_ranges(n) {
-        let pairs: usize = rows.clone().map(|u| n - 1 - u).sum();
-        let (head, tail) = rest.split_at_mut(pairs);
-        jobs.push((rows, head));
-        rest = tail;
-    }
-    let _fill = crate::span!("condensed_fill", len = len);
-    run_jobs(jobs, |(rows, out)| {
-        if tripped.load(Ordering::Relaxed) != 0 {
-            return;
-        }
-        if let Err(interrupt) = budget.poll() {
-            let code = match interrupt {
-                Interrupt::Cancelled => 2,
-                _ => 1,
-            };
-            tripped.store(code, Ordering::Relaxed);
-            return;
-        }
-        fill_rows_banded(n, band, &rows, out, &f);
-    });
-    match tripped.load(Ordering::Relaxed) {
-        0 => Ok(data),
-        2 => Err(Interrupt::Cancelled),
-        _ => Err(Interrupt::Deadline),
-    }
-}
-
-/// Budget-aware [`fill_condensed_banded_rows_scratch`]: the same batched
-/// row-segment fill, polling the budget between chunk jobs exactly like
-/// [`try_fill_condensed_banded`]. Unlimited budgets take the unpolled
-/// fast path; segment boundaries and write indices are unchanged, so the
-/// result stays bit-identical to the unbudgeted fill at any thread count.
-pub fn try_fill_condensed_banded_rows_scratch<S, M, G>(
-    n: usize,
+    rows: Range<usize>,
     band: usize,
     make_scratch: M,
     g: G,
-    budget: &crate::robust::RunBudget,
-) -> Result<Vec<f64>, crate::robust::Interrupt>
+    budget: &RunBudget,
+) -> Result<Vec<f64>, Interrupt>
 where
     M: Fn() -> S + Sync,
     G: Fn(&mut S, usize, Range<usize>, &mut [f64]) + Sync,
 {
-    use crate::robust::Interrupt;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    if budget.is_unlimited() {
-        return Ok(fill_condensed_banded_rows_scratch(n, band, make_scratch, g));
-    }
-    let band = band.max(1);
-    let tripped = AtomicU8::new(0);
-    let len = n * n.saturating_sub(1) / 2;
+    let band = band.clamp(1, n.max(1));
+    let rows = rows.start.min(n)..rows.end.min(n);
+    let pairs = |rows: Range<usize>| -> usize { rows.map(|u| n - 1 - u).sum() };
+    let len = pairs(rows.clone());
     let mut data = alloc_condensed(len);
     let mut jobs: Vec<(Range<usize>, &mut [f64])> = Vec::new();
     let mut rest: &mut [f64] = &mut data;
-    for rows in row_ranges(n) {
-        let pairs: usize = rows.clone().map(|u| n - 1 - u).sum();
-        let (head, tail) = rest.split_at_mut(pairs);
-        jobs.push((rows, head));
+    for r in balanced_ranges(rows.len(), MIN_CHUNK_PAIRS, |i| n - 1 - (rows.start + i)) {
+        let job_rows = rows.start + r.start..rows.start + r.end;
+        let (head, tail) = rest.split_at_mut(pairs(job_rows.clone()));
+        jobs.push((job_rows, head));
         rest = tail;
     }
+    // The first trip wins; later jobs see it and skip their work.
+    let tripped: OnceLock<Interrupt> = OnceLock::new();
     let _fill = crate::span!("condensed_fill", len = len);
     run_jobs(jobs, |(rows, out)| {
-        if tripped.load(Ordering::Relaxed) != 0 {
+        if tripped.get().is_some() {
             return;
         }
         if let Err(interrupt) = budget.poll() {
-            let code = match interrupt {
-                Interrupt::Cancelled => 2,
-                _ => 1,
-            };
-            tripped.store(code, Ordering::Relaxed);
+            let _ = tripped.set(interrupt);
             return;
         }
         let mut scratch = make_scratch();
-        fill_rows_banded_scratch_segments(n, band, &rows, out, &mut scratch, &g);
+        let mut band_start = rows.start + 1;
+        while band_start < n {
+            let band_end = (band_start + band).min(n);
+            let mut off = 0usize;
+            for u in rows.clone() {
+                let lo = band_start.max(u + 1);
+                if lo < band_end {
+                    let idx0 = off + (lo - u - 1);
+                    g(
+                        &mut scratch,
+                        u,
+                        lo..band_end,
+                        &mut out[idx0..idx0 + (band_end - lo)],
+                    );
+                }
+                off += n - 1 - u;
+            }
+            band_start = band_end;
+        }
     });
-    match tripped.load(Ordering::Relaxed) {
-        0 => Ok(data),
-        2 => Err(Interrupt::Cancelled),
-        _ => Err(Interrupt::Deadline),
+    match tripped.into_inner() {
+        None => Ok(data),
+        Some(interrupt) => Err(interrupt),
+    }
+}
+
+/// Adapt a per-pair distance function to the segment callback of
+/// [`try_fill_condensed`]: each entry of a segment gets `f(u, v)`.
+pub(crate) fn pairwise<F>(f: F) -> impl Fn(&mut (), usize, Range<usize>, &mut [f64]) + Sync
+where
+    F: Fn(usize, usize) -> f64 + Sync,
+{
+    move |(): &mut (), u, vs, seg| {
+        for (entry, v) in seg.iter_mut().zip(vs) {
+            *entry = f(u, v);
+        }
     }
 }
 
@@ -771,21 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn condensed_layout_matches_direct_indexing() {
-        let n = 600;
-        let f = |u: usize, v: usize| (u * n + v) as f64;
-        let data = fill_condensed(n, f);
-        assert_eq!(data.len(), n * (n - 1) / 2);
-        let mut i = 0;
-        for u in 0..n {
-            for v in u + 1..n {
-                assert_eq!(data[i], f(u, v));
-                i += 1;
-            }
-        }
-    }
-
-    #[test]
     fn max_pair_takes_earliest_on_ties() {
         // Constant function: the very first pair must win.
         assert_eq!(max_pair(5000, |_, _| 1.0), Some((0, 1, 1.0)));
@@ -839,103 +537,59 @@ mod tests {
     }
 
     #[test]
-    fn banded_fill_matches_row_major_fill() {
+    fn fill_matches_the_row_major_reference_and_honors_the_budget() {
+        use crate::robust::CancelToken;
         let f = |u: usize, v: usize| (u * 10_007 + v) as f64;
-        for n in [0usize, 1, 2, 3, 129, 600] {
-            let expected = fill_condensed(n, f);
-            for band in [1usize, 2, 7, 512, 10_000] {
-                assert_eq!(
-                    fill_condensed_banded(n, band, f),
-                    expected,
-                    "n={n} band={band}"
-                );
-            }
-        }
-        let one = with_num_threads(1, || fill_condensed_banded(600, 128, f));
-        let four = with_num_threads(4, || fill_condensed_banded(600, 128, f));
-        assert_eq!(one, four);
-    }
-
-    #[test]
-    fn try_banded_fill_matches_and_trips() {
-        use crate::robust::{Interrupt, RunBudget};
-        let n = 300;
-        let f = |u: usize, v: usize| ((u * 7 + v) % 13) as f64;
         let generous = RunBudget::unlimited().with_deadline_ms(60_000);
-        assert_eq!(
-            try_fill_condensed_banded(n, 64, f, &generous).unwrap(),
-            fill_condensed(n, f)
-        );
-        assert_eq!(
-            try_fill_condensed_banded(n, 64, f, &RunBudget::unlimited()).unwrap(),
-            fill_condensed(n, f)
-        );
         let expired = RunBudget::unlimited().with_deadline(std::time::Duration::ZERO);
-        assert_eq!(
-            try_fill_condensed_banded(n, 64, f, &expired),
-            Err(Interrupt::Deadline)
-        );
-    }
-
-    #[test]
-    fn try_fill_condensed_matches_and_trips() {
-        use crate::robust::{CancelToken, Interrupt, RunBudget};
-        let n = 300;
-        let f = |u: usize, v: usize| ((u * 7 + v) % 13) as f64;
-        // A generous live budget reproduces the unbudgeted result exactly.
-        let generous = RunBudget::unlimited().with_deadline_ms(60_000);
-        assert_eq!(
-            try_fill_condensed(n, f, &generous).unwrap(),
-            fill_condensed(n, f)
-        );
-        // An unlimited budget takes the fast path.
-        assert_eq!(
-            try_fill_condensed(n, f, &RunBudget::unlimited()).unwrap(),
-            fill_condensed(n, f)
-        );
-        // An already-expired deadline trips before any work completes.
-        let expired = RunBudget::unlimited().with_deadline(std::time::Duration::ZERO);
-        assert_eq!(try_fill_condensed(n, f, &expired), Err(Interrupt::Deadline));
-        // A fired cancel token reports Cancelled.
         let token = CancelToken::new();
         token.cancel();
         let cancelled = RunBudget::unlimited().with_cancel_token(token);
-        assert_eq!(
-            try_fill_condensed(n, f, &cancelled),
-            Err(Interrupt::Cancelled)
-        );
-    }
-
-    #[test]
-    fn row_range_fill_matches_the_full_fill_slice() {
-        let n = 400;
-        let f = |u: usize, v: usize| (u * 10_007 + v) as f64;
-        let full = fill_condensed(n, f);
-        let g = |(): &mut (), u: usize, vs: Range<usize>, seg: &mut [f64]| {
+        // The segment callback keeps a per-job count in its scratch; the
+        // count never reaches the output, so it must not change it.
+        let g = |calls: &mut usize, u: usize, vs: Range<usize>, seg: &mut [f64]| {
+            *calls += 1;
             for (entry, v) in seg.iter_mut().zip(vs) {
                 *entry = f(u, v);
             }
         };
-        for rows in [0..0, 0..1, 0..n, 3..17, 100..250, n - 1..n, 250..n] {
-            let offset: usize = (0..rows.start).map(|u| n - 1 - u).sum();
-            let pairs: usize = rows.clone().map(|u| n - 1 - u).sum();
-            for band in [1usize, 64, 512] {
-                let tile = fill_condensed_rows_banded_scratch(n, band, rows.clone(), || (), g);
-                assert_eq!(tile.len(), pairs, "rows={rows:?} band={band}");
-                assert_eq!(
-                    tile,
-                    full[offset..offset + pairs],
-                    "rows={rows:?} band={band}"
-                );
+        for n in [0usize, 1, 2, 3, 129, 600] {
+            let last = n.saturating_sub(1);
+            let ranges = [0..n, 0..0, 0..1, 3..17, n / 3..2 * n / 3, n / 2..n, last..n];
+            for rows in ranges {
+                let rows = rows.start.min(n)..rows.end.min(n);
+                let reference: Vec<f64> = rows
+                    .clone()
+                    .flat_map(|u| (u + 1..n).map(move |v| f(u, v)))
+                    .collect();
+                for band in [1usize, 2, 7, 64, 512, 10_000] {
+                    for threads in [1usize, 4] {
+                        let fill = |budget: &RunBudget| {
+                            with_num_threads(threads, || {
+                                try_fill_condensed(n, rows.clone(), band, || 0usize, g, budget)
+                            })
+                        };
+                        let at = format!("n={n} rows={rows:?} band={band} threads={threads}");
+                        let expected: Result<Vec<f64>, Interrupt> = Ok(reference.clone());
+                        assert_eq!(fill(&RunBudget::unlimited()), expected, "{at}");
+                        assert_eq!(fill(&generous), expected, "{at}");
+                        // A range with no rows has no job to poll the budget.
+                        let tripped = |interrupt| -> Result<Vec<f64>, Interrupt> {
+                            if rows.is_empty() {
+                                Ok(Vec::new())
+                            } else {
+                                Err(interrupt)
+                            }
+                        };
+                        assert_eq!(fill(&expired), tripped(Interrupt::Deadline), "{at}");
+                        assert_eq!(fill(&cancelled), tripped(Interrupt::Cancelled), "{at}");
+                    }
+                }
             }
-            let one = with_num_threads(1, || {
-                fill_condensed_rows_banded_scratch(n, 64, rows.clone(), || (), g)
-            });
-            let four = with_num_threads(4, || {
-                fill_condensed_rows_banded_scratch(n, 64, rows.clone(), || (), g)
-            });
-            assert_eq!(one, four, "rows={rows:?}");
         }
+        // The per-pair adapter writes exactly `f(u, v)`.
+        let full = try_fill_condensed(5, 0..5, 2, || (), pairwise(f), &RunBudget::unlimited());
+        assert_eq!(full.map(|d| d[0]), Ok(f(0, 1)));
     }
 
     #[test]

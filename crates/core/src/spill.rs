@@ -347,49 +347,20 @@ impl SpilledOracle {
     }
 
     /// Compute a tile's condensed slice from the packed labels — the same
-    /// kernels and the same per-pair values as the dense fill, restricted
-    /// to the tile's row range.
+    /// fill and the same per-pair values as the dense build, restricted to
+    /// the tile's row range.
     fn build_tile_data(&self, tile: usize) -> Vec<f64> {
-        let rows = self.tile_rows(tile as u32);
-        let n = self.n;
-        let band = self.lazy.preferred_band();
-        let pairs = self.tile_pairs[tile];
         // Account the tile's bytes on the gauge while it is being built
         // (transient scratch; pinning re-charges through try_reserve).
-        let _scratch_charge = self.budget.mem_gauge().charge((pairs * 8) as u64);
-        let data = if self.lazy.clusterings().iter().all(|c| c.num_missing() == 0) {
-            let m = self.lazy.clusterings().len() as f64;
-            let matrix = self.lazy.packed();
-            let data = crate::parallel::fill_condensed_rows_banded_scratch(
-                n,
-                band,
-                rows,
-                || vec![0u32; band],
-                |counts: &mut Vec<u32>, u, vs, seg| {
-                    let counts = &mut counts[..seg.len()];
-                    matrix.sep_row_into(u, vs.start, counts);
-                    for (entry, &c) in seg.iter_mut().zip(counts.iter()) {
-                        *entry = f64::from(c) / m;
-                    }
-                },
-            );
-            telemetry::count_packed_evals(pairs as u64);
-            data
-        } else {
-            let lazy = &self.lazy;
-            crate::parallel::fill_condensed_rows_banded_scratch(
-                n,
-                band,
-                rows,
-                || (),
-                |(): &mut (), u, vs, seg| {
-                    for (entry, v) in seg.iter_mut().zip(vs) {
-                        *entry = lazy.dist(u, v);
-                    }
-                },
-            )
-        };
-        data
+        let _scratch_charge = self
+            .budget
+            .mem_gauge()
+            .charge((self.tile_pairs[tile] * 8) as u64);
+        let rows = self.tile_rows(tile as u32);
+        // An unlimited budget never trips: a tile rebuild serves a read.
+        self.lazy
+            .try_fill_rows(rows, &RunBudget::unlimited())
+            .unwrap_or_default()
     }
 
     fn encode_frame(&self, tile: u32, data: &[f64]) -> Vec<u8> {
@@ -772,6 +743,7 @@ mod tests {
 
     #[test]
     fn spilled_oracle_matches_dense_bit_for_bit() {
+        let _guard = crate::telemetry::global_state_lock();
         let instance = adversarial_instance(60, 5);
         let dense = instance.dense_oracle();
         let dir = temp_dir("match_dense");
@@ -796,6 +768,7 @@ mod tests {
 
     #[test]
     fn spilled_oracle_is_identical_across_thread_counts() {
+        let _guard = crate::telemetry::global_state_lock();
         let instance = adversarial_instance(50, 4);
         let dir1 = temp_dir("threads_1");
         let dir4 = temp_dir("threads_4");
@@ -820,6 +793,7 @@ mod tests {
 
     #[test]
     fn partial_inputs_spill_identically_to_dense() {
+        let _guard = crate::telemetry::global_state_lock();
         let p = |labels: &[i64]| {
             PartialClustering::from_labels(
                 labels
@@ -864,6 +838,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_in_a_frame_rebuilds_to_correct_values() {
+        let _guard = crate::telemetry::global_state_lock();
         let instance = adversarial_instance(12, 3);
         let dense = instance.dense_oracle();
         let dir = temp_dir("bitflip");
@@ -906,6 +881,7 @@ mod tests {
 
     #[test]
     fn orphaned_frames_are_reclaimed_not_rebuilt() {
+        let _guard = crate::telemetry::global_state_lock();
         let instance = adversarial_instance(30, 3);
         let dir = temp_dir("reclaim");
         let budget = RunBudget::unlimited().with_mem_limit_bytes(2048);
@@ -939,6 +915,7 @@ mod tests {
 
     #[test]
     fn unwritable_spill_dir_is_a_typed_io_error() {
+        let _guard = crate::telemetry::global_state_lock();
         let instance = adversarial_instance(20, 3);
         let budget = RunBudget::unlimited().with_mem_limit_bytes(1024);
         // A file where the directory should be: create_dir_all fails.
@@ -954,6 +931,7 @@ mod tests {
 
     #[test]
     fn cancellation_interrupts_the_build() {
+        let _guard = crate::telemetry::global_state_lock();
         let instance = adversarial_instance(40, 3);
         let token = crate::robust::CancelToken::new();
         token.cancel();
@@ -991,6 +969,7 @@ mod tests {
 
     #[test]
     fn cache_hits_and_bypass_are_counted() {
+        let _guard = crate::telemetry::global_state_lock();
         let instance = adversarial_instance(60, 5);
         // Roomy budget: every tile stays pinned from the build, so reads
         // are LRU/memo hits.
@@ -1044,6 +1023,7 @@ mod tests {
 
     #[test]
     fn eviction_frees_budget_and_counts() {
+        let _guard = crate::telemetry::global_state_lock();
         let instance = adversarial_instance(60, 5);
         let dir = temp_dir("evict");
         crate::telemetry::set_metrics_enabled(true);

@@ -2180,16 +2180,19 @@ impl Collector for MemoryCollector {
     }
 }
 
+/// Serializes the library tests that touch process-global state: those
+/// that flip the collector or the metrics switch, read global counter
+/// deltas, or write spill tiles (which the spill counters see). The rest of
+/// the suite runs in parallel threads.
+#[cfg(test)]
+pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that flip the process-global collector or
-    /// metrics switch; the rest of the suite runs in parallel threads.
-    fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn level_parsing_and_order() {
@@ -2388,20 +2391,21 @@ mod tests {
         clock.advance(Duration::from_millis(10));
         hb.tick(50); // due again
         clear_collector();
-        let progress: Vec<String> = collector
-            .records()
-            .into_iter()
-            .filter(|r| r.contains("progress"))
+        // Tests running in parallel may emit their own events while the
+        // collector is installed; count only this heartbeat's.
+        let records = collector.records();
+        let progress: Vec<&String> = records
+            .iter()
+            .filter(|r| r.contains("progress") && r.contains("phase=test_phase"))
             .collect();
         assert_eq!(progress.len(), 2, "got {progress:?}");
-        assert!(progress[0].contains("phase=test_phase"));
         assert!(progress[0].contains("done=25"));
         assert!(progress[0].contains("total=100"));
         assert!(progress[0].contains("eta_ms="));
         // Without a collector a tick is inert regardless of cadence.
         clock.advance(Duration::from_secs(1));
         hb.tick(99);
-        assert_eq!(collector.records().len(), progress.len());
+        assert_eq!(collector.records().len(), records.len());
     }
 
     #[test]
@@ -2421,7 +2425,7 @@ mod tests {
         let records = collector.records();
         let line = records
             .iter()
-            .find(|r| r.contains("progress"))
+            .find(|r| r.contains("progress") && r.contains("phase=budgeted"))
             .cloned()
             .unwrap_or_default();
         assert!(

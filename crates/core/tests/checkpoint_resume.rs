@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use aggclust_core::algorithms::local_search::LocalSearchInit;
-use aggclust_core::algorithms::sampling::{sampling, sampling_resumable};
+use aggclust_core::algorithms::sampling::sampling_resumable;
 use aggclust_core::algorithms::{
     AgglomerativeParams, Algorithm, LocalSearchParams, SamplingParams,
 };
@@ -213,7 +213,9 @@ fn sampling_interrupt_resume_through_disk_is_bit_identical() {
         Algorithm::Agglomerative(AgglomerativeParams::default()),
         13,
     );
-    let reference = sampling(&oracle, &params);
+    let reference = sampling_resumable(&oracle, &params, &RunBudget::unlimited(), None, None)
+        .expect("uninterrupted")
+        .clustering;
 
     let dir = temp_dir("samp");
     let path = dir.join("run.ckpt");

@@ -28,7 +28,7 @@ use aggclust_core::clustering::Clustering;
 use aggclust_core::instance::DenseOracle;
 use aggclust_core::parallel::with_num_threads;
 use aggclust_core::snapshot::{load_snapshot, Checkpointer, SnapshotLoad};
-use aggclust_core::telemetry::{set_metrics_enabled, MetricsSnapshot};
+use aggclust_core::telemetry::{metrics, set_metrics_enabled, MetricsSnapshot};
 use aggclust_core::RunBudget;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -44,7 +44,15 @@ fn metrics_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Run `f` with metrics enabled and return its counter delta.
+///
+/// `ls_improvement` is a process-global float sum, so its delta is exact
+/// only from a fixed starting value: `after − before` rounds differently
+/// depending on what earlier tests added. It is zeroed first
+/// (`x + (−x)` is exactly `0.0`), which makes the delta the serially
+/// accumulated sum of this window alone.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, MetricsSnapshot) {
+    let improvement = &metrics().ls_improvement;
+    improvement.add(-improvement.get());
     set_metrics_enabled(true);
     let before = MetricsSnapshot::capture();
     let out = f();

@@ -14,9 +14,10 @@
 use aggclust_core::clustering::Clustering;
 use aggclust_core::consensus::ConsensusBuilder;
 use aggclust_core::instance::CorrelationInstance;
+use aggclust_core::AggError;
 use aggclust_metrics::stability::{ambiguity_scores, isolation_scores, top_outliers};
 
-fn main() {
+fn main() -> Result<(), AggError> {
     // A movie table clustered by three attributes. Movies 0–3 are romantic
     // comedies (Julia Roberts / mainstream directors), movies 4–7 are
     // horror films; movie 8 is the paper's pathological case: a horror
@@ -42,7 +43,7 @@ fn main() {
     assert_eq!(suspects[0], 8);
 
     // The aggregation agrees: movie 8 becomes a singleton.
-    let result = ConsensusBuilder::new().aggregate(&inputs);
+    let result = ConsensusBuilder::new().try_aggregate(&inputs)?;
     let label8 = result.clustering.label(8);
     let alone = (0..8).all(|v| result.clustering.label(v) != label8);
     println!(
@@ -56,4 +57,5 @@ fn main() {
         result.cost,
         result.lower_bound.unwrap()
     );
+    Ok(())
 }
