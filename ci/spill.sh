@@ -17,8 +17,12 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BIN=target/release/aggclust
+TRACE_BIN=target/release/aggclust-trace
 if [ ! -x "$BIN" ]; then
     cargo build --release -q -p aggclust-cli
+fi
+if [ ! -x "$TRACE_BIN" ]; then
+    cargo build --release -q -p aggclust-trace
 fi
 
 WORK=$(mktemp -d)
@@ -99,16 +103,16 @@ echo "== resume (orphaned tiles must be reclaimed) =="
 cmp "$WORK/ref.txt" "$WORK/resumed.txt"
 echo "OK: resumed labels are byte-identical to the unconstrained run"
 if [ "$orphans" -gt 0 ]; then
-    python3 - "$WORK/resume.json" "$orphans" <<'EOF'
-import json
-import sys
-
-metrics = json.load(open(sys.argv[1]))["metrics"]
-orphans = int(sys.argv[2])
-read, written = metrics["spill_tiles_read"], metrics["spill_tiles_written"]
-assert read > 0, f"no orphaned tiles were reclaimed (written={written})"
-print(f"OK: resume reclaimed {read} tiles, rebuilt and wrote {written}")
-EOF
+    # `check` validates the report, then prints it as 'path value' lines.
+    "$TRACE_BIN" check --report "$WORK/resume.json" | awk '
+        { v[$1] = $2 }
+        END {
+            if (!(v["metrics.spill_tiles_read"] > 0)) {
+                print "FAIL: no orphaned tiles were reclaimed (written=" v["metrics.spill_tiles_written"] ")"
+                exit 1
+            }
+            print "OK: resume reclaimed " v["metrics.spill_tiles_read"] " tiles, rebuilt and wrote " v["metrics.spill_tiles_written"]
+        }'
 fi
 if [ -d "$SPILL_DIR" ]; then
     echo "FAIL: resumed run left spilled tiles behind:"

@@ -2,11 +2,12 @@
 # Observability acceptance checks (ISSUE 4):
 #
 #   1. Run an n = 2000 aggregation with --trace-out/--metrics-out and
-#      validate both machine-readable outputs against their schemas:
+#      validate both machine-readable outputs with `aggclust-trace check`:
 #      every trace line is a JSON object of type event/span_start/span_end
 #      with the documented keys, span ends pair with starts, and the run
 #      report is {"schema":"aggclust-run-report-v1","metrics":{...}} with
-#      every counter a non-negative integer.
+#      every counter a non-negative integer (the rules are listed in
+#      crates/trace/src/check.rs).
 #   2. Check the paper's Figure 5 scaling claim on the counters themselves:
 #      at n = 5000, SAMPLING's distance-oracle evaluations stay O(n·s)
 #      (≤ 5% of n²) while BALLS pays the full Θ(n²).
@@ -15,12 +16,20 @@
 #      kernels_dispatch_tier metric is a known tier name matching the
 #      host's selected tier, and a run forced to AGGCLUST_SIMD=swar
 #      reports exactly that tier.
+#
+# `check` prints a passing report as one 'path value' line per leaf
+# (`metrics.spill_tiles_read 12`); each scenario's expectations below are
+# awk conditions over those lines.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BIN=target/release/aggclust
+TRACE_BIN=target/release/aggclust-trace
 if [ ! -x "$BIN" ]; then
     cargo build --release -q -p aggclust-cli
+fi
+if [ ! -x "$TRACE_BIN" ]; then
+    cargo build --release -q -p aggclust-trace
 fi
 
 WORK=$(mktemp -d)
@@ -41,163 +50,59 @@ gen_input() {
 gen_input 2000 > "$WORK/in2000.csv"
 gen_input 5000 > "$WORK/in5000.csv"
 
+# expect FILE CONDITION MESSAGE: the flattened report FILE, loaded as
+# v[path] = value, must satisfy the awk CONDITION.
+expect() {
+    awk -v msg="$3" "{ v[\$1] = \$2 } END { if (!($2)) { print \"FAIL: \" msg; exit 1 } }" "$1"
+}
+
+# value FILE PATH: the flattened report's value at PATH.
+value() {
+    awk -v path="$2" '$1 == path { print $2 }' "$1"
+}
+
 echo "== n = 2000 run with --trace-out / --metrics-out =="
 "$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
     --trace-out "$WORK/trace.jsonl" --metrics-out "$WORK/report.json" \
     --output /dev/null --log-level error
 
 echo "== trace + report schema validation =="
-python3 - "$WORK/trace.jsonl" "$WORK/report.json" <<'EOF'
-import json
-import sys
-
-trace_path, report_path = sys.argv[1], sys.argv[2]
-
-LEVELS = {"error", "warn", "info", "debug", "trace"}
-open_spans = {}
-counts = {"event": 0, "span_start": 0, "span_end": 0}
-
-def is_uint(x):
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-with open(trace_path) as f:
-    for lineno, line in enumerate(f, 1):
-        rec = json.loads(line)
-        kind = rec.get("type")
-        assert kind in counts, f"line {lineno}: unknown type {kind!r}"
-        counts[kind] += 1
-        assert is_uint(rec.get("ts_ns")), f"line {lineno}: bad ts_ns"
-        assert is_uint(rec.get("tid")) and rec["tid"] >= 1, f"line {lineno}: bad tid"
-        assert isinstance(rec.get("fields"), dict), f"line {lineno}: bad fields"
-        if kind == "event":
-            assert rec.get("level") in LEVELS, f"line {lineno}: bad level"
-            assert isinstance(rec.get("message"), str), f"line {lineno}: bad message"
-        else:
-            assert isinstance(rec.get("span"), str), f"line {lineno}: bad span"
-            assert is_uint(rec.get("id")), f"line {lineno}: bad id"
-            if kind == "span_start":
-                assert rec["id"] not in open_spans, f"line {lineno}: id reused"
-                open_spans[rec["id"]] = rec["span"]
-            else:
-                assert open_spans.pop(rec["id"], None) == rec["span"], \
-                    f"line {lineno}: span_end without matching start"
-                assert is_uint(rec.get("elapsed_ns")), f"line {lineno}: bad elapsed_ns"
-
-assert counts["span_start"] > 0, "no spans were traced"
-assert counts["span_end"] == counts["span_start"], "unbalanced spans"
-assert not open_spans, f"spans never closed: {open_spans}"
-spans = counts["span_start"]
-
-report = json.load(open(report_path))
-assert report.get("schema") == "aggclust-run-report-v1", "bad report schema tag"
-metrics = report["metrics"]
-TIERS = {"scalar", "swar", "sse2", "avx2", "avx512", "neon"}
-host = report.get("host")
-assert isinstance(host, dict), "report: missing host block"
-assert isinstance(host.get("arch"), str) and host["arch"], "host: bad arch"
-assert isinstance(host.get("os"), str) and host["os"], "host: bad os"
-assert is_uint(host.get("cpus")) and host["cpus"] >= 1, "host: bad cpus"
-assert isinstance(host.get("features"), list) and \
-    all(isinstance(f, str) for f in host["features"]), "host: bad features"
-assert host.get("simd_requested") in TIERS | {"auto"}, "host: bad simd_requested"
-assert host.get("simd_selected") in TIERS, "host: bad simd_selected"
-
-tier = metrics.get("kernels_dispatch_tier")
-assert tier in TIERS, f"report: kernels_dispatch_tier {tier!r} not a tier name"
-assert tier == host["simd_selected"], \
-    f"report: dispatch tier {tier!r} != host simd_selected {host['simd_selected']!r}"
-
-REQUIRED = [
-    "oracle_dense_evals", "oracle_lazy_evals",
-    "oracle_packed_evals", "kernels_fallback_scalar",
-    "kernels_row_batches",
-    "ls_passes", "ls_nodes_visited", "ls_moves",
-    "linkage_merges", "linkage_chain_rebuilds",
-    "balls_formed", "furthest_centers", "pivot_rounds", "exact_nodes",
-    "sampling_runs", "sampling_sampled", "sampling_assigned",
-    "sampling_reclustered",
-    "checkpoint_saves", "checkpoint_retries", "checkpoint_failures",
-    "checkpoint_corruptions",
-    "spill_tiles_written", "spill_tiles_read", "spill_tiles_rebuilt",
-    "spill_evictions", "spill_cache_hits", "spill_cache_bypass",
-    "interrupts_deadline", "interrupts_iteration_cap",
-    "interrupts_cancelled", "interrupts_memory",
-    "faults_injected",
-    "mem_high_water_bytes",
-]
-for key in REQUIRED:
-    assert is_uint(metrics.get(key)), f"report: bad counter {key!r}"
-for key in ("ls_delta_hist", "checkpoint_bytes_hist", "spill_bytes_hist"):
-    hist = metrics.get(key)
-    assert isinstance(hist, list) and len(hist) == 9 and all(map(is_uint, hist)), \
-        f"report: bad histogram {key!r}"
-assert isinstance(metrics.get("ls_improvement"), (int, float)), "bad ls_improvement"
-assert metrics["ls_nodes_visited"] > 0, "LOCALSEARCH counters did not fire"
-assert metrics["oracle_dense_evals"] > 0, "oracle counters did not fire"
-assert metrics["oracle_packed_evals"] > 0, \
+"$TRACE_BIN" check --report "$WORK/report.json" --trace "$WORK/trace.jsonl" \
+    > "$WORK/report.txt"
+R="$WORK/report.txt"
+expect "$R" 'v["metrics.ls_nodes_visited"] > 0' "LOCALSEARCH counters did not fire"
+expect "$R" 'v["metrics.oracle_dense_evals"] > 0' "oracle counters did not fire"
+expect "$R" 'v["metrics.oracle_packed_evals"] > 0' \
     "packed SWAR kernel counters did not fire -- dense build not on the packed path?"
-assert metrics["kernels_row_batches"] > 0, \
+expect "$R" 'v["metrics.kernels_row_batches"] > 0' \
     "kernels_row_batches did not fire -- banded fill not batching rows?"
-
-# Timings block (ISSUE 9): per-span count/total/self/max aggregates, the
-# self/total split consistent, and the spans this workload must traverse
-# present with real time attributed.
-timings = report.get("timings")
-assert isinstance(timings, dict) and timings, "report: missing timings block"
-for name, span in timings.items():
-    assert isinstance(name, str) and name, "timings: empty span name"
-    for key in ("count", "total_ns", "self_ns", "max_ns"):
-        assert is_uint(span.get(key)), f"timings[{name!r}]: bad {key}"
-    assert span["count"] > 0, f"timings[{name!r}]: zero count"
-    assert span["self_ns"] <= span["total_ns"], \
-        f"timings[{name!r}]: self_ns exceeds total_ns"
-    assert span["max_ns"] <= span["total_ns"], \
-        f"timings[{name!r}]: max_ns exceeds total_ns"
-    hist = span.get("ns_hist")
-    assert isinstance(hist, list) and len(hist) == 9 and all(map(is_uint, hist)), \
-        f"timings[{name!r}]: bad ns_hist"
-    assert sum(hist) == span["count"], \
-        f"timings[{name!r}]: ns_hist does not sum to count"
-for required_span in ("local_search", "dense_build", "condensed_alloc"):
-    assert required_span in timings, f"timings: {required_span!r} span missing"
-assert timings["local_search"]["total_ns"] > 0, "local_search span untimed"
-assert timings["dense_build"]["total_ns"] >= \
-    timings["condensed_alloc"]["total_ns"], \
+# Timings (ISSUE 9): the spans this workload must traverse are present with
+# real time attributed, and the allocation nests inside the dense build.
+for span in local_search dense_build condensed_alloc; do
+    expect "$R" "(\"timings.$span.count\" in v)" "timings: $span span missing"
+done
+expect "$R" 'v["timings.local_search.total_ns"] > 0' "local_search span untimed"
+expect "$R" 'v["timings.dense_build.total_ns"] >= v["timings.condensed_alloc.total_ns"]' \
     "condensed_alloc must nest inside dense_build"
-
-# Faults array: a clean run records no injections.
-faults = report.get("faults")
-assert isinstance(faults, list), "report: missing faults array"
-assert faults == [], f"clean run recorded injections: {faults}"
-
-print(f"trace OK: {counts['event']} events, {spans} balanced spans; "
-      f"report OK: {len(REQUIRED) + 3} metrics, {len(timings)} timed spans; "
-      f"host OK: {host['arch']}/{host['cpus']}cpu tier={tier}")
-EOF
+expect "$R" '!("faults.0" in v)' "clean run recorded injections"
+echo "trace OK: $(value "$R" trace.events) events, $(value "$R" trace.spans) balanced spans;" \
+    "host OK: $(value "$R" host.arch)/$(value "$R" host.cpus)cpu" \
+    "tier=$(value "$R" metrics.kernels_dispatch_tier)"
 
 echo "== n = 5000 scaling contrast: SAMPLING O(n*s) vs BALLS Theta(n^2) =="
 "$BIN" aggregate --input "$WORK/in5000.csv" --sample 200 --no-refine \
     --metrics-out "$WORK/sampling.json" --output /dev/null --log-level error
 "$BIN" aggregate --input "$WORK/in5000.csv" --algorithm balls --no-refine \
     --metrics-out "$WORK/balls.json" --output /dev/null --log-level error
-python3 - "$WORK/sampling.json" "$WORK/balls.json" <<'EOF'
-import json
-import sys
-
-def total_evals(path):
-    m = json.load(open(path))["metrics"]
-    return m["oracle_dense_evals"] + m["oracle_lazy_evals"]
-
-n = 5000
-sampling, balls = total_evals(sys.argv[1]), total_evals(sys.argv[2])
-print(f"SAMPLING: {sampling} oracle evals ({100 * sampling / n**2:.2f}% of n^2)")
-print(f"BALLS:    {balls} oracle evals ({100 * balls / n**2:.2f}% of n^2)")
-assert sampling <= 0.05 * n**2, \
-    f"SAMPLING oracle evals {sampling} exceed 5% of n^2 = {0.05 * n**2:.0f}"
-assert balls >= 0.5 * n**2, \
-    f"BALLS oracle evals {balls} below n^2/2 — is the counter wired?"
-print("OK: the Figure 5 scaling claim holds on the counters")
-EOF
+"$TRACE_BIN" check --report "$WORK/sampling.json" > "$WORK/sampling.txt"
+"$TRACE_BIN" check --report "$WORK/balls.json" > "$WORK/balls.txt"
+echo "SAMPLING: $(value "$WORK/sampling.txt" metrics.oracle_evals_total) oracle evals;" \
+    "BALLS: $(value "$WORK/balls.txt" metrics.oracle_evals_total); n^2 = 25000000"
+expect "$WORK/sampling.txt" 'v["metrics.oracle_evals_total"] <= 0.05 * 5000 * 5000' \
+    "SAMPLING oracle evals exceed 5% of n^2"
+expect "$WORK/balls.txt" 'v["metrics.oracle_evals_total"] >= 0.5 * 5000 * 5000' \
+    "BALLS oracle evals below n^2/2 -- is the counter wired?"
+echo "OK: the Figure 5 scaling claim holds on the counters"
 
 echo "== spilled run: spill counters must fire and labels must match =="
 "$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
@@ -207,54 +112,39 @@ echo "== spilled run: spill counters must fire and labels must match =="
     --metrics-out "$WORK/spill.json" --output "$WORK/spilled.txt" \
     --log-level error
 cmp "$WORK/unconstrained.txt" "$WORK/spilled.txt"
-python3 - "$WORK/spill.json" <<'EOF'
-import json
-import sys
-
-metrics = json.load(open(sys.argv[1]))["metrics"]
-assert metrics["spill_tiles_written"] > 0, "spill_tiles_written did not fire"
-assert metrics["spill_tiles_read"] > 0, "spill_tiles_read did not fire"
-assert sum(metrics["spill_bytes_hist"]) > 0, "spill_bytes_hist did not fire"
-print(f"OK: spilled run wrote {metrics['spill_tiles_written']} tiles, "
-      f"read {metrics['spill_tiles_read']}, "
-      f"evicted {metrics['spill_evictions']}; labels match the dense run")
-EOF
+"$TRACE_BIN" check --report "$WORK/spill.json" > "$WORK/spill.txt"
+expect "$WORK/spill.txt" 'v["metrics.spill_tiles_written"] > 0' "spill_tiles_written did not fire"
+expect "$WORK/spill.txt" 'v["metrics.spill_tiles_read"] > 0' "spill_tiles_read did not fire"
+awk '$1 ~ /^metrics\.spill_bytes_hist\./ { sum += $2 } END { exit !(sum > 0) }' \
+    "$WORK/spill.txt" || { echo "FAIL: spill_bytes_hist did not fire"; exit 1; }
+echo "OK: spilled run wrote $(value "$WORK/spill.txt" metrics.spill_tiles_written) tiles," \
+    "read $(value "$WORK/spill.txt" metrics.spill_tiles_read)," \
+    "evicted $(value "$WORK/spill.txt" metrics.spill_evictions); labels match the dense run"
 
 echo "== forced tier: AGGCLUST_SIMD=swar must be honored and reported =="
 AGGCLUST_SIMD=swar "$BIN" aggregate --input "$WORK/in2000.csv" \
     --algorithm local-search --metrics-out "$WORK/swar.json" \
     --output /dev/null --log-level error
-python3 - "$WORK/swar.json" <<'EOF'
-import json
-import sys
-
-report = json.load(open(sys.argv[1]))
-host, metrics = report["host"], report["metrics"]
-assert host["simd_requested"] == "swar", f"requested {host['simd_requested']!r}"
-assert host["simd_selected"] == "swar", f"selected {host['simd_selected']!r}"
-assert metrics["kernels_dispatch_tier"] == "swar", \
-    f"dispatch tier {metrics['kernels_dispatch_tier']!r} ignored AGGCLUST_SIMD=swar"
-print("OK: AGGCLUST_SIMD=swar selected, recorded in host block and metrics")
-EOF
+"$TRACE_BIN" check --report "$WORK/swar.json" > "$WORK/swar.txt"
+expect "$WORK/swar.txt" 'v["host.simd_requested"] == "swar"' "AGGCLUST_SIMD=swar not requested"
+expect "$WORK/swar.txt" 'v["host.simd_selected"] == "swar"' "AGGCLUST_SIMD=swar not selected"
+expect "$WORK/swar.txt" 'v["metrics.kernels_dispatch_tier"] == "swar"' \
+    "dispatch tier ignored AGGCLUST_SIMD=swar"
+echo "OK: AGGCLUST_SIMD=swar selected, recorded in host block and metrics"
 
 echo "== faulted run: injections must land in the report's faults array =="
 "$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
     --no-refine --fault-plan "cli.input=delay:ms=5" \
     --metrics-out "$WORK/faulted.json" --output /dev/null --log-level error
-python3 - "$WORK/faulted.json" <<'EOF'
-import json
-import sys
-
-report = json.load(open(sys.argv[1]))
-faults, metrics = report["faults"], report["metrics"]
-assert isinstance(faults, list) and faults, "armed run recorded no injections"
-assert all(isinstance(f, str) and f for f in faults), f"bad fault entries: {faults}"
-assert any("cli.input" in f and "delay" in f for f in faults), \
-    f"expected a cli.input delay injection, got: {faults}"
-assert metrics["faults_injected"] == len(faults), \
-    f"faults_injected={metrics['faults_injected']} != len(faults)={len(faults)}"
-print(f"OK: {len(faults)} injections embedded, matching faults_injected")
-EOF
+# `check` has already matched the faults array against faults_injected.
+"$TRACE_BIN" check --report "$WORK/faulted.json" > "$WORK/faulted.txt"
+expect "$WORK/faulted.txt" '("faults.0" in v)' "armed run recorded no injections"
+grep -Eq '^faults\.[0-9]+ .*cli\.input.*delay' "$WORK/faulted.txt" || {
+    echo "FAIL: expected a cli.input delay injection, got:"
+    grep '^faults\.' "$WORK/faulted.txt"
+    exit 1
+}
+echo "OK: $(value "$WORK/faulted.txt" metrics.faults_injected) injections embedded, matching faults_injected"
 
 echo "== --progress: heartbeats render as single stderr lines =="
 "$BIN" aggregate --input "$WORK/in5000.csv" --algorithm local-search \

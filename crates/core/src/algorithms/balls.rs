@@ -240,9 +240,7 @@ fn run<O: DistanceOracle + Sync + ?Sized>(
             for &v in &ball {
                 labels[v] = label;
             }
-            if telemetry::metrics_enabled() {
-                telemetry::metrics().balls_formed.incr();
-            }
+            telemetry::metrics().balls_formed.incr_if_enabled();
         }
         // Otherwise u stays a singleton and the ball members remain
         // unclustered for later iterations.

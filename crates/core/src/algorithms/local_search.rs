@@ -405,9 +405,7 @@ fn descend<O: DistanceOracle + Sync + ?Sized>(
         }
         // Completed passes only, so an interrupt-at-k + resume run counts
         // each pass exactly once — matching the uninterrupted run.
-        if telemetry::metrics_enabled() {
-            telemetry::metrics().ls_passes.incr();
-        }
+        telemetry::metrics().ls_passes.incr_if_enabled();
         if !moved {
             break;
         }
@@ -432,9 +430,7 @@ fn visit_node<O: DistanceOracle + ?Sized>(
 ) -> bool {
     let n = labels.len();
     let k = sizes.len();
-    if telemetry::metrics_enabled() {
-        telemetry::metrics().ls_nodes_visited.incr();
-    }
+    telemetry::metrics().ls_nodes_visited.incr_if_enabled();
     m_sums.clear();
     m_sums.resize(k, 0.0);
     let mut t_v = 0.0;
@@ -497,16 +493,14 @@ fn visit_node<O: DistanceOracle + ?Sized>(
         };
         sizes[target] += 1;
         labels[v] = target as u32;
-        if telemetry::metrics_enabled() {
-            let m = telemetry::metrics();
-            m.ls_moves.incr();
-            // The move's strict cost improvement; accumulated serially (the
-            // descent visits nodes one at a time), so the sum's rounding
-            // order is fixed and the total is bit-reproducible.
-            let delta = cur_cost - best_cost;
-            m.ls_improvement.add(delta);
-            m.ls_delta_hist.observe(delta);
-        }
+        let m = telemetry::metrics();
+        m.ls_moves.incr_if_enabled();
+        // The move's strict cost improvement; accumulated serially (the
+        // descent visits nodes one at a time), so the sum's rounding order
+        // is fixed and the total is bit-reproducible.
+        let delta = cur_cost - best_cost;
+        m.ls_improvement.add_if_enabled(delta);
+        m.ls_delta_hist.observe_if_enabled(delta);
         true
     } else {
         false

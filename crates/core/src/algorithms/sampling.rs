@@ -249,11 +249,9 @@ fn run<O: DistanceOracle + Sync>(
         // Fresh starts only: a resumed run restores the sample from the
         // snapshot, so interrupt-at-k + resume counts each run/sample once —
         // matching the uninterrupted run.
-        if telemetry::metrics_enabled() {
-            let m = telemetry::metrics();
-            m.sampling_runs.incr();
-            m.sampling_sampled.add(s as u64);
-        }
+        let m = telemetry::metrics();
+        m.sampling_runs.incr_if_enabled();
+        m.sampling_sampled.add_if_enabled(s as u64);
 
         // Phase 1: uniform sample without replacement.
         let mut rng = StdRng::seed_from_u64(params.seed);

@@ -691,7 +691,9 @@ fn record_injection(state: &mut PlanState, clause: usize, site: &str, op: Option
 /// whose skew check takes the same lock.
 fn announce_injection(entry: &str) {
     crate::warn!(format!("fault injected at {entry}"));
-    crate::telemetry::count_fault_injected();
+    crate::telemetry::metrics()
+        .faults_injected
+        .incr_if_enabled();
 }
 
 /// Check a named failpoint site, yielding `Option<`[`Fault`]`>`. Forms:

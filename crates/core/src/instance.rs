@@ -405,10 +405,14 @@ impl DenseOracle {
         let data = fill.unwrap_or_default();
         let pairs = (n * n.saturating_sub(1) / 2) as u64;
         if tail_members < clusterings.len() {
-            crate::telemetry::count_packed_evals(pairs);
+            crate::telemetry::metrics()
+                .oracle_packed_evals
+                .add_if_enabled(pairs);
         }
         if tail_members > 0 {
-            crate::telemetry::count_scalar_fallback(pairs * tail_members as u64);
+            crate::telemetry::metrics()
+                .kernels_fallback_scalar
+                .add_if_enabled(pairs * tail_members as u64);
         }
         DenseOracle {
             n,
@@ -463,7 +467,9 @@ impl DistanceOracle for DenseOracle {
     fn dist(&self, u: usize, v: usize) -> f64 {
         // Gated dense-hit counter: a relaxed load and an untaken branch
         // when metrics are off, keeping the O(1) lookup hot path intact.
-        crate::telemetry::count_dense_evals(1);
+        crate::telemetry::metrics()
+            .oracle_dense_evals
+            .incr_if_enabled();
         if u == v {
             return 0.0;
         }
@@ -618,7 +624,9 @@ impl ClusteringsOracle {
             },
             budget,
         )?;
-        crate::telemetry::count_packed_evals(data.len() as u64);
+        crate::telemetry::metrics()
+            .oracle_packed_evals
+            .add_if_enabled(data.len() as u64);
         Ok(data)
     }
 }
@@ -633,11 +641,15 @@ impl DistanceOracle for ClusteringsOracle {
         // Each lazy lookup is an O(m) recomputation — the quantity the
         // SAMPLING scaling claim is measured in. It is served by the
         // packed kernel, so it also counts as a packed evaluation.
-        crate::telemetry::count_lazy_evals(1);
+        crate::telemetry::metrics()
+            .oracle_lazy_evals
+            .incr_if_enabled();
         if u == v {
             return 0.0;
         }
-        crate::telemetry::count_packed_evals(1);
+        crate::telemetry::metrics()
+            .oracle_packed_evals
+            .incr_if_enabled();
         let (sep, missing) = self.packed.sep_missing(u, v);
         match self.policy {
             MissingPolicy::Ignore => {

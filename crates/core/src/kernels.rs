@@ -517,7 +517,9 @@ impl LabelMatrix {
     /// # Panics
     /// Panics if `lo + out.len()` exceeds the number of rows.
     pub fn sep_row_into(&self, u: usize, lo: usize, out: &mut [u32]) {
-        crate::telemetry::count_row_batches();
+        crate::telemetry::metrics()
+            .kernels_row_batches
+            .incr_if_enabled();
         if self.words_per_row == 0 || out.is_empty() {
             out.fill(0);
             return;

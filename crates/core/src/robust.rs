@@ -187,7 +187,9 @@ impl MemGauge {
     /// the telemetry high-water gauge.
     pub fn charge(&self, bytes: u64) -> MemCharge {
         let before = self.used.fetch_add(bytes, Ordering::Relaxed);
-        telemetry::observe_mem_bytes(before.saturating_add(bytes));
+        telemetry::metrics()
+            .mem_high_water_bytes
+            .observe_if_enabled(before.saturating_add(bytes));
         MemCharge {
             gauge: self.clone(),
             bytes,

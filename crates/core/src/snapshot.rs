@@ -541,11 +541,9 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, String> {
 /// the previous snapshot or the new one, never a torn file.
 pub fn save_snapshot(path: &Path, snapshot: &Snapshot) -> std::io::Result<()> {
     let bytes = encode(snapshot);
-    if telemetry::metrics_enabled() {
-        telemetry::metrics()
-            .checkpoint_bytes_hist
-            .observe(bytes.len() as f64);
-    }
+    telemetry::metrics()
+        .checkpoint_bytes_hist
+        .observe_if_enabled(bytes.len() as f64);
     crate::iofs::write_file_atomic("snapshot", path, &bytes)
 }
 
@@ -810,11 +808,9 @@ impl Checkpointer {
                 save_snapshot(path, &snapshot)
             });
         self.cadence.reset();
-        if telemetry::metrics_enabled() {
-            telemetry::metrics()
-                .checkpoint_retries
-                .add(attempts.saturating_sub(1));
-        }
+        telemetry::metrics()
+            .checkpoint_retries
+            .add_if_enabled(attempts.saturating_sub(1));
         match result {
             Ok(()) => {
                 self.saves += 1;

@@ -193,7 +193,7 @@ impl TileCache {
         match victim {
             Some(t) => {
                 self.entries.remove(&t);
-                telemetry::count_spill_evictions(1);
+                telemetry::metrics().spill_evictions.incr_if_enabled();
                 true
             }
             None => false,
@@ -298,7 +298,7 @@ impl SpilledOracle {
             // Reclaim a valid orphaned frame before spending the build.
             let data = match oracle.read_valid_frame(&path, t as u32) {
                 Some(data) => {
-                    telemetry::count_spill_read();
+                    telemetry::metrics().spill_tiles_read.incr_if_enabled();
                     data
                 }
                 None => {
@@ -444,7 +444,9 @@ impl SpilledOracle {
                 path: path.to_path_buf(),
                 error: e.to_string(),
             })?;
-        telemetry::count_spill_write(bytes.len() as u64);
+        let m = telemetry::metrics();
+        m.spill_tiles_written.incr_if_enabled();
+        m.spill_bytes_hist.observe_if_enabled(bytes.len() as f64);
         Ok(())
     }
 
@@ -482,7 +484,7 @@ impl SpilledOracle {
         {
             let mut cache = lock_cache(&self.cache);
             if let Some(hit) = cache.touch(tile) {
-                telemetry::count_spill_cache_hit();
+                telemetry::metrics().spill_cache_hits.incr_if_enabled();
                 return Some(hit);
             }
         }
@@ -513,11 +515,11 @@ impl SpilledOracle {
         let path = self.tile_path(tile);
         match self.read_valid_frame(&path, tile) {
             Some(data) => {
-                telemetry::count_spill_read();
+                telemetry::metrics().spill_tiles_read.incr_if_enabled();
                 data
             }
             None => {
-                telemetry::count_spill_rebuild();
+                telemetry::metrics().spill_tiles_rebuilt.incr_if_enabled();
                 crate::warn!(
                     "spilled tile unreadable or corrupt; rebuilding from labels",
                     tile = u64::from(tile),
@@ -569,8 +571,9 @@ impl DistanceOracle for SpilledOracle {
             }
         });
         if let Some(pinned) = memoized {
-            telemetry::count_spill_cache_hit();
-            telemetry::count_dense_evals(1);
+            let m = telemetry::metrics();
+            m.spill_cache_hits.incr_if_enabled();
+            m.oracle_dense_evals.incr_if_enabled();
             return pinned.data[local];
         }
         match self.fetch_tile(tile) {
@@ -579,14 +582,14 @@ impl DistanceOracle for SpilledOracle {
                 TILE_MEMO.with(|memo| {
                     *memo.borrow_mut() = (self.id, tile, Arc::downgrade(&pinned));
                 });
-                telemetry::count_dense_evals(1);
+                telemetry::metrics().oracle_dense_evals.incr_if_enabled();
                 d
             }
             // Bypass: recompute the single pair from the packed labels —
             // bit-identical to the stored entry (both are the same pure
             // per-pair function of the inputs).
             None => {
-                telemetry::count_spill_cache_bypass();
+                telemetry::metrics().spill_cache_bypass.incr_if_enabled();
                 self.lazy.dist(a, b)
             }
         }

@@ -770,6 +770,14 @@ impl MaxGauge {
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// [`MaxGauge::observe`], but only when metrics collection is enabled.
+    #[inline]
+    pub fn observe_if_enabled(&self, v: u64) {
+        if metrics_enabled() {
+            self.observe(v);
+        }
+    }
+
     /// Current maximum.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -799,6 +807,14 @@ impl FloatSum {
                 Ok(_) => return,
                 Err(seen) => cur = seen,
             }
+        }
+    }
+
+    /// [`FloatSum::add`], but only when metrics collection is enabled.
+    #[inline]
+    pub fn add_if_enabled(&self, x: f64) {
+        if metrics_enabled() {
+            self.add(x);
         }
     }
 
@@ -847,6 +863,14 @@ impl Histogram {
         self.counts[i].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// [`Histogram::observe`], but only when metrics collection is enabled.
+    #[inline]
+    pub fn observe_if_enabled(&self, x: f64) {
+        if metrics_enabled() {
+            self.observe(x);
+        }
+    }
+
     /// The upper bucket bounds (the last bucket is unbounded).
     pub fn bounds(&self) -> &[f64] {
         &self.bounds
@@ -862,152 +886,292 @@ impl Histogram {
     }
 }
 
-/// The process-wide metrics registry: every instrumented quantity in the
-/// crate, by name. Increments are gated on [`metrics_enabled`] at the
-/// instrumentation sites, so the registry is free (one relaxed load and a
-/// branch per site) until a caller opts in.
-#[derive(Debug)]
-pub struct Metrics {
-    /// `O(1)` lookups served by a dense (precomputed) distance oracle.
-    pub oracle_dense_evals: Counter,
-    /// `O(m)` on-the-fly recomputations by the lazy clusterings oracle.
-    pub oracle_lazy_evals: Counter,
-    /// Pair evaluations served by the packed SWAR kernels
-    /// ([`crate::kernels`]) — dense builds and packed lazy lookups both
-    /// count here, in addition to their dense/lazy counter.
-    pub oracle_packed_evals: Counter,
-    /// Scalar-lane pair evaluations on the weighted oracle's unpacked
-    /// tail (equal-weight groups too small for a packed block).
-    pub kernels_fallback_scalar: Counter,
-    /// `sep_row_into` batch invocations (one per row×band block in the
-    /// cache-blocked fills).
-    pub kernels_row_batches: Counter,
-    /// Code of the SIMD dispatch tier the most recent [`crate::kernels::LabelMatrix`]
-    /// was built with (see [`crate::kernels::dispatch::Tier::code`]; 0 =
-    /// no packed kernel has run). Recorded unconditionally — it is one
-    /// store per matrix build, and traces must state which code path
-    /// produced their numbers even when counters are off.
-    pub kernels_dispatch_tier: Gauge,
-    /// LOCALSEARCH full passes over the node set.
-    pub ls_passes: Counter,
-    /// LOCALSEARCH node visits (one move evaluation each).
-    pub ls_nodes_visited: Counter,
-    /// LOCALSEARCH accepted moves (node changed cluster).
-    pub ls_moves: Counter,
-    /// Total cost improvement accumulated by accepted LOCALSEARCH moves.
-    pub ls_improvement: FloatSum,
-    /// Per-move improvement distribution (power-of-ten buckets).
-    pub ls_delta_hist: Histogram,
-    /// Agglomerative (NN-chain) merges performed.
-    pub linkage_merges: Counter,
-    /// Times the NN-chain went empty and had to be re-seeded.
-    pub linkage_chain_rebuilds: Counter,
-    /// BALLS balls carved off (multi-node clusters formed).
-    pub balls_formed: Counter,
-    /// FURTHEST centers placed across all rounds.
-    pub furthest_centers: Counter,
-    /// PIVOT pivots drawn.
-    pub pivot_rounds: Counter,
-    /// Branch-and-bound nodes expanded by the exact solver.
-    pub exact_nodes: Counter,
-    /// SAMPLING meta-runs started.
-    pub sampling_runs: Counter,
-    /// Objects drawn into SAMPLING's random sample.
-    pub sampling_sampled: Counter,
-    /// Objects placed by SAMPLING's per-node assignment phase.
-    pub sampling_assigned: Counter,
-    /// Leftover singletons re-clustered in SAMPLING's final phase.
-    pub sampling_reclustered: Counter,
-    /// Snapshot files written successfully.
-    pub checkpoint_saves: Counter,
-    /// Snapshot write attempts retried after an I/O failure.
-    pub checkpoint_retries: Counter,
-    /// Snapshot writes abandoned after exhausting retries.
-    pub checkpoint_failures: Counter,
-    /// Corrupt/unreadable snapshots detected at load time (run restarted
-    /// fresh).
-    pub checkpoint_corruptions: Counter,
-    /// Encoded snapshot sizes in bytes (power-of-ten buckets).
-    pub checkpoint_bytes_hist: Histogram,
-    /// Condensed-matrix tiles written to the spill directory.
-    pub spill_tiles_written: Counter,
-    /// Spilled tiles read back from disk into the pinned cache.
-    pub spill_tiles_read: Counter,
-    /// Spilled tiles rebuilt from the packed labels after a CRC mismatch,
-    /// torn read, or missing frame.
-    pub spill_tiles_rebuilt: Counter,
-    /// Pinned tiles evicted from RAM to stay under the memory budget.
-    pub spill_evictions: Counter,
-    /// Spilled-oracle lookups served from a tile already pinned in RAM
-    /// (the thread-local memo or the LRU cache) — no disk touch.
-    pub spill_cache_hits: Counter,
-    /// Spilled-oracle lookups that bypassed the tile store to the lazy
-    /// `O(m)` oracle (tile not resident and the anti-thrash policy
-    /// declined to reload it).
-    pub spill_cache_bypass: Counter,
-    /// Encoded spill-frame sizes in bytes (power-of-ten buckets).
-    pub spill_bytes_hist: Histogram,
-    /// Anytime stops caused by the wall-clock deadline.
-    pub interrupts_deadline: Counter,
-    /// Anytime stops caused by the iteration cap.
-    pub interrupts_iteration_cap: Counter,
-    /// Anytime stops caused by cooperative cancellation.
-    pub interrupts_cancelled: Counter,
-    /// Refused allocations (memory ceiling would have been exceeded).
-    pub interrupts_memory: Counter,
-    /// Faults injected by an armed [`crate::failpoint`] plan.
-    pub faults_injected: Counter,
-    /// High-water mark of tracked [`crate::robust::MemGauge`] bytes.
-    pub mem_high_water_bytes: MaxGauge,
+/// How one kind of metric is snapshotted, diffed and rendered in the run
+/// report. Each rule is written once per kind here; the metrics table only
+/// names a metric's kind.
+pub trait MetricKind {
+    /// The kind's point-in-time value, as held in [`MetricsSnapshot`].
+    type Value: Copy + Default + PartialEq + std::fmt::Debug;
+    /// The current value.
+    fn snapshot(&self) -> Self::Value;
+    /// The change from an `earlier` to a `later` snapshot.
+    fn delta(later: Self::Value, earlier: Self::Value) -> Self::Value;
+    /// The value as a JSON token.
+    fn json(value: Self::Value) -> String;
+}
+
+impl MetricKind for Counter {
+    type Value = u64;
+    fn snapshot(&self) -> u64 {
+        self.get()
+    }
+    fn delta(later: u64, earlier: u64) -> u64 {
+        later.saturating_sub(earlier)
+    }
+    fn json(value: u64) -> String {
+        value.to_string()
+    }
+}
+
+/// A gauge is a level, not accumulated work: its delta keeps the later value.
+impl MetricKind for Gauge {
+    type Value = u64;
+    fn snapshot(&self) -> u64 {
+        self.get()
+    }
+    fn delta(later: u64, _earlier: u64) -> u64 {
+        later
+    }
+    fn json(value: u64) -> String {
+        value.to_string()
+    }
+}
+
+/// A high-water mark is a level, not accumulated work: its delta keeps the
+/// later value.
+impl MetricKind for MaxGauge {
+    type Value = u64;
+    fn snapshot(&self) -> u64 {
+        self.get()
+    }
+    fn delta(later: u64, _earlier: u64) -> u64 {
+        later
+    }
+    fn json(value: u64) -> String {
+        value.to_string()
+    }
+}
+
+impl MetricKind for FloatSum {
+    type Value = f64;
+    fn snapshot(&self) -> f64 {
+        self.get()
+    }
+    fn delta(later: f64, earlier: f64) -> f64 {
+        later - earlier
+    }
+    fn json(value: f64) -> String {
+        json_f64(value)
+    }
+}
+
+impl MetricKind for Histogram {
+    type Value = [u64; HISTOGRAM_BUCKETS];
+    fn snapshot(&self) -> Self::Value {
+        self.counts()
+    }
+    fn delta(later: Self::Value, earlier: Self::Value) -> Self::Value {
+        std::array::from_fn(|i| later[i].saturating_sub(earlier[i]))
+    }
+    fn json(value: Self::Value) -> String {
+        let items: Vec<String> = value.iter().map(u64::to_string).collect();
+        format!("[{}]", items.join(","))
+    }
+}
+
+/// Generates the registry from one table: [`Metrics`] and its static,
+/// [`Metrics::NAMES`], and [`MetricsSnapshot`] with `capture`, `diff` and
+/// `to_json`. A table line is a doc comment plus `name: Kind;`, where
+/// `Kind` is a [`MetricKind`] type and may carry its constructor
+/// arguments (`Histogram(BOUNDS)`); `, json = f` replaces the kind's JSON
+/// rule for that line. A `derived key = |s| expr;` line adds a JSON key
+/// computed from the snapshot without declaring a metric. JSON keys appear
+/// in table order.
+macro_rules! metrics {
+    (@munch [$($m:tt)*] [$($j:tt)*]
+        derived $key:ident = |$s:ident| $value:expr; $($rest:tt)*) => {
+        metrics!(@munch [$($m)*]
+            [$($j)* (stringify!($key), |$s: &MetricsSnapshot| ($value).to_string())]
+            $($rest)*);
+    };
+    (@munch [$($m:tt)*] [$($j:tt)*]
+        $(#[doc = $doc:literal])*
+        $name:ident: $kind:ident $(($($arg:expr),*))? $(, json = $render:path)?;
+        $($rest:tt)*) => {
+        metrics!(@munch
+            [$($m)* [$(#[doc = $doc])* $name $kind ($($($arg),*)?)]]
+            [$($j)* (stringify!($name), metrics!(@render $name $kind $($render)?))]
+            $($rest)*);
+    };
+    (@render $name:ident $kind:ident) => {
+        |s: &MetricsSnapshot| <$kind as MetricKind>::json(s.$name)
+    };
+    (@render $name:ident $kind:ident $render:path) => {
+        |s: &MetricsSnapshot| $render(s.$name)
+    };
+    (@munch [$([$(#[doc = $doc:literal])* $name:ident $kind:ident ($($arg:expr),*)])*]
+        [$(($key:expr, $render:expr))*]) => {
+        /// The process-wide metrics registry: every instrumented quantity in
+        /// the crate, by name. Increments are gated on [`metrics_enabled`]
+        /// at the instrumentation sites, so the registry is free (one relaxed
+        /// load and a branch per site) until a caller opts in.
+        #[derive(Debug)]
+        pub struct Metrics {
+            $($(#[doc = $doc])* pub $name: $kind,)*
+        }
+
+        static METRICS: Metrics = Metrics {
+            $($name: $kind::new($($arg),*),)*
+        };
+
+        impl Metrics {
+            /// Every metric's name, in table order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($name)),*];
+        }
+
+        /// A point-in-time copy of every metric, for delta computation and
+        /// JSON reports.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct MetricsSnapshot {
+            $($(#[doc = $doc])* pub $name: <$kind as MetricKind>::Value,)*
+        }
+
+        impl MetricsSnapshot {
+            /// Snapshot the process-wide registry right now.
+            pub fn capture() -> MetricsSnapshot {
+                let m = metrics();
+                MetricsSnapshot {
+                    $($name: m.$name.snapshot(),)*
+                }
+            }
+
+            /// The work done between `earlier` and `self`, by each kind's
+            /// [`MetricKind::delta`]: counters and histogram buckets
+            /// subtract (saturating), the float sum subtracts exactly, and
+            /// gauges keep `self`'s value.
+            pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: <$kind as MetricKind>::delta(self.$name, earlier.$name),)*
+                }
+            }
+
+            /// Render as a stable JSON object (the `"metrics"` payload of the
+            /// `--metrics-out` run report).
+            pub fn to_json(&self) -> String {
+                let entries: &[(&str, fn(&MetricsSnapshot) -> String)] =
+                    &[$(($key, $render)),*];
+                let body: Vec<String> = entries
+                    .iter()
+                    .map(|(key, render)| format!("{}:{}", json_string(key), render(self)))
+                    .collect();
+                format!("{{{}}}", body.join(","))
+            }
+        }
+    };
+    ($($table:tt)*) => {
+        metrics!(@munch [] [] $($table)*);
+    };
 }
 
 const POW10_BOUNDS: [f64; HISTOGRAM_BUCKETS - 1] = [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8];
 
-static METRICS: Metrics = Metrics {
-    oracle_dense_evals: Counter::new(),
-    oracle_lazy_evals: Counter::new(),
-    oracle_packed_evals: Counter::new(),
-    kernels_fallback_scalar: Counter::new(),
-    kernels_row_batches: Counter::new(),
-    kernels_dispatch_tier: Gauge::new(),
-    ls_passes: Counter::new(),
-    ls_nodes_visited: Counter::new(),
-    ls_moves: Counter::new(),
-    ls_improvement: FloatSum::new(),
-    ls_delta_hist: Histogram::new(POW10_BOUNDS),
-    linkage_merges: Counter::new(),
-    linkage_chain_rebuilds: Counter::new(),
-    balls_formed: Counter::new(),
-    furthest_centers: Counter::new(),
-    pivot_rounds: Counter::new(),
-    exact_nodes: Counter::new(),
-    sampling_runs: Counter::new(),
-    sampling_sampled: Counter::new(),
-    sampling_assigned: Counter::new(),
-    sampling_reclustered: Counter::new(),
-    checkpoint_saves: Counter::new(),
-    checkpoint_retries: Counter::new(),
-    checkpoint_failures: Counter::new(),
-    checkpoint_corruptions: Counter::new(),
-    checkpoint_bytes_hist: Histogram::new(POW10_BOUNDS),
-    spill_tiles_written: Counter::new(),
-    spill_tiles_read: Counter::new(),
-    spill_tiles_rebuilt: Counter::new(),
-    spill_evictions: Counter::new(),
-    spill_cache_hits: Counter::new(),
-    spill_cache_bypass: Counter::new(),
-    spill_bytes_hist: Histogram::new(POW10_BOUNDS),
-    interrupts_deadline: Counter::new(),
-    interrupts_iteration_cap: Counter::new(),
-    interrupts_cancelled: Counter::new(),
-    interrupts_memory: Counter::new(),
-    faults_injected: Counter::new(),
-    mem_high_water_bytes: MaxGauge::new(),
-};
+/// The dispatch-tier gauge's JSON rule: the tier name, not its code.
+fn tier_json(code: u64) -> String {
+    json_string(crate::kernels::dispatch::tier_code_name(code))
+}
+
+metrics! {
+    /// `O(1)` lookups served by a dense (precomputed) distance oracle.
+    oracle_dense_evals: Counter;
+    /// `O(m)` on-the-fly recomputations by the lazy clusterings oracle.
+    oracle_lazy_evals: Counter;
+    /// Pair evaluations served by the packed SWAR kernels
+    /// ([`crate::kernels`]) — dense builds and packed lazy lookups both
+    /// count here, in addition to their dense/lazy counter.
+    oracle_packed_evals: Counter;
+    /// Scalar-lane pair evaluations on the weighted oracle's unpacked
+    /// tail (equal-weight groups too small for a packed block).
+    kernels_fallback_scalar: Counter;
+    /// `sep_row_into` batch invocations (one per row×band block in the
+    /// cache-blocked fills).
+    kernels_row_batches: Counter;
+    /// Code of the SIMD dispatch tier the most recent [`crate::kernels::LabelMatrix`]
+    /// was built with (see [`crate::kernels::dispatch::Tier::code`]; 0 =
+    /// no packed kernel has run), rendered as the tier name in JSON.
+    /// Recorded unconditionally — it is one store per matrix build, and
+    /// traces must state which code path produced their numbers even when
+    /// counters are off.
+    kernels_dispatch_tier: Gauge, json = tier_json;
+    // Total distance-oracle evaluations (dense + lazy): the quantity the
+    // Figure 5 scaling claim is stated in. A report key, not a metric.
+    derived oracle_evals_total = |s| s.oracle_dense_evals + s.oracle_lazy_evals;
+    /// LOCALSEARCH full passes over the node set.
+    ls_passes: Counter;
+    /// LOCALSEARCH node visits (one move evaluation each).
+    ls_nodes_visited: Counter;
+    /// LOCALSEARCH accepted moves (node changed cluster).
+    ls_moves: Counter;
+    /// Total cost improvement accumulated by accepted LOCALSEARCH moves.
+    ls_improvement: FloatSum;
+    /// Per-move improvement distribution (power-of-ten buckets).
+    ls_delta_hist: Histogram(POW10_BOUNDS);
+    /// Agglomerative (NN-chain) merges performed.
+    linkage_merges: Counter;
+    /// Times the NN-chain went empty and had to be re-seeded.
+    linkage_chain_rebuilds: Counter;
+    /// BALLS balls carved off (multi-node clusters formed).
+    balls_formed: Counter;
+    /// FURTHEST centers placed across all rounds.
+    furthest_centers: Counter;
+    /// PIVOT pivots drawn.
+    pivot_rounds: Counter;
+    /// Branch-and-bound nodes expanded by the exact solver.
+    exact_nodes: Counter;
+    /// SAMPLING meta-runs started.
+    sampling_runs: Counter;
+    /// Objects drawn into SAMPLING's random sample.
+    sampling_sampled: Counter;
+    /// Objects placed by SAMPLING's per-node assignment phase.
+    sampling_assigned: Counter;
+    /// Leftover singletons re-clustered in SAMPLING's final phase.
+    sampling_reclustered: Counter;
+    /// Snapshot files written successfully.
+    checkpoint_saves: Counter;
+    /// Snapshot write attempts retried after an I/O failure.
+    checkpoint_retries: Counter;
+    /// Snapshot writes abandoned after exhausting retries.
+    checkpoint_failures: Counter;
+    /// Corrupt/unreadable snapshots detected at load time (run restarted
+    /// fresh).
+    checkpoint_corruptions: Counter;
+    /// Encoded snapshot sizes in bytes (power-of-ten buckets).
+    checkpoint_bytes_hist: Histogram(POW10_BOUNDS);
+    /// Condensed-matrix tiles written to the spill directory.
+    spill_tiles_written: Counter;
+    /// Spilled tiles read back from disk into the pinned cache.
+    spill_tiles_read: Counter;
+    /// Spilled tiles rebuilt from the packed labels after a CRC mismatch,
+    /// torn read, or missing frame.
+    spill_tiles_rebuilt: Counter;
+    /// Pinned tiles evicted from RAM to stay under the memory budget.
+    spill_evictions: Counter;
+    /// Spilled-oracle lookups served from a tile already pinned in RAM
+    /// (the thread-local memo or the LRU cache) — no disk touch.
+    spill_cache_hits: Counter;
+    /// Spilled-oracle lookups that bypassed the tile store to the lazy
+    /// `O(m)` oracle (tile not resident and the anti-thrash policy
+    /// declined to reload it).
+    spill_cache_bypass: Counter;
+    /// Encoded spill-frame sizes in bytes (power-of-ten buckets).
+    spill_bytes_hist: Histogram(POW10_BOUNDS);
+    /// Anytime stops caused by the wall-clock deadline.
+    interrupts_deadline: Counter;
+    /// Anytime stops caused by the iteration cap.
+    interrupts_iteration_cap: Counter;
+    /// Anytime stops caused by cooperative cancellation.
+    interrupts_cancelled: Counter;
+    /// Refused allocations (memory ceiling would have been exceeded).
+    interrupts_memory: Counter;
+    /// Faults injected by an armed [`crate::failpoint`] plan.
+    faults_injected: Counter;
+    /// High-water mark of tracked [`crate::robust::MemGauge`] bytes.
+    mem_high_water_bytes: MaxGauge;
+}
 
 static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// The process-wide [`Metrics`] registry.
+#[inline]
 pub fn metrics() -> &'static Metrics {
     &METRICS
 }
@@ -1024,447 +1188,6 @@ pub fn metrics_enabled() -> bool {
     METRICS_ENABLED.load(Ordering::Relaxed)
 }
 
-/// A point-in-time copy of every metric, for delta computation and JSON
-/// reports.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// See [`Metrics::oracle_dense_evals`].
-    pub oracle_dense_evals: u64,
-    /// See [`Metrics::oracle_lazy_evals`].
-    pub oracle_lazy_evals: u64,
-    /// See [`Metrics::oracle_packed_evals`].
-    pub oracle_packed_evals: u64,
-    /// See [`Metrics::kernels_fallback_scalar`].
-    pub kernels_fallback_scalar: u64,
-    /// See [`Metrics::kernels_row_batches`].
-    pub kernels_row_batches: u64,
-    /// See [`Metrics::kernels_dispatch_tier`] (tier *code*; rendered as
-    /// the tier name in JSON).
-    pub kernels_dispatch_tier: u64,
-    /// See [`Metrics::ls_passes`].
-    pub ls_passes: u64,
-    /// See [`Metrics::ls_nodes_visited`].
-    pub ls_nodes_visited: u64,
-    /// See [`Metrics::ls_moves`].
-    pub ls_moves: u64,
-    /// See [`Metrics::ls_improvement`].
-    pub ls_improvement: f64,
-    /// See [`Metrics::ls_delta_hist`].
-    pub ls_delta_hist: [u64; HISTOGRAM_BUCKETS],
-    /// See [`Metrics::linkage_merges`].
-    pub linkage_merges: u64,
-    /// See [`Metrics::linkage_chain_rebuilds`].
-    pub linkage_chain_rebuilds: u64,
-    /// See [`Metrics::balls_formed`].
-    pub balls_formed: u64,
-    /// See [`Metrics::furthest_centers`].
-    pub furthest_centers: u64,
-    /// See [`Metrics::pivot_rounds`].
-    pub pivot_rounds: u64,
-    /// See [`Metrics::exact_nodes`].
-    pub exact_nodes: u64,
-    /// See [`Metrics::sampling_runs`].
-    pub sampling_runs: u64,
-    /// See [`Metrics::sampling_sampled`].
-    pub sampling_sampled: u64,
-    /// See [`Metrics::sampling_assigned`].
-    pub sampling_assigned: u64,
-    /// See [`Metrics::sampling_reclustered`].
-    pub sampling_reclustered: u64,
-    /// See [`Metrics::checkpoint_saves`].
-    pub checkpoint_saves: u64,
-    /// See [`Metrics::checkpoint_retries`].
-    pub checkpoint_retries: u64,
-    /// See [`Metrics::checkpoint_failures`].
-    pub checkpoint_failures: u64,
-    /// See [`Metrics::checkpoint_corruptions`].
-    pub checkpoint_corruptions: u64,
-    /// See [`Metrics::checkpoint_bytes_hist`].
-    pub checkpoint_bytes_hist: [u64; HISTOGRAM_BUCKETS],
-    /// See [`Metrics::spill_tiles_written`].
-    pub spill_tiles_written: u64,
-    /// See [`Metrics::spill_tiles_read`].
-    pub spill_tiles_read: u64,
-    /// See [`Metrics::spill_tiles_rebuilt`].
-    pub spill_tiles_rebuilt: u64,
-    /// See [`Metrics::spill_evictions`].
-    pub spill_evictions: u64,
-    /// See [`Metrics::spill_cache_hits`].
-    pub spill_cache_hits: u64,
-    /// See [`Metrics::spill_cache_bypass`].
-    pub spill_cache_bypass: u64,
-    /// See [`Metrics::spill_bytes_hist`].
-    pub spill_bytes_hist: [u64; HISTOGRAM_BUCKETS],
-    /// See [`Metrics::interrupts_deadline`].
-    pub interrupts_deadline: u64,
-    /// See [`Metrics::interrupts_iteration_cap`].
-    pub interrupts_iteration_cap: u64,
-    /// See [`Metrics::interrupts_cancelled`].
-    pub interrupts_cancelled: u64,
-    /// See [`Metrics::interrupts_memory`].
-    pub interrupts_memory: u64,
-    /// See [`Metrics::faults_injected`].
-    pub faults_injected: u64,
-    /// See [`Metrics::mem_high_water_bytes`].
-    pub mem_high_water_bytes: u64,
-}
-
-impl MetricsSnapshot {
-    /// Snapshot the process-wide registry right now.
-    pub fn capture() -> MetricsSnapshot {
-        let m = metrics();
-        MetricsSnapshot {
-            oracle_dense_evals: m.oracle_dense_evals.get(),
-            oracle_lazy_evals: m.oracle_lazy_evals.get(),
-            oracle_packed_evals: m.oracle_packed_evals.get(),
-            kernels_fallback_scalar: m.kernels_fallback_scalar.get(),
-            kernels_row_batches: m.kernels_row_batches.get(),
-            kernels_dispatch_tier: m.kernels_dispatch_tier.get(),
-            ls_passes: m.ls_passes.get(),
-            ls_nodes_visited: m.ls_nodes_visited.get(),
-            ls_moves: m.ls_moves.get(),
-            ls_improvement: m.ls_improvement.get(),
-            ls_delta_hist: m.ls_delta_hist.counts(),
-            linkage_merges: m.linkage_merges.get(),
-            linkage_chain_rebuilds: m.linkage_chain_rebuilds.get(),
-            balls_formed: m.balls_formed.get(),
-            furthest_centers: m.furthest_centers.get(),
-            pivot_rounds: m.pivot_rounds.get(),
-            exact_nodes: m.exact_nodes.get(),
-            sampling_runs: m.sampling_runs.get(),
-            sampling_sampled: m.sampling_sampled.get(),
-            sampling_assigned: m.sampling_assigned.get(),
-            sampling_reclustered: m.sampling_reclustered.get(),
-            checkpoint_saves: m.checkpoint_saves.get(),
-            checkpoint_retries: m.checkpoint_retries.get(),
-            checkpoint_failures: m.checkpoint_failures.get(),
-            checkpoint_corruptions: m.checkpoint_corruptions.get(),
-            checkpoint_bytes_hist: m.checkpoint_bytes_hist.counts(),
-            spill_tiles_written: m.spill_tiles_written.get(),
-            spill_tiles_read: m.spill_tiles_read.get(),
-            spill_tiles_rebuilt: m.spill_tiles_rebuilt.get(),
-            spill_evictions: m.spill_evictions.get(),
-            spill_cache_hits: m.spill_cache_hits.get(),
-            spill_cache_bypass: m.spill_cache_bypass.get(),
-            spill_bytes_hist: m.spill_bytes_hist.counts(),
-            interrupts_deadline: m.interrupts_deadline.get(),
-            interrupts_iteration_cap: m.interrupts_iteration_cap.get(),
-            interrupts_cancelled: m.interrupts_cancelled.get(),
-            interrupts_memory: m.interrupts_memory.get(),
-            faults_injected: m.faults_injected.get(),
-            mem_high_water_bytes: m.mem_high_water_bytes.get(),
-        }
-    }
-
-    /// Counter-wise difference `self − earlier` (saturating), isolating
-    /// the work done between two snapshots. Gauges keep `self`'s value;
-    /// the float sum subtracts exactly.
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        fn hist_diff(
-            a: &[u64; HISTOGRAM_BUCKETS],
-            b: &[u64; HISTOGRAM_BUCKETS],
-        ) -> [u64; HISTOGRAM_BUCKETS] {
-            let mut out = [0u64; HISTOGRAM_BUCKETS];
-            for i in 0..HISTOGRAM_BUCKETS {
-                out[i] = a[i].saturating_sub(b[i]);
-            }
-            out
-        }
-        MetricsSnapshot {
-            oracle_dense_evals: self
-                .oracle_dense_evals
-                .saturating_sub(earlier.oracle_dense_evals),
-            oracle_lazy_evals: self
-                .oracle_lazy_evals
-                .saturating_sub(earlier.oracle_lazy_evals),
-            oracle_packed_evals: self
-                .oracle_packed_evals
-                .saturating_sub(earlier.oracle_packed_evals),
-            kernels_fallback_scalar: self
-                .kernels_fallback_scalar
-                .saturating_sub(earlier.kernels_fallback_scalar),
-            kernels_row_batches: self
-                .kernels_row_batches
-                .saturating_sub(earlier.kernels_row_batches),
-            kernels_dispatch_tier: self.kernels_dispatch_tier,
-            ls_passes: self.ls_passes.saturating_sub(earlier.ls_passes),
-            ls_nodes_visited: self
-                .ls_nodes_visited
-                .saturating_sub(earlier.ls_nodes_visited),
-            ls_moves: self.ls_moves.saturating_sub(earlier.ls_moves),
-            ls_improvement: self.ls_improvement - earlier.ls_improvement,
-            ls_delta_hist: hist_diff(&self.ls_delta_hist, &earlier.ls_delta_hist),
-            linkage_merges: self.linkage_merges.saturating_sub(earlier.linkage_merges),
-            linkage_chain_rebuilds: self
-                .linkage_chain_rebuilds
-                .saturating_sub(earlier.linkage_chain_rebuilds),
-            balls_formed: self.balls_formed.saturating_sub(earlier.balls_formed),
-            furthest_centers: self
-                .furthest_centers
-                .saturating_sub(earlier.furthest_centers),
-            pivot_rounds: self.pivot_rounds.saturating_sub(earlier.pivot_rounds),
-            exact_nodes: self.exact_nodes.saturating_sub(earlier.exact_nodes),
-            sampling_runs: self.sampling_runs.saturating_sub(earlier.sampling_runs),
-            sampling_sampled: self
-                .sampling_sampled
-                .saturating_sub(earlier.sampling_sampled),
-            sampling_assigned: self
-                .sampling_assigned
-                .saturating_sub(earlier.sampling_assigned),
-            sampling_reclustered: self
-                .sampling_reclustered
-                .saturating_sub(earlier.sampling_reclustered),
-            checkpoint_saves: self
-                .checkpoint_saves
-                .saturating_sub(earlier.checkpoint_saves),
-            checkpoint_retries: self
-                .checkpoint_retries
-                .saturating_sub(earlier.checkpoint_retries),
-            checkpoint_failures: self
-                .checkpoint_failures
-                .saturating_sub(earlier.checkpoint_failures),
-            checkpoint_corruptions: self
-                .checkpoint_corruptions
-                .saturating_sub(earlier.checkpoint_corruptions),
-            checkpoint_bytes_hist: hist_diff(
-                &self.checkpoint_bytes_hist,
-                &earlier.checkpoint_bytes_hist,
-            ),
-            spill_tiles_written: self
-                .spill_tiles_written
-                .saturating_sub(earlier.spill_tiles_written),
-            spill_tiles_read: self
-                .spill_tiles_read
-                .saturating_sub(earlier.spill_tiles_read),
-            spill_tiles_rebuilt: self
-                .spill_tiles_rebuilt
-                .saturating_sub(earlier.spill_tiles_rebuilt),
-            spill_evictions: self.spill_evictions.saturating_sub(earlier.spill_evictions),
-            spill_cache_hits: self
-                .spill_cache_hits
-                .saturating_sub(earlier.spill_cache_hits),
-            spill_cache_bypass: self
-                .spill_cache_bypass
-                .saturating_sub(earlier.spill_cache_bypass),
-            spill_bytes_hist: hist_diff(&self.spill_bytes_hist, &earlier.spill_bytes_hist),
-            interrupts_deadline: self
-                .interrupts_deadline
-                .saturating_sub(earlier.interrupts_deadline),
-            interrupts_iteration_cap: self
-                .interrupts_iteration_cap
-                .saturating_sub(earlier.interrupts_iteration_cap),
-            interrupts_cancelled: self
-                .interrupts_cancelled
-                .saturating_sub(earlier.interrupts_cancelled),
-            interrupts_memory: self
-                .interrupts_memory
-                .saturating_sub(earlier.interrupts_memory),
-            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
-            mem_high_water_bytes: self.mem_high_water_bytes,
-        }
-    }
-
-    /// Total distance-oracle evaluations (dense + lazy).
-    pub fn oracle_evals_total(&self) -> u64 {
-        self.oracle_dense_evals + self.oracle_lazy_evals
-    }
-
-    /// Render as a stable JSON object (the `"counters"` payload of the
-    /// `--metrics-out` run report).
-    pub fn to_json(&self) -> String {
-        fn hist(h: &[u64; HISTOGRAM_BUCKETS]) -> String {
-            let items: Vec<String> = h.iter().map(|c| c.to_string()).collect();
-            format!("[{}]", items.join(","))
-        }
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        let mut push = |key: &str, val: String, last: bool| {
-            s.push_str(&json_string(key));
-            s.push(':');
-            s.push_str(&val);
-            if !last {
-                s.push(',');
-            }
-        };
-        push(
-            "oracle_dense_evals",
-            self.oracle_dense_evals.to_string(),
-            false,
-        );
-        push(
-            "oracle_lazy_evals",
-            self.oracle_lazy_evals.to_string(),
-            false,
-        );
-        push(
-            "oracle_packed_evals",
-            self.oracle_packed_evals.to_string(),
-            false,
-        );
-        push(
-            "kernels_fallback_scalar",
-            self.kernels_fallback_scalar.to_string(),
-            false,
-        );
-        push(
-            "kernels_row_batches",
-            self.kernels_row_batches.to_string(),
-            false,
-        );
-        push(
-            "kernels_dispatch_tier",
-            json_string(crate::kernels::dispatch::tier_code_name(
-                self.kernels_dispatch_tier,
-            )),
-            false,
-        );
-        push(
-            "oracle_evals_total",
-            self.oracle_evals_total().to_string(),
-            false,
-        );
-        push("ls_passes", self.ls_passes.to_string(), false);
-        push("ls_nodes_visited", self.ls_nodes_visited.to_string(), false);
-        push("ls_moves", self.ls_moves.to_string(), false);
-        push("ls_improvement", json_f64(self.ls_improvement), false);
-        push("ls_delta_hist", hist(&self.ls_delta_hist), false);
-        push("linkage_merges", self.linkage_merges.to_string(), false);
-        push(
-            "linkage_chain_rebuilds",
-            self.linkage_chain_rebuilds.to_string(),
-            false,
-        );
-        push("balls_formed", self.balls_formed.to_string(), false);
-        push("furthest_centers", self.furthest_centers.to_string(), false);
-        push("pivot_rounds", self.pivot_rounds.to_string(), false);
-        push("exact_nodes", self.exact_nodes.to_string(), false);
-        push("sampling_runs", self.sampling_runs.to_string(), false);
-        push("sampling_sampled", self.sampling_sampled.to_string(), false);
-        push(
-            "sampling_assigned",
-            self.sampling_assigned.to_string(),
-            false,
-        );
-        push(
-            "sampling_reclustered",
-            self.sampling_reclustered.to_string(),
-            false,
-        );
-        push("checkpoint_saves", self.checkpoint_saves.to_string(), false);
-        push(
-            "checkpoint_retries",
-            self.checkpoint_retries.to_string(),
-            false,
-        );
-        push(
-            "checkpoint_failures",
-            self.checkpoint_failures.to_string(),
-            false,
-        );
-        push(
-            "checkpoint_corruptions",
-            self.checkpoint_corruptions.to_string(),
-            false,
-        );
-        push(
-            "checkpoint_bytes_hist",
-            hist(&self.checkpoint_bytes_hist),
-            false,
-        );
-        push(
-            "spill_tiles_written",
-            self.spill_tiles_written.to_string(),
-            false,
-        );
-        push("spill_tiles_read", self.spill_tiles_read.to_string(), false);
-        push(
-            "spill_tiles_rebuilt",
-            self.spill_tiles_rebuilt.to_string(),
-            false,
-        );
-        push("spill_evictions", self.spill_evictions.to_string(), false);
-        push("spill_cache_hits", self.spill_cache_hits.to_string(), false);
-        push(
-            "spill_cache_bypass",
-            self.spill_cache_bypass.to_string(),
-            false,
-        );
-        push("spill_bytes_hist", hist(&self.spill_bytes_hist), false);
-        push(
-            "interrupts_deadline",
-            self.interrupts_deadline.to_string(),
-            false,
-        );
-        push(
-            "interrupts_iteration_cap",
-            self.interrupts_iteration_cap.to_string(),
-            false,
-        );
-        push(
-            "interrupts_cancelled",
-            self.interrupts_cancelled.to_string(),
-            false,
-        );
-        push(
-            "interrupts_memory",
-            self.interrupts_memory.to_string(),
-            false,
-        );
-        push("faults_injected", self.faults_injected.to_string(), false);
-        push(
-            "mem_high_water_bytes",
-            self.mem_high_water_bytes.to_string(),
-            true,
-        );
-        s.push('}');
-        s
-    }
-}
-
-// Gated instrumentation helpers for the hot paths. Each is a relaxed load
-// and an untaken branch when metrics are off.
-
-/// Count `n` dense-oracle lookups.
-#[inline]
-pub fn count_dense_evals(n: u64) {
-    if metrics_enabled() {
-        METRICS.oracle_dense_evals.add(n);
-    }
-}
-
-/// Count `n` lazy-oracle recomputations.
-#[inline]
-pub fn count_lazy_evals(n: u64) {
-    if metrics_enabled() {
-        METRICS.oracle_lazy_evals.add(n);
-    }
-}
-
-/// Count `n` pair evaluations served by the packed SWAR kernels.
-#[inline]
-pub fn count_packed_evals(n: u64) {
-    if metrics_enabled() {
-        METRICS.oracle_packed_evals.add(n);
-    }
-}
-
-/// Count `n` scalar-lane evaluations on the weighted oracle's unpacked
-/// tail.
-#[inline]
-pub fn count_scalar_fallback(n: u64) {
-    if metrics_enabled() {
-        METRICS.kernels_fallback_scalar.add(n);
-    }
-}
-
-/// Count one `sep_row_into` batch invocation.
-#[inline]
-pub fn count_row_batches() {
-    if metrics_enabled() {
-        METRICS.kernels_row_batches.incr();
-    }
-}
-
 /// Record the dispatch tier a freshly built packed matrix will use.
 /// Deliberately *not* gated on [`metrics_enabled`]: one relaxed store per
 /// matrix build, and run reports must state which code path ran even when
@@ -1474,87 +1197,18 @@ pub fn record_dispatch_tier(tier: crate::kernels::dispatch::Tier) {
     METRICS.kernels_dispatch_tier.set(tier.code());
 }
 
-/// Count one tile frame written to the spill directory (`bytes` = encoded
-/// frame size, observed into the spill-bytes histogram).
-#[inline]
-pub fn count_spill_write(bytes: u64) {
-    if metrics_enabled() {
-        METRICS.spill_tiles_written.incr();
-        METRICS.spill_bytes_hist.observe(bytes as f64);
-    }
-}
-
-/// Count one spilled tile read back from disk.
-#[inline]
-pub fn count_spill_read() {
-    if metrics_enabled() {
-        METRICS.spill_tiles_read.incr();
-    }
-}
-
-/// Count one tile rebuilt from the packed labels after corruption or loss.
-#[inline]
-pub fn count_spill_rebuild() {
-    if metrics_enabled() {
-        METRICS.spill_tiles_rebuilt.incr();
-    }
-}
-
-/// Count `n` pinned-tile evictions from the in-RAM spill cache.
-#[inline]
-pub fn count_spill_evictions(n: u64) {
-    if metrics_enabled() {
-        METRICS.spill_evictions.add(n);
-    }
-}
-
-/// Count one spilled-oracle lookup served from a resident tile (memo or
-/// LRU cache hit — no disk touch).
-#[inline]
-pub fn count_spill_cache_hit() {
-    if metrics_enabled() {
-        METRICS.spill_cache_hits.incr();
-    }
-}
-
-/// Count one spilled-oracle lookup that bypassed the tile store to the
-/// lazy oracle.
-#[inline]
-pub fn count_spill_cache_bypass() {
-    if metrics_enabled() {
-        METRICS.spill_cache_bypass.incr();
-    }
-}
-
-/// Record a tracked-memory level for the high-water gauge.
-#[inline]
-pub fn observe_mem_bytes(bytes: u64) {
-    if metrics_enabled() {
-        METRICS.mem_high_water_bytes.observe(bytes);
-    }
-}
-
-/// Count one fault injected by an armed [`crate::failpoint`] plan.
-#[inline]
-pub fn count_fault_injected() {
-    if metrics_enabled() {
-        METRICS.faults_injected.incr();
-    }
-}
-
 /// Count an anytime stop by interrupt kind (called once per handled
 /// interrupt, where the trip is converted into a run status).
 pub fn count_interrupt(interrupt: crate::robust::Interrupt) {
-    if !metrics_enabled() {
-        return;
-    }
     use crate::robust::Interrupt;
-    match interrupt {
-        Interrupt::Deadline => METRICS.interrupts_deadline.incr(),
-        Interrupt::IterationCap => METRICS.interrupts_iteration_cap.incr(),
-        Interrupt::Cancelled => METRICS.interrupts_cancelled.incr(),
-        Interrupt::MemoryExceeded { .. } => METRICS.interrupts_memory.incr(),
-    }
+    let m = metrics();
+    let counter = match interrupt {
+        Interrupt::Deadline => &m.interrupts_deadline,
+        Interrupt::IterationCap => &m.interrupts_iteration_cap,
+        Interrupt::Cancelled => &m.interrupts_cancelled,
+        Interrupt::MemoryExceeded { .. } => &m.interrupts_memory,
+    };
+    counter.incr_if_enabled();
 }
 
 // ---------------------------------------------------------------------------
@@ -2249,28 +1903,137 @@ mod tests {
         assert_eq!(counts.iter().sum::<u64>(), 3);
     }
 
+    /// A snapshot with a distinct value in every field.
+    fn distinct_snapshot() -> MetricsSnapshot {
+        MetricsSnapshot {
+            oracle_dense_evals: 1001,
+            oracle_lazy_evals: 2002,
+            oracle_packed_evals: 3003,
+            kernels_fallback_scalar: 4004,
+            kernels_row_batches: 5005,
+            kernels_dispatch_tier: 4,
+            ls_passes: 7007,
+            ls_nodes_visited: 8008,
+            ls_moves: 9009,
+            ls_improvement: 12.5,
+            ls_delta_hist: [1100, 1101, 1102, 1103, 1104, 1105, 1106, 1107, 1108],
+            linkage_merges: 12012,
+            linkage_chain_rebuilds: 13013,
+            balls_formed: 14014,
+            furthest_centers: 15015,
+            pivot_rounds: 16016,
+            exact_nodes: 17017,
+            sampling_runs: 18018,
+            sampling_sampled: 19019,
+            sampling_assigned: 20020,
+            sampling_reclustered: 21021,
+            checkpoint_saves: 22022,
+            checkpoint_retries: 23023,
+            checkpoint_failures: 24024,
+            checkpoint_corruptions: 25025,
+            checkpoint_bytes_hist: [2600, 2601, 2602, 2603, 2604, 2605, 2606, 2607, 2608],
+            spill_tiles_written: 27027,
+            spill_tiles_read: 28028,
+            spill_tiles_rebuilt: 29029,
+            spill_evictions: 30030,
+            spill_cache_hits: 31031,
+            spill_cache_bypass: 32032,
+            spill_bytes_hist: [3300, 3301, 3302, 3303, 3304, 3305, 3306, 3307, 3308],
+            interrupts_deadline: 34034,
+            interrupts_iteration_cap: 35035,
+            interrupts_cancelled: 36036,
+            interrupts_memory: 37037,
+            faults_injected: 38038,
+            mem_high_water_bytes: 39039,
+        }
+    }
+
     #[test]
     fn snapshot_diff_isolates_deltas() {
-        let _guard = global_state_lock();
-        let before = MetricsSnapshot::capture();
-        set_metrics_enabled(true);
-        metrics().oracle_dense_evals.add(7);
-        metrics().ls_moves.incr();
-        set_metrics_enabled(false);
-        let after = MetricsSnapshot::capture();
-        let delta = after.diff(&before);
-        assert!(delta.oracle_dense_evals >= 7);
-        assert!(delta.ls_moves >= 1);
+        {
+            let _guard = global_state_lock();
+            let before = MetricsSnapshot::capture();
+            set_metrics_enabled(true);
+            metrics().oracle_dense_evals.add(7);
+            metrics().ls_moves.incr();
+            set_metrics_enabled(false);
+            let after = MetricsSnapshot::capture();
+            let delta = after.diff(&before);
+            assert!(delta.oracle_dense_evals >= 7);
+            assert!(delta.ls_moves >= 1);
+        }
+
+        // One metric of every kind, against its kind's rule.
+        let later = distinct_snapshot();
+        let earlier = MetricsSnapshot {
+            oracle_dense_evals: 1,
+            oracle_lazy_evals: u64::MAX,
+            kernels_dispatch_tier: 2,
+            mem_high_water_bytes: 50_000,
+            ls_improvement: 2.25,
+            ls_delta_hist: [100, 0, 0, 0, 0, 0, 0, 0, 5000],
+            ..MetricsSnapshot::default()
+        };
+        let d = later.diff(&earlier);
+        assert_eq!(d.oracle_dense_evals, 1000, "Counter subtracts");
+        assert_eq!(d.oracle_lazy_evals, 0, "Counter saturates at zero");
+        assert_eq!(d.kernels_dispatch_tier, 4, "Gauge keeps the later value");
+        assert_eq!(
+            d.mem_high_water_bytes, 39039,
+            "MaxGauge keeps the later value"
+        );
+        assert_eq!(d.ls_improvement, 10.25, "FloatSum subtracts");
+        assert_eq!(
+            d.ls_delta_hist,
+            [1000, 1101, 1102, 1103, 1104, 1105, 1106, 1107, 0],
+            "Histogram subtracts per bucket, saturating"
+        );
     }
 
     #[test]
     fn snapshot_json_is_parseable_shape() {
-        let snap = MetricsSnapshot::capture();
-        let json = snap.to_json();
+        let json = MetricsSnapshot::capture().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"oracle_dense_evals\":"));
-        assert!(json.contains("\"mem_high_water_bytes\":"));
-        assert!(json.contains("\"ls_delta_hist\":["));
+
+        // Recorded from the hand-written renderer the table replaced: the
+        // run-report format, key order included, must not move.
+        assert_eq!(
+            distinct_snapshot().to_json(),
+            concat!(
+                r#"{"oracle_dense_evals":1001,"oracle_lazy_evals":2002,"oracle_packed_evals":3003,"#,
+                r#""kernels_fallback_scalar":4004,"kernels_row_batches":5005,"#,
+                r#""kernels_dispatch_tier":"avx2","oracle_evals_total":3003,"ls_passes":7007,"#,
+                r#""ls_nodes_visited":8008,"ls_moves":9009,"ls_improvement":12.5,"#,
+                r#""ls_delta_hist":[1100,1101,1102,1103,1104,1105,1106,1107,1108],"#,
+                r#""linkage_merges":12012,"linkage_chain_rebuilds":13013,"balls_formed":14014,"#,
+                r#""furthest_centers":15015,"pivot_rounds":16016,"exact_nodes":17017,"#,
+                r#""sampling_runs":18018,"sampling_sampled":19019,"sampling_assigned":20020,"#,
+                r#""sampling_reclustered":21021,"checkpoint_saves":22022,"checkpoint_retries":23023,"#,
+                r#""checkpoint_failures":24024,"checkpoint_corruptions":25025,"#,
+                r#""checkpoint_bytes_hist":[2600,2601,2602,2603,2604,2605,2606,2607,2608],"#,
+                r#""spill_tiles_written":27027,"spill_tiles_read":28028,"spill_tiles_rebuilt":29029,"#,
+                r#""spill_evictions":30030,"spill_cache_hits":31031,"spill_cache_bypass":32032,"#,
+                r#""spill_bytes_hist":[3300,3301,3302,3303,3304,3305,3306,3307,3308],"#,
+                r#""interrupts_deadline":34034,"interrupts_iteration_cap":35035,"#,
+                r#""interrupts_cancelled":36036,"interrupts_memory":37037,"faults_injected":38038,"#,
+                r#""mem_high_water_bytes":39039}"#,
+            )
+        );
+
+        // The keys are exactly the registry's names plus the derived total,
+        // each once. A string token is a key when a ':' follows it.
+        let tokens: Vec<&str> = json.split('"').collect();
+        let mut keys: Vec<&str> = (1..tokens.len())
+            .step_by(2)
+            .filter(|&i| tokens.get(i + 1).is_some_and(|next| next.starts_with(':')))
+            .map(|i| tokens[i])
+            .collect();
+        let mut expected: Vec<&str> = Metrics::NAMES.to_vec();
+        expected.push("oracle_evals_total");
+        keys.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(keys, expected);
+        assert_eq!(Metrics::NAMES.len(), 39);
     }
 
     #[test]

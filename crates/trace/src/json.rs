@@ -45,22 +45,18 @@ impl Json {
         }
     }
 
-    /// This value as a `u64`, when it is a whole non-negative number.
+    /// This value as a `u64`, when it was written as a plain non-negative
+    /// integer literal. A whole-valued float such as `5.0` is not one: the
+    /// main binary renders float metrics with a decimal point, and the
+    /// point is what tells them apart from counters.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(f, exact) => exact.or_else(|| {
-                if *f >= 0.0 && f.fract() == 0.0 && *f <= u64::MAX as f64 {
-                    Some(*f as u64)
-                } else {
-                    None
-                }
-            }),
+            Json::Num(_, exact) => *exact,
             _ => None,
         }
     }
 
     /// This value as an `f64`, when it is a number.
-    #[cfg_attr(not(test), allow(dead_code))] // part of the Json surface; exercised by tests
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(f, _) => Some(*f),

@@ -5,12 +5,14 @@
 //! aggclust-trace fold --trace run.jsonl          # flamegraph folded stacks
 //! aggclust-trace report --report run.json        # timings/faults summary
 //! aggclust-trace diff --before a.json --after b.json [--fail-on-regression]
+//! aggclust-trace check --report run.json [--trace run.jsonl]  # schema check
 //! ```
 //!
 //! Inputs are the main binary's `--trace-out` JSONL stream and
 //! `--metrics-out` run reports. The tool is dependency-free (including on
 //! the rest of the workspace) so it keeps working on traces from any build.
 
+mod check;
 mod json;
 mod report;
 mod spans;
@@ -29,6 +31,8 @@ COMMANDS:
     fold      Flamegraph-compatible folded stacks ('path;to;span self_ns')
     report    Summarize one run report: timings table, counters, faults
     diff      Compare two run reports under a perf-gate policy
+    check     Validate a run report (and its trace) against the schema,
+              then print the report as one 'path value' line per leaf
     help      Show this message
 
 TREE / FOLD OPTIONS:
@@ -36,6 +40,10 @@ TREE / FOLD OPTIONS:
 
 REPORT OPTIONS:
     --report PATH         run report written by 'aggclust ... --metrics-out'
+
+CHECK OPTIONS:
+    --report PATH         run report to validate and flatten
+    --trace PATH          JSONL trace of the same run to validate too
 
 DIFF OPTIONS:
     --before PATH         baseline run report
@@ -57,7 +65,8 @@ DIFF OPTIONS:
 
 EXIT CODES:
     0   success / gate passed
-    1   --fail-on-regression found regressions
+    1   --fail-on-regression found regressions, or check found a schema
+        violation
     2   usage error
     3   I/O or parse error
 ";
@@ -71,6 +80,7 @@ fn main() -> ExitCode {
         "fold" => cmd_tree(&args, true),
         "report" => cmd_report(&args),
         "diff" => cmd_diff(&args),
+        "check" => cmd_check(&args),
         "help" | "--help" | "-h" => {
             print!("{HELP}");
             Ok(ExitCode::SUCCESS)
@@ -91,6 +101,7 @@ fn main() -> ExitCode {
 enum TraceError {
     Usage(String),
     Io(String),
+    Check(String),
 }
 
 impl TraceError {
@@ -98,12 +109,13 @@ impl TraceError {
         match self {
             TraceError::Usage(_) => 2,
             TraceError::Io(_) => 3,
+            TraceError::Check(_) => 1,
         }
     }
 
     fn message(&self) -> &str {
         match self {
-            TraceError::Usage(m) | TraceError::Io(m) => m,
+            TraceError::Usage(m) | TraceError::Io(m) | TraceError::Check(m) => m,
         }
     }
 }
@@ -292,4 +304,19 @@ fn cmd_diff(args: &Args) -> Result<ExitCode, TraceError> {
             Ok(ExitCode::SUCCESS)
         }
     }
+}
+
+fn cmd_check(args: &Args) -> Result<ExitCode, TraceError> {
+    let doc = check::check_report(&read(args.require("report")?)?).map_err(TraceError::Check)?;
+    let mut out = check::flatten(&doc);
+    if args.flag("trace") {
+        let trace =
+            check::check_trace(&read(args.require("trace")?)?).map_err(TraceError::Check)?;
+        out.push_str(&format!(
+            "trace.spans {}\ntrace.events {}\n",
+            trace.spans, trace.events
+        ));
+    }
+    emit(&out)?;
+    Ok(ExitCode::SUCCESS)
 }

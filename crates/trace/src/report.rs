@@ -294,6 +294,24 @@ mod tests {
     }
 
     #[test]
+    fn whole_valued_float_metric_is_not_a_counter() {
+        let with_improvement = |value: &str| {
+            let text = format!(
+                r#"{{"schema":"aggclust-run-report-v1","metrics":{{"ls_moves":5,"ls_improvement":{value}}}}}"#
+            );
+            RunReport::parse(&text).unwrap()
+        };
+        let base = with_improvement("884323.0");
+        assert_eq!(base.counters.get("ls_moves"), Some(&5));
+        assert!(!base.counters.contains_key("ls_improvement"));
+        for after in ["884324.0", "884323.5"] {
+            let d = diff(&base, &with_improvement(after), &DiffOptions::default());
+            assert!(d.regressions.is_empty(), "{after}: {:?}", d.regressions);
+            assert!(d.lines.is_empty(), "{after}: {:?}", d.lines);
+        }
+    }
+
+    #[test]
     fn rejects_wrong_schema() {
         assert!(RunReport::parse(r#"{"schema":"v2"}"#).is_err());
         assert!(RunReport::parse(r#"{}"#).is_err());
