@@ -29,11 +29,12 @@ fi
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-# n = 600, m = 3: planted 9-block structure with deterministic disagreement,
+# n = 800, m = 3: planted 9-block structure with deterministic disagreement,
 # the same generator family as ci/kill-resume.sh at a size where a 1 MB
-# memory budget forces the spill path (dense matrix ≈ 1.4 MB).
-awk 'BEGIN {
-  for (v = 0; v < 600; v++) {
+# memory budget forces the spill path (dense matrix of u16 codes ≈ 1.3 MB).
+N=800
+awk -v n="$N" 'BEGIN {
+  for (v = 0; v < n; v++) {
     base = v % 9
     b = (base + (v % 5 == 0)) % 9
     c = (base + (v % 7 == 0)) % 9
@@ -48,7 +49,7 @@ echo "== clean reference =="
 "$BIN" "${args[@]}" --checkpoint "$WORK/ref.ckpt" --checkpoint-every-ms 20 \
     --spill-dir "$WORK/ref.spill" --output "$WORK/ref.txt"
 lines=$(wc -l < "$WORK/ref.txt")
-[ "$lines" -eq 600 ] || { echo "FAIL: reference has $lines labels"; exit 1; }
+[ "$lines" -eq "$N" ] || { echo "FAIL: reference has $lines labels"; exit 1; }
 
 # One run under an armed plan. Asserts the universal invariants (no panic,
 # documented exit code, full-length labels when expected) and leaves stderr
@@ -72,7 +73,7 @@ run_storm() {
     if [ "$expect_labels" = yes ]; then
         local got
         got=$(wc -l < "$out")
-        if [ "$got" -ne 600 ]; then
+        if [ "$got" -ne "$N" ]; then
             echo "FAIL: $got labels under plan '$plan'"; exit 1
         fi
     fi

@@ -6,7 +6,7 @@
 #   2. Resume from whatever checkpoint survived on disk.
 #   3. The resumed labels must be byte-identical to an uninterrupted run.
 #
-# Also smoke-tests --mem-budget-mb: a cap far below the ~100 MB dense-matrix
+# Also smoke-tests --mem-budget-mb: a cap far below the ~50 MB dense-matrix
 # footprint must complete through the lazy-oracle degradation path with a
 # warning and the same labels. The caller wraps this script in `timeout 60`.
 set -euo pipefail

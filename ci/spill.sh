@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Out-of-core spill acceptance check (ISSUE 7):
 #
-#   1. n = 20000, m = 10 under a --mem-budget-mb cap far below the ~3.2 GB
+#   1. n = 20000, m = 10 under a --mem-budget-mb cap far below the ~800 MB
 #      dense-matrix footprint must degrade to the *disk spill* — the run
 #      warns "spilling the condensed matrix", not SAMPLING and not
 #      singletons — and its labels must be byte-identical to an

@@ -78,7 +78,8 @@ expect "$R" 'v["metrics.kernels_row_batches"] > 0' \
     "kernels_row_batches did not fire -- banded fill not batching rows?"
 # Timings (ISSUE 9): the spans this workload must traverse are present with
 # real time attributed, and the allocation nests inside the dense build.
-for span in local_search dense_build condensed_alloc; do
+# cost_eval and lower_bound name the consensus tail's two O(n^2) sums.
+for span in local_search dense_build condensed_alloc cost_eval lower_bound; do
     expect "$R" "(\"timings.$span.count\" in v)" "timings: $span span missing"
 done
 expect "$R" 'v["timings.local_search.total_ns"] > 0' "local_search span untimed"
@@ -147,8 +148,11 @@ grep -Eq '^faults\.[0-9]+ .*cli\.input.*delay' "$WORK/faulted.txt" || {
 echo "OK: $(value "$WORK/faulted.txt" metrics.faults_injected) injections embedded, matching faults_injected"
 
 echo "== --progress: heartbeats render as single stderr lines =="
+# The first heartbeat fires 200 ms into LOCALSEARCH, which on the dense
+# matrix can finish sooner than that; a 1 MB cap puts the descent on the
+# O(m)-per-read lazy oracle, well past the first heartbeat on a fast host.
 "$BIN" aggregate --input "$WORK/in5000.csv" --algorithm local-search \
-    --no-refine --threads 1 --progress --output /dev/null \
+    --mem-budget-mb 1 --no-refine --threads 1 --progress --output /dev/null \
     --log-level error 2> "$WORK/progress.txt"
 grep -q "^progress: local_search " "$WORK/progress.txt"
 awk '!/^progress: [a-z_]+ [0-9]+\/[0-9]+ / { print "bad progress line: " $0; bad = 1 }

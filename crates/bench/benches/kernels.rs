@@ -128,7 +128,8 @@ fn main() {
             // dispatch changes — and `*_build_ns` is the whole
             // `DenseOracle` build, which additionally pays a
             // tier-independent floor (allocating, page-faulting, and
-            // writing the n(n-1)/2 × 8-byte condensed triangle) that
+            // writing the n × n matrix of 2-byte codes, then mirroring
+            // its upper triangle) that
             // bounds the end-to-end ratio; both are recorded so the
             // speedup and its dilution are explicit.
             let time_kernel = |inputs: &[Clustering], tier: dispatch::Tier| -> u128 {
@@ -140,8 +141,8 @@ fn main() {
                     .map(|_| {
                         let start = std::time::Instant::now();
                         // The same banded pair order as
-                        // parallel::try_fill_condensed, minus the
-                        // distance conversion and triangle writes.
+                        // parallel::try_fill_upper, minus the code
+                        // writes.
                         for lo in (0..n).step_by(band) {
                             let hi = (lo + band).min(n);
                             for u in 0..hi.saturating_sub(1) {

@@ -4,8 +4,8 @@
 //! override so the speedup is measured in-process on the same inputs.
 //!
 //! The n = 20 000 sizes use the lazy [`ClusteringsOracle`] (O(n·m) memory)
-//! instead of the dense matrix, whose condensed triangle alone would be
-//! 1.6 GB; the parallel layer is oracle-agnostic, so the scaling story is
+//! instead of the dense matrix, whose `u16` codes alone would take
+//! 800 MB; the parallel layer is oracle-agnostic, so the scaling story is
 //! the same. On a single-CPU host the 4-thread rows are expected to match
 //! (or slightly trail) the 1-thread rows — the numbers are recorded
 //! honestly either way via `CRITERION_SHIM_JSON` (see `BENCH_parallel.json`

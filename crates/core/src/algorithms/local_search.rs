@@ -18,37 +18,25 @@
 //! (see [`local_search_from`]); the experiments show it improves solutions
 //! significantly at the price of many iterations.
 //!
-//! ## Parallel execution
+//! ## Reading the distances
 //!
 //! Steepest descent is inherently sequential — every move changes the
-//! labels that the next node's evaluation depends on — but the expensive
-//! part of a node visit, the `n − 1` oracle lookups `X_vu`, depends only on
-//! the (immutable) distances. The implementation therefore prefetches the
-//! distance rows for a fixed-size *block* of upcoming nodes in parallel
-//! (one big [`crate::parallel::fill_slice`] call amortizes thread
-//! dispatch), then replays the nodes serially against the cached rows,
-//! accumulating `M(v, C_i)` and `T_v` in the same naive `u` order as the
-//! serial code. The move sequence — and hence the result — is bit-identical
-//! to a fully serial run at any thread count.
+//! labels that the next node's evaluation depends on — so a node visit
+//! is one serial scan of the `n − 1` distances `X_vu`, accumulated in
+//! ascending `u` by [`DistanceOracle::accumulate_row`]. On a
+//! [`crate::instance::DenseOracle`] that scan streams one contiguous row
+//! of `u16` codes through the code → distance table; other oracles fall
+//! back to one `dist` call per pair, in the same order. The move sequence
+//! never depends on the thread count.
 
 use crate::clustering::Clustering;
 use crate::error::{AggError, AggResult};
 use crate::instance::DistanceOracle;
-use crate::parallel;
 use crate::robust::{RunBudget, RunOutcome, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, LocalSearchSnapshot};
 use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Nodes per prefetched block: large enough that one parallel fill of
-/// `ROW_BLOCK · n` distances dwarfs thread-dispatch overhead, small enough
-/// to keep the row cache (`ROW_BLOCK · n` f64s) modest.
-const ROW_BLOCK: usize = 32;
-
-/// Below this instance size the row cache is skipped entirely: the plain
-/// serial loop is faster and produces the same result.
-const PREFETCH_MIN_N: usize = 2048;
 
 /// The starting point for [`local_search`].
 #[derive(Clone, Debug, Default)]
@@ -317,14 +305,6 @@ fn descend<O: DistanceOracle + Sync + ?Sized>(
         s
     };
 
-    let prefetch = n >= PREFETCH_MIN_N;
-    let block = if prefetch { ROW_BLOCK.min(n) } else { 1 };
-    let mut rows: Vec<f64> = if prefetch {
-        vec![0.0; block * n]
-    } else {
-        Vec::new()
-    };
-
     let mut m_sums: Vec<f64> = Vec::new();
     let mut meter = budget.meter_from(done);
     let mut heartbeat = telemetry::Heartbeat::new("local_search", n as u64).with_budget(budget);
@@ -334,74 +314,44 @@ fn descend<O: DistanceOracle + Sync + ?Sized>(
         let resuming = pass == first_pass && resume.is_some();
         let skip_before = if resuming { resume_node } else { 0 };
         let mut moved = resuming && resumed_moved;
-        let mut block_start = (skip_before.min(n.saturating_sub(1)) / block) * block;
-        while block_start < n {
-            let block_end = (block_start + block).min(n);
-            if prefetch {
-                // Prefetch the distance rows of the whole block in one
-                // parallel fill; distances never change, so the rows stay
-                // valid however the labels move below.
-                let width = block_end - block_start;
-                parallel::fill_slice(&mut rows[..width * n], |i| {
-                    oracle.dist(block_start + i / n, i % n)
+        for v in skip_before..n {
+            // One budget iteration per node visit: each costs O(n)
+            // lookups, and the labels between visits always describe a
+            // valid clustering no costlier than the start.
+            if let Err(interrupt) = meter.tick() {
+                if let Some(c) = ckpt.as_deref_mut() {
+                    // Final checkpoint at the interrupt point; `v` has
+                    // not been visited, and the failed tick is not
+                    // completed work.
+                    let _ = c.save_now(AlgorithmSnapshot::LocalSearch(LocalSearchSnapshot {
+                        labels: labels.clone(),
+                        pass: pass as u64,
+                        next_node: v as u64,
+                        moved_in_pass: moved,
+                        iterations: meter.iterations() - 1,
+                        rng: rng_state,
+                    }));
+                }
+                return (labels, interrupt.status(), meter.iterations());
+            }
+            if visit_node(oracle, v, epsilon, &mut labels, &mut sizes, &mut m_sums) {
+                moved = true;
+            }
+            // Progress within the current pass; each pass restarts the
+            // cursor, so `done/total` reads as pass completion.
+            heartbeat.tick((v + 1) as u64);
+            if let Some(c) = ckpt.as_deref_mut() {
+                c.maybe_save(|| {
+                    AlgorithmSnapshot::LocalSearch(LocalSearchSnapshot {
+                        labels: labels.clone(),
+                        pass: pass as u64,
+                        next_node: (v + 1) as u64,
+                        moved_in_pass: moved,
+                        iterations: meter.iterations(),
+                        rng: rng_state,
+                    })
                 });
             }
-            for v in block_start..block_end {
-                if v < skip_before {
-                    continue;
-                }
-                // One budget iteration per node visit: each costs O(n)
-                // lookups, and the labels between visits always describe a
-                // valid clustering no costlier than the start.
-                if let Err(interrupt) = meter.tick() {
-                    if let Some(c) = ckpt.as_deref_mut() {
-                        // Final checkpoint at the interrupt point; `v` has
-                        // not been visited, and the failed tick is not
-                        // completed work.
-                        let _ = c.save_now(AlgorithmSnapshot::LocalSearch(LocalSearchSnapshot {
-                            labels: labels.clone(),
-                            pass: pass as u64,
-                            next_node: v as u64,
-                            moved_in_pass: moved,
-                            iterations: meter.iterations() - 1,
-                            rng: rng_state,
-                        }));
-                    }
-                    return (labels, interrupt.status(), meter.iterations());
-                }
-                let row = if prefetch {
-                    Some(&rows[(v - block_start) * n..(v - block_start + 1) * n])
-                } else {
-                    None
-                };
-                if visit_node(
-                    oracle,
-                    row,
-                    v,
-                    epsilon,
-                    &mut labels,
-                    &mut sizes,
-                    &mut m_sums,
-                ) {
-                    moved = true;
-                }
-                // Progress within the current pass; each pass restarts the
-                // cursor, so `done/total` reads as pass completion.
-                heartbeat.tick((v + 1) as u64);
-                if let Some(c) = ckpt.as_deref_mut() {
-                    c.maybe_save(|| {
-                        AlgorithmSnapshot::LocalSearch(LocalSearchSnapshot {
-                            labels: labels.clone(),
-                            pass: pass as u64,
-                            next_node: (v + 1) as u64,
-                            moved_in_pass: moved,
-                            iterations: meter.iterations(),
-                            rng: rng_state,
-                        })
-                    });
-                }
-            }
-            block_start = block_end;
         }
         // Completed passes only, so an interrupt-at-k + resume run counts
         // each pass exactly once — matching the uninterrupted run.
@@ -415,13 +365,9 @@ fn descend<O: DistanceOracle + Sync + ?Sized>(
 }
 
 /// Evaluate all candidate moves for node `v` against the current labels and
-/// apply the best strictly improving one. `row`, when present, caches
-/// `oracle.dist(v, u)` for all `u`; the accumulation order over `u` is the
-/// same either way, so both paths produce bit-identical decisions. Returns
-/// `true` if the node moved.
+/// apply the best strictly improving one. Returns `true` if the node moved.
 fn visit_node<O: DistanceOracle + ?Sized>(
     oracle: &O,
-    row: Option<&[f64]>,
     v: usize,
     epsilon: f64,
     labels: &mut [u32],
@@ -433,27 +379,7 @@ fn visit_node<O: DistanceOracle + ?Sized>(
     telemetry::metrics().ls_nodes_visited.incr_if_enabled();
     m_sums.clear();
     m_sums.resize(k, 0.0);
-    let mut t_v = 0.0;
-    match row {
-        Some(xs) => {
-            for u in 0..n {
-                if u != v {
-                    let x = xs[u];
-                    m_sums[labels[u] as usize] += x;
-                    t_v += x;
-                }
-            }
-        }
-        None => {
-            for u in 0..n {
-                if u != v {
-                    let x = oracle.dist(v, u);
-                    m_sums[labels[u] as usize] += x;
-                    t_v += x;
-                }
-            }
-        }
-    }
+    let t_v = oracle.accumulate_row(v, labels, m_sums);
     let cur = labels[v] as usize;
     let others = (n - 1) as f64;
     // d(v, C_i) = 2·M_i − T_v + (n−1) − |C_i \ {v}|

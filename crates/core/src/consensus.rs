@@ -676,10 +676,17 @@ impl ConsensusBuilder {
             clustering = refined.clustering;
         }
 
-        let cost = correlation_cost(oracle, &clustering);
+        let cost = {
+            let _span = crate::span!("cost_eval", n = n);
+            correlation_cost(oracle, &clustering)
+        };
+        let lower = {
+            let _span = crate::span!("lower_bound", n = n);
+            lower_bound(oracle)
+        };
         Ok(ConsensusResult {
             disagreements: (cost * m as f64).round() as u64,
-            lower_bound: Some(lower_bound(oracle)),
+            lower_bound: Some(lower),
             sampled: false,
             status,
             warnings,
@@ -689,8 +696,9 @@ impl ConsensusBuilder {
     }
 }
 
-/// Largest sample size whose condensed distance matrix (`8·s(s−1)/2` bytes)
-/// fits in `bytes`.
+/// Largest sample size whose condensed `f64` distance matrix
+/// (`8·s(s−1)/2` bytes: AGGLOMERATIVE's working copy, more than the
+/// sample's `2s²`-byte dense codes) fits in `bytes`.
 fn largest_sample_within(bytes: u64) -> usize {
     // Solve 4·s·(s−1) ≤ bytes: s ≤ (1 + √(1 + bytes))/2, then correct the
     // float estimate exactly (checked arithmetic: `bytes` can approach
@@ -875,9 +883,10 @@ mod tests {
 
     #[test]
     fn memory_cap_degrades_localsearch_to_the_lazy_oracle() {
-        // 40 objects: dense matrix = 40·39/2·8 = 6240 bytes. A 6000-byte
-        // cap refuses it; LOCALSEARCH is oracle-generic so the run degrades
-        // to the lazy oracle and still produces the same labels.
+        // 40 objects: dense matrix = 40²·2 = 3200 bytes, plus a 4-entry
+        // code table (32 bytes). A 3000-byte cap refuses it; LOCALSEARCH is
+        // oracle-generic so the run degrades to the lazy oracle and still
+        // produces the same labels.
         let truth: Vec<u32> = (0..40).map(|v| v / 10).collect();
         let inputs = vec![c(&truth); 3];
         let reference = ConsensusBuilder::new()
@@ -886,7 +895,7 @@ mod tests {
             .unwrap();
         let capped = ConsensusBuilder::new()
             .algorithm(Algorithm::LocalSearch(Default::default()))
-            .budget(RunBudget::unlimited().with_mem_limit_bytes(6_000))
+            .budget(RunBudget::unlimited().with_mem_limit_bytes(3_000))
             .try_aggregate(&inputs)
             .unwrap();
         assert_eq!(capped.clustering, reference.clustering);

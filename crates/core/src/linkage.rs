@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use crate::clustering::Clustering;
 use crate::instance::DistanceOracle;
-use crate::parallel;
+use crate::parallel::{self, Layout};
 use crate::robust::{Interrupt, MemCharge, RunBudget, RunStatus};
 use crate::snapshot::{AgglomerativeSnapshot, AlgorithmSnapshot, Checkpointer, MergeRecord};
 use crate::telemetry;
@@ -94,9 +94,10 @@ impl CondensedMatrix {
     /// parallel row chunks. Same matrix as [`CondensedMatrix::from_fn`] at
     /// any thread count.
     pub fn from_fn_sync(n: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        let fill = parallel::try_fill_condensed(
+        let fill = parallel::try_fill_upper(
             n,
             0..n,
+            Layout::Condensed,
             n,
             || (),
             parallel::pairwise(f),
@@ -150,9 +151,10 @@ impl CondensedMatrix {
     ) -> Result<Vec<f64>, Interrupt> {
         let n = oracle.len();
         let pair = |u, v| oracle.dist(u, v);
-        parallel::try_fill_condensed(
+        parallel::try_fill_upper(
             n,
             0..n,
+            Layout::Condensed,
             oracle.preferred_band(),
             || (),
             parallel::pairwise(pair),

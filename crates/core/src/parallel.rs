@@ -266,34 +266,63 @@ where
     })
 }
 
-/// Allocate the condensed vector and pre-fault its pages under a
+/// Where [`try_fill_upper`] puts the pairs `(u, v)`, `u < v`, of row `u`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// The condensed `n(n−1)/2` triangle: row `u` holds its `n − 1 − u`
+    /// pairs, `(u, v)` at offset `v − u − 1`.
+    Condensed,
+    /// The row-major `n × n` square: row `u` holds `n` entries, `(u, v)` at
+    /// column `v`. Only the upper triangle is written; the diagonal and the
+    /// lower triangle keep `T::default()`.
+    Square,
+}
+
+impl Layout {
+    /// Entries row `u` occupies.
+    fn row_len(self, n: usize, u: usize) -> usize {
+        match self {
+            Layout::Condensed => n - 1 - u,
+            Layout::Square => n,
+        }
+    }
+
+    /// Offset of pair `(u, v)` within row `u`.
+    fn col(self, u: usize, v: usize) -> usize {
+        match self {
+            Layout::Condensed => v - u - 1,
+            Layout::Square => v,
+        }
+    }
+}
+
+/// Allocate the fill's output and pre-fault its pages under a
 /// `condensed_alloc` span.
 ///
-/// `vec![0.0; len]` is served by lazily zeroed pages, so without this
-/// the page faults — the tier-independent floor that dominates the
-/// dense build at large `n` (~40 ms for the 100 MB triangle at n=5000)
-/// — would fire at first write inside the worker fill jobs and be
+/// `vec![T::default(); len]` is served by lazily zeroed pages, so without
+/// this the page faults — the tier-independent floor that dominates the
+/// dense build at large `n` (~23 ms for the 50 MB `u16` square at
+/// n=5000) — would fire at first write inside the worker fill jobs and be
 /// smeared across `condensed_fill`. Touching one element per 4 KiB page
-/// here moves that cost into its own span, so the run report's
-/// `timings` block puts a number on the alloc/fault/write floor. The
-/// store goes through [`std::hint::black_box`] so the write of "0.0
-/// over fresh zeroes" cannot be optimized out, taking the fault with
-/// it.
-fn alloc_condensed(len: usize) -> Vec<f64> {
+/// here moves that cost into its own span, so the run report's `timings`
+/// block puts a number on the alloc/fault/write floor. The store goes
+/// through [`std::hint::black_box`] so the write of "zero over fresh
+/// zeroes" cannot be optimized out, taking the fault with it.
+fn alloc_prefaulted<T: Copy + Default>(len: usize) -> Vec<T> {
     let _span = crate::span!("condensed_alloc", len = len);
-    let mut data = vec![0.0f64; len];
-    const PAGE_STRIDE: usize = 4096 / std::mem::size_of::<f64>();
-    for i in (0..data.len()).step_by(PAGE_STRIDE) {
-        data[i] = std::hint::black_box(0.0);
+    let mut data = vec![T::default(); len];
+    let page_stride = (4096 / std::mem::size_of::<T>().max(1)).max(1);
+    for i in (0..data.len()).step_by(page_stride) {
+        data[i] = std::hint::black_box(T::default());
     }
     data
 }
 
-/// Fill the condensed slice of `rows`: every pair `(u, v)` with `u` in
-/// `rows` and `u < v < n`, in row-major order (`0..n` is the whole
-/// `n(n−1)/2` triangle). This is the crate's one condensed fill; an
-/// unbudgeted caller passes [`RunBudget::unlimited`], whose poll never
-/// trips.
+/// Fill the upper-triangle pairs of `rows`: every pair `(u, v)` with `u` in
+/// `rows` and `u < v < n`, placed by `layout` in a buffer holding just
+/// those rows (`0..n` is the whole matrix). This is the crate's one pair
+/// fill; an unbudgeted caller passes [`RunBudget::unlimited`], whose poll
+/// never trips.
 ///
 /// The rows are split into pair-balanced chunk jobs whose boundaries depend
 /// only on `n` and `rows`. Each job walks its columns in fixed `band`-wide
@@ -301,39 +330,41 @@ fn alloc_condensed(len: usize) -> Vec<f64> {
 /// label rows stays cache-resident while the job's rows stream against it;
 /// a `band` of `n` or more is the plain row-major walk. Every `(row,
 /// column-band)` intersection goes to `g(scratch, u, lo..hi, seg)`, where
-/// `seg` is the condensed slice for pairs `(u, lo), …, (u, hi − 1)` and
+/// `seg` holds the entries for pairs `(u, lo), …, (u, hi − 1)` and
 /// `scratch` is the job's own `make_scratch()` value, reused across all of
-/// its segments. Every entry is written exactly once at its row-major
-/// index, so a `g` that writes pure per-pair values produces the identical
-/// vector at any thread count, band width and row split.
+/// its segments. Every entry is written exactly once at its place, so a `g`
+/// that writes pure per-pair values produces the identical buffer at any
+/// thread count, band width and row split.
 ///
 /// Workers poll the budget's deadline and cancel token before each job, so
 /// a trip is honored within one job's worth of work; the partly filled
 /// buffer is then dropped and the interrupt returned. Iteration caps are
 /// algorithm-level and are not consumed here, and memory is reserved by
 /// the caller.
-pub fn try_fill_condensed<S, M, G>(
+pub fn try_fill_upper<T, S, M, G>(
     n: usize,
     rows: Range<usize>,
+    layout: Layout,
     band: usize,
     make_scratch: M,
     g: G,
     budget: &RunBudget,
-) -> Result<Vec<f64>, Interrupt>
+) -> Result<Vec<T>, Interrupt>
 where
+    T: Copy + Default + Send,
     M: Fn() -> S + Sync,
-    G: Fn(&mut S, usize, Range<usize>, &mut [f64]) + Sync,
+    G: Fn(&mut S, usize, Range<usize>, &mut [T]) + Sync,
 {
     let band = band.clamp(1, n.max(1));
     let rows = rows.start.min(n)..rows.end.min(n);
-    let pairs = |rows: Range<usize>| -> usize { rows.map(|u| n - 1 - u).sum() };
-    let len = pairs(rows.clone());
-    let mut data = alloc_condensed(len);
-    let mut jobs: Vec<(Range<usize>, &mut [f64])> = Vec::new();
-    let mut rest: &mut [f64] = &mut data;
+    let entries = |rows: Range<usize>| -> usize { rows.map(|u| layout.row_len(n, u)).sum() };
+    let len = entries(rows.clone());
+    let mut data = alloc_prefaulted(len);
+    let mut jobs: Vec<(Range<usize>, &mut [T])> = Vec::new();
+    let mut rest: &mut [T] = &mut data;
     for r in balanced_ranges(rows.len(), MIN_CHUNK_PAIRS, |i| n - 1 - (rows.start + i)) {
         let job_rows = rows.start + r.start..rows.start + r.end;
-        let (head, tail) = rest.split_at_mut(pairs(job_rows.clone()));
+        let (head, tail) = rest.split_at_mut(entries(job_rows.clone()));
         jobs.push((job_rows, head));
         rest = tail;
     }
@@ -356,7 +387,7 @@ where
             for u in rows.clone() {
                 let lo = band_start.max(u + 1);
                 if lo < band_end {
-                    let idx0 = off + (lo - u - 1);
+                    let idx0 = off + layout.col(u, lo);
                     g(
                         &mut scratch,
                         u,
@@ -364,7 +395,7 @@ where
                         &mut out[idx0..idx0 + (band_end - lo)],
                     );
                 }
-                off += n - 1 - u;
+                off += layout.row_len(n, u);
             }
             band_start = band_end;
         }
@@ -376,10 +407,10 @@ where
 }
 
 /// Adapt a per-pair distance function to the segment callback of
-/// [`try_fill_condensed`]: each entry of a segment gets `f(u, v)`.
-pub(crate) fn pairwise<F>(f: F) -> impl Fn(&mut (), usize, Range<usize>, &mut [f64]) + Sync
+/// [`try_fill_upper`]: each entry of a segment gets `f(u, v)`.
+pub(crate) fn pairwise<T, F>(f: F) -> impl Fn(&mut (), usize, Range<usize>, &mut [T]) + Sync
 where
-    F: Fn(usize, usize) -> f64 + Sync,
+    F: Fn(usize, usize) -> T + Sync,
 {
     move |(): &mut (), u, vs, seg| {
         for (entry, v) in seg.iter_mut().zip(vs) {
@@ -558,37 +589,60 @@ mod tests {
             let ranges = [0..n, 0..0, 0..1, 3..17, n / 3..2 * n / 3, n / 2..n, last..n];
             for rows in ranges {
                 let rows = rows.start.min(n)..rows.end.min(n);
-                let reference: Vec<f64> = rows
-                    .clone()
-                    .flat_map(|u| (u + 1..n).map(move |v| f(u, v)))
-                    .collect();
-                for band in [1usize, 2, 7, 64, 512, 10_000] {
-                    for threads in [1usize, 4] {
-                        let fill = |budget: &RunBudget| {
-                            with_num_threads(threads, || {
-                                try_fill_condensed(n, rows.clone(), band, || 0usize, g, budget)
-                            })
-                        };
-                        let at = format!("n={n} rows={rows:?} band={band} threads={threads}");
-                        let expected: Result<Vec<f64>, Interrupt> = Ok(reference.clone());
-                        assert_eq!(fill(&RunBudget::unlimited()), expected, "{at}");
-                        assert_eq!(fill(&generous), expected, "{at}");
-                        // A range with no rows has no job to poll the budget.
-                        let tripped = |interrupt| -> Result<Vec<f64>, Interrupt> {
-                            if rows.is_empty() {
-                                Ok(Vec::new())
-                            } else {
-                                Err(interrupt)
-                            }
-                        };
-                        assert_eq!(fill(&expired), tripped(Interrupt::Deadline), "{at}");
-                        assert_eq!(fill(&cancelled), tripped(Interrupt::Cancelled), "{at}");
+                for layout in [Layout::Condensed, Layout::Square] {
+                    let reference: Vec<f64> = rows
+                        .clone()
+                        .flat_map(|u| {
+                            let first = if layout == Layout::Square { 0 } else { u + 1 };
+                            (first..n).map(move |v| if v > u { f(u, v) } else { 0.0 })
+                        })
+                        .collect();
+                    for band in [1usize, 2, 7, 64, 512, 10_000] {
+                        for threads in [1usize, 4] {
+                            let fill = |budget: &RunBudget| {
+                                with_num_threads(threads, || {
+                                    try_fill_upper(
+                                        n,
+                                        rows.clone(),
+                                        layout,
+                                        band,
+                                        || 0usize,
+                                        g,
+                                        budget,
+                                    )
+                                })
+                            };
+                            let at = format!(
+                                "n={n} rows={rows:?} {layout:?} band={band} threads={threads}"
+                            );
+                            let expected: Result<Vec<f64>, Interrupt> = Ok(reference.clone());
+                            assert_eq!(fill(&RunBudget::unlimited()), expected, "{at}");
+                            assert_eq!(fill(&generous), expected, "{at}");
+                            // A range with no rows has no job to poll the budget.
+                            let tripped = |interrupt| -> Result<Vec<f64>, Interrupt> {
+                                if rows.is_empty() {
+                                    Ok(Vec::new())
+                                } else {
+                                    Err(interrupt)
+                                }
+                            };
+                            assert_eq!(fill(&expired), tripped(Interrupt::Deadline), "{at}");
+                            assert_eq!(fill(&cancelled), tripped(Interrupt::Cancelled), "{at}");
+                        }
                     }
                 }
             }
         }
         // The per-pair adapter writes exactly `f(u, v)`.
-        let full = try_fill_condensed(5, 0..5, 2, || (), pairwise(f), &RunBudget::unlimited());
+        let full = try_fill_upper(
+            5,
+            0..5,
+            Layout::Condensed,
+            2,
+            || (),
+            pairwise(f),
+            &RunBudget::unlimited(),
+        );
         assert_eq!(full.map(|d| d[0]), Ok(f(0, 1)));
     }
 

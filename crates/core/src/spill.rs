@@ -1,6 +1,6 @@
 //! Out-of-core tile store for the condensed distance matrix.
 //!
-//! The dense oracle's condensed triangle is `Θ(n²)` memory; when the memory
+//! The dense oracle's matrix is `Θ(n²)` memory; when the memory
 //! governor refuses that allocation, the consensus pipeline used to fall
 //! straight to the lazy oracle (or clamped SAMPLING). This module inserts a
 //! disk-backed step in between: the triangle is built as **fixed-size banded

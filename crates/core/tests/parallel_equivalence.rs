@@ -10,8 +10,8 @@
 //!
 //! Instance sizes are chosen to cross the internal chunking thresholds
 //! (`MIN_CHUNK_ITEMS = 1024` rows, `MIN_CHUNK_PAIRS = 8192` pairs, the
-//! LOCALSEARCH prefetch gate at n = 2048, the BALLS scan gate at 4096) so
-//! the multi-chunk code paths actually execute with several worker threads.
+//! BALLS scan gate at 4096) so the multi-chunk code paths actually execute
+//! with several worker threads.
 
 use aggclust_core::algorithms::{
     agglomerative::agglomerative, balls::balls, furthest::furthest, local_search::local_search,
@@ -102,8 +102,10 @@ fn cost_functions_are_thread_invariant() {
 
 #[test]
 fn local_search_is_thread_invariant_across_prefetch_gate() {
-    // n = 2200 crosses the PREFETCH_MIN_N = 2048 row-block gate; n = 300
-    // stays below it. Both must produce identical labels at 1 vs 4 threads.
+    // LOCALSEARCH reads each node's row serially through `accumulate_row`,
+    // at every n; the dense build behind it is split into many chunks at
+    // n = 2200 and few at n = 300. Both must produce identical labels at
+    // 1 vs 4 threads.
     for (n, seed) in [(2200usize, 3u64), (300, 4)] {
         let inputs = noisy_inputs(n, 4, 10, 0.3, seed);
         let oracle = DenseOracle::from_clusterings(&inputs);

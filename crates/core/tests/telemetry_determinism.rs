@@ -116,8 +116,8 @@ fn run_all(oracle: &DenseOracle, threads: usize) -> MetricsSnapshot {
 #[test]
 fn counters_are_thread_invariant_across_chunking_gates() {
     let _guard = metrics_lock();
-    // n = 2200 crosses MIN_CHUNK_PAIRS and the LOCALSEARCH prefetch gate
-    // (2048), so the multi-chunk code paths execute with real workers.
+    // n = 2200 crosses MIN_CHUNK_PAIRS, so the multi-chunk code paths
+    // execute with real workers.
     let inputs = noisy_inputs(2200, 4, 10, 0.3, 7);
     let oracle = DenseOracle::from_clusterings(&inputs);
     let t1 = run_all(&oracle, 1);
@@ -194,9 +194,7 @@ proptest! {
 
     /// Interrupt-at-k + resume performs exactly the counted work of the
     /// uninterrupted run: identical oracle evaluations, node visits,
-    /// passes, and accepted moves. (n stays below the prefetch gate: a
-    /// mid-block resume would legitimately re-fill its row block and
-    /// re-evaluate those pairs.)
+    /// passes, and accepted moves.
     #[test]
     fn localsearch_counters_survive_interrupt_and_resume(
         labels in prop::collection::vec(

@@ -619,7 +619,8 @@ fn every_bit_flip_in_a_tile_frame_is_rejected_or_identical() {
 fn dead_spill_disk_degrades_to_lazy_with_typed_warnings() {
     // Simulate a persistently failing disk by pointing the spill dir at a
     // path under a regular file: every create/write fails, as with ENOSPC.
-    let inputs = adversarial_disagreeing(80, 4);
+    // n = 100: the 20 000-byte dense matrix is over SPILL_TEST_CAP.
+    let inputs = adversarial_disagreeing(100, 4);
     let blocker = std::env::temp_dir().join("aggclust_fault_spill_dead_disk");
     std::fs::write(&blocker, b"file, not dir").expect("write blocker");
     let result = spill_builder(&blocker.join("tiles"))
