@@ -18,7 +18,7 @@
 #      reports exactly that tier.
 #
 # `check` prints a passing report as one 'path value' line per leaf
-# (`metrics.spill_tiles_read 12`); each scenario's expectations below are
+# (`metrics.ls_moves 12`); each scenario's expectations below are
 # awk conditions over those lines.
 set -euo pipefail
 
@@ -105,22 +105,18 @@ expect "$WORK/balls.txt" 'v["metrics.oracle_evals_total"] >= 0.5 * 5000 * 5000' 
     "BALLS oracle evals below n^2/2 -- is the counter wired?"
 echo "OK: the Figure 5 scaling claim holds on the counters"
 
-echo "== spilled run: spill counters must fire and labels must match =="
+echo "== capped run: lazy-oracle counters must fire and labels must match =="
 "$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
     --no-refine --output "$WORK/unconstrained.txt" --log-level error
 "$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \
-    --no-refine --mem-budget-mb 1 --spill-dir "$WORK/tiles" \
-    --metrics-out "$WORK/spill.json" --output "$WORK/spilled.txt" \
+    --no-refine --mem-budget-mb 1 \
+    --metrics-out "$WORK/capped.json" --output "$WORK/capped.txt" \
     --log-level error
-cmp "$WORK/unconstrained.txt" "$WORK/spilled.txt"
-"$TRACE_BIN" check --report "$WORK/spill.json" > "$WORK/spill.txt"
-expect "$WORK/spill.txt" 'v["metrics.spill_tiles_written"] > 0' "spill_tiles_written did not fire"
-expect "$WORK/spill.txt" 'v["metrics.spill_tiles_read"] > 0' "spill_tiles_read did not fire"
-awk '$1 ~ /^metrics\.spill_bytes_hist\./ { sum += $2 } END { exit !(sum > 0) }' \
-    "$WORK/spill.txt" || { echo "FAIL: spill_bytes_hist did not fire"; exit 1; }
-echo "OK: spilled run wrote $(value "$WORK/spill.txt" metrics.spill_tiles_written) tiles," \
-    "read $(value "$WORK/spill.txt" metrics.spill_tiles_read)," \
-    "evicted $(value "$WORK/spill.txt" metrics.spill_evictions); labels match the dense run"
+cmp "$WORK/unconstrained.txt" "$WORK/capped.txt"
+"$TRACE_BIN" check --report "$WORK/capped.json" > "$WORK/capped.report"
+expect "$WORK/capped.report" 'v["metrics.oracle_lazy_evals"] > 0' "oracle_lazy_evals did not fire"
+echo "OK: capped run made $(value "$WORK/capped.report" metrics.oracle_lazy_evals) lazy reads;" \
+    "labels match the dense run"
 
 echo "== forced tier: AGGCLUST_SIMD=swar must be honored and reported =="
 AGGCLUST_SIMD=swar "$BIN" aggregate --input "$WORK/in2000.csv" \

@@ -44,6 +44,21 @@ impl Args {
         self.values.get(name).map(String::as_str)
     }
 
+    /// Every `--key` given (flag or valued) that is not in `known`, sorted
+    /// and listed once each so a report naming them is stable.
+    pub fn unknown_keys(&self, known: &[&str]) -> Vec<&str> {
+        let mut unknown: Vec<&str> = self
+            .values
+            .keys()
+            .map(String::as_str)
+            .chain(self.flags.iter().map(String::as_str))
+            .filter(|key| !known.contains(key))
+            .collect();
+        unknown.sort_unstable();
+        unknown.dedup();
+        unknown
+    }
+
     /// Parse `--name value` as a type, falling back to a default.
     ///
     /// An unparsable value prints a one-line usage error and exits with the
@@ -116,6 +131,21 @@ mod tests {
         assert!(a.flag("full"));
         assert!(!a.flag("quick"));
         assert_eq!(a.get_or("scale", 1.0f64), 0.5);
+    }
+
+    #[test]
+    fn unknown_keys_lists_flags_and_values_outside_the_known_set() {
+        let a = args(&["--seed", "4", "--zeta", "1", "--full", "--alpha"]);
+        assert_eq!(a.unknown_keys(&["seed", "full"]), vec!["alpha", "zeta"]);
+        assert!(a
+            .unknown_keys(&["alpha", "full", "seed", "zeta"])
+            .is_empty());
+    }
+
+    #[test]
+    fn unknown_keys_names_a_repeated_key_once() {
+        let a = args(&["--zeta", "--zeta", "--alpha", "1", "--zeta"]);
+        assert_eq!(a.unknown_keys(&[]), vec!["alpha", "zeta"]);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use aggclust_core::instance::MissingPolicy;
 use aggclust_core::iofs;
 use aggclust_core::obs;
 use aggclust_core::snapshot::{load_snapshot, RetryPolicy, SnapshotLoad};
-use aggclust_core::spill::cleanup_spill_dir;
 use aggclust_core::{AggError, CancelToken, RunBudget, RunStatus};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -65,7 +64,7 @@ COMMON OPTIONS:
     --fault-plan SPEC     arm deterministic fault injection for this run
                           (robustness testing): comma-separated clauses
                           like snapshot.rename=io_error:nth=3 or
-                          spill.write=torn:prob=0.25:seed=7; see DESIGN.md
+                          snapshot.write=torn:prob=0.25:seed=7; see DESIGN.md
                           section 6i for the site catalog and grammar. The
                           AGGCLUST_FAULTS environment variable sets the
                           default, the flag wins
@@ -81,22 +80,15 @@ AGGREGATE OPTIONS:
     --sampling-threshold N
                           switch to SAMPLING above this many objects
                           (default 6000); raise it to keep large instances
-                          on the dense/spilled path
+                          on the dense or lazy path
     --seed N              RNG seed (default 0)
     --deadline-ms N       wall-clock run budget; on expiry the best
                           clustering found so far is still written
     --max-iters N         iteration budget (same anytime semantics)
     --mem-budget-mb N     tracked-memory cap; runs that would exceed it
-                          degrade (dense matrix -> disk spill -> lazy
-                          oracle / sampling) instead of allocating past
-                          the cap
-    --spill-dir PATH      directory for out-of-core condensed-matrix tiles
-                          when the memory cap refuses the dense matrix
-                          (checksummed frames, bit-identical distances;
-                          default: '<checkpoint>.spill' when --checkpoint
-                          is set, otherwise spilling is off); tiles are
-                          removed on converged success and valid orphans
-                          are reclaimed on --resume
+                          degrade (dense matrix -> lazy oracle, same
+                          labels; agglomerative -> sampling) instead of
+                          allocating past the cap
     --checkpoint PATH     crash-safe checkpoint file, written atomically
                           while the run is in flight and deleted on
                           converged success; SIGINT also flushes a final
@@ -114,7 +106,8 @@ EVAL OPTIONS:
 
 EXIT CODES:
     0   success
-    2   usage error (unknown command, bad flag or parameter value)
+    2   usage error (unknown command, a flag the command does not
+        take, or a bad parameter value)
     3   I/O error reading or writing a file
     4   parse error in an input file (reported with line and column)
     5   invalid instance (e.g. inputs disagree on the object count)
@@ -197,6 +190,10 @@ fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().unwrap_or_else(|| "help".to_string());
     let args = Args::parse(argv);
+    if let Err(e) = check_options(&command, &args) {
+        eprintln!("error: {}", e.message()); // lint:allow-eprintln
+        return ExitCode::from(e.exit_code());
+    }
     let metrics_out = match setup_telemetry(&args) {
         Ok(path) => path,
         Err(e) => {
@@ -244,6 +241,59 @@ fn main() -> ExitCode {
             eprintln!("error: {}", e.message()); // lint:allow-eprintln
             ExitCode::from(e.exit_code())
         }
+    }
+}
+
+/// Options every command reads: telemetry, fault injection, threads.
+const GLOBAL_OPTIONS: &[&str] = &[
+    "threads",
+    "log-level",
+    "trace-out",
+    "progress",
+    "metrics-out",
+    "fault-plan",
+];
+/// Options every command that loads a label matrix reads.
+const INPUT_OPTIONS: &[&str] = &[
+    "input",
+    "separator",
+    "header",
+    "missing",
+    "deadline-ms",
+    "max-iters",
+    "mem-budget-mb",
+];
+const AGGREGATE_OPTIONS: &[&str] = &[
+    "algorithm",
+    "alpha",
+    "no-refine",
+    "exact",
+    "sample",
+    "sampling-threshold",
+    "seed",
+    "checkpoint",
+    "checkpoint-every-ms",
+    "resume",
+    "output",
+];
+
+/// Refuse any `--flag` that `command` does not read, so a typo or a
+/// retired option is a usage error instead of being silently ignored.
+/// Unknown commands and `help` are left to the dispatcher.
+fn check_options(command: &str, args: &Args) -> Result<(), CliError> {
+    let (input_options, command_options): (&[&str], &[&str]) = match command {
+        "aggregate" => (INPUT_OPTIONS, AGGREGATE_OPTIONS),
+        "eval" => (INPUT_OPTIONS, &["candidate"]),
+        "diagnose" => (INPUT_OPTIONS, &[]),
+        "demo" => (&[], &[]),
+        _ => return Ok(()),
+    };
+    let unknown = args.unknown_keys(&[GLOBAL_OPTIONS, input_options, command_options].concat());
+    match unknown.first() {
+        None => Ok(()),
+        Some(key) => Err(CliError::Usage(format!(
+            "`aggclust {command}` does not take --{key}; try `aggclust help`"
+        ))),
     }
 }
 
@@ -488,19 +538,6 @@ fn cmd_aggregate(args: &Args) -> Result<(), CliError> {
             "--resume requires --checkpoint PATH".to_string(),
         ));
     }
-    // Out-of-core spill: explicit --spill-dir wins; otherwise checkpointed
-    // runs default to a sibling '<checkpoint>.spill' directory so a killed
-    // spilled run leaves its tiles where --resume will reclaim them.
-    let spill_dir = args.get("spill-dir").map(PathBuf::from).or_else(|| {
-        checkpoint_path.as_ref().map(|p| {
-            let mut os = p.as_os_str().to_os_string();
-            os.push(".spill");
-            PathBuf::from(os)
-        })
-    });
-    if let Some(dir) = &spill_dir {
-        builder = builder.spill_dir(dir);
-    }
     let result = builder.try_aggregate_partial(inputs)?;
     // Degradation warnings surface through the telemetry layer: the core
     // emits each `Warning` as a warn-level event the moment it is recorded,
@@ -535,8 +572,7 @@ fn cmd_aggregate(args: &Args) -> Result<(), CliError> {
     }
     match result.status {
         RunStatus::Converged => {
-            // The run finished; the checkpoint has nothing left to resume
-            // and any spilled tiles have nothing left to serve.
+            // The run finished; the checkpoint has nothing left to resume.
             if let Some(path) = &checkpoint_path {
                 if let Err(e) = iofs::remove_file("cli.cleanup", path) {
                     if e.kind() != std::io::ErrorKind::NotFound {
@@ -545,15 +581,6 @@ fn cmd_aggregate(args: &Args) -> Result<(), CliError> {
                             path.display()
                         ));
                     }
-                }
-            }
-            if let Some(dir) = &spill_dir {
-                let removed = cleanup_spill_dir(dir);
-                if removed > 0 {
-                    obs::info!(format!(
-                        "removed {removed} spilled tiles from {}",
-                        dir.display()
-                    ));
                 }
             }
             Ok(())

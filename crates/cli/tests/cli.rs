@@ -250,6 +250,110 @@ fn exit_code_2_on_usage_errors() {
 }
 
 #[test]
+fn flags_the_command_does_not_take_are_usage_errors() {
+    let input = tmp("unknown-flag.csv", FIGURE1);
+    let input = input.to_str().unwrap();
+    for args in [
+        vec!["aggregate", "--input", input, "--bogus-flag", "x"],
+        vec!["aggregate", "--input", input, "--spill-dir", "tiles"],
+        vec![
+            "eval",
+            "--input",
+            input,
+            "--candidate",
+            input,
+            "--output",
+            "x",
+        ],
+        vec!["diagnose", "--input", input, "--seed", "3"],
+        vec!["demo", "--input", input],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let flag = args[args.len() - 2];
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    fs::remove_file(input).ok();
+}
+
+/// The `--flag` names `aggclust help` lists under the section headed
+/// `heading`, in order.
+fn help_options(heading: &str) -> Vec<String> {
+    let out = bin().arg("help").output().unwrap();
+    let help = String::from_utf8(out.stdout).unwrap();
+    let section = help
+        .split("\n\n")
+        .find(|s| s.starts_with(heading))
+        .unwrap_or_else(|| panic!("help has no {heading} section"));
+    section
+        .lines()
+        .filter_map(|line| line.strip_prefix("    --"))
+        .map(|rest| rest.split_whitespace().next().unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn every_option_help_lists_is_taken_by_its_command() {
+    let input = tmp("listed-flags.csv", FIGURE1);
+    let input = input.to_str().unwrap();
+    let common = help_options("COMMON OPTIONS:");
+    let aggregate = help_options("AGGREGATE OPTIONS:");
+    let eval = help_options("EVAL OPTIONS:");
+    assert!(
+        common.len() >= 10 && aggregate.len() >= 10,
+        "{common:?} {aggregate:?}"
+    );
+    assert_eq!(eval, ["candidate"]);
+    let refused = |base: &[&str], flag: &str| {
+        // Bare flags keep this independent of each option's value syntax:
+        // the run may still fail, but never because the flag is unknown.
+        let out = bin().args(base).arg(format!("--{flag}")).output().unwrap();
+        String::from_utf8_lossy(&out.stderr).contains("does not take")
+    };
+    let aggregate_base = ["aggregate", "--input", input, "--output", "/dev/null"];
+    let eval_base = ["eval", "--input", input, "--candidate", input];
+    assert!(
+        refused(&aggregate_base, "bogus"),
+        "the probe must see refusals"
+    );
+    for flag in common.iter().chain(&aggregate) {
+        assert!(
+            !refused(&aggregate_base, flag),
+            "aggregate refuses --{flag}"
+        );
+    }
+    for flag in common.iter().chain(&eval) {
+        assert!(!refused(&eval_base, flag), "eval refuses --{flag}");
+    }
+    fs::remove_file(input).ok();
+}
+
+#[test]
+fn a_refused_flag_stops_the_run_before_it_writes_anything() {
+    let input = tmp("refused-before-write.csv", FIGURE1);
+    let output = std::env::temp_dir().join("aggclust-cli-refused-labels.txt");
+    let checkpoint = std::env::temp_dir().join("aggclust-cli-refused.ckpt");
+    fs::remove_file(&output).ok();
+    fs::remove_file(&checkpoint).ok();
+    let out = bin()
+        .args(["aggregate", "--input", input.to_str().unwrap(), "--output"])
+        .arg(&output)
+        .arg("--checkpoint")
+        .arg(&checkpoint)
+        .args(["--spill-dir", "tiles"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--spill-dir"));
+    assert!(!output.exists(), "labels were written");
+    assert!(!checkpoint.exists(), "a checkpoint was written");
+    assert!(!std::path::Path::new("tiles").exists());
+    fs::remove_file(input).ok();
+}
+
+#[test]
 fn exit_code_3_on_io_errors() {
     let out = bin()
         .args(["aggregate", "--input", "/nonexistent/file.csv"])
@@ -555,6 +659,37 @@ fn mem_budget_degrades_to_the_lazy_oracle_with_identical_labels() {
     let stderr = String::from_utf8_lossy(&capped.stderr);
     assert!(stderr.contains("lazy oracle"), "{stderr}");
     assert_eq!(unlimited.stdout, capped.stdout);
+    fs::remove_file(input).ok();
+}
+
+#[test]
+fn mem_budget_labels_do_not_depend_on_the_thread_count() {
+    // The lazy-oracle path of a capped run writes the uncapped labels
+    // byte for byte at every thread count.
+    let input = tmp("mem-threads.csv", &planted_csv(800, 8));
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "aggregate",
+            "--input",
+            input.to_str().unwrap(),
+            "--algorithm",
+            "balls",
+        ];
+        args.extend_from_slice(extra);
+        let out = bin().args(&args).output().unwrap();
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        out
+    };
+    let uncapped = run(&[]).stdout;
+    for threads in ["1", "2", "4"] {
+        let capped = run(&["--mem-budget-mb", "1", "--threads", threads]);
+        let stderr = String::from_utf8_lossy(&capped.stderr);
+        assert!(
+            stderr.contains("lazy oracle"),
+            "--threads {threads}: {stderr}"
+        );
+        assert_eq!(capped.stdout, uncapped, "--threads {threads}");
+    }
     fs::remove_file(input).ok();
 }
 

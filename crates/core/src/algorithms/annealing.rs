@@ -10,7 +10,7 @@
 //! local optima LOCALSEARCH stops at. A final zero-temperature descent
 //! guarantees the output is itself a single-move local optimum.
 
-use crate::algorithms::local_search::{local_search_from, local_search_from_budgeted};
+use crate::algorithms::local_search::local_search_from_budgeted;
 use crate::clustering::Clustering;
 use crate::cost::within_cost;
 use crate::error::{AggError, AggResult};
@@ -45,26 +45,24 @@ impl Default for AnnealingParams {
 }
 
 /// Run simulated annealing from the all-singletons start, followed by a
-/// zero-temperature LOCALSEARCH descent.
+/// zero-temperature LOCALSEARCH descent: [`simulated_annealing_budgeted`]
+/// under [`RunBudget::unlimited`].
+///
+/// # Panics
+///
+/// If `params.cooling` is not in `(0, 1)`.
 pub fn simulated_annealing<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: &AnnealingParams,
 ) -> Clustering {
-    let n = oracle.len();
-    if n <= 1 {
-        return Clustering::singletons(n);
-    }
     assert!(
         params.cooling > 0.0 && params.cooling < 1.0,
         "cooling factor must be in (0, 1)"
     );
-    let budget = RunBudget::unlimited();
-    let mut meter = budget.meter();
-    let state = anneal_loop(oracle, params, &mut meter);
-
-    // Zero-temperature descent to a guaranteed local optimum.
-    let annealed = Clustering::from_labels(state.labels);
-    local_search_from(oracle, &annealed, 200, 1e-9)
+    simulated_annealing_budgeted(oracle, params, &RunBudget::unlimited()).map_or_else(
+        |_| Clustering::singletons(oracle.len()),
+        |outcome| outcome.clustering,
+    )
 }
 
 /// Budgeted simulated annealing with anytime semantics. One budget
@@ -132,9 +130,7 @@ struct AnnealState {
     tripped: Option<Interrupt>,
 }
 
-/// The shared sweeps loop behind both entry points. Identical RNG
-/// consumption to the original implementation, so the unbudgeted path is
-/// bit-for-bit unchanged.
+/// The annealing sweeps. One budget tick per proposed move.
 fn anneal_loop<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: &AnnealingParams,
@@ -170,14 +166,7 @@ fn anneal_loop<O: DistanceOracle + Sync + ?Sized>(
             let k = sizes.len();
             m_sums.clear();
             m_sums.resize(k, 0.0);
-            let mut t_v = 0.0;
-            for u in 0..n {
-                if u != v {
-                    let x = oracle.dist(v, u);
-                    m_sums[labels[u] as usize] += x;
-                    t_v += x;
-                }
-            }
+            let t_v = oracle.accumulate_row(v, &labels, &mut m_sums);
             let cur = labels[v] as usize;
             let others = (n - 1) as f64;
             let cost_of = |i: usize| -> f64 {
@@ -336,19 +325,64 @@ mod tests {
         );
     }
 
+    /// Three noisy copies of a 5-block planted clustering over 40 objects.
+    fn noisy_inputs() -> Vec<Clustering> {
+        (0..3u32)
+            .map(|i| {
+                Clustering::from_labels(
+                    (0..40u32)
+                        .map(|v| {
+                            if (v * 7 + i * 3) % 11 == 0 {
+                                (v + i) % 5
+                            } else {
+                                v / 8
+                            }
+                        })
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn budgeted_unlimited_is_no_worse_than_legacy() {
-        let oracle = figure1_oracle();
-        let params = AnnealingParams::default();
-        let outcome =
-            simulated_annealing_budgeted(&oracle, &params, &RunBudget::unlimited()).unwrap();
-        assert!(outcome.status.is_converged());
-        // The budgeted path takes min(descended, best snapshot), so it can
-        // only improve on the legacy result.
-        assert!(
-            correlation_cost(&oracle, &outcome.clustering)
-                <= correlation_cost(&oracle, &simulated_annealing(&oracle, &params)) + 1e-9
-        );
+    fn plain_run_is_the_budgeted_run_under_an_unlimited_budget() {
+        let oracle = DenseOracle::from_clusterings(&noisy_inputs());
+        for seed in 0..12u64 {
+            let params = AnnealingParams {
+                seed,
+                sweeps: 30,
+                ..Default::default()
+            };
+            let outcome =
+                simulated_annealing_budgeted(&oracle, &params, &RunBudget::unlimited()).unwrap();
+            assert!(outcome.status.is_converged(), "seed {seed}");
+            assert_eq!(
+                outcome.clustering,
+                simulated_annealing(&oracle, &params),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn lazy_and_dense_oracles_anneal_to_identical_labels() {
+        // The sweeps read whole rows through `accumulate_row`, whose
+        // contract is the same bits on every oracle kind.
+        let inputs = noisy_inputs();
+        let dense = DenseOracle::from_clusterings(&inputs);
+        let lazy = crate::instance::ClusteringsOracle::from_total(&inputs);
+        for seed in [0u64, 5, 9] {
+            let params = AnnealingParams {
+                seed,
+                sweeps: 30,
+                ..Default::default()
+            };
+            assert_eq!(
+                simulated_annealing(&lazy, &params),
+                simulated_annealing(&dense, &params),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!    more among themselves.
 
 use super::Algorithm;
+use crate::assign::ClusterAssigner;
 use crate::clustering::Clustering;
 use crate::error::AggResult;
 use crate::instance::DistanceOracle;
@@ -220,6 +221,7 @@ fn run<O: DistanceOracle + Sync>(
             && snap.sample.windows(2).all(|w| w[0] < w[1])
             && snap.sample.iter().all(|&v| (v as usize) < n)
             && snap.sample.len() == snap.sample_labels.len()
+            && is_first_appearance_order(&snap.sample_labels)
             && snap.labels.len() == n
             && snap.next_node as usize <= n
     });
@@ -277,21 +279,13 @@ fn run<O: DistanceOracle + Sync>(
         done = 0;
     }
 
-    let s = sample.len();
-    let ell = sample_labels
-        .iter()
-        .map(|&l| l as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut cluster_sizes = vec![0usize; ell];
-    for &l in &sample_labels {
-        cluster_sizes[l as usize] += 1;
-    }
-
     // Phase 3: assign every non-sampled node to the cheapest sample cluster
     // or to a fresh singleton. Fresh singleton labels are handed out in
     // node order, so the resumed `next_label` is recoverable from the
-    // assignments already made.
+    // assignments already made. The sample labels are in first-appearance
+    // order, so the assigner's reference clustering keeps them as they are.
+    let assigner = ClusterAssigner::new(Clustering::from_labels(sample_labels.clone()));
+    let ell = assigner.reference().num_clusters();
     let t1 = Instant::now();
     let mut next_label = labels
         .iter()
@@ -305,7 +299,6 @@ fn run<O: DistanceOracle + Sync>(
         in_sample[v] = true;
     }
     let mut meter = budget.meter_from(done);
-    let mut m_sums = vec![0.0f64; ell];
     let mut tripped = false;
     let mut heartbeat = telemetry::Heartbeat::new("sampling_assign", n as u64).with_budget(budget);
     for v in start_node..n {
@@ -337,31 +330,14 @@ fn run<O: DistanceOracle + Sync>(
             }
             break;
         }
-        m_sums.iter_mut().for_each(|x| *x = 0.0);
-        let mut t_sum = 0.0;
-        for (si, &u) in sample.iter().enumerate() {
-            let x = oracle.dist(v, u);
-            m_sums[sample_labels[si] as usize] += x;
-            t_sum += x;
-        }
-        // cost(join C_i) = M_i + Σ_{j≠i}(|C_j| − M_j)
-        //               = 2·M_i − T + s − |C_i|;   cost(singleton) = s − T.
-        let mut best = f64::INFINITY;
-        let mut best_i = usize::MAX;
-        for i in 0..ell {
-            let c = 2.0 * m_sums[i] - t_sum + s as f64 - cluster_sizes[i] as f64;
-            if c < best {
-                best = c;
-                best_i = i;
+        labels[v] = match assigner.assign(|si| oracle.dist(v, sample[si])) {
+            Some(cluster) => cluster,
+            None => {
+                let fresh = next_label;
+                next_label += 1;
+                fresh
             }
-        }
-        let singleton_cost = s as f64 - t_sum;
-        if best_i == usize::MAX || singleton_cost < best {
-            labels[v] = next_label;
-            next_label += 1;
-        } else {
-            labels[v] = best_i as u32;
-        }
+        };
         // Real assignments only — the singleton fallback after a budget trip
         // is not counted, so resumed totals match uninterrupted ones.
         telemetry::metrics().sampling_assigned.incr_if_enabled();
@@ -415,6 +391,16 @@ fn run<O: DistanceOracle + Sync>(
         clustering: Clustering::from_labels(labels),
         status,
         iterations,
+    })
+}
+
+/// `true` when `labels` number their clusters `0, 1, 2, …` in order of
+/// first appearance, as [`Clustering::from_labels`] leaves them.
+fn is_first_appearance_order(labels: &[u32]) -> bool {
+    let mut next = 0u32;
+    labels.iter().all(|&l| {
+        next += u32::from(l == next);
+        l < next
     })
 }
 
@@ -544,6 +530,34 @@ mod tests {
     }
 
     #[test]
+    fn every_non_sampled_node_follows_the_cluster_assigner() {
+        // With the re-aggregation pass off, phase 3's decision is the final
+        // word: a node joins the sample cluster the assigner picks, or
+        // stays a singleton when the assigner says so.
+        let (_, oracle) = blocks_instance();
+        let mut params = SamplingParams::new(12, Algorithm::Balls(BallsParams::default()), 3);
+        params.recluster_singletons = false;
+        let details = sampling_with_details(&oracle, &params);
+        let out = &details.clustering;
+        let assigner = ClusterAssigner::new(out.restrict(&details.sample));
+        let sizes = out.cluster_sizes();
+        let mut joined = 0;
+        for v in (0..60).filter(|v| !details.sample.contains(v)) {
+            match assigner.assign(|si| oracle.dist(v, details.sample[si])) {
+                Some(cluster) => {
+                    let member = (0..details.sample.len())
+                        .find(|&si| assigner.reference().label(si) == cluster)
+                        .unwrap();
+                    assert_eq!(out.label(v), out.label(details.sample[member]), "node {v}");
+                    joined += 1;
+                }
+                None => assert_eq!(sizes[out.label(v) as usize], 1, "node {v}"),
+            }
+        }
+        assert!(joined > 0);
+    }
+
+    #[test]
     fn empty_instance() {
         let oracle = DenseOracle::from_fn(0, |_, _| 0.0);
         let params = SamplingParams::new(
@@ -639,15 +653,32 @@ mod tests {
             next_node: 7,
             iterations: 3,
         };
-        let outcome = sampling_resumable(
-            &oracle,
-            &params,
-            &crate::robust::RunBudget::unlimited(),
-            Some(&stale),
-            None,
-        )
-        .unwrap();
-        assert_eq!(outcome.clustering, sampling(&oracle, &params));
+        // Right size, but sample labels out of first-appearance order.
+        let unordered = SamplingSnapshot {
+            n: 60,
+            sample_labels: vec![1, 0],
+            labels: vec![u32::MAX; 60],
+            ..stale.clone()
+        };
+        for snapshot in [stale, unordered] {
+            let outcome = sampling_resumable(
+                &oracle,
+                &params,
+                &crate::robust::RunBudget::unlimited(),
+                Some(&snapshot),
+                None,
+            )
+            .unwrap();
+            assert_eq!(outcome.clustering, sampling(&oracle, &params));
+        }
+    }
+
+    #[test]
+    fn first_appearance_order() {
+        assert!(is_first_appearance_order(&[]));
+        assert!(is_first_appearance_order(&[0, 0, 1, 0, 2, 1]));
+        assert!(!is_first_appearance_order(&[1, 0]));
+        assert!(!is_first_appearance_order(&[0, 2, 1]));
     }
 
     #[test]

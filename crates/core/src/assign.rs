@@ -16,7 +16,7 @@
 //! // new object near the first cluster.
 //! let reference = Clustering::from_labels(vec![0, 0, 1, 1]);
 //! let assigner = ClusterAssigner::new(reference);
-//! let decision = assigner.assign(&|u| if u < 2 { 0.0 } else { 1.0 });
+//! let decision = assigner.assign(|u| if u < 2 { 0.0 } else { 1.0 });
 //! assert_eq!(decision, Some(0));
 //! ```
 
@@ -56,7 +56,7 @@ impl ClusterAssigner {
     /// at least as cheap as staying alone, `None` for "make it a
     /// singleton". Deterministic: ties prefer the lowest cluster label;
     /// the singleton option wins only when *strictly* cheaper.
-    pub fn assign(&self, dist: &dyn Fn(usize) -> f64) -> Option<u32> {
+    pub fn assign(&self, dist: impl Fn(usize) -> f64) -> Option<u32> {
         let s = self.reference.len();
         if s == 0 {
             return None;
@@ -95,7 +95,7 @@ impl ClusterAssigner {
         count: usize,
         dist: &dyn Fn(usize, usize) -> f64,
     ) -> Vec<Option<u32>> {
-        (0..count).map(|i| self.assign(&|u| dist(i, u))).collect()
+        (0..count).map(|i| self.assign(|u| dist(i, u))).collect()
     }
 
     /// Extend the reference clustering with a batch of new objects: joined
@@ -129,7 +129,7 @@ mod tests {
         let reference = Clustering::from_labels(vec![0, 0, 1, 1]);
         let assigner = ClusterAssigner::new(reference);
         // Near cluster 1 (objects 2, 3).
-        let decision = assigner.assign(&|u| if u >= 2 { 0.1 } else { 0.9 });
+        let decision = assigner.assign(|u| if u >= 2 { 0.1 } else { 0.9 });
         assert_eq!(decision, Some(1));
     }
 
@@ -137,7 +137,7 @@ mod tests {
     fn far_from_everything_becomes_singleton() {
         let reference = Clustering::from_labels(vec![0, 0, 1, 1]);
         let assigner = ClusterAssigner::new(reference);
-        assert_eq!(assigner.assign(&|_| 1.0), None);
+        assert_eq!(assigner.assign(|_| 1.0), None);
     }
 
     #[test]
@@ -146,7 +146,7 @@ mod tests {
         // joins (ties prefer clusters).
         let reference = Clustering::from_labels(vec![0, 0]);
         let assigner = ClusterAssigner::new(reference);
-        assert_eq!(assigner.assign(&|_| 0.5), Some(0));
+        assert_eq!(assigner.assign(|_| 0.5), Some(0));
     }
 
     #[test]
@@ -155,7 +155,7 @@ mod tests {
         let reference = Clustering::from_labels(vec![0, 0, 1, 1, 2]);
         let assigner = ClusterAssigner::new(reference.clone());
         let dists = [0.2, 0.4, 0.7, 0.9, 0.45];
-        let decision = assigner.assign(&|u| dists[u]);
+        let decision = assigner.assign(|u| dists[u]);
 
         // Evaluate every extension over the 6-object instance.
         let mut oracle = DenseOracle::from_fn(6, |_, _| 0.5);
@@ -208,8 +208,19 @@ mod tests {
     }
 
     #[test]
+    fn equally_cheap_clusters_tie_toward_the_lowest_label() {
+        // Every reference object is equally close, so joining either
+        // cluster of two costs the same; the lower label wins, whichever
+        // order the clusters' objects come in.
+        for labels in [vec![0, 0, 1, 1], vec![0, 1, 1, 0], vec![0, 1, 0, 1]] {
+            let assigner = ClusterAssigner::new(Clustering::from_labels(labels.clone()));
+            assert_eq!(assigner.assign(|_| 0.2), Some(0), "{labels:?}");
+        }
+    }
+
+    #[test]
     fn empty_reference() {
         let assigner = ClusterAssigner::new(Clustering::from_labels(vec![]));
-        assert_eq!(assigner.assign(&|_| 0.0), None);
+        assert_eq!(assigner.assign(|_| 0.0), None);
     }
 }

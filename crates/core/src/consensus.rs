@@ -35,7 +35,6 @@ use crate::exact::{branch_and_bound_budgeted, MAX_BNB_N};
 use crate::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
 use crate::robust::{Interrupt, RunBudget, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, LocalSearchSnapshot, Snapshot};
-use crate::spill::{SpillConfig, SpillError, SpilledOracle};
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -58,24 +57,6 @@ pub enum Warning {
         limit: u64,
         /// The clamped sample size actually used.
         sample_size: usize,
-    },
-    /// The dense distance matrix was refused by the memory cap and the run
-    /// spilled it to disk as checksummed tiles (see [`crate::spill`]),
-    /// keeping every pairwise distance bit-identical to the dense run.
-    MemoryDegradedToSpill {
-        /// Bytes the dense matrix would have needed.
-        requested: u64,
-        /// The configured memory cap in bytes.
-        limit: u64,
-        /// Number of tile frames the matrix was split into.
-        tiles: usize,
-    },
-    /// Spilling to disk was configured but failed persistently (out of
-    /// disk space, unwritable directory); the run degraded one more step,
-    /// to the lazy oracle.
-    SpillFailed {
-        /// The rendered I/O error.
-        reason: String,
     },
     /// The dense distance matrix was refused by the memory cap and the run
     /// fell back to the `O(n·m)` lazy oracle.
@@ -117,8 +98,6 @@ impl Warning {
     pub fn kind(&self) -> &'static str {
         match self {
             Warning::MemoryDegradedToSampling { .. } => "memory_degraded_to_sampling",
-            Warning::MemoryDegradedToSpill { .. } => "memory_degraded_to_spill",
-            Warning::SpillFailed { .. } => "spill_failed",
             Warning::MemoryDegradedToLazyOracle { .. } => "memory_degraded_to_lazy_oracle",
             Warning::MatrixBuildInterrupted => "matrix_build_interrupted",
             Warning::SamplingStoppedEarly { .. } => "sampling_stopped_early",
@@ -141,21 +120,6 @@ impl fmt::Display for Warning {
                 f,
                 "memory budget: dense distance matrix needs {requested} bytes \
                  (cap {limit}); degrading to SAMPLING with sample size {sample_size}"
-            ),
-            Warning::MemoryDegradedToSpill {
-                requested,
-                limit,
-                tiles,
-            } => write!(
-                f,
-                "memory budget: dense distance matrix needs {requested} bytes \
-                 (cap {limit}); spilling the condensed matrix to disk as \
-                 {tiles} checksummed tiles (distances stay bit-identical)"
-            ),
-            Warning::SpillFailed { reason } => write!(
-                f,
-                "spill to disk failed ({reason}); degrading to the next \
-                 fallback instead"
             ),
             Warning::MemoryDegradedToLazyOracle { requested, limit } => write!(
                 f,
@@ -241,7 +205,6 @@ pub struct ConsensusBuilder {
     checkpoint_path: Option<PathBuf>,
     checkpoint_every: Duration,
     resume_from: Option<Snapshot>,
-    spill_dir: Option<PathBuf>,
 }
 
 impl Default for ConsensusBuilder {
@@ -258,7 +221,6 @@ impl Default for ConsensusBuilder {
             checkpoint_path: None,
             checkpoint_every: Duration::from_millis(250),
             resume_from: None,
-            spill_dir: None,
         }
     }
 }
@@ -340,18 +302,6 @@ impl ConsensusBuilder {
     /// starts fresh); load-time corruption is the *caller's* signal to warn.
     pub fn resume_from(mut self, snapshot: Snapshot) -> Self {
         self.resume_from = Some(snapshot);
-        self
-    }
-
-    /// When the memory cap refuses the dense distance matrix, spill it to
-    /// disk as checksummed tiles under `dir` (see [`crate::spill`]) instead
-    /// of degrading straight to the lazy oracle. Distances served from the
-    /// spill store are bit-identical to the dense run at any thread count.
-    /// Not used by AGGLOMERATIVE, which needs a mutable in-RAM matrix and
-    /// keeps its clamped-SAMPLING fallback. Valid orphaned tiles already in
-    /// `dir` (from a killed run) are reclaimed. Default: off.
-    pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spill_dir = Some(dir.into());
         self
     }
 
@@ -475,57 +425,6 @@ impl ConsensusBuilder {
                         &mut ckpt,
                         resume_main,
                     );
-                }
-                // Next step down the chain: spill the condensed matrix to
-                // disk when a spill directory is configured. Distances off
-                // the spill store are bit-identical to the dense run, so
-                // this degrades memory, not answers.
-                if let Some(dir) = &self.spill_dir {
-                    match SpilledOracle::try_build(&instance, &self.budget, &SpillConfig::new(dir))
-                    {
-                        Ok(spilled) => {
-                            push_warning(
-                                &mut warnings,
-                                Warning::MemoryDegradedToSpill {
-                                    requested,
-                                    limit,
-                                    tiles: spilled.tiles(),
-                                },
-                            );
-                            return self.finish_with_oracle(
-                                &spilled,
-                                n,
-                                m,
-                                warnings,
-                                &mut ckpt,
-                                resume_main,
-                                resume_refine,
-                            );
-                        }
-                        Err(SpillError::Interrupted(interrupt)) => {
-                            push_warning(&mut warnings, Warning::MatrixBuildInterrupted);
-                            return Ok(ConsensusResult {
-                                clustering: Clustering::singletons(n),
-                                cost: f64::NAN,
-                                disagreements: 0,
-                                lower_bound: None,
-                                sampled: false,
-                                status: interrupt.status(),
-                                warnings,
-                            });
-                        }
-                        Err(err @ SpillError::Io { .. }) => {
-                            // ENOSPC / dead disk: record the typed warning
-                            // and take one more step down, to the lazy
-                            // oracle.
-                            push_warning(
-                                &mut warnings,
-                                Warning::SpillFailed {
-                                    reason: err.to_string(),
-                                },
-                            );
-                        }
-                    }
                 }
                 push_warning(
                     &mut warnings,
@@ -848,6 +747,31 @@ mod tests {
     }
 
     #[test]
+    fn prefer_exact_under_a_memory_cap_solves_on_the_lazy_oracle() {
+        let _guard = crate::telemetry::global_state_lock();
+        // The Figure-1 matrix needs 104 bytes; under a 100-byte cap the
+        // exact search runs from the lazy oracle instead of the builder's
+        // AGGLOMERATIVE default falling back to SAMPLING, and still finds
+        // the optimum.
+        let result = ConsensusBuilder::new()
+            .prefer_exact(true)
+            .budget(RunBudget::unlimited().with_mem_limit_bytes(100))
+            .try_aggregate(&figure1())
+            .unwrap();
+        assert_eq!(result.clustering, c(&[0, 1, 0, 1, 2, 2]));
+        assert_eq!(result.disagreements, 5);
+        assert!(result.status.is_converged());
+        assert!(!result.sampled);
+        assert_eq!(
+            result.warnings,
+            vec![Warning::MemoryDegradedToLazyOracle {
+                requested: 104,
+                limit: 100,
+            }]
+        );
+    }
+
+    #[test]
     fn prefer_exact_degrades_to_balls_when_too_large() {
         // 30 objects > MAX_BNB_N = 24: must warn and fall back, not error.
         let truth: Vec<u32> = (0..30).map(|v| v / 10).collect();
@@ -1043,23 +967,6 @@ mod tests {
                  using the O(n·m) lazy oracle instead (slower, no quadratic memory)",
             ),
             (
-                Warning::MemoryDegradedToSpill {
-                    requested: 6240,
-                    limit: 2000,
-                    tiles: 13,
-                },
-                "memory budget: dense distance matrix needs 6240 bytes (cap 2000); \
-                 spilling the condensed matrix to disk as 13 checksummed tiles \
-                 (distances stay bit-identical)",
-            ),
-            (
-                Warning::SpillFailed {
-                    reason: "spill I/O failed at /tmp/x: No space left on device".to_string(),
-                },
-                "spill to disk failed (spill I/O failed at /tmp/x: \
-                 No space left on device); degrading to the next fallback instead",
-            ),
-            (
                 Warning::MatrixBuildInterrupted,
                 "budget exhausted while building the distance matrix; \
                  returning the all-singletons clustering",
@@ -1098,7 +1005,7 @@ mod tests {
     }
 
     #[test]
-    fn spilled_run_matches_the_unconstrained_run_at_every_thread_count() {
+    fn capped_run_matches_the_unconstrained_run_at_every_thread_count() {
         let _guard = crate::telemetry::global_state_lock();
         let n = 120;
         let inputs: Vec<Clustering> = (0..4)
@@ -1115,72 +1022,212 @@ mod tests {
         };
         let unconstrained = build().try_aggregate(&inputs).unwrap();
         assert!(unconstrained.warnings.is_empty());
-        let dir = std::env::temp_dir().join("aggclust_consensus_spill");
-        std::fs::remove_dir_all(&dir).ok();
         for threads in [1usize, 2, 4] {
-            let spilled = crate::parallel::with_num_threads(threads, || {
+            let capped = crate::parallel::with_num_threads(threads, || {
                 build()
                     .budget(RunBudget::unlimited().with_mem_limit_bytes(16 * 1024))
-                    .spill_dir(&dir)
                     .try_aggregate(&inputs)
                     .unwrap()
             });
             assert_eq!(
-                spilled.clustering, unconstrained.clustering,
+                capped.clustering, unconstrained.clustering,
                 "labels diverge at {threads} threads"
             );
-            assert!(
-                spilled
-                    .warnings
-                    .iter()
-                    .any(|w| matches!(w, Warning::MemoryDegradedToSpill { .. })),
-                "missing spill warning at {threads} threads: {:?}",
-                spilled.warnings
+            assert_eq!(
+                capped.warnings,
+                vec![Warning::MemoryDegradedToLazyOracle {
+                    requested: 28_840,
+                    limit: 16 * 1024,
+                }],
+                "at {threads} threads"
             );
-            assert!(
-                !spilled.warnings.iter().any(|w| matches!(
-                    w,
-                    Warning::MemoryDegradedToSampling { .. }
-                        | Warning::MemoryDegradedToLazyOracle { .. }
-                )),
-                "degraded past the spill step at {threads} threads"
+            assert!(capped.status.is_converged());
+            assert!(!capped.sampled);
+        }
+    }
+
+    /// 80 objects under four shifted modular inputs; the dense matrix
+    /// needs 2·80² + 8·5 = 12 840 bytes, over [`LAZY_CAP`].
+    fn shifted_inputs() -> Vec<Clustering> {
+        (0..4)
+            .map(|i| {
+                c(&(0..80)
+                    .map(|v| ((v * (i + 2) + i) % (4 + i)) as u32)
+                    .collect::<Vec<_>>())
+            })
+            .collect()
+    }
+
+    const LAZY_CAP: u64 = 8 * 1024;
+
+    #[test]
+    fn capped_run_matches_the_unconstrained_run_for_every_oracle_generic_algorithm() {
+        let _guard = crate::telemetry::global_state_lock();
+        let inputs = shifted_inputs();
+        let algorithms = [
+            Algorithm::Balls(BallsParams::practical()),
+            Algorithm::Furthest(Default::default()),
+            Algorithm::LocalSearch(Default::default()),
+            Algorithm::Pivot(Default::default()),
+            Algorithm::Annealing(crate::algorithms::AnnealingParams {
+                sweeps: 10,
+                ..Default::default()
+            }),
+        ];
+        for algorithm in algorithms {
+            let build = || ConsensusBuilder::new().algorithm(algorithm.clone()).seed(3);
+            let unconstrained = build().try_aggregate(&inputs).unwrap();
+            let capped = build()
+                .budget(RunBudget::unlimited().with_mem_limit_bytes(LAZY_CAP))
+                .try_aggregate(&inputs)
+                .unwrap();
+            let name = algorithm.name();
+            assert_eq!(capped.clustering, unconstrained.clustering, "{name}");
+            assert_eq!(
+                capped.cost.to_bits(),
+                unconstrained.cost.to_bits(),
+                "{name}"
             );
-            assert!(!spilled.sampled);
-            crate::spill::cleanup_spill_dir(&dir);
+            assert_eq!(
+                capped.warnings,
+                vec![Warning::MemoryDegradedToLazyOracle {
+                    requested: 12_840,
+                    limit: LAZY_CAP,
+                }],
+                "{name}"
+            );
         }
     }
 
     #[test]
-    fn unwritable_spill_dir_degrades_to_lazy_with_a_typed_warning() {
+    fn capped_partial_inputs_match_the_unconstrained_run_under_both_policies() {
         let _guard = crate::telemetry::global_state_lock();
-        let n = 80;
-        let inputs: Vec<Clustering> = (0..3)
-            .map(|i| c(&(0..n).map(|v| ((v + i) % 5) as u32).collect::<Vec<_>>()))
-            .collect();
-        // A file where the spill directory should be forces the Io error.
-        let blocker = std::env::temp_dir().join("aggclust_consensus_spill_blocker");
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let result = ConsensusBuilder::new()
-            .algorithm(Algorithm::Balls(BallsParams::practical()))
-            .budget(RunBudget::unlimited().with_mem_limit_bytes(8 * 1024))
-            .spill_dir(blocker.join("tiles"))
+        // Every fifth object is unlabelled in one input, so the lazy
+        // oracle serves the missing-value policy rather than plain counts.
+        let partial = |inputs: &[Clustering]| -> Vec<PartialClustering> {
+            inputs
+                .iter()
+                .enumerate()
+                .map(|(i, input)| {
+                    let labels =
+                        (0..input.len()).map(|v| (i != 1 || v % 5 != 0).then_some(input.label(v)));
+                    PartialClustering::from_labels(labels.collect())
+                })
+                .collect()
+        };
+        let inputs = shifted_inputs();
+        for policy in [MissingPolicy::Ignore, MissingPolicy::Coin(0.3)] {
+            let build = || {
+                ConsensusBuilder::new()
+                    .algorithm(Algorithm::LocalSearch(Default::default()))
+                    .missing_policy(policy)
+            };
+            let unconstrained = build().try_aggregate_partial(partial(&inputs)).unwrap();
+            assert!(unconstrained.warnings.is_empty(), "{policy:?}");
+            let capped = build()
+                .budget(RunBudget::unlimited().with_mem_limit_bytes(LAZY_CAP))
+                .try_aggregate_partial(partial(&inputs))
+                .unwrap();
+            assert_eq!(capped.clustering, unconstrained.clustering, "{policy:?}");
+            assert!(
+                matches!(
+                    capped.warnings[..],
+                    [Warning::MemoryDegradedToLazyOracle { .. }]
+                ),
+                "{policy:?}: {:?}",
+                capped.warnings
+            );
+        }
+    }
+
+    #[test]
+    fn capped_run_under_an_iteration_budget_still_labels_every_object() {
+        let _guard = crate::telemetry::global_state_lock();
+        let inputs = shifted_inputs();
+        let capped = ConsensusBuilder::new()
+            .algorithm(Algorithm::LocalSearch(Default::default()))
+            .budget(
+                RunBudget::unlimited()
+                    .with_mem_limit_bytes(LAZY_CAP)
+                    .with_max_iters(3),
+            )
             .try_aggregate(&inputs)
             .unwrap();
-        std::fs::remove_file(&blocker).ok();
-        assert!(result
-            .warnings
-            .iter()
-            .any(|w| matches!(w, Warning::SpillFailed { .. })));
-        assert!(result
-            .warnings
-            .iter()
-            .any(|w| matches!(w, Warning::MemoryDegradedToLazyOracle { .. })));
-        // The lazy fallback still produces the unconstrained answer.
-        let unconstrained = ConsensusBuilder::new()
+        assert_eq!(capped.clustering.len(), 80);
+        assert_eq!(capped.status, RunStatus::BudgetExceeded);
+        assert!(matches!(
+            capped.warnings.first(),
+            Some(Warning::MemoryDegradedToLazyOracle { .. })
+        ));
+        assert!(!capped.sampled);
+    }
+
+    #[test]
+    fn capped_run_releases_every_tracked_byte() {
+        let _guard = crate::telemetry::global_state_lock();
+        let budget = RunBudget::unlimited().with_mem_limit_bytes(LAZY_CAP);
+        let capped = ConsensusBuilder::new()
             .algorithm(Algorithm::Balls(BallsParams::practical()))
+            .budget(budget.clone())
+            .try_aggregate(&shifted_inputs())
+            .unwrap();
+        assert!(!capped.warnings.is_empty());
+        assert_eq!(budget.mem_gauge().used_bytes(), 0);
+    }
+
+    #[test]
+    fn capped_checkpointed_run_resumes_to_the_unconstrained_labels() {
+        use crate::snapshot::{load_snapshot, SnapshotLoad};
+
+        let _guard = crate::telemetry::global_state_lock();
+        let inputs = shifted_inputs();
+        let reference = ConsensusBuilder::new()
+            .algorithm(Algorithm::LocalSearch(Default::default()))
             .try_aggregate(&inputs)
             .unwrap();
-        assert_eq!(result.clustering, unconstrained.clustering);
+        let capped = || RunBudget::unlimited().with_mem_limit_bytes(LAZY_CAP);
+        let dir = std::env::temp_dir().join("aggclust_consensus_capped_resume");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("ckpt.bin");
+        let build = || {
+            ConsensusBuilder::new()
+                .algorithm(Algorithm::LocalSearch(Default::default()))
+                .checkpoint(&path, Duration::ZERO)
+        };
+        let mut resumed_runs = 0;
+        for iters in [2u64, 40, 90] {
+            std::fs::remove_file(&path).ok();
+            let partial = build()
+                .budget(capped().with_max_iters(iters))
+                .try_aggregate(&inputs)
+                .unwrap();
+            if partial.status.is_converged() {
+                assert_eq!(partial.clustering, reference.clustering, "cap {iters}");
+                continue;
+            }
+            let snapshot = match load_snapshot(&path) {
+                SnapshotLoad::Loaded(s) => s,
+                other => panic!("cap {iters}: expected a snapshot, got {other:?}"),
+            };
+            let resumed = build()
+                .budget(capped())
+                .resume_from(snapshot)
+                .try_aggregate(&inputs)
+                .unwrap();
+            assert_eq!(resumed.clustering, reference.clustering, "cap {iters}");
+            assert!(resumed.status.is_converged(), "cap {iters}");
+            assert!(
+                matches!(
+                    resumed.warnings[..],
+                    [Warning::MemoryDegradedToLazyOracle { .. }]
+                ),
+                "cap {iters}: {:?}",
+                resumed.warnings
+            );
+            resumed_runs += 1;
+        }
+        assert!(resumed_runs > 0, "no cap interrupted the run");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub enum AggError {
         /// Which phase was cancelled.
         context: String,
     },
-    /// The [`crate::robust::ResourceBudget`] memory cap refused an
+    /// The [`crate::robust::RunBudget`] memory cap refused an
     /// allocation and no smaller representation could take its place
     /// (the consensus pipeline degrades instead of raising this; it
     /// surfaces from paths with no fallback, e.g. `eval`'s dense matrix).

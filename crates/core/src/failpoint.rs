@@ -1,7 +1,7 @@
 //! Deterministic failpoint injection: named sites, seeded fault plans.
 //!
 //! Robustness claims ("checkpoint failures degrade to warnings", "a torn
-//! spill frame is rebuilt, not trusted") are only as good as the failure
+//! snapshot is detected, not trusted") are only as good as the failure
 //! paths a test can actually reach. This module provides the missing
 //! lever: a registry of **named injection sites** threaded through every
 //! filesystem touch (via [`crate::iofs`]), the budget clock, and the
@@ -21,12 +21,12 @@
 //! `site=kind[:param=value]...`:
 //!
 //! ```text
-//! snapshot.rename=io_error:nth=3      fail the 3rd checkpoint rename
-//! spill.write=torn:prob=0.25:seed=7   silently truncate ~25% of tile writes
-//! cli.input=enospc                    every dataset read reports ENOSPC
-//! snapshot.fsync=delay:ms=40          each checkpoint fsync sleeps 40 ms
-//! clock=skew:ms=50                    the budget clock runs 50 ms fast
-//! alloc=fail:after_mb=32              refuse tracked reserves past 32 MiB
+//! snapshot.rename=io_error:nth=3        fail the 3rd checkpoint rename
+//! snapshot.write=torn:prob=0.25:seed=7  silently truncate ~25% of checkpoint writes
+//! cli.input=enospc                      every dataset read reports ENOSPC
+//! snapshot.fsync=delay:ms=40            each checkpoint fsync sleeps 40 ms
+//! clock=skew:ms=50                      the budget clock runs 50 ms fast
+//! alloc=fail:after_mb=32                refuse tracked reserves past 32 MiB
 //! ```
 //!
 //! Kinds: `io_error` (a generic injected [`std::io::Error`]), `enospc`
@@ -34,7 +34,7 @@
 //! — the checksum layers must catch it), `delay` (sleep `ms` inside the
 //! site), `skew` (site must be `clock`; shifts [`crate::telemetry::Clock`]
 //! system time forward), and `fail` (site must be `alloc`; makes
-//! [`crate::robust::ResourceBudget::try_reserve`] refuse once `after_mb`
+//! [`crate::robust::RunBudget::try_reserve`] refuse once `after_mb`
 //! MiB of reserves have been observed).
 //!
 //! Activation params: `nth=K` fires on exactly the K-th hit of the site
@@ -494,7 +494,7 @@ pub fn check_path(site: &str, path: &std::path::Path, len: usize) -> Option<Faul
     hit_scoped(site, None, Some(path), len)
 }
 
-/// Consulted by [`crate::robust::ResourceBudget::try_reserve`]: should
+/// Consulted by [`crate::robust::RunBudget::try_reserve`]: should
 /// this tracked reserve of `bytes` be refused? Only fires on the thread
 /// that armed the plan (see the module docs on scope).
 #[inline]
@@ -721,13 +721,13 @@ mod tests {
     fn grammar_round_trips_the_documented_examples() {
         for spec in [
             "snapshot.rename=io_error:nth=3",
-            "spill.write=torn:prob=0.25:seed=7",
+            "snapshot.write=torn:prob=0.25:seed=7",
             "clock=skew:ms=50",
             "alloc=fail:after_mb=32",
             "cli.input=enospc",
             "snapshot.fsync=delay:ms=40",
-            "snapshot.rename=io_error:nth=3,spill.write=torn:prob=0.25:seed=7",
-            "spill.write=torn:path=/tmp/mine",
+            "snapshot.rename=io_error:nth=3,snapshot.write=torn:prob=0.25:seed=7",
+            "snapshot.write=torn:path=/tmp/mine",
         ] {
             assert!(FaultPlan::parse(spec).is_ok(), "{spec:?} must parse");
         }
@@ -748,7 +748,7 @@ mod tests {
             "clock=skew",
             "alloc=skew:ms=5",
             "alloc=fail",
-            "spill.write=fail:after_mb=1",
+            "snapshot.write=fail:after_mb=1",
         ] {
             match FaultPlan::parse(spec) {
                 Err(AggError::InvalidParameter { .. }) => {}
@@ -765,7 +765,7 @@ mod tests {
         assert!(!armed());
         assert!(check("snapshot.rename", 0).is_none());
         assert!(fp!("snapshot.rename").is_none());
-        assert!(fp!("spill.write", 4096).is_none());
+        assert!(fp!("snapshot.write", 4096).is_none());
         assert!(alloc_check(1 << 30).is_none());
         assert_eq!(clock_skew_ns(), 0);
     }

@@ -17,7 +17,6 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::clustering::{Clustering, PartialClustering};
@@ -337,7 +336,6 @@ impl DenseOracle {
         };
         let fill = parallel::try_fill_upper(
             n,
-            0..n,
             Layout::Condensed,
             n,
             || (),
@@ -510,7 +508,6 @@ impl DenseOracle {
             .unwrap_or(kernels::PACKED_BAND);
         let fill = parallel::try_fill_upper(
             n,
-            0..n,
             Layout::Condensed,
             band,
             || vec![0u32; band],
@@ -879,9 +876,9 @@ impl ClusteringsOracle {
         Some(entries.collect())
     }
 
-    /// The upper-triangle pairs of `rows`, each written as `entry(sep,
-    /// missing)` by [`parallel::try_fill_upper`] in `layout` and the
-    /// matrix's preferred band.
+    /// Every upper-triangle pair, written as `entry(sep, missing)` by
+    /// [`parallel::try_fill_upper`] in `layout` and the matrix's preferred
+    /// band.
     ///
     /// Total inputs go through the batched `sep_row_into` kernel with one
     /// scratch count buffer per worker job (counted by
@@ -889,7 +886,6 @@ impl ClusteringsOracle {
     /// pair with `sep_missing`, and count as lazy evaluations too.
     fn try_fill_counts<T: Copy + Default + Send>(
         &self,
-        rows: Range<usize>,
         layout: Layout,
         entry: impl Fn(u32, u32) -> T + Sync,
         budget: &RunBudget,
@@ -899,7 +895,6 @@ impl ClusteringsOracle {
         if self.partial {
             return parallel::try_fill_upper(
                 self.n,
-                rows,
                 layout,
                 band,
                 || (),
@@ -916,7 +911,6 @@ impl ClusteringsOracle {
         }
         let data = parallel::try_fill_upper(
             self.n,
-            rows.clone(),
             layout,
             band,
             || vec![0u32; band],
@@ -929,25 +923,9 @@ impl ClusteringsOracle {
             },
             budget,
         )?;
-        let pairs: usize = rows.map(|u| self.n - 1 - u).sum();
+        let pairs = self.n * self.n.saturating_sub(1) / 2;
         metrics.oracle_packed_evals.add_if_enabled(pairs as u64);
         Ok(data)
-    }
-
-    /// The condensed `X_uv` values of `rows` (pairs `(u, v)` with `u` in
-    /// `rows`, `u < v < n`, in row-major order), filled under `budget`:
-    /// the same values, bit for bit, as the dense matrix holds.
-    pub(crate) fn try_fill_rows(
-        &self,
-        rows: Range<usize>,
-        budget: &RunBudget,
-    ) -> Result<Vec<f64>, Interrupt> {
-        self.try_fill_counts(
-            rows,
-            Layout::Condensed,
-            |sep, missing| self.xuv(sep, missing),
-            budget,
-        )
     }
 
     /// The dense matrix of this instance: the upper triangle's codes filled
@@ -956,11 +934,12 @@ impl ClusteringsOracle {
     fn try_dense(&self, budget: &RunBudget) -> Result<DenseOracle, Interrupt> {
         let m = Some(self.clusterings.len());
         let Some(table) = self.code_table() else {
-            let values = self.try_fill_rows(0..self.n, budget)?;
+            let xuv = |sep, missing| self.xuv(sep, missing);
+            let values = self.try_fill_counts(Layout::Condensed, xuv, budget)?;
             return Ok(DenseOracle::uncoded(self.n, values).with_num_clusterings(m));
         };
         let code = |sep, missing| self.code(sep, missing);
-        let mut codes = self.try_fill_counts(0..self.n, Layout::Square, code, budget)?;
+        let mut codes = self.try_fill_counts(Layout::Square, code, budget)?;
         mirror_upper(&mut codes, self.n);
         Ok(DenseOracle::coded(self.n, codes, table).with_num_clusterings(m))
     }
@@ -1022,7 +1001,6 @@ impl DistanceOracle for ClusteringsOracle {
         };
         let fill = parallel::try_fill_upper(
             s,
-            0..s,
             Layout::Square,
             s,
             || (),
@@ -1633,6 +1611,49 @@ mod tests {
                 lazy.dist([5, 0, 3, 1][u], [5, 0, 3, 1][v])
             });
         }
+    }
+
+    #[test]
+    fn governed_build_is_identical_across_thread_counts() {
+        let n = 150;
+        for partial in [false, true] {
+            for policy in [MissingPolicy::Ignore, MissingPolicy::Coin(0.3)] {
+                let instance =
+                    CorrelationInstance::from_partial(varied_inputs(n, 7, partial), policy);
+                let lazy = instance.lazy_oracle();
+                for threads in [1usize, 2, 4] {
+                    let budget = RunBudget::unlimited().with_mem_limit_bytes(lazy.dense_bytes());
+                    let dense = crate::parallel::with_num_threads(threads, || {
+                        instance.try_dense_oracle(&budget).expect("fits exactly")
+                    });
+                    assert_reads(&dense, |u, v| lazy.dist(u, v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partial_inputs_are_refused_at_exactly_their_dense_footprint() {
+        // m = 3 partial inputs need (m + 1)² = 16 codes next to the 2n²
+        // bytes of the matrix; the cap admits that total and nothing less.
+        let n = 20;
+        let instance =
+            CorrelationInstance::from_partial(varied_inputs(n, 3, true), MissingPolicy::Ignore);
+        let need = instance.lazy_oracle().dense_bytes();
+        assert_eq!(need, 2 * 400 + 8 * 16);
+        let tight = RunBudget::unlimited().with_mem_limit_bytes(need - 1);
+        match instance.try_dense_oracle(&tight) {
+            Err(Interrupt::MemoryExceeded { requested, limit }) => {
+                assert_eq!((requested, limit), (need, need - 1));
+            }
+            other => panic!("expected MemoryExceeded, got {other:?}"),
+        }
+        assert_eq!(tight.mem_gauge().used_bytes(), 0);
+        let exact = RunBudget::unlimited().with_mem_limit_bytes(need);
+        let built = instance.try_dense_oracle(&exact).expect("fits exactly");
+        assert_eq!(exact.mem_gauge().used_bytes(), need);
+        drop(built);
+        assert_eq!(exact.mem_gauge().used_bytes(), 0);
     }
 
     #[test]

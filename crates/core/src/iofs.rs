@@ -12,18 +12,16 @@
 //! 2. **One durability idiom.** [`write_file_atomic`] (write to
 //!    `path.tmp`, fsync, rename over, fsync the directory, *remove the
 //!    temp file on any failure*) is the single atomic-publish routine
-//!    used by checkpoints and spill tiles, each step an injection site:
+//!    used by checkpoints, each step an injection site:
 //!    `{prefix}.create`, `{prefix}.write`, `{prefix}.fsync`,
 //!    `{prefix}.rename`.
 //!
 //! Site catalog (see `DESIGN.md` §6i): `snapshot.{create,write,fsync,
-//! rename}` and `snapshot.read` (checkpoints), `spill.{create,write,
-//! fsync,rename}`, `spill.create_dir`, `spill.read`, `spill.cleanup`
-//! (tile store), `trace.create` (the `--trace-out` sink), `cli.input`,
-//! `cli.candidate`, `cli.output`, `cli.metrics`, `cli.cleanup` (the
-//! command-line frontend), plus the virtual `clock` and `alloc` sites
-//! handled by [`crate::telemetry::Clock`] and
-//! [`crate::robust::ResourceBudget`].
+//! rename}` and `snapshot.read` (checkpoints), `trace.create` (the
+//! `--trace-out` sink), `cli.input`, `cli.candidate`, `cli.output`,
+//! `cli.metrics`, `cli.cleanup` (the command-line frontend), plus the
+//! virtual `clock` and `alloc` sites handled by
+//! [`crate::telemetry::Clock`] and [`crate::robust::RunBudget`].
 //!
 //! Torn faults (`kind=torn`) are *silent*: the write stops at a seeded
 //! cut but reports success, so the CRC-framed formats must detect the
@@ -99,36 +97,12 @@ pub fn create(site: &str, path: &Path) -> io::Result<fs::File> {
     fs::File::create(path)
 }
 
-/// [`std::fs::create_dir_all`] behind the `site` failpoint.
-pub fn create_dir_all(site: &str, path: &Path) -> io::Result<()> {
-    if let Some(fault) = failpoint::check_path(site, path, 0) {
-        return Err(deny(fault));
-    }
-    fs::create_dir_all(path)
-}
-
 /// [`std::fs::remove_file`] behind the `site` failpoint.
 pub fn remove_file(site: &str, path: &Path) -> io::Result<()> {
     if let Some(fault) = failpoint::check_path(site, path, 0) {
         return Err(deny(fault));
     }
     fs::remove_file(path)
-}
-
-/// [`std::fs::remove_dir`] behind the `site` failpoint.
-pub fn remove_dir(site: &str, path: &Path) -> io::Result<()> {
-    if let Some(fault) = failpoint::check_path(site, path, 0) {
-        return Err(deny(fault));
-    }
-    fs::remove_dir(path)
-}
-
-/// [`std::fs::read_dir`] behind the `site` failpoint.
-pub fn read_dir(site: &str, path: &Path) -> io::Result<fs::ReadDir> {
-    if let Some(fault) = failpoint::check_path(site, path, 0) {
-        return Err(deny(fault));
-    }
-    fs::read_dir(path)
 }
 
 /// Write `bytes` to `path` atomically: write to `path.tmp`, fsync,

@@ -74,7 +74,6 @@ pub mod linkage;
 pub mod parallel;
 pub mod robust;
 pub mod snapshot;
-pub mod spill;
 pub mod telemetry;
 pub mod test_support;
 
@@ -101,9 +100,6 @@ pub use consensus::{aggregate, ConsensusBuilder, ConsensusResult, Warning};
 pub use error::{AggError, AggResult};
 pub use failpoint::{ArmedGuard, Fault, FaultPlan};
 pub use instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
-pub use robust::{
-    CancelToken, MemCharge, MemGauge, ResourceBudget, RunBudget, RunOutcome, RunStatus,
-};
+pub use robust::{CancelToken, MemCharge, MemGauge, RunBudget, RunOutcome, RunStatus};
 pub use snapshot::{Checkpointer, RetryPolicy, Snapshot, SnapshotLoad};
-pub use spill::{cleanup_spill_dir, SpillConfig, SpillError, SpilledOracle};
 pub use telemetry::{Clock, Collector, Level, MetricsSnapshot};

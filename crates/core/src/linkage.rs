@@ -96,7 +96,6 @@ impl CondensedMatrix {
     pub fn from_fn_sync(n: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
         let fill = parallel::try_fill_upper(
             n,
-            0..n,
             Layout::Condensed,
             n,
             || (),
@@ -153,7 +152,6 @@ impl CondensedMatrix {
         let pair = |u, v| oracle.dist(u, v);
         parallel::try_fill_upper(
             n,
-            0..n,
             Layout::Condensed,
             oracle.preferred_band(),
             || (),

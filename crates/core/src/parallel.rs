@@ -318,14 +318,13 @@ fn alloc_prefaulted<T: Copy + Default>(len: usize) -> Vec<T> {
     data
 }
 
-/// Fill the upper-triangle pairs of `rows`: every pair `(u, v)` with `u` in
-/// `rows` and `u < v < n`, placed by `layout` in a buffer holding just
-/// those rows (`0..n` is the whole matrix). This is the crate's one pair
-/// fill; an unbudgeted caller passes [`RunBudget::unlimited`], whose poll
-/// never trips.
+/// Fill the upper-triangle pairs of an `n`-object matrix: every pair
+/// `(u, v)` with `u < v < n`, placed by `layout`. This is the crate's one
+/// pair fill; an unbudgeted caller passes [`RunBudget::unlimited`], whose
+/// poll never trips.
 ///
 /// The rows are split into pair-balanced chunk jobs whose boundaries depend
-/// only on `n` and `rows`. Each job walks its columns in fixed `band`-wide
+/// only on `n`. Each job walks its columns in fixed `band`-wide
 /// stripes (`for band: for u: for v in band`), so a short stripe of packed
 /// label rows stays cache-resident while the job's rows stream against it;
 /// a `band` of `n` or more is the plain row-major walk. Every `(row,
@@ -343,7 +342,6 @@ fn alloc_prefaulted<T: Copy + Default>(len: usize) -> Vec<T> {
 /// the caller.
 pub fn try_fill_upper<T, S, M, G>(
     n: usize,
-    rows: Range<usize>,
     layout: Layout,
     band: usize,
     make_scratch: M,
@@ -356,16 +354,14 @@ where
     G: Fn(&mut S, usize, Range<usize>, &mut [T]) + Sync,
 {
     let band = band.clamp(1, n.max(1));
-    let rows = rows.start.min(n)..rows.end.min(n);
     let entries = |rows: Range<usize>| -> usize { rows.map(|u| layout.row_len(n, u)).sum() };
-    let len = entries(rows.clone());
+    let len = entries(0..n);
     let mut data = alloc_prefaulted(len);
     let mut jobs: Vec<(Range<usize>, &mut [T])> = Vec::new();
     let mut rest: &mut [T] = &mut data;
-    for r in balanced_ranges(rows.len(), MIN_CHUNK_PAIRS, |i| n - 1 - (rows.start + i)) {
-        let job_rows = rows.start + r.start..rows.start + r.end;
-        let (head, tail) = rest.split_at_mut(entries(job_rows.clone()));
-        jobs.push((job_rows, head));
+    for rows in row_ranges(n) {
+        let (head, tail) = rest.split_at_mut(entries(rows.clone()));
+        jobs.push((rows, head));
         rest = tail;
     }
     // The first trip wins; later jobs see it and skip their work.
@@ -585,50 +581,34 @@ mod tests {
             }
         };
         for n in [0usize, 1, 2, 3, 129, 600] {
-            let last = n.saturating_sub(1);
-            let ranges = [0..n, 0..0, 0..1, 3..17, n / 3..2 * n / 3, n / 2..n, last..n];
-            for rows in ranges {
-                let rows = rows.start.min(n)..rows.end.min(n);
-                for layout in [Layout::Condensed, Layout::Square] {
-                    let reference: Vec<f64> = rows
-                        .clone()
-                        .flat_map(|u| {
-                            let first = if layout == Layout::Square { 0 } else { u + 1 };
-                            (first..n).map(move |v| if v > u { f(u, v) } else { 0.0 })
-                        })
-                        .collect();
-                    for band in [1usize, 2, 7, 64, 512, 10_000] {
-                        for threads in [1usize, 4] {
-                            let fill = |budget: &RunBudget| {
-                                with_num_threads(threads, || {
-                                    try_fill_upper(
-                                        n,
-                                        rows.clone(),
-                                        layout,
-                                        band,
-                                        || 0usize,
-                                        g,
-                                        budget,
-                                    )
-                                })
-                            };
-                            let at = format!(
-                                "n={n} rows={rows:?} {layout:?} band={band} threads={threads}"
-                            );
-                            let expected: Result<Vec<f64>, Interrupt> = Ok(reference.clone());
-                            assert_eq!(fill(&RunBudget::unlimited()), expected, "{at}");
-                            assert_eq!(fill(&generous), expected, "{at}");
-                            // A range with no rows has no job to poll the budget.
-                            let tripped = |interrupt| -> Result<Vec<f64>, Interrupt> {
-                                if rows.is_empty() {
-                                    Ok(Vec::new())
-                                } else {
-                                    Err(interrupt)
-                                }
-                            };
-                            assert_eq!(fill(&expired), tripped(Interrupt::Deadline), "{at}");
-                            assert_eq!(fill(&cancelled), tripped(Interrupt::Cancelled), "{at}");
-                        }
+            for layout in [Layout::Condensed, Layout::Square] {
+                let reference: Vec<f64> = (0..n)
+                    .flat_map(|u| {
+                        let first = if layout == Layout::Square { 0 } else { u + 1 };
+                        (first..n).map(move |v| if v > u { f(u, v) } else { 0.0 })
+                    })
+                    .collect();
+                for band in [1usize, 2, 7, 64, 512, 10_000] {
+                    for threads in [1usize, 4] {
+                        let fill = |budget: &RunBudget| {
+                            with_num_threads(threads, || {
+                                try_fill_upper(n, layout, band, || 0usize, g, budget)
+                            })
+                        };
+                        let at = format!("n={n} {layout:?} band={band} threads={threads}");
+                        let expected: Result<Vec<f64>, Interrupt> = Ok(reference.clone());
+                        assert_eq!(fill(&RunBudget::unlimited()), expected, "{at}");
+                        assert_eq!(fill(&generous), expected, "{at}");
+                        // A matrix with no rows has no job to poll the budget.
+                        let tripped = |interrupt| -> Result<Vec<f64>, Interrupt> {
+                            if n == 0 {
+                                Ok(Vec::new())
+                            } else {
+                                Err(interrupt)
+                            }
+                        };
+                        assert_eq!(fill(&expired), tripped(Interrupt::Deadline), "{at}");
+                        assert_eq!(fill(&cancelled), tripped(Interrupt::Cancelled), "{at}");
                     }
                 }
             }
@@ -636,7 +616,6 @@ mod tests {
         // The per-pair adapter writes exactly `f(u, v)`.
         let full = try_fill_upper(
             5,
-            0..5,
             Layout::Condensed,
             2,
             || (),

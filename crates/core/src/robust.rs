@@ -1,9 +1,8 @@
 //! Resource budgets, cooperative cancellation, and anytime-result plumbing.
 //!
-//! A [`ResourceBudget`] (aliased as [`RunBudget`] for the original name)
-//! bundles the four ways a caller can bound an algorithm run: a wall-clock
-//! deadline, an iteration cap, a [`CancelToken`] another thread can flip,
-//! and a tracked memory ceiling. Every `*_budgeted` algorithm entry point
+//! A [`RunBudget`] bundles the four ways a caller can bound an algorithm
+//! run: a wall-clock deadline, an iteration cap, a [`CancelToken`] another
+//! thread can flip, and a tracked memory ceiling. Every `*_budgeted` algorithm entry point
 //! takes one and checks the time/iteration/cancel limits at `O(n)`-work
 //! granularity (per node visit, merge, pivot, or center round) through a
 //! [`BudgetMeter`], so a trip is noticed within one linear-time unit of
@@ -13,7 +12,7 @@
 //! The memory ceiling is enforced at allocation sites rather than check
 //! sites: code about to make a large allocation (the condensed distance
 //! matrix, label vectors, contingency tables) calls
-//! [`ResourceBudget::try_reserve`] first, which either registers the bytes
+//! [`RunBudget::try_reserve`] first, which either registers the bytes
 //! with the budget's [`MemGauge`] and returns an RAII [`MemCharge`], or
 //! refuses with [`Interrupt::MemoryExceeded`] so the caller can degrade to
 //! a smaller representation instead of risking the OOM killer.
@@ -68,7 +67,7 @@ pub enum Interrupt {
     IterationCap,
     /// The [`CancelToken`] fired.
     Cancelled,
-    /// A [`ResourceBudget::try_reserve`] request would have pushed tracked
+    /// A [`RunBudget::try_reserve`] request would have pushed tracked
     /// memory past the cap. Callers typically degrade to a smaller
     /// representation rather than surfacing this as an anytime stop.
     MemoryExceeded {
@@ -162,9 +161,9 @@ impl RunOutcome {
 /// Tracked bytes for the handful of allocations large enough to matter
 /// (condensed distance matrix, label vectors, contingency tables).
 ///
-/// Clones share one counter, so a [`ResourceBudget`] cloned into worker
+/// Clones share one counter, so a [`RunBudget`] cloned into worker
 /// threads keeps a single account. The gauge only *counts*; the cap lives
-/// on the budget and is enforced by [`ResourceBudget::try_reserve`].
+/// on the budget and is enforced by [`RunBudget::try_reserve`].
 #[derive(Clone, Debug, Default)]
 pub struct MemGauge {
     used: Arc<AtomicU64>,
@@ -183,7 +182,7 @@ impl MemGauge {
 
     /// Record `bytes` against the gauge; the returned [`MemCharge`] releases
     /// them when dropped. This never refuses — cap enforcement is
-    /// [`ResourceBudget::try_reserve`]'s job. The post-charge level feeds
+    /// [`RunBudget::try_reserve`]'s job. The post-charge level feeds
     /// the telemetry high-water gauge.
     pub fn charge(&self, bytes: u64) -> MemCharge {
         let before = self.used.fetch_add(bytes, Ordering::Relaxed);
@@ -219,10 +218,6 @@ impl Drop for MemCharge {
     }
 }
 
-/// Backwards-compatible name for [`ResourceBudget`] from before the memory
-/// cap existed; every `*_budgeted` signature still reads `&RunBudget`.
-pub type RunBudget = ResourceBudget;
-
 /// Execution limits for one algorithm run. The default is unlimited.
 ///
 /// ```
@@ -236,7 +231,7 @@ pub type RunBudget = ResourceBudget;
 /// assert!(!budget.is_unlimited());
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct ResourceBudget {
+pub struct RunBudget {
     // Absolute deadline in nanoseconds on `clock` (not an `Instant`, so a
     // mock clock can drive deadline tests without real sleeps).
     deadline_ns: Option<u64>,
@@ -247,14 +242,14 @@ pub struct ResourceBudget {
     clock: Clock,
 }
 
-impl ResourceBudget {
+impl RunBudget {
     /// No limits: every check passes.
     pub fn unlimited() -> Self {
         Self::default()
     }
 
     /// Read time from `clock` instead of the OS monotonic clock. Set this
-    /// **before** [`ResourceBudget::with_deadline`]: the deadline is fixed
+    /// **before** [`RunBudget::with_deadline`]: the deadline is fixed
     /// on whichever clock the budget holds when it is computed.
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
@@ -292,7 +287,7 @@ impl ResourceBudget {
         self
     }
 
-    /// Cap tracked memory at `bytes`; [`ResourceBudget::try_reserve`]
+    /// Cap tracked memory at `bytes`; [`RunBudget::try_reserve`]
     /// refuses any request that would push the gauge past it.
     pub fn with_mem_limit_bytes(mut self, bytes: u64) -> Self {
         self.mem_limit = Some(bytes);
@@ -312,15 +307,6 @@ impl ResourceBudget {
     /// The gauge this budget charges tracked allocations against.
     pub fn mem_gauge(&self) -> &MemGauge {
         &self.gauge
-    }
-
-    /// Bytes still reservable before the memory ceiling: `limit − used`,
-    /// saturating at zero. `None` when no cap is set (headroom unbounded).
-    /// Degraded modes size themselves with this — the sampling clamp and
-    /// the spill tile cache both fit their working set into it.
-    pub fn headroom_bytes(&self) -> Option<u64> {
-        self.mem_limit
-            .map(|limit| limit.saturating_sub(self.gauge.used_bytes()))
     }
 
     /// Ask permission for a large allocation of `bytes`.

@@ -38,7 +38,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::robust::ResourceBudget;
+use crate::robust::RunBudget;
 use crate::telemetry::{self, Cadence, Clock};
 
 use rand::rngs::StdRng;
@@ -336,12 +336,11 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared envelope codec (snapshots, spill tiles)
+// Envelope codec
 // ---------------------------------------------------------------------------
 
 /// Wrap `payload` in the standard envelope: `magic | version | payload length
-/// (u64) | CRC32(payload) | payload`. The same layout guards both checkpoint
-/// files and spilled condensed-matrix tiles; only the magic differs.
+/// (u64) | CRC32(payload) | payload`.
 pub(crate) fn encode_envelope(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(magic);
@@ -580,9 +579,9 @@ pub fn load_snapshot(path: &Path) -> SnapshotLoad {
 /// How transient-I/O retries behave: total attempts, base backoff, and
 /// whether each sleep gains deterministic jitter.
 ///
-/// The default — 3 attempts, 10 ms base, jitter on — is the policy every
-/// caller used before it became configurable; [`retry_with_backoff`] keeps
-/// the old signature as a thin wrapper. The sleep before retry `i` is
+/// The default — 3 attempts, 10 ms base, jitter on — serves checkpoint
+/// writes and dataset reads, where transient I/O errors (NFS hiccup,
+/// antivirus lock) resolve in milliseconds. The sleep before retry `i` is
 /// `base * 2^i` plus (when jitter is on) up to 100% extra drawn from a
 /// seeded RNG, so concurrent writers against the same contended resource
 /// desynchronize without losing reproducibility.
@@ -649,7 +648,7 @@ impl RetryPolicy {
     pub fn run_supervised<T, E>(
         &self,
         jitter_seed: u64,
-        budget: Option<&ResourceBudget>,
+        budget: Option<&RunBudget>,
         mut op: impl FnMut() -> Result<T, E>,
     ) -> Result<T, E> {
         let mut rng = StdRng::seed_from_u64(jitter_seed);
@@ -660,7 +659,7 @@ impl RetryPolicy {
                 Err(e) if attempt + 1 >= self.attempts.max(1) => return Err(e),
                 Err(e) => {
                     let mut delay = self.backoff_delay(attempt, &mut rng);
-                    if let Some(remaining) = budget.and_then(ResourceBudget::remaining_deadline) {
+                    if let Some(remaining) = budget.and_then(RunBudget::remaining_deadline) {
                         if remaining.is_zero() {
                             // No time left to wait for the disk to heal:
                             // surface the error and let the anytime
@@ -675,25 +674,6 @@ impl RetryPolicy {
             }
         }
     }
-}
-
-/// Run `op` up to `attempts` times, sleeping `base * 2^i` plus up to 100%
-/// deterministic jitter between failures. Returns the first success or the
-/// last error. Used for checkpoint writes and dataset reads, where
-/// transient I/O errors (NFS hiccup, antivirus lock) resolve in
-/// milliseconds. Equivalent to [`RetryPolicy::run`] with jitter enabled.
-pub fn retry_with_backoff<T, E>(
-    attempts: u32,
-    base: Duration,
-    jitter_seed: u64,
-    op: impl FnMut() -> Result<T, E>,
-) -> Result<T, E> {
-    RetryPolicy {
-        attempts,
-        base,
-        jitter: true,
-    }
-    .run(jitter_seed, op)
 }
 
 // ---------------------------------------------------------------------------
@@ -722,7 +702,7 @@ pub struct Checkpointer {
     rng: StdRng,
     saves: u64,
     last_error: Option<String>,
-    budget: Option<ResourceBudget>,
+    budget: Option<RunBudget>,
 }
 
 impl Checkpointer {
@@ -750,7 +730,7 @@ impl Checkpointer {
     /// Supervise save retries with `budget` (builder style): backoff
     /// sleeps are capped at the budget's remaining deadline, so a failing
     /// disk cannot make checkpointing overshoot `--deadline-ms`.
-    pub fn with_budget(mut self, budget: &ResourceBudget) -> Self {
+    pub fn with_budget(mut self, budget: &RunBudget) -> Self {
         self.budget = Some(budget.clone());
         self
     }
@@ -1039,8 +1019,13 @@ mod tests {
 
     #[test]
     fn retry_succeeds_after_transient_failures() {
+        let policy = RetryPolicy {
+            attempts: 3,
+            base: Duration::ZERO,
+            jitter: true,
+        };
         let mut calls = 0;
-        let result: Result<u32, &str> = retry_with_backoff(3, Duration::ZERO, 7, || {
+        let result: Result<u32, &str> = policy.run(7, || {
             calls += 1;
             if calls < 3 {
                 Err("transient")
@@ -1052,7 +1037,7 @@ mod tests {
         assert_eq!(calls, 3);
 
         let mut calls = 0;
-        let result: Result<u32, &str> = retry_with_backoff(3, Duration::ZERO, 7, || {
+        let result: Result<u32, &str> = policy.run(7, || {
             calls += 1;
             Err("permanent")
         });
@@ -1121,7 +1106,7 @@ mod tests {
         // storm here would have slept through attempts.max(1) - 1 backoffs
         // after the run deadline had already passed.
         let clock = Clock::mock();
-        let budget = ResourceBudget::unlimited()
+        let budget = RunBudget::unlimited()
             .with_clock(clock.clone())
             .with_deadline_ms(10);
         clock.advance(Duration::from_millis(11));
@@ -1151,7 +1136,7 @@ mod tests {
         // advances, so every attempt still runs — but in real milliseconds,
         // not hours.
         let clock = Clock::mock();
-        let budget = ResourceBudget::unlimited()
+        let budget = RunBudget::unlimited()
             .with_clock(clock.clone())
             .with_deadline_ms(5);
         let policy = RetryPolicy {

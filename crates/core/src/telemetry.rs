@@ -37,7 +37,7 @@
 //!   [`MetricsSnapshot::to_json`] renders the registry as the
 //!   machine-readable run report behind `--metrics-out`.
 //! * **Clock** — [`Clock`] is the monotonic time source used by
-//!   [`crate::robust::ResourceBudget`] deadlines and
+//!   [`crate::robust::RunBudget`] deadlines and
 //!   [`crate::snapshot::Checkpointer`] cadence; [`Clock::mock`] gives
 //!   tests a manually advanced clock so deadline behavior can be tested
 //!   without real sleeps.
@@ -612,7 +612,7 @@ pub struct Heartbeat<'a> {
     total: u64,
     cadence: Cadence,
     start_ns: u64,
-    budget: Option<&'a crate::robust::ResourceBudget>,
+    budget: Option<&'a crate::robust::RunBudget>,
 }
 
 impl<'a> Heartbeat<'a> {
@@ -636,7 +636,7 @@ impl<'a> Heartbeat<'a> {
 
     /// Attach the run's budget so heartbeats carry live memory usage and
     /// the remaining deadline.
-    pub fn with_budget(mut self, budget: &'a crate::robust::ResourceBudget) -> Heartbeat<'a> {
+    pub fn with_budget(mut self, budget: &'a crate::robust::RunBudget) -> Heartbeat<'a> {
         self.budget = Some(budget);
         self
     }
@@ -1136,24 +1136,6 @@ metrics! {
     checkpoint_corruptions: Counter;
     /// Encoded snapshot sizes in bytes (power-of-ten buckets).
     checkpoint_bytes_hist: Histogram(POW10_BOUNDS);
-    /// Condensed-matrix tiles written to the spill directory.
-    spill_tiles_written: Counter;
-    /// Spilled tiles read back from disk into the pinned cache.
-    spill_tiles_read: Counter;
-    /// Spilled tiles rebuilt from the packed labels after a CRC mismatch,
-    /// torn read, or missing frame.
-    spill_tiles_rebuilt: Counter;
-    /// Pinned tiles evicted from RAM to stay under the memory budget.
-    spill_evictions: Counter;
-    /// Spilled-oracle lookups served from a tile already pinned in RAM
-    /// (the thread-local memo or the LRU cache) — no disk touch.
-    spill_cache_hits: Counter;
-    /// Spilled-oracle lookups that bypassed the tile store to the lazy
-    /// `O(m)` oracle (tile not resident and the anti-thrash policy
-    /// declined to reload it).
-    spill_cache_bypass: Counter;
-    /// Encoded spill-frame sizes in bytes (power-of-ten buckets).
-    spill_bytes_hist: Histogram(POW10_BOUNDS);
     /// Anytime stops caused by the wall-clock deadline.
     interrupts_deadline: Counter;
     /// Anytime stops caused by the iteration cap.
@@ -1836,8 +1818,7 @@ impl Collector for MemoryCollector {
 
 /// Serializes the library tests that touch process-global state: those
 /// that flip the collector or the metrics switch, read global counter
-/// deltas, or write spill tiles (which the spill counters see). The rest of
-/// the suite runs in parallel threads.
+/// deltas. The rest of the suite runs in parallel threads.
 #[cfg(test)]
 pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -1932,13 +1913,6 @@ mod tests {
             checkpoint_failures: 24024,
             checkpoint_corruptions: 25025,
             checkpoint_bytes_hist: [2600, 2601, 2602, 2603, 2604, 2605, 2606, 2607, 2608],
-            spill_tiles_written: 27027,
-            spill_tiles_read: 28028,
-            spill_tiles_rebuilt: 29029,
-            spill_evictions: 30030,
-            spill_cache_hits: 31031,
-            spill_cache_bypass: 32032,
-            spill_bytes_hist: [3300, 3301, 3302, 3303, 3304, 3305, 3306, 3307, 3308],
             interrupts_deadline: 34034,
             interrupts_iteration_cap: 35035,
             interrupts_cancelled: 36036,
@@ -2011,9 +1985,6 @@ mod tests {
                 r#""sampling_reclustered":21021,"checkpoint_saves":22022,"checkpoint_retries":23023,"#,
                 r#""checkpoint_failures":24024,"checkpoint_corruptions":25025,"#,
                 r#""checkpoint_bytes_hist":[2600,2601,2602,2603,2604,2605,2606,2607,2608],"#,
-                r#""spill_tiles_written":27027,"spill_tiles_read":28028,"spill_tiles_rebuilt":29029,"#,
-                r#""spill_evictions":30030,"spill_cache_hits":31031,"spill_cache_bypass":32032,"#,
-                r#""spill_bytes_hist":[3300,3301,3302,3303,3304,3305,3306,3307,3308],"#,
                 r#""interrupts_deadline":34034,"interrupts_iteration_cap":35035,"#,
                 r#""interrupts_cancelled":36036,"interrupts_memory":37037,"faults_injected":38038,"#,
                 r#""mem_high_water_bytes":39039}"#,
@@ -2033,7 +2004,7 @@ mod tests {
         keys.sort_unstable();
         expected.sort_unstable();
         assert_eq!(keys, expected);
-        assert_eq!(Metrics::NAMES.len(), 39);
+        assert_eq!(Metrics::NAMES.len(), 32);
     }
 
     #[test]
@@ -2177,7 +2148,7 @@ mod tests {
         let collector = Arc::new(MemoryCollector::new());
         install_collector(collector.clone());
         let clock = Clock::mock();
-        let budget = crate::robust::ResourceBudget::unlimited()
+        let budget = crate::robust::RunBudget::unlimited()
             .with_clock(clock.clone())
             .with_deadline(Duration::from_secs(2));
         let cadence = Cadence::with_clock(clock.clone(), Duration::from_millis(1));

@@ -1,12 +1,11 @@
 //! Shared corruption-sweep helpers for fault-injection tests.
 //!
-//! The checkpoint, spill, and end-to-end fault suites all sweep the same
-//! three corruption families over serialized artifacts: truncation at every
-//! prefix length (torn write), single-bit flips (media decay, bad RAM), and
-//! strided cut points (bounded torn-write sweeps over large frames). Before
-//! this module each suite carried its own copy of the loops; they drifted in
-//! which bits they flipped and which cuts they tried. The loops live here
-//! once and every suite calls them.
+//! The checkpoint and end-to-end fault suites all sweep the same two
+//! corruption families over serialized artifacts: truncation at every
+//! prefix length (torn write) and single-bit flips (media decay, bad RAM).
+//! Before this module each suite carried its own copy of the loops; they
+//! drifted in which bits they flipped and which cuts they tried. The loops
+//! live here once and every suite calls them.
 //!
 //! The module is compiled into the library (not `#[cfg(test)]`) because the
 //! workspace integration tests link against `aggclust_core` as an external
@@ -45,15 +44,6 @@ pub fn for_each_bit_flip(bytes: &[u8], bits: &[u8], mut check: impl FnMut(usize,
             corrupted[byte] ^= 1 << bit;
         }
     }
-}
-
-/// Cut points for a bounded torn-write sweep over a `len`-byte artifact:
-/// every `stride`-th offset starting at zero. The zero cut (empty file) is
-/// always included; `stride` is clamped to at least 1. Use [`ALL_BITS`]-style
-/// exhaustive sweeps for small frames and this for frames where every cut
-/// costs a full pipeline rerun.
-pub fn strided_cuts(len: usize, stride: usize) -> Vec<usize> {
-    (0..len).step_by(stride.max(1)).collect()
 }
 
 /// The splitmix64 step: advances `state` and returns the next 64-bit output.
@@ -97,14 +87,6 @@ mod tests {
             }
         });
         assert_eq!(probes, bytes.len() * 8);
-    }
-
-    #[test]
-    fn strided_cuts_cover_zero_and_stay_in_range() {
-        let cuts = strided_cuts(1000, 199);
-        assert_eq!(cuts, vec![0, 199, 398, 597, 796, 995]);
-        assert_eq!(strided_cuts(0, 10), Vec::<usize>::new());
-        assert_eq!(strided_cuts(5, 0), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

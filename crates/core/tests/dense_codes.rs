@@ -4,8 +4,7 @@
 //! * `DenseOracle::dist` returns the bits `ClusteringsOracle::dist`
 //!   computes, for total inputs, every coin probability and `Ignore`
 //!   (including pairs no input can judge), at several input counts;
-//! * the dense `restrict` / `to_dense` overrides and the spill tile fill
-//!   return the same bits;
+//! * the dense `restrict` / `to_dense` overrides return the same bits;
 //! * `accumulate_row` leaves the same bits as the per-element loop on
 //!   every oracle kind;
 //! * a caller's oracle with more distinct distances than codes still
@@ -18,7 +17,7 @@ use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::instance::{
     ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle,
 };
-use aggclust_core::{MissingPolicy, RunBudget, SpillConfig, SpilledOracle};
+use aggclust_core::{MissingPolicy, RunBudget};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -101,22 +100,6 @@ fn dense_dist_is_bit_identical_to_the_lazy_oracle() {
     assert_eq!(instance.dense_oracle().dist(0, 7), 0.5);
 }
 
-#[test]
-fn spill_tiles_hold_the_dense_bits() {
-    let dir = std::env::temp_dir().join("aggclust_dense_codes_spill");
-    let _ = std::fs::remove_dir_all(&dir);
-    for policy in [MissingPolicy::Ignore, MissingPolicy::Coin(0.3)] {
-        let instance = CorrelationInstance::from_partial(partial_inputs(N, 10, 5), policy);
-        let budget = RunBudget::unlimited().with_mem_limit_bytes(4096);
-        let config = SpillConfig::new(&dir).with_tile_bytes(1024);
-        let spilled = SpilledOracle::try_build(&instance, &budget, &config).expect("spill");
-        assert!(spilled.tiles() > 1);
-        assert_same_bits(&spilled, &instance.dense_oracle(), &format!("{policy:?}"));
-        drop(spilled);
-        aggclust_core::cleanup_spill_dir(&dir);
-    }
-}
-
 /// `accumulate_row` against the per-element loop it must reproduce, for
 /// every row and a label vector with a few dozen clusters.
 fn assert_accumulates_like_the_loop(oracle: &dyn DistanceOracle, at: &str) {
@@ -146,8 +129,6 @@ fn assert_accumulates_like_the_loop(oracle: &dyn DistanceOracle, at: &str) {
 
 #[test]
 fn accumulate_row_matches_the_per_element_loop_on_every_oracle() {
-    let dir = std::env::temp_dir().join("aggclust_dense_codes_accumulate");
-    let _ = std::fs::remove_dir_all(&dir);
     for (kind, inputs) in [
         ("partial", partial_inputs(N, 10, 21)),
         ("total", total_inputs(N, 10, 21)),
@@ -156,12 +137,6 @@ fn accumulate_row_matches_the_per_element_loop_on_every_oracle() {
         assert_accumulates_like_the_loop(&instance.dense_oracle(), &format!("dense {kind}"));
         let lazy = ClusteringsOracle::new(inputs, MissingPolicy::Coin(0.3));
         assert_accumulates_like_the_loop(&lazy, &format!("lazy {kind}"));
-        let budget = RunBudget::unlimited().with_mem_limit_bytes(4096);
-        let config = SpillConfig::new(&dir).with_tile_bytes(1024);
-        let spilled = SpilledOracle::try_build(&instance, &budget, &config).expect("spill");
-        assert_accumulates_like_the_loop(&spilled, &format!("spilled {kind}"));
-        drop(spilled);
-        aggclust_core::cleanup_spill_dir(&dir);
     }
     let values = DenseOracle::from_fn(N, |u, v| ((u * 7 + v * 13) % 11) as f64 / 11.0);
     assert_accumulates_like_the_loop(&values, "from_fn");

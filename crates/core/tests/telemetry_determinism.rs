@@ -25,6 +25,7 @@ use aggclust_core::algorithms::{
     AgglomerativeParams, Algorithm, BallsParams, FurthestParams, LocalSearchParams,
 };
 use aggclust_core::clustering::Clustering;
+use aggclust_core::consensus::ConsensusBuilder;
 use aggclust_core::instance::DenseOracle;
 use aggclust_core::parallel::with_num_threads;
 use aggclust_core::snapshot::{load_snapshot, Checkpointer, SnapshotLoad};
@@ -127,6 +128,42 @@ fn counters_are_thread_invariant_across_chunking_gates() {
     assert!(t1.ls_nodes_visited > 0);
     assert_eq!(t1, t2, "1-thread vs 2-thread counters differ");
     assert_eq!(t1, t4, "1-thread vs 4-thread counters differ");
+}
+
+#[test]
+fn capped_runs_count_lazy_evaluations_identically_at_every_thread_count() {
+    let _guard = metrics_lock();
+    // n = 300: the dense matrix needs 2·300² bytes plus its code table,
+    // over the 64 KiB cap, so every evaluation goes through the lazy oracle.
+    let inputs = noisy_inputs(300, 5, 6, 0.2, 11);
+    let run = |threads: usize, budget: RunBudget| {
+        let (result, delta) = measured(|| {
+            with_num_threads(threads, || {
+                ConsensusBuilder::new()
+                    .algorithm(Algorithm::Balls(BallsParams::practical()))
+                    .budget(budget)
+                    .try_aggregate(&inputs)
+                    .expect("valid instance")
+            })
+        });
+        (result, masked(delta))
+    };
+    let (dense, dense_delta) = run(1, RunBudget::unlimited());
+    assert_eq!(dense_delta.oracle_lazy_evals, 0);
+    assert!(dense_delta.oracle_dense_evals > 0);
+    let cap = || RunBudget::unlimited().with_mem_limit_bytes(64 * 1024);
+    let (capped, t1) = run(1, cap());
+    assert_eq!(capped.clustering, dense.clustering);
+    assert!(
+        t1.oracle_lazy_evals > 0,
+        "capped run never read the lazy oracle"
+    );
+    assert_eq!(t1.oracle_dense_evals, 0, "capped run read a dense matrix");
+    for threads in [2, 4] {
+        let (again, delta) = run(threads, cap());
+        assert_eq!(again.clustering, dense.clustering, "{threads} threads");
+        assert_eq!(delta, t1, "1-thread vs {threads}-thread counters differ");
+    }
 }
 
 /// Interrupt a LOCALSEARCH run at the iteration cap (checkpointing every

@@ -5,7 +5,7 @@
 //! and how values must relate — so the checker needs no copy of the metric
 //! names: the core crate's golden registry test owns those. A report that
 //! passes is flattened to one `path value` line per leaf
-//! (`metrics.spill_tiles_read 12`, `faults.0 cli.input delay #1`), which
+//! (`metrics.checkpoint_saves 12`, `faults.0 cli.input delay #1`), which
 //! lets a CI script state a scenario's expectations as `awk` one-liners.
 
 use crate::json::{self, Json};

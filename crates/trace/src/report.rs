@@ -281,16 +281,16 @@ mod tests {
     fn parses_report_blocks() {
         let text = r#"{"schema":"aggclust-run-report-v1","host":{"arch":"x86_64"},
             "timings":{"balls":{"count":2,"total_ns":100,"self_ns":80,"max_ns":60,"ns_hist":[0,2]}},
-            "faults":["spill.write torn #1"],
-            "metrics":{"oracle_dense_evals":42,"spill_bytes_hist":[1,2,3]}}"#;
+            "faults":["snapshot.write torn #1"],
+            "metrics":{"oracle_dense_evals":42,"checkpoint_bytes_hist":[1,2,3]}}"#;
         let r = RunReport::parse(text).unwrap();
         assert_eq!(r.counters.get("oracle_dense_evals"), Some(&42));
         assert!(
-            !r.counters.contains_key("spill_bytes_hist"),
+            !r.counters.contains_key("checkpoint_bytes_hist"),
             "histograms are not counters"
         );
         assert_eq!(r.timings["balls"].self_ns, 80);
-        assert_eq!(r.faults, vec!["spill.write torn #1".to_string()]);
+        assert_eq!(r.faults, vec!["snapshot.write torn #1".to_string()]);
     }
 
     #[test]

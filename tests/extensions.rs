@@ -66,7 +66,7 @@ fn assigner_agrees_with_sampling_assignment_phase() {
         if sample.contains(&v) {
             continue;
         }
-        let decision = assigner.assign(&|si| oracle.dist(v, sample[si]));
+        let decision = assigner.assign(|si| oracle.dist(v, sample[si]));
         if let Some(label) = decision {
             // The assigner's target cluster contains exactly the sampled
             // nodes sharing v's final cluster.
