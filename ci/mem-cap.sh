@@ -5,6 +5,11 @@
 # singletons, reads every distance through the lazy oracle — and its labels
 # must be byte-identical to an unconstrained run at 1, 2 and 4 threads.
 #
+# Second case, AGGLOMERATIVE at n = 3000, m = 10: the 18 MB of dense codes
+# fit 20-50 MB caps, but codes plus the 36 MB f64 linkage copy do not. Each
+# such run must take the SAMPLING rung (warning, sampled result, exit 0);
+# at 60 MB both fit and the labels must match the unconstrained run.
+#
 # The caller wraps this script in `timeout 600`.
 set -euo pipefail
 
@@ -83,3 +88,61 @@ for threads in 1 2 4; do
     cmp "$WORK/ref.txt" "$WORK/capped.txt"
     echo "OK: capped labels are byte-identical to the unconstrained run"
 done
+
+# n = 3000, m = 10: a 12-cluster planted truth with 20 % of each input's
+# labels redrawn, from a Park-Miller generator so every awk agrees.
+awk 'BEGIN {
+  x = 42
+  for (v = 0; v < 3000; v++) {
+    x = (x * 16807) % 2147483647; truth = x % 12
+    line = ""
+    for (j = 0; j < 10; j++) {
+      x = (x * 16807) % 2147483647; label = truth
+      if (x % 5 == 0) { x = (x * 16807) % 2147483647; label = x % 12 }
+      line = line (j ? "," : "") label
+    }
+    print line
+  }
+}' > "$WORK/agglo.csv"
+
+echo "== AGGLOMERATIVE reference (n = 3000, unconstrained) =="
+"$BIN" aggregate --input "$WORK/agglo.csv" --output "$WORK/agglo-ref.txt" --log-level error
+
+for mb in 20 30 40 50; do
+    echo "== AGGLOMERATIVE capped (--mem-budget-mb $mb: codes fit, codes + copy do not) =="
+    "$BIN" aggregate --input "$WORK/agglo.csv" --mem-budget-mb "$mb" \
+        --output "$WORK/agglo-capped.txt" 2> "$WORK/agglo-capped.err" || {
+        echo "FAIL: capped AGGLOMERATIVE run exited $?"
+        cat "$WORK/agglo-capped.err"
+        exit 1
+    }
+    grep -q "degrading to SAMPLING" "$WORK/agglo-capped.err" || {
+        echo "FAIL: capped AGGLOMERATIVE run did not take the SAMPLING rung"
+        cat "$WORK/agglo-capped.err"
+        exit 1
+    }
+    grep -q "(sampled)" "$WORK/agglo-capped.err" || {
+        echo "FAIL: capped AGGLOMERATIVE run did not report a sampled result"
+        cat "$WORK/agglo-capped.err"
+        exit 1
+    }
+    [ "$(wc -l < "$WORK/agglo-capped.txt")" -eq 3000 ] || {
+        echo "FAIL: capped AGGLOMERATIVE run did not label every object"
+        exit 1
+    }
+    echo "OK: $mb MB samples with a warning and labels every object"
+done
+
+echo "== AGGLOMERATIVE capped (--mem-budget-mb 60: codes + copy fit) =="
+"$BIN" aggregate --input "$WORK/agglo.csv" --mem-budget-mb 60 \
+    --output "$WORK/agglo-capped.txt" 2> "$WORK/agglo-capped.err" || {
+    cat "$WORK/agglo-capped.err"
+    exit 1
+}
+if grep -q "warning" "$WORK/agglo-capped.err"; then
+    echo "FAIL: a 60 MB AGGLOMERATIVE run degraded"
+    cat "$WORK/agglo-capped.err"
+    exit 1
+fi
+cmp "$WORK/agglo-ref.txt" "$WORK/agglo-capped.txt"
+echo "OK: 60 MB labels are byte-identical to the unconstrained run"

@@ -18,10 +18,10 @@
 //! cargo run --release -p aggclust-bench --bin ablations [-- --seed N] [--rows N]
 //! ```
 
-use aggclust_bench::args::Args;
 use aggclust_bench::roster::CategoricalExperiment;
 use aggclust_bench::table::{fmt_f, Table};
 use aggclust_bench::timed;
+use aggclust_cli::args::Args;
 use aggclust_core::algorithms::local_search::local_search_from;
 use aggclust_core::algorithms::sampling::{sampling_with_details, SamplingParams};
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm, BallsParams, FurthestParams};
@@ -32,7 +32,7 @@ use aggclust_metrics::classification_error;
 
 fn main() {
     let args = Args::from_env();
-    let _telemetry = aggclust_bench::obs::init_from_args(&args);
+    let _telemetry = aggclust_cli::telemetry::init(&args).unwrap_or_else(|e| e.exit());
     let seed = args.get_or("seed", 1u64);
     let rows = args.get_or("rows", 2000usize);
 

@@ -12,9 +12,9 @@
 //! ```
 
 use aggclust_baselines::limbo::{limbo, LimboParams};
-use aggclust_bench::args::Args;
 use aggclust_bench::table::{fmt_f, Table};
 use aggclust_bench::timed;
+use aggclust_cli::args::Args;
 use aggclust_core::algorithms::sampling::{sampling_with_details, SamplingParams};
 use aggclust_core::algorithms::{Algorithm, FurthestParams};
 use aggclust_core::instance::{ClusteringsOracle, MissingPolicy};
@@ -24,7 +24,7 @@ use aggclust_metrics::classification_error;
 
 fn main() {
     let args = Args::from_env();
-    let _telemetry = aggclust_bench::obs::init_from_args(&args);
+    let _telemetry = aggclust_cli::telemetry::init(&args).unwrap_or_else(|e| e.exit());
     let seed = args.get_or("seed", 1u64);
     let rows = args.get_or("rows", 32561usize);
     let sample = args.get_or("sample", 4000usize);

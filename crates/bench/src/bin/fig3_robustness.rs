@@ -15,8 +15,8 @@
 
 use aggclust_baselines::hierarchical::{hierarchical, HierarchicalParams, LinkageMethod};
 use aggclust_baselines::kmeans::{kmeans, KMeansParams};
-use aggclust_bench::args::Args;
 use aggclust_bench::table::{fmt_f, Table};
+use aggclust_cli::args::Args;
 use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::distance::disagreement_distance;
@@ -27,7 +27,7 @@ use aggclust_metrics::pair_counting::adjusted_rand_index;
 
 fn main() {
     let args = Args::from_env();
-    let _telemetry = aggclust_bench::obs::init_from_args(&args);
+    let _telemetry = aggclust_cli::telemetry::init(&args).unwrap_or_else(|e| e.exit());
     // Default seed chosen so every vanilla algorithm exhibits its
     // characteristic failure (vary with --seed; the qualitative story —
     // aggregate ≥ best input — holds across seeds).

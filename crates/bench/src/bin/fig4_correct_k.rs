@@ -14,8 +14,8 @@
 //! ```
 
 use aggclust_baselines::kmeans::{kmeans, KMeansParams};
-use aggclust_bench::args::Args;
 use aggclust_bench::table::{fmt_f, Table};
+use aggclust_cli::args::Args;
 use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::instance::CorrelationInstance;
@@ -27,7 +27,7 @@ const MAIN_CLUSTER_FRACTION: f64 = 0.08;
 
 fn main() {
     let args = Args::from_env();
-    let _telemetry = aggclust_bench::obs::init_from_args(&args);
+    let _telemetry = aggclust_cli::telemetry::init(&args).unwrap_or_else(|e| e.exit());
     let seed = args.get_or("seed", 9u64);
 
     println!("Figure 4 — identifying the correct clusters and the outliers\n");

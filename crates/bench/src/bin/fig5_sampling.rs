@@ -19,10 +19,10 @@
 //! ```
 
 use aggclust_baselines::kmeans::{kmeans, KMeansParams};
-use aggclust_bench::args::Args;
 use aggclust_bench::roster::CategoricalExperiment;
 use aggclust_bench::table::{fmt_f, Table};
 use aggclust_bench::timed;
+use aggclust_cli::args::Args;
 use aggclust_core::algorithms::sampling::{sampling_with_details, SamplingParams};
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::clustering::Clustering;
@@ -33,7 +33,7 @@ use aggclust_metrics::classification_error;
 
 fn main() {
     let args = Args::from_env();
-    let _telemetry = aggclust_bench::obs::init_from_args(&args);
+    let _telemetry = aggclust_cli::telemetry::init(&args).unwrap_or_else(|e| e.exit());
     let part = args.get("part").unwrap_or("all").to_string();
     let seed = args.get_or("seed", 1u64);
 

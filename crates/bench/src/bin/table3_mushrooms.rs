@@ -12,16 +12,16 @@
 
 use aggclust_baselines::limbo::{limbo, LimboParams};
 use aggclust_baselines::rock::{rock, RockParams};
-use aggclust_bench::args::Args;
 use aggclust_bench::roster::CategoricalExperiment;
 use aggclust_bench::table::{fmt_ed, fmt_f, Table};
 use aggclust_bench::timed;
+use aggclust_cli::args::Args;
 use aggclust_data::presets::mushrooms_like;
 use aggclust_metrics::confusion_matrix;
 
 fn main() {
     let args = Args::from_env();
-    let _telemetry = aggclust_bench::obs::init_from_args(&args);
+    let _telemetry = aggclust_cli::telemetry::init(&args).unwrap_or_else(|e| e.exit());
     let seed = args.get_or("seed", 1u64);
 
     let dataset = match args.get("uci") {

@@ -3,15 +3,15 @@
 //! The experiment harness: one binary per table/figure of the paper
 //! (`fig3_robustness`, `fig4_correct_k`, `table2_votes`, `table3_mushrooms`,
 //! `census_sampling`, `fig5_sampling`, `ablations`) plus Criterion
-//! micro-benchmarks. This library holds the shared plumbing: a tiny
-//! argument parser, aligned table rendering, timing helpers, and the
-//! standard algorithm roster used by the table experiments.
+//! micro-benchmarks. This library holds the shared plumbing: aligned table
+//! rendering, timing helpers, and the standard algorithm roster used by the
+//! table experiments. Option parsing and the telemetry bootstrap come from
+//! `aggclust-cli`, so the experiment binaries read the same flags as
+//! `aggclust`.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod args;
-pub mod obs;
 pub mod plot;
 pub mod roster;
 pub mod table;

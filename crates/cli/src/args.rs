@@ -1,5 +1,5 @@
-//! A minimal `--key value` / `--flag` argument parser for the experiment
-//! binaries (keeps the dependency surface at zero).
+//! A minimal `--key value` / `--flag` argument parser, shared by `aggclust`
+//! and the experiment binaries (keeps the dependency surface at zero).
 
 use std::collections::HashMap;
 
@@ -62,8 +62,7 @@ impl Args {
     /// Parse `--name value` as a type, falling back to a default.
     ///
     /// An unparsable value prints a one-line usage error and exits with the
-    /// CLI's usage code (2) — experiment binaries should never backtrace on
-    /// a typo.
+    /// usage code (2) — a typo never backtraces.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.get(name) {
             Some(v) => v.parse().unwrap_or_else(|_| {

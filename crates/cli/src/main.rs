@@ -10,8 +10,9 @@
 //! The input is a label matrix: one row per object, one column per input
 //! clustering, `?` or empty for a missing label. See `aggclust help`.
 
-use aggclust_bench::args::Args;
-use aggclust_cli::csv;
+use aggclust_cli::args::Args;
+use aggclust_cli::error::CliError;
+use aggclust_cli::{csv, telemetry};
 use aggclust_core::algorithms::{
     AgglomerativeParams, Algorithm, AnnealingParams, BallsParams, FurthestParams,
     LocalSearchParams, PivotParams,
@@ -23,10 +24,9 @@ use aggclust_core::instance::MissingPolicy;
 use aggclust_core::iofs;
 use aggclust_core::obs;
 use aggclust_core::snapshot::{load_snapshot, RetryPolicy, SnapshotLoad};
-use aggclust_core::{AggError, CancelToken, RunBudget, RunStatus};
+use aggclust_core::{CancelToken, RunBudget, RunStatus};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 const HELP: &str = "\
@@ -118,74 +118,6 @@ EXIT CODES:
     9   memory budget exceeded with no degraded mode available
 ";
 
-/// A CLI failure, mapped one-to-one onto the exit codes documented in
-/// `aggclust help`. Every error prints as a single human-readable line —
-/// never a backtrace.
-#[derive(Debug)]
-enum CliError {
-    /// Exit 2: bad command line.
-    Usage(String),
-    /// Exit 3: filesystem I/O failed.
-    Io(String),
-    /// Exit 4: an input file did not parse.
-    Parse(String),
-    /// Exit 5: inputs are structurally invalid.
-    InvalidInstance(String),
-    /// Exit 6: input is degenerate (empty, all-missing, …).
-    Degenerate(String),
-    /// Exit 7: the run budget expired (anytime output was still produced).
-    BudgetExceeded(String),
-    /// Exit 8: the run was cancelled.
-    Cancelled(String),
-    /// Exit 9: the memory budget was exceeded and no degraded mode applied.
-    Memory(String),
-}
-
-impl CliError {
-    fn exit_code(&self) -> u8 {
-        match self {
-            CliError::Usage(_) => 2,
-            CliError::Io(_) => 3,
-            CliError::Parse(_) => 4,
-            CliError::InvalidInstance(_) => 5,
-            CliError::Degenerate(_) => 6,
-            CliError::BudgetExceeded(_) => 7,
-            CliError::Cancelled(_) => 8,
-            CliError::Memory(_) => 9,
-        }
-    }
-
-    fn message(&self) -> &str {
-        match self {
-            CliError::Usage(m)
-            | CliError::Io(m)
-            | CliError::Parse(m)
-            | CliError::InvalidInstance(m)
-            | CliError::Degenerate(m)
-            | CliError::BudgetExceeded(m)
-            | CliError::Cancelled(m)
-            | CliError::Memory(m) => m,
-        }
-    }
-}
-
-impl From<AggError> for CliError {
-    fn from(e: AggError) -> Self {
-        let message = e.to_string();
-        match e {
-            AggError::InvalidParameter { .. } => CliError::Usage(message),
-            AggError::Parse { .. } => CliError::Parse(message),
-            AggError::InvalidInstance { .. } | AggError::TooLarge { .. } => {
-                CliError::InvalidInstance(message)
-            }
-            AggError::Degenerate { .. } => CliError::Degenerate(message),
-            AggError::BudgetExceeded { .. } => CliError::BudgetExceeded(message),
-            AggError::Cancelled { .. } => CliError::Cancelled(message),
-            AggError::MemoryExceeded { .. } => CliError::Memory(message),
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().unwrap_or_else(|| "help".to_string());
@@ -194,8 +126,8 @@ fn main() -> ExitCode {
         eprintln!("error: {}", e.message()); // lint:allow-eprintln
         return ExitCode::from(e.exit_code());
     }
-    let metrics_out = match setup_telemetry(&args) {
-        Ok(path) => path,
+    let telemetry = match telemetry::init(&args) {
+        Ok(telemetry) => telemetry,
         Err(e) => {
             eprintln!("error: {}", e.message()); // lint:allow-eprintln
             return ExitCode::from(e.exit_code());
@@ -229,12 +161,8 @@ fn main() -> ExitCode {
         Some(t) => aggclust_core::parallel::with_num_threads(t, run),
         None => run(),
     };
-    // The report covers the whole process (one run per invocation), so it
-    // is written even when the run tripped its budget — the counters then
-    // describe the partial work, which is exactly what a post-mortem wants.
-    if let Some(path) = &metrics_out {
-        write_metrics_report(path);
-    }
+    // Writes the run report (one run per invocation) before the error line.
+    drop(telemetry);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -294,63 +222,6 @@ fn check_options(command: &str, args: &Args) -> Result<(), CliError> {
         Some(key) => Err(CliError::Usage(format!(
             "`aggclust {command}` does not take --{key}; try `aggclust help`"
         ))),
-    }
-}
-
-/// Install the stderr logger (and the optional JSONL trace sink) and switch
-/// the metrics registry on when a machine-readable output was requested.
-/// Returns the `--metrics-out` path, if any.
-fn setup_telemetry(args: &Args) -> Result<Option<PathBuf>, CliError> {
-    let level = match args.get("log-level") {
-        Some(spec) => obs::Level::parse(spec).ok_or_else(|| {
-            CliError::Usage(format!(
-                "--log-level must be error, warn, info, debug or trace, got {spec:?}"
-            ))
-        })?,
-        None => obs::Level::from_env().unwrap_or(obs::Level::Info),
-    };
-    let stderr_sink: Arc<dyn obs::Collector> = Arc::new(obs::StderrSink::new(level));
-    let mut extra_sinks: Vec<Arc<dyn obs::Collector>> = Vec::new();
-    if let Some(path) = args.get("trace-out") {
-        let trace = obs::JsonlSink::to_file(Path::new(path), obs::Level::Trace)
-            .map_err(|e| CliError::Io(format!("creating trace file {path}: {e}")))?;
-        extra_sinks.push(Arc::new(trace));
-    }
-    // The heartbeat renderer rides next to the human logger: it only
-    // reacts to `progress` events, so the stderr log stays at `level`.
-    if args.flag("progress") {
-        extra_sinks.push(Arc::new(obs::ProgressSink::new()));
-    }
-    if extra_sinks.is_empty() {
-        obs::install_collector(stderr_sink);
-    } else {
-        let mut tee = obs::TeeCollector::new();
-        tee.push(stderr_sink);
-        for sink in extra_sinks {
-            tee.push(sink);
-        }
-        obs::install_collector(Arc::new(tee));
-    }
-    let metrics_out = args.get("metrics-out").map(PathBuf::from);
-    if metrics_out.is_some() || args.get("trace-out").is_some() {
-        obs::set_metrics_enabled(true);
-    }
-    Ok(metrics_out)
-}
-
-/// Write the final run report: host metadata (arch, CPU count, SIMD
-/// features and selected kernel tier) plus every counter, gauge, and
-/// histogram in the metrics registry as one stable JSON object. Failures
-/// are reported but never change the exit code — the labels are the
-/// contract, the report is advisory.
-fn write_metrics_report(path: &Path) {
-    let mut json = obs::run_report_json();
-    json.push('\n');
-    if let Err(e) = iofs::write("cli.metrics", path, json) {
-        obs::warn!(format!(
-            "could not write metrics report {}: {e}",
-            path.display()
-        ));
     }
 }
 

@@ -17,7 +17,7 @@
 use crate::clustering::Clustering;
 use crate::error::AggResult;
 use crate::instance::DistanceOracle;
-use crate::linkage::{linkage, linkage_resumable, CondensedMatrix, LinkageMethod};
+use crate::linkage::{linkage_resumable, CondensedMatrix, LinkageMethod};
 use crate::robust::{RunBudget, RunOutcome};
 use crate::snapshot::{AgglomerativeSnapshot, Checkpointer};
 
@@ -57,21 +57,17 @@ impl AgglomerativeParams {
     }
 }
 
-/// Run the AGGLOMERATIVE algorithm on a correlation-clustering instance.
+/// Run the AGGLOMERATIVE algorithm on a correlation-clustering instance:
+/// [`agglomerative_budgeted`] under [`RunBudget::unlimited`].
+///
+/// # Panics
+/// Panics if `params.threshold` is NaN.
 pub fn agglomerative<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: AgglomerativeParams,
 ) -> Clustering {
-    let n = oracle.len();
-    if n == 0 {
-        return Clustering::from_labels(Vec::new());
-    }
-    let matrix = CondensedMatrix::from_oracle(oracle);
-    let dendrogram = linkage(matrix, LinkageMethod::Average);
-    match params.num_clusters {
-        Some(k) => dendrogram.cut_num_clusters(k.clamp(1, n)),
-        None => dendrogram.cut_height(params.threshold),
-    }
+    assert!(!params.threshold.is_nan(), "threshold must not be NaN");
+    run(oracle, params, &RunBudget::unlimited(), None, None).clustering
 }
 
 /// Budgeted AGGLOMERATIVE with anytime semantics. One budget iteration per
@@ -108,21 +104,34 @@ pub fn agglomerative_resumable<O: DistanceOracle + Sync + ?Sized>(
             "must not be NaN",
         ));
     }
+    Ok(run(oracle, params, budget, resume, ckpt))
+}
+
+/// The AGGLOMERATIVE run behind both entry points, for a threshold each has
+/// already checked (the plain call asserts it, the budgeted one returns
+/// [`crate::error::AggError::InvalidParameter`]).
+fn run<O: DistanceOracle + Sync + ?Sized>(
+    oracle: &O,
+    params: AgglomerativeParams,
+    budget: &RunBudget,
+    resume: Option<&AgglomerativeSnapshot>,
+    ckpt: Option<&mut Checkpointer>,
+) -> RunOutcome {
     let n = oracle.len();
     let _span = crate::span!("agglomerative", n = n, resuming = resume.is_some());
     if n == 0 {
-        return Ok(RunOutcome::converged(Clustering::from_labels(Vec::new())));
+        return RunOutcome::converged(Clustering::from_labels(Vec::new()));
     }
     let matrix = match CondensedMatrix::try_from_oracle(oracle, budget) {
         Ok(matrix) => matrix,
         Err(interrupt) => {
             // No partial matrix to salvage: the only valid anytime answer
             // before any merge is the all-singletons start.
-            return Ok(RunOutcome {
+            return RunOutcome {
                 clustering: Clustering::singletons(n),
                 status: interrupt.status(),
                 iterations: 0,
-            });
+            };
         }
     };
     let (dendrogram, status, iterations) =
@@ -131,11 +140,11 @@ pub fn agglomerative_resumable<O: DistanceOracle + Sync + ?Sized>(
         Some(k) => dendrogram.cut_num_clusters(k.clamp(1, n)),
         None => dendrogram.cut_height(params.threshold),
     };
-    Ok(RunOutcome {
+    RunOutcome {
         clustering,
         status,
         iterations,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -300,5 +309,17 @@ mod tests {
             err,
             crate::error::AggError::InvalidParameter { .. }
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must not be NaN")]
+    fn plain_run_panics_on_a_nan_threshold() {
+        // The budgeted call returns a typed error for the same threshold;
+        // the plain call panics rather than silently returning singletons.
+        let params = AgglomerativeParams {
+            threshold: f64::NAN,
+            num_clusters: None,
+        };
+        let _ = agglomerative(&figure1_oracle(), params);
     }
 }

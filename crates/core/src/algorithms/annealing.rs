@@ -10,7 +10,7 @@
 //! local optima LOCALSEARCH stops at. A final zero-temperature descent
 //! guarantees the output is itself a single-move local optimum.
 
-use crate::algorithms::local_search::local_search_from_budgeted;
+use crate::algorithms::local_search::{local_search_from_budgeted, LocalSearchParams};
 use crate::clustering::Clustering;
 use crate::cost::within_cost;
 use crate::error::{AggError, AggResult};
@@ -107,7 +107,9 @@ pub fn simulated_annealing_budgeted<O: DistanceOracle + Sync + ?Sized>(
     // the descended result and the best mid-anneal snapshot (the descent
     // start can be an uphill excursion the snapshot predates).
     let annealed = Clustering::from_labels(state.labels);
-    let descended = local_search_from_budgeted(oracle, &annealed, 200, 1e-9, budget)?;
+    let ls = LocalSearchParams::default();
+    let descended =
+        local_search_from_budgeted(oracle, &annealed, ls.max_passes, ls.epsilon, budget)?;
     let snapshot = Clustering::from_labels(state.best_labels);
     let clustering = if within_cost(oracle, &descended.clustering) <= within_cost(oracle, &snapshot)
     {

@@ -44,8 +44,6 @@ pub enum LocalSearchInit {
     /// Every node in its own cluster.
     #[default]
     Singletons,
-    /// All nodes in one cluster.
-    OneCluster,
     /// A uniformly random assignment into `k` clusters.
     Random {
         /// Number of clusters in the random start.
@@ -206,7 +204,6 @@ pub fn local_search_from_resumable<O: DistanceOracle + Sync + ?Sized>(
 fn initial_clustering(init: &LocalSearchInit, n: usize) -> (Clustering, [u64; 4]) {
     match init {
         LocalSearchInit::Singletons => (Clustering::singletons(n), [0; 4]),
-        LocalSearchInit::OneCluster => (Clustering::one_cluster(n), [0; 4]),
         LocalSearchInit::Random { k, seed } => {
             let k = (*k).max(1) as u32;
             let mut rng = StdRng::seed_from_u64(*seed);
@@ -462,7 +459,7 @@ mod tests {
         let result = local_search(
             &figure1_oracle(),
             LocalSearchParams {
-                init: LocalSearchInit::OneCluster,
+                init: LocalSearchInit::Given(Clustering::one_cluster(6)),
                 ..Default::default()
             },
         );

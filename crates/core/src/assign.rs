@@ -39,11 +39,6 @@ impl ClusterAssigner {
         }
     }
 
-    /// Number of reference objects.
-    pub fn reference_len(&self) -> usize {
-        self.reference.len()
-    }
-
     /// The reference clustering.
     pub fn reference(&self) -> &Clustering {
         &self.reference
@@ -100,7 +95,7 @@ impl ClusterAssigner {
 
     /// Extend the reference clustering with a batch of new objects: joined
     /// objects take their cluster's label, singletons get fresh labels.
-    /// Returns the combined clustering over `reference_len() + count`
+    /// Returns the combined clustering over `reference().len() + count`
     /// objects (reference objects first).
     pub fn extend(&self, count: usize, dist: &dyn Fn(usize, usize) -> f64) -> Clustering {
         let mut labels: Vec<u32> = self.reference.labels().to_vec();

@@ -127,11 +127,6 @@ impl Clustering {
         &self.labels
     }
 
-    /// Consume and return the normalized label vector.
-    pub fn into_labels(self) -> Vec<u32> {
-        self.labels
-    }
-
     /// `true` if `u` and `v` share a cluster.
     #[inline]
     pub fn same_cluster(&self, u: usize, v: usize) -> bool {

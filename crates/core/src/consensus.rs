@@ -26,13 +26,14 @@
 
 use crate::algorithms::local_search::local_search_from_resumable;
 use crate::algorithms::sampling::{sampling_resumable, SamplingParams};
-use crate::algorithms::{AgglomerativeParams, Algorithm, BallsParams};
+use crate::algorithms::{AgglomerativeParams, Algorithm, BallsParams, LocalSearchParams};
 use crate::clustering::{Clustering, PartialClustering};
 use crate::cost::{correlation_cost, lower_bound};
 use crate::distance::disagreement_distance_gauged;
 use crate::error::AggResult;
 use crate::exact::{branch_and_bound_budgeted, MAX_BNB_N};
 use crate::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
+use crate::linkage::CondensedMatrix;
 use crate::robust::{Interrupt, RunBudget, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, LocalSearchSnapshot, Snapshot};
 use std::fmt;
@@ -51,7 +52,8 @@ pub enum Warning {
     /// The dense distance matrix was refused by the memory cap and the run
     /// degraded to SAMPLING with a sample whose matrix fits.
     MemoryDegradedToSampling {
-        /// Bytes the dense matrix would have needed.
+        /// Bytes AGGLOMERATIVE would have needed: the dense matrix plus
+        /// its `f64` working copy.
         requested: u64,
         /// The configured memory cap in bytes.
         limit: u64,
@@ -336,7 +338,8 @@ impl ConsensusBuilder {
     /// 1. `n` over the sampling threshold → SAMPLING (budgeted).
     /// 2. Dense matrix refused by the **memory cap** → the `O(n·m)` lazy
     ///    oracle (same answer, no quadratic memory) — except AGGLOMERATIVE,
-    ///    which needs its own matrix and instead degrades to SAMPLING with
+    ///    which needs its own `f64` working copy next to the dense matrix:
+    ///    when the two together do not fit, it degrades to SAMPLING with
     ///    the sample clamped to fit the cap. Each step leaves a warning.
     ///    The lazy oracle answers through the packed SWAR rows of
     ///    [`crate::kernels::LabelMatrix`] (`O(n·m/4)` words, bit-identical
@@ -396,15 +399,17 @@ impl ConsensusBuilder {
         }
 
         let mut warnings = Vec::new();
-        let dense = match instance.try_dense_oracle(&self.budget) {
-            Ok(dense) => dense,
-            Err(Interrupt::MemoryExceeded { requested, limit }) => {
-                if matches!(self.algorithm, Algorithm::Agglomerative(_)) && !self.prefer_exact {
-                    // AGGLOMERATIVE is the one algorithm that cannot run
-                    // from a lazy oracle (it mutates a condensed matrix):
-                    // degrade to SAMPLING, clamping the sample so *its*
-                    // dense matrix fits what is left of the cap.
-                    let headroom = limit.saturating_sub(self.budget.mem_gauge().used_bytes());
+        // AGGLOMERATIVE is the one algorithm that cannot run from a lazy
+        // oracle: it merges in an `f64` working copy of the matrix, held
+        // next to the dense codes. Its rung is sized from both, here and
+        // only here; when they do not fit the cap, it degrades to SAMPLING
+        // with the sample clamped so *its* working copy fits what is left.
+        if matches!(self.algorithm, Algorithm::Agglomerative(_)) && !self.prefer_exact {
+            if let Some(limit) = self.budget.mem_limit_bytes() {
+                let lazy = instance.lazy_oracle();
+                let requested = lazy.dense_bytes() + CondensedMatrix::bytes(n);
+                let headroom = limit.saturating_sub(self.budget.mem_gauge().used_bytes());
+                if requested > headroom {
                     let s = self
                         .sample_size
                         .min(largest_sample_within(headroom))
@@ -418,14 +423,13 @@ impl ConsensusBuilder {
                         },
                     );
                     let params = SamplingParams::new(s, self.algorithm.clone(), self.seed);
-                    return self.run_sampling(
-                        &instance.lazy_oracle(),
-                        &params,
-                        warnings,
-                        &mut ckpt,
-                        resume_main,
-                    );
+                    return self.run_sampling(&lazy, &params, warnings, &mut ckpt, resume_main);
                 }
+            }
+        }
+        let dense = match instance.try_dense_oracle(&self.budget) {
+            Ok(dense) => dense,
+            Err(Interrupt::MemoryExceeded { requested, limit }) => {
                 push_warning(
                     &mut warnings,
                     Warning::MemoryDegradedToLazyOracle { requested, limit },
@@ -559,11 +563,12 @@ impl ConsensusBuilder {
             if let Some(c) = ckpt.as_mut() {
                 c.set_stage(1);
             }
+            let ls = LocalSearchParams::default();
             let refined = local_search_from_resumable(
                 oracle,
                 &clustering,
-                200,
-                1e-9,
+                ls.max_passes,
+                ls.epsilon,
                 &self.budget,
                 resume_refine,
                 ckpt.as_mut(),
@@ -1173,6 +1178,64 @@ mod tests {
             .unwrap();
         assert!(!capped.warnings.is_empty());
         assert_eq!(budget.mem_gauge().used_bytes(), 0);
+    }
+
+    /// [`shifted_inputs`]' AGGLOMERATIVE footprint: 12 840 bytes of codes
+    /// plus the 8·80·79/2 = 25 280-byte `f64` working copy.
+    const AGGLOMERATIVE_BYTES: u64 = 12_840 + 25_280;
+
+    #[test]
+    fn agglomerative_degrades_to_sampling_when_the_codes_fit_but_the_copy_does_not() {
+        let _guard = crate::telemetry::global_state_lock();
+        // 20 000 bytes hold the codes but not codes + copy. The rung is
+        // decided up front, so the run samples instead of building the
+        // codes and then losing the copy to the cap.
+        let limit = 20_000;
+        let budget = RunBudget::unlimited().with_mem_limit_bytes(limit);
+        let capped = ConsensusBuilder::new()
+            .budget(budget.clone())
+            .try_aggregate(&shifted_inputs())
+            .unwrap();
+        // 4·s·(s−1) ≤ 20 000 → s = 71.
+        assert_eq!(
+            capped.warnings,
+            vec![Warning::MemoryDegradedToSampling {
+                requested: AGGLOMERATIVE_BYTES,
+                limit,
+                sample_size: 71,
+            }]
+        );
+        assert!(capped.sampled);
+        assert!(capped.status.is_converged());
+        assert_eq!(capped.clustering.len(), 80);
+        assert_eq!(budget.mem_gauge().used_bytes(), 0);
+    }
+
+    #[test]
+    fn agglomerative_runs_dense_exactly_when_codes_and_copy_fit() {
+        let _guard = crate::telemetry::global_state_lock();
+        let inputs = shifted_inputs();
+        let unconstrained = ConsensusBuilder::new().try_aggregate(&inputs).unwrap();
+        let at = |limit: u64| {
+            ConsensusBuilder::new()
+                .budget(RunBudget::unlimited().with_mem_limit_bytes(limit))
+                .try_aggregate(&inputs)
+                .unwrap()
+        };
+        let fits = at(AGGLOMERATIVE_BYTES);
+        assert!(fits.warnings.is_empty(), "{:?}", fits.warnings);
+        assert!(fits.status.is_converged());
+        assert_eq!(fits.clustering, unconstrained.clustering);
+        let short = at(AGGLOMERATIVE_BYTES - 1);
+        assert!(short.sampled);
+        assert!(short.status.is_converged());
+        assert!(matches!(
+            short.warnings[..],
+            [Warning::MemoryDegradedToSampling {
+                requested: AGGLOMERATIVE_BYTES,
+                ..
+            }]
+        ));
     }
 
     #[test]

@@ -118,14 +118,6 @@ pub fn optimal_clustering<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> Exac
     }
 }
 
-/// Exact optimum of the *aggregation* objective `D(C)` for tiny inputs:
-/// reduces to correlation clustering and rescales the cost by `m`.
-pub fn optimal_aggregation(inputs: &[Clustering]) -> (Clustering, f64) {
-    let oracle = crate::instance::DenseOracle::from_clusterings(inputs);
-    let res = optimal_clustering(&oracle);
-    (res.clustering, res.cost * inputs.len() as f64)
-}
-
 /// Largest instance size accepted by [`branch_and_bound`]. The worst case
 /// is still exponential, but the admissible bound prunes structured
 /// instances (the kind aggregation produces) to a small fraction of the
@@ -353,12 +345,14 @@ mod tests {
             c(&[0, 0, 1, 1, 2]),
             c(&[0, 1, 0, 1, 1]),
         ];
-        let (opt, cost) = optimal_aggregation(&inputs);
+        // The aggregation objective is `m` times the correlation cost.
+        let res = optimal_clustering(&DenseOracle::from_clusterings(&inputs));
+        let cost = res.cost * inputs.len() as f64;
         for input in &inputs {
             let d = crate::distance::total_disagreement(&inputs, input) as f64;
             assert!(cost <= d + 1e-9);
         }
-        assert_eq!(opt.len(), 5);
+        assert_eq!(res.clustering.len(), 5);
     }
 
     #[test]

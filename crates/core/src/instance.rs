@@ -124,7 +124,7 @@ pub trait DistanceOracle {
 
     /// Materialize into a [`DenseOracle`] (no-op cost model for algorithms
     /// that touch all pairs anyway). Pairs are evaluated in parallel when
-    /// the `parallel` feature is enabled, and their values coded in
+    /// more than one thread is available, and their values coded in
     /// `(u asc, v asc)` first-appearance order.
     fn to_dense(&self) -> DenseOracle
     where
@@ -601,15 +601,6 @@ impl DenseOracle {
             self.table = Vec::new();
         }
         self.values[condensed_index(n, u.min(v), u.max(v))] = d;
-    }
-
-    /// Sum of distances from `u` to every other object (the vertex weight
-    /// used by the BALLS ordering).
-    pub fn total_weight(&self, u: usize) -> f64 {
-        (0..self.n)
-            .filter(|&v| v != u)
-            .map(|v| self.dist(u, v))
-            .sum()
     }
 
     /// `true` when the matrix holds codes rather than values.
@@ -1259,13 +1250,6 @@ mod tests {
                 assert!((dense.dist(u, v) - lazy.dist(u, v)).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn total_weight() {
-        let oracle = DenseOracle::from_clusterings(&figure1());
-        let w0: f64 = (1..6).map(|v| oracle.dist(0, v)).sum();
-        assert!((oracle.total_weight(0) - w0).abs() < 1e-12);
     }
 
     #[test]

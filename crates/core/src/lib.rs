@@ -88,11 +88,10 @@ pub mod obs {
         clear_collector, collector_active, current_tid, dispatch_event, host_report_json,
         install_collector, metrics, metrics_enabled, run_report_json, set_metrics_enabled,
         set_timing_clock, span_stats, timing_now_ns, Cadence, Clock, Collector, Counter, Event,
-        Gauge, Heartbeat, JsonlSink, Level, MaxGauge, MemoryCollector, MetricsSnapshot,
-        ProgressSink, SpanData, SpanGuard, SpanStats, SpanTiming, StderrSink, TeeCollector,
-        TimingsSnapshot, Value,
+        Gauge, Heartbeat, JsonlSink, Level, MaxGauge, MetricsSnapshot, ProgressSink, SpanData,
+        SpanGuard, SpanStats, SpanTiming, StderrSink, TeeCollector, TimingsSnapshot, Value,
     };
-    pub use crate::{debug, error_event, event, info, span, trace, warn};
+    pub use crate::{event, info, span, warn};
 }
 
 pub use clustering::{Clustering, PartialClustering};

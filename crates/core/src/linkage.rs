@@ -21,13 +21,6 @@ use crate::robust::{Interrupt, MemCharge, RunBudget, RunStatus};
 use crate::snapshot::{AgglomerativeSnapshot, AlgorithmSnapshot, Checkpointer, MergeRecord};
 use crate::telemetry;
 
-/// Minimum matrix size before the nearest-neighbor lookups inside the
-/// chain loop are chunked across worker threads; the per-step scan is
-/// `O(n)`, so small instances are faster serial. The threshold cannot
-/// change the dendrogram — the parallel arg-min reproduces the serial
-/// strict-`<` scan exactly, earliest index on ties.
-const NN_PAR_MIN: usize = 32_768;
-
 /// Linkage criterion, expressed through Lance–Williams update coefficients.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LinkageMethod {
@@ -134,13 +127,18 @@ impl CondensedMatrix {
         budget: &RunBudget,
     ) -> Result<Self, Interrupt> {
         let n = oracle.len();
-        let bytes = (n as u64) * (n.saturating_sub(1) as u64) / 2 * 8;
-        let charge = budget.try_reserve(bytes)?;
+        let charge = budget.try_reserve(Self::bytes(n))?;
         Ok(CondensedMatrix {
             n,
             data: Self::try_fill(oracle, budget)?,
             charge: Some(Arc::new(charge)),
         })
+    }
+
+    /// Bytes of an `n`-object matrix: `8·n(n−1)/2`, what
+    /// [`CondensedMatrix::try_from_oracle`] reserves.
+    pub fn bytes(n: usize) -> u64 {
+        (n as u64) * (n.saturating_sub(1) as u64) / 2 * 8
     }
 
     /// The oracle's condensed triangle, filled in its preferred band.
@@ -274,61 +272,6 @@ impl Dendrogram {
             .filter(|&i| self.merges[i].height < threshold)
             .collect();
         self.replay(&keep)
-    }
-
-    /// Merge heights in ascending order — the sequence of linkage
-    /// distances at which the clustering coarsens (useful for choosing a
-    /// cut threshold by inspecting gaps).
-    pub fn sorted_heights(&self) -> Vec<f64> {
-        let mut hs: Vec<f64> = self.merges.iter().map(|m| m.height).collect();
-        hs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        hs
-    }
-
-    /// The number of clusters obtained at every possible height: returns
-    /// `(height, clusters_after_merging_at_that_height)` pairs in ascending
-    /// height order, starting from `n` singleton clusters.
-    pub fn cluster_count_profile(&self) -> Vec<(f64, usize)> {
-        let mut out = Vec::with_capacity(self.merges.len());
-        let mut k = self.n;
-        for h in self.sorted_heights() {
-            k -= 1;
-            out.push((h, k));
-        }
-        out
-    }
-
-    /// Full cophenetic distance matrix: `cophenetic[u][v]` is the height of
-    /// the merge at which `u` and `v` first share a cluster. The classic
-    /// dendrogram-validation quantity (compare to the original distances
-    /// for the cophenetic correlation). `O(n²)` output; intended for
-    /// moderate `n`.
-    pub fn cophenetic_matrix(&self) -> Vec<Vec<f64>> {
-        let n = self.n;
-        let mut out = vec![vec![0.0f64; n]; n];
-        // Track the member set of every dendrogram node, replaying merges
-        // in ascending height order; when two sets join, all cross pairs
-        // get the merge height.
-        let mut members: Vec<Option<Vec<usize>>> = (0..n).map(|v| Some(vec![v])).collect();
-        members.resize_with(n + self.merges.len(), || None);
-        for &i in &self.sorted_merge_order() {
-            let m = self.merges[i];
-            // Children are present exactly once for monotone linkages; an
-            // empty set (impossible for well-formed dendrograms) simply
-            // contributes no pairs instead of aborting.
-            let a = members[m.a].take().unwrap_or_default();
-            let b = members[m.b].take().unwrap_or_default();
-            for &u in &a {
-                for &v in &b {
-                    out[u][v] = m.height;
-                    out[v][u] = m.height;
-                }
-            }
-            let mut joined = a;
-            joined.extend(b);
-            members[self.n + i] = Some(joined);
-        }
-        out
     }
 
     /// Replay a set of merges through a union-find over the node-id space.
@@ -552,27 +495,10 @@ pub fn linkage_resumable(
                 best = usize::MAX;
                 best_d = f64::INFINITY;
             }
-            if n >= NN_PAR_MIN {
-                // Chunked arg-min: earliest active index with the strictly
-                // smallest distance — exactly what the serial scan below
-                // finds. An equal-distance hit never displaces the chain
-                // predecessor (strict `<` against its distance).
-                let active = &active;
-                let dist = &dist;
-                if let Some((z, d)) =
-                    parallel::arg_min_by(n, |z| (z != x && active[z]).then(|| dist.get(x, z)))
-                {
-                    if d < best_d {
-                        best_d = d;
-                        best = z;
-                    }
-                }
-            } else {
-                for (z, &is_active) in active.iter().enumerate() {
-                    if z != x && is_active && dist.get(x, z) < best_d {
-                        best_d = dist.get(x, z);
-                        best = z;
-                    }
+            for (z, &is_active) in active.iter().enumerate() {
+                if z != x && is_active && dist.get(x, z) < best_d {
+                    best_d = dist.get(x, z);
+                    best = z;
                 }
             }
             debug_assert!(best != usize::MAX);
@@ -753,37 +679,37 @@ mod tests {
     }
 
     #[test]
-    fn cophenetic_matches_single_linkage_on_a_line() {
-        // For single linkage on a line, the cophenetic distance between u
-        // and v is the largest gap between consecutive points in [u, v].
+    fn single_linkage_on_a_line_merges_at_the_gaps() {
+        // For single linkage on a line, every merge joins two runs of
+        // consecutive points across one gap, at exactly that gap.
         let pts = [0.0, 1.0, 1.5, 4.0];
         let dend = linkage(line_matrix(&pts), LinkageMethod::Single);
-        let coph = dend.cophenetic_matrix();
-        assert!((coph[0][1] - 1.0).abs() < 1e-12);
-        assert!((coph[1][2] - 0.5).abs() < 1e-12);
-        assert!((coph[0][2] - 1.0).abs() < 1e-12); // max gap in 0..2
-        assert!((coph[0][3] - 2.5).abs() < 1e-12); // the 1.5→4.0 gap
-                                                   // Symmetry and zero diagonal.
-        for (u, row) in coph.iter().enumerate() {
-            assert_eq!(row[u], 0.0);
-            for (v, &d) in row.iter().enumerate() {
-                assert_eq!(d, coph[v][u]);
-            }
+        let mut heights: Vec<f64> = dend.merges().iter().map(|m| m.height).collect();
+        heights.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let gaps = [0.5, 1.0, 2.5];
+        for (h, g) in heights.iter().zip(gaps) {
+            assert!((h - g).abs() < 1e-12, "{heights:?}");
         }
+        assert_eq!(heights.len(), gaps.len());
+        // Cutting just above the 1.0 gap leaves {0, 1, 2} and {3}.
+        assert_eq!(dend.cut_height(1.1).labels(), &[0, 0, 0, 1]);
     }
 
     #[test]
-    fn cophenetic_is_ultrametric() {
+    fn merge_heights_never_decrease_up_the_tree() {
+        // Single and Average are monotone: a merge is never lower than the
+        // merges that built its two children.
         let pts = [0.0, 0.9, 2.0, 5.5, 6.0, 9.0];
         for method in [LinkageMethod::Single, LinkageMethod::Average] {
             let dend = linkage(line_matrix(&pts), method);
-            let coph = dend.cophenetic_matrix();
-            for u in 0..6 {
-                for v in 0..6 {
-                    for w in 0..6 {
+            let merges = dend.merges();
+            let n = pts.len();
+            for m in merges {
+                for child in [m.a, m.b] {
+                    if child >= n {
                         assert!(
-                            coph[u][w] <= coph[u][v].max(coph[v][w]) + 1e-9,
-                            "{method:?}: ultrametric violated"
+                            merges[child - n].height <= m.height + 1e-12,
+                            "{method:?}: merge below its child"
                         );
                     }
                 }
@@ -792,16 +718,12 @@ mod tests {
     }
 
     #[test]
-    fn cluster_count_profile_descends_to_one() {
+    fn cuts_coarsen_by_one_cluster_per_merge() {
         let pts = [0.0, 1.0, 2.0, 10.0, 11.0];
         let dend = linkage(line_matrix(&pts), LinkageMethod::Average);
-        let profile = dend.cluster_count_profile();
-        assert_eq!(profile.len(), 4);
-        assert_eq!(profile.last().unwrap().1, 1);
-        // Heights ascend, counts descend.
-        for w in profile.windows(2) {
-            assert!(w[0].0 <= w[1].0 + 1e-12);
-            assert_eq!(w[0].1, w[1].1 + 1);
+        assert_eq!(dend.merges().len(), 4);
+        for k in 1..=pts.len() {
+            assert_eq!(dend.cut_num_clusters(k).num_clusters(), k);
         }
     }
 

@@ -4,18 +4,17 @@
 //! functions, and the per-node scans inside BALLS, FURTHEST, AGGLOMERATIVE
 //! and LOCALSEARCH — funnels through the primitives in this module. The
 //! design goal is *bit-identical results at any thread count*, so the
-//! parallel feature can never change what an algorithm returns:
+//! worker count can never change what an algorithm returns:
 //!
 //! * Work is split into **fixed chunks whose boundaries depend only on the
 //!   problem size**, never on the number of worker threads.
 //! * Floating-point reductions compute one partial per chunk (each partial
 //!   accumulated in ascending index order) and combine the partials
-//!   **sequentially in chunk order**. Arg-min/arg-max combines keep the
+//!   **sequentially in chunk order**. Arg-max combines keep the
 //!   earliest-index winner on ties, matching a serial strict-comparison
 //!   scan.
-//! * The serial fallback (`--no-default-features`) executes the *same*
-//!   chunked schedule sequentially, so builds with and without the
-//!   `parallel` feature also agree bit-for-bit.
+//! * At one thread the *same* chunked schedule runs sequentially on the
+//!   calling thread, so one thread and many agree bit-for-bit.
 //!
 //! Threads are plain `std::thread::scope` workers draining a shared queue
 //! of chunk jobs; the environment is expected to be offline, so no external
@@ -23,8 +22,8 @@
 //! precedence: a scoped [`with_num_threads`] override (used by the
 //! determinism tests to compare thread counts inside one process), the
 //! `RAYON_NUM_THREADS` environment variable (read once), and
-//! `std::thread::available_parallelism`. Without the `parallel` feature the
-//! count is always 1 and no threads are ever spawned.
+//! `std::thread::available_parallelism`. At a count of 1 no threads are
+//! ever spawned.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -61,12 +60,8 @@ fn env_threads() -> Option<usize> {
 
 /// The number of worker threads parallel primitives may use on this thread.
 ///
-/// Always 1 without the `parallel` feature. Results never depend on this
-/// value — only wall-clock time does.
+/// Results never depend on this value — only wall-clock time does.
 pub fn current_num_threads() -> usize {
-    if cfg!(not(feature = "parallel")) {
-        return 1;
-    }
     if let Some(n) = THREAD_OVERRIDE.get() {
         return n;
     }
@@ -94,7 +89,7 @@ pub fn with_num_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Execute every job, in parallel when the feature and thread count allow.
+/// Execute every job, in parallel when the thread count allows.
 /// Job order of *execution* is unspecified; callers must make each job
 /// write to disjoint state (typically a `&mut` chunk or partial slot).
 fn run_jobs<T, F>(jobs: Vec<T>, f: F)
@@ -102,7 +97,6 @@ where
     T: Send,
     F: Fn(T) + Sync,
 {
-    #[cfg(feature = "parallel")]
     if jobs.len() > 1 {
         let threads = current_num_threads().min(jobs.len());
         if threads > 1 {
@@ -204,29 +198,6 @@ where
     update_slice(out, |i, slot| *slot = f(i));
 }
 
-/// Deterministic sum of `f(i)` for `i in 0..len`: fixed chunks, partials
-/// combined in chunk order. Identical at every thread count.
-pub fn sum_indexed<F>(len: usize, f: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    if len == 0 {
-        return 0.0;
-    }
-    let cs = chunk_size(len);
-    let n_chunks = len.div_ceil(cs);
-    let mut partials = vec![0.0f64; n_chunks];
-    let jobs: Vec<(usize, &mut f64)> = partials.iter_mut().enumerate().collect();
-    run_jobs(jobs, |(ci, slot)| {
-        let mut acc = 0.0;
-        for i in ci * cs..((ci + 1) * cs).min(len) {
-            acc += f(i);
-        }
-        *slot = acc;
-    });
-    partials.into_iter().sum()
-}
-
 /// Deterministic sum of `f(job)` over a fixed job list, one partial per
 /// job, combined in job order. The caller fixes the job boundaries (e.g.
 /// via [`balanced_ranges`]) so the grouping is independent of thread count.
@@ -241,21 +212,13 @@ where
     partials.into_iter().sum()
 }
 
-/// [`sum_jobs`] specialized to index ranges.
-pub fn sum_ranges<F>(ranges: Vec<Range<usize>>, f: F) -> f64
-where
-    F: Fn(Range<usize>) -> f64 + Sync,
-{
-    sum_jobs(ranges, f)
-}
-
 /// Deterministic sum of `f(u, v)` over all pairs `u < v < n`, chunked by
 /// row ranges; within a chunk pairs are visited in `(u asc, v asc)` order.
 pub fn sum_pairs<F>(n: usize, f: F) -> f64
 where
     F: Fn(usize, usize) -> f64 + Sync,
 {
-    sum_ranges(row_ranges(n), |rows| {
+    sum_jobs(row_ranges(n), |rows| {
         let mut acc = 0.0;
         for u in rows {
             for v in u + 1..n {
@@ -450,40 +413,6 @@ where
     best
 }
 
-/// The index minimizing `key(i)` over `i in 0..len`, skipping indices where
-/// `key` returns `None`; earliest index on ties — exactly the result of a
-/// serial strict-`<` scan.
-pub fn arg_min_by<F>(len: usize, key: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> Option<f64> + Sync,
-{
-    if len == 0 {
-        return None;
-    }
-    let cs = chunk_size(len);
-    let n_chunks = len.div_ceil(cs);
-    let mut partials: Vec<Option<(usize, f64)>> = vec![None; n_chunks];
-    let jobs: Vec<(usize, &mut Option<(usize, f64)>)> = partials.iter_mut().enumerate().collect();
-    run_jobs(jobs, |(ci, slot)| {
-        let mut best: Option<(usize, f64)> = None;
-        for i in ci * cs..((ci + 1) * cs).min(len) {
-            if let Some(k) = key(i) {
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        *slot = best;
-    });
-    let mut best: Option<(usize, f64)> = None;
-    for candidate in partials.into_iter().flatten() {
-        if best.is_none_or(|(_, bk)| candidate.1 < bk) {
-            best = Some(candidate);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,11 +428,6 @@ mod tests {
 
     #[test]
     fn sums_identical_across_thread_counts() {
-        let f = |i: usize| ((i * 2654435761) % 1000) as f64 / 997.0;
-        let one = with_num_threads(1, || sum_indexed(100_000, f));
-        let four = with_num_threads(4, || sum_indexed(100_000, f));
-        assert_eq!(one.to_bits(), four.to_bits());
-
         let g = |u: usize, v: usize| ((u * 31 + v * 17) % 101) as f64 / 101.0;
         let one = with_num_threads(1, || sum_pairs(700, g));
         let four = with_num_threads(4, || sum_pairs(700, g));
@@ -525,29 +449,6 @@ mod tests {
         };
         assert_eq!(max_pair(5000, f), Some((target.0, target.1, 2.0)));
         assert_eq!(max_pair(1, |_, _| 1.0), None);
-    }
-
-    #[test]
-    fn arg_min_skips_filtered_and_takes_earliest() {
-        let key = |i: usize| {
-            if i.is_multiple_of(2) {
-                None
-            } else {
-                Some(((i * 7) % 13) as f64)
-            }
-        };
-        // Serial reference.
-        let mut expected: Option<(usize, f64)> = None;
-        for i in 0..50_000 {
-            if let Some(k) = key(i) {
-                if expected.is_none_or(|(_, bk)| k < bk) {
-                    expected = Some((i, k));
-                }
-            }
-        }
-        assert_eq!(with_num_threads(4, || arg_min_by(50_000, key)), expected);
-        assert_eq!(arg_min_by(10, |_| None), None);
-        assert_eq!(arg_min_by(0, |_| Some(0.0)), None);
     }
 
     #[test]
@@ -628,12 +529,7 @@ mod tests {
     #[test]
     fn override_is_scoped_and_restored() {
         let outer = current_num_threads();
-        let inner = with_num_threads(3, current_num_threads);
-        if cfg!(feature = "parallel") {
-            assert_eq!(inner, 3);
-        } else {
-            assert_eq!(inner, 1);
-        }
+        assert_eq!(with_num_threads(3, current_num_threads), 3);
         assert_eq!(current_num_threads(), outer);
     }
 }

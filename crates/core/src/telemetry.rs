@@ -6,8 +6,8 @@
 //!
 //! * **Spans and events** — [`crate::span!`] opens a named, field-carrying
 //!   span whose guard reports its wall-clock duration when dropped;
-//!   [`crate::event!`] (and the [`crate::info!`] / [`crate::warn!`] /
-//!   [`crate::debug!`] / [`crate::trace!`] shorthands) emit leveled
+//!   [`crate::event!`] (and the [`crate::info!`] / [`crate::warn!`]
+//!   shorthands) emit leveled
 //!   one-shot events. Both are recorded by a pluggable [`Collector`]
 //!   installed process-wide with [`install_collector`]. When no collector
 //!   is installed the macros cost one relaxed atomic load and a branch —
@@ -411,12 +411,6 @@ macro_rules! event {
     };
 }
 
-/// [`crate::event!`] at [`Level::Error`].
-#[macro_export]
-macro_rules! error_event {
-    ($($tt:tt)*) => { $crate::event!($crate::telemetry::Level::Error, $($tt)*) };
-}
-
 /// [`crate::event!`] at [`Level::Warn`].
 #[macro_export]
 macro_rules! warn {
@@ -427,18 +421,6 @@ macro_rules! warn {
 #[macro_export]
 macro_rules! info {
     ($($tt:tt)*) => { $crate::event!($crate::telemetry::Level::Info, $($tt)*) };
-}
-
-/// [`crate::event!`] at [`Level::Debug`].
-#[macro_export]
-macro_rules! debug {
-    ($($tt:tt)*) => { $crate::event!($crate::telemetry::Level::Debug, $($tt)*) };
-}
-
-/// [`crate::event!`] at [`Level::Trace`].
-#[macro_export]
-macro_rules! trace {
-    ($($tt:tt)*) => { $crate::event!($crate::telemetry::Level::Trace, $($tt)*) };
 }
 
 // ---------------------------------------------------------------------------
@@ -1759,63 +1741,6 @@ impl Collector for TeeCollector {
     }
 }
 
-/// A collector that records everything into memory — the test double.
-#[derive(Debug, Default)]
-pub struct MemoryCollector {
-    records: Mutex<Vec<String>>,
-}
-
-impl MemoryCollector {
-    /// A fresh, empty collector.
-    pub fn new() -> MemoryCollector {
-        MemoryCollector::default()
-    }
-
-    /// Every record captured so far, formatted as
-    /// `event <level> <message>` / `span_start <name>` /
-    /// `span_end <name>`.
-    pub fn records(&self) -> Vec<String> {
-        self.records.lock().map(|r| r.clone()).unwrap_or_default()
-    }
-
-    fn push(&self, s: String) {
-        if let Ok(mut r) = self.records.lock() {
-            r.push(s);
-        }
-    }
-}
-
-impl Collector for MemoryCollector {
-    fn enabled(&self, _level: Level) -> bool {
-        true
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        self.push(format!(
-            "event {} {}{}",
-            event.level,
-            event.message,
-            fields_human(event.fields)
-        ));
-    }
-
-    fn span_start(&self, span: &SpanData) {
-        self.push(format!(
-            "span_start {}{}",
-            span.name,
-            fields_human(&span.fields)
-        ));
-    }
-
-    fn span_end(&self, span: &SpanData, _elapsed: Duration) {
-        self.push(format!(
-            "span_end {}{}",
-            span.name,
-            fields_human(&span.fields)
-        ));
-    }
-}
-
 /// Serializes the library tests that touch process-global state: those
 /// that flip the collector or the metrics switch, read global counter
 /// deltas. The rest of the suite runs in parallel threads.
@@ -1828,6 +1753,51 @@ pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records every span and event as one line: `event <level>
+    /// <message>`, `span_start <name>` or `span_end <name>`, each followed
+    /// by its fields.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<String>>);
+
+    impl Recorder {
+        fn records(&self) -> Vec<String> {
+            self.0.lock().map(|r| r.clone()).unwrap_or_default()
+        }
+
+        fn push(&self, s: String) {
+            if let Ok(mut r) = self.0.lock() {
+                r.push(s);
+            }
+        }
+    }
+
+    impl Collector for Recorder {
+        fn enabled(&self, _level: Level) -> bool {
+            true
+        }
+
+        fn event(&self, event: &Event<'_>) {
+            let fields = fields_human(event.fields);
+            self.push(format!("event {} {}{fields}", event.level, event.message));
+        }
+
+        fn span_start(&self, span: &SpanData) {
+            self.push(format!(
+                "span_start {}{}",
+                span.name,
+                fields_human(&span.fields)
+            ));
+        }
+
+        fn span_end(&self, span: &SpanData, _elapsed: Duration) {
+            self.push(format!(
+                "span_end {}{}",
+                span.name,
+                fields_human(&span.fields)
+            ));
+        }
+    }
 
     #[test]
     fn level_parsing_and_order() {
@@ -2017,9 +1987,9 @@ mod tests {
     }
 
     #[test]
-    fn memory_collector_captures_spans_and_events() {
+    fn collector_captures_spans_and_events() {
         let _guard = global_state_lock();
-        let collector = Arc::new(MemoryCollector::new());
+        let collector = Arc::new(Recorder::default());
         install_collector(collector.clone());
         {
             let _g = crate::span!("test_span", n = 3usize);
@@ -2113,7 +2083,7 @@ mod tests {
     #[test]
     fn heartbeat_emits_rate_limited_progress_events() {
         let _guard = global_state_lock();
-        let collector = Arc::new(MemoryCollector::new());
+        let collector = Arc::new(Recorder::default());
         install_collector(collector.clone());
         let clock = Clock::mock();
         let cadence = Cadence::with_clock(clock.clone(), Duration::from_millis(10));
@@ -2145,7 +2115,7 @@ mod tests {
     #[test]
     fn heartbeat_carries_budget_deadline() {
         let _guard = global_state_lock();
-        let collector = Arc::new(MemoryCollector::new());
+        let collector = Arc::new(Recorder::default());
         install_collector(collector.clone());
         let clock = Clock::mock();
         let budget = crate::robust::RunBudget::unlimited()
