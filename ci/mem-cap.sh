@@ -5,10 +5,13 @@
 # singletons, reads every distance through the lazy oracle — and its labels
 # must be byte-identical to an unconstrained run at 1, 2 and 4 threads.
 #
-# Second case, AGGLOMERATIVE at n = 3000, m = 10: the 18 MB of dense codes
-# fit 20-50 MB caps, but codes plus the 36 MB f64 linkage copy do not. Each
-# such run must take the SAMPLING rung (warning, sampled result, exit 0);
-# at 60 MB both fit and the labels must match the unconstrained run.
+# Second case, AGGLOMERATIVE at n = 3000, m = 10, whose linkage copy sits
+# next to 18 MB of dense codes. Total inputs keep an 18 MB copy of exact
+# u32 sums: 20-30 MB caps hold the codes but not codes + copy, so each such
+# run must take the SAMPLING rung (warning, sampled result, exit 0); at
+# 40-60 MB both fit and the labels must match the unconstrained run. The
+# same input with every 7th label missing under `--missing ignore` has no
+# exact scale and keeps the 36 MB f64 copy: 20-50 MB sample, 60 MB fits.
 #
 # The caller wraps this script in `timeout 600`.
 set -euo pipefail
@@ -105,44 +108,62 @@ awk 'BEGIN {
   }
 }' > "$WORK/agglo.csv"
 
-echo "== AGGLOMERATIVE reference (n = 3000, unconstrained) =="
-"$BIN" aggregate --input "$WORK/agglo.csv" --output "$WORK/agglo-ref.txt" --log-level error
+# The same labels with every 7th one written as `?`.
+awk -F, -v OFS=, '{
+  for (j = 1; j <= NF; j++) { if (++c % 7 == 0) $j = "?" }
+  print
+}' "$WORK/agglo.csv" > "$WORK/agglo-ignore.csv"
 
-for mb in 20 30 40 50; do
-    echo "== AGGLOMERATIVE capped (--mem-budget-mb $mb: codes fit, codes + copy do not) =="
-    "$BIN" aggregate --input "$WORK/agglo.csv" --mem-budget-mb "$mb" \
-        --output "$WORK/agglo-capped.txt" 2> "$WORK/agglo-capped.err" || {
-        echo "FAIL: capped AGGLOMERATIVE run exited $?"
-        cat "$WORK/agglo-capped.err"
-        exit 1
-    }
-    grep -q "degrading to SAMPLING" "$WORK/agglo-capped.err" || {
-        echo "FAIL: capped AGGLOMERATIVE run did not take the SAMPLING rung"
-        cat "$WORK/agglo-capped.err"
-        exit 1
-    }
-    grep -q "(sampled)" "$WORK/agglo-capped.err" || {
-        echo "FAIL: capped AGGLOMERATIVE run did not report a sampled result"
-        cat "$WORK/agglo-capped.err"
-        exit 1
-    }
-    [ "$(wc -l < "$WORK/agglo-capped.txt")" -eq 3000 ] || {
-        echo "FAIL: capped AGGLOMERATIVE run did not label every object"
-        exit 1
-    }
-    echo "OK: $mb MB samples with a warning and labels every object"
-done
+# agglo_window NAME CSV SAMPLE_CAPS DENSE_CAPS [ARGS...]: every cap in
+# SAMPLE_CAPS (MB) must take the SAMPLING rung, every cap in DENSE_CAPS
+# must run dense and write the unconstrained run's labels.
+agglo_window() {
+    local name=$1 csv=$2 sample_caps=$3 dense_caps=$4
+    shift 4
+    echo "== AGGLOMERATIVE reference ($name, n = 3000, unconstrained) =="
+    "$BIN" aggregate --input "$csv" "$@" --output "$WORK/agglo-ref.txt" --log-level error
 
-echo "== AGGLOMERATIVE capped (--mem-budget-mb 60: codes + copy fit) =="
-"$BIN" aggregate --input "$WORK/agglo.csv" --mem-budget-mb 60 \
-    --output "$WORK/agglo-capped.txt" 2> "$WORK/agglo-capped.err" || {
-    cat "$WORK/agglo-capped.err"
-    exit 1
+    for mb in $sample_caps; do
+        echo "== AGGLOMERATIVE capped ($name, --mem-budget-mb $mb: codes fit, codes + copy do not) =="
+        "$BIN" aggregate --input "$csv" "$@" --mem-budget-mb "$mb" \
+            --output "$WORK/agglo-capped.txt" 2> "$WORK/agglo-capped.err" || {
+            echo "FAIL: capped AGGLOMERATIVE run exited $?"
+            cat "$WORK/agglo-capped.err"
+            exit 1
+        }
+        grep -q "degrading to SAMPLING" "$WORK/agglo-capped.err" || {
+            echo "FAIL: capped AGGLOMERATIVE run did not take the SAMPLING rung"
+            cat "$WORK/agglo-capped.err"
+            exit 1
+        }
+        grep -q "(sampled)" "$WORK/agglo-capped.err" || {
+            echo "FAIL: capped AGGLOMERATIVE run did not report a sampled result"
+            cat "$WORK/agglo-capped.err"
+            exit 1
+        }
+        [ "$(wc -l < "$WORK/agglo-capped.txt")" -eq 3000 ] || {
+            echo "FAIL: capped AGGLOMERATIVE run did not label every object"
+            exit 1
+        }
+        echo "OK: $mb MB samples with a warning and labels every object"
+    done
+
+    for mb in $dense_caps; do
+        echo "== AGGLOMERATIVE capped ($name, --mem-budget-mb $mb: codes + copy fit) =="
+        "$BIN" aggregate --input "$csv" "$@" --mem-budget-mb "$mb" \
+            --output "$WORK/agglo-capped.txt" 2> "$WORK/agglo-capped.err" || {
+            cat "$WORK/agglo-capped.err"
+            exit 1
+        }
+        if grep -q "warning" "$WORK/agglo-capped.err"; then
+            echo "FAIL: a $mb MB AGGLOMERATIVE run degraded"
+            cat "$WORK/agglo-capped.err"
+            exit 1
+        fi
+        cmp "$WORK/agglo-ref.txt" "$WORK/agglo-capped.txt"
+        echo "OK: $mb MB labels are byte-identical to the unconstrained run"
+    done
 }
-if grep -q "warning" "$WORK/agglo-capped.err"; then
-    echo "FAIL: a 60 MB AGGLOMERATIVE run degraded"
-    cat "$WORK/agglo-capped.err"
-    exit 1
-fi
-cmp "$WORK/agglo-ref.txt" "$WORK/agglo-capped.txt"
-echo "OK: 60 MB labels are byte-identical to the unconstrained run"
+
+agglo_window "total inputs, u32 sums" "$WORK/agglo.csv" "20 30" "40 50 60"
+agglo_window "Ignore, f64 copy" "$WORK/agglo-ignore.csv" "20 30 40 50" "60" --missing ignore

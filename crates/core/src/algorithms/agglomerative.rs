@@ -12,7 +12,9 @@
 //! The implementation delegates to the shared nearest-neighbor-chain engine
 //! in [`crate::linkage`] (`O(n²)` time after the `O(n²)` matrix build),
 //! mathematically identical to the naive `O(n³)` greedy procedure because
-//! average linkage is reducible.
+//! average linkage is reducible. For total and `Coin(½)` inputs the engine
+//! works on exact integer pair sums, so ties and the ½ cut are decided
+//! without rounding.
 
 use crate::clustering::Clustering;
 use crate::error::AggResult;
@@ -86,9 +88,9 @@ pub fn agglomerative_budgeted<O: DistanceOracle + Sync + ?Sized>(
 /// [`agglomerative_budgeted`] with crash-safe checkpoint/resume.
 ///
 /// The distance matrix is rebuilt on every (re)start — it is derived data —
-/// and the recorded merges are *replayed* through the identical
-/// Lance–Williams update sequence, which reproduces the matrix state
-/// bit-for-bit before new merges continue (see
+/// and the recorded merges are *replayed* through the identical update
+/// sequence (exact sum additions, or Lance–Williams in `f64`), which
+/// reproduces the matrix state bit-for-bit before new merges continue (see
 /// [`crate::linkage::linkage_resumable`]). A snapshot inconsistent with
 /// this instance falls back to a fresh run.
 pub fn agglomerative_resumable<O: DistanceOracle + Sync + ?Sized>(
@@ -193,6 +195,33 @@ mod tests {
             },
         );
         assert_eq!(result, Clustering::singletons(6));
+    }
+
+    #[test]
+    fn an_average_of_exactly_one_half_is_not_merged() {
+        // {0, 1, 2} and {3, 4} are 9 separations over 3·2 pairs and 3
+        // inputs apart: an average of exactly ½, which the strict rule
+        // does not merge. Lance–Williams in f64 computes it one ulp below ½.
+        let oracle = DenseOracle::from_clusterings(&[
+            c(&[0, 1, 0, 1, 0, 1, 0]),
+            c(&[0, 0, 0, 1, 1, 0, 0]),
+            c(&[0, 0, 0, 0, 0, 1, 1]),
+        ]);
+        let result = agglomerative(&oracle, AgglomerativeParams::paper());
+        assert_eq!(result, c(&[0, 0, 0, 1, 1, 2, 2]));
+        let values = CondensedMatrix::from_fn(7, |u, v| oracle.dist(u, v));
+        let rounded = linkage_resumable(
+            values,
+            LinkageMethod::Average,
+            &RunBudget::unlimited(),
+            None,
+            None,
+        )
+        .0;
+        assert!(rounded
+            .merges()
+            .iter()
+            .any(|m| m.size == 5 && m.height < 0.5));
     }
 
     #[test]

@@ -400,19 +400,21 @@ impl ConsensusBuilder {
 
         let mut warnings = Vec::new();
         // AGGLOMERATIVE is the one algorithm that cannot run from a lazy
-        // oracle: it merges in an `f64` working copy of the matrix, held
-        // next to the dense codes. Its rung is sized from both, here and
-        // only here; when they do not fit the cap, it degrades to SAMPLING
-        // with the sample clamped so *its* working copy fits what is left.
+        // oracle: it merges in a working copy of the matrix (`u32` sums or
+        // `f64` distances, `CondensedMatrix::bytes`), held next to the dense
+        // codes. Its rung is sized from both, here and only here; when they
+        // do not fit the cap, it degrades to SAMPLING with the sample
+        // clamped so *its* working copy fits what is left.
         if matches!(self.algorithm, Algorithm::Agglomerative(_)) && !self.prefer_exact {
             if let Some(limit) = self.budget.mem_limit_bytes() {
                 let lazy = instance.lazy_oracle();
-                let requested = lazy.dense_bytes() + CondensedMatrix::bytes(n);
+                let scale = lazy.exact_scale();
+                let requested = lazy.dense_bytes() + CondensedMatrix::bytes(n, scale);
                 let headroom = limit.saturating_sub(self.budget.mem_gauge().used_bytes());
                 if requested > headroom {
                     let s = self
                         .sample_size
-                        .min(largest_sample_within(headroom))
+                        .min(largest_sample_within(headroom, scale))
                         .clamp(2, n.max(2));
                     push_warning(
                         &mut warnings,
@@ -600,26 +602,25 @@ impl ConsensusBuilder {
     }
 }
 
-/// Largest sample size whose condensed `f64` distance matrix
-/// (`8·s(s−1)/2` bytes: AGGLOMERATIVE's working copy, more than the
-/// sample's `2s²`-byte dense codes) fits in `bytes`.
-fn largest_sample_within(bytes: u64) -> usize {
-    // Solve 4·s·(s−1) ≤ bytes: s ≤ (1 + √(1 + bytes))/2, then correct the
-    // float estimate exactly (checked arithmetic: `bytes` can approach
-    // u64::MAX when no cap is set, where 4·s² would overflow).
-    let fits = |s: u64| {
-        s.checked_mul(s.saturating_sub(1))
-            .and_then(|p| p.checked_mul(4))
-            .is_some_and(|b| b <= bytes)
-    };
-    let mut s = ((1.0 + (1.0 + bytes as f64).sqrt()) / 2.0).floor() as u64;
-    while s > 0 && !fits(s) {
-        s -= 1;
+/// Largest sample size whose AGGLOMERATIVE working copy
+/// ([`CondensedMatrix::bytes`] at the oracle's exact `scale`) fits in
+/// `bytes`. The copy, not the sample's dense codes, is what the budget
+/// charges. A copy only grows with the sample size, so a binary search
+/// finds the size exactly.
+fn largest_sample_within(bytes: u64, scale: Option<u32>) -> usize {
+    let fits =
+        |s: u64| CondensedMatrix::bytes(usize::try_from(s).unwrap_or(usize::MAX), scale) <= bytes;
+    // At least 4 bytes per pair: 2·s·(s−1) ≤ bytes bounds s by √bytes + 1.
+    let (mut lo, mut hi) = (1u64, (bytes as f64).sqrt() as u64 + 2);
+    while lo + 1 < hi {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
     }
-    while fits(s + 1) {
-        s += 1;
-    }
-    usize::try_from(s).unwrap_or(usize::MAX)
+    usize::try_from(lo).unwrap_or(usize::MAX)
 }
 
 /// One-call consensus with the default pipeline
@@ -864,13 +865,14 @@ mod tests {
             "{:?}",
             capped.warnings
         );
-        // 2000 bytes → largest sample s with 4s(s−1) ≤ 2000 is 22; the
-        // sample matrix must have been admitted under the cap.
-        assert!(capped.warnings[0].to_string().contains("sample size 22"));
+        // Total inputs keep 4-byte sums: 2000 bytes → largest sample s
+        // with 2s(s−1) ≤ 2000 is 32; the sample matrix must have been
+        // admitted under the cap.
+        assert!(capped.warnings[0].to_string().contains("sample size 32"));
         assert!(matches!(
             capped.warnings[0],
             Warning::MemoryDegradedToSampling {
-                sample_size: 22,
+                sample_size: 32,
                 ..
             }
         ));
@@ -878,12 +880,27 @@ mod tests {
 
     #[test]
     fn largest_sample_within_is_exact() {
-        assert_eq!(largest_sample_within(0), 1);
-        assert_eq!(largest_sample_within(7), 1);
-        assert_eq!(largest_sample_within(8), 2);
-        assert_eq!(largest_sample_within(2_000), 22);
+        // `f64` copies: 8 bytes per pair.
+        assert_eq!(largest_sample_within(0, None), 1);
+        assert_eq!(largest_sample_within(7, None), 1);
+        assert_eq!(largest_sample_within(8, None), 2);
+        assert_eq!(largest_sample_within(2_000, None), 22);
+        // `u32` sums: 4 bytes per pair.
+        assert_eq!(largest_sample_within(3, Some(10)), 1);
+        assert_eq!(largest_sample_within(4, Some(10)), 2);
+        assert_eq!(largest_sample_within(2_000, Some(10)), 32);
+        // Past the sums' `u32` bound the copy takes 8 bytes per pair again:
+        // at den = 2⁶ sums fit up to 16 383 objects (64·8 191·8 192 < 2³²).
+        let at_bound = CondensedMatrix::bytes(16_383, Some(64));
+        assert_eq!(at_bound, 4 * 16_383 * 16_382 / 2);
+        assert_eq!(largest_sample_within(at_bound, Some(64)), 16_383);
+        let past = CondensedMatrix::bytes(16_384, Some(64));
+        assert_eq!(past, 8 * 16_384 * 16_383 / 2);
+        assert_eq!(largest_sample_within(past - 1, Some(64)), 16_383);
+        assert_eq!(largest_sample_within(past, Some(64)), 16_384);
         // Never panics or overflows at the extremes.
-        assert!(largest_sample_within(u64::MAX) > 1_000_000);
+        assert!(largest_sample_within(u64::MAX, None) > 1_000_000);
+        assert!(largest_sample_within(u64::MAX, Some(10)) > 1_000_000);
     }
 
     #[test]
@@ -1181,8 +1198,9 @@ mod tests {
     }
 
     /// [`shifted_inputs`]' AGGLOMERATIVE footprint: 12 840 bytes of codes
-    /// plus the 8·80·79/2 = 25 280-byte `f64` working copy.
-    const AGGLOMERATIVE_BYTES: u64 = 12_840 + 25_280;
+    /// plus the 4·80·79/2 = 12 640-byte working copy of `u32` sums (the
+    /// inputs are total, so every distance is an exact multiple of ¼).
+    const AGGLOMERATIVE_BYTES: u64 = 12_840 + 12_640;
 
     #[test]
     fn agglomerative_degrades_to_sampling_when_the_codes_fit_but_the_copy_does_not() {
@@ -1196,13 +1214,13 @@ mod tests {
             .budget(budget.clone())
             .try_aggregate(&shifted_inputs())
             .unwrap();
-        // 4·s·(s−1) ≤ 20 000 → s = 71.
+        // 2·s·(s−1) ≤ 20 000 → s = 100, clamped to the 80 objects.
         assert_eq!(
             capped.warnings,
             vec![Warning::MemoryDegradedToSampling {
                 requested: AGGLOMERATIVE_BYTES,
                 limit,
-                sample_size: 71,
+                sample_size: 80,
             }]
         );
         assert!(capped.sampled);

@@ -17,6 +17,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::clustering::{Clustering, PartialClustering};
@@ -122,6 +123,22 @@ pub trait DistanceOracle {
         accumulate_each(self, v, labels, sums)
     }
 
+    /// The integer `den` for which every distance is exactly `k/den` with
+    /// an integer `k`: `dist` returns the `f64` nearest to `k/den`, so
+    /// `(dist·den).round()` recovers `k` and sums of distances can be kept
+    /// exactly as integers. `None` unless the oracle has proven its scale.
+    fn exact_scale(&self) -> Option<u32> {
+        None
+    }
+
+    /// Write `round(den·X_uv)` for every `v` in `vs` to `out`: the exact
+    /// numerators of row `u`'s distances when `den` is this oracle's
+    /// [`DistanceOracle::exact_scale`]. An override must write the same
+    /// values as this per-pair loop.
+    fn numerators_into(&self, u: usize, vs: Range<usize>, den: u32, out: &mut [u32]) {
+        numerators_each(self, u, vs, den, out);
+    }
+
     /// Materialize into a [`DenseOracle`] (no-op cost model for algorithms
     /// that touch all pairs anyway). Pairs are evaluated in parallel when
     /// more than one thread is available, and their values coded in
@@ -156,6 +173,38 @@ pub(crate) fn condensed_index(n: usize, u: usize, v: usize) -> usize {
 /// distinct values keeps the values themselves.
 pub const MAX_DISTANCE_CODES: usize = 1 << 16;
 
+/// `k` with `x` the `f64` nearest to `k/den`, or `None` when `x` is no such
+/// value.
+fn numerator(x: f64, den: u32) -> Option<u32> {
+    let den = f64::from(den);
+    let k = (x * den).round();
+    ((k / den).to_bits() == x.to_bits()).then_some(k as u32)
+}
+
+/// The proven scale of a code table: every entry is the `f64` nearest to
+/// `nums[code] / den`.
+#[derive(Clone, Debug)]
+struct Scale {
+    den: u32,
+    nums: Vec<u32>,
+}
+
+impl Scale {
+    /// The scale of a code table built from `m` clusterings: `den = m`
+    /// (total inputs), else `den = 2m` (`Coin(½)`), kept only if every
+    /// entry passes the [`numerator`] check.
+    fn of(table: &[f64], m: usize) -> Option<Scale> {
+        [m, 2 * m].into_iter().find_map(|den| {
+            let den = u32::try_from(den).ok()?;
+            let nums = table
+                .iter()
+                .map(|&x| numerator(x, den))
+                .collect::<Option<_>>()?;
+            Some(Scale { den, nums })
+        })
+    }
+}
+
 /// The per-element [`DistanceOracle::accumulate_row`]: one `dist` per
 /// `u ≠ v`, in ascending `u`.
 fn accumulate_each<O: DistanceOracle + ?Sized>(
@@ -173,6 +222,19 @@ fn accumulate_each<O: DistanceOracle + ?Sized>(
         }
     }
     total
+}
+
+/// The per-pair [`DistanceOracle::numerators_into`]: one `dist` per `v`.
+fn numerators_each<O: DistanceOracle + ?Sized>(
+    oracle: &O,
+    u: usize,
+    vs: Range<usize>,
+    den: u32,
+    out: &mut [u32],
+) {
+    for (out, v) in out.iter_mut().zip(vs) {
+        *out = (oracle.dist(u, v) * f64::from(den)).round() as u32;
+    }
 }
 
 /// The per-pair [`DistanceOracle::restrict`]: the subset's distances
@@ -236,6 +298,9 @@ pub struct DenseOracle {
     codes: Vec<u16>,
     table: Vec<f64>,
     values: Vec<f64>,
+    // Set on coded matrices built from clusterings whose table entries are
+    // all exact fractions `k/den`.
+    scale: Option<Scale>,
     m: Option<usize>,
     // Keeps the matrix's bytes on the owning budget's MemGauge for as long
     // as the oracle lives; None for ungoverned constructions.
@@ -255,6 +320,7 @@ impl DenseOracle {
             codes,
             table,
             values: Vec::new(),
+            scale: None,
             m: None,
             charge: None,
         }
@@ -267,6 +333,7 @@ impl DenseOracle {
             codes: Vec::new(),
             table: Vec::new(),
             values,
+            scale: None,
             m: None,
             charge: None,
         }
@@ -558,6 +625,12 @@ impl DenseOracle {
         Self::from_condensed(n, values).with_num_clusterings(Some(clusterings.len()))
     }
 
+    /// Tag a coded matrix with the proven scale of its table.
+    fn with_scale(mut self, scale: Option<Scale>) -> Self {
+        self.scale = scale;
+        self
+    }
+
     /// Tag the oracle with the number of source clusterings.
     pub fn with_num_clusterings(mut self, m: Option<usize>) -> Self {
         self.m = m;
@@ -574,7 +647,7 @@ impl DenseOracle {
     /// Mutable access to one entry (test/bench construction helper). A
     /// value the matrix has not held before gets the next free code; past
     /// [`MAX_DISTANCE_CODES`] distinct values the matrix keeps its values
-    /// instead.
+    /// instead. A value new to the matrix drops its exact scale.
     ///
     /// # Panics
     /// Panics if `u == v` or `d` is not in `[0, 1]`.
@@ -588,6 +661,9 @@ impl DenseOracle {
                 let code = found.unwrap_or(self.table.len()) as u16;
                 if found.is_none() {
                     self.table.push(d);
+                    // A table built from clusterings already codes every
+                    // `k/den` in [0, 1], so a new value is never one.
+                    self.scale = None;
                 }
                 self.codes[u * n + v] = code;
                 self.codes[v * n + u] = code;
@@ -599,6 +675,7 @@ impl DenseOracle {
                 .collect();
             self.codes = Vec::new();
             self.table = Vec::new();
+            self.scale = None;
         }
         self.values[condensed_index(n, u.min(v), u.max(v))] = d;
     }
@@ -669,6 +746,27 @@ impl DistanceOracle for DenseOracle {
         total
     }
 
+    fn exact_scale(&self) -> Option<u32> {
+        self.scale.as_ref().map(|scale| scale.den)
+    }
+
+    /// One contiguous slice of row `u`'s codes, decoded through the
+    /// code → numerator table. Counts one dense read per pair.
+    fn numerators_into(&self, u: usize, vs: Range<usize>, den: u32, out: &mut [u32]) {
+        match &self.scale {
+            Some(scale) if scale.den == den => {
+                crate::telemetry::metrics()
+                    .oracle_dense_evals
+                    .add_if_enabled(out.len() as u64);
+                let row = &self.codes[u * self.n..(u + 1) * self.n];
+                for (out, &code) in out.iter_mut().zip(&row[vs]) {
+                    *out = scale.nums[usize::from(code)];
+                }
+            }
+            _ => numerators_each(self, u, vs, den, out),
+        }
+    }
+
     fn num_clusterings(&self) -> Option<usize> {
         self.m
     }
@@ -689,7 +787,9 @@ impl DistanceOracle for DenseOracle {
         crate::telemetry::metrics()
             .oracle_dense_evals
             .add_if_enabled((s * s.saturating_sub(1) / 2) as u64);
-        Self::coded(s, codes, self.table.clone()).with_num_clusterings(self.m)
+        Self::coded(s, codes, self.table.clone())
+            .with_scale(self.scale.clone())
+            .with_num_clusterings(self.m)
     }
 }
 
@@ -710,6 +810,9 @@ pub struct ClusteringsOracle {
     packed: LabelMatrix,
     // Some input lacks a label somewhere.
     partial: bool,
+    // The proven scale of the code table, shared by every dense matrix
+    // built from this oracle.
+    scale: Option<Scale>,
 }
 
 impl ClusteringsOracle {
@@ -727,15 +830,7 @@ impl ClusteringsOracle {
                 "coin probability {p} out of [0,1]"
             );
         }
-        let packed = LabelMatrix::from_partial(&clusterings);
-        let partial = clusterings.iter().any(|c| c.num_missing() > 0);
-        ClusteringsOracle {
-            clusterings,
-            n,
-            policy,
-            packed,
-            partial,
-        }
+        Self::assemble(clusterings, policy)
     }
 
     /// Validating variant of [`ClusteringsOracle::new`]: empty input,
@@ -754,15 +849,23 @@ impl ClusteringsOracle {
             )));
         }
         policy.validate()?;
-        let packed = LabelMatrix::from_partial(&clusterings);
-        let partial = clusterings.iter().any(|c| c.num_missing() > 0);
-        Ok(ClusteringsOracle {
+        Ok(Self::assemble(clusterings, policy))
+    }
+
+    /// The oracle over validated inputs: packs the labels and proves the
+    /// code table's scale once.
+    fn assemble(clusterings: Vec<PartialClustering>, policy: MissingPolicy) -> Self {
+        let mut oracle = ClusteringsOracle {
+            n: clusterings[0].len(),
+            packed: LabelMatrix::from_partial(&clusterings),
+            partial: clusterings.iter().any(|c| c.num_missing() > 0),
             clusterings,
-            n,
             policy,
-            packed,
-            partial,
-        })
+            scale: None,
+        };
+        let m = oracle.clusterings.len();
+        oracle.scale = oracle.code_table().and_then(|table| Scale::of(&table, m));
+        oracle
     }
 
     /// Build from total clusterings (no missing labels).
@@ -932,7 +1035,9 @@ impl ClusteringsOracle {
         let code = |sep, missing| self.code(sep, missing);
         let mut codes = self.try_fill_counts(Layout::Square, code, budget)?;
         mirror_upper(&mut codes, self.n);
-        Ok(DenseOracle::coded(self.n, codes, table).with_num_clusterings(m))
+        Ok(DenseOracle::coded(self.n, codes, table)
+            .with_scale(self.scale.clone())
+            .with_num_clusterings(m))
     }
 }
 
@@ -957,6 +1062,10 @@ impl DistanceOracle for ClusteringsOracle {
             .incr_if_enabled();
         let (sep, missing) = self.packed.sep_missing(u, v);
         self.xuv(sep, missing)
+    }
+
+    fn exact_scale(&self) -> Option<u32> {
+        self.scale.as_ref().map(|scale| scale.den)
     }
 
     fn num_clusterings(&self) -> Option<usize> {
@@ -1005,7 +1114,9 @@ impl DistanceOracle for ClusteringsOracle {
         // An unlimited budget never trips.
         let mut codes = fill.unwrap_or_default();
         mirror_upper(&mut codes, s);
-        DenseOracle::coded(s, codes, table).with_num_clusterings(Some(self.clusterings.len()))
+        DenseOracle::coded(s, codes, table)
+            .with_scale(self.scale.clone())
+            .with_num_clusterings(Some(self.clusterings.len()))
     }
 }
 
@@ -1526,6 +1637,30 @@ mod tests {
             (7, 9) => 0.25,
             _ => before.dist(u, v),
         });
+    }
+
+    #[test]
+    fn the_exact_scale_survives_only_exact_edits() {
+        let inputs = [
+            c(&[0, 0, 1, 1, 2]),
+            c(&[0, 1, 1, 2, 2]),
+            c(&[0, 0, 0, 1, 1]),
+        ];
+        let mut oracle = DenseOracle::from_clusterings(&inputs);
+        assert_eq!(oracle.exact_scale(), Some(3));
+        assert_eq!(oracle.restrict(&[4, 0, 2]).exact_scale(), Some(3));
+        // Another multiple of ⅓ keeps the scale and decodes to its
+        // numerator; a value new to the table drops it.
+        oracle.set(0, 4, 1.0 / 3.0);
+        assert_eq!(oracle.exact_scale(), Some(3));
+        let mut nums = [0u32; 5];
+        oracle.numerators_into(0, 0..5, 3, &mut nums);
+        assert_eq!(nums, [0, 1, 2, 3, 1]);
+        oracle.set(0, 1, 0.25);
+        assert_eq!(oracle.exact_scale(), None);
+        assert_eq!(oracle.restrict(&[0, 1]).exact_scale(), None);
+        // Matrices of caller values never claim a scale.
+        assert_eq!(DenseOracle::from_fn(3, |_, _| 0.5).exact_scale(), None);
     }
 
     #[test]

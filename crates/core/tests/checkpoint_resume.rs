@@ -19,7 +19,7 @@ use aggclust_core::algorithms::{
 };
 use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::cost::correlation_cost;
-use aggclust_core::instance::{CorrelationInstance, DenseOracle, MissingPolicy};
+use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
 use aggclust_core::robust::Interrupt;
 use aggclust_core::snapshot::{load_snapshot, AlgorithmSnapshot, Checkpointer, SnapshotLoad};
 use aggclust_core::{RunBudget, RunOutcome};
@@ -86,6 +86,17 @@ fn clusterings_strategy() -> impl Strategy<Value = Vec<Clustering>> {
     })
 }
 
+/// Partial inputs: about one label in five missing.
+fn partial_strategy() -> impl Strategy<Value = Vec<PartialClustering>> {
+    (6usize..32).prop_flat_map(|n| {
+        prop::collection::vec(
+            prop::collection::vec(prop::option::weighted(0.8, 0u32..4), n)
+                .prop_map(PartialClustering::from_labels),
+            2..5,
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -135,6 +146,37 @@ proptest! {
             .run_budgeted(&oracle, &RunBudget::unlimited())
             .expect("reference");
         let dir = temp_dir("agg");
+        let resumed = interrupt_then_resume(
+            &algorithm,
+            &oracle,
+            cap,
+            Duration::from_millis(cadence_ms),
+            &dir,
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(&resumed.clustering, &reference.clustering);
+        prop_assert_eq!(
+            correlation_cost(&oracle, &resumed.clustering).to_bits(),
+            correlation_cost(&oracle, &reference.clustering).to_bits()
+        );
+    }
+
+    /// `Coin(½)` partial inputs merge on exact `u32` sums at scale 2m;
+    /// the replay after a resume must add them back to the same state.
+    #[test]
+    fn agglomerative_coin_half_interrupt_at_k_resume_is_bit_identical(
+        inputs in partial_strategy(),
+        cap in 0u64..40,
+        cadence_ms in 0u64..2,
+    ) {
+        let oracle = CorrelationInstance::from_partial(inputs, MissingPolicy::Coin(0.5))
+            .dense_oracle();
+        prop_assert!(oracle.exact_scale().is_some());
+        let algorithm = Algorithm::Agglomerative(AgglomerativeParams::default());
+        let reference = algorithm
+            .run_budgeted(&oracle, &RunBudget::unlimited())
+            .expect("reference");
+        let dir = temp_dir("agg_coin");
         let resumed = interrupt_then_resume(
             &algorithm,
             &oracle,
