@@ -74,59 +74,66 @@ impl From<CsvError> for aggclust_core::AggError {
 /// Parse a label matrix: columns become [`PartialClustering`]s.
 ///
 /// `separator` is a single character (`,` for CSV, `\t` for TSV);
-/// `skip_header` drops the first non-empty line.
+/// `skip_header` drops the first non-empty line. Each cell is interned
+/// straight into its column's labels, so the only allocations that grow
+/// with the row count are the output columns themselves.
 pub fn parse_label_matrix(
     text: &str,
     separator: char,
     skip_header: bool,
 ) -> Result<Vec<PartialClustering>, CsvError> {
-    let mut rows: Vec<Vec<&str>> = Vec::new();
+    // At most one row per line.
+    let rows_hint = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    let mut interns: Vec<HashMap<&str, u32>> = Vec::new();
+    let mut columns: Vec<Vec<Option<u32>>> = Vec::new();
     let mut expected = None;
+    let mut header = skip_header;
+    let mut rows = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let fields: Vec<&str> = line.split(separator).map(str::trim).collect();
+        let found = line.split(separator).count();
         match expected {
-            None => expected = Some(fields.len()),
-            Some(e) if e != fields.len() => {
+            None => {
+                expected = Some(found);
+                interns = vec![HashMap::new(); found];
+                columns = (0..found).map(|_| Vec::with_capacity(rows_hint)).collect();
+            }
+            Some(e) if e != found => {
                 return Err(CsvError::Shape {
                     line: lineno + 1,
-                    column: e.min(fields.len()) + 1,
+                    column: e.min(found) + 1,
                     expected: e,
-                    found: fields.len(),
+                    found,
                 })
             }
             _ => {}
         }
-        rows.push(fields);
+        if header {
+            header = false;
+            continue;
+        }
+        rows += 1;
+        let cells = interns.iter_mut().zip(&mut columns);
+        for ((intern, labels), cell) in cells.zip(line.split(separator)) {
+            let cell = cell.trim();
+            labels.push(if cell == "?" || cell.is_empty() {
+                None
+            } else {
+                let next = intern.len() as u32;
+                Some(*intern.entry(cell).or_insert(next))
+            });
+        }
     }
-    if skip_header && !rows.is_empty() {
-        rows.remove(0);
-    }
-    if rows.is_empty() {
+    if rows == 0 {
         return Err(CsvError::Empty);
     }
-    let columns = rows[0].len();
-    let mut out = Vec::with_capacity(columns);
-    for col in 0..columns {
-        let mut intern: HashMap<&str, u32> = HashMap::new();
-        let labels: Vec<Option<u32>> = rows
-            .iter()
-            .map(|row| {
-                let cell = row[col];
-                if cell == "?" || cell.is_empty() {
-                    None
-                } else {
-                    let next = intern.len() as u32;
-                    Some(*intern.entry(cell).or_insert(next))
-                }
-            })
-            .collect();
-        out.push(PartialClustering::from_labels(labels));
-    }
-    Ok(out)
+    Ok(columns
+        .into_iter()
+        .map(PartialClustering::from_labels)
+        .collect())
 }
 
 /// Parse a single-column label file into a total clustering (for
@@ -144,10 +151,11 @@ pub fn parse_single_clustering(
 
 /// Render a clustering as one label per line.
 pub fn render_labels(c: &Clustering) -> String {
+    use std::fmt::Write;
     let mut out = String::with_capacity(c.len() * 4);
     for v in 0..c.len() {
-        out.push_str(&c.label(v).to_string());
-        out.push('\n');
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(out, "{}", c.label(v));
     }
     out
 }
@@ -173,6 +181,25 @@ mod tests {
         let text = "alg1,alg2\n0,0\n0,1\n";
         let cs = parse_label_matrix(text, ',', true).unwrap();
         assert_eq!(cs[0].len(), 2);
+    }
+
+    #[test]
+    fn a_skipped_header_still_sets_the_column_count() {
+        let err = parse_label_matrix("a,b,c\n0,1\n", ',', true).unwrap_err();
+        assert!(matches!(
+            err,
+            CsvError::Shape {
+                line: 2,
+                expected: 3,
+                found: 2,
+                ..
+            }
+        ));
+        let cs = parse_label_matrix("\n a , b \n\n x , ? \n y,z\n", ',', true).unwrap();
+        assert_eq!(cs.len(), 2);
+        assert_eq!(cs[0].len(), 2);
+        assert_eq!(cs[1].label(0), None);
+        assert_eq!(cs[1].label(1), Some(0));
     }
 
     #[test]

@@ -11,15 +11,18 @@
 //! 2. **Clustering**: run the base algorithm on the restricted instance.
 //! 3. **Post-processing**: every non-sampled node joins the sample cluster
 //!    of least cost — or becomes a singleton — using the same `M(v, C_i)`
-//!    bookkeeping as LOCALSEARCH. Because small clusters may be missed by
-//!    the sample, all singletons are then collected and aggregated once
-//!    more among themselves.
+//!    bookkeeping as LOCALSEARCH. Where the oracle offers
+//!    [`DistanceOracle::cluster_counts`] the sums come from per-cluster
+//!    label counts of the sample, in exact integers and without a pair
+//!    read (DESIGN §6). Because small clusters may be missed by the
+//!    sample, all singletons are then collected and aggregated once more
+//!    among themselves.
 
 use super::Algorithm;
 use crate::assign::ClusterAssigner;
 use crate::clustering::Clustering;
 use crate::error::AggResult;
-use crate::instance::DistanceOracle;
+use crate::instance::{ClusterCounts, DistanceOracle};
 use crate::robust::{RunBudget, RunOutcome, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, SamplingSnapshot};
 use crate::telemetry;
@@ -155,7 +158,7 @@ pub fn sampling_with_details<O: DistanceOracle + Sync>(
 
 /// Budgeted SAMPLING with anytime semantics. The base algorithm runs under
 /// the same budget in the sample phase and the singleton-recluster phase;
-/// the per-node assignment loop ticks once per node (each an `O(s)` scan).
+/// the per-node assignment loop ticks once per node.
 /// On a trip mid-assignment the remaining nodes become fresh singletons and
 /// the recluster pass is skipped; statuses from the phases combine to the
 /// worst one observed.
@@ -287,6 +290,9 @@ fn run<O: DistanceOracle + Sync>(
     let assigner = ClusterAssigner::new(Clustering::from_labels(sample_labels.clone()));
     let ell = assigner.reference().num_clusters();
     let t1 = Instant::now();
+    let path = AssignPath::of(oracle, &sample, &sample_labels);
+    let assign_span = crate::span!("sampling_assign", path = path.name());
+    let mut numerators = vec![0i64; ell];
     let mut next_label = labels
         .iter()
         .filter(|&&l| l != u32::MAX)
@@ -330,7 +336,22 @@ fn run<O: DistanceOracle + Sync>(
             }
             break;
         }
-        labels[v] = match assigner.assign(|si| oracle.dist(v, sample[si])) {
+        let decision = match &path {
+            AssignPath::Counts(counts) => {
+                counts.numerators_into(v, &mut numerators);
+                assigner.assign_exact(&numerators, counts.den())
+            }
+            &AssignPath::Pairs(den) => {
+                numerators.fill(0);
+                for (&u, &label) in sample.iter().zip(&sample_labels) {
+                    let x = oracle.dist(v, u);
+                    numerators[label as usize] += (x * f64::from(den)).round() as i64;
+                }
+                assigner.assign_exact(&numerators, den)
+            }
+            AssignPath::Values => assigner.assign(|si| oracle.dist(v, sample[si])),
+        };
+        labels[v] = match decision {
             Some(cluster) => cluster,
             None => {
                 let fresh = next_label;
@@ -354,6 +375,7 @@ fn run<O: DistanceOracle + Sync>(
             });
         }
     }
+    drop((path, assign_span));
     details.assign_time = t1.elapsed();
     iterations = iterations.saturating_add(meter.iterations());
 
@@ -392,6 +414,39 @@ fn run<O: DistanceOracle + Sync>(
         status,
         iterations,
     })
+}
+
+/// How phase 3 computes a node's per-cluster sums `M(v, Cᵢ)`. Every path
+/// makes the decision of [`ClusterAssigner`]; the first two make it in
+/// exact integers, so they agree with each other on every input.
+enum AssignPath<'a> {
+    /// Numerators from per-cluster label counts of the sample: no pair
+    /// reads (total and proven `Coin(p)` inputs on the lazy oracle).
+    Counts(ClusterCounts<'a>),
+    /// Numerators `round(den·X)` from one pair read per sample member (an
+    /// oracle with an exact scale `den` but no labels, e.g. a dense one).
+    Pairs(u32),
+    /// `f64` sums from one pair read per sample member (no exact scale).
+    Values,
+}
+
+impl<'a> AssignPath<'a> {
+    fn of<O: DistanceOracle>(oracle: &'a O, sample: &[usize], labels: &[u32]) -> Self {
+        match (oracle.cluster_counts(sample, labels), oracle.exact_scale()) {
+            (Some(counts), _) => AssignPath::Counts(counts),
+            (None, Some(den)) => AssignPath::Pairs(den),
+            (None, None) => AssignPath::Values,
+        }
+    }
+
+    /// The `path` field of the `sampling_assign` span.
+    fn name(&self) -> &'static str {
+        match self {
+            AssignPath::Counts(_) => "counts",
+            AssignPath::Pairs(_) => "pairs",
+            AssignPath::Values => "f64",
+        }
+    }
 }
 
 /// `true` when `labels` number their clusters `0, 1, 2, …` in order of

@@ -83,33 +83,36 @@ impl ClusterAssigner {
         }
     }
 
-    /// Assign a batch of objects given a distance matrix accessor
-    /// `dist(new_index, reference_index)`. Returns one decision per object.
-    pub fn assign_batch(
-        &self,
-        count: usize,
-        dist: &dyn Fn(usize, usize) -> f64,
-    ) -> Vec<Option<u32>> {
-        (0..count).map(|i| self.assign(|u| dist(i, u))).collect()
-    }
-
-    /// Extend the reference clustering with a batch of new objects: joined
-    /// objects take their cluster's label, singletons get fresh labels.
-    /// Returns the combined clustering over `reference().len() + count`
-    /// objects (reference objects first).
-    pub fn extend(&self, count: usize, dist: &dyn Fn(usize, usize) -> f64) -> Clustering {
-        let mut labels: Vec<u32> = self.reference.labels().to_vec();
-        let mut next = self.reference.num_clusters() as u32;
-        for decision in self.assign_batch(count, dist) {
-            match decision {
-                Some(l) => labels.push(l),
-                None => {
-                    labels.push(next);
-                    next += 1;
-                }
+    /// [`ClusterAssigner::assign`] in exact integers. `numerators[i]` must
+    /// be `Σ_{u ∈ Cᵢ} den·X_u` for reference cluster `i`, where every
+    /// distance `X_u` is an exact multiple of `1/den` (an oracle's
+    /// [`crate::instance::DistanceOracle::exact_scale`]). The costs of
+    /// [`ClusterAssigner::assign`] scaled by `den` are then integers,
+    /// compared with the same tie rules and no rounding.
+    pub fn assign_exact(&self, numerators: &[i64], den: u32) -> Option<u32> {
+        let s = self.reference.len() as i64;
+        if s == 0 {
+            return None;
+        }
+        let den = i64::from(den);
+        let total: i64 = numerators.iter().sum();
+        // den·cost(join Cᵢ) = 2·Nᵢ − N_T + den·(s − |Cᵢ|);
+        // den·cost(singleton) = den·s − N_T.
+        let singleton = den * s - total;
+        let mut best = i64::MAX;
+        let mut best_i = None;
+        for (i, (&n_i, &size)) in numerators.iter().zip(&self.cluster_sizes).enumerate() {
+            let c = 2 * n_i - total + den * (s - size as i64);
+            if c < best {
+                best = c;
+                best_i = Some(i as u32);
             }
         }
-        Clustering::from_labels(labels)
+        if singleton < best {
+            None
+        } else {
+            best_i
+        }
     }
 }
 
@@ -186,23 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_builds_the_combined_clustering() {
-        let reference = Clustering::from_labels(vec![0, 0, 1]);
-        let assigner = ClusterAssigner::new(reference);
-        // Two new objects: one near cluster 0, one far from everything.
-        let dist = |i: usize, u: usize| match (i, u) {
-            (0, 0) | (0, 1) => 0.0,
-            (0, _) => 1.0,
-            (1, _) => 1.0,
-            _ => unreachable!(),
-        };
-        let combined = assigner.extend(2, &dist);
-        assert_eq!(combined.len(), 5);
-        assert!(combined.same_cluster(0, 3));
-        assert_eq!(combined.cluster_sizes()[combined.label(4) as usize], 1);
-    }
-
-    #[test]
     fn equally_cheap_clusters_tie_toward_the_lowest_label() {
         // Every reference object is equally close, so joining either
         // cluster of two costs the same; the lower label wins, whichever
@@ -217,5 +203,42 @@ mod tests {
     fn empty_reference() {
         let assigner = ClusterAssigner::new(Clustering::from_labels(vec![]));
         assert_eq!(assigner.assign(|_| 0.0), None);
+        assert_eq!(assigner.assign_exact(&[], 4), None);
+    }
+
+    #[test]
+    fn exact_decision_matches_the_f64_one_where_sums_are_exact() {
+        // Quarters sum exactly in f64, so both decisions see the same
+        // costs, ties included.
+        let reference = Clustering::from_labels(vec![0, 0, 1, 1, 2, 0]);
+        let assigner = ClusterAssigner::new(reference.clone());
+        let mut seed = 7u64;
+        for _ in 0..500 {
+            let nums: Vec<u32> = (0..6)
+                .map(|_| {
+                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (seed >> 61) as u32 % 5
+                })
+                .collect();
+            let mut sums = vec![0i64; 3];
+            for (u, &k) in nums.iter().enumerate() {
+                sums[reference.label(u) as usize] += i64::from(k);
+            }
+            assert_eq!(
+                assigner.assign_exact(&sums, 4),
+                assigner.assign(|u| f64::from(nums[u]) / 4.0),
+                "{nums:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_ties_join_and_prefer_the_lowest_label() {
+        let assigner = ClusterAssigner::new(Clustering::from_labels(vec![0, 0, 1, 1]));
+        // Every distance ½ (numerator 1 of den 2): joining ties with the
+        // singleton, and the two clusters tie with each other.
+        assert_eq!(assigner.assign_exact(&[2, 2], 2), Some(0));
+        // Every distance 1: the singleton is strictly cheaper.
+        assert_eq!(assigner.assign_exact(&[4, 4], 2), None);
     }
 }

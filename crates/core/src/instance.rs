@@ -139,6 +139,17 @@ pub trait DistanceOracle {
         numerators_each(self, u, vs, den, out);
     }
 
+    /// Per-cluster label counts of `members`, member `i` in cluster
+    /// `labels[i]` (clusters numbered from 0), from which
+    /// [`ClusterCounts::numerators_into`] gives any non-member's exact
+    /// per-cluster numerators `Σ_{u ∈ C} round(den·X_vu)` without reading a
+    /// pair. `None` unless the oracle holds the input labels, has an
+    /// [`DistanceOracle::exact_scale`] and its distance is linear in the
+    /// numbers of separating and missing inputs.
+    fn cluster_counts(&self, _members: &[usize], _labels: &[u32]) -> Option<ClusterCounts<'_>> {
+        None
+    }
+
     /// Materialize into a [`DenseOracle`] (no-op cost model for algorithms
     /// that touch all pairs anyway). Pairs are evaluated in parallel when
     /// more than one thread is available, and their values coded in
@@ -804,8 +815,9 @@ impl DistanceOracle for DenseOracle {
 /// instead of chasing `m` separate label vectors.
 #[derive(Clone, Debug)]
 pub struct ClusteringsOracle {
-    clusterings: Vec<PartialClustering>,
     n: usize,
+    // Number of input clusterings.
+    m: usize,
     policy: MissingPolicy,
     packed: LabelMatrix,
     // Some input lacks a label somewhere.
@@ -818,6 +830,12 @@ pub struct ClusteringsOracle {
 impl ClusteringsOracle {
     /// Build from partial clusterings with the given missing-value policy.
     pub fn new(clusterings: Vec<PartialClustering>, policy: MissingPolicy) -> Self {
+        Self::checked(&clusterings, policy)
+    }
+
+    /// [`ClusteringsOracle::new`] over borrowed inputs: the oracle keeps
+    /// their packed labels, not the inputs.
+    fn checked(clusterings: &[PartialClustering], policy: MissingPolicy) -> Self {
         assert!(!clusterings.is_empty(), "need at least one clustering");
         let n = clusterings[0].len();
         assert!(
@@ -849,21 +867,21 @@ impl ClusteringsOracle {
             )));
         }
         policy.validate()?;
-        Ok(Self::assemble(clusterings, policy))
+        Ok(Self::assemble(&clusterings, policy))
     }
 
     /// The oracle over validated inputs: packs the labels and proves the
     /// code table's scale once.
-    fn assemble(clusterings: Vec<PartialClustering>, policy: MissingPolicy) -> Self {
+    fn assemble(clusterings: &[PartialClustering], policy: MissingPolicy) -> Self {
+        let m = clusterings.len();
         let mut oracle = ClusteringsOracle {
             n: clusterings[0].len(),
-            packed: LabelMatrix::from_partial(&clusterings),
+            m,
+            packed: LabelMatrix::from_partial(clusterings),
             partial: clusterings.iter().any(|c| c.num_missing() > 0),
-            clusterings,
             policy,
             scale: None,
         };
-        let m = oracle.clusterings.len();
         oracle.scale = oracle.code_table().and_then(|table| Scale::of(&table, m));
         oracle
     }
@@ -877,11 +895,6 @@ impl ClusteringsOracle {
                 .collect(),
             MissingPolicy::default(),
         )
-    }
-
-    /// The input clusterings.
-    pub fn clusterings(&self) -> &[PartialClustering] {
-        &self.clusterings
     }
 
     /// The missing-value policy in effect.
@@ -906,7 +919,7 @@ impl ClusteringsOracle {
     /// 255 partial inputs) and the matrices hold `f64` values instead.
     /// The one place this is decided.
     fn code_count(&self) -> Option<usize> {
-        let m = self.clusterings.len();
+        let m = self.m;
         let count = if self.partial {
             (m + 1) * (m + 1)
         } else {
@@ -934,7 +947,7 @@ impl ClusteringsOracle {
     fn xuv(&self, sep: u32, missing: u32) -> f64 {
         match self.policy {
             MissingPolicy::Ignore => {
-                let defined = self.clusterings.len() - missing as usize;
+                let defined = self.m - missing as usize;
                 if defined == 0 {
                     0.5
                 } else {
@@ -946,7 +959,7 @@ impl ClusteringsOracle {
             // is accumulated in closed form (the canonical shape shared
             // with `kernels::reference::xuv_partial`).
             MissingPolicy::Coin(p) => {
-                (f64::from(sep) + f64::from(missing) * (1.0 - p)) / self.clusterings.len() as f64
+                (f64::from(sep) + f64::from(missing) * (1.0 - p)) / self.m as f64
             }
         }
     }
@@ -956,7 +969,7 @@ impl ClusteringsOracle {
     /// [`ClusteringsOracle::code_count`] is `Some`.
     #[inline]
     fn code(&self, sep: u32, missing: u32) -> u16 {
-        (missing * (self.clusterings.len() as u32 + 1) + sep) as u16
+        (missing * (self.m as u32 + 1) + sep) as u16
     }
 
     /// The code → `X_uv` table of this oracle's dense matrices, entry
@@ -964,10 +977,29 @@ impl ClusteringsOracle {
     /// missing)`; `None` when the codes do not fit. Code 0 (`sep = missing
     /// = 0`) is `0.0`.
     fn code_table(&self) -> Option<Vec<f64>> {
-        let per_missing = self.clusterings.len() as u32 + 1;
+        let per_missing = self.m as u32 + 1;
         let count = self.code_count()? as u32;
         let entries = (0..count).map(|code| self.xuv(code % per_missing, code / per_missing));
         Some(entries.collect())
+    }
+
+    /// `(den, w_sep, w_miss)` when every pair's numerator is exactly
+    /// `w_sep·sep + w_miss·missing` over the proven scale `den`: total
+    /// inputs, and `Coin(p)` inputs whose scale is proven (`Coin(½)` has
+    /// `den = 2m`, `w_sep = 2`, `w_miss = 1`). `Ignore` with missing labels
+    /// divides by a per-pair count of judging inputs, which no fixed
+    /// weights reproduce once two inputs can be missing.
+    fn lane_weights(&self) -> Option<(u32, u32, u32)> {
+        let scale = self.scale.as_ref()?;
+        let num = |sep, missing| scale.nums[usize::from(self.code(sep, missing))];
+        let m = self.m as u32;
+        let max_missing = if self.partial { m } else { 0 };
+        let w_sep = num(1, 0);
+        let w_miss = if self.partial { num(0, 1) } else { 0 };
+        let linear = (0..=max_missing).all(|missing| {
+            (0..=m - missing).all(|sep| num(sep, missing) == sep * w_sep + missing * w_miss)
+        });
+        linear.then_some((scale.den, w_sep, w_miss))
     }
 
     /// Every upper-triangle pair, written as `entry(sep, missing)` by
@@ -1026,7 +1058,7 @@ impl ClusteringsOracle {
     /// under `budget`, then mirrored onto the lower triangle — or its
     /// condensed values, when the codes do not fit.
     fn try_dense(&self, budget: &RunBudget) -> Result<DenseOracle, Interrupt> {
-        let m = Some(self.clusterings.len());
+        let m = Some(self.m);
         let Some(table) = self.code_table() else {
             let xuv = |sep, missing| self.xuv(sep, missing);
             let values = self.try_fill_counts(Layout::Condensed, xuv, budget)?;
@@ -1069,7 +1101,19 @@ impl DistanceOracle for ClusteringsOracle {
     }
 
     fn num_clusterings(&self) -> Option<usize> {
-        Some(self.clusterings.len())
+        Some(self.m)
+    }
+
+    fn cluster_counts(&self, members: &[usize], labels: &[u32]) -> Option<ClusterCounts<'_>> {
+        let (den, w_sep, w_miss) = self.lane_weights()?;
+        Some(ClusterCounts::new(
+            &self.packed,
+            members,
+            labels,
+            den,
+            w_sep,
+            w_miss,
+        ))
     }
 
     fn preferred_band(&self) -> usize {
@@ -1116,7 +1160,148 @@ impl DistanceOracle for ClusteringsOracle {
         mirror_upper(&mut codes, s);
         DenseOracle::coded(s, codes, table)
             .with_scale(self.scale.clone())
-            .with_num_clusterings(Some(self.clusterings.len()))
+            .with_num_clusterings(Some(self.m))
+    }
+}
+
+/// Per-cluster label counts of a fixed set of clustered members, built by
+/// [`DistanceOracle::cluster_counts`]: the exact numerators
+/// `N_C = Σ_{u ∈ C} den·X_vu` of any other object `v` come from `v`'s `m`
+/// labels instead of `|members|` pair reads.
+///
+/// Each input `j` splits cluster `C`'s members into those sharing `v`'s
+/// label (numerator 0), those missing a label (`w_miss` each) and the rest
+/// (`w_sep` each); where `v` itself is missing every member adds
+/// `w_miss`. So `N_C` is `|C|·w` per input less what the members sharing
+/// `v`'s label save, read from one inverted list per `(input, label)` of
+/// `(cluster, count)` pairs. Memory is one entry per distinct
+/// `(input, label, cluster)` and `(input, cluster)` with missing labels
+/// among the members, plus one offset per input and label up to the
+/// largest label a member carries: `O(s·m + Σ_j k_j)` for `s` members.
+#[derive(Clone, Debug)]
+pub struct ClusterCounts<'a> {
+    packed: &'a LabelMatrix,
+    den: u32,
+    w_sep: i64,
+    w_miss: i64,
+    sizes: Vec<i64>,
+    // The list of input `j`'s members with lane code `c` is
+    // `same[starts[first[j] + c]..starts[first[j] + c + 1]]`, for lane
+    // codes below `first[j + 1] − first[j] − 1`.
+    first: Vec<usize>,
+    starts: Vec<usize>,
+    same: Vec<(u32, u32)>,
+    // Input `j`'s members missing a label: `missing[missing_at[j]..
+    // missing_at[j + 1]]`, and their per-cluster total over all inputs.
+    missing_at: Vec<usize>,
+    missing: Vec<(u32, u32)>,
+    missing_total: Vec<i64>,
+}
+
+impl<'a> ClusterCounts<'a> {
+    /// Count `members` (rows of `packed`) by input, lane code and cluster.
+    fn new(
+        packed: &'a LabelMatrix,
+        members: &[usize],
+        labels: &[u32],
+        den: u32,
+        w_sep: u32,
+        w_miss: u32,
+    ) -> Self {
+        debug_assert_eq!(members.len(), labels.len());
+        let m = packed.lanes();
+        let clusters = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
+        let mut sizes = vec![0i64; clusters];
+        for &l in labels {
+            sizes[l as usize] += 1;
+        }
+        let mut counts = ClusterCounts {
+            packed,
+            den,
+            w_sep: i64::from(w_sep),
+            w_miss: i64::from(w_miss),
+            sizes,
+            first: Vec::with_capacity(m + 1),
+            starts: Vec::new(),
+            same: Vec::new(),
+            missing_at: Vec::with_capacity(m + 1),
+            missing: Vec::new(),
+            missing_total: vec![0; clusters],
+        };
+        let mut keys: Vec<(u32, u32)> = Vec::with_capacity(members.len());
+        for j in 0..m {
+            keys.clear();
+            keys.extend(
+                members
+                    .iter()
+                    .zip(labels)
+                    .map(|(&u, &l)| (packed.lane_code(u, j), l)),
+            );
+            keys.sort_unstable();
+            counts.first.push(counts.starts.len());
+            counts.missing_at.push(counts.missing.len());
+            let mut runs = keys.chunk_by(|a, b| a == b).peekable();
+            for code in 0..=keys.last().map_or(0, |k| k.0) {
+                counts.starts.push(counts.same.len());
+                while let Some(run) = runs.next_if(|run| run[0].0 == code) {
+                    let entry = (run[0].1, run.len() as u32);
+                    if code == 0 {
+                        counts.missing_total[entry.0 as usize] += i64::from(entry.1);
+                        counts.missing.push(entry);
+                    } else {
+                        counts.same.push(entry);
+                    }
+                }
+            }
+            counts.starts.push(counts.same.len());
+        }
+        counts.first.push(counts.starts.len());
+        counts.missing_at.push(counts.missing.len());
+        counts
+    }
+
+    /// The scale `den` of the numerators.
+    pub fn den(&self) -> u32 {
+        self.den
+    }
+
+    /// Number of clusters: one more than the largest member label.
+    pub fn num_clusters(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// Write `N_C = Σ_{u ∈ C} round(den·X_vu)` for every cluster `C` to
+    /// `out` (one slot per cluster), for an object `v` that is not a
+    /// member. Reads `v`'s labels only; no pair is evaluated.
+    pub fn numerators_into(&self, v: usize, out: &mut [i64]) {
+        debug_assert_eq!(out.len(), self.sizes.len());
+        let (w_sep, w_miss) = (self.w_sep, self.w_miss);
+        let gap = w_miss - w_sep;
+        for (out, &missing) in out.iter_mut().zip(&self.missing_total) {
+            *out = gap * missing;
+        }
+        let mut present = 0i64;
+        for j in 0..self.packed.lanes() {
+            let code = self.packed.lane_code(v, j);
+            if code == 0 {
+                for &(c, k) in &self.missing[self.missing_at[j]..self.missing_at[j + 1]] {
+                    out[c as usize] -= gap * i64::from(k);
+                }
+                continue;
+            }
+            present += 1;
+            let at = self.first[j] + code as usize;
+            if at + 1 < self.first[j + 1] {
+                for &(c, k) in &self.same[self.starts[at]..self.starts[at + 1]] {
+                    out[c as usize] -= w_sep * i64::from(k);
+                }
+            }
+        }
+        let absent = self.packed.lanes() as i64 - present;
+        let per_member = w_sep * present + w_miss * absent;
+        for (out, &size) in out.iter_mut().zip(&self.sizes) {
+            *out += per_member * size;
+        }
     }
 }
 
@@ -1212,7 +1397,7 @@ impl CorrelationInstance {
 
     /// A lazy per-pair oracle (`O(m)` per lookup).
     pub fn lazy_oracle(&self) -> ClusteringsOracle {
-        ClusteringsOracle::new(self.inputs.clone(), self.policy)
+        ClusteringsOracle::checked(&self.inputs, self.policy)
     }
 
     /// Budgeted variant of [`CorrelationInstance::dense_oracle`]: the

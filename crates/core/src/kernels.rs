@@ -335,6 +335,16 @@ impl LabelMatrix {
         &self.words[v * self.stride..v * self.stride + self.words_per_row]
     }
 
+    /// The lane code of clustering `j` at row `v`: `label + 1`, or 0 where
+    /// the label is missing.
+    #[inline]
+    pub(crate) fn lane_code(&self, v: usize, j: usize) -> u32 {
+        debug_assert!(j < self.lanes);
+        let bits = self.lane_bits();
+        let word = self.words[v * self.stride + j * bits / 64];
+        ((word >> (j * bits % 64)) & (u64::MAX >> (64 - bits))) as u32
+    }
+
     /// Stride-padded row `v` (what the SIMD kernels load).
     #[inline(always)]
     fn padded_row(&self, v: usize) -> &[u64] {

@@ -51,7 +51,9 @@ DIFF OPTIONS:
     --counter-tolerance-pct P
                           allowed counter drift, percent (default 0: exact —
                           counters are deterministic for a pinned workload)
-    --gate-counters A,B   gate only these counters (default: all shared)
+    --gate-counters A,B   gate only these counters (default: all); a gated
+                          counter or a baseline span missing from the
+                          other report fails
     --share-tolerance-pts P
                           allowed growth of a span's self-time share, in
                           percentage points (default 15; shares transfer

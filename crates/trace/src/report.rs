@@ -17,6 +17,9 @@
 //!   shares* (a span's fraction of total self time), which transfer
 //!   across hosts, with a generous percentage-point tolerance; small
 //!   spans below `--min-ns` are never gated (pure noise).
+//! * **Nothing gated may vanish.** A gated counter or a baseline span the
+//!   current report no longer carries fails the gate: a quantity that
+//!   cannot be compared must not pass as unchanged.
 
 use crate::json::{self, Json};
 use std::collections::BTreeMap;
@@ -117,7 +120,8 @@ pub struct DiffOptions {
     pub time_tolerance_pct: Option<f64>,
     /// Spans whose baseline self time is below this are never gated.
     pub min_ns: u64,
-    /// Gate only these counters (`None` = every shared counter).
+    /// Gate only these counters (`None` = every counter). A gated counter
+    /// the current report lacks, or a named one the baseline lacks, fails.
     pub gate_counters: Option<Vec<String>>,
 }
 
@@ -158,10 +162,12 @@ fn pct_change(before: u64, after: u64) -> f64 {
 pub fn diff(before: &RunReport, after: &RunReport, opts: &DiffOptions) -> DiffResult {
     let mut result = DiffResult::default();
 
-    let gated = |name: &str| match &opts.gate_counters {
-        Some(list) => list.iter().any(|g| g == name),
-        None => true,
+    let named = |name: &str| {
+        opts.gate_counters
+            .as_ref()
+            .is_some_and(|list| list.iter().any(|g| g == name))
     };
+    let gated = |name: &str| opts.gate_counters.is_none() || named(name);
 
     let mut counter_keys: Vec<&String> = before.counters.keys().collect();
     for key in after.counters.keys() {
@@ -175,13 +181,20 @@ pub fn diff(before: &RunReport, after: &RunReport, opts: &DiffOptions) -> DiffRe
         let a = after.counters.get(key).copied();
         let (b, a) = match (b, a) {
             (Some(b), Some(a)) => (b, a),
-            // A key on one side only is a schema change, not a perf
-            // regression; report it but never gate on it.
+            // A gated counter the current run no longer reports, or one
+            // named for gating that the baseline lacks, can no longer be
+            // compared: the gate fails rather than pass unchecked. A new
+            // counter that nothing gates is only reported.
             _ => {
-                result.lines.push(format!(
-                    "counter {key}: only in {} report",
-                    if b.is_some() { "baseline" } else { "current" }
-                ));
+                let side = if b.is_some() { "baseline" } else { "current" };
+                result
+                    .lines
+                    .push(format!("counter {key}: only in {side} report"));
+                if (b.is_some() && gated(key)) || named(key) {
+                    result.regressions.push(format!(
+                        "counter {key} is gated but only in the {side} report"
+                    ));
+                }
                 continue;
             }
         };
@@ -208,6 +221,9 @@ pub fn diff(before: &RunReport, after: &RunReport, opts: &DiffOptions) -> DiffRe
                 result
                     .lines
                     .push(format!("timing {name}: missing from current report"));
+                result.regressions.push(format!(
+                    "timing {name}: baseline span missing from current report"
+                ));
                 continue;
             }
         };
@@ -339,6 +355,55 @@ mod tests {
         };
         // evals drifted 4% (within 5%), retries is not gated at all.
         assert!(diff(&before, &after, &opts).regressions.is_empty());
+    }
+
+    #[test]
+    fn vanished_counters_and_spans_fail_the_gate() {
+        let before = report(
+            &[("evals", 100), ("moves", 5)],
+            &[("work", 10_000, 10_000), ("tail", 1_000, 1_000)],
+        );
+        let opts = DiffOptions {
+            gate_counters: Some(vec!["moves".to_string(), "passes".to_string()]),
+            ..DiffOptions::default()
+        };
+        // `moves` is gated and gone; `passes` is gated and the baseline
+        // never had it; `tail` is a baseline span the current run lacks
+        // (tiny spans are exempt from share gating, not from vanishing).
+        let after = report(
+            &[("evals", 100), ("passes", 3)],
+            &[("work", 10_000, 10_000)],
+        );
+        let d = diff(&before, &after, &opts);
+        assert_eq!(d.regressions.len(), 3, "{:?}", d.regressions);
+        for name in ["moves", "passes", "tail"] {
+            assert!(
+                d.regressions.iter().any(|r| r.contains(name)),
+                "{name}: {:?}",
+                d.regressions
+            );
+        }
+        // An ungated counter may come and go, and a new span is reported
+        // without failing.
+        let after = report(
+            &[("moves", 5), ("fresh", 1)],
+            &[
+                ("work", 10_000, 10_000),
+                ("tail", 1_000, 1_000),
+                ("new", 1, 1),
+            ],
+        );
+        let d = diff(&before, &after, &opts);
+        assert!(d.regressions.is_empty(), "{:?}", d.regressions);
+        // With no gate list every counter is gated, so a vanished one fails
+        // but a new one does not.
+        let after = report(
+            &[("evals", 100), ("fresh", 1)],
+            &[("work", 10_000, 10_000), ("tail", 1_000, 1_000)],
+        );
+        let d = diff(&before, &after, &DiffOptions::default());
+        assert_eq!(d.regressions.len(), 1, "{:?}", d.regressions);
+        assert!(d.regressions[0].contains("moves"));
     }
 
     #[test]

@@ -48,6 +48,36 @@ fn rewrite(text: &str, key: &str, f: impl Fn(&str, u64) -> u64) -> String {
     out
 }
 
+/// Remove the member `"key":value` from `text`, with the comma that
+/// separates it from its neighbour; the value is an integer or an object.
+fn drop_member(text: &str, key: &str) -> String {
+    let needle = format!("\"{key}\":");
+    let at = text.find(&needle).expect("the member is present");
+    let value = &text[at + needle.len()..];
+    let len = if value.starts_with('{') {
+        let mut depth = 0;
+        value
+            .char_indices()
+            .find_map(|(i, c)| {
+                depth += match c {
+                    '{' => 1,
+                    '}' => -1,
+                    _ => 0,
+                };
+                (depth == 0).then_some(i + 1)
+            })
+            .expect("a closed object")
+    } else {
+        value.bytes().take_while(u8::is_ascii_digit).count()
+    };
+    let end = at + needle.len() + len;
+    if text[end..].starts_with(',') {
+        format!("{}{}", &text[..at], &text[end + 1..])
+    } else {
+        format!("{}{}", text[..at].trim_end_matches(','), &text[end..])
+    }
+}
+
 /// Run the gate with `before` as the baseline and `after` as the current
 /// run; returns the exit code and stdout.
 fn gate(before: &Path, after: &Path) -> (Option<i32>, String) {
@@ -105,5 +135,44 @@ fn doctored_baselines_trip_the_gate() {
 
     let (code, stdout) = gate(&baseline_path, &baseline_path);
     assert_eq!(code, Some(0), "baseline against itself failed:\n{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_vanished_counter_or_span_trips_the_gate() {
+    let baseline_path = repo_file("ci/baselines/local_search_n5000.json");
+    let baseline = read(&baseline_path);
+    let dir = std::env::temp_dir().join(format!(
+        "aggclust-perf-gate-vanished-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("creating the temp dir");
+    assert!(gated_counters().split(',').any(|c| c == "ls_moves"));
+    for key in ["ls_moves", "local_search"] {
+        let doctored = drop_member(&baseline, key);
+        assert!(
+            !doctored.contains(&format!("\"{key}\":")),
+            "{key} still present"
+        );
+        let path = dir.join(format!("without_{key}.json"));
+        std::fs::write(&path, doctored).expect("writing a doctored report");
+        // Missing from the current run: it vanished. A gated counter the
+        // baseline lacks fails too (the gate names what it cannot
+        // compare); a span new to the current run is only reported.
+        let mut cases = vec![(&baseline_path, &path)];
+        if key == "ls_moves" {
+            cases.push((&path, &baseline_path));
+        }
+        for (before, after) in cases {
+            let (code, stdout) = gate(before, after);
+            assert_eq!(code, Some(1), "dropping {key} passed the gate:\n{stdout}");
+            assert!(
+                stdout
+                    .lines()
+                    .any(|l| l.starts_with("REGRESSION") && l.contains(key)),
+                "{key}: no REGRESSION line names it:\n{stdout}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
