@@ -3,13 +3,13 @@
 //! The clustering algorithms the paper uses as *inputs* to aggregation and
 //! as comparators, implemented from scratch:
 //!
-//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding and restarts
+//! * [`kmeans`](mod@kmeans) — Lloyd's algorithm with k-means++ seeding and restarts
 //!   (the paper's Matlab `kmeans`; input generator for Figures 3–5),
-//! * [`hierarchical`] — single / complete / average / Ward linkage on point
+//! * [`hierarchical`](mod@hierarchical) — single / complete / average / Ward linkage on point
 //!   data (the paper's Matlab `linkage`; the other four inputs of Figure 3),
-//! * [`rock`] — the ROCK categorical clusterer of Guha, Rastogi & Shim
+//! * [`rock`](mod@rock) — the ROCK categorical clusterer of Guha, Rastogi & Shim
 //!   (comparator in Tables 2–3),
-//! * [`limbo`] — the LIMBO information-bottleneck categorical clusterer of
+//! * [`limbo`](mod@limbo) — the LIMBO information-bottleneck categorical clusterer of
 //!   Andritsos et al. (comparator in Tables 2–3).
 //!
 //! ```

@@ -1,9 +1,9 @@
 //! Scaling benchmarks for the five aggregation algorithms on
 //! correlated instances (hidden blocks + noise), n ∈ {100, 400, 1000}.
 
+use aggclust_bench::run;
 use aggclust_core::algorithms::{
-    agglomerative::agglomerative, balls::balls, best::best_clustering, furthest::furthest,
-    local_search::local_search, AgglomerativeParams, BallsParams, FurthestParams,
+    best::best_clustering, AgglomerativeParams, Algorithm, BallsParams, FurthestParams,
     LocalSearchParams,
 };
 use aggclust_core::clustering::Clustering;
@@ -37,18 +37,23 @@ fn bench_algorithms(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("best_clustering", n), &n, |b, _| {
             b.iter(|| best_clustering(black_box(&inputs)))
         });
-        group.bench_with_input(BenchmarkId::new("balls", n), &n, |b, _| {
-            b.iter(|| balls(black_box(&oracle), BallsParams::practical()))
-        });
-        group.bench_with_input(BenchmarkId::new("agglomerative", n), &n, |b, _| {
-            b.iter(|| agglomerative(black_box(&oracle), AgglomerativeParams::paper()))
-        });
-        group.bench_with_input(BenchmarkId::new("furthest", n), &n, |b, _| {
-            b.iter(|| furthest(black_box(&oracle), FurthestParams::default()))
-        });
-        group.bench_with_input(BenchmarkId::new("local_search", n), &n, |b, _| {
-            b.iter(|| local_search(black_box(&oracle), LocalSearchParams::default()))
-        });
+        let roster = [
+            ("balls", Algorithm::Balls(BallsParams::practical())),
+            (
+                "agglomerative",
+                Algorithm::Agglomerative(AgglomerativeParams::paper()),
+            ),
+            ("furthest", Algorithm::Furthest(FurthestParams::default())),
+            (
+                "local_search",
+                Algorithm::LocalSearch(LocalSearchParams::default()),
+            ),
+        ];
+        for (name, algorithm) in &roster {
+            group.bench_with_input(BenchmarkId::new(*name, n), &n, |b, _| {
+                b.iter(|| run(algorithm, black_box(&oracle)))
+            });
+        }
     }
     group.finish();
 }

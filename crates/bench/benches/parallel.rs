@@ -11,7 +11,8 @@
 //! honestly either way via `CRITERION_SHIM_JSON` (see `BENCH_parallel.json`
 //! at the repo root).
 
-use aggclust_core::algorithms::local_search::local_search_from;
+use aggclust_bench::run;
+use aggclust_core::algorithms::{Algorithm, LocalSearchParams};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::correlation_cost;
 use aggclust_core::instance::{ClusteringsOracle, DenseOracle, DistanceOracle};
@@ -87,13 +88,12 @@ fn bench_parallel(c: &mut Criterion) {
                     })
                 })
             });
-            let start = Clustering::singletons(n);
+            let pass = Algorithm::LocalSearch(LocalSearchParams {
+                max_passes: 1,
+                ..Default::default()
+            });
             group.bench_with_input(id("local_search_pass"), &n, |b, _| {
-                b.iter(|| {
-                    with_num_threads(threads, || {
-                        local_search_from(black_box(&oracle), black_box(&start), 1, 1e-9)
-                    })
-                })
+                b.iter(|| with_num_threads(threads, || run(&pass, black_box(&oracle))))
             });
         }
     }

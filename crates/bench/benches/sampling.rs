@@ -2,7 +2,8 @@
 //! non-sampling base algorithm, across sample sizes (the Figure-5-left
 //! trade-off as a microbenchmark).
 
-use aggclust_core::algorithms::sampling::{sampling, SamplingParams};
+use aggclust_bench::{run, run_sampling};
+use aggclust_core::algorithms::sampling::SamplingParams;
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::instance::{ClusteringsOracle, DenseOracle};
@@ -36,15 +37,15 @@ fn bench_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampling");
     group.sample_size(10);
     group.bench_function("full_agglomerative_n4000", |b| {
-        b.iter(|| base.run(black_box(&dense)))
+        b.iter(|| run(&base, black_box(&dense)))
     });
     for &s in &[100usize, 400, 1_600] {
         let params = SamplingParams::new(s, base.clone(), 1);
         group.bench_with_input(BenchmarkId::new("dense_oracle", s), &s, |b, _| {
-            b.iter(|| sampling(black_box(&dense), black_box(&params)))
+            b.iter(|| run_sampling(black_box(&dense), black_box(&params)))
         });
         group.bench_with_input(BenchmarkId::new("lazy_oracle", s), &s, |b, _| {
-            b.iter(|| sampling(black_box(&lazy), black_box(&params)))
+            b.iter(|| run_sampling(black_box(&lazy), black_box(&params)))
         });
     }
     group.finish();

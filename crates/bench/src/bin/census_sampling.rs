@@ -13,9 +13,9 @@
 
 use aggclust_baselines::limbo::{limbo, LimboParams};
 use aggclust_bench::table::{fmt_f, Table};
-use aggclust_bench::timed;
+use aggclust_bench::{run_sampling, timed};
 use aggclust_cli::args::Args;
-use aggclust_core::algorithms::sampling::{sampling_with_details, SamplingParams};
+use aggclust_core::algorithms::sampling::SamplingParams;
 use aggclust_core::algorithms::{Algorithm, FurthestParams};
 use aggclust_core::instance::{ClusteringsOracle, MissingPolicy};
 use aggclust_data::presets::census_like_scaled;
@@ -57,7 +57,7 @@ fn main() {
     let oracle = ClusteringsOracle::new(clusterings, MissingPolicy::Coin(0.5));
 
     let params = SamplingParams::new(sample, Algorithm::Furthest(FurthestParams::default()), seed);
-    let (details, secs) = timed(|| sampling_with_details(&oracle, &params));
+    let (details, secs) = timed(|| run_sampling(&oracle, &params));
     let clustering = &details.clustering;
     let ec = classification_error(clustering, dataset.class_labels());
 

@@ -15,9 +15,10 @@
 
 use aggclust_baselines::hierarchical::{hierarchical, HierarchicalParams, LinkageMethod};
 use aggclust_baselines::kmeans::{kmeans, KMeansParams};
+use aggclust_bench::run;
 use aggclust_bench::table::{fmt_f, Table};
 use aggclust_cli::args::Args;
-use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
+use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::distance::disagreement_distance;
 use aggclust_core::instance::CorrelationInstance;
@@ -81,7 +82,10 @@ fn main() {
         &inputs.iter().map(|(_, c)| c.clone()).collect::<Vec<_>>(),
     );
     let oracle = instance.dense_oracle();
-    let aggregate = agglomerative(&oracle, AgglomerativeParams::paper());
+    let aggregate = run(
+        &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        &oracle,
+    );
 
     let mut table = Table::new(&["clustering", "k", "ARI", "NMI", "d_V to truth"]);
     let mut best_input_ari = f64::NEG_INFINITY;

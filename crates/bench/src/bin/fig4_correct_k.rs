@@ -13,13 +13,12 @@
 //! cargo run --release -p aggclust-bench --bin fig4_correct_k [-- --seed N]
 //! ```
 
-use aggclust_baselines::kmeans::{kmeans, KMeansParams};
+use aggclust_bench::run;
 use aggclust_bench::table::{fmt_f, Table};
 use aggclust_cli::args::Args;
-use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
+use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::instance::CorrelationInstance;
-use aggclust_data::synth2d::gaussian_with_noise;
 use aggclust_metrics::pair_counting::adjusted_rand_index;
 
 /// A cluster is "main" if it holds at least this fraction of the points.
@@ -43,30 +42,14 @@ fn main() {
     ]);
 
     for k_star in [3usize, 5, 7] {
-        let data = gaussian_with_noise(k_star, 100, 0.2, 0.025, seed + k_star as u64);
-        let rows = data.rows();
-
-        // Nine k-means clusterings, k = 2..10, each a single randomly
-        // seeded run (Matlab-2005 defaults, as in the paper). The run-to-run
-        // variability matters: different runs merge *different* cluster
-        // pairs when k < k*, so no wrong merge reaches a majority.
-        let inputs: Vec<Clustering> = (2..=10)
-            .map(|k| {
-                kmeans(
-                    &rows,
-                    &KMeansParams {
-                        n_init: 1,
-                        init: aggclust_baselines::kmeans::KMeansInit::Random,
-                        ..KMeansParams::new(k, seed + k as u64)
-                    },
-                )
-                .clustering
-            })
-            .collect();
+        let (data, inputs) = aggclust_bench::fig4_inputs(k_star, seed);
 
         let instance = CorrelationInstance::from_clusterings(&inputs);
         let oracle = instance.dense_oracle();
-        let aggregate = agglomerative(&oracle, AgglomerativeParams::paper());
+        let aggregate = run(
+            &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+            &oracle,
+        );
 
         // Main clusters: those holding at least MAIN_CLUSTER_FRACTION of
         // the points.

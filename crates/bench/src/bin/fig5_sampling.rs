@@ -21,9 +21,9 @@
 use aggclust_baselines::kmeans::{kmeans, KMeansParams};
 use aggclust_bench::roster::CategoricalExperiment;
 use aggclust_bench::table::{fmt_f, Table};
-use aggclust_bench::timed;
+use aggclust_bench::{run, run_sampling, timed};
 use aggclust_cli::args::Args;
-use aggclust_core::algorithms::sampling::{sampling_with_details, SamplingParams};
+use aggclust_core::algorithms::sampling::SamplingParams;
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::instance::{ClusteringsOracle, DistanceOracle};
@@ -63,7 +63,7 @@ fn mushrooms_part(args: &Args, seed: u64) {
     let base = Algorithm::Agglomerative(AgglomerativeParams::default());
 
     // Non-sampling reference run.
-    let (reference, ref_secs) = timed(|| base.run(&exp.oracle));
+    let (reference, ref_secs) = timed(|| run(&base, &exp.oracle));
     let ref_ec = 100.0 * classification_error(&reference, exp.dataset.class_labels());
     println!(
         "non-sampling Agglomerative: k = {}, E_C = {:.1}%, {:.2}s\n",
@@ -85,7 +85,7 @@ fn mushrooms_part(args: &Args, seed: u64) {
             continue;
         }
         let params = SamplingParams::new(sample, base.clone(), seed);
-        let (details, secs) = timed(|| sampling_with_details(&exp.oracle, &params));
+        let (details, secs) = timed(|| run_sampling(&exp.oracle, &params));
         let ec = 100.0 * classification_error(&details.clustering, exp.dataset.class_labels());
         table.row(vec![
             sample.to_string(),
@@ -158,7 +158,7 @@ fn scale_part(args: &Args, seed: u64) {
             Algorithm::Agglomerative(AgglomerativeParams::default()),
             seed,
         );
-        let (details, agg_secs) = timed(|| sampling_with_details(&oracle, &params));
+        let (details, agg_secs) = timed(|| run_sampling(&oracle, &params));
 
         // ARI over the clustered (non-noise) points.
         let truth_rows: Vec<usize> = (0..oracle.len())

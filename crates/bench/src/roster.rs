@@ -117,7 +117,7 @@ impl CategoricalExperiment {
 
     /// Run one aggregation algorithm and produce its row.
     pub fn run(&self, name: &str, algorithm: &Algorithm) -> RosterRow {
-        let (clustering, secs) = crate::timed(|| algorithm.run(&self.oracle));
+        let (clustering, secs) = crate::timed(|| crate::run(algorithm, &self.oracle));
         self.evaluate(name, clustering, secs)
     }
 

@@ -741,6 +741,30 @@ fn coin_probability_is_validated_at_the_flag() {
 }
 
 #[test]
+fn balls_alpha_outside_the_unit_interval_is_a_usage_error() {
+    let input = tmp("alpha.csv", FIGURE1);
+    for (alpha, want) in [
+        ("0.25", Some(0)),
+        ("2", Some(2)),
+        ("nan", Some(2)),
+        ("-0.5", Some(2)),
+    ] {
+        let out = bin()
+            .args(["aggregate", "--input", input.to_str().unwrap()])
+            .args(["--algorithm", "balls", "--alpha", alpha])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), want, "--alpha {alpha}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--alpha {alpha}: {stderr}");
+        if want == Some(2) {
+            assert!(stderr.contains("alpha"), "--alpha {alpha}: {stderr}");
+        }
+    }
+    fs::remove_file(input).ok();
+}
+
+#[test]
 fn thread_count_does_not_change_the_labels() {
     let input = tmp("threads.csv", &planted_csv(300, 6));
     let run = |threads: &str| {

@@ -17,13 +17,13 @@
 //! without rounding.
 
 use crate::clustering::Clustering;
-use crate::error::AggResult;
+use crate::error::{AggError, AggResult};
 use crate::instance::DistanceOracle;
-use crate::linkage::{linkage_resumable, CondensedMatrix, LinkageMethod};
-use crate::robust::{RunBudget, RunOutcome};
-use crate::snapshot::{AgglomerativeSnapshot, Checkpointer};
+use crate::linkage::{linkage_with, CondensedMatrix, LinkageMethod};
+use crate::robust::{RunCtx, RunOutcome};
+use crate::snapshot::AlgorithmSnapshot;
 
-/// Parameters for [`agglomerative`].
+/// Parameters for AGGLOMERATIVE.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AgglomerativeParams {
     /// Merge while the smallest average inter-cluster distance is strictly
@@ -59,102 +59,66 @@ impl AgglomerativeParams {
     }
 }
 
-/// Run the AGGLOMERATIVE algorithm on a correlation-clustering instance:
-/// [`agglomerative_budgeted`] under [`RunBudget::unlimited`].
+/// Run AGGLOMERATIVE under `ctx`, the engine behind
+/// [`Algorithm::Agglomerative`](super::Algorithm::Agglomerative).
 ///
-/// # Panics
-/// Panics if `params.threshold` is NaN.
-pub fn agglomerative<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    params: AgglomerativeParams,
-) -> Clustering {
-    assert!(!params.threshold.is_nan(), "threshold must not be NaN");
-    run(oracle, params, &RunBudget::unlimited(), None, None).clustering
-}
-
-/// Budgeted AGGLOMERATIVE with anytime semantics. One budget iteration per
-/// merge; the `O(n²)` matrix build polls the budget between parallel row
-/// chunks. On a trip during the build the result degrades to singletons; on
-/// a trip mid-merging the partial dendrogram is cut as usual, yielding a
-/// valid (finer) clustering whose applied merges each lowered the cost.
-pub fn agglomerative_budgeted<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    params: AgglomerativeParams,
-    budget: &RunBudget,
-) -> AggResult<RunOutcome> {
-    agglomerative_resumable(oracle, params, budget, None, None)
-}
-
-/// [`agglomerative_budgeted`] with crash-safe checkpoint/resume.
+/// One budget iteration per merge; the `O(n²)` matrix build polls the
+/// budget between parallel row chunks. On a trip during the build the
+/// result degrades to singletons; on a trip mid-merging the partial
+/// dendrogram is cut as usual, yielding a valid (finer) clustering whose
+/// applied merges each lowered the cost.
 ///
 /// The distance matrix is rebuilt on every (re)start — it is derived data —
-/// and the recorded merges are *replayed* through the identical update
-/// sequence (exact sum additions, or Lance–Williams in `f64`), which
-/// reproduces the matrix state bit-for-bit before new merges continue (see
-/// [`crate::linkage::linkage_resumable`]). A snapshot inconsistent with
-/// this instance falls back to a fresh run.
-pub fn agglomerative_resumable<O: DistanceOracle + Sync + ?Sized>(
+/// and the merges of an AGGLOMERATIVE snapshot in `ctx.resume` are
+/// *replayed* through the identical update sequence (exact sum additions,
+/// or Lance–Williams in `f64`), which reproduces the matrix state
+/// bit-for-bit before new merges continue (see [`linkage_with`]). A
+/// snapshot inconsistent with this instance falls back to a fresh run.
+pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: AgglomerativeParams,
-    budget: &RunBudget,
-    resume: Option<&AgglomerativeSnapshot>,
-    ckpt: Option<&mut Checkpointer>,
+    ctx: &mut RunCtx<'_>,
 ) -> AggResult<RunOutcome> {
     if params.threshold.is_nan() {
-        return Err(crate::error::AggError::invalid_parameter(
-            "threshold",
-            "must not be NaN",
-        ));
+        return Err(AggError::invalid_parameter("threshold", "must not be NaN"));
     }
-    Ok(run(oracle, params, budget, resume, ckpt))
-}
-
-/// The AGGLOMERATIVE run behind both entry points, for a threshold each has
-/// already checked (the plain call asserts it, the budgeted one returns
-/// [`crate::error::AggError::InvalidParameter`]).
-fn run<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    params: AgglomerativeParams,
-    budget: &RunBudget,
-    resume: Option<&AgglomerativeSnapshot>,
-    ckpt: Option<&mut Checkpointer>,
-) -> RunOutcome {
     let n = oracle.len();
-    let _span = crate::span!("agglomerative", n = n, resuming = resume.is_some());
+    let resuming = matches!(ctx.resume, Some(AlgorithmSnapshot::Agglomerative(_)));
+    let _span = crate::span!("agglomerative", n = n, resuming = resuming);
     if n == 0 {
-        return RunOutcome::converged(Clustering::from_labels(Vec::new()));
+        return Ok(RunOutcome::converged(Clustering::from_labels(Vec::new())));
     }
-    let matrix = match CondensedMatrix::try_from_oracle(oracle, budget) {
+    let matrix = match CondensedMatrix::try_from_oracle(oracle, ctx.budget) {
         Ok(matrix) => matrix,
         Err(interrupt) => {
             // No partial matrix to salvage: the only valid anytime answer
             // before any merge is the all-singletons start.
-            return RunOutcome {
+            return Ok(RunOutcome {
                 clustering: Clustering::singletons(n),
                 status: interrupt.status(),
                 iterations: 0,
-            };
+            });
         }
     };
-    let (dendrogram, status, iterations) =
-        linkage_resumable(matrix, LinkageMethod::Average, budget, resume, ckpt);
+    let (dendrogram, status, iterations) = linkage_with(matrix, LinkageMethod::Average, ctx);
     let clustering = match params.num_clusters {
         Some(k) => dendrogram.cut_num_clusters(k.clamp(1, n)),
         None => dendrogram.cut_height(params.threshold),
     };
-    RunOutcome {
+    Ok(RunOutcome {
         clustering,
         status,
         iterations,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{unlimited, Algorithm};
     use crate::cost::correlation_cost;
     use crate::instance::DenseOracle;
-    use crate::robust::RunStatus;
+    use crate::robust::{RunBudget, RunStatus};
 
     fn c(labels: &[u32]) -> Clustering {
         Clustering::from_labels(labels.to_vec())
@@ -166,6 +130,10 @@ mod tests {
             c(&[0, 1, 0, 1, 2, 3]),
             c(&[0, 1, 0, 1, 2, 2]),
         ])
+    }
+
+    fn agglomerative(oracle: &DenseOracle, params: AgglomerativeParams) -> Clustering {
+        unlimited(Algorithm::Agglomerative(params), oracle)
     }
 
     #[test]
@@ -210,14 +178,7 @@ mod tests {
         let result = agglomerative(&oracle, AgglomerativeParams::paper());
         assert_eq!(result, c(&[0, 0, 0, 1, 1, 2, 2]));
         let values = CondensedMatrix::from_fn(7, |u, v| oracle.dist(u, v));
-        let rounded = linkage_resumable(
-            values,
-            LinkageMethod::Average,
-            &RunBudget::unlimited(),
-            None,
-            None,
-        )
-        .0;
+        let rounded = crate::linkage::linkage(values, LinkageMethod::Average);
         assert!(rounded
             .merges()
             .iter()
@@ -296,34 +257,34 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_unlimited_matches_unbudgeted() {
-        let oracle = figure1_oracle();
-        let outcome = agglomerative_budgeted(
-            &oracle,
-            AgglomerativeParams::paper(),
-            &RunBudget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(outcome.status, RunStatus::Converged);
-        assert_eq!(
-            outcome.clustering,
-            agglomerative(&oracle, AgglomerativeParams::paper())
-        );
-    }
-
-    #[test]
     fn budget_trip_degrades_to_finer_clustering() {
         let oracle = figure1_oracle();
         // One merge allowed, then the cap trips: the cut of the partial
         // dendrogram is a complete clustering no coarser than the optimum.
         let tight = RunBudget::unlimited().with_max_iters(1);
-        let outcome =
-            agglomerative_budgeted(&oracle, AgglomerativeParams::paper(), &tight).unwrap();
+        let outcome = Algorithm::Agglomerative(AgglomerativeParams::paper())
+            .run(&oracle, &mut RunCtx::new(&tight))
+            .unwrap();
         assert_eq!(outcome.status, RunStatus::BudgetExceeded);
         assert_eq!(outcome.clustering.len(), 6);
         assert!(outcome.clustering.num_clusters() >= 3);
         let cost = correlation_cost(&oracle, &outcome.clustering);
         assert!(cost <= correlation_cost(&oracle, &Clustering::singletons(6)) + 1e-9);
+    }
+
+    #[test]
+    fn budgeted_unlimited_matches_unbudgeted() {
+        // A cap that never binds meters every merge yet changes no label.
+        let oracle = figure1_oracle();
+        let loose = RunBudget::unlimited().with_max_iters(u64::MAX);
+        let outcome = Algorithm::Agglomerative(AgglomerativeParams::paper())
+            .run(&oracle, &mut RunCtx::new(&loose))
+            .unwrap();
+        assert_eq!(outcome.status, RunStatus::Converged);
+        assert_eq!(
+            outcome.clustering,
+            agglomerative(&oracle, AgglomerativeParams::paper())
+        );
     }
 
     #[test]
@@ -333,22 +294,9 @@ mod tests {
             threshold: f64::NAN,
             num_clusters: None,
         };
-        let err = agglomerative_budgeted(&oracle, params, &RunBudget::unlimited()).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::error::AggError::InvalidParameter { .. }
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must not be NaN")]
-    fn plain_run_panics_on_a_nan_threshold() {
-        // The budgeted call returns a typed error for the same threshold;
-        // the plain call panics rather than silently returning singletons.
-        let params = AgglomerativeParams {
-            threshold: f64::NAN,
-            num_clusters: None,
-        };
-        let _ = agglomerative(&figure1_oracle(), params);
+        let err = Algorithm::Agglomerative(params)
+            .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+            .unwrap_err();
+        assert!(matches!(err, AggError::InvalidParameter { .. }));
     }
 }

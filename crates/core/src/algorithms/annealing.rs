@@ -1,5 +1,5 @@
 //! Simulated annealing for clustering aggregation — the approach of Filkov
-//! & Skiena (reference [13] of the paper, which "proposes a simulated
+//! & Skiena (reference \[13\] of the paper, which "proposes a simulated
 //! annealing algorithm for finding an aggregate solution and a local search
 //! algorithm similar to ours").
 //!
@@ -10,16 +10,16 @@
 //! local optima LOCALSEARCH stops at. A final zero-temperature descent
 //! guarantees the output is itself a single-move local optimum.
 
-use crate::algorithms::local_search::{local_search_from_budgeted, LocalSearchParams};
+use crate::algorithms::local_search::{self, LocalSearchInit, LocalSearchParams};
 use crate::clustering::Clustering;
 use crate::cost::within_cost;
 use crate::error::{AggError, AggResult};
 use crate::instance::DistanceOracle;
-use crate::robust::{BudgetMeter, Interrupt, RunBudget, RunOutcome};
+use crate::robust::{BudgetMeter, Interrupt, RunBudget, RunCtx, RunOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Parameters for [`simulated_annealing`].
+/// Parameters for simulated annealing.
 #[derive(Clone, Debug)]
 pub struct AnnealingParams {
     /// Initial temperature (in units of the per-pair cost, which is `O(n)`
@@ -45,33 +45,15 @@ impl Default for AnnealingParams {
 }
 
 /// Run simulated annealing from the all-singletons start, followed by a
-/// zero-temperature LOCALSEARCH descent: [`simulated_annealing_budgeted`]
-/// under [`RunBudget::unlimited`].
+/// zero-temperature LOCALSEARCH descent: the engine behind
+/// [`Algorithm::Annealing`](super::Algorithm::Annealing).
 ///
-/// # Panics
-///
-/// If `params.cooling` is not in `(0, 1)`.
-pub fn simulated_annealing<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    params: &AnnealingParams,
-) -> Clustering {
-    assert!(
-        params.cooling > 0.0 && params.cooling < 1.0,
-        "cooling factor must be in (0, 1)"
-    );
-    simulated_annealing_budgeted(oracle, params, &RunBudget::unlimited()).map_or_else(
-        |_| Clustering::singletons(oracle.len()),
-        |outcome| outcome.clustering,
-    )
-}
-
-/// Budgeted simulated annealing with anytime semantics. One budget
-/// iteration per proposed move (each is an `O(n)` M-sums pass). The loop
-/// keeps a snapshot of the cheapest state visited; a trip returns that
-/// snapshot, which can never cost more than the all-singletons start. On
-/// natural completion the final descent runs under the same budget and the
-/// cheaper of (descended, snapshot) is returned.
-pub fn simulated_annealing_budgeted<O: DistanceOracle + Sync + ?Sized>(
+/// One budget iteration per proposed move (each is an `O(n)` M-sums pass).
+/// The loop keeps a snapshot of the cheapest state visited; a trip returns
+/// that snapshot, which can never cost more than the all-singletons start.
+/// On natural completion the final descent runs under the same budget and
+/// the cheaper of (descended, snapshot) is returned.
+pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: &AnnealingParams,
     budget: &RunBudget,
@@ -106,10 +88,11 @@ pub fn simulated_annealing_budgeted<O: DistanceOracle + Sync + ?Sized>(
     // Budgeted descent from the annealed state, then keep the cheaper of
     // the descended result and the best mid-anneal snapshot (the descent
     // start can be an uphill excursion the snapshot predates).
-    let annealed = Clustering::from_labels(state.labels);
-    let ls = LocalSearchParams::default();
-    let descended =
-        local_search_from_budgeted(oracle, &annealed, ls.max_passes, ls.epsilon, budget)?;
+    let ls = LocalSearchParams {
+        init: LocalSearchInit::Given(Clustering::from_labels(state.labels)),
+        ..LocalSearchParams::default()
+    };
+    let descended = local_search::run(oracle, &ls, &mut RunCtx::new(budget))?;
     let snapshot = Clustering::from_labels(state.best_labels);
     let clustering = if within_cost(oracle, &descended.clustering) <= within_cost(oracle, &snapshot)
     {
@@ -237,6 +220,7 @@ fn anneal_loop<O: DistanceOracle + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::Algorithm;
     use crate::cost::correlation_cost;
     use crate::exact::optimal_clustering;
     use crate::instance::DenseOracle;
@@ -251,6 +235,23 @@ mod tests {
             c(&[0, 1, 0, 1, 2, 3]),
             c(&[0, 1, 0, 1, 2, 2]),
         ])
+    }
+
+    fn anneal<O: DistanceOracle + Sync>(
+        oracle: &O,
+        params: &AnnealingParams,
+        budget: &RunBudget,
+    ) -> RunOutcome {
+        Algorithm::Annealing(params.clone())
+            .run(oracle, &mut RunCtx::new(budget))
+            .unwrap()
+    }
+
+    fn simulated_annealing<O: DistanceOracle + Sync>(
+        oracle: &O,
+        params: &AnnealingParams,
+    ) -> Clustering {
+        anneal(oracle, params, &RunBudget::unlimited()).clustering
     }
 
     #[test]
@@ -347,26 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_run_is_the_budgeted_run_under_an_unlimited_budget() {
-        let oracle = DenseOracle::from_clusterings(&noisy_inputs());
-        for seed in 0..12u64 {
-            let params = AnnealingParams {
-                seed,
-                sweeps: 30,
-                ..Default::default()
-            };
-            let outcome =
-                simulated_annealing_budgeted(&oracle, &params, &RunBudget::unlimited()).unwrap();
-            assert!(outcome.status.is_converged(), "seed {seed}");
-            assert_eq!(
-                outcome.clustering,
-                simulated_annealing(&oracle, &params),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn lazy_and_dense_oracles_anneal_to_identical_labels() {
         // The sweeps read whole rows through `accumulate_row`, whose
         // contract is the same bits on every oracle kind.
@@ -379,9 +360,11 @@ mod tests {
                 sweeps: 30,
                 ..Default::default()
             };
+            let outcome = anneal(&dense, &params, &RunBudget::unlimited());
+            assert!(outcome.status.is_converged(), "seed {seed}");
             assert_eq!(
                 simulated_annealing(&lazy, &params),
-                simulated_annealing(&dense, &params),
+                outcome.clustering,
                 "seed {seed}"
             );
         }
@@ -391,8 +374,7 @@ mod tests {
     fn budget_trip_is_no_worse_than_singletons() {
         let oracle = figure1_oracle();
         let tight = RunBudget::unlimited().with_max_iters(7);
-        let outcome =
-            simulated_annealing_budgeted(&oracle, &AnnealingParams::default(), &tight).unwrap();
+        let outcome = anneal(&oracle, &AnnealingParams::default(), &tight);
         assert_eq!(outcome.status, crate::robust::RunStatus::BudgetExceeded);
         assert_eq!(outcome.clustering.len(), 6);
         assert!(
@@ -402,14 +384,36 @@ mod tests {
     }
 
     #[test]
+    fn plain_run_is_the_budgeted_run_under_an_unlimited_budget() {
+        // A cap that never binds meters every sweep yet changes no label.
+        let oracle = DenseOracle::from_clusterings(&noisy_inputs());
+        let loose = RunBudget::unlimited().with_max_iters(u64::MAX);
+        for seed in 0..12u64 {
+            let params = AnnealingParams {
+                seed,
+                sweeps: 30,
+                ..Default::default()
+            };
+            let outcome = anneal(&oracle, &params, &loose);
+            assert!(outcome.status.is_converged(), "seed {seed}");
+            assert_eq!(
+                outcome.clustering,
+                simulated_annealing(&oracle, &params),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
     fn bad_cooling_is_a_typed_error() {
         let oracle = figure1_oracle();
         let params = AnnealingParams {
             cooling: 1.5,
             ..Default::default()
         };
-        let err =
-            simulated_annealing_budgeted(&oracle, &params, &RunBudget::unlimited()).unwrap_err();
+        let err = Algorithm::Annealing(params)
+            .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+            .unwrap_err();
         assert!(matches!(err, AggError::InvalidParameter { .. }));
     }
 }

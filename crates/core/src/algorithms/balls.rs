@@ -42,7 +42,7 @@ pub enum BallsOrdering {
     Index,
 }
 
-/// Parameters for [`balls`]. The only parameterized algorithm in the paper.
+/// Parameters for BALLS. The only parameterized algorithm in the paper.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BallsParams {
     /// Average-distance threshold `α` for accepting a ball as a cluster.
@@ -62,12 +62,9 @@ impl BallsParams {
         Self::with_alpha(0.4)
     }
 
-    /// Custom `α ∈ [0, 1]` with the paper's ordering.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `[0, 1]`.
+    /// Custom `α` with the paper's ordering. A run rejects an `α` outside
+    /// `[0, 1]` (or NaN) as [`AggError::InvalidParameter`].
     pub fn with_alpha(alpha: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "alpha {alpha} out of [0,1]");
         BallsParams {
             alpha,
             ordering: BallsOrdering::IncreasingWeight,
@@ -88,23 +85,17 @@ impl Default for BallsParams {
     }
 }
 
-/// Run the BALLS algorithm.
+/// Run BALLS under `budget`, the engine behind
+/// [`Algorithm::Balls`](super::Algorithm::Balls).
 ///
 /// Vertices are visited in increasing order of total incident edge weight
 /// (the heuristic the paper reports working well); each visit either carves
 /// out the ball around the vertex or emits a singleton. `O(n²)` oracle
-/// lookups after the `O(n²)` ordering pass.
-pub fn balls<O: DistanceOracle + Sync + ?Sized>(oracle: &O, params: BallsParams) -> Clustering {
-    let (labels, _, _) = run(oracle, params, &RunBudget::unlimited());
-    Clustering::from_labels(labels)
-}
-
-/// Budgeted BALLS: validates `alpha` as a typed error instead of panicking
-/// and honors a [`RunBudget`] with anytime semantics. One budget iteration
-/// per vertex visit (each is an `O(n)` ball scan). On a budget trip the
-/// vertices not yet visited become fresh singletons, so the result is always
-/// a complete, valid clustering.
-pub fn balls_budgeted<O: DistanceOracle + Sync + ?Sized>(
+/// lookups after the `O(n²)` ordering pass. One budget iteration per vertex
+/// visit (each is an `O(n)` ball scan); on a trip the vertices not yet
+/// visited become fresh singletons, so the result is always a complete,
+/// valid clustering.
+pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: BallsParams,
     budget: &RunBudget,
@@ -115,7 +106,7 @@ pub fn balls_budgeted<O: DistanceOracle + Sync + ?Sized>(
             format!("{} out of [0,1]", params.alpha),
         ));
     }
-    let (labels, status, iterations) = run(oracle, params, budget);
+    let (labels, status, iterations) = carve(oracle, params, budget);
     Ok(RunOutcome {
         clustering: Clustering::from_labels(labels),
         status,
@@ -123,9 +114,9 @@ pub fn balls_budgeted<O: DistanceOracle + Sync + ?Sized>(
     })
 }
 
-/// Shared engine behind [`balls`] and [`balls_budgeted`]. Returns raw labels
-/// plus how the run ended; every label is assigned on every path.
-fn run<O: DistanceOracle + Sync + ?Sized>(
+/// The ball-carving loop behind [`run`], for a checked `alpha`. Returns raw
+/// labels plus how the run ended; every label is assigned on every path.
+fn carve<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: BallsParams,
     budget: &RunBudget,
@@ -262,8 +253,10 @@ fn finish_singletons(mut labels: Vec<u32>, mut next_label: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{unlimited, Algorithm};
     use crate::cost::correlation_cost;
     use crate::instance::DenseOracle;
+    use crate::robust::RunCtx;
 
     fn c(labels: &[u32]) -> Clustering {
         Clustering::from_labels(labels.to_vec())
@@ -275,6 +268,10 @@ mod tests {
             c(&[0, 1, 0, 1, 2, 3]),
             c(&[0, 1, 0, 1, 2, 2]),
         ])
+    }
+
+    fn balls(oracle: &DenseOracle, params: BallsParams) -> Clustering {
+        unlimited(Algorithm::Balls(params), oracle)
     }
 
     #[test]
@@ -352,32 +349,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of [0,1]")]
+    fn budget_trip_yields_complete_clustering() {
+        let oracle = figure1_oracle();
+        let tight = RunBudget::unlimited().with_max_iters(1);
+        let outcome = Algorithm::Balls(BallsParams::practical())
+            .run(&oracle, &mut RunCtx::new(&tight))
+            .unwrap();
+        assert_eq!(outcome.status, RunStatus::BudgetExceeded);
+        // Every vertex carries a label — unvisited ones became singletons.
+        assert_eq!(outcome.clustering.len(), 6);
+    }
+
+    #[test]
     fn alpha_validation() {
-        let _ = BallsParams::with_alpha(1.5);
+        // `with_alpha` only builds the parameters; the run checks `α`, and
+        // both ends of [0, 1] are accepted.
+        let oracle = figure1_oracle();
+        let budget = RunBudget::unlimited();
+        for alpha in [0.0, 1.0] {
+            let outcome = Algorithm::Balls(BallsParams::with_alpha(alpha))
+                .run(&oracle, &mut RunCtx::new(&budget))
+                .unwrap();
+            assert_eq!(outcome.clustering.len(), 6, "alpha {alpha}");
+        }
+        for alpha in [1.5, -0.5, f64::INFINITY] {
+            let err = Algorithm::Balls(BallsParams::with_alpha(alpha))
+                .run(&oracle, &mut RunCtx::new(&budget))
+                .unwrap_err();
+            assert!(
+                matches!(&err, AggError::InvalidParameter { what, .. } if what == "alpha"),
+                "alpha {alpha}: {err}"
+            );
+        }
     }
 
     #[test]
     fn budgeted_unlimited_matches_unbudgeted() {
+        // A cap that never binds meters every visit yet changes no label.
         let oracle = figure1_oracle();
-        let outcome = balls_budgeted(
-            &oracle,
-            BallsParams::practical(),
-            &crate::robust::RunBudget::unlimited(),
-        )
-        .unwrap();
+        let loose = RunBudget::unlimited().with_max_iters(u64::MAX);
+        let outcome = Algorithm::Balls(BallsParams::practical())
+            .run(&oracle, &mut RunCtx::new(&loose))
+            .unwrap();
         assert_eq!(outcome.clustering, balls(&oracle, BallsParams::practical()));
-        assert_eq!(outcome.status, crate::robust::RunStatus::Converged);
-    }
-
-    #[test]
-    fn budget_trip_yields_complete_clustering() {
-        let oracle = figure1_oracle();
-        let tight = crate::robust::RunBudget::unlimited().with_max_iters(1);
-        let outcome = balls_budgeted(&oracle, BallsParams::practical(), &tight).unwrap();
-        assert_eq!(outcome.status, crate::robust::RunStatus::BudgetExceeded);
-        // Every vertex carries a label — unvisited ones became singletons.
-        assert_eq!(outcome.clustering.len(), 6);
+        assert_eq!(outcome.status, RunStatus::Converged);
     }
 
     #[test]
@@ -387,11 +402,9 @@ mod tests {
             alpha: f64::NAN,
             ordering: BallsOrdering::Index,
         };
-        let err =
-            balls_budgeted(&oracle, params, &crate::robust::RunBudget::unlimited()).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::error::AggError::InvalidParameter { .. }
-        ));
+        let err = Algorithm::Balls(params)
+            .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+            .unwrap_err();
+        assert!(matches!(err, AggError::InvalidParameter { .. }));
     }
 }

@@ -15,13 +15,12 @@
 
 use crate::clustering::Clustering;
 use crate::cost::within_cost;
-use crate::error::AggResult;
 use crate::instance::DistanceOracle;
 use crate::parallel;
-use crate::robust::{RunBudget, RunOutcome, RunStatus};
+use crate::robust::{BudgetMeter, Interrupt, RunBudget, RunOutcome, RunStatus};
 use crate::telemetry;
 
-/// Parameters for [`furthest`].
+/// Parameters for FURTHEST.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct FurthestParams {
     /// Upper bound on the number of centers to try (`None` = up to `n`).
@@ -45,56 +44,30 @@ impl FurthestParams {
     }
 }
 
-/// Run the FURTHEST algorithm.
+/// Run FURTHEST under `budget`, the engine behind
+/// [`Algorithm::Furthest`](super::Algorithm::Furthest).
 ///
 /// The `O(n²)` furthest-pair search, the per-round nearest-center
 /// assignments, the candidate cost evaluations, and the `min_dist` updates
 /// all run in parallel (see [`crate::parallel`]); tie-breaks match the
 /// serial strict-comparison scans exactly, so the result is identical at
 /// any thread count.
-pub fn furthest<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    params: FurthestParams,
-) -> Clustering {
-    let (clustering, _, _) = run(oracle, params, &RunBudget::unlimited());
-    clustering
-}
-
-/// Budgeted FURTHEST with anytime semantics. One budget iteration per
-/// center round (each is at least `O(n)` work); the `O(n²)` furthest-pair
-/// search is metered in bulk. The algorithm already tracks the
-/// best-cost-so-far solution, which doubles as the anytime result — never
-/// worse than the one-cluster start it is seeded with.
-pub fn furthest_budgeted<O: DistanceOracle + Sync + ?Sized>(
+///
+/// One budget iteration per center round (each is at least `O(n)` work);
+/// the `O(n²)` furthest-pair search is metered in bulk. The algorithm
+/// already tracks the best-cost-so-far solution, which doubles as the
+/// anytime result — never worse than the one-cluster start it is seeded
+/// with.
+pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: FurthestParams,
     budget: &RunBudget,
-) -> AggResult<RunOutcome> {
-    let (clustering, status, iterations) = run(oracle, params, budget);
-    Ok(RunOutcome {
-        clustering,
-        status,
-        iterations,
-    })
-}
-
-/// Shared engine behind [`furthest`] and [`furthest_budgeted`].
-fn run<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    params: FurthestParams,
-    budget: &RunBudget,
-) -> (Clustering, RunStatus, u64) {
+) -> RunOutcome {
     let n = oracle.len();
     let _span = crate::span!("furthest", n = n, fixed_k = params.num_clusters.is_some());
-    if n == 0 {
-        return (Clustering::from_labels(Vec::new()), RunStatus::Converged, 0);
-    }
-    if n == 1 {
-        return (Clustering::one_cluster(1), RunStatus::Converged, 0);
-    }
     let fixed_k = params.num_clusters;
-    if fixed_k == Some(1) {
-        return (Clustering::one_cluster(n), RunStatus::Converged, 0);
+    if n <= 1 || fixed_k == Some(1) {
+        return RunOutcome::converged(Clustering::one_cluster(n));
     }
     let cap = fixed_k
         .unwrap_or_else(|| params.max_centers.unwrap_or(n))
@@ -109,7 +82,7 @@ fn run<O: DistanceOracle + Sync + ?Sized>(
     // The furthest-pair search is an O(n²) block; account for it as n
     // units. Tripping here means the one-cluster seed is the result.
     if let Err(interrupt) = meter.tick_n(n as u64) {
-        return (best, interrupt.status(), meter.iterations());
+        return interrupted(best, interrupt, &meter);
     }
 
     // First two centers: the furthest-apart pair (earliest pair on ties,
@@ -129,7 +102,7 @@ fn run<O: DistanceOracle + Sync + ?Sized>(
     loop {
         heartbeat.tick(centers.len() as u64);
         if let Err(interrupt) = meter.tick() {
-            return (best, interrupt.status(), meter.iterations());
+            return interrupted(best, interrupt, &meter);
         }
         // Assign every node to the nearest center (ties → earliest center).
         let mut labels = vec![0u32; n];
@@ -190,14 +163,29 @@ fn run<O: DistanceOracle + Sync + ?Sized>(
         });
     }
 
-    (best, RunStatus::Converged, meter.iterations())
+    RunOutcome {
+        clustering: best,
+        status: RunStatus::Converged,
+        iterations: meter.iterations(),
+    }
+}
+
+/// The anytime result of a tripped run: the best clustering so far.
+fn interrupted(best: Clustering, interrupt: Interrupt, meter: &BudgetMeter<'_>) -> RunOutcome {
+    RunOutcome {
+        clustering: best,
+        status: interrupt.status(),
+        iterations: meter.iterations(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{unlimited, Algorithm};
     use crate::cost::correlation_cost;
     use crate::instance::DenseOracle;
+    use crate::robust::RunCtx;
 
     fn c(labels: &[u32]) -> Clustering {
         Clustering::from_labels(labels.to_vec())
@@ -209,6 +197,10 @@ mod tests {
             c(&[0, 1, 0, 1, 2, 3]),
             c(&[0, 1, 0, 1, 2, 2]),
         ])
+    }
+
+    fn furthest(oracle: &DenseOracle, params: FurthestParams) -> Clustering {
+        unlimited(Algorithm::Furthest(params), oracle)
     }
 
     #[test]
@@ -278,29 +270,34 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_unlimited_matches_unbudgeted() {
-        let oracle = figure1_oracle();
-        let outcome =
-            furthest_budgeted(&oracle, FurthestParams::default(), &RunBudget::unlimited()).unwrap();
-        assert_eq!(outcome.status, RunStatus::Converged);
-        assert_eq!(
-            outcome.clustering,
-            furthest(&oracle, FurthestParams::default())
-        );
-    }
-
-    #[test]
     fn budget_trip_returns_best_so_far() {
         let oracle = figure1_oracle();
         // Budget burns out during the furthest-pair search (6 units > 1):
         // the anytime result is the one-cluster seed.
         let tight = RunBudget::unlimited().with_max_iters(1);
-        let outcome = furthest_budgeted(&oracle, FurthestParams::default(), &tight).unwrap();
+        let outcome = Algorithm::Furthest(FurthestParams::default())
+            .run(&oracle, &mut RunCtx::new(&tight))
+            .unwrap();
         assert_eq!(outcome.status, RunStatus::BudgetExceeded);
         assert_eq!(outcome.clustering.len(), 6);
         assert!(
             correlation_cost(&oracle, &outcome.clustering)
                 <= correlation_cost(&oracle, &Clustering::one_cluster(6)) + 1e-9
+        );
+    }
+
+    #[test]
+    fn budgeted_unlimited_matches_unbudgeted() {
+        // A cap that never binds meters every round yet changes no label.
+        let oracle = figure1_oracle();
+        let loose = RunBudget::unlimited().with_max_iters(u64::MAX);
+        let outcome = Algorithm::Furthest(FurthestParams::default())
+            .run(&oracle, &mut RunCtx::new(&loose))
+            .unwrap();
+        assert_eq!(outcome.status, RunStatus::Converged);
+        assert_eq!(
+            outcome.clustering,
+            furthest(&oracle, FurthestParams::default())
         );
     }
 }

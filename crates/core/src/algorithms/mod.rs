@@ -11,11 +11,9 @@ pub mod local_search;
 pub mod pivot;
 pub mod sampling;
 
-use crate::clustering::Clustering;
 use crate::error::AggResult;
 use crate::instance::DistanceOracle;
-use crate::robust::{RunBudget, RunOutcome};
-use crate::snapshot::{AlgorithmSnapshot, Checkpointer};
+use crate::robust::{RunCtx, RunOutcome};
 
 pub use agglomerative::AgglomerativeParams;
 pub use annealing::AnnealingParams;
@@ -48,75 +46,30 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Run the algorithm on a correlation-clustering instance.
-    pub fn run<O: DistanceOracle + Sync>(&self, oracle: &O) -> Clustering {
-        match self {
-            Algorithm::Balls(p) => balls::balls(oracle, *p),
-            Algorithm::Agglomerative(p) => agglomerative::agglomerative(oracle, *p),
-            Algorithm::Furthest(p) => furthest::furthest(oracle, *p),
-            Algorithm::LocalSearch(p) => local_search::local_search(oracle, p.clone()),
-            Algorithm::Pivot(p) => pivot::pivot(oracle, *p),
-            Algorithm::Annealing(p) => annealing::simulated_annealing(oracle, p),
-        }
-    }
-
-    /// Run the algorithm under a [`RunBudget`] with anytime semantics:
-    /// invalid parameters come back as typed errors, and a budget trip
-    /// yields the best-so-far clustering tagged with how the run ended
-    /// instead of panicking or running to completion.
-    pub fn run_budgeted<O: DistanceOracle + Sync>(
-        &self,
-        oracle: &O,
-        budget: &RunBudget,
-    ) -> AggResult<RunOutcome> {
-        match self {
-            Algorithm::Balls(p) => balls::balls_budgeted(oracle, *p, budget),
-            Algorithm::Agglomerative(p) => {
-                agglomerative::agglomerative_budgeted(oracle, *p, budget)
-            }
-            Algorithm::Furthest(p) => furthest::furthest_budgeted(oracle, *p, budget),
-            Algorithm::LocalSearch(p) => {
-                local_search::local_search_budgeted(oracle, p.clone(), budget)
-            }
-            Algorithm::Pivot(p) => pivot::pivot_budgeted(oracle, *p, budget),
-            Algorithm::Annealing(p) => annealing::simulated_annealing_budgeted(oracle, p, budget),
-        }
-    }
-
-    /// Run the algorithm with crash-safe checkpoint/resume on top of the
-    /// budgeted semantics.
+    /// Run the algorithm on a correlation-clustering instance — the one
+    /// way to run any of them.
     ///
-    /// AGGLOMERATIVE and LOCALSEARCH — the long-running algorithms — honor
-    /// both the `resume` snapshot and the `ckpt` cadence (the SAMPLING
-    /// meta-algorithm, which is not an [`Algorithm`] variant, resumes via
-    /// [`sampling::sampling_resumable`]); the rest are single-sweep
-    /// constructions that finish within one checkpoint interval anyway and
-    /// simply delegate to [`Algorithm::run_budgeted`]. A snapshot for the
-    /// wrong algorithm (or the wrong instance) is ignored: the run starts
-    /// fresh.
-    pub fn run_resumable<O: DistanceOracle + Sync>(
+    /// Invalid parameters (BALLS `α` outside `[0, 1]`, a NaN threshold,
+    /// `ε` or temperature, a cooling factor outside `(0, 1)`, a
+    /// LOCALSEARCH start that does not cover the instance) come back as
+    /// [`AggError::InvalidParameter`](crate::AggError::InvalidParameter).
+    /// The run honors `ctx.budget` with anytime semantics: a trip yields
+    /// the best-so-far clustering tagged with how the run ended, never an
+    /// error. AGGLOMERATIVE and LOCALSEARCH resume from `ctx.resume` and
+    /// checkpoint through `ctx.ckpt`; the other algorithms use the budget
+    /// alone.
+    pub fn run<O: DistanceOracle + Sync + ?Sized>(
         &self,
         oracle: &O,
-        budget: &RunBudget,
-        resume: Option<&AlgorithmSnapshot>,
-        ckpt: Option<&mut Checkpointer>,
+        ctx: &mut RunCtx<'_>,
     ) -> AggResult<RunOutcome> {
         match self {
-            Algorithm::Agglomerative(p) => {
-                let snap = match resume {
-                    Some(AlgorithmSnapshot::Agglomerative(s)) => Some(s),
-                    _ => None,
-                };
-                agglomerative::agglomerative_resumable(oracle, *p, budget, snap, ckpt)
-            }
-            Algorithm::LocalSearch(p) => {
-                let snap = match resume {
-                    Some(AlgorithmSnapshot::LocalSearch(s)) => Some(s),
-                    _ => None,
-                };
-                local_search::local_search_resumable(oracle, p.clone(), budget, snap, ckpt)
-            }
-            _ => self.run_budgeted(oracle, budget),
+            Algorithm::Balls(p) => balls::run(oracle, *p, ctx.budget),
+            Algorithm::Agglomerative(p) => agglomerative::run(oracle, *p, ctx),
+            Algorithm::Furthest(p) => Ok(furthest::run(oracle, *p, ctx.budget)),
+            Algorithm::LocalSearch(p) => local_search::run(oracle, p, ctx),
+            Algorithm::Pivot(p) => Ok(pivot::run(oracle, *p, ctx.budget)),
+            Algorithm::Annealing(p) => annealing::run(oracle, p, ctx.budget),
         }
     }
 
@@ -133,10 +86,27 @@ impl Algorithm {
     }
 }
 
+/// `algorithm` on `oracle` under an unlimited budget: the module tests'
+/// shorthand for a run whose parameters are valid.
+#[cfg(test)]
+pub(crate) fn unlimited<O: DistanceOracle + Sync + ?Sized>(
+    algorithm: Algorithm,
+    oracle: &O,
+) -> crate::clustering::Clustering {
+    let budget = crate::robust::RunBudget::unlimited();
+    algorithm
+        .run(oracle, &mut RunCtx::new(&budget))
+        .unwrap()
+        .clustering
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::DenseOracle;
+    use crate::clustering::Clustering;
+    use crate::error::AggError;
+    use crate::instance::{ClusteringsOracle, DenseOracle};
+    use crate::robust::RunBudget;
 
     fn figure1_oracle() -> DenseOracle {
         let cs = vec![
@@ -158,17 +128,16 @@ mod tests {
             Algorithm::Furthest(FurthestParams::default()),
             Algorithm::LocalSearch(LocalSearchParams::default()),
         ];
-        for a in &algos {
-            let result = a.run(&oracle);
-            assert_eq!(result, optimum, "{} failed", a.name());
+        for a in algos {
+            let name = a.name();
+            assert_eq!(unlimited(a, &oracle), optimum, "{name} failed");
         }
     }
 
     #[test]
-    fn run_budgeted_matches_run_with_unlimited_budget() {
+    fn every_algorithm_converges_under_an_unlimited_budget() {
         // Annealing with seed 68 on the second instance ends its descent
-        // above its best mid-anneal state, which only the budgeted path
-        // used to return.
+        // above its best mid-anneal state and returns that state instead.
         let noisy = DenseOracle::from_clusterings(&[
             Clustering::from_labels(vec![0, 0, 1, 0, 0, 2, 0, 1, 1, 1, 0, 0, 2, 3, 3, 1]),
             Clustering::from_labels(vec![0, 1, 2, 2, 3, 0, 1, 0, 0, 0, 2, 2, 2, 2, 0, 1]),
@@ -187,15 +156,17 @@ mod tests {
         ];
         for oracle in [figure1_oracle(), noisy] {
             for a in &algos {
-                let outcome = a.run_budgeted(&oracle, &RunBudget::unlimited()).unwrap();
+                let outcome = a
+                    .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+                    .unwrap();
                 assert!(outcome.status.is_converged(), "{}", a.name());
-                assert_eq!(outcome.clustering, a.run(&oracle), "{} diverged", a.name());
+                assert_eq!(outcome.clustering.len(), oracle.len(), "{}", a.name());
             }
         }
     }
 
     #[test]
-    fn run_budgeted_never_panics_on_a_tight_budget() {
+    fn run_never_panics_on_a_tight_budget() {
         let oracle = figure1_oracle();
         let algos = [
             Algorithm::Balls(BallsParams::default()),
@@ -208,9 +179,118 @@ mod tests {
         for cap in [0u64, 1, 2, 5] {
             let budget = RunBudget::unlimited().with_max_iters(cap);
             for a in &algos {
-                let outcome = a.run_budgeted(&oracle, &budget).unwrap();
+                let outcome = a.run(&oracle, &mut RunCtx::new(&budget)).unwrap();
                 assert_eq!(outcome.clustering.len(), 6, "{} cap {cap}", a.name());
             }
         }
+    }
+
+    #[test]
+    fn every_invalid_parameter_is_a_typed_error() {
+        let balls = |alpha| {
+            Algorithm::Balls(BallsParams {
+                alpha,
+                ordering: BallsOrdering::IncreasingWeight,
+            })
+        };
+        let annealing = |initial_temperature, cooling| {
+            Algorithm::Annealing(AnnealingParams {
+                initial_temperature,
+                cooling,
+                ..Default::default()
+            })
+        };
+        let local_search = |init, epsilon| {
+            Algorithm::LocalSearch(LocalSearchParams {
+                init,
+                epsilon,
+                ..Default::default()
+            })
+        };
+        let cases = [
+            ("alpha", balls(-0.5)),
+            ("alpha", balls(1.5)),
+            ("alpha", balls(f64::NAN)),
+            (
+                "threshold",
+                Algorithm::Agglomerative(AgglomerativeParams {
+                    threshold: f64::NAN,
+                    num_clusters: None,
+                }),
+            ),
+            (
+                "epsilon",
+                local_search(LocalSearchInit::Singletons, f64::NAN),
+            ),
+            (
+                "start",
+                local_search(LocalSearchInit::Given(Clustering::singletons(3)), 1e-9),
+            ),
+            ("cooling", annealing(1.0, 0.0)),
+            ("cooling", annealing(1.0, 1.0)),
+            ("cooling", annealing(1.0, 1.5)),
+            ("initial_temperature", annealing(f64::NAN, 0.95)),
+        ];
+        let oracle = figure1_oracle();
+        for (param, algorithm) in cases {
+            let result = std::panic::catch_unwind(|| {
+                algorithm.run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+            });
+            match result {
+                Ok(Err(AggError::InvalidParameter { what, .. })) => {
+                    assert_eq!(what, param, "{algorithm:?}")
+                }
+                Ok(other) => panic!("{algorithm:?}: expected InvalidParameter, got {other:?}"),
+                Err(_) => panic!("{algorithm:?} panicked"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_functions_the_benchmark_names_match_algorithm_run() {
+        use local_search::{local_search_budgeted, local_search_from_budgeted};
+        use sampling::{sampling, sampling_with_details};
+        // Three noisy copies of a 5-block planted clustering of 60 objects.
+        let inputs: Vec<Clustering> = (0..3u32)
+            .map(|i| {
+                let labels = (0..60u32).map(|v| {
+                    if (v * 7 + i * 3) % 11 == 0 {
+                        (v + i) % 5
+                    } else {
+                        v / 12
+                    }
+                });
+                Clustering::from_labels(labels.collect())
+            })
+            .collect();
+        let dense = DenseOracle::from_clusterings(&inputs);
+        let budget = RunBudget::unlimited();
+
+        let params = LocalSearchParams {
+            max_passes: 3,
+            ..Default::default()
+        };
+        let named = local_search_budgeted(&dense, params.clone(), &budget).unwrap();
+        assert_eq!(
+            named.clustering,
+            unlimited(Algorithm::LocalSearch(params), &dense)
+        );
+
+        let agglomerative = Algorithm::Agglomerative(AgglomerativeParams::default());
+        let start = unlimited(agglomerative.clone(), &dense);
+        let refine = Algorithm::LocalSearch(LocalSearchParams {
+            init: LocalSearchInit::Given(start.clone()),
+            ..Default::default()
+        });
+        let named = local_search_from_budgeted(&dense, &start, 200, 1e-9, &budget).unwrap();
+        assert_eq!(named.clustering, unlimited(refine, &dense));
+
+        let lazy = ClusteringsOracle::from_total(&inputs);
+        let params = SamplingParams::new(20, agglomerative, 7);
+        let single = sampling(&lazy, &params, &mut RunCtx::new(&budget)).unwrap();
+        assert_eq!(
+            sampling_with_details(&lazy, &params).clustering,
+            single.clustering
+        );
     }
 }

@@ -14,7 +14,6 @@
 //! cluster, remove them, repeat. `O(n²)` oracle lookups worst case.
 
 use crate::clustering::Clustering;
-use crate::error::AggResult;
 use crate::instance::DistanceOracle;
 use crate::robust::{BudgetMeter, Interrupt, RunBudget, RunOutcome, RunStatus};
 use crate::telemetry;
@@ -33,7 +32,7 @@ pub enum PivotRounding {
     Randomized,
 }
 
-/// Parameters for [`pivot`].
+/// Parameters for CC-PIVOT.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PivotParams {
     /// Join rule.
@@ -66,37 +65,19 @@ impl PivotParams {
     }
 }
 
-/// Run CC-PIVOT; with `repetitions > 1` the cheapest of the independent
-/// runs (by correlation cost) is returned.
-pub fn pivot<O: DistanceOracle + Sync + ?Sized>(oracle: &O, params: PivotParams) -> Clustering {
-    let (clustering, _, _) = run(oracle, params, &RunBudget::unlimited());
-    clustering
-}
-
-/// Budgeted CC-PIVOT with anytime semantics. One budget iteration per pivot
-/// (each pivot scans the remaining unclustered nodes). On a trip, the
-/// current repetition is completed by turning every unclustered node into a
-/// fresh singleton, and the cheapest clustering across the finished
-/// repetitions is returned.
-pub fn pivot_budgeted<O: DistanceOracle + Sync + ?Sized>(
+/// Run CC-PIVOT under `budget`, the engine behind
+/// [`Algorithm::Pivot`](super::Algorithm::Pivot); with `repetitions > 1`
+/// the cheapest of the independent runs (by correlation cost) is returned.
+///
+/// One budget iteration per pivot (each pivot scans the remaining
+/// unclustered nodes). On a trip, the current repetition is completed by
+/// turning every unclustered node into a fresh singleton, and the cheapest
+/// clustering across the finished repetitions is returned.
+pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: PivotParams,
     budget: &RunBudget,
-) -> AggResult<RunOutcome> {
-    let (clustering, status, iterations) = run(oracle, params, budget);
-    Ok(RunOutcome {
-        clustering,
-        status,
-        iterations,
-    })
-}
-
-/// Shared engine behind [`pivot`] and [`pivot_budgeted`].
-fn run<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    params: PivotParams,
-    budget: &RunBudget,
-) -> (Clustering, RunStatus, u64) {
+) -> RunOutcome {
     let n = oracle.len();
     let _span = crate::span!(
         "pivot",
@@ -105,7 +86,7 @@ fn run<O: DistanceOracle + Sync + ?Sized>(
         randomized = params.rounding == PivotRounding::Randomized
     );
     if n == 0 {
-        return (Clustering::from_labels(Vec::new()), RunStatus::Converged, 0);
+        return RunOutcome::converged(Clustering::from_labels(Vec::new()));
     }
     let reps = params.repetitions.max(1);
     let mut rng = StdRng::seed_from_u64(params.seed);
@@ -118,18 +99,26 @@ fn run<O: DistanceOracle + Sync + ?Sized>(
             best = Some((cost, candidate));
         }
         if let Some(interrupt) = tripped {
-            let iterations = meter.iterations();
-            return (take_best(best, n), interrupt.status(), iterations);
+            return take_best(best, n, interrupt.status(), &meter);
         }
     }
-    let iterations = meter.iterations();
-    (take_best(best, n), RunStatus::Converged, iterations)
+    take_best(best, n, RunStatus::Converged, &meter)
 }
 
-/// `best` is always `Some` after at least one repetition; the singleton
-/// fallback only avoids a panic path.
-fn take_best(best: Option<(f64, Clustering)>, n: usize) -> Clustering {
-    best.map_or_else(|| Clustering::singletons(n), |(_, clustering)| clustering)
+/// The outcome holding the cheapest repetition. `best` is always `Some`
+/// after at least one repetition; the singleton fallback only avoids a
+/// panic path.
+fn take_best(
+    best: Option<(f64, Clustering)>,
+    n: usize,
+    status: RunStatus,
+    meter: &BudgetMeter<'_>,
+) -> RunOutcome {
+    RunOutcome {
+        clustering: best.map_or_else(|| Clustering::singletons(n), |(_, clustering)| clustering),
+        status,
+        iterations: meter.iterations(),
+    }
 }
 
 fn pivot_once<O: DistanceOracle + Sync + ?Sized>(
@@ -189,9 +178,11 @@ fn pivot_once<O: DistanceOracle + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{unlimited, Algorithm};
     use crate::cost::correlation_cost;
     use crate::exact::optimal_clustering;
     use crate::instance::DenseOracle;
+    use crate::robust::RunCtx;
 
     fn c(labels: &[u32]) -> Clustering {
         Clustering::from_labels(labels.to_vec())
@@ -203,6 +194,10 @@ mod tests {
             c(&[0, 1, 0, 1, 2, 3]),
             c(&[0, 1, 0, 1, 2, 2]),
         ])
+    }
+
+    fn pivot(oracle: &DenseOracle, params: PivotParams) -> Clustering {
+        unlimited(Algorithm::Pivot(params), oracle)
     }
 
     #[test]
@@ -267,22 +262,28 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_unlimited_matches_unbudgeted() {
-        let oracle = figure1_oracle();
-        let params = PivotParams::randomized(7, 4);
-        let outcome = pivot_budgeted(&oracle, params, &RunBudget::unlimited()).unwrap();
-        assert_eq!(outcome.status, RunStatus::Converged);
-        assert_eq!(outcome.clustering, pivot(&oracle, params));
-    }
-
-    #[test]
     fn budget_trip_returns_complete_clustering() {
         let oracle = figure1_oracle();
         // One pivot allowed, then the cap trips mid-repetition: the rest of
         // the nodes become singletons and the clustering is still complete.
         let tight = RunBudget::unlimited().with_max_iters(1);
-        let outcome = pivot_budgeted(&oracle, PivotParams::majority(3), &tight).unwrap();
+        let outcome = Algorithm::Pivot(PivotParams::majority(3))
+            .run(&oracle, &mut RunCtx::new(&tight))
+            .unwrap();
         assert_eq!(outcome.status, RunStatus::BudgetExceeded);
         assert_eq!(outcome.clustering.len(), 6);
+    }
+
+    #[test]
+    fn budgeted_unlimited_matches_unbudgeted() {
+        // A cap that never binds meters every pivot yet changes no label.
+        let oracle = figure1_oracle();
+        let params = PivotParams::randomized(7, 4);
+        let loose = RunBudget::unlimited().with_max_iters(u64::MAX);
+        let outcome = Algorithm::Pivot(params)
+            .run(&oracle, &mut RunCtx::new(&loose))
+            .unwrap();
+        assert_eq!(outcome.status, RunStatus::Converged);
+        assert_eq!(outcome.clustering, pivot(&oracle, params));
     }
 }

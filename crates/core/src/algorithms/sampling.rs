@@ -23,8 +23,8 @@ use crate::assign::ClusterAssigner;
 use crate::clustering::Clustering;
 use crate::error::AggResult;
 use crate::instance::{ClusterCounts, DistanceOracle};
-use crate::robust::{RunBudget, RunOutcome, RunStatus};
-use crate::snapshot::{AlgorithmSnapshot, Checkpointer, SamplingSnapshot};
+use crate::robust::{RunBudget, RunCtx, RunStatus};
+use crate::snapshot::{AlgorithmSnapshot, SamplingSnapshot};
 use crate::telemetry;
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
@@ -82,11 +82,16 @@ impl SamplingParams {
     }
 }
 
-/// Phase timing and bookkeeping returned by [`sampling_with_details`].
+/// The outcome of a [`sampling`] run with its phase timing and bookkeeping.
 #[derive(Clone, Debug)]
 pub struct SamplingDetails {
-    /// The final clustering.
+    /// The final clustering — the result when the run converged, the
+    /// best-so-far otherwise.
     pub clustering: Clustering,
+    /// How the run ended: the worst status of its phases.
+    pub status: RunStatus,
+    /// Budget iterations consumed across the phases.
+    pub iterations: u64,
     /// Indices of the sampled nodes.
     pub sample: Vec<usize>,
     /// Number of clusters produced on the sample before assignment.
@@ -94,7 +99,8 @@ pub struct SamplingDetails {
     /// Number of nodes that ended up singletons after assignment (before
     /// the re-aggregation pass).
     pub singletons_before_recluster: usize,
-    /// Wall-clock time spent clustering the sample.
+    /// Wall-clock time spent clustering the sample (zero on a resumed run,
+    /// which restores the sample's clustering from the snapshot).
     pub cluster_time: Duration,
     /// Wall-clock time spent assigning non-sampled nodes.
     pub assign_time: Duration,
@@ -103,9 +109,12 @@ pub struct SamplingDetails {
 }
 
 impl SamplingDetails {
+    /// The result of an empty instance.
     fn empty() -> Self {
         SamplingDetails {
             clustering: Clustering::from_labels(Vec::new()),
+            status: RunStatus::Converged,
+            iterations: 0,
             sample: Vec::new(),
             sample_clusters: 0,
             singletons_before_recluster: 0,
@@ -116,97 +125,54 @@ impl SamplingDetails {
     }
 }
 
-/// Run the SAMPLING algorithm, returning just the clustering.
+/// [`sampling`] under an unlimited budget. Kept with this signature
+/// because the benchmark's traced replay calls it by name; delete it with
+/// the next change to the benchmark.
 ///
 /// # Panics
-/// Panics if the base algorithm rejects its parameters (see
-/// [`sampling_with_details`]).
-pub fn sampling<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> Clustering {
-    sampling_with_details(oracle, params).clustering
-}
-
-/// Run the SAMPLING algorithm with phase-level instrumentation (used by the
-/// Figure-5 experiments): [`sampling_resumable`] under
-/// [`RunBudget::unlimited`].
-///
-/// # Panics
-/// Panics if the base algorithm rejects its parameters, which the budgeted
-/// entry points report as a typed error instead.
+/// Panics if the base algorithm rejects its parameters, which [`sampling`]
+/// reports as a typed error instead.
 pub fn sampling_with_details<O: DistanceOracle + Sync>(
     oracle: &O,
     params: &SamplingParams,
 ) -> SamplingDetails {
-    let mut details = SamplingDetails::empty();
-    let outcome = run(
-        oracle,
-        params,
-        &RunBudget::unlimited(),
-        None,
-        None,
-        &mut details,
-    );
+    let details = sampling(oracle, params, &mut RunCtx::new(&RunBudget::unlimited()));
     assert!(
-        outcome.is_ok(),
+        details.is_ok(),
         "SAMPLING base algorithm rejected its parameters: {:?}",
-        outcome.as_ref().err()
+        details.as_ref().err()
     );
-    if let Ok(outcome) = outcome {
-        details.clustering = outcome.clustering;
-    }
-    details
+    details.unwrap_or_else(|_| SamplingDetails::empty())
 }
 
-/// Budgeted SAMPLING with anytime semantics. The base algorithm runs under
-/// the same budget in the sample phase and the singleton-recluster phase;
-/// the per-node assignment loop ticks once per node.
+/// Run the SAMPLING meta-algorithm under `ctx`.
+///
+/// The base algorithm runs under `ctx.budget` in the sample phase and the
+/// singleton-recluster phase, and its errors (invalid parameters) are
+/// returned as they are; the per-node assignment loop ticks once per node.
 /// On a trip mid-assignment the remaining nodes become fresh singletons and
 /// the recluster pass is skipped; statuses from the phases combine to the
 /// worst one observed.
-pub fn sampling_budgeted<O: DistanceOracle + Sync>(
-    oracle: &O,
-    params: &SamplingParams,
-    budget: &RunBudget,
-) -> AggResult<RunOutcome> {
-    sampling_resumable(oracle, params, budget, None, None)
-}
-
-/// [`sampling_budgeted`] with crash-safe checkpoint/resume.
 ///
 /// Only phase 3 — the per-node assignment loop, the one phase whose cost
-/// grows with `n` — checkpoints and resumes mid-flight; an interrupt during
-/// the sample clustering (phase 2) or singleton recluster (phase 3b) simply
-/// reruns that phase on resume. A valid snapshot skips phases 1–2 entirely
-/// (the sample and its labels are in the file) and re-enters the assignment
-/// loop at the recorded node with the meter pre-charged. A snapshot whose
-/// `n` or sample is inconsistent with this instance falls back to a fresh
-/// run.
-pub fn sampling_resumable<O: DistanceOracle + Sync>(
+/// grows with `n` — checkpoints through `ctx.ckpt` and resumes mid-flight;
+/// an interrupt during the sample clustering (phase 2) or singleton
+/// recluster (phase 3b) simply reruns that phase on resume. A SAMPLING
+/// snapshot in `ctx.resume` skips phases 1–2 entirely (the sample and its
+/// labels are in the file) and re-enters the assignment loop at the
+/// recorded node with the meter pre-charged. A snapshot whose `n` or
+/// sample is inconsistent with this instance, or of another algorithm,
+/// falls back to a fresh run.
+pub fn sampling<O: DistanceOracle + Sync>(
     oracle: &O,
     params: &SamplingParams,
-    budget: &RunBudget,
-    resume: Option<&SamplingSnapshot>,
-    ckpt: Option<&mut Checkpointer>,
-) -> AggResult<RunOutcome> {
-    run(
-        oracle,
-        params,
-        budget,
-        resume,
-        ckpt,
-        &mut SamplingDetails::empty(),
-    )
-}
-
-/// The SAMPLING engine behind every entry point. Records the phase data of
-/// [`SamplingDetails`] (all but the final clustering) into `details`.
-fn run<O: DistanceOracle + Sync>(
-    oracle: &O,
-    params: &SamplingParams,
-    budget: &RunBudget,
-    resume: Option<&SamplingSnapshot>,
-    mut ckpt: Option<&mut Checkpointer>,
-    details: &mut SamplingDetails,
-) -> AggResult<RunOutcome> {
+    ctx: &mut RunCtx<'_>,
+) -> AggResult<SamplingDetails> {
+    let resume = match ctx.resume {
+        Some(AlgorithmSnapshot::Sampling(snap)) => Some(snap),
+        _ => None,
+    };
+    let budget = ctx.budget;
     let n = oracle.len();
     let _span = crate::span!(
         "sampling",
@@ -216,7 +182,7 @@ fn run<O: DistanceOracle + Sync>(
         resuming = resume.is_some()
     );
     if n == 0 {
-        return Ok(RunOutcome::converged(Clustering::from_labels(Vec::new())));
+        return Ok(SamplingDetails::empty());
     }
     let resume = resume.filter(|snap| {
         snap.n as usize == n
@@ -236,6 +202,7 @@ fn run<O: DistanceOracle + Sync>(
     let mut labels: Vec<u32>;
     let start_node: usize;
     let done: u64;
+    let mut cluster_time = Duration::ZERO;
     if let Some(snap) = resume {
         // Phases 1–2 are fully captured by the snapshot: the sample, its
         // clustering, and every assignment made before the interrupt.
@@ -266,8 +233,8 @@ fn run<O: DistanceOracle + Sync>(
         // Phase 2: aggregate the sample with the base algorithm.
         let t0 = Instant::now();
         let sub = oracle.restrict(&smp);
-        let base_outcome = params.base.run_budgeted(&sub, budget)?;
-        details.cluster_time = t0.elapsed();
+        let base_outcome = params.base.run(&sub, &mut RunCtx::new(budget))?;
+        cluster_time = t0.elapsed();
         status = base_outcome.status;
         iterations = base_outcome.iterations;
         sample_labels = (0..smp.len())
@@ -318,7 +285,7 @@ fn run<O: DistanceOracle + Sync>(
             // Final checkpoint first — the snapshot keeps the unassigned
             // markers so a resume redoes real assignment, not the
             // singleton fallback below.
-            if let Some(c) = ckpt.as_deref_mut() {
+            if let Some(c) = ctx.ckpt.as_deref_mut() {
                 let _ = c.save_now(AlgorithmSnapshot::Sampling(SamplingSnapshot {
                     n: n as u64,
                     sample: sample.iter().map(|&x| x as u64).collect(),
@@ -362,7 +329,7 @@ fn run<O: DistanceOracle + Sync>(
         // Real assignments only — the singleton fallback after a budget trip
         // is not counted, so resumed totals match uninterrupted ones.
         telemetry::metrics().sampling_assigned.incr_if_enabled();
-        if let Some(c) = ckpt.as_deref_mut() {
+        if let Some(c) = ctx.ckpt.as_deref_mut() {
             c.maybe_save(|| {
                 AlgorithmSnapshot::Sampling(SamplingSnapshot {
                     n: n as u64,
@@ -376,7 +343,7 @@ fn run<O: DistanceOracle + Sync>(
         }
     }
     drop((path, assign_span));
-    details.assign_time = t1.elapsed();
+    let assign_time = t1.elapsed();
     iterations = iterations.saturating_add(meter.iterations());
 
     // Singletons after assignment: freshly assigned ones and sample
@@ -397,22 +364,23 @@ fn run<O: DistanceOracle + Sync>(
             .sampling_reclustered
             .add_if_enabled(singleton_nodes.len() as u64);
         let sub = oracle.restrict(&singleton_nodes);
-        let re = params.base.run_budgeted(&sub, budget)?;
+        let re = params.base.run(&sub, &mut RunCtx::new(budget))?;
         status = status.combine(re.status);
         iterations = iterations.saturating_add(re.iterations);
         for (i, &v) in singleton_nodes.iter().enumerate() {
             labels[v] = next_label + re.clustering.label(i);
         }
     }
-    details.recluster_time = t2.elapsed();
-    details.sample_clusters = ell;
-    details.singletons_before_recluster = singleton_nodes.len();
-    details.sample = sample;
-
-    Ok(RunOutcome {
+    Ok(SamplingDetails {
         clustering: Clustering::from_labels(labels),
         status,
         iterations,
+        sample,
+        sample_clusters: ell,
+        singletons_before_recluster: singleton_nodes.len(),
+        cluster_time,
+        assign_time,
+        recluster_time: t2.elapsed(),
     })
 }
 
@@ -462,9 +430,10 @@ fn is_first_appearance_order(labels: &[u32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{AgglomerativeParams, BallsParams};
+    use crate::algorithms::{unlimited, AgglomerativeParams, BallsParams};
     use crate::cost::correlation_cost;
     use crate::instance::{ClusteringsOracle, DenseOracle};
+    use crate::snapshot::Checkpointer;
 
     fn c(labels: &[u32]) -> Clustering {
         Clustering::from_labels(labels.to_vec())
@@ -489,6 +458,29 @@ mod tests {
         (inputs, oracle)
     }
 
+    fn run_with<O: DistanceOracle + Sync>(
+        oracle: &O,
+        params: &SamplingParams,
+        budget: &RunBudget,
+        resume: Option<&AlgorithmSnapshot>,
+        ckpt: Option<&mut Checkpointer>,
+    ) -> SamplingDetails {
+        let mut ctx = RunCtx {
+            budget,
+            resume,
+            ckpt,
+        };
+        sampling(oracle, params, &mut ctx).unwrap()
+    }
+
+    fn details<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> SamplingDetails {
+        run_with(oracle, params, &RunBudget::unlimited(), None, None)
+    }
+
+    fn sampled<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> Clustering {
+        details(oracle, params).clustering
+    }
+
     #[test]
     fn sample_size_resolution() {
         assert_eq!(SampleSize::Absolute(10).resolve(5), 5);
@@ -509,7 +501,7 @@ mod tests {
             Algorithm::Agglomerative(AgglomerativeParams::default()),
             42,
         );
-        let result = sampling(&oracle, &params);
+        let result = sampled(&oracle, &params);
         // The three big blocks must be recovered as the dominant clusters.
         let truth = c(&(0..60).map(|v| (v / 20) as u32).collect::<Vec<_>>());
         let d = crate::distance::disagreement_distance(&result, &truth);
@@ -527,8 +519,8 @@ mod tests {
             seed: 7,
             recluster_singletons: true,
         };
-        let via_sampling = sampling(&oracle, &params);
-        let direct = base.run(&oracle);
+        let via_sampling = sampled(&oracle, &params);
+        let direct = unlimited(base, &oracle);
         assert_eq!(via_sampling, direct);
     }
 
@@ -540,7 +532,7 @@ mod tests {
             Algorithm::Agglomerative(AgglomerativeParams::default()),
             123,
         );
-        assert_eq!(sampling(&oracle, &params), sampling(&oracle, &params));
+        assert_eq!(sampled(&oracle, &params), sampled(&oracle, &params));
     }
 
     #[test]
@@ -552,7 +544,7 @@ mod tests {
             Algorithm::Agglomerative(AgglomerativeParams::default()),
             42,
         );
-        assert_eq!(sampling(&lazy, &params), sampling(&dense, &params));
+        assert_eq!(sampled(&lazy, &params), sampled(&dense, &params));
     }
 
     #[test]
@@ -564,9 +556,9 @@ mod tests {
             5,
         );
         params.recluster_singletons = false;
-        let without = sampling(&oracle, &params);
+        let without = sampled(&oracle, &params);
         params.recluster_singletons = true;
-        let with = sampling(&oracle, &params);
+        let with = sampled(&oracle, &params);
         assert!(correlation_cost(&oracle, &with) <= correlation_cost(&oracle, &without) + 1e-9);
     }
 
@@ -578,7 +570,8 @@ mod tests {
             Algorithm::Agglomerative(AgglomerativeParams::default()),
             42,
         );
-        let details = sampling_with_details(&oracle, &params);
+        let details = details(&oracle, &params);
+        assert!(details.status.is_converged());
         assert_eq!(details.sample.len(), 20);
         assert!(details.sample_clusters >= 1);
         assert_eq!(details.clustering.len(), 60);
@@ -592,7 +585,7 @@ mod tests {
         let (_, oracle) = blocks_instance();
         let mut params = SamplingParams::new(12, Algorithm::Balls(BallsParams::default()), 3);
         params.recluster_singletons = false;
-        let details = sampling_with_details(&oracle, &params);
+        let details = details(&oracle, &params);
         let out = &details.clustering;
         let assigner = ClusterAssigner::new(out.restrict(&details.sample));
         let sizes = out.cluster_sizes();
@@ -620,21 +613,7 @@ mod tests {
             Algorithm::Agglomerative(AgglomerativeParams::default()),
             1,
         );
-        assert_eq!(sampling(&oracle, &params).len(), 0);
-    }
-
-    #[test]
-    fn budgeted_unlimited_matches_unbudgeted() {
-        let (_, oracle) = blocks_instance();
-        let params = SamplingParams::new(
-            20,
-            Algorithm::Agglomerative(AgglomerativeParams::default()),
-            42,
-        );
-        let outcome =
-            sampling_budgeted(&oracle, &params, &crate::robust::RunBudget::unlimited()).unwrap();
-        assert!(outcome.status.is_converged());
-        assert_eq!(outcome.clustering, sampling(&oracle, &params));
+        assert_eq!(sampled(&oracle, &params).len(), 0);
     }
 
     #[test]
@@ -647,15 +626,7 @@ mod tests {
             Algorithm::Agglomerative(AgglomerativeParams::default()),
             42,
         );
-        let full = sampling_resumable(
-            &oracle,
-            &params,
-            &crate::robust::RunBudget::unlimited(),
-            None,
-            None,
-        )
-        .unwrap()
-        .clustering;
+        let full = sampled(&oracle, &params);
 
         let dir = std::env::temp_dir().join("aggclust_sampling_resume_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -663,10 +634,9 @@ mod tests {
         // Caps past phase 2's convergence (19 merges on the sample of 20)
         // that trip mid-assignment over the 40 non-sample nodes.
         for cap in [20u64, 25, 40, 59] {
-            let tight = crate::robust::RunBudget::unlimited().with_max_iters(cap);
+            let tight = RunBudget::unlimited().with_max_iters(cap);
             let mut ckpt = Checkpointer::new(&path, Duration::ZERO);
-            let partial =
-                sampling_resumable(&oracle, &params, &tight, None, Some(&mut ckpt)).unwrap();
+            let partial = run_with(&oracle, &params, &tight, None, Some(&mut ckpt));
             if partial.status.is_converged() {
                 assert_eq!(partial.clustering, full);
                 continue;
@@ -675,17 +645,17 @@ mod tests {
                 SnapshotLoad::Loaded(s) => s,
                 other => panic!("cap {cap}: expected snapshot, got {other:?}"),
             };
-            let AlgorithmSnapshot::Sampling(sm) = snap.state else {
-                panic!("cap {cap}: wrong snapshot variant");
-            };
-            let resumed = sampling_resumable(
+            assert!(
+                matches!(snap.state, AlgorithmSnapshot::Sampling(_)),
+                "cap {cap}: wrong snapshot variant"
+            );
+            let resumed = run_with(
                 &oracle,
                 &params,
-                &crate::robust::RunBudget::unlimited(),
-                Some(&sm),
+                &RunBudget::unlimited(),
+                Some(&snap.state),
                 None,
-            )
-            .unwrap();
+            );
             assert_eq!(resumed.clustering, full, "cap {cap}: resumed labels differ");
             assert!(resumed.status.is_converged());
         }
@@ -716,15 +686,15 @@ mod tests {
             ..stale.clone()
         };
         for snapshot in [stale, unordered] {
-            let outcome = sampling_resumable(
+            let snapshot = AlgorithmSnapshot::Sampling(snapshot);
+            let outcome = run_with(
                 &oracle,
                 &params,
-                &crate::robust::RunBudget::unlimited(),
+                &RunBudget::unlimited(),
                 Some(&snapshot),
                 None,
-            )
-            .unwrap();
-            assert_eq!(outcome.clustering, sampling(&oracle, &params));
+            );
+            assert_eq!(outcome.clustering, sampled(&oracle, &params));
         }
     }
 
@@ -745,9 +715,25 @@ mod tests {
             42,
         );
         for cap in [0u64, 3, 25] {
-            let budget = crate::robust::RunBudget::unlimited().with_max_iters(cap);
-            let outcome = sampling_budgeted(&oracle, &params, &budget).unwrap();
+            let budget = RunBudget::unlimited().with_max_iters(cap);
+            let outcome = run_with(&oracle, &params, &budget, None, None);
             assert_eq!(outcome.clustering.len(), 60, "cap {cap}");
         }
+    }
+
+    #[test]
+    fn budgeted_unlimited_matches_unbudgeted() {
+        // A cap that never binds meters every assignment yet changes no
+        // label.
+        let (_, oracle) = blocks_instance();
+        let params = SamplingParams::new(
+            20,
+            Algorithm::Agglomerative(AgglomerativeParams::default()),
+            42,
+        );
+        let loose = RunBudget::unlimited().with_max_iters(u64::MAX);
+        let outcome = run_with(&oracle, &params, &loose, None, None);
+        assert!(outcome.status.is_converged());
+        assert_eq!(outcome.clustering, sampled(&oracle, &params));
     }
 }

@@ -24,18 +24,19 @@
 //! automatically above a size threshold where the dense `O(n²)` matrix
 //! stops being reasonable.
 
-use crate::algorithms::local_search::local_search_from_resumable;
-use crate::algorithms::sampling::{sampling_resumable, SamplingParams};
-use crate::algorithms::{AgglomerativeParams, Algorithm, BallsParams, LocalSearchParams};
+use crate::algorithms::sampling::{sampling, SamplingParams};
+use crate::algorithms::{
+    AgglomerativeParams, Algorithm, BallsParams, LocalSearchInit, LocalSearchParams,
+};
 use crate::clustering::{Clustering, PartialClustering};
 use crate::cost::{correlation_cost, lower_bound};
 use crate::distance::disagreement_distance_gauged;
 use crate::error::AggResult;
-use crate::exact::{branch_and_bound_budgeted, MAX_BNB_N};
+use crate::exact::{branch_and_bound, MAX_BNB_N};
 use crate::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
 use crate::linkage::CondensedMatrix;
-use crate::robust::{Interrupt, RunBudget, RunStatus};
-use crate::snapshot::{AlgorithmSnapshot, Checkpointer, LocalSearchSnapshot, Snapshot};
+use crate::robust::{Interrupt, RunBudget, RunCtx, RunStatus};
+use crate::snapshot::{AlgorithmSnapshot, Checkpointer, Snapshot};
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -381,7 +382,9 @@ impl ConsensusBuilder {
         let (resume_main, resume_refine) = match &self.resume_from {
             Some(s) if s.stage == 0 => (Some(&s.state), None),
             Some(s) if s.stage == 1 => match &s.state {
-                AlgorithmSnapshot::LocalSearch(ls) if ls.labels.len() == n => (None, Some(ls)),
+                AlgorithmSnapshot::LocalSearch(ls) if ls.labels.len() == n => {
+                    (None, Some(&s.state))
+                }
                 _ => (None, None),
             },
             _ => (None, None),
@@ -473,6 +476,20 @@ impl ConsensusBuilder {
         )
     }
 
+    /// The run context of one pipeline stage: this builder's budget, the
+    /// stage's snapshot, and the checkpointer.
+    fn ctx<'a>(
+        &'a self,
+        resume: Option<&'a AlgorithmSnapshot>,
+        ckpt: &'a mut Option<Checkpointer>,
+    ) -> RunCtx<'a> {
+        RunCtx {
+            budget: &self.budget,
+            resume,
+            ckpt: ckpt.as_mut(),
+        }
+    }
+
     /// The SAMPLING leg shared by the size-threshold and memory-degradation
     /// paths: run (or resume) budgeted sampling and package the result.
     fn run_sampling<O: DistanceOracle + Sync>(
@@ -483,15 +500,10 @@ impl ConsensusBuilder {
         ckpt: &mut Option<Checkpointer>,
         resume_main: Option<&AlgorithmSnapshot>,
     ) -> AggResult<ConsensusResult> {
-        let resume_sampling = match resume_main {
-            Some(AlgorithmSnapshot::Sampling(s)) => Some(s),
-            _ => None,
-        };
         if let Some(c) = ckpt.as_mut() {
             c.set_stage(0);
         }
-        let outcome =
-            sampling_resumable(oracle, params, &self.budget, resume_sampling, ckpt.as_mut())?;
+        let outcome = sampling(oracle, params, &mut self.ctx(resume_main, ckpt))?;
         if !outcome.status.is_converged() {
             push_warning(
                 &mut warnings,
@@ -522,7 +534,7 @@ impl ConsensusBuilder {
         mut warnings: Vec<Warning>,
         ckpt: &mut Option<Checkpointer>,
         resume_main: Option<&AlgorithmSnapshot>,
-        resume_refine: Option<&LocalSearchSnapshot>,
+        resume_refine: Option<&AlgorithmSnapshot>,
     ) -> AggResult<ConsensusResult> {
         // A refinement-stage snapshot already contains the labels the main
         // stage produced (and every refinement move since); re-running the
@@ -532,24 +544,24 @@ impl ConsensusBuilder {
             (Clustering::singletons(n), RunStatus::Converged)
         } else if self.prefer_exact {
             if n <= MAX_BNB_N {
-                let (exact, status) = branch_and_bound_budgeted(oracle, &self.budget)?;
+                let (exact, status) = branch_and_bound(oracle, &mut self.ctx(None, ckpt))?;
                 if !status.is_converged() {
                     push_warning(&mut warnings, Warning::ExactSearchStoppedEarly);
                 }
                 (exact.clustering, status)
             } else {
                 push_warning(&mut warnings, Warning::ExactSearchTooLarge { n });
-                let outcome =
-                    Algorithm::Balls(BallsParams::default()).run_budgeted(oracle, &self.budget)?;
+                let outcome = Algorithm::Balls(BallsParams::default())
+                    .run(oracle, &mut self.ctx(None, ckpt))?;
                 (outcome.clustering, outcome.status)
             }
         } else {
             if let Some(c) = ckpt.as_mut() {
                 c.set_stage(0);
             }
-            let outcome =
-                self.algorithm
-                    .run_resumable(oracle, &self.budget, resume_main, ckpt.as_mut())?;
+            let outcome = self
+                .algorithm
+                .run(oracle, &mut self.ctx(resume_main, ckpt))?;
             (outcome.clustering, outcome.status)
         };
 
@@ -565,16 +577,11 @@ impl ConsensusBuilder {
             if let Some(c) = ckpt.as_mut() {
                 c.set_stage(1);
             }
-            let ls = LocalSearchParams::default();
-            let refined = local_search_from_resumable(
-                oracle,
-                &clustering,
-                ls.max_passes,
-                ls.epsilon,
-                &self.budget,
-                resume_refine,
-                ckpt.as_mut(),
-            )?;
+            let refine = Algorithm::LocalSearch(LocalSearchParams {
+                init: LocalSearchInit::Given(clustering),
+                ..LocalSearchParams::default()
+            });
+            let refined = refine.run(oracle, &mut self.ctx(resume_refine, ckpt))?;
             if !refined.status.is_converged() {
                 push_warning(&mut warnings, Warning::RefinementInterrupted);
             }

@@ -11,10 +11,11 @@
 //! Used by the test suite and the ablation harness; not part of any
 //! algorithm.
 
+use crate::algorithms::{Algorithm, LocalSearchParams};
 use crate::clustering::Clustering;
 use crate::error::{AggError, AggResult};
 use crate::instance::DistanceOracle;
-use crate::robust::{BudgetMeter, Interrupt, RunBudget, RunStatus};
+use crate::robust::{BudgetMeter, Interrupt, RunBudget, RunCtx, RunStatus};
 
 /// Largest instance size accepted by [`optimal_clustering`].
 pub const MAX_EXACT_N: usize = 14;
@@ -125,7 +126,7 @@ pub fn optimal_clustering<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> Exac
 pub const MAX_BNB_N: usize = 24;
 
 /// Exact optimal correlation clustering by branch-and-bound over restricted
-/// growth strings.
+/// growth strings, under `ctx.budget` (the search does not checkpoint).
 ///
 /// Nodes are placed one at a time; a branch is cut when the accumulated
 /// within-cost plus an *admissible* bound on the remaining pairs cannot
@@ -136,37 +137,15 @@ pub const MAX_BNB_N: usize = 24;
 /// LOCALSEARCH warm start, so strong instances prune immediately.
 ///
 /// Returns the same optimum as [`optimal_clustering`] and additionally
-/// reports the number of search nodes expanded.
-///
-/// # Panics
-/// Panics if `oracle.len() > MAX_BNB_N`.
-pub fn branch_and_bound<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> ExactResult {
-    let n = oracle.len();
-    assert!(
-        n <= MAX_BNB_N,
-        "branch-and-bound limited to n ≤ {MAX_BNB_N}, got {n}"
-    );
-    match branch_and_bound_budgeted(oracle, &RunBudget::unlimited()) {
-        Ok((result, _)) => result,
-        // Unreachable: the size guard above is the only error source and an
-        // unlimited budget never trips.
-        Err(_) => ExactResult {
-            clustering: Clustering::singletons(n),
-            cost: f64::INFINITY,
-            partitions_examined: 0,
-        },
-    }
-}
-
-/// Budgeted [`branch_and_bound`]: the size guard becomes a typed
-/// [`AggError::TooLarge`] and the search ticks its budget once per expanded
-/// node. On a trip the incumbent — seeded by the LOCALSEARCH warm start, so
-/// always a valid clustering — is returned with
-/// [`RunStatus::BudgetExceeded`]; its `cost` field is then an upper bound
-/// on the optimum rather than the proven optimum.
-pub fn branch_and_bound_budgeted<O: DistanceOracle + Sync + ?Sized>(
+/// reports the number of search nodes expanded. An instance beyond
+/// [`MAX_BNB_N`] is an [`AggError::TooLarge`]. The search ticks its budget
+/// once per expanded node; on a trip the incumbent — always a valid
+/// clustering — is returned with [`RunStatus::BudgetExceeded`], and its
+/// `cost` field is then an upper bound on the optimum rather than the
+/// proven optimum.
+pub fn branch_and_bound<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
-    budget: &RunBudget,
+    ctx: &mut RunCtx<'_>,
 ) -> AggResult<(ExactResult, RunStatus)> {
     let n = oracle.len();
     if n > MAX_BNB_N {
@@ -205,19 +184,16 @@ pub fn branch_and_bound_budgeted<O: DistanceOracle + Sync + ?Sized>(
     }
 
     // Warm start: LOCALSEARCH from singletons gives a strong incumbent.
-    let warm = crate::algorithms::local_search::local_search_from(
-        oracle,
-        &Clustering::singletons(n),
-        200,
-        1e-9,
-    );
+    let warm = Algorithm::LocalSearch(LocalSearchParams::default())
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))?
+        .clustering;
     let mut best_within = crate::cost::within_cost(oracle, &warm);
     let mut best_labels: Vec<u32> = warm.labels().to_vec();
 
     let mut labels = vec![0u32; n];
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut expanded = 0u64;
-    let mut meter = budget.meter();
+    let mut meter = ctx.budget.meter();
 
     struct Search<'a, 'b> {
         n: usize,
@@ -303,6 +279,17 @@ mod tests {
 
     fn c(labels: &[u32]) -> Clustering {
         Clustering::from_labels(labels.to_vec())
+    }
+
+    fn bnb(oracle: &DenseOracle, budget: &RunBudget) -> AggResult<(ExactResult, RunStatus)> {
+        branch_and_bound(oracle, &mut RunCtx::new(budget))
+    }
+
+    /// Branch-and-bound under an unlimited budget, which always converges.
+    fn branch_and_bound_unlimited(oracle: &DenseOracle) -> ExactResult {
+        let (result, status) = bnb(oracle, &RunBudget::unlimited()).unwrap();
+        assert_eq!(status, RunStatus::Converged);
+        result
     }
 
     #[test]
@@ -412,7 +399,7 @@ mod tests {
             let inputs = lcg_clusterings(8, 4, 3, seed + 1);
             let oracle = DenseOracle::from_clusterings(&inputs);
             let full = optimal_clustering(&oracle);
-            let bnb = branch_and_bound(&oracle);
+            let bnb = branch_and_bound_unlimited(&oracle);
             assert!((full.cost - bnb.cost).abs() < 1e-9, "seed {seed}");
             assert!(
                 (correlation_cost(&oracle, &bnb.clustering) - bnb.cost).abs() < 1e-9,
@@ -427,7 +414,7 @@ mod tests {
         // than the full enumeration touches partitions.
         let truth = c(&[0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
         let oracle = DenseOracle::from_clusterings(&[truth.clone(), truth.clone(), truth]);
-        let bnb = branch_and_bound(&oracle);
+        let bnb = branch_and_bound_unlimited(&oracle);
         assert_eq!(bnb.cost, 0.0);
         // Bell(12) = 4_213_597; strong pruning must stay far below it.
         assert!(
@@ -442,7 +429,7 @@ mod tests {
         // n = 18 is beyond the enumerator but easy for the bound.
         let truth = Clustering::from_labels((0..18).map(|v| v / 6).collect());
         let oracle = DenseOracle::from_clusterings(&[truth.clone(), truth.clone(), truth.clone()]);
-        let bnb = branch_and_bound(&oracle);
+        let bnb = branch_and_bound_unlimited(&oracle);
         assert_eq!(bnb.clustering.num_clusters(), 3);
         assert_eq!(bnb.cost, 0.0);
     }
@@ -450,13 +437,13 @@ mod tests {
     #[test]
     fn branch_and_bound_empty() {
         let oracle = DenseOracle::from_fn(0, |_, _| 0.0);
-        assert_eq!(branch_and_bound(&oracle).cost, 0.0);
+        assert_eq!(branch_and_bound_unlimited(&oracle).cost, 0.0);
     }
 
     #[test]
     fn budgeted_bnb_too_large_is_a_typed_error() {
         let oracle = DenseOracle::from_fn(MAX_BNB_N + 1, |_, _| 0.5);
-        let err = branch_and_bound_budgeted(&oracle, &RunBudget::unlimited()).unwrap_err();
+        let err = bnb(&oracle, &RunBudget::unlimited()).unwrap_err();
         assert!(matches!(err, AggError::TooLarge { max: MAX_BNB_N, .. }));
     }
 
@@ -467,7 +454,7 @@ mod tests {
         // One expansion, then the cap trips: the incumbent is the
         // LOCALSEARCH warm start, whose reported cost matches its clustering.
         let tight = RunBudget::unlimited().with_max_iters(1);
-        let (result, status) = branch_and_bound_budgeted(&oracle, &tight).unwrap();
+        let (result, status) = bnb(&oracle, &tight).unwrap();
         assert_eq!(status, RunStatus::BudgetExceeded);
         assert!(
             (correlation_cost(&oracle, &result.clustering) - result.cost).abs() < 1e-9,

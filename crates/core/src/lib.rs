@@ -35,9 +35,10 @@
 //! ## Quick start
 //!
 //! ```
+//! use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 //! use aggclust_core::clustering::Clustering;
-//! use aggclust_core::instance::{CorrelationInstance, MissingPolicy};
-//! use aggclust_core::algorithms::agglomerative::agglomerative;
+//! use aggclust_core::instance::CorrelationInstance;
+//! use aggclust_core::{RunBudget, RunCtx};
 //!
 //! // The worked example from Figure 1 of the paper: three clusterings of
 //! // six objects.
@@ -46,13 +47,17 @@
 //! let c3 = Clustering::from_labels(vec![0, 1, 0, 1, 2, 2]);
 //!
 //! let instance = CorrelationInstance::from_clusterings(&[c1, c2, c3]);
-//! let aggregated = agglomerative(&instance.dense_oracle(), Default::default());
+//! let budget = RunBudget::unlimited();
+//! let aggregated = Algorithm::Agglomerative(AgglomerativeParams::default())
+//!     .run(&instance.dense_oracle(), &mut RunCtx::new(&budget))?
+//!     .clustering;
 //!
 //! // The optimal aggregate groups {v1,v3}, {v2,v4}, {v5,v6}.
 //! assert_eq!(aggregated.num_clusters(), 3);
 //! assert_eq!(aggregated.label(0), aggregated.label(2));
 //! assert_eq!(aggregated.label(1), aggregated.label(3));
 //! assert_eq!(aggregated.label(4), aggregated.label(5));
+//! # Ok::<(), aggclust_core::AggError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -99,6 +104,6 @@ pub use consensus::{aggregate, ConsensusBuilder, ConsensusResult, Warning};
 pub use error::{AggError, AggResult};
 pub use failpoint::{ArmedGuard, Fault, FaultPlan};
 pub use instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
-pub use robust::{CancelToken, MemCharge, MemGauge, RunBudget, RunOutcome, RunStatus};
+pub use robust::{CancelToken, MemCharge, MemGauge, RunBudget, RunCtx, RunOutcome, RunStatus};
 pub use snapshot::{Checkpointer, RetryPolicy, Snapshot, SnapshotLoad};
 pub use telemetry::{Clock, Collector, Level, MetricsSnapshot};

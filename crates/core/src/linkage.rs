@@ -25,7 +25,7 @@ use std::sync::Arc;
 use crate::clustering::Clustering;
 use crate::instance::DistanceOracle;
 use crate::parallel::{self, Layout};
-use crate::robust::{Interrupt, MemCharge, RunBudget, RunStatus};
+use crate::robust::{Interrupt, MemCharge, RunBudget, RunCtx, RunStatus};
 use crate::snapshot::{AgglomerativeSnapshot, AlgorithmSnapshot, Checkpointer, MergeRecord};
 use crate::telemetry;
 
@@ -297,7 +297,7 @@ impl Dendrogram {
 
     /// Flat clustering obtained by applying merges in ascending height order
     /// until exactly `k` clusters remain. On a *partial* dendrogram (a
-    /// budget-interrupted [`linkage_budgeted`] run) fewer merges may exist
+    /// budget-interrupted [`linkage_with`] run) fewer merges may exist
     /// than `n − k`; all available merges are applied and the cut has more
     /// than `k` clusters.
     ///
@@ -352,24 +352,13 @@ impl Dendrogram {
 }
 
 /// Run agglomerative clustering with the given linkage over a condensed
-/// distance matrix (consumed as working storage).
+/// distance matrix (consumed as working storage): [`linkage_with`] under
+/// an unlimited budget.
 ///
 /// Returns the full dendrogram; use [`Dendrogram::cut_num_clusters`] or
 /// [`Dendrogram::cut_height`] for a flat clustering.
 pub fn linkage(dist: CondensedMatrix, method: LinkageMethod) -> Dendrogram {
-    linkage_budgeted(dist, method, &RunBudget::unlimited()).0
-}
-
-/// Budgeted [`linkage`]: one budget iteration per merge (each is an `O(n)`
-/// chain-growth step amortized). On a trip, returns the *partial* dendrogram
-/// built so far — its cut methods still produce valid (finer) clusterings —
-/// along with how the run ended and the iterations consumed.
-pub fn linkage_budgeted(
-    dist: CondensedMatrix,
-    method: LinkageMethod,
-    budget: &RunBudget,
-) -> (Dendrogram, RunStatus, u64) {
-    linkage_resumable(dist, method, budget, None, None)
+    linkage_with(dist, method, &mut RunCtx::new(&RunBudget::unlimited())).0
 }
 
 /// Map a snapshot's merge list (over *node ids*) onto the `(x, y)` row
@@ -416,30 +405,38 @@ fn replay_plan(snap: &AgglomerativeSnapshot, n: usize) -> Option<Vec<(usize, usi
     Some(plan)
 }
 
-/// Resumable [`linkage_budgeted`].
+/// [`linkage`] under `ctx`, returning the dendrogram with how the run
+/// ended and the budget iterations consumed.
+///
+/// One budget iteration per merge (each is an `O(n)` chain-growth step
+/// amortized). On a trip, returns the *partial* dendrogram built so far —
+/// its cut methods still produce valid (finer) clusterings.
 ///
 /// Average linkage on a matrix of sums merges exactly; any other method on
 /// such a matrix runs on the `f64` distances it encodes, bit-identical to
 /// the oracle's.
 ///
-/// With `resume`, the saved merge list is replayed through the same
-/// updates (deterministic, so the matrix state after replay is
-/// bit-identical to the state when the snapshot was taken), the saved
-/// NN-chain is restored verbatim — restarting with an empty chain would
-/// change merge *discovery order*, and [`Dendrogram::cut_num_clusters`]
-/// breaks height ties by discovery index — and the meter continues from the
-/// snapshot's iteration count so an iteration cap bounds total work across
-/// the interrupt. A snapshot that fails validation is ignored (fresh run).
+/// With an AGGLOMERATIVE snapshot in `ctx.resume`, the saved merge list is
+/// replayed through the same updates (deterministic, so the matrix state
+/// after replay is bit-identical to the state when the snapshot was taken),
+/// the saved NN-chain is restored verbatim — restarting with an empty chain
+/// would change merge *discovery order*, and
+/// [`Dendrogram::cut_num_clusters`] breaks height ties by discovery index —
+/// and the meter continues from the snapshot's iteration count so an
+/// iteration cap bounds total work across the interrupt. A snapshot that
+/// fails validation is ignored (fresh run).
 ///
-/// With `ckpt`, a checkpoint becomes eligible after every merge and a final
-/// one is forced when the budget interrupts the run.
-pub fn linkage_resumable(
+/// With `ctx.ckpt`, a checkpoint becomes eligible after every merge and a
+/// final one is forced when the budget interrupts the run.
+pub fn linkage_with(
     dist: CondensedMatrix,
     method: LinkageMethod,
-    budget: &RunBudget,
-    resume: Option<&AgglomerativeSnapshot>,
-    ckpt: Option<&mut Checkpointer>,
+    ctx: &mut RunCtx<'_>,
 ) -> (Dendrogram, RunStatus, u64) {
+    let resume = match ctx.resume {
+        Some(AlgorithmSnapshot::Agglomerative(snap)) => Some(snap),
+        _ => None,
+    };
     // `_charge` keeps the matrix's bytes reserved until the run ends.
     let CondensedMatrix {
         n,
@@ -474,6 +471,7 @@ pub fn linkage_resumable(
             0,
         );
     }
+    let (budget, ckpt) = (ctx.budget, ctx.ckpt.as_deref_mut());
     match cells {
         Cells::Values(values) => {
             Chain::new(LanceWilliams(method), n, values).run(budget, resume, ckpt)
@@ -752,6 +750,21 @@ impl<E: Engine> Chain<E> {
 mod tests {
     use super::*;
 
+    fn linkage_under(
+        dist: CondensedMatrix,
+        method: LinkageMethod,
+        budget: &RunBudget,
+        resume: Option<&AlgorithmSnapshot>,
+        ckpt: Option<&mut Checkpointer>,
+    ) -> (Dendrogram, RunStatus, u64) {
+        let mut ctx = RunCtx {
+            budget,
+            resume,
+            ckpt,
+        };
+        linkage_with(dist, method, &mut ctx)
+    }
+
     /// 1-D points whose single-linkage structure is obvious.
     fn line_matrix(points: &[f64]) -> CondensedMatrix {
         CondensedMatrix::from_fn(points.len(), |u, v| (points[u] - points[v]).abs())
@@ -933,8 +946,13 @@ mod tests {
         let pts = [0.0, 1.0, 2.0, 3.0, 10.0, 11.0];
         // Allow exactly two merges, then trip on the iteration cap.
         let budget = RunBudget::unlimited().with_max_iters(2);
-        let (dend, status, iters) =
-            linkage_budgeted(line_matrix(&pts), LinkageMethod::Average, &budget);
+        let (dend, status, iters) = linkage_under(
+            line_matrix(&pts),
+            LinkageMethod::Average,
+            &budget,
+            None,
+            None,
+        );
         assert_eq!(status, RunStatus::BudgetExceeded);
         assert_eq!(iters, 3); // the third tick tripped
         assert_eq!(dend.merges().len(), 2);
@@ -950,10 +968,12 @@ mod tests {
     fn budgeted_unlimited_matches_plain_linkage() {
         let pts = [0.0, 0.9, 2.0, 5.5, 6.0, 9.0];
         let plain = linkage(line_matrix(&pts), LinkageMethod::Average);
-        let (budgeted, status, _) = linkage_budgeted(
+        let (budgeted, status, _) = linkage_under(
             line_matrix(&pts),
             LinkageMethod::Average,
             &RunBudget::unlimited(),
+            None,
+            None,
         );
         assert_eq!(status, RunStatus::Converged);
         assert_eq!(plain.merges(), budgeted.merges());
@@ -973,7 +993,7 @@ mod tests {
             let path = dir.join(format!("ckpt_{cap}.bin"));
             let mut ckpt = Checkpointer::new(&path, Duration::ZERO);
             let budget = RunBudget::unlimited().with_max_iters(cap);
-            let (partial, status, _) = linkage_resumable(
+            let (partial, status, _) = linkage_under(
                 line_matrix(&pts),
                 LinkageMethod::Average,
                 &budget,
@@ -986,18 +1006,18 @@ mod tests {
                 SnapshotLoad::Loaded(s) => s,
                 other => panic!("no snapshot after interrupt: {other:?}"),
             };
-            let agg = match snap.state {
-                crate::snapshot::AlgorithmSnapshot::Agglomerative(a) => a,
+            let agg = match &snap.state {
+                AlgorithmSnapshot::Agglomerative(a) => a,
                 other => panic!("wrong snapshot kind: {other:?}"),
             };
             assert_eq!(agg.merges.len(), cap as usize);
             // Resume on a freshly built matrix with the same global cap the
             // reference run had (unlimited): bit-identical merge list.
-            let (resumed, status, iters) = linkage_resumable(
+            let (resumed, status, iters) = linkage_under(
                 line_matrix(&pts),
                 LinkageMethod::Average,
                 &RunBudget::unlimited(),
-                Some(&agg),
+                Some(&snap.state),
                 None,
             );
             assert_eq!(status, RunStatus::Converged);
@@ -1012,13 +1032,13 @@ mod tests {
         let pts = [0.0, 1.0, 2.0, 10.0, 11.0];
         let full = linkage(line_matrix(&pts), LinkageMethod::Average);
         // Snapshot from a *different* instance size: rejected, fresh run.
-        let stale = AgglomerativeSnapshot {
+        let stale = AlgorithmSnapshot::Agglomerative(AgglomerativeSnapshot {
             n: 99,
             merges: vec![],
             chain: vec![],
             iterations: 0,
-        };
-        let (resumed, status, _) = linkage_resumable(
+        });
+        let (resumed, status, _) = linkage_under(
             line_matrix(&pts),
             LinkageMethod::Average,
             &RunBudget::unlimited(),
@@ -1482,7 +1502,7 @@ mod tests {
             let path = dir.join(format!("ckpt_{cap}.bin"));
             let mut ckpt = Checkpointer::new(&path, Duration::ZERO);
             let budget = RunBudget::unlimited().with_max_iters(cap);
-            let (_, status, _) = linkage_resumable(
+            let (_, status, _) = linkage_under(
                 matrix(),
                 LinkageMethod::Average,
                 &budget,
@@ -1493,14 +1513,15 @@ mod tests {
             let SnapshotLoad::Loaded(snap) = load_snapshot(&path) else {
                 panic!("no snapshot after interrupt at {cap}");
             };
-            let AlgorithmSnapshot::Agglomerative(agg) = snap.state else {
-                panic!("wrong snapshot kind");
-            };
-            let (resumed, status, _) = linkage_resumable(
+            assert!(
+                matches!(snap.state, AlgorithmSnapshot::Agglomerative(_)),
+                "wrong snapshot kind"
+            );
+            let (resumed, status, _) = linkage_under(
                 matrix(),
                 LinkageMethod::Average,
                 &RunBudget::unlimited(),
-                Some(&agg),
+                Some(&snap.state),
                 None,
             );
             assert_eq!(status, RunStatus::Converged);

@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::clustering::Clustering;
+use crate::snapshot::{AlgorithmSnapshot, Checkpointer};
 use crate::telemetry::{self, Clock};
 
 /// A shareable flag for cooperative cancellation. Clone it, hand the clone
@@ -154,6 +155,36 @@ impl RunOutcome {
             clustering,
             status: RunStatus::Converged,
             iterations: 0,
+        }
+    }
+}
+
+/// Everything a run draws on besides the oracle and the algorithm's own
+/// parameters: the budget it may spend, a snapshot to resume from, and
+/// where to checkpoint. [`crate::algorithms::Algorithm::run`] and the
+/// SAMPLING, branch-and-bound and linkage entries all take one.
+///
+/// A snapshot of another algorithm, or one that does not fit the instance,
+/// is ignored and the run starts fresh. Only the long-running algorithms
+/// (AGGLOMERATIVE, LOCALSEARCH, SAMPLING) resume and checkpoint; the rest
+/// finish within one checkpoint interval and use the budget alone.
+#[derive(Debug)]
+pub struct RunCtx<'a> {
+    /// Deadline, iteration cap, memory cap and cancel token.
+    pub budget: &'a RunBudget,
+    /// State to resume from.
+    pub resume: Option<&'a AlgorithmSnapshot>,
+    /// Persists state at its cadence and once more when the budget trips.
+    pub ckpt: Option<&'a mut Checkpointer>,
+}
+
+impl<'a> RunCtx<'a> {
+    /// A fresh run under `budget`: nothing to resume, no checkpoints.
+    pub fn new(budget: &'a RunBudget) -> Self {
+        RunCtx {
+            budget,
+            resume: None,
+            ckpt: None,
         }
     }
 }

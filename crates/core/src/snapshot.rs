@@ -627,7 +627,7 @@ impl RetryPolicy {
     }
 
     /// Run `op` until it succeeds or the attempt budget is exhausted,
-    /// sleeping [`Self::backoff_delay`] between failures. Returns the first
+    /// sleeping `base · 2^attempt` plus jitter between failures. Returns the first
     /// success or the last error. `jitter_seed` makes the jitter sequence
     /// reproducible.
     pub fn run<T, E>(
@@ -685,8 +685,8 @@ impl RetryPolicy {
 /// Algorithms call [`Checkpointer::maybe_save`] once per unit of work; the
 /// closure building the snapshot is only evaluated when the cadence is due,
 /// so the steady-state cost is one clock read per call. Failed writes
-/// retry with jittered exponential backoff ([`SAVE_ATTEMPTS`] total
-/// attempts) and are then recorded in [`Checkpointer::last_error`] rather
+/// retry with jittered exponential backoff (`SAVE_ATTEMPTS` = 3 attempts
+/// in total) and are then recorded in [`Checkpointer::last_error`] rather
 /// than aborting the run — a checkpointing failure must never take down the
 /// computation it protects.
 ///

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use aggclust_core::algorithms::local_search::LocalSearchInit;
-use aggclust_core::algorithms::sampling::sampling_resumable;
+use aggclust_core::algorithms::sampling::sampling;
 use aggclust_core::algorithms::{
     AgglomerativeParams, Algorithm, LocalSearchParams, SamplingParams,
 };
@@ -22,7 +22,7 @@ use aggclust_core::cost::correlation_cost;
 use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
 use aggclust_core::robust::Interrupt;
 use aggclust_core::snapshot::{load_snapshot, AlgorithmSnapshot, Checkpointer, SnapshotLoad};
-use aggclust_core::{RunBudget, RunOutcome};
+use aggclust_core::{RunBudget, RunCtx, RunOutcome};
 use proptest::prelude::*;
 
 /// A unique temp directory per test (proptest shrinks run concurrently).
@@ -48,11 +48,13 @@ fn interrupt_then_resume(
     std::fs::remove_file(&path).ok();
     let mut ckpt = Checkpointer::new(path.clone(), cadence);
     let capped = algorithm
-        .run_resumable(
+        .run(
             oracle,
-            &RunBudget::unlimited().with_max_iters(cap),
-            None,
-            Some(&mut ckpt),
+            &mut RunCtx {
+                budget: &RunBudget::unlimited().with_max_iters(cap),
+                resume: None,
+                ckpt: Some(&mut ckpt),
+            },
         )
         .expect("capped run");
     if capped.status.is_converged() {
@@ -68,11 +70,13 @@ fn interrupt_then_resume(
     };
     let mut ckpt = Checkpointer::new(path, cadence);
     algorithm
-        .run_resumable(
+        .run(
             oracle,
-            &RunBudget::unlimited(),
-            snapshot.as_ref().map(|s| &s.state),
-            Some(&mut ckpt),
+            &mut RunCtx {
+                budget: &RunBudget::unlimited(),
+                resume: snapshot.as_ref().map(|s| &s.state),
+                ckpt: Some(&mut ckpt),
+            },
         )
         .expect("resumed run")
 }
@@ -115,7 +119,7 @@ proptest! {
             ..Default::default()
         });
         let reference = algorithm
-            .run_budgeted(&oracle, &RunBudget::unlimited())
+            .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
             .expect("reference");
         let dir = temp_dir("ls");
         let resumed = interrupt_then_resume(
@@ -143,7 +147,7 @@ proptest! {
         let oracle = DenseOracle::from_clusterings(&inputs);
         let algorithm = Algorithm::Agglomerative(AgglomerativeParams::default());
         let reference = algorithm
-            .run_budgeted(&oracle, &RunBudget::unlimited())
+            .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
             .expect("reference");
         let dir = temp_dir("agg");
         let resumed = interrupt_then_resume(
@@ -174,7 +178,7 @@ proptest! {
         prop_assert!(oracle.exact_scale().is_some());
         let algorithm = Algorithm::Agglomerative(AgglomerativeParams::default());
         let reference = algorithm
-            .run_budgeted(&oracle, &RunBudget::unlimited())
+            .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
             .expect("reference");
         let dir = temp_dir("agg_coin");
         let resumed = interrupt_then_resume(
@@ -208,7 +212,7 @@ fn chained_interrupts_and_resumes_converge_to_the_reference() {
         ..Default::default()
     });
     let reference = algorithm
-        .run_budgeted(&oracle, &RunBudget::unlimited())
+        .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
         .expect("reference");
 
     let dir = temp_dir("chain");
@@ -218,11 +222,13 @@ fn chained_interrupts_and_resumes_converge_to_the_reference() {
     for cycle in 1..=64u64 {
         let mut ckpt = Checkpointer::new(path.clone(), Duration::ZERO);
         let run = algorithm
-            .run_resumable(
+            .run(
                 &oracle,
-                &RunBudget::unlimited().with_max_iters(cycle * 7),
-                resume.as_ref(),
-                Some(&mut ckpt),
+                &mut RunCtx {
+                    budget: &RunBudget::unlimited().with_max_iters(cycle * 7),
+                    resume: resume.as_ref(),
+                    ckpt: Some(&mut ckpt),
+                },
             )
             .expect("cycle run");
         if run.status.is_converged() {
@@ -255,7 +261,7 @@ fn sampling_interrupt_resume_through_disk_is_bit_identical() {
         Algorithm::Agglomerative(AgglomerativeParams::default()),
         13,
     );
-    let reference = sampling_resumable(&oracle, &params, &RunBudget::unlimited(), None, None)
+    let reference = sampling(&oracle, &params, &mut RunCtx::new(&RunBudget::unlimited()))
         .expect("uninterrupted")
         .clustering;
 
@@ -266,12 +272,14 @@ fn sampling_interrupt_resume_through_disk_is_bit_identical() {
     for cap in [31u64, 40, 55, 88] {
         std::fs::remove_file(&path).ok();
         let mut ckpt = Checkpointer::new(path.clone(), Duration::ZERO);
-        let capped = sampling_resumable(
+        let capped = sampling(
             &oracle,
             &params,
-            &RunBudget::unlimited().with_max_iters(cap),
-            None,
-            Some(&mut ckpt),
+            &mut RunCtx {
+                budget: &RunBudget::unlimited().with_max_iters(cap),
+                resume: None,
+                ckpt: Some(&mut ckpt),
+            },
         )
         .expect("capped");
         if capped.status.is_converged() {
@@ -282,17 +290,20 @@ fn sampling_interrupt_resume_through_disk_is_bit_identical() {
             SnapshotLoad::Loaded(s) => s,
             other => panic!("cap {cap}: {other:?}"),
         };
-        let resume = match &snapshot.state {
-            AlgorithmSnapshot::Sampling(s) => s,
-            other => panic!("cap {cap}: wrong snapshot kind {other:?}"),
-        };
+        assert!(
+            matches!(snapshot.state, AlgorithmSnapshot::Sampling(_)),
+            "cap {cap}: wrong snapshot kind {:?}",
+            snapshot.state
+        );
         let mut ckpt = Checkpointer::new(path.clone(), Duration::ZERO);
-        let resumed = sampling_resumable(
+        let resumed = sampling(
             &oracle,
             &params,
-            &RunBudget::unlimited(),
-            Some(resume),
-            Some(&mut ckpt),
+            &mut RunCtx {
+                budget: &RunBudget::unlimited(),
+                resume: Some(&snapshot.state),
+                ckpt: Some(&mut ckpt),
+            },
         )
         .expect("resumed");
         assert!(resumed.status.is_converged(), "cap {cap}");

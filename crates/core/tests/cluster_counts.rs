@@ -12,7 +12,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use aggclust_core::algorithms::sampling::{sampling, sampling_resumable, SamplingParams};
+use aggclust_core::algorithms::sampling::{sampling, SamplingDetails, SamplingParams};
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm, BallsParams};
 use aggclust_core::assign::ClusterAssigner;
 use aggclust_core::clustering::{Clustering, PartialClustering};
@@ -24,10 +24,15 @@ use aggclust_core::snapshot::{load_snapshot, AlgorithmSnapshot, Checkpointer, Sn
 use aggclust_core::telemetry::{
     clear_collector, current_tid, install_collector, Collector, Event, Level, SpanData, Value,
 };
-use aggclust_core::RunBudget;
+use aggclust_core::{RunBudget, RunCtx};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// SAMPLING on `oracle` under an unlimited budget.
+fn run_sampling<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> SamplingDetails {
+    sampling(oracle, params, &mut RunCtx::new(&RunBudget::unlimited())).unwrap()
+}
 
 /// `m` random inputs over `n` objects with labels in `0..k`; each label is
 /// missing with probability `missing`. With `twins`, objects come in pairs
@@ -240,8 +245,8 @@ fn sampling_labels_match_between_lazy_and_dense_oracles() {
             for base in &bases {
                 let p = params(base.clone(), 30, seed);
                 assert_eq!(
-                    sampling(&lazy, &p),
-                    sampling(&dense, &p),
+                    run_sampling(&lazy, &p).clustering,
+                    run_sampling(&dense, &p).clustering,
                     "seed {seed}, missing {missing}"
                 );
             }
@@ -260,7 +265,7 @@ fn interrupt_and_resume_on_the_lazy_oracle(missing: f64, threads: usize) {
         13,
     );
     with_num_threads(threads, || {
-        let reference = sampling_resumable(&oracle, &p, &RunBudget::unlimited(), None, None)
+        let reference = sampling(&oracle, &p, &mut RunCtx::new(&RunBudget::unlimited()))
             .expect("uninterrupted")
             .clustering;
         let dir = std::env::temp_dir().join(format!(
@@ -276,8 +281,16 @@ fn interrupt_and_resume_on_the_lazy_oracle(missing: f64, threads: usize) {
             std::fs::remove_file(&path).ok();
             let mut ckpt = Checkpointer::new(path.clone(), Duration::ZERO);
             let budget = RunBudget::unlimited().with_max_iters(cap);
-            let capped =
-                sampling_resumable(&oracle, &p, &budget, None, Some(&mut ckpt)).expect("capped");
+            let capped = sampling(
+                &oracle,
+                &p,
+                &mut RunCtx {
+                    budget: &budget,
+                    resume: None,
+                    ckpt: Some(&mut ckpt),
+                },
+            )
+            .expect("capped");
             if capped.status.is_converged() {
                 assert_eq!(capped.clustering, reference, "cap {cap}");
                 continue;
@@ -286,12 +299,20 @@ fn interrupt_and_resume_on_the_lazy_oracle(missing: f64, threads: usize) {
                 SnapshotLoad::Loaded(s) => s,
                 other => panic!("cap {cap}: {other:?}"),
             };
-            let AlgorithmSnapshot::Sampling(resume) = &snapshot.state else {
-                panic!("cap {cap}: wrong snapshot kind");
-            };
-            let resumed =
-                sampling_resumable(&oracle, &p, &RunBudget::unlimited(), Some(resume), None)
-                    .expect("resumed");
+            assert!(
+                matches!(snapshot.state, AlgorithmSnapshot::Sampling(_)),
+                "cap {cap}: wrong snapshot kind"
+            );
+            let resumed = sampling(
+                &oracle,
+                &p,
+                &mut RunCtx {
+                    budget: &RunBudget::unlimited(),
+                    resume: Some(&snapshot.state),
+                    ckpt: None,
+                },
+            )
+            .expect("resumed");
             assert!(resumed.status.is_converged(), "cap {cap}");
             assert_eq!(
                 resumed.clustering, reference,
@@ -363,9 +384,9 @@ fn the_assignment_phase_has_its_own_span_naming_the_path() {
         seen: Mutex::new(Vec::new()),
     });
     install_collector(spans.clone());
-    sampling(&instance.lazy_oracle(), &p);
-    sampling(&instance.dense_oracle(), &p);
-    sampling(&ignore, &p);
+    run_sampling(&instance.lazy_oracle(), &p);
+    run_sampling(&instance.dense_oracle(), &p);
+    run_sampling(&ignore, &p);
     clear_collector();
     let seen = spans.seen.lock().unwrap();
     let mut paths = Vec::new();

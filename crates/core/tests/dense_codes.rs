@@ -17,7 +17,7 @@ use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::instance::{
     ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle,
 };
-use aggclust_core::{MissingPolicy, RunBudget};
+use aggclust_core::{MissingPolicy, RunBudget, RunCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -172,5 +172,6 @@ fn sampling_runs_on_a_caller_oracle_with_continuous_distances() {
     }
     assert_same_bits(&oracle.to_dense(), &oracle, "to_dense");
     let params = SamplingParams::new(400, Algorithm::Balls(BallsParams::default()), 1);
-    assert_eq!(sampling(&oracle, &params).len(), 600);
+    let details = sampling(&oracle, &params, &mut RunCtx::new(&RunBudget::unlimited())).unwrap();
+    assert_eq!(details.clustering.len(), 600);
 }

@@ -2,14 +2,36 @@
 //! distances, label-space boundaries, and cross-algorithm consistency on
 //! adversarial inputs.
 
+use aggclust_core::algorithms::sampling::{sampling, SamplingDetails};
 use aggclust_core::algorithms::{
-    agglomerative::agglomerative, balls::balls, furthest::furthest, local_search::local_search,
-    pivot::pivot, sampling::sampling, AgglomerativeParams, Algorithm, BallsParams, FurthestParams,
-    LocalSearchParams, PivotParams, SamplingParams,
+    AgglomerativeParams, Algorithm, BallsParams, FurthestParams, LocalSearchParams, PivotParams,
+    SamplingParams,
 };
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::{correlation_cost, lower_bound, split_everything_cost};
-use aggclust_core::instance::DenseOracle;
+use aggclust_core::instance::{DenseOracle, DistanceOracle};
+use aggclust_core::{RunBudget, RunCtx};
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
+
+/// SAMPLING on `oracle` under an unlimited budget.
+fn run_sampling<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> SamplingDetails {
+    sampling(oracle, params, &mut RunCtx::new(&RunBudget::unlimited())).unwrap()
+}
+
+fn agglomerative() -> Algorithm {
+    Algorithm::Agglomerative(AgglomerativeParams::paper())
+}
+
+fn local_search() -> Algorithm {
+    Algorithm::LocalSearch(LocalSearchParams::default())
+}
 
 /// Every algorithm must handle the all-zeros instance (everyone together).
 #[test]
@@ -17,11 +39,15 @@ fn all_zero_distances() {
     let n = 12;
     let oracle = DenseOracle::from_fn(n, |_, _| 0.0);
     let one = Clustering::one_cluster(n);
-    assert_eq!(agglomerative(&oracle, AgglomerativeParams::paper()), one);
-    assert_eq!(furthest(&oracle, FurthestParams::default()), one);
-    assert_eq!(local_search(&oracle, LocalSearchParams::default()), one);
-    assert_eq!(balls(&oracle, BallsParams::practical()), one);
-    assert_eq!(pivot(&oracle, PivotParams::majority(1)), one);
+    for algorithm in [
+        agglomerative(),
+        Algorithm::Furthest(FurthestParams::default()),
+        local_search(),
+        Algorithm::Balls(BallsParams::practical()),
+        Algorithm::Pivot(PivotParams::majority(1)),
+    ] {
+        assert_eq!(run(&algorithm, &oracle), one, "{}", algorithm.name());
+    }
     assert_eq!(lower_bound(&oracle), 0.0);
 }
 
@@ -31,13 +57,14 @@ fn all_one_distances() {
     let n = 12;
     let oracle = DenseOracle::from_fn(n, |_, _| 1.0);
     let singles = Clustering::singletons(n);
-    assert_eq!(
-        agglomerative(&oracle, AgglomerativeParams::paper()),
-        singles
-    );
-    assert_eq!(local_search(&oracle, LocalSearchParams::default()), singles);
-    assert_eq!(balls(&oracle, BallsParams::practical()), singles);
-    assert_eq!(pivot(&oracle, PivotParams::majority(1)), singles);
+    for algorithm in [
+        agglomerative(),
+        local_search(),
+        Algorithm::Balls(BallsParams::practical()),
+        Algorithm::Pivot(PivotParams::majority(1)),
+    ] {
+        assert_eq!(run(&algorithm, &oracle), singles, "{}", algorithm.name());
+    }
     assert_eq!(split_everything_cost(&oracle), 0.0);
 }
 
@@ -58,11 +85,8 @@ fn all_half_distances() {
     }
     assert!((lower_bound(&oracle) - expected).abs() < 1e-9);
     // Algorithms return *some* valid clustering.
-    assert_eq!(
-        agglomerative(&oracle, AgglomerativeParams::paper()).len(),
-        n
-    );
-    assert_eq!(local_search(&oracle, LocalSearchParams::default()).len(), n);
+    assert_eq!(run(&agglomerative(), &oracle).len(), n);
+    assert_eq!(run(&local_search(), &oracle).len(), n);
 }
 
 /// Two-object instances exercise every boundary branch.
@@ -70,17 +94,14 @@ fn all_half_distances() {
 fn two_object_instances() {
     for (d, together) in [(0.0, true), (0.49, true), (0.51, false), (1.0, false)] {
         let oracle = DenseOracle::from_fn(2, |_, _| d);
-        let c = agglomerative(&oracle, AgglomerativeParams::paper());
+        let c = run(&agglomerative(), &oracle);
         assert_eq!(c.same_cluster(0, 1), together, "d = {d}");
-        let ls = local_search(&oracle, LocalSearchParams::default());
+        let ls = run(&local_search(), &oracle);
         assert_eq!(ls.same_cluster(0, 1), together, "d = {d} (local search)");
     }
     // Exactly ½: both answers cost the same; just require validity.
     let oracle = DenseOracle::from_fn(2, |_, _| 0.5);
-    assert_eq!(
-        agglomerative(&oracle, AgglomerativeParams::paper()).len(),
-        2
-    );
+    assert_eq!(run(&agglomerative(), &oracle).len(), 2);
 }
 
 /// Labels far above u32 ranges used in practice normalize correctly.
@@ -115,7 +136,7 @@ fn sampling_with_sample_of_one() {
         Algorithm::Agglomerative(AgglomerativeParams::default()),
         9,
     );
-    let c = sampling(&oracle, &params);
+    let c = run_sampling(&oracle, &params).clustering;
     assert_eq!(c.len(), 30);
 }
 
@@ -126,13 +147,13 @@ fn sampling_with_sample_of_one() {
 fn threshold_boundary_conventions() {
     let oracle = DenseOracle::from_fn(2, |_, _| 0.5);
     // Ball of node 0 contains node 1 (d ≤ ½); avg = ½ > α = 0.4 → singleton.
-    let b = balls(&oracle, BallsParams::practical());
+    let b = run(&Algorithm::Balls(BallsParams::practical()), &oracle);
     assert_eq!(b.num_clusters(), 2);
     // But with α = ½ the ball is accepted.
-    let b2 = balls(&oracle, BallsParams::with_alpha(0.5));
+    let b2 = run(&Algorithm::Balls(BallsParams::with_alpha(0.5)), &oracle);
     assert_eq!(b2.num_clusters(), 1);
     // Agglomerative: merge requires avg < ½ strictly.
-    let a = agglomerative(&oracle, AgglomerativeParams::paper());
+    let a = run(&agglomerative(), &oracle);
     assert_eq!(a.num_clusters(), 2);
 }
 
@@ -150,7 +171,7 @@ fn medium_scale_block_instance() {
         Algorithm::LocalSearch(LocalSearchParams::default()),
         Algorithm::Furthest(FurthestParams::default()),
     ] {
-        assert_eq!(algo.run(&oracle), truth, "{}", algo.name());
+        assert_eq!(run(&algo, &oracle), truth, "{}", algo.name());
     }
     assert_eq!(lower_bound(&oracle), 0.0);
 }

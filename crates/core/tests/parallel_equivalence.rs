@@ -14,16 +14,24 @@
 //! with several worker threads.
 
 use aggclust_core::algorithms::{
-    agglomerative::agglomerative, balls::balls, furthest::furthest, local_search::local_search,
-    AgglomerativeParams, BallsParams, FurthestParams, LocalSearchInit, LocalSearchParams,
+    AgglomerativeParams, Algorithm, BallsParams, FurthestParams, LocalSearchInit, LocalSearchParams,
 };
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::{correlation_cost, lower_bound, split_everything_cost, within_cost};
-use aggclust_core::instance::DenseOracle;
+use aggclust_core::instance::{DenseOracle, DistanceOracle};
 use aggclust_core::parallel::with_num_threads;
+use aggclust_core::{RunBudget, RunCtx};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
 
 /// `m` noisy copies of a planted `k`-clustering over `n` objects: each
 /// label survives with probability 1 − noise, otherwise resamples.
@@ -67,8 +75,6 @@ fn oracle_construction_is_thread_invariant() {
         }
     }
 }
-
-use aggclust_core::instance::DistanceOracle;
 
 #[test]
 fn cost_functions_are_thread_invariant() {
@@ -114,8 +120,9 @@ fn local_search_is_thread_invariant_across_prefetch_gate() {
             max_passes: 3,
             epsilon: 1e-9,
         };
-        let serial = with_num_threads(1, || local_search(&oracle, params.clone()));
-        let threaded = with_num_threads(4, || local_search(&oracle, params.clone()));
+        let serial = with_num_threads(1, || run(&Algorithm::LocalSearch(params.clone()), &oracle));
+        let threaded =
+            with_num_threads(4, || run(&Algorithm::LocalSearch(params.clone()), &oracle));
         assert_eq!(serial, threaded, "n = {n}");
         let cs = with_num_threads(1, || correlation_cost(&oracle, &serial));
         let ct = with_num_threads(4, || correlation_cost(&oracle, &threaded));
@@ -130,8 +137,12 @@ fn balls_is_thread_invariant_across_scan_gate() {
     // labels either way.
     let inputs = noisy_inputs(4400, 3, 5, 0.15, 21);
     let oracle = DenseOracle::from_clusterings(&inputs);
-    let serial = with_num_threads(1, || balls(&oracle, BallsParams::practical()));
-    let threaded = with_num_threads(4, || balls(&oracle, BallsParams::practical()));
+    let serial = with_num_threads(1, || {
+        run(&Algorithm::Balls(BallsParams::practical()), &oracle)
+    });
+    let threaded = with_num_threads(4, || {
+        run(&Algorithm::Balls(BallsParams::practical()), &oracle)
+    });
     assert_eq!(serial, threaded);
 }
 
@@ -140,8 +151,8 @@ fn agglomerative_is_thread_invariant() {
     let inputs = noisy_inputs(900, 4, 7, 0.25, 31);
     let oracle = DenseOracle::from_clusterings(&inputs);
     let params = AgglomerativeParams::paper();
-    let serial = with_num_threads(1, || agglomerative(&oracle, params));
-    let threaded = with_num_threads(4, || agglomerative(&oracle, params));
+    let serial = with_num_threads(1, || run(&Algorithm::Agglomerative(params), &oracle));
+    let threaded = with_num_threads(4, || run(&Algorithm::Agglomerative(params), &oracle));
     assert_eq!(serial, threaded);
 }
 
@@ -149,8 +160,12 @@ fn agglomerative_is_thread_invariant() {
 fn furthest_is_thread_invariant() {
     let inputs = noisy_inputs(1300, 4, 9, 0.3, 41);
     let oracle = DenseOracle::from_clusterings(&inputs);
-    let serial = with_num_threads(1, || furthest(&oracle, FurthestParams::default()));
-    let threaded = with_num_threads(4, || furthest(&oracle, FurthestParams::default()));
+    let serial = with_num_threads(1, || {
+        run(&Algorithm::Furthest(FurthestParams::default()), &oracle)
+    });
+    let threaded = with_num_threads(4, || {
+        run(&Algorithm::Furthest(FurthestParams::default()), &oracle)
+    });
     assert_eq!(serial, threaded);
 }
 
@@ -171,10 +186,10 @@ proptest! {
         let run = |threads: usize| {
             with_num_threads(threads, || {
                 (
-                    balls(&oracle, BallsParams::practical()),
-                    agglomerative(&oracle, AgglomerativeParams::paper()),
-                    furthest(&oracle, FurthestParams::default()),
-                    local_search(&oracle, LocalSearchParams::default()),
+                    run(&Algorithm::Balls(BallsParams::practical()), &oracle),
+                    run(&Algorithm::Agglomerative(AgglomerativeParams::paper()), &oracle),
+                    run(&Algorithm::Furthest(FurthestParams::default()), &oracle),
+                    run(&Algorithm::LocalSearch(LocalSearchParams::default()), &oracle),
                     lower_bound(&oracle).to_bits(),
                 )
             })

@@ -1,8 +1,8 @@
 //! Property-based tests for the core invariants of clustering aggregation.
 
 use aggclust_core::algorithms::{
-    agglomerative::agglomerative, balls::balls, best::best_clustering, furthest::furthest,
-    local_search::local_search_from, AgglomerativeParams, BallsParams, FurthestParams,
+    best::best_clustering, AgglomerativeParams, Algorithm, BallsParams, FurthestParams,
+    LocalSearchInit, LocalSearchParams,
 };
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::{correlation_cost, lower_bound};
@@ -11,7 +11,16 @@ use aggclust_core::distance::{
 };
 use aggclust_core::exact::optimal_clustering;
 use aggclust_core::instance::{DenseOracle, DistanceOracle};
+use aggclust_core::{RunBudget, RunCtx};
 use proptest::prelude::*;
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
 
 /// Strategy: a clustering of `n` objects with at most `kmax` clusters.
 fn clustering_strategy(n: usize, kmax: u32) -> impl Strategy<Value = Clustering> {
@@ -125,9 +134,9 @@ proptest! {
         let oracle = DenseOracle::from_clusterings(&inputs);
         let opt = optimal_clustering(&oracle);
         let candidates = [
-            balls(&oracle, BallsParams::default()),
-            agglomerative(&oracle, AgglomerativeParams::default()),
-            furthest(&oracle, FurthestParams::default()),
+            run(&Algorithm::Balls(BallsParams::default()), &oracle),
+            run(&Algorithm::Agglomerative(AgglomerativeParams::default()), &oracle),
+            run(&Algorithm::Furthest(FurthestParams::default()), &oracle),
         ];
         for c in &candidates {
             let cost = correlation_cost(&oracle, c);
@@ -142,7 +151,12 @@ proptest! {
         })
     ) {
         let oracle = DenseOracle::from_clusterings(&inputs);
-        let refined = local_search_from(&oracle, &start, 50, 1e-9);
+        let refine = Algorithm::LocalSearch(LocalSearchParams {
+            init: LocalSearchInit::Given(start.clone()),
+            max_passes: 50,
+            epsilon: 1e-9,
+        });
+        let refined = run(&refine, &oracle);
         prop_assert!(
             correlation_cost(&oracle, &refined) <= correlation_cost(&oracle, &start) + 1e-9
         );
@@ -154,8 +168,7 @@ proptest! {
     ) {
         // After convergence, no single-node move can improve the cost.
         let oracle = DenseOracle::from_clusterings(&inputs);
-        let start = Clustering::singletons(oracle.len());
-        let result = local_search_from(&oracle, &start, 200, 1e-9);
+        let result = run(&Algorithm::LocalSearch(LocalSearchParams::default()), &oracle);
         let base_cost = correlation_cost(&oracle, &result);
         let n = oracle.len();
         let k = result.num_clusters();
@@ -210,7 +223,7 @@ proptest! {
         inputs in (3usize..12).prop_flat_map(|n| clusterings_strategy(n, 2..6, 4))
     ) {
         let oracle = DenseOracle::from_clusterings(&inputs);
-        let result = agglomerative(&oracle, AgglomerativeParams::default());
+        let result = run(&Algorithm::Agglomerative(AgglomerativeParams::default()), &oracle);
         for members in result.clusters() {
             if members.len() < 2 { continue; }
             let mut total = 0.0;
@@ -233,7 +246,7 @@ proptest! {
         // triangle inequality, which instances from clusterings satisfy.
         let oracle = DenseOracle::from_clusterings(&inputs);
         let opt = optimal_clustering(&oracle);
-        let result = balls(&oracle, BallsParams::theoretical());
+        let result = run(&Algorithm::Balls(BallsParams::theoretical()), &oracle);
         let cost = correlation_cost(&oracle, &result);
         prop_assert!(
             cost <= 3.0 * opt.cost + 1e-6,

@@ -21,19 +21,26 @@ use std::time::Duration;
 
 use aggclust_core::algorithms::local_search::LocalSearchInit;
 use aggclust_core::algorithms::{
-    agglomerative::agglomerative, balls::balls, furthest::furthest, local_search::local_search,
     AgglomerativeParams, Algorithm, BallsParams, FurthestParams, LocalSearchParams,
 };
 use aggclust_core::clustering::Clustering;
 use aggclust_core::consensus::ConsensusBuilder;
-use aggclust_core::instance::DenseOracle;
+use aggclust_core::instance::{DenseOracle, DistanceOracle};
 use aggclust_core::parallel::with_num_threads;
 use aggclust_core::snapshot::{load_snapshot, Checkpointer, SnapshotLoad};
 use aggclust_core::telemetry::{metrics, set_metrics_enabled, MetricsSnapshot};
-use aggclust_core::RunBudget;
+use aggclust_core::{RunBudget, RunCtx};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
 
 /// All counter-measuring tests share the process-global registry; this
 /// lock keeps their before/after windows from interleaving.
@@ -97,16 +104,19 @@ fn run_all(oracle: &DenseOracle, threads: usize) -> MetricsSnapshot {
     let (_, delta) = measured(|| {
         with_num_threads(threads, || {
             (
-                balls(oracle, BallsParams::practical()),
-                agglomerative(oracle, AgglomerativeParams::paper()),
-                furthest(oracle, FurthestParams::default()),
-                local_search(
+                run(&Algorithm::Balls(BallsParams::practical()), oracle),
+                run(
+                    &Algorithm::Agglomerative(AgglomerativeParams::paper()),
                     oracle,
-                    LocalSearchParams {
+                ),
+                run(&Algorithm::Furthest(FurthestParams::default()), oracle),
+                run(
+                    &Algorithm::LocalSearch(LocalSearchParams {
                         init: LocalSearchInit::Random { k: 8, seed: 99 },
                         max_passes: 3,
                         epsilon: 1e-9,
-                    },
+                    }),
+                    oracle,
                 ),
             )
         })
@@ -180,11 +190,13 @@ fn interrupted_run(
     let (_, delta) = measured(|| {
         let mut ckpt = Checkpointer::new(path.clone(), Duration::ZERO);
         let capped = algorithm
-            .run_resumable(
+            .run(
                 oracle,
-                &RunBudget::unlimited().with_max_iters(cap),
-                None,
-                Some(&mut ckpt),
+                &mut RunCtx {
+                    budget: &RunBudget::unlimited().with_max_iters(cap),
+                    resume: None,
+                    ckpt: Some(&mut ckpt),
+                },
             )
             .expect("capped run");
         if capped.status.is_converged() {
@@ -196,11 +208,13 @@ fn interrupted_run(
             SnapshotLoad::Corrupt(reason) => panic!("checkpoint corrupt: {reason}"),
         };
         algorithm
-            .run_resumable(
+            .run(
                 oracle,
-                &RunBudget::unlimited(),
-                snapshot.as_ref().map(|s| &s.state),
-                None,
+                &mut RunCtx {
+                    budget: &RunBudget::unlimited(),
+                    resume: snapshot.as_ref().map(|s| &s.state),
+                    ckpt: None,
+                },
             )
             .expect("resumed run");
     });
@@ -250,7 +264,7 @@ proptest! {
         });
         let (_, reference) = measured(|| {
             algorithm
-                .run_budgeted(&oracle, &RunBudget::unlimited())
+                .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))
                 .expect("reference run")
         });
         let reference = masked(reference);

@@ -7,13 +7,14 @@
 //! cargo run --release -p aggclust-bench --example categorical_clustering
 //! ```
 
-use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
+use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::instance::{CorrelationInstance, MissingPolicy};
+use aggclust_core::{AggError, RunBudget, RunCtx};
 use aggclust_data::presets::votes_like;
 use aggclust_data::to_clusterings::attribute_clusterings;
 use aggclust_metrics::{classification_error, confusion_matrix};
 
-fn main() {
+fn main() -> Result<(), AggError> {
     // A congressional-votes-shaped table: 435 rows, 16 yes/no issues,
     // 288 missing values, and a party label we hold out for evaluation.
     let (dataset, _latent) = votes_like(7);
@@ -42,7 +43,9 @@ fn main() {
     let oracle = instance.dense_oracle();
 
     // Step 3: aggregate. No number of clusters is supplied anywhere.
-    let clustering = agglomerative(&oracle, AgglomerativeParams::paper());
+    let clustering = Algorithm::Agglomerative(AgglomerativeParams::paper())
+        .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))?
+        .clustering;
     println!(
         "\nAggregated into k = {} clusters (discovered automatically)",
         clustering.num_clusters()
@@ -58,4 +61,5 @@ fn main() {
         "\nMost people cluster with their party; the crossover voters are\n\
          exactly the ones any attribute-based clustering must misplace."
     );
+    Ok(())
 }

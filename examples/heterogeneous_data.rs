@@ -11,15 +11,16 @@
 //! cargo run --release -p aggclust-bench --example heterogeneous_data
 //! ```
 
-use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
+use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::instance::{CorrelationInstance, MissingPolicy};
+use aggclust_core::{AggError, RunBudget, RunCtx};
 use aggclust_data::presets::census_like_scaled;
 use aggclust_data::to_clusterings::{attribute_clusterings, heterogeneous_clusterings};
 use aggclust_metrics::classification_error;
 use aggclust_metrics::pair_counting::adjusted_rand_index;
 
-fn main() {
+fn main() -> Result<(), AggError> {
     // A census-shaped table: 8 categorical attributes (occupation, race,
     // sex, ...) plus 6 numeric columns (age, hours-per-week, ...) whose
     // units cannot be compared to each other or to the categories.
@@ -36,16 +37,20 @@ fn main() {
 
     let aggregate = |clusterings: Vec<aggclust_core::clustering::PartialClustering>| {
         let instance = CorrelationInstance::from_partial(clusterings, MissingPolicy::Coin(0.5));
-        agglomerative(&instance.dense_oracle(), AgglomerativeParams::paper())
+        let outcome = Algorithm::Agglomerative(AgglomerativeParams::paper()).run(
+            &instance.dense_oracle(),
+            &mut RunCtx::new(&RunBudget::unlimited()),
+        )?;
+        Ok::<_, AggError>(outcome.clustering)
     };
 
     // Categorical attributes only.
-    let cat_only = aggregate(attribute_clusterings(&dataset));
+    let cat_only = aggregate(attribute_clusterings(&dataset))?;
     // Categorical + quantile-binned numeric columns. Bin count matters:
     // coarse bins (3) keep same-group rows in the same bin and sharpen the
     // consensus; fine bins scatter them and fragment it — binning is the
     // "appropriate clustering algorithm" choice §2 leaves to the user.
-    let hetero = aggregate(heterogeneous_clusterings(&dataset, 3));
+    let hetero = aggregate(heterogeneous_clusterings(&dataset, 3))?;
 
     for (name, c) in [("categorical only", &cat_only), ("heterogeneous", &hetero)] {
         println!(
@@ -61,4 +66,5 @@ fn main() {
          ever comparing dollars to years to categories (paper §2,\n\
          \"Clustering heterogeneous data\")."
     );
+    Ok(())
 }

@@ -8,14 +8,15 @@
 //! cargo run --release -p aggclust-bench --example privacy_preserving
 //! ```
 
-use aggclust_core::algorithms::local_search::{local_search, LocalSearchParams};
+use aggclust_core::algorithms::{Algorithm, LocalSearchParams};
 use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::instance::{CorrelationInstance, MissingPolicy};
+use aggclust_core::{AggError, RunBudget, RunCtx};
 use aggclust_data::categorical::{AttrSpec, LatentClassConfig};
 use aggclust_data::to_clusterings::attribute_clusterings;
 use aggclust_metrics::pair_counting::adjusted_rand_index;
 
-fn main() {
+fn main() -> Result<(), AggError> {
     // A shared population of 600 individuals with 3 hidden segments, whose
     // 9 attributes are split across three sites (3 columns each).
     let (dataset, latent) = LatentClassConfig {
@@ -39,11 +40,17 @@ fn main() {
     // What crosses the wire is one label vector per site: which of *its*
     // local clusters each individual belongs to — no attribute values.
     let all_columns = attribute_clusterings(&dataset);
+    let local_search = Algorithm::LocalSearch(LocalSearchParams::default());
     let mut shared: Vec<PartialClustering> = Vec::new();
     for (site, columns) in all_columns.chunks(3).enumerate() {
         let local_instance =
             CorrelationInstance::from_partial(columns.to_vec(), MissingPolicy::Coin(0.5));
-        let local = local_search(&local_instance.dense_oracle(), LocalSearchParams::default());
+        let local = local_search
+            .run(
+                &local_instance.dense_oracle(),
+                &mut RunCtx::new(&RunBudget::unlimited()),
+            )?
+            .clustering;
         println!(
             "site {} publishes a clustering with k = {} (ARI vs hidden segments: {:.3})",
             site + 1,
@@ -56,7 +63,12 @@ fn main() {
     // A (possibly untrusted) coordinator aggregates the three published
     // clusterings.
     let joint_instance = CorrelationInstance::from_partial(shared, MissingPolicy::Coin(0.5));
-    let joint = local_search(&joint_instance.dense_oracle(), LocalSearchParams::default());
+    let joint = local_search
+        .run(
+            &joint_instance.dense_oracle(),
+            &mut RunCtx::new(&RunBudget::unlimited()),
+        )?
+        .clustering;
     println!(
         "\njoint clustering: k = {}, ARI vs hidden segments: {:.3}",
         joint.num_clusters(),
@@ -67,4 +79,5 @@ fn main() {
          values never left their owners (paper §2, privacy-preserving\n\
          clustering)."
     );
+    Ok(())
 }

@@ -7,15 +7,16 @@
 //! cargo run --release -p aggclust-bench --example quickstart
 //! ```
 
-use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
 use aggclust_core::algorithms::best::best_clustering;
+use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::{correlation_cost, lower_bound};
 use aggclust_core::distance::total_disagreement;
 use aggclust_core::exact::optimal_clustering;
 use aggclust_core::instance::{CorrelationInstance, DistanceOracle};
+use aggclust_core::{AggError, RunBudget, RunCtx};
 
-fn main() {
+fn main() -> Result<(), AggError> {
     // The three input clusterings of Figure 1 (columns C1, C2, C3).
     let c1 = Clustering::from_labels(vec![0, 0, 1, 1, 2, 2]);
     let c2 = Clustering::from_labels(vec![0, 1, 0, 1, 2, 3]);
@@ -37,7 +38,9 @@ fn main() {
     println!("  X(v1,v4) = {:.3}  (dotted edge, 1)", oracle.dist(0, 3));
 
     // Aggregate with the parameter-free AGGLOMERATIVE algorithm.
-    let aggregate = agglomerative(&oracle, AgglomerativeParams::paper());
+    let aggregate = Algorithm::Agglomerative(AgglomerativeParams::paper())
+        .run(&oracle, &mut RunCtx::new(&RunBudget::unlimited()))?
+        .clustering;
     println!(
         "\nAggregate: {:?}  (k = {} — found automatically, no k given)",
         aggregate.labels(),
@@ -75,4 +78,5 @@ fn main() {
         lower_bound(&oracle),
         exact.cost
     );
+    Ok(())
 }

@@ -8,12 +8,13 @@
 
 use aggclust_baselines::hierarchical::{hierarchical, HierarchicalParams, LinkageMethod};
 use aggclust_baselines::kmeans::{kmeans, KMeansInit, KMeansParams};
-use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
+use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::instance::CorrelationInstance;
+use aggclust_core::{AggError, RunBudget, RunCtx};
 use aggclust_data::synth2d::seven_groups;
 use aggclust_metrics::pair_counting::adjusted_rand_index;
 
-fn main() {
+fn main() -> Result<(), AggError> {
     // Seven perceptually distinct groups with features that trip up the
     // classic algorithms: a bridge between two blobs (bad for single
     // linkage), elongated strips (bad for k-means), uneven sizes.
@@ -53,7 +54,12 @@ fn main() {
     let instance = CorrelationInstance::from_clusterings(
         &inputs.iter().map(|(_, c)| c.clone()).collect::<Vec<_>>(),
     );
-    let aggregate = agglomerative(&instance.dense_oracle(), AgglomerativeParams::paper());
+    let aggregate = Algorithm::Agglomerative(AgglomerativeParams::paper())
+        .run(
+            &instance.dense_oracle(),
+            &mut RunCtx::new(&RunBudget::unlimited()),
+        )?
+        .clustering;
     println!(
         "\n  {:<17} ARI = {:.3}   (k = {} discovered)",
         "AGGREGATE",
@@ -65,4 +71,5 @@ fn main() {
          keeps the co-cluster decisions a majority agrees on, canceling\n\
          the individual errors (paper, Figure 3)."
     );
+    Ok(())
 }

@@ -3,16 +3,24 @@
 //! empirically where they are checkable.
 
 use aggclust_core::algorithms::{
-    agglomerative::agglomerative, balls::balls, best::best_clustering, furthest::furthest,
-    local_search::local_search, AgglomerativeParams, BallsParams, FurthestParams,
+    best::best_clustering, AgglomerativeParams, Algorithm, BallsParams, FurthestParams,
     LocalSearchParams,
 };
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::correlation_cost;
 use aggclust_core::exact::optimal_clustering;
-use aggclust_core::instance::DenseOracle;
+use aggclust_core::instance::{DenseOracle, DistanceOracle};
+use aggclust_core::{RunBudget, RunCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
 
 /// Random set of m clusterings of n objects with ≤ kmax clusters.
 fn random_instance(n: usize, m: usize, kmax: u32, seed: u64) -> Vec<Clustering> {
@@ -49,7 +57,10 @@ fn balls_quarter_alpha_is_3_approximate() {
         ] {
             let oracle = DenseOracle::from_clusterings(&inputs);
             let opt = optimal_clustering(&oracle).cost;
-            let cost = correlation_cost(&oracle, &balls(&oracle, BallsParams::theoretical()));
+            let cost = correlation_cost(
+                &oracle,
+                &run(&Algorithm::Balls(BallsParams::theoretical()), &oracle),
+            );
             assert!(
                 cost <= 3.0 * opt + 1e-9,
                 "seed {seed}: BALLS {cost} vs 3·OPT {}",
@@ -92,7 +103,10 @@ fn agglomerative_is_2_approximate_for_three_clusterings() {
         let opt = optimal_clustering(&oracle).cost;
         let cost = correlation_cost(
             &oracle,
-            &agglomerative(&oracle, AgglomerativeParams::paper()),
+            &run(
+                &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+                &oracle,
+            ),
         );
         assert!(
             cost <= 2.0 * opt + 1e-9,
@@ -110,7 +124,10 @@ fn balls_m3_is_2_approximate() {
         let inputs = random_instance(7, 3, 3, seed);
         let oracle = DenseOracle::from_clusterings(&inputs);
         let opt = optimal_clustering(&oracle).cost;
-        let cost = correlation_cost(&oracle, &balls(&oracle, BallsParams::theoretical()));
+        let cost = correlation_cost(
+            &oracle,
+            &run(&Algorithm::Balls(BallsParams::theoretical()), &oracle),
+        );
         assert!(
             cost <= 2.0 * opt + 1e-9,
             "seed {seed}: BALLS(m=3) {cost} vs 2·OPT {}",
@@ -133,22 +150,34 @@ fn all_algorithms_are_near_optimal_on_correlated_instances() {
                 "agglomerative",
                 correlation_cost(
                     &oracle,
-                    &agglomerative(&oracle, AgglomerativeParams::paper()),
+                    &run(
+                        &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+                        &oracle,
+                    ),
                 ),
             ),
             (
                 "furthest",
-                correlation_cost(&oracle, &furthest(&oracle, FurthestParams::default())),
+                correlation_cost(
+                    &oracle,
+                    &run(&Algorithm::Furthest(FurthestParams::default()), &oracle),
+                ),
             ),
             (
                 "balls-0.4",
-                correlation_cost(&oracle, &balls(&oracle, BallsParams::practical())),
+                correlation_cost(
+                    &oracle,
+                    &run(&Algorithm::Balls(BallsParams::practical()), &oracle),
+                ),
             ),
             (
                 "local-search",
                 correlation_cost(
                     &oracle,
-                    &local_search(&oracle, LocalSearchParams::default()),
+                    &run(
+                        &Algorithm::LocalSearch(LocalSearchParams::default()),
+                        &oracle,
+                    ),
                 ),
             ),
         ];
@@ -171,7 +200,10 @@ fn local_search_matches_optimum_on_most_small_instances() {
         let opt = optimal_clustering(&oracle).cost;
         let cost = correlation_cost(
             &oracle,
-            &local_search(&oracle, LocalSearchParams::default()),
+            &run(
+                &Algorithm::LocalSearch(LocalSearchParams::default()),
+                &oracle,
+            ),
         );
         if (cost - opt).abs() < 1e-9 {
             optimal_hits += 1;

@@ -2,14 +2,23 @@
 //! baseline clusterers feeding aggregation, and generator invariants.
 
 use aggclust_baselines::kmeans::{kmeans, KMeansParams};
-use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
+use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::distance::{disagreement_distance, normalized_disagreement};
-use aggclust_core::instance::CorrelationInstance;
+use aggclust_core::instance::{CorrelationInstance, DistanceOracle};
+use aggclust_core::{RunBudget, RunCtx};
 use aggclust_metrics::information::{entropy, mutual_information, variation_of_information};
 use aggclust_metrics::pair_counting::{pair_counts, rand_index};
 use aggclust_metrics::{classification_error, purity};
 use proptest::prelude::*;
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
 
 fn clustering_strategy(n: usize, kmax: u32) -> impl Strategy<Value = Clustering> {
     prop::collection::vec(0..kmax, n).prop_map(Clustering::from_labels)
@@ -73,7 +82,8 @@ proptest! {
     ) {
         let inputs = vec![c.clone(); copies];
         let instance = CorrelationInstance::from_clusterings(&inputs);
-        let result = agglomerative(&instance.dense_oracle(), AgglomerativeParams::paper());
+        let agglomerative = Algorithm::Agglomerative(AgglomerativeParams::paper());
+        let result = run(&agglomerative, &instance.dense_oracle());
         prop_assert_eq!(result, c);
     }
 
@@ -89,7 +99,8 @@ proptest! {
         let a = kmeans(&pts, &KMeansParams::new(3, seed)).clustering;
         let b = kmeans(&pts, &KMeansParams::new(4, seed + 1)).clustering;
         let instance = CorrelationInstance::from_clusterings(&[a, b]);
-        let result = agglomerative(&instance.dense_oracle(), AgglomerativeParams::paper());
+        let agglomerative = Algorithm::Agglomerative(AgglomerativeParams::paper());
+        let result = run(&agglomerative, &instance.dense_oracle());
         prop_assert_eq!(result.len(), 30);
     }
 }

@@ -6,16 +6,26 @@ use aggclust_baselines::hierarchical::{hierarchical, HierarchicalParams, Linkage
 use aggclust_baselines::kmeans::{kmeans, KMeansParams};
 use aggclust_baselines::limbo::{limbo, LimboParams};
 use aggclust_baselines::rock::{rock, RockParams};
-use aggclust_core::algorithms::agglomerative::{agglomerative, AgglomerativeParams};
-use aggclust_core::algorithms::local_search::local_search_from;
+use aggclust_core::algorithms::{
+    AgglomerativeParams, Algorithm, LocalSearchInit, LocalSearchParams,
+};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::{correlation_cost, lower_bound};
-use aggclust_core::instance::{CorrelationInstance, MissingPolicy};
+use aggclust_core::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
+use aggclust_core::{RunBudget, RunCtx};
 use aggclust_data::presets::{census_like_scaled, mushrooms_like, votes_like};
 use aggclust_data::synth2d::{gaussian_with_noise, seven_groups};
 use aggclust_data::to_clusterings::{attribute_clusterings, heterogeneous_clusterings};
 use aggclust_metrics::pair_counting::adjusted_rand_index;
 use aggclust_metrics::{classification_error, confusion_matrix};
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
 
 #[test]
 fn categorical_pipeline_on_votes_sample() {
@@ -26,7 +36,10 @@ fn categorical_pipeline_on_votes_sample() {
     let instance = CorrelationInstance::from_partial(clusterings, MissingPolicy::Coin(0.5));
     let oracle = instance.dense_oracle();
 
-    let clustering = agglomerative(&oracle, AgglomerativeParams::paper());
+    let clustering = run(
+        &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        &oracle,
+    );
     // The party structure must be recovered: few clusters, decent purity.
     assert!(
         clustering.num_clusters() <= 6,
@@ -52,7 +65,10 @@ fn mushrooms_confusion_matrix_has_a_large_mixed_cluster() {
     let dataset = dataset.subsample_random(800, 2);
     let clusterings = attribute_clusterings(&dataset);
     let instance = CorrelationInstance::from_partial(clusterings, MissingPolicy::Coin(0.5));
-    let clustering = agglomerative(&instance.dense_oracle(), AgglomerativeParams::paper());
+    let clustering = run(
+        &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        &instance.dense_oracle(),
+    );
     let cm = confusion_matrix(&clustering, dataset.class_labels());
     let sizes = cm.cluster_sizes();
     let biggest = (0..cm.num_clusters())
@@ -81,7 +97,10 @@ fn two_dimensional_pipeline_recovers_groups() {
         kmeans(&rows, &KMeansParams::new(7, 3)).clustering,
     ];
     let instance = CorrelationInstance::from_clusterings(&inputs);
-    let aggregate = agglomerative(&instance.dense_oracle(), AgglomerativeParams::paper());
+    let aggregate = run(
+        &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        &instance.dense_oracle(),
+    );
     let agg_ari = adjusted_rand_index(&aggregate, &truth);
     assert!(agg_ari > 0.9, "aggregate ARI = {agg_ari}");
     // Aggregation must not be (much) worse than the median input.
@@ -101,7 +120,10 @@ fn gaussian_noise_aggregation_finds_k() {
         .map(|k| kmeans(&rows, &KMeansParams::new(k, 100 + k as u64)).clustering)
         .collect();
     let instance = CorrelationInstance::from_clusterings(&inputs);
-    let aggregate = agglomerative(&instance.dense_oracle(), AgglomerativeParams::paper());
+    let aggregate = run(
+        &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        &instance.dense_oracle(),
+    );
     // The four main clusters appear among the largest.
     let mut sizes = aggregate.cluster_sizes();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
@@ -137,9 +159,19 @@ fn local_search_postprocessing_only_improves() {
     for start in [
         Clustering::singletons(120),
         Clustering::one_cluster(120),
-        agglomerative(&oracle, AgglomerativeParams::paper()),
+        run(
+            &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+            &oracle,
+        ),
     ] {
-        let refined = local_search_from(&oracle, &start, 50, 1e-9);
+        let refined = run(
+            &Algorithm::LocalSearch(LocalSearchParams {
+                init: LocalSearchInit::Given(start.clone()),
+                max_passes: 50,
+                epsilon: 1e-9,
+            }),
+            &oracle,
+        );
         assert!(correlation_cost(&oracle, &refined) <= correlation_cost(&oracle, &start) + 1e-9);
     }
 }
@@ -162,7 +194,13 @@ fn missing_policies_agree_when_nothing_is_missing() {
     let clusterings = attribute_clusterings(&dataset);
     let a = CorrelationInstance::from_partial(clusterings.clone(), MissingPolicy::Coin(0.5));
     let b = CorrelationInstance::from_partial(clusterings, MissingPolicy::Ignore);
-    let ca = agglomerative(&a.dense_oracle(), AgglomerativeParams::paper());
-    let cb = agglomerative(&b.dense_oracle(), AgglomerativeParams::paper());
+    let ca = run(
+        &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        &a.dense_oracle(),
+    );
+    let cb = run(
+        &Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        &b.dense_oracle(),
+    );
     assert_eq!(ca, cb);
 }

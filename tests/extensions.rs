@@ -2,16 +2,31 @@
 //! realistic presets, weighted aggregation, the incremental assigner, and
 //! the extension algorithms.
 
-use aggclust_core::algorithms::sampling::{sampling_with_details, SamplingParams};
+use aggclust_core::algorithms::sampling::{sampling, SamplingDetails, SamplingParams};
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm, AnnealingParams, PivotParams};
 use aggclust_core::assign::ClusterAssigner;
 use aggclust_core::clustering::Clustering;
 use aggclust_core::consensus::ConsensusBuilder;
 use aggclust_core::cost::correlation_cost;
+use aggclust_core::exact::branch_and_bound;
 use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
+use aggclust_core::{RunBudget, RunCtx};
 use aggclust_data::presets::votes_like;
 use aggclust_data::to_clusterings::attribute_clusterings;
 use aggclust_metrics::classification_error;
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
+
+/// SAMPLING on `oracle` under an unlimited budget.
+fn run_sampling<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> SamplingDetails {
+    sampling(oracle, params, &mut RunCtx::new(&RunBudget::unlimited())).unwrap()
+}
 
 #[test]
 fn consensus_builder_on_votes_preset() {
@@ -38,8 +53,8 @@ fn weighted_aggregation_shifts_the_consensus() {
     let favor_a = DenseOracle::from_weighted_clusterings(&[a.clone(), b.clone()], &[5.0, 1.0]);
     let favor_b = DenseOracle::from_weighted_clusterings(&[a.clone(), b.clone()], &[1.0, 5.0]);
     let algo = Algorithm::Agglomerative(AgglomerativeParams::default());
-    assert_eq!(algo.run(&favor_a), a);
-    assert_eq!(algo.run(&favor_b), b);
+    assert_eq!(run(&algo, &favor_a), a);
+    assert_eq!(run(&algo, &favor_b), b);
 }
 
 #[test]
@@ -56,7 +71,7 @@ fn assigner_agrees_with_sampling_assignment_phase() {
         Algorithm::Agglomerative(AgglomerativeParams::default()),
         5,
     );
-    let details = sampling_with_details(&oracle, &params);
+    let details = run_sampling(&oracle, &params);
 
     // Reference = the sample clustering restricted to sampled nodes.
     let sample = &details.sample;
@@ -94,7 +109,7 @@ fn extension_algorithms_run_through_the_enum() {
         }),
     ];
     for algo in &algos {
-        let c = algo.run(&oracle);
+        let c = run(algo, &oracle);
         assert_eq!(c.len(), 7);
         // Core blocks must survive any reasonable aggregator.
         assert!(c.same_cluster(0, 1), "{}", algo.name());
@@ -115,8 +130,8 @@ fn branch_and_bound_confirms_local_search_on_presets() {
         MissingPolicy::Coin(0.5),
     );
     let oracle = instance.dense_oracle();
-    let exact = aggclust_core::exact::branch_and_bound(&oracle);
-    let ls = Algorithm::LocalSearch(Default::default()).run(&oracle);
+    let (exact, _) = branch_and_bound(&oracle, &mut RunCtx::new(&RunBudget::unlimited())).unwrap();
+    let ls = run(&Algorithm::LocalSearch(Default::default()), &oracle);
     let ls_cost = correlation_cost(&oracle, &ls);
     assert!(
         ls_cost <= exact.cost * 1.02 + 1e-9,

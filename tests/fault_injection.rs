@@ -5,8 +5,7 @@
 use std::time::{Duration, Instant};
 
 use aggclust_cli::csv::parse_label_matrix;
-use aggclust_core::algorithms::local_search::local_search_budgeted;
-use aggclust_core::algorithms::sampling::sampling_budgeted;
+use aggclust_core::algorithms::sampling::sampling;
 use aggclust_core::algorithms::{
     AgglomerativeParams, Algorithm, AnnealingParams, BallsParams, FurthestParams,
     LocalSearchParams, PivotParams, SamplingParams,
@@ -16,7 +15,7 @@ use aggclust_core::consensus::ConsensusBuilder;
 use aggclust_core::cost::correlation_cost;
 use aggclust_core::instance::{ClusteringsOracle, CorrelationInstance, DenseOracle, MissingPolicy};
 use aggclust_core::test_support::{for_each_bit_flip, for_each_truncation, SPOT_BITS};
-use aggclust_core::{AggError, CancelToken, RunBudget, RunStatus};
+use aggclust_core::{AggError, CancelToken, RunBudget, RunCtx, RunStatus};
 use aggclust_tests::{adversarial_disagreeing, clustering, corrupt_bytes, truncate_text};
 use proptest::prelude::*;
 
@@ -158,7 +157,7 @@ proptest! {
         ];
         for oracle in &degenerate_oracles {
             for algorithm in all_algorithms(seed) {
-                let outcome = algorithm.run_budgeted(oracle, &RunBudget::unlimited());
+                let outcome = algorithm.run(oracle, &mut RunCtx::new(&RunBudget::unlimited()));
                 match outcome {
                     Ok(run) => prop_assert_eq!(run.clustering.len(), oracle_len(oracle)),
                     Err(e) => { let _ = e.to_string(); }
@@ -393,7 +392,9 @@ fn localsearch_deadline_on_large_instance_returns_best_so_far() {
     let start = Clustering::singletons(n);
     let budget = RunBudget::unlimited().with_deadline(Duration::from_millis(50));
     let t0 = Instant::now();
-    let outcome = local_search_budgeted(&oracle, LocalSearchParams::default(), &budget).unwrap();
+    let outcome = Algorithm::LocalSearch(LocalSearchParams::default())
+        .run(&oracle, &mut RunCtx::new(&budget))
+        .unwrap();
     let elapsed = t0.elapsed();
 
     assert_eq!(outcome.status, RunStatus::BudgetExceeded);
@@ -432,7 +433,7 @@ fn sampling_respects_a_deadline_on_a_large_instance() {
     );
     let budget = RunBudget::unlimited().with_deadline(Duration::from_millis(50));
     let t0 = Instant::now();
-    let outcome = sampling_budgeted(&oracle, &params, &budget).unwrap();
+    let outcome = sampling(&oracle, &params, &mut RunCtx::new(&budget)).unwrap();
     assert_eq!(outcome.clustering.len(), n);
     assert!(
         t0.elapsed() < Duration::from_secs(5),
@@ -449,7 +450,7 @@ fn cancellation_stops_every_algorithm_with_a_valid_result() {
     token.cancel();
     let budget = RunBudget::unlimited().with_cancel_token(token);
     for algorithm in all_algorithms(11) {
-        let outcome = algorithm.run_budgeted(&oracle, &budget).unwrap();
+        let outcome = algorithm.run(&oracle, &mut RunCtx::new(&budget)).unwrap();
         assert_eq!(outcome.clustering.len(), 30, "{}", algorithm.name());
         assert_eq!(outcome.status, RunStatus::Cancelled, "{}", algorithm.name());
     }

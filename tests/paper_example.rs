@@ -2,10 +2,10 @@
 //! public entry point: this is the one instance whose numbers the paper
 //! states exactly, so everything must agree with it.
 
+use aggclust_core::algorithms::sampling::{sampling, SamplingDetails};
 use aggclust_core::algorithms::{
-    agglomerative::agglomerative, balls::balls, best::best_clustering, furthest::furthest,
-    local_search::local_search, sampling::sampling, AgglomerativeParams, Algorithm, BallsParams,
-    FurthestParams, LocalSearchParams, SamplingParams,
+    best::best_clustering, AgglomerativeParams, Algorithm, BallsParams, FurthestParams,
+    LocalSearchParams, SamplingParams,
 };
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::{correlation_cost, lower_bound};
@@ -14,7 +14,21 @@ use aggclust_core::exact::optimal_clustering;
 use aggclust_core::instance::{
     ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle,
 };
+use aggclust_core::{RunBudget, RunCtx};
 use aggclust_metrics::disagreement::{disagreement_error, expected_disagreement_error};
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
+
+/// SAMPLING on `oracle` under an unlimited budget.
+fn run_sampling<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> SamplingDetails {
+    sampling(oracle, params, &mut RunCtx::new(&RunBudget::unlimited())).unwrap()
+}
 
 fn figure1_inputs() -> Vec<Clustering> {
     vec![
@@ -71,16 +85,14 @@ fn all_five_algorithms_recover_the_optimum() {
     let oracle = DenseOracle::from_clusterings(&inputs);
 
     assert_eq!(best_clustering(&inputs).clustering, optimum());
-    assert_eq!(balls(&oracle, BallsParams::practical()), optimum());
-    assert_eq!(
-        agglomerative(&oracle, AgglomerativeParams::paper()),
-        optimum()
-    );
-    assert_eq!(furthest(&oracle, FurthestParams::default()), optimum());
-    assert_eq!(
-        local_search(&oracle, LocalSearchParams::default()),
-        optimum()
-    );
+    for algorithm in [
+        Algorithm::Balls(BallsParams::practical()),
+        Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        Algorithm::Furthest(FurthestParams::default()),
+        Algorithm::LocalSearch(LocalSearchParams::default()),
+    ] {
+        assert_eq!(run(&algorithm, &oracle), optimum(), "{}", algorithm.name());
+    }
     // SAMPLING with the full set as the sample degenerates to the base
     // algorithm.
     let params = SamplingParams::new(
@@ -88,7 +100,7 @@ fn all_five_algorithms_recover_the_optimum() {
         Algorithm::Agglomerative(AgglomerativeParams::default()),
         0,
     );
-    assert_eq!(sampling(&oracle, &params), optimum());
+    assert_eq!(run_sampling(&oracle, &params).clustering, optimum());
 }
 
 #[test]

@@ -1,20 +1,32 @@
 //! SAMPLING correctness and oracle-consistency tests at moderate scale —
 //! the properties §4.1 of the paper relies on.
 
-use aggclust_core::algorithms::sampling::{
-    sampling, sampling_with_details, SampleSize, SamplingParams,
-};
+use aggclust_core::algorithms::sampling::{sampling, SampleSize, SamplingDetails, SamplingParams};
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm, BallsParams};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::correlation_cost;
 use aggclust_core::instance::{
     ClusteringsOracle, CorrelationInstance, DistanceOracle, MissingPolicy,
 };
+use aggclust_core::{RunBudget, RunCtx};
 use aggclust_data::presets::votes_like;
 use aggclust_data::to_clusterings::attribute_clusterings;
 use aggclust_metrics::classification_error;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `algorithm` on `oracle` under an unlimited budget.
+fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
+    algorithm
+        .run(oracle, &mut RunCtx::new(&RunBudget::unlimited()))
+        .unwrap()
+        .clustering
+}
+
+/// SAMPLING on `oracle` under an unlimited budget.
+fn run_sampling<O: DistanceOracle + Sync>(oracle: &O, params: &SamplingParams) -> SamplingDetails {
+    sampling(oracle, params, &mut RunCtx::new(&RunBudget::unlimited())).unwrap()
+}
 
 /// Clusterings with a hidden block structure of `k` blocks over `n` nodes.
 fn block_inputs(n: usize, m: usize, k: u32, seed: u64) -> Vec<Clustering> {
@@ -44,7 +56,7 @@ fn lazy_oracle_scales_where_dense_would_not_be_needed() {
         Algorithm::Agglomerative(AgglomerativeParams::default()),
         7,
     );
-    let c = sampling(&oracle, &params);
+    let c = run_sampling(&oracle, &params).clustering;
     assert_eq!(c.len(), n);
     // The five blocks dominate the result.
     let mut sizes = c.cluster_sizes();
@@ -63,7 +75,7 @@ fn sample_size_log_policy() {
         seed: 5,
         recluster_singletons: true,
     };
-    let details = sampling_with_details(&oracle, &params);
+    let details = run_sampling(&oracle, &params);
     let expected = (12.0 * (n as f64).ln()).ceil() as usize;
     assert_eq!(details.sample.len(), expected);
     assert!(details.clustering.num_clusters() >= 4);
@@ -78,13 +90,13 @@ fn sampling_quality_improves_with_sample_size() {
     );
     let oracle = instance.dense_oracle();
     let base = Algorithm::Agglomerative(AgglomerativeParams::default());
-    let full = base.run(&oracle);
+    let full = run(&base, &oracle);
     let full_cost = correlation_cost(&oracle, &full);
 
     let mut costs = Vec::new();
     for sample in [20usize, 80, 300] {
         let params = SamplingParams::new(sample, base.clone(), 3);
-        let c = sampling(&oracle, &params);
+        let c = run_sampling(&oracle, &params).clustering;
         costs.push(correlation_cost(&oracle, &c));
     }
     // Largest sample must land within 5% of the non-sampling cost; the
@@ -108,9 +120,12 @@ fn sampling_classification_error_converges() {
     );
     let oracle = instance.dense_oracle();
     let base = Algorithm::Agglomerative(AgglomerativeParams::default());
-    let full_ec = classification_error(&base.run(&oracle), dataset.class_labels());
+    let full_ec = classification_error(&run(&base, &oracle), dataset.class_labels());
     let params = SamplingParams::new(250, base, 17);
-    let sampled_ec = classification_error(&sampling(&oracle, &params), dataset.class_labels());
+    let sampled_ec = classification_error(
+        &run_sampling(&oracle, &params).clustering,
+        dataset.class_labels(),
+    );
     assert!(
         (sampled_ec - full_ec).abs() < 0.08,
         "sampled {sampled_ec} vs full {full_ec}"
@@ -122,13 +137,16 @@ fn deterministic_and_seed_sensitive() {
     let inputs = block_inputs(2_000, 5, 4, 9);
     let oracle = ClusteringsOracle::from_total(&inputs);
     let mk = |seed| SamplingParams::new(60, Algorithm::Balls(BallsParams::practical()), seed);
-    assert_eq!(sampling(&oracle, &mk(1)), sampling(&oracle, &mk(1)));
-    let a = sampling(&oracle, &mk(1));
-    let b = sampling(&oracle, &mk(2));
+    assert_eq!(
+        run_sampling(&oracle, &mk(1)).clustering,
+        run_sampling(&oracle, &mk(1)).clustering
+    );
+    let a = run_sampling(&oracle, &mk(1)).clustering;
+    let b = run_sampling(&oracle, &mk(2)).clustering;
     // Different seeds sample different nodes; results may coincide on easy
     // data but the samples must differ.
-    let da = sampling_with_details(&oracle, &mk(1)).sample;
-    let db = sampling_with_details(&oracle, &mk(2)).sample;
+    let da = run_sampling(&oracle, &mk(1)).sample;
+    let db = run_sampling(&oracle, &mk(2)).sample;
     assert_ne!(da, db);
     // Both recover the 4 blocks.
     assert!(a.num_clusters() >= 4 && b.num_clusters() >= 4);
