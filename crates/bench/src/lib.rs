@@ -2,10 +2,9 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper
 //! (`fig3_robustness`, `fig4_correct_k`, `table2_votes`, `table3_mushrooms`,
-//! `census_sampling`, `fig5_sampling`, `ablations`) plus Criterion
-//! micro-benchmarks. This library holds the shared plumbing: aligned table
-//! rendering, timing helpers, and the standard algorithm roster used by the
-//! table experiments. Option parsing and the telemetry bootstrap come from
+//! `census_sampling`, `fig5_sampling`, `ablations`). This library holds
+//! the shared plumbing: aligned table rendering, timing helpers, and the
+//! standard algorithm roster used by the table experiments. Option parsing and the telemetry bootstrap come from
 //! `aggclust-cli`, so the experiment binaries read the same flags as
 //! `aggclust`.
 

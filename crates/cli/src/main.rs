@@ -341,7 +341,11 @@ fn parse_algorithm(args: &Args) -> Result<Algorithm, CliError> {
     let seed = args.get_or("seed", 0u64);
     Ok(match args.get("algorithm").unwrap_or("agglomerative") {
         "agglomerative" => Algorithm::Agglomerative(AgglomerativeParams::default()),
-        "balls" => Algorithm::Balls(BallsParams::with_alpha(args.get_or("alpha", 0.4))),
+        "balls" => {
+            let params = BallsParams::with_alpha(args.get_or("alpha", 0.4));
+            params.validate()?;
+            Algorithm::Balls(params)
+        }
         "furthest" => Algorithm::Furthest(FurthestParams::default()),
         "local-search" => Algorithm::LocalSearch(LocalSearchParams::default()),
         "pivot" => Algorithm::Pivot(PivotParams::randomized(seed, 9)),
@@ -359,11 +363,14 @@ fn cmd_aggregate(args: &Args) -> Result<(), CliError> {
     // One budget for the whole run: dataset-read retries, checkpoint-write
     // retries, and the solve itself all draw down the same deadline.
     let budget = args.run_budget().with_cancel_token(cancel);
+    // Flag errors exit before the input is read and its matrix built.
+    let algorithm = parse_algorithm(args)?;
+    let policy = parse_policy(args)?;
     let inputs = load_inputs(args, Some(&budget))?;
     let n = inputs[0].len();
     let mut builder = ConsensusBuilder::new()
-        .algorithm(parse_algorithm(args)?)
-        .missing_policy(parse_policy(args)?)
+        .algorithm(algorithm)
+        .missing_policy(policy)
         .refine(!args.flag("no-refine"))
         .prefer_exact(args.flag("exact"))
         .budget(budget)

@@ -762,6 +762,51 @@ fn balls_alpha_outside_the_unit_interval_is_a_usage_error() {
         }
     }
     fs::remove_file(input).ok();
+    // The flag is checked before the input is read: a bad α on a missing
+    // file is a usage error about α, not an I/O error.
+    let out = bin()
+        .args(["aggregate", "--input", "/nonexistent/aggclust-alpha.csv"])
+        .args(["--algorithm", "balls", "--alpha", "2"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("alpha"), "{stderr}");
+    assert!(!stderr.contains("reading"), "{stderr}");
+}
+
+#[test]
+fn a_retired_simd_tier_name_falls_back_to_detection() {
+    use aggclust_core::kernels::dispatch::{reachable_tiers, Tier, ALL_TIERS};
+    let input = tmp("simd.csv", FIGURE1);
+    let report = std::env::temp_dir().join("aggclust-cli-simd-report.json");
+    let out = bin()
+        .env("AGGCLUST_SIMD", "avx512")
+        .args(["aggregate", "--input", input.to_str().unwrap()])
+        .args(["--metrics-out", report.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let names = ALL_TIERS.map(Tier::name).join("|");
+    assert!(
+        stderr.contains(&format!(
+            "warning: unknown AGGCLUST_SIMD value; expected auto|{names}"
+        )),
+        "{stderr}"
+    );
+    let json = fs::read_to_string(&report).unwrap();
+    let selected = json
+        .split("\"simd_selected\":\"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next())
+        .unwrap();
+    assert!(
+        reachable_tiers().iter().any(|t| t.name() == selected),
+        "{selected} in {json}"
+    );
+    fs::remove_file(input).ok();
+    fs::remove_file(report).ok();
 }
 
 #[test]

@@ -63,11 +63,25 @@ impl BallsParams {
     }
 
     /// Custom `α` with the paper's ordering. A run rejects an `α` outside
-    /// `[0, 1]` (or NaN) as [`AggError::InvalidParameter`].
+    /// `[0, 1]` (or NaN) as [`AggError::InvalidParameter`]; see
+    /// [`BallsParams::validate`].
     pub fn with_alpha(alpha: f64) -> Self {
         BallsParams {
             alpha,
             ordering: BallsOrdering::IncreasingWeight,
+        }
+    }
+
+    /// The check every run applies first: `α` must lie in `[0, 1]` (NaN
+    /// does not), else [`AggError::InvalidParameter`] naming `alpha`.
+    pub fn validate(&self) -> AggResult<()> {
+        if (0.0..=1.0).contains(&self.alpha) {
+            Ok(())
+        } else {
+            Err(AggError::invalid_parameter(
+                "alpha",
+                format!("{} out of [0,1]", self.alpha),
+            ))
         }
     }
 
@@ -100,12 +114,7 @@ pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
     params: BallsParams,
     budget: &RunBudget,
 ) -> AggResult<RunOutcome> {
-    if !(0.0..=1.0).contains(&params.alpha) {
-        return Err(AggError::invalid_parameter(
-            "alpha",
-            format!("{} out of [0,1]", params.alpha),
-        ));
-    }
+    params.validate()?;
     let (labels, status, iterations) = carve(oracle, params, budget);
     Ok(RunOutcome {
         clustering: Clustering::from_labels(labels),

@@ -106,9 +106,8 @@ pub trait DistanceOracle {
 
     /// Cache-block band width (in rows) that condensed fills over this
     /// oracle should use. Oracles backed by a packed [`LabelMatrix`]
-    /// override this with the matrix's tier-tuned figure
-    /// ([`LabelMatrix::preferred_band`]); anything else gets the generic
-    /// default.
+    /// override this with the matrix's tier-tuned figure; anything else
+    /// gets the generic default.
     fn preferred_band(&self) -> usize {
         kernels::PACKED_BAND
     }
@@ -388,9 +387,8 @@ impl DenseOracle {
     }
 
     /// Build from a distance function evaluated on every pair `u < v`,
-    /// serially in `(u asc, v asc)` order. Kept for stateful `FnMut`
-    /// closures; prefer [`DenseOracle::from_fn_sync`] for pure distance
-    /// functions, which evaluates the pairs in parallel.
+    /// serially in `(u asc, v asc)` order, so `f` may be a stateful
+    /// `FnMut` closure.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let values: Vec<f64> = (0..n)
             .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
@@ -406,7 +404,7 @@ impl DenseOracle {
     /// Build from a pure distance function, evaluating the `n(n−1)/2` pairs
     /// in parallel row chunks (see [`crate::parallel`]). Produces exactly
     /// the same matrix as [`DenseOracle::from_fn`] at any thread count.
-    pub fn from_fn_sync(n: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
+    pub(crate) fn from_fn_sync(n: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
         let pair = |u, v| {
             let d = f(u, v);
             debug_assert!((0.0..=1.0).contains(&d), "distance {d} out of [0,1]");

@@ -90,8 +90,8 @@ pub const MAX_U16_CODE: u64 = u16::MAX as u64;
 pub const STRIDE_WORDS: usize = 4;
 
 /// Column band width (in matrix rows) for cache-blocked condensed fills
-/// over packed rows when no [`LabelMatrix`] is available to ask — see
-/// [`LabelMatrix::preferred_band`] for the tier-aware figure.
+/// over packed rows when no [`LabelMatrix`] is available to ask its
+/// tier-aware band.
 pub const PACKED_BAND: usize = 512;
 
 /// Equal-weight groups smaller than this stay on the scalar tail instead
@@ -210,26 +210,6 @@ impl LabelMatrix {
         }
     }
 
-    /// Pack total clusterings (one lane per clustering, in input order).
-    ///
-    /// # Panics
-    /// Panics if the clusterings disagree on the object count.
-    pub fn from_total(clusterings: &[Clustering]) -> Self {
-        let n = clusterings.first().map_or(0, |c| c.len());
-        assert!(
-            clusterings.iter().all(|c| c.len() == n),
-            "all clusterings must cover the same objects"
-        );
-        let max_code = clusterings
-            .iter()
-            .map(|c| c.max_lane_code())
-            .max()
-            .unwrap_or(0);
-        LabelMatrix::build(n, clusterings.len(), max_code, |j, v| {
-            clusterings[j].lane_code(v)
-        })
-    }
-
     /// Pack the subset `members` of `clusterings` (one lane per member, in
     /// `members` order) — the building block for equal-weight blocks.
     ///
@@ -312,11 +292,11 @@ impl LabelMatrix {
     /// row stride: the band should stay L1-resident while a row chunk
     /// streams against it, and the SIMD tiers chew through rows fast
     /// enough that a wider band amortizes the per-band loop overhead.
-    pub fn preferred_band(&self) -> usize {
+    pub(crate) fn preferred_band(&self) -> usize {
         let row_bytes = self.stride.max(STRIDE_WORDS) * 8;
         let target_bytes = match self.tier {
             Tier::Scalar | Tier::Swar => 16 * 1024,
-            Tier::Sse2 | Tier::Avx2 | Tier::Avx512 | Tier::Neon => 32 * 1024,
+            Tier::Sse2 | Tier::Avx2 | Tier::Neon => 32 * 1024,
         };
         (target_bytes / row_bytes).clamp(64, 4096)
     }
@@ -373,19 +353,6 @@ impl LabelMatrix {
                 true
             }
             #[cfg(target_arch = "x86_64")]
-            (Tier::Avx512, LaneWidth::U16) => {
-                // SAFETY: as above — AVX-512 F/BW/VL available,
-                // stride-sized slices.
-                unsafe { simd::x86::sep_rows16_avx512(a, rows, self.stride, out) }
-                true
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Avx512, LaneWidth::U32) => {
-                // SAFETY: as above.
-                unsafe { simd::x86::sep_rows32_avx512(a, rows, self.stride, out) }
-                true
-            }
-            #[cfg(target_arch = "x86_64")]
             (Tier::Sse2, LaneWidth::U16) => {
                 // SAFETY: as above — SSE2+POPCNT available, stride-sized
                 // slices (stride is a multiple of 4, hence of 2).
@@ -432,16 +399,6 @@ impl LabelMatrix {
             (Tier::Avx2, LaneWidth::U32) => {
                 // SAFETY: as above.
                 Some(unsafe { simd::x86::sep_missing32_avx2(a, b, &self.valid, self.stride) })
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Avx512, LaneWidth::U16) => {
-                // SAFETY: as above (AVX-512 F/BW/VL).
-                Some(unsafe { simd::x86::sep_missing16_avx512(a, b, &self.valid, self.stride) })
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Avx512, LaneWidth::U32) => {
-                // SAFETY: as above.
-                Some(unsafe { simd::x86::sep_missing32_avx512(a, b, &self.valid, self.stride) })
             }
             #[cfg(target_arch = "x86_64")]
             (Tier::Sse2, LaneWidth::U16) => {
@@ -526,7 +483,7 @@ impl LabelMatrix {
     ///
     /// # Panics
     /// Panics if `lo + out.len()` exceeds the number of rows.
-    pub fn sep_row_into(&self, u: usize, lo: usize, out: &mut [u32]) {
+    pub(crate) fn sep_row_into(&self, u: usize, lo: usize, out: &mut [u32]) {
         crate::telemetry::metrics()
             .kernels_row_batches
             .incr_if_enabled();
@@ -758,6 +715,12 @@ mod tests {
         Clustering::from_labels(labels.to_vec())
     }
 
+    /// Every clustering packed, one lane each, in input order.
+    fn pack_total(clusterings: &[Clustering]) -> LabelMatrix {
+        let all: Vec<usize> = (0..clusterings.len()).collect();
+        LabelMatrix::from_total_indexed(clusterings, &all)
+    }
+
     #[test]
     fn nonzero_lane_detection_is_exact() {
         // The borrow-prone patterns that break the classic (x-k)&!x trick.
@@ -801,7 +764,7 @@ mod tests {
             c(&[0, 1, 2, 3, 4, 5]),
         ];
         for tier in dispatch::reachable_tiers() {
-            let mx = dispatch::with_forced_tier(tier, || LabelMatrix::from_total(&cs));
+            let mx = dispatch::with_forced_tier(tier, || pack_total(&cs));
             assert_eq!(mx.tier(), tier);
             assert_eq!(mx.width(), LaneWidth::U16);
             assert_eq!(mx.lanes(), 5);
@@ -829,9 +792,9 @@ mod tests {
                     .collect::<Vec<_>>())
             })
             .collect();
-        let baseline = dispatch::with_forced_tier(Tier::Scalar, || LabelMatrix::from_total(&cs));
+        let baseline = dispatch::with_forced_tier(Tier::Scalar, || pack_total(&cs));
         for tier in dispatch::reachable_tiers() {
-            let mx = dispatch::with_forced_tier(tier, || LabelMatrix::from_total(&cs));
+            let mx = dispatch::with_forced_tier(tier, || pack_total(&cs));
             let mut out = vec![0u32; n];
             for u in 0..n {
                 mx.sep_row_into(u, 0, &mut out);
@@ -883,9 +846,9 @@ mod tests {
         let n = 70_000usize;
         let narrow = c(&(0..n).map(|v| (v as u32) % 65_535).collect::<Vec<_>>());
         let wide = c(&(0..n).map(|v| (v as u32) % 65_536).collect::<Vec<_>>());
-        let mx16 = LabelMatrix::from_total(std::slice::from_ref(&narrow));
+        let mx16 = pack_total(std::slice::from_ref(&narrow));
         assert_eq!(mx16.width(), LaneWidth::U16);
-        let mx32 = LabelMatrix::from_total(&[narrow, wide]);
+        let mx32 = pack_total(&[narrow, wide]);
         assert_eq!(mx32.width(), LaneWidth::U32);
         // Spot-check pairs around the wrap boundary in both widths.
         for (u, v) in [(0usize, 65_535usize), (1, 65_536), (7, 9), (65_534, 65_535)] {
@@ -899,7 +862,7 @@ mod tests {
     #[test]
     fn stride_pads_rows_to_whole_vector_groups() {
         let cs = vec![c(&[0, 1, 2]); 5]; // m = 5 → 2 logical words, u16
-        let mx = LabelMatrix::from_total(&cs);
+        let mx = pack_total(&cs);
         assert_eq!(mx.words_per_row, 2);
         assert_eq!(mx.stride, STRIDE_WORDS);
         assert_eq!(mx.valid.len(), STRIDE_WORDS);
@@ -927,10 +890,10 @@ mod tests {
 
     #[test]
     fn empty_and_trivial_matrices() {
-        let mx = LabelMatrix::from_total(&[]);
+        let mx = pack_total(&[]);
         assert!(mx.is_empty());
         assert_eq!(mx.lanes(), 0);
-        let one = LabelMatrix::from_total(&[c(&[0])]);
+        let one = pack_total(&[c(&[0])]);
         assert_eq!(one.len(), 1);
         assert!(one.bytes() > 0);
     }

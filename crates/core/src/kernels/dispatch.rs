@@ -10,17 +10,16 @@
 //!
 //! | Tier | Requires | Width per op |
 //! |---|---|---|
-//! | [`Tier::Avx512`] | `x86-64` with AVX-512 F/BW/VL | 8 × `u64` words (two rows per compare) |
 //! | [`Tier::Avx2`] | `x86-64` with AVX2 | 4 × `u64` words (16 `u16` lanes) |
 //! | [`Tier::Sse2`] | `x86-64` with SSE2 **and** POPCNT | 2 × `u64` words |
 //! | [`Tier::Neon`] | `aarch64` with NEON | 2 × `u64` words |
 //! | [`Tier::Swar`] | any | 1 × `u64` word (SWAR) |
 //! | [`Tier::Scalar`] | any | one lane at a time (reference-grade) |
 //!
-//! Selection order: a scoped [`with_forced_tier`] override (tests and the
-//! tier-vs-tier benchmarks) beats the `AGGCLUST_SIMD` environment
-//! variable (`auto`, `scalar`, `swar`, `sse2`, `avx2`, `avx512`, `neon`;
-//! read once), which beats feature detection (`is_x86_feature_detected!` /
+//! Selection order: a scoped [`with_forced_tier`] override (the
+//! conformance suites) beats the `AGGCLUST_SIMD` environment variable
+//! (`auto`, `scalar`, `swar`, `sse2`, `avx2`, `neon`; read once), which
+//! beats feature detection (`is_x86_feature_detected!` /
 //! `is_aarch64_feature_detected!`). Forcing a tier the host cannot run
 //! falls back to detection with a warning — silently emitting illegal
 //! instructions is never an option. The tier actually used is recorded in
@@ -45,22 +44,12 @@ pub enum Tier {
     Sse2,
     /// AVX2: 4 words / 16 `u16` lanes per vector op (`x86-64`).
     Avx2,
-    /// AVX-512 (F + BW + VL): mask-register compares covering two packed
-    /// rows per 512-bit op (`x86-64`).
-    Avx512,
     /// NEON 128-bit vector compares (`aarch64`).
     Neon,
 }
 
 /// Every tier, in ascending width order.
-pub const ALL_TIERS: [Tier; 6] = [
-    Tier::Scalar,
-    Tier::Swar,
-    Tier::Sse2,
-    Tier::Avx2,
-    Tier::Avx512,
-    Tier::Neon,
-];
+pub const ALL_TIERS: [Tier; 5] = [Tier::Scalar, Tier::Swar, Tier::Sse2, Tier::Avx2, Tier::Neon];
 
 impl Tier {
     /// Stable lower-case name (`AGGCLUST_SIMD` value, metric label).
@@ -70,7 +59,6 @@ impl Tier {
             Tier::Swar => "swar",
             Tier::Sse2 => "sse2",
             Tier::Avx2 => "avx2",
-            Tier::Avx512 => "avx512",
             Tier::Neon => "neon",
         }
     }
@@ -84,7 +72,6 @@ impl Tier {
             Tier::Sse2 => 3,
             Tier::Avx2 => 4,
             Tier::Neon => 5,
-            Tier::Avx512 => 6,
         }
     }
 
@@ -101,13 +88,6 @@ impl Tier {
             Tier::Sse2 => is_x86_feature_detected!("sse2") && is_x86_feature_detected!("popcnt"),
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt"),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => {
-                is_x86_feature_detected!("avx512f")
-                    && is_x86_feature_detected!("avx512bw")
-                    && is_x86_feature_detected!("avx512vl")
-                    && is_x86_feature_detected!("popcnt")
-            }
             #[cfg(target_arch = "aarch64")]
             Tier::Neon => std::arch::is_aarch64_feature_detected!("neon"),
             #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -128,7 +108,7 @@ pub fn tier_code_name(code: u64) -> &'static str {
 }
 
 /// The widest tier the host supports (what `AGGCLUST_SIMD=auto` picks).
-pub fn best_available() -> Tier {
+fn best_available() -> Tier {
     ALL_TIERS
         .into_iter()
         .rev()
@@ -155,9 +135,6 @@ pub fn detected_features() -> Vec<&'static str> {
             ("popcnt", is_x86_feature_detected!("popcnt")),
             ("avx", is_x86_feature_detected!("avx")),
             ("avx2", is_x86_feature_detected!("avx2")),
-            ("avx512f", is_x86_feature_detected!("avx512f")),
-            ("avx512bw", is_x86_feature_detected!("avx512bw")),
-            ("avx512vl", is_x86_feature_detected!("avx512vl")),
         ] {
             if present {
                 features.push(name);
@@ -203,7 +180,7 @@ fn env_tier() -> &'static (Tier, String) {
                 }
                 None => {
                     crate::warn!(
-                        "unknown AGGCLUST_SIMD value; expected auto|scalar|swar|sse2|avx2|avx512|neon",
+                        "unknown AGGCLUST_SIMD value; expected auto|scalar|swar|sse2|avx2|neon",
                         requested = requested.as_str(),
                         selected = best_available().name()
                     );
@@ -233,8 +210,8 @@ pub fn requested() -> &'static str {
 /// restoring the previous selection afterwards (also on panic). Matrices
 /// *built* inside `f` keep the forced tier for their whole lifetime; the
 /// override does not retroactively change existing matrices. Intended for
-/// the conformance suites and tier-vs-tier benchmarks; production callers
-/// should use the `AGGCLUST_SIMD` environment variable.
+/// the conformance suites; production callers should use the
+/// `AGGCLUST_SIMD` environment variable.
 ///
 /// # Panics
 /// Panics if `tier` cannot run on this host (forcing it would execute

@@ -82,12 +82,8 @@ pub fn sep_missing_scalar(a: &[u64], b: &[u64], valid: &[u64], lane_bits: usize)
 
 #[cfg(target_arch = "x86_64")]
 pub mod x86 {
-    //! SSE2+POPCNT, AVX2, and AVX-512 kernels. All loads are unaligned
-    //! (`loadu`) from in-bounds `&[u64]` subslices. The AVX-512 tier
-    //! (F + BW + VL) skips the movemask step: `cmpneq` writes one bit per
-    //! *lane* straight into a mask register, so a single `popcnt` counts
-    //! lanes with no post-shift, and the 512-bit compare covers two
-    //! stride-4 rows at once.
+    //! SSE2+POPCNT and AVX2 kernels. All loads are unaligned (`loadu`)
+    //! from in-bounds `&[u64]` subslices.
     use core::arch::x86_64::*;
 
     /// Differing-lane bit count of one 256-bit group: 2 bits per
@@ -223,157 +219,6 @@ pub mod x86 {
             sep_bits += (!mm_eq & !mm_miss).count_ones();
         }
         (sep_bits / 4, miss_bits / 4)
-    }
-
-    /// Batch row kernel, AVX-512, `u16` lanes. At the dominant
-    /// `stride == 4` shape the fixed row is broadcast into both 256-bit
-    /// halves of one zmm register and each 512-bit `cmpneq` compares **two**
-    /// consecutive `v` rows, yielding a 32-bit lane mask split 16/16
-    /// between them.
-    ///
-    /// # Safety
-    /// Requires AVX-512 F, BW, and VL (guaranteed by tier selection).
-    /// Same slice contract as [`sep_rows16_avx2`].
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,popcnt")]
-    pub unsafe fn sep_rows16_avx512(a: &[u64], rows: &[u64], stride: usize, out: &mut [u32]) {
-        debug_assert_eq!(a.len(), stride);
-        debug_assert_eq!(rows.len(), out.len() * stride);
-        if stride == 4 {
-            // SAFETY: stride == 4 == a.len(), so 4 words are in bounds.
-            let a256 = _mm256_loadu_si256(a.as_ptr() as *const __m256i);
-            let va = _mm512_broadcast_i64x4(a256);
-            let mut out_pairs = out.chunks_exact_mut(2);
-            let mut row_pairs = rows.chunks_exact(8);
-            for (o2, pair) in (&mut out_pairs).zip(&mut row_pairs) {
-                // SAFETY: chunks_exact(8) yields 8 in-bounds words (2 rows).
-                let vr = _mm512_loadu_si512(pair.as_ptr() as *const __m512i);
-                let m: u32 = _mm512_cmpneq_epi16_mask(va, vr);
-                o2[0] = (m & 0xffff).count_ones();
-                o2[1] = (m >> 16).count_ones();
-            }
-            if let Some(o) = out_pairs.into_remainder().first_mut() {
-                let row = row_pairs.remainder();
-                // SAFETY: the remainder is exactly the final 4-word row.
-                let vb = _mm256_loadu_si256(row.as_ptr() as *const __m256i);
-                *o = u32::from(_mm256_cmpneq_epi16_mask(a256, vb)).count_ones();
-            }
-            return;
-        }
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(stride)) {
-            let mut lanes = 0u32;
-            for g in (0..stride).step_by(4) {
-                // SAFETY: g + 4 <= stride bounds both subslices.
-                let va = _mm256_loadu_si256(a[g..].as_ptr() as *const __m256i);
-                let vb = _mm256_loadu_si256(row[g..].as_ptr() as *const __m256i);
-                lanes += u32::from(_mm256_cmpneq_epi16_mask(va, vb)).count_ones();
-            }
-            *o = lanes;
-        }
-    }
-
-    /// Batch row kernel, AVX-512, `u32` lanes (two rows per 512-bit
-    /// compare at `stride == 4`, 8 mask bits per row).
-    ///
-    /// # Safety
-    /// Same contract as [`sep_rows16_avx512`].
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,popcnt")]
-    pub unsafe fn sep_rows32_avx512(a: &[u64], rows: &[u64], stride: usize, out: &mut [u32]) {
-        debug_assert_eq!(a.len(), stride);
-        debug_assert_eq!(rows.len(), out.len() * stride);
-        if stride == 4 {
-            // SAFETY: stride == 4 == a.len(), so 4 words are in bounds.
-            let a256 = _mm256_loadu_si256(a.as_ptr() as *const __m256i);
-            let va = _mm512_broadcast_i64x4(a256);
-            let mut out_pairs = out.chunks_exact_mut(2);
-            let mut row_pairs = rows.chunks_exact(8);
-            for (o2, pair) in (&mut out_pairs).zip(&mut row_pairs) {
-                // SAFETY: chunks_exact(8) yields 8 in-bounds words (2 rows).
-                let vr = _mm512_loadu_si512(pair.as_ptr() as *const __m512i);
-                let m = u32::from(_mm512_cmpneq_epi32_mask(va, vr));
-                o2[0] = (m & 0xff).count_ones();
-                o2[1] = (m >> 8).count_ones();
-            }
-            if let Some(o) = out_pairs.into_remainder().first_mut() {
-                let row = row_pairs.remainder();
-                // SAFETY: the remainder is exactly the final 4-word row.
-                let vb = _mm256_loadu_si256(row.as_ptr() as *const __m256i);
-                *o = u32::from(_mm256_cmpneq_epi32_mask(a256, vb)).count_ones();
-            }
-            return;
-        }
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(stride)) {
-            let mut lanes = 0u32;
-            for g in (0..stride).step_by(4) {
-                // SAFETY: g + 4 <= stride bounds both subslices.
-                let va = _mm256_loadu_si256(a[g..].as_ptr() as *const __m256i);
-                let vb = _mm256_loadu_si256(row[g..].as_ptr() as *const __m256i);
-                lanes += u32::from(_mm256_cmpneq_epi32_mask(va, vb)).count_ones();
-            }
-            *o = lanes;
-        }
-    }
-
-    /// `(separated, missing)` lane counts, AVX-512, `u16` lanes: the
-    /// zero/valid/inequality tests land directly in mask registers, so
-    /// the per-group bookkeeping is three popcount-ready bitmask ops.
-    ///
-    /// # Safety
-    /// Requires AVX-512 F, BW, and VL. Same slice contract as
-    /// [`sep_missing16_avx2`].
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,popcnt")]
-    pub unsafe fn sep_missing16_avx512(
-        a: &[u64],
-        b: &[u64],
-        valid: &[u64],
-        stride: usize,
-    ) -> (u32, u32) {
-        debug_assert!(a.len() == stride && b.len() == stride && valid.len() == stride);
-        let zero = _mm256_setzero_si256();
-        let (mut sep, mut missing) = (0u32, 0u32);
-        for g in (0..stride).step_by(4) {
-            // SAFETY: g + 4 <= stride bounds all three subslices.
-            let va = _mm256_loadu_si256(a[g..].as_ptr() as *const __m256i);
-            let vb = _mm256_loadu_si256(b[g..].as_ptr() as *const __m256i);
-            let vv = _mm256_loadu_si256(valid[g..].as_ptr() as *const __m256i);
-            let za = _mm256_cmpeq_epi16_mask(va, zero);
-            let zb = _mm256_cmpeq_epi16_mask(vb, zero);
-            let ok = _mm256_cmpneq_epi16_mask(vv, zero);
-            let miss = (za | zb) & ok;
-            let neq = _mm256_cmpneq_epi16_mask(va, vb);
-            missing += u32::from(miss).count_ones();
-            sep += u32::from(neq & !miss).count_ones();
-        }
-        (sep, missing)
-    }
-
-    /// `(separated, missing)` lane counts, AVX-512, `u32` lanes.
-    ///
-    /// # Safety
-    /// Same contract as [`sep_missing16_avx512`].
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,popcnt")]
-    pub unsafe fn sep_missing32_avx512(
-        a: &[u64],
-        b: &[u64],
-        valid: &[u64],
-        stride: usize,
-    ) -> (u32, u32) {
-        debug_assert!(a.len() == stride && b.len() == stride && valid.len() == stride);
-        let zero = _mm256_setzero_si256();
-        let (mut sep, mut missing) = (0u32, 0u32);
-        for g in (0..stride).step_by(4) {
-            // SAFETY: g + 4 <= stride bounds all three subslices.
-            let va = _mm256_loadu_si256(a[g..].as_ptr() as *const __m256i);
-            let vb = _mm256_loadu_si256(b[g..].as_ptr() as *const __m256i);
-            let vv = _mm256_loadu_si256(valid[g..].as_ptr() as *const __m256i);
-            let za = _mm256_cmpeq_epi32_mask(va, zero);
-            let zb = _mm256_cmpeq_epi32_mask(vb, zero);
-            let ok = _mm256_cmpneq_epi32_mask(vv, zero);
-            let miss = (za | zb) & ok;
-            let neq = _mm256_cmpneq_epi32_mask(va, vb);
-            missing += u32::from(miss).count_ones();
-            sep += u32::from(neq & !miss).count_ones();
-        }
-        (sep, missing)
     }
 
     /// Batch row kernel, SSE2+POPCNT, `u16` lanes: two words per 128-bit

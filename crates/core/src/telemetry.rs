@@ -587,7 +587,7 @@ pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 ///
 /// With no collector installed a tick is one relaxed load and an untaken
 /// branch — the same disabled-path cost contract as the metrics
-/// counters, held to by the `telemetry_overhead` bench.
+/// counters.
 #[derive(Debug)]
 pub struct Heartbeat<'a> {
     phase: &'static str,
@@ -1350,8 +1350,7 @@ pub fn host_report_json() -> String {
 /// the `faults` injected by an armed failpoint plan (empty when none is
 /// armed — a run report is self-describing about whether chaos was in
 /// play), and the current metrics registry. This is the exact payload of
-/// the CLI's `--metrics-out`, the bench binaries' `--metrics-out`, and
-/// the `run_report` records embedded in `BENCH_*.json`.
+/// the `--metrics-out` of the CLI and of the experiment binaries.
 pub fn run_report_json() -> String {
     let faults: Vec<String> = crate::failpoint::injection_log()
         .iter()

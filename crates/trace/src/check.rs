@@ -12,7 +12,7 @@ use crate::json::{self, Json};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// SIMD dispatch tiers a report may name.
-const TIERS: [&str; 6] = ["scalar", "swar", "sse2", "avx2", "avx512", "neon"];
+const TIERS: [&str; 5] = ["scalar", "swar", "sse2", "avx2", "neon"];
 
 /// Event levels a trace may carry.
 const LEVELS: [&str; 5] = ["error", "warn", "info", "debug", "trace"];

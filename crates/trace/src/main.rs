@@ -13,10 +13,10 @@
 //! the rest of the workspace) so it keeps working on traces from any build.
 
 mod check;
-mod json;
 mod report;
 mod spans;
 
+use aggclust_trace::json;
 use report::{DiffOptions, RunReport};
 use std::process::ExitCode;
 
