@@ -14,8 +14,9 @@
 #   3. Validate the host block (DESIGN.md §6g): every run report carries
 #      {"host":{arch,os,cpus,features,simd_requested,simd_selected}}, the
 #      kernels_dispatch_tier metric is a known tier name matching the
-#      host's selected tier, and a run forced to AGGCLUST_SIMD=swar
-#      reports exactly that tier.
+#      host's selected tier, a run forced to AGGCLUST_SIMD=swar
+#      reports exactly that tier, and a run given an unknown tier name
+#      reports the `auto` request it honoured.
 #
 # `check` prints a passing report as one 'path value' line per leaf
 # (`metrics.ls_moves 12`); each scenario's expectations below are
@@ -128,6 +129,15 @@ expect "$WORK/swar.txt" 'v["host.simd_selected"] == "swar"' "AGGCLUST_SIMD=swar 
 expect "$WORK/swar.txt" 'v["metrics.kernels_dispatch_tier"] == "swar"' \
     "dispatch tier ignored AGGCLUST_SIMD=swar"
 echo "OK: AGGCLUST_SIMD=swar selected, recorded in host block and metrics"
+
+echo "== unknown tier: AGGCLUST_SIMD=avx512 falls back to detection, report stays valid =="
+AGGCLUST_SIMD=avx512 "$BIN" aggregate --input "$WORK/in2000.csv" \
+    --algorithm local-search --metrics-out "$WORK/unknown.json" \
+    --output /dev/null --log-level error
+"$TRACE_BIN" check --report "$WORK/unknown.json" > "$WORK/unknown.txt"
+expect "$WORK/unknown.txt" 'v["host.simd_requested"] == "auto"' \
+    "an unknown AGGCLUST_SIMD value must be reported as the auto request it honoured"
+echo "OK: AGGCLUST_SIMD=avx512 reported as auto, selected $(value "$WORK/unknown.txt" host.simd_selected)"
 
 echo "== faulted run: injections must land in the report's faults array =="
 "$BIN" aggregate --input "$WORK/in2000.csv" --algorithm local-search \

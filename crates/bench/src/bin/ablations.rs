@@ -209,7 +209,6 @@ fn local_search_postprocessing(seed: u64, rows: usize) {
         let refine = Algorithm::LocalSearch(LocalSearchParams {
             init: LocalSearchInit::Given(before),
             max_passes: 100,
-            ..Default::default()
         });
         let after = run(&refine, &exp.oracle);
         let cost_after = correlation_cost(&exp.oracle, &after);

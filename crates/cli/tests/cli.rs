@@ -780,10 +780,12 @@ fn a_retired_simd_tier_name_falls_back_to_detection() {
     use aggclust_core::kernels::dispatch::{reachable_tiers, Tier, ALL_TIERS};
     let input = tmp("simd.csv", FIGURE1);
     let report = std::env::temp_dir().join("aggclust-cli-simd-report.json");
+    let trace = std::env::temp_dir().join("aggclust-cli-simd-trace.jsonl");
     let out = bin()
         .env("AGGCLUST_SIMD", "avx512")
         .args(["aggregate", "--input", input.to_str().unwrap()])
         .args(["--metrics-out", report.to_str().unwrap()])
+        .args(["--trace-out", trace.to_str().unwrap()])
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -795,7 +797,13 @@ fn a_retired_simd_tier_name_falls_back_to_detection() {
         )),
         "{stderr}"
     );
+    // The warning event keeps the raw value.
+    let events = fs::read_to_string(&trace).unwrap();
+    assert!(events.contains(r#""requested":"avx512""#), "{events}");
     let json = fs::read_to_string(&report).unwrap();
+    // The run honoured detection, so the report says `auto`, which
+    // `aggclust-trace check` accepts.
+    assert!(json.contains(r#""simd_requested":"auto""#), "{json}");
     let selected = json
         .split("\"simd_selected\":\"")
         .nth(1)
@@ -807,6 +815,7 @@ fn a_retired_simd_tier_name_falls_back_to_detection() {
     );
     fs::remove_file(input).ok();
     fs::remove_file(report).ok();
+    fs::remove_file(trace).ok();
 }
 
 #[test]

@@ -67,9 +67,6 @@ pub struct LocalSearchParams {
     /// converges long before; the paper notes `I` tends to be large but
     /// finite).
     pub max_passes: usize,
-    /// Minimum cost improvement for a move to be taken (guards against
-    /// floating-point oscillation).
-    pub epsilon: f64,
 }
 
 impl Default for LocalSearchParams {
@@ -77,16 +74,19 @@ impl Default for LocalSearchParams {
         LocalSearchParams {
             init: LocalSearchInit::Singletons,
             max_passes: 200,
-            epsilon: 1e-9,
         }
     }
 }
+
+/// Minimum cost improvement for a move to be taken (guards against
+/// floating-point oscillation).
+const EPSILON: f64 = 1e-9;
 
 /// Run LOCALSEARCH from the configured start under `ctx`, the engine
 /// behind [`Algorithm::LocalSearch`].
 ///
 /// **Anytime semantics**: every accepted move strictly decreases the
-/// correlation cost by more than `epsilon`, so whenever the deadline,
+/// correlation cost by more than [`EPSILON`], so whenever the deadline,
 /// iteration cap, or cancel token trips, the current labels are a valid
 /// clustering costing no more than the start — they are returned with
 /// [`RunStatus::BudgetExceeded`] / [`RunStatus::Cancelled`] instead of an
@@ -124,9 +124,6 @@ pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
             ),
         ));
     }
-    if params.epsilon.is_nan() {
-        return Err(AggError::invalid_parameter("epsilon", "must not be NaN"));
-    }
     if n <= 1 {
         return Ok(RunOutcome::converged(start.into_owned()));
     }
@@ -143,7 +140,6 @@ pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
         oracle,
         &start,
         params.max_passes,
-        params.epsilon,
         ctx.budget,
         resume,
         ctx.ckpt.as_deref_mut(),
@@ -168,9 +164,10 @@ pub fn local_search_budgeted<O: DistanceOracle + Sync + ?Sized>(
 }
 
 /// [`Algorithm::LocalSearch`] from [`LocalSearchInit::Given`] `start` under
-/// `budget`. Kept with this signature because the benchmark's traced
-/// replay calls it by name; delete it with the next change to the
-/// benchmark.
+/// `budget`. `epsilon` must be the fixed move threshold `1e-9`; any other
+/// value is an invalid parameter. Kept with this signature because the
+/// benchmark's traced replay calls it by name; delete it with the next
+/// change to the benchmark.
 pub fn local_search_from_budgeted<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     start: &Clustering,
@@ -178,12 +175,11 @@ pub fn local_search_from_budgeted<O: DistanceOracle + Sync + ?Sized>(
     epsilon: f64,
     budget: &RunBudget,
 ) -> AggResult<RunOutcome> {
+    if epsilon != EPSILON {
+        return Err(AggError::invalid_parameter("epsilon", "must be 1e-9"));
+    }
     let init = LocalSearchInit::Given(start.clone());
-    let params = LocalSearchParams {
-        init,
-        max_passes,
-        epsilon,
-    };
+    let params = LocalSearchParams { init, max_passes };
     Algorithm::LocalSearch(params).run(oracle, &mut RunCtx::new(budget))
 }
 
@@ -208,12 +204,10 @@ fn initial_clustering(init: &LocalSearchInit, n: usize) -> (Cow<'_, Clustering>,
 /// present, is pre-validated (`labels.len() == n`, `next_node <= n`) and
 /// overrides `start`; `rng_state` is stamped into snapshots so a resumed
 /// `Random`-init run stays fully determined by the file.
-#[allow(clippy::too_many_arguments)]
 fn descend<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     start: &Clustering,
     max_passes: usize,
-    epsilon: f64,
     budget: &RunBudget,
     resume: Option<&LocalSearchSnapshot>,
     mut ckpt: Option<&mut Checkpointer>,
@@ -279,7 +273,7 @@ fn descend<O: DistanceOracle + Sync + ?Sized>(
                 }
                 return (labels, interrupt.status(), meter.iterations());
             }
-            if visit_node(oracle, v, epsilon, &mut labels, &mut sizes, &mut m_sums) {
+            if visit_node(oracle, v, &mut labels, &mut sizes, &mut m_sums) {
                 moved = true;
             }
             // Progress within the current pass; each pass restarts the
@@ -314,7 +308,6 @@ fn descend<O: DistanceOracle + Sync + ?Sized>(
 fn visit_node<O: DistanceOracle + ?Sized>(
     oracle: &O,
     v: usize,
-    epsilon: f64,
     labels: &mut [u32],
     sizes: &mut Vec<usize>,
     m_sums: &mut Vec<f64>,
@@ -347,7 +340,7 @@ fn visit_node<O: DistanceOracle + ?Sized>(
         }
     }
     let cur_cost = move_cost(cur, sizes);
-    if best_cost < cur_cost - epsilon && best_i != cur {
+    if best_cost < cur_cost - EPSILON && best_i != cur {
         sizes[cur] -= 1;
         let target = if best_i == usize::MAX {
             if sizes[cur] == 0 {
@@ -408,7 +401,6 @@ mod tests {
             LocalSearchParams {
                 init: LocalSearchInit::Given(start.clone()),
                 max_passes: 100,
-                ..Default::default()
             },
         )
     }
@@ -504,7 +496,6 @@ mod tests {
             LocalSearchParams {
                 init: LocalSearchInit::Given(given.clone()),
                 max_passes: 0,
-                epsilon: 1e-9,
             },
         );
         assert_eq!(result, given);
@@ -664,5 +655,21 @@ mod tests {
             local_search_from_budgeted(&oracle, &start, 10, f64::NAN, &RunBudget::unlimited())
                 .unwrap_err();
         assert!(matches!(err, AggError::InvalidParameter { .. }));
+    }
+
+    #[test]
+    fn only_the_fixed_epsilon_is_accepted() {
+        let oracle = figure1_oracle();
+        let start = Clustering::singletons(6);
+        let budget = RunBudget::unlimited();
+        for eps in [0.0, -1e-9, 1e-6, f64::INFINITY] {
+            let err = local_search_from_budgeted(&oracle, &start, 10, eps, &budget).unwrap_err();
+            assert!(
+                matches!(err, AggError::InvalidParameter { ref what, .. } if what == "epsilon"),
+                "epsilon {eps}: {err:?}"
+            );
+        }
+        let outcome = local_search_from_budgeted(&oracle, &start, 10, EPSILON, &budget).unwrap();
+        assert_eq!(outcome.status, RunStatus::Converged);
     }
 }

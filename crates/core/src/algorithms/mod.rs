@@ -200,10 +200,9 @@ mod tests {
                 ..Default::default()
             })
         };
-        let local_search = |init, epsilon| {
+        let local_search = |init| {
             Algorithm::LocalSearch(LocalSearchParams {
                 init,
-                epsilon,
                 ..Default::default()
             })
         };
@@ -219,12 +218,8 @@ mod tests {
                 }),
             ),
             (
-                "epsilon",
-                local_search(LocalSearchInit::Singletons, f64::NAN),
-            ),
-            (
                 "start",
-                local_search(LocalSearchInit::Given(Clustering::singletons(3)), 1e-9),
+                local_search(LocalSearchInit::Given(Clustering::singletons(3))),
             ),
             ("cooling", annealing(1.0, 0.0)),
             ("cooling", annealing(1.0, 1.0)),

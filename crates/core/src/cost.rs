@@ -8,8 +8,9 @@
 //! ```
 //!
 //! When the instance is built from `m` total clusterings,
-//! `D(C) = Σ_i d_V(C_i, C) = m · d(C)` — a relationship property-tested in
-//! this module. Because every pair independently costs at least
+//! `D(C) = Σ_i d_V(C_i, C) = m · d(C)` — a relationship tested against
+//! [`crate::distance::total_disagreement`], which counts `D(C)` exactly.
+//! Because every pair independently costs at least
 //! `min(X_uv, 1 − X_uv)`, summing that quantity yields the instance-wide
 //! lower bound reported in Tables 2–3 of the paper.
 //!
@@ -35,21 +36,11 @@ pub fn correlation_cost<O: DistanceOracle + Sync + ?Sized>(oracle: &O, c: &Clust
     })
 }
 
-/// Decomposition of [`correlation_cost`] used for incremental updates:
-/// `d(C) = B + Σ_{within pairs} (2·X_uv − 1)` where
-/// `B = Σ_{u<v} (1 − X_uv)` does not depend on `C`.
-///
-/// Returns `(B, within)` so callers comparing candidate solutions can work
-/// with the cheap `within` term (`O(Σ s_i²)` lookups instead of `O(n²)`).
-pub fn cost_decomposition<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    c: &Clustering,
-) -> (f64, f64) {
-    let base = split_everything_cost(oracle);
-    (base, within_cost(oracle, c))
-}
-
 /// The cost of the all-singletons clustering: `B = Σ_{u<v} (1 − X_uv)`.
+///
+/// [`correlation_cost`] decomposes as `d(C) = B + W(C)` with `W` the
+/// [`within_cost`]; `B` does not depend on `C`, so callers comparing
+/// candidate solutions work with the cheap `W` term alone.
 pub fn split_everything_cost<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> f64 {
     parallel::sum_pairs(oracle.len(), |u, v| 1.0 - oracle.dist(u, v))
 }
@@ -97,29 +88,10 @@ pub fn lower_bound<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> f64 {
     })
 }
 
-/// The aggregation objective `D(C) = Σ_i d_V(C_i, C)` as an exact integer
-/// count of disagreements (the `E_D` column of the paper's tables).
-///
-/// Re-exported convenience over [`crate::distance::total_disagreement`].
-pub fn aggregation_cost(inputs: &[Clustering], candidate: &Clustering) -> u64 {
-    crate::distance::total_disagreement(inputs, candidate)
-}
-
-/// Expected disagreement error `E_D = m · d(C)` for instances that may
-/// involve missing values (where disagreements are fractional in
-/// expectation).
-pub fn expected_disagreements<O: DistanceOracle + Sync + ?Sized>(
-    oracle: &O,
-    c: &Clustering,
-) -> f64 {
-    let m = oracle.num_clusterings();
-    assert!(m.is_some(), "oracle does not know its clustering count");
-    m.unwrap_or(0) as f64 * correlation_cost(oracle, c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::total_disagreement;
     use crate::instance::DenseOracle;
 
     fn c(labels: &[u32]) -> Clustering {
@@ -155,7 +127,7 @@ mod tests {
             c(&[0, 0, 1, 1, 2, 2]),
         ];
         for cand in &candidates {
-            let d = aggregation_cost(&inputs, cand) as f64;
+            let d = total_disagreement(&inputs, cand) as f64;
             let m_dc = 3.0 * correlation_cost(&oracle, cand);
             assert!((d - m_dc).abs() < 1e-9, "D = {d}, m·d(C) = {m_dc}");
         }
@@ -163,15 +135,17 @@ mod tests {
 
     #[test]
     fn decomposition_matches_direct_cost() {
+        // FURTHEST, annealing and the exact solvers rank candidates by
+        // `within_cost` alone, relying on d(C) = B + W(C).
         let oracle = DenseOracle::from_clusterings(&figure1());
+        let base = split_everything_cost(&oracle);
         for cand in [
             c(&[0, 1, 0, 1, 2, 2]),
             c(&[0, 0, 1, 1, 2, 2]),
             c(&[0, 0, 0, 1, 1, 1]),
         ] {
-            let (base, within) = cost_decomposition(&oracle, &cand);
             let direct = correlation_cost(&oracle, &cand);
-            assert!((base + within - direct).abs() < 1e-9);
+            assert!((base + within_cost(&oracle, &cand) - direct).abs() < 1e-9);
         }
     }
 
@@ -191,15 +165,6 @@ mod tests {
         // (3 of them), 2/3 (2), 1 (the rest of the 15 pairs at various
         // values). Just sanity-check it is positive and ≤ 5/3.
         assert!(lb > 0.0 && lb <= 5.0 / 3.0 + 1e-12);
-    }
-
-    #[test]
-    fn expected_disagreements_matches_integer_count_for_total_inputs() {
-        let inputs = figure1();
-        let oracle = DenseOracle::from_clusterings(&inputs);
-        let cand = c(&[0, 1, 0, 1, 2, 2]);
-        let e = expected_disagreements(&oracle, &cand);
-        assert!((e - 5.0).abs() < 1e-9);
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   "either side missing" detectable as a zero lane.
 //! * Lanes are `u16` (4 per word) while every clustering has at most
 //!   65 535 clusters — the largest lane code equals the cluster count — and
-//!   fall back to `u32` lanes (2 per word) beyond that.
+//!   fall back to `u32` lanes (2 per word) beyond that. The SIMD tiers
+//!   serve `u16` lanes only; a `u32` matrix runs the SWAR kernels below on
+//!   every tier (the scalar tier excepted).
 //! * A per-word *valid-lane mask* (every bit of each real lane set, all
 //!   bits of each padding lane clear) keeps padding out of missing-lane
 //!   counts; the SIMD tiers AND it directly against compare masks, the
@@ -332,13 +334,17 @@ impl LabelMatrix {
     }
 
     /// Hand a row batch to this matrix's SIMD tier. Returns `false` when
-    /// the tier is universal (scalar/SWAR) or compiled out on this arch,
-    /// in which case the caller runs the portable path.
+    /// the lanes are `u32` (SWAR on every tier), or the tier is universal
+    /// (scalar/SWAR) or compiled out on this arch, in which case the
+    /// caller runs the portable path.
     #[inline]
     fn sep_rows_simd(&self, a: &[u64], rows: &[u64], out: &mut [u32]) -> bool {
-        match (self.tier, self.width) {
+        if self.width != LaneWidth::U16 {
+            return false;
+        }
+        match self.tier {
             #[cfg(target_arch = "x86_64")]
-            (Tier::Avx2, LaneWidth::U16) => {
+            Tier::Avx2 => {
                 // SAFETY: `self.tier` passed `Tier::is_available` when it
                 // was selected (dispatch.rs never yields an unavailable
                 // tier), so AVX2 is present; `a` and each row of `rows`
@@ -347,110 +353,56 @@ impl LabelMatrix {
                 true
             }
             #[cfg(target_arch = "x86_64")]
-            (Tier::Avx2, LaneWidth::U32) => {
-                // SAFETY: as above — AVX2 available, stride-sized slices.
-                unsafe { simd::x86::sep_rows32_avx2(a, rows, self.stride, out) }
-                true
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Sse2, LaneWidth::U16) => {
+            Tier::Sse2 => {
                 // SAFETY: as above — SSE2+POPCNT available, stride-sized
                 // slices (stride is a multiple of 4, hence of 2).
                 unsafe { simd::x86::sep_rows16_sse2(a, rows, self.stride, out) }
                 true
             }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Sse2, LaneWidth::U32) => {
-                // SAFETY: as above.
-                unsafe { simd::x86::sep_rows32_sse2(a, rows, self.stride, out) }
-                true
-            }
             #[cfg(target_arch = "aarch64")]
-            (Tier::Neon, LaneWidth::U16) => {
+            Tier::Neon => {
                 // SAFETY: NEON confirmed available at tier selection;
                 // stride-sized slices as above.
                 unsafe { simd::neon::sep_rows16_neon(a, rows, self.stride, out) }
-                true
-            }
-            #[cfg(target_arch = "aarch64")]
-            (Tier::Neon, LaneWidth::U32) => {
-                // SAFETY: as above.
-                unsafe { simd::neon::sep_rows32_neon(a, rows, self.stride, out) }
                 true
             }
             _ => false,
         }
     }
 
-    /// `sep_missing` on this matrix's SIMD tier, or `None` on a universal
-    /// tier (see [`LabelMatrix::sep_rows_simd`]).
+    /// `sep_missing` on this matrix's SIMD tier, or `None` for `u32` lanes
+    /// or a universal tier (see [`LabelMatrix::sep_rows_simd`]).
     #[inline]
     fn sep_missing_simd(&self, u: usize, v: usize) -> Option<(u32, u32)> {
+        if self.width != LaneWidth::U16 {
+            return None;
+        }
         let (a, b) = (self.padded_row(u), self.padded_row(v));
-        match (self.tier, self.width) {
+        match self.tier {
             #[cfg(target_arch = "x86_64")]
-            (Tier::Avx2, LaneWidth::U16) => {
+            Tier::Avx2 => {
                 // SAFETY: tier availability checked at selection; `a`,
                 // `b`, and `valid` are exactly `stride` words, a positive
                 // multiple of 4.
                 Some(unsafe { simd::x86::sep_missing16_avx2(a, b, &self.valid, self.stride) })
             }
             #[cfg(target_arch = "x86_64")]
-            (Tier::Avx2, LaneWidth::U32) => {
-                // SAFETY: as above.
-                Some(unsafe { simd::x86::sep_missing32_avx2(a, b, &self.valid, self.stride) })
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Sse2, LaneWidth::U16) => {
+            Tier::Sse2 => {
                 // SAFETY: as above (SSE2+POPCNT).
                 Some(unsafe { simd::x86::sep_missing16_sse2(a, b, &self.valid, self.stride) })
             }
-            #[cfg(target_arch = "x86_64")]
-            (Tier::Sse2, LaneWidth::U32) => {
-                // SAFETY: as above.
-                Some(unsafe { simd::x86::sep_missing32_sse2(a, b, &self.valid, self.stride) })
-            }
             #[cfg(target_arch = "aarch64")]
-            (Tier::Neon, LaneWidth::U16) => {
+            Tier::Neon => {
                 // SAFETY: as above (NEON).
                 Some(unsafe { simd::neon::sep_missing16_neon(a, b, &self.valid, self.stride) })
-            }
-            #[cfg(target_arch = "aarch64")]
-            (Tier::Neon, LaneWidth::U32) => {
-                // SAFETY: as above.
-                Some(unsafe { simd::neon::sep_missing32_neon(a, b, &self.valid, self.stride) })
             }
             _ => None,
         }
     }
 
-    /// Number of lanes whose codes differ between rows `u` and `v`.
-    ///
-    /// For total clusterings this is exactly the number of inputs
-    /// separating the pair. (With missing labels a zero lane differs from
-    /// any present lane; use [`LabelMatrix::sep_missing`] to tell the two
-    /// apart.)
-    #[inline]
-    pub fn sep(&self, u: usize, v: usize) -> u32 {
-        if self.words_per_row == 0 {
-            return 0;
-        }
-        match self.tier {
-            Tier::Scalar => simd::sep_pair_scalar(self.row(u), self.row(v), self.lane_bits()),
-            Tier::Swar => self.sep_swar(u, v),
-            _ => {
-                let mut out = [0u32; 1];
-                if self.sep_rows_simd(self.padded_row(u), self.padded_row(v), &mut out) {
-                    out[0]
-                } else {
-                    self.sep_swar(u, v)
-                }
-            }
-        }
-    }
-
-    /// The universal SWAR pair kernel (also the fallback when a SIMD tier
-    /// is compiled out on this target).
+    /// Number of lanes whose codes differ between rows `u` and `v` — the
+    /// universal SWAR pair kernel behind [`LabelMatrix::sep_row_into`] for
+    /// `u16` rows of more than 4 words and for every `u32` row.
     fn sep_swar(&self, u: usize, v: usize) -> u32 {
         let (a, b) = (self.row(u), self.row(v));
         match self.width {
@@ -475,11 +427,15 @@ impl LabelMatrix {
         }
     }
 
-    /// Batch kernel behind the dense fills: writes `sep(u, lo + i)` into
-    /// `out[i]` for every `i`. Row `u` is loaded into registers once and
-    /// the `v` rows stream sequentially through the packed words; the
-    /// SIMD tiers compare a whole vector group per op, the SWAR tier
-    /// dispatches short rows (≤ 4 words) to fully unrolled inner loops.
+    /// Batch kernel behind the dense fills: writes into `out[i]` the
+    /// number of lanes whose codes differ between rows `u` and `lo + i`.
+    /// For total clusterings that is exactly the number of inputs
+    /// separating the pair (a zero "missing" lane differs from any present
+    /// lane; [`LabelMatrix::sep_missing`] tells the two apart). Row `u` is
+    /// loaded into registers once and the `v` rows stream sequentially
+    /// through the packed words; the SIMD tiers compare a whole vector
+    /// group of `u16` lanes per op, the SWAR tier dispatches short `u16`
+    /// rows (≤ 4 words) to fully unrolled inner loops.
     ///
     /// # Panics
     /// Panics if `lo + out.len()` exceeds the number of rows.
@@ -502,16 +458,11 @@ impl LabelMatrix {
             }
             return;
         }
-        let wpr = self.words_per_row;
-        match (self.width, wpr) {
+        match (self.width, self.words_per_row) {
             (LaneWidth::U16, 1) => sep_rows16::<1>(a, rows, self.stride, out),
             (LaneWidth::U16, 2) => sep_rows16::<2>(a, rows, self.stride, out),
             (LaneWidth::U16, 3) => sep_rows16::<3>(a, rows, self.stride, out),
             (LaneWidth::U16, 4) => sep_rows16::<4>(a, rows, self.stride, out),
-            (LaneWidth::U32, 1) => sep_rows32::<1>(a, rows, self.stride, out),
-            (LaneWidth::U32, 2) => sep_rows32::<2>(a, rows, self.stride, out),
-            (LaneWidth::U32, 3) => sep_rows32::<3>(a, rows, self.stride, out),
-            (LaneWidth::U32, 4) => sep_rows32::<4>(a, rows, self.stride, out),
             _ => {
                 for (i, o) in out.iter_mut().enumerate() {
                     *o = self.sep_swar(u, lo + i);
@@ -598,20 +549,6 @@ fn sep_rows16<const W: usize>(a: &[u64], rows: &[u64], stride: usize, out: &mut 
             acc += nonzero16(fixed[j] ^ row[j]) >> 15;
         }
         *o = hsum16(acc);
-    }
-}
-
-/// Unrolled `u32`-lane row-batch kernel (see [`sep_rows16`]).
-#[inline(always)]
-fn sep_rows32<const W: usize>(a: &[u64], rows: &[u64], stride: usize, out: &mut [u32]) {
-    let mut fixed = [0u64; W];
-    fixed.copy_from_slice(&a[..W]);
-    for (o, row) in out.iter_mut().zip(rows.chunks_exact(stride)) {
-        let mut acc = 0u64;
-        for j in 0..W {
-            acc += nonzero32(fixed[j] ^ row[j]) >> 31;
-        }
-        *o = hsum32(acc);
     }
 }
 
@@ -768,15 +705,12 @@ mod tests {
             assert_eq!(mx.tier(), tier);
             assert_eq!(mx.width(), LaneWidth::U16);
             assert_eq!(mx.lanes(), 5);
+            let mut out = [0u32; 6];
             for u in 0..6 {
-                for v in 0..6 {
+                mx.sep_row_into(u, 0, &mut out);
+                for (v, &got) in out.iter().enumerate() {
                     let expected = cs.iter().filter(|ci| !ci.same_cluster(u, v)).count() as u32;
-                    assert_eq!(
-                        mx.sep(u, v),
-                        expected,
-                        "tier {} pair ({u},{v})",
-                        tier.name()
-                    );
+                    assert_eq!(got, expected, "tier {} pair ({u},{v})", tier.name());
                 }
             }
         }
@@ -792,19 +726,23 @@ mod tests {
                     .collect::<Vec<_>>())
             })
             .collect();
-        let baseline = dispatch::with_forced_tier(Tier::Scalar, || pack_total(&cs));
         for tier in dispatch::reachable_tiers() {
             let mx = dispatch::with_forced_tier(tier, || pack_total(&cs));
-            let mut out = vec![0u32; n];
             for u in 0..n {
-                mx.sep_row_into(u, 0, &mut out);
-                for (v, &got) in out.iter().enumerate() {
-                    assert_eq!(
-                        got,
-                        baseline.sep(u, v),
-                        "tier {} batch ({u},{v})",
-                        tier.name()
-                    );
+                // Every window start, so batches begin mid-matrix too.
+                for lo in [0, u, n - 1] {
+                    let mut out = vec![0u32; n - lo];
+                    mx.sep_row_into(u, lo, &mut out);
+                    for (i, &got) in out.iter().enumerate() {
+                        let v = lo + i;
+                        let expected = cs.iter().filter(|ci| !ci.same_cluster(u, v)).count();
+                        assert_eq!(
+                            got as usize,
+                            expected,
+                            "tier {} batch ({u},{v})",
+                            tier.name()
+                        );
+                    }
                 }
             }
         }
@@ -842,20 +780,80 @@ mod tests {
     }
 
     #[test]
-    fn wide_cluster_counts_switch_to_u32_lanes() {
-        let n = 70_000usize;
-        let narrow = c(&(0..n).map(|v| (v as u32) % 65_535).collect::<Vec<_>>());
-        let wide = c(&(0..n).map(|v| (v as u32) % 65_536).collect::<Vec<_>>());
-        let mx16 = pack_total(std::slice::from_ref(&narrow));
-        assert_eq!(mx16.width(), LaneWidth::U16);
-        let mx32 = pack_total(&[narrow, wide]);
-        assert_eq!(mx32.width(), LaneWidth::U32);
-        // Spot-check pairs around the wrap boundary in both widths.
-        for (u, v) in [(0usize, 65_535usize), (1, 65_536), (7, 9), (65_534, 65_535)] {
-            let expected16 = u32::from(u % 65_535 != v % 65_535);
-            assert_eq!(mx16.sep(u, v), expected16, "u16 pair ({u},{v})");
-            let expected32 = expected16 + u32::from(u % 65_536 != v % 65_536);
-            assert_eq!(mx32.sep(u, v), expected32, "u32 pair ({u},{v})");
+    fn u32_row_batches_and_missing_counts_match_scalar_under_every_tier() {
+        // Input 0 is an ID column: 65 536 clusters, so its largest lane
+        // code (65 536) forces u32 lanes. The others have 5 clusters, and
+        // the odd ones miss a label on every 7th object.
+        let n = 65_536usize;
+        let ps: Vec<PartialClustering> = (0..9)
+            .map(|j| {
+                PartialClustering::from_labels(
+                    (0..n)
+                        .map(|v| match j {
+                            0 => Some(v as u32),
+                            _ if j % 2 == 1 && v % 7 == j % 7 => None,
+                            _ => Some(((v * (j + 2) + j) % 5) as u32),
+                        })
+                        .collect(),
+                )
+            })
+            .collect();
+        // Rows at both ends of the matrix and two in between.
+        let rows = [0usize, 1, 4_097, n - 1];
+        let mut expected = vec![0u32; n];
+        let mut got = vec![0u32; n];
+        // m = 1, 3, 5, 7, 9 gives 1 to 5 words of two u32 lanes per row.
+        for m in (1..=9).step_by(2) {
+            let inputs = &ps[..m];
+            let scalar =
+                dispatch::with_forced_tier(Tier::Scalar, || LabelMatrix::from_partial(inputs));
+            assert_eq!(scalar.width(), LaneWidth::U32);
+            assert_eq!(scalar.words_per_row, m.div_ceil(U32_LANES));
+            let tiers: Vec<(Tier, LabelMatrix)> = dispatch::reachable_tiers()
+                .into_iter()
+                .map(|t| {
+                    (
+                        t,
+                        dispatch::with_forced_tier(t, || LabelMatrix::from_partial(inputs)),
+                    )
+                })
+                .collect();
+            for &u in &rows {
+                scalar.sep_row_into(u, 0, &mut expected);
+                // The scalar tier itself against a walk over the labels.
+                for v in (0..n).step_by(331).chain([n - 1]) {
+                    let (mut sep, mut missing) = (0, 0);
+                    for p in inputs {
+                        match (p.label(u), p.label(v)) {
+                            (Some(a), Some(b)) => sep += u32::from(a != b),
+                            _ => missing += 1,
+                        }
+                    }
+                    let differ = inputs.iter().filter(|p| p.label(u) != p.label(v)).count();
+                    assert_eq!(expected[v] as usize, differ, "m={m} scalar ({u},{v})");
+                    assert_eq!(scalar.sep_missing(u, v), (sep, missing), "m={m} ({u},{v})");
+                }
+                for (tier, mx) in &tiers {
+                    let name = tier.name();
+                    assert_eq!(mx.width(), LaneWidth::U32);
+                    mx.sep_row_into(u, 0, &mut got);
+                    assert!(
+                        got == expected,
+                        "m={m} tier {name} row {u}: batch != scalar"
+                    );
+                    // A window that starts and ends mid-matrix.
+                    let (lo, hi) = (n / 3, n / 3 + 1_000);
+                    mx.sep_row_into(u, lo, &mut got[..hi - lo]);
+                    assert_eq!(got[..hi - lo], expected[lo..hi], "m={m} tier {name}");
+                    for v in (0..n).step_by(97).chain([u, n - 1]) {
+                        assert_eq!(
+                            mx.sep_missing(u, v),
+                            scalar.sep_missing(u, v),
+                            "m={m} tier {name} pair ({u},{v})"
+                        );
+                    }
+                }
+            }
         }
     }
 

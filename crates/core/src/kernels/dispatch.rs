@@ -16,15 +16,18 @@
 //! | [`Tier::Swar`] | any | 1 × `u64` word (SWAR) |
 //! | [`Tier::Scalar`] | any | one lane at a time (reference-grade) |
 //!
+//! The SIMD tiers have kernels for `u16` lanes only; a matrix with `u32`
+//! lanes runs the SWAR kernels on every tier but the scalar one.
+//!
 //! Selection order: a scoped [`with_forced_tier`] override (the
 //! conformance suites) beats the `AGGCLUST_SIMD` environment variable
 //! (`auto`, `scalar`, `swar`, `sse2`, `avx2`, `neon`; read once), which
 //! beats feature detection (`is_x86_feature_detected!` /
-//! `is_aarch64_feature_detected!`). Forcing a tier the host cannot run
-//! falls back to detection with a warning — silently emitting illegal
-//! instructions is never an option. The tier actually used is recorded in
-//! the `kernels_dispatch_tier` metric, so run reports and traces state
-//! which code path produced their numbers.
+//! `is_aarch64_feature_detected!`). Forcing a tier the host cannot run,
+//! or a value that names no tier, falls back to detection with a warning —
+//! silently emitting illegal instructions is never an option. The tier
+//! actually used is recorded in the `kernels_dispatch_tier` metric, so run
+//! reports and traces state which code path produced their numbers.
 //!
 //! Every tier returns **bit-identical distances**: the conformance suites
 //! (`kernel_conformance.rs`, `kernel_metamorphic.rs`) run their full size
@@ -154,41 +157,37 @@ thread_local! {
     static TIER_OVERRIDE: Cell<Option<Tier>> = const { Cell::new(None) };
 }
 
-/// `(resolved tier, requested spec)` from `AGGCLUST_SIMD`, read once.
-static ENV_TIER: OnceLock<(Tier, String)> = OnceLock::new();
+/// `(resolved tier, honoured request)` from `AGGCLUST_SIMD`, read once.
+static ENV_TIER: OnceLock<(Tier, &'static str)> = OnceLock::new();
 
-fn env_tier() -> &'static (Tier, String) {
+fn env_tier() -> &'static (Tier, &'static str) {
     ENV_TIER.get_or_init(|| {
         let spec = std::env::var("AGGCLUST_SIMD").unwrap_or_default();
-        let trimmed = spec.trim().to_ascii_lowercase();
-        let requested = if trimmed.is_empty() {
-            "auto".to_string()
-        } else {
-            trimmed
-        };
-        let tier = match requested.as_str() {
-            "auto" => best_available(),
+        let requested = spec.trim().to_ascii_lowercase();
+        match requested.as_str() {
+            "" | "auto" => (best_available(), "auto"),
             name => match Tier::from_name(name) {
-                Some(t) if t.is_available() => t,
+                Some(t) if t.is_available() => (t, t.name()),
                 Some(t) => {
                     crate::warn!(
                         "AGGCLUST_SIMD tier is not available on this host; using detection",
                         requested = t.name(),
                         selected = best_available().name()
                     );
-                    best_available()
+                    (best_available(), t.name())
                 }
+                // The run falls back to detection, so it reports the
+                // request it honoured; the raw value is in the warning.
                 None => {
                     crate::warn!(
                         "unknown AGGCLUST_SIMD value; expected auto|scalar|swar|sse2|avx2|neon",
                         requested = requested.as_str(),
                         selected = best_available().name()
                     );
-                    best_available()
+                    (best_available(), "auto")
                 }
             },
-        };
-        (tier, requested)
+        }
     })
 }
 
@@ -201,9 +200,11 @@ pub fn selected() -> Tier {
     env_tier().0
 }
 
-/// What the user asked for: the `AGGCLUST_SIMD` value, or `"auto"`.
+/// What the user asked for: the `AGGCLUST_SIMD` tier name, or `"auto"`
+/// when it is unset, `auto`, or not a tier name (the run then uses
+/// detection, after a warning that names the raw value).
 pub fn requested() -> &'static str {
-    &env_tier().1
+    env_tier().1
 }
 
 /// Run `f` with the dispatch tier pinned to `tier` on the current thread,

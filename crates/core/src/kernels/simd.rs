@@ -26,15 +26,16 @@
 //!
 //! ## Counting scheme
 //!
-//! A vector compare (`cmpeq` on 16- or 32-bit lanes) turns each lane into
-//! all-ones (equal) or all-zeros (different); `movemask` (x86) collapses
-//! that to one bit per byte, so each differing `u16` lane contributes
-//! exactly 2 set bits (4 for `u32` lanes) to the inverted mask, and one
-//! `popcnt` per vector plus a final shift yields the exact lane count —
-//! the "vectorized compare + masked popcount reduction". NEON has no
-//! movemask; the lanes are shifted down to bit 0 and accumulated per lane
-//! (flushed well before a `u16` lane could saturate), then horizontally
-//! added with `vaddlv`.
+//! Every kernel here reads `u16` lanes; a matrix with `u32` lanes runs the
+//! portable SWAR kernels on every tier. A vector compare (`cmpeq` on
+//! 16-bit lanes) turns each lane into all-ones (equal) or all-zeros
+//! (different); `movemask` (x86) collapses that to one bit per byte, so
+//! each differing lane contributes exactly 2 set bits to the inverted
+//! mask, and one `popcnt` per vector plus a final shift yields the exact
+//! lane count — the "vectorized compare + masked popcount reduction".
+//! NEON has no movemask; the lanes are shifted down to bit 0 and
+//! accumulated per lane (flushed well before a lane could saturate), then
+//! horizontally added with `vaddlv`.
 
 // The scalar tier: one lane at a time, no SWAR tricks — a third
 // independent implementation (after SWAR and the per-clustering
@@ -136,27 +137,6 @@ pub mod x86 {
         }
     }
 
-    /// Batch row kernel, AVX2, `u32` lanes (4 bits per differing lane).
-    ///
-    /// # Safety
-    /// Same contract as [`sep_rows16_avx2`].
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn sep_rows32_avx2(a: &[u64], rows: &[u64], stride: usize, out: &mut [u32]) {
-        debug_assert_eq!(a.len(), stride);
-        debug_assert_eq!(rows.len(), out.len() * stride);
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(stride)) {
-            let mut neq_bits = 0u32;
-            for g in (0..stride).step_by(4) {
-                // SAFETY: g + 4 <= stride bounds both subslices.
-                let va = _mm256_loadu_si256(a[g..].as_ptr() as *const __m256i);
-                let vb = _mm256_loadu_si256(row[g..].as_ptr() as *const __m256i);
-                let eq = _mm256_cmpeq_epi32(_mm256_xor_si256(va, vb), _mm256_setzero_si256());
-                neq_bits += (!(_mm256_movemask_epi8(eq) as u32)).count_ones();
-            }
-            *o = neq_bits / 4;
-        }
-    }
-
     /// `(separated, missing)` lane counts, AVX2, `u16` lanes. `valid`
     /// holds full-lane masks (padding lanes all-zero).
     ///
@@ -190,37 +170,6 @@ pub mod x86 {
         (sep_bits / 2, miss_bits / 2)
     }
 
-    /// `(separated, missing)` lane counts, AVX2, `u32` lanes.
-    ///
-    /// # Safety
-    /// Same contract as [`sep_missing16_avx2`].
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn sep_missing32_avx2(
-        a: &[u64],
-        b: &[u64],
-        valid: &[u64],
-        stride: usize,
-    ) -> (u32, u32) {
-        debug_assert!(a.len() == stride && b.len() == stride && valid.len() == stride);
-        let zero = _mm256_setzero_si256();
-        let (mut sep_bits, mut miss_bits) = (0u32, 0u32);
-        for g in (0..stride).step_by(4) {
-            // SAFETY: g + 4 <= stride bounds all three subslices.
-            let va = _mm256_loadu_si256(a[g..].as_ptr() as *const __m256i);
-            let vb = _mm256_loadu_si256(b[g..].as_ptr() as *const __m256i);
-            let vv = _mm256_loadu_si256(valid[g..].as_ptr() as *const __m256i);
-            let zx = _mm256_cmpeq_epi32(va, zero);
-            let zy = _mm256_cmpeq_epi32(vb, zero);
-            let miss = _mm256_and_si256(_mm256_or_si256(zx, zy), vv);
-            let eq = _mm256_cmpeq_epi32(_mm256_xor_si256(va, vb), zero);
-            let mm_miss = _mm256_movemask_epi8(miss) as u32;
-            let mm_eq = _mm256_movemask_epi8(eq) as u32;
-            miss_bits += mm_miss.count_ones();
-            sep_bits += (!mm_eq & !mm_miss).count_ones();
-        }
-        (sep_bits / 4, miss_bits / 4)
-    }
-
     /// Batch row kernel, SSE2+POPCNT, `u16` lanes: two words per 128-bit
     /// compare, `movemask` 16 bits, hardware `popcnt` reduction.
     ///
@@ -242,27 +191,6 @@ pub mod x86 {
                 neq_bits += (!(_mm_movemask_epi8(eq) as u32) & 0xffff).count_ones();
             }
             *o = neq_bits / 2;
-        }
-    }
-
-    /// Batch row kernel, SSE2+POPCNT, `u32` lanes.
-    ///
-    /// # Safety
-    /// Same contract as [`sep_rows16_sse2`].
-    #[target_feature(enable = "sse2,popcnt")]
-    pub unsafe fn sep_rows32_sse2(a: &[u64], rows: &[u64], stride: usize, out: &mut [u32]) {
-        debug_assert_eq!(a.len(), stride);
-        debug_assert_eq!(rows.len(), out.len() * stride);
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(stride)) {
-            let mut neq_bits = 0u32;
-            for g in (0..stride).step_by(2) {
-                // SAFETY: g + 2 <= stride bounds both subslices.
-                let va = _mm_loadu_si128(a[g..].as_ptr() as *const __m128i);
-                let vb = _mm_loadu_si128(row[g..].as_ptr() as *const __m128i);
-                let eq = _mm_cmpeq_epi32(_mm_xor_si128(va, vb), _mm_setzero_si128());
-                neq_bits += (!(_mm_movemask_epi8(eq) as u32) & 0xffff).count_ones();
-            }
-            *o = neq_bits / 4;
         }
     }
 
@@ -296,37 +224,6 @@ pub mod x86 {
             sep_bits += (!mm_eq & !mm_miss & 0xffff).count_ones();
         }
         (sep_bits / 2, miss_bits / 2)
-    }
-
-    /// `(separated, missing)` lane counts, SSE2+POPCNT, `u32` lanes.
-    ///
-    /// # Safety
-    /// Same contract as [`sep_missing16_sse2`].
-    #[target_feature(enable = "sse2,popcnt")]
-    pub unsafe fn sep_missing32_sse2(
-        a: &[u64],
-        b: &[u64],
-        valid: &[u64],
-        stride: usize,
-    ) -> (u32, u32) {
-        debug_assert!(a.len() == stride && b.len() == stride && valid.len() == stride);
-        let zero = _mm_setzero_si128();
-        let (mut sep_bits, mut miss_bits) = (0u32, 0u32);
-        for g in (0..stride).step_by(2) {
-            // SAFETY: g + 2 <= stride bounds all three subslices.
-            let va = _mm_loadu_si128(a[g..].as_ptr() as *const __m128i);
-            let vb = _mm_loadu_si128(b[g..].as_ptr() as *const __m128i);
-            let vv = _mm_loadu_si128(valid[g..].as_ptr() as *const __m128i);
-            let zx = _mm_cmpeq_epi32(va, zero);
-            let zy = _mm_cmpeq_epi32(vb, zero);
-            let miss = _mm_and_si128(_mm_or_si128(zx, zy), vv);
-            let eq = _mm_cmpeq_epi32(_mm_xor_si128(va, vb), zero);
-            let mm_miss = _mm_movemask_epi8(miss) as u32;
-            let mm_eq = _mm_movemask_epi8(eq) as u32;
-            miss_bits += mm_miss.count_ones();
-            sep_bits += (!mm_eq & !mm_miss & 0xffff).count_ones();
-        }
-        (sep_bits / 4, miss_bits / 4)
     }
 }
 
@@ -372,35 +269,6 @@ pub mod neon {
         }
     }
 
-    /// Batch row kernel, NEON, `u32` lanes.
-    ///
-    /// # Safety
-    /// Same contract as [`sep_rows16_neon`].
-    #[target_feature(enable = "neon")]
-    pub unsafe fn sep_rows32_neon(a: &[u64], rows: &[u64], stride: usize, out: &mut [u32]) {
-        debug_assert_eq!(a.len(), stride);
-        debug_assert_eq!(rows.len(), out.len() * stride);
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(stride)) {
-            let mut count = 0u64;
-            let mut acc = vdupq_n_u32(0);
-            let mut pending = 0usize;
-            for g in (0..stride).step_by(2) {
-                // SAFETY: g + 2 <= stride bounds both subslices.
-                let va = vld1q_u32(a[g..].as_ptr() as *const u32);
-                let vb = vld1q_u32(row[g..].as_ptr() as *const u32);
-                let neq = vmvnq_u32(vceqq_u32(va, vb));
-                acc = vaddq_u32(acc, vshrq_n_u32::<31>(neq));
-                pending += 1;
-                if pending == FLUSH_GROUPS {
-                    count += vaddlvq_u32(acc);
-                    acc = vdupq_n_u32(0);
-                    pending = 0;
-                }
-            }
-            *o = (count + vaddlvq_u32(acc)) as u32;
-        }
-    }
-
     /// `(separated, missing)` lane counts, NEON, `u16` lanes.
     ///
     /// # Safety
@@ -439,48 +307,6 @@ pub mod neon {
             }
         }
         (sep + vaddlvq_u16(sep_acc), missing + vaddlvq_u16(miss_acc))
-    }
-
-    /// `(separated, missing)` lane counts, NEON, `u32` lanes.
-    ///
-    /// # Safety
-    /// Same contract as [`sep_missing16_neon`].
-    #[target_feature(enable = "neon")]
-    pub unsafe fn sep_missing32_neon(
-        a: &[u64],
-        b: &[u64],
-        valid: &[u64],
-        stride: usize,
-    ) -> (u32, u32) {
-        debug_assert!(a.len() == stride && b.len() == stride && valid.len() == stride);
-        let (mut sep, mut missing) = (0u64, 0u64);
-        let mut sep_acc = vdupq_n_u32(0);
-        let mut miss_acc = vdupq_n_u32(0);
-        let mut pending = 0usize;
-        for g in (0..stride).step_by(2) {
-            // SAFETY: g + 2 <= stride bounds all three subslices.
-            let va = vld1q_u32(a[g..].as_ptr() as *const u32);
-            let vb = vld1q_u32(b[g..].as_ptr() as *const u32);
-            let vv = vld1q_u32(valid[g..].as_ptr() as *const u32);
-            let zero = vdupq_n_u32(0);
-            let miss = vandq_u32(vorrq_u32(vceqq_u32(va, zero), vceqq_u32(vb, zero)), vv);
-            let neq = vmvnq_u32(vceqq_u32(va, vb));
-            let sep_lanes = vbicq_u32(neq, miss);
-            sep_acc = vaddq_u32(sep_acc, vshrq_n_u32::<31>(sep_lanes));
-            miss_acc = vaddq_u32(miss_acc, vshrq_n_u32::<31>(miss));
-            pending += 1;
-            if pending == FLUSH_GROUPS {
-                sep += vaddlvq_u32(sep_acc);
-                missing += vaddlvq_u32(miss_acc);
-                sep_acc = vdupq_n_u32(0);
-                miss_acc = vdupq_n_u32(0);
-                pending = 0;
-            }
-        }
-        (
-            (sep + vaddlvq_u32(sep_acc)) as u32,
-            (missing + vaddlvq_u32(miss_acc)) as u32,
-        )
     }
 }
 

@@ -118,7 +118,6 @@ fn local_search_is_thread_invariant_across_prefetch_gate() {
         let params = LocalSearchParams {
             init: LocalSearchInit::Random { k: 12, seed: 99 },
             max_passes: 3,
-            epsilon: 1e-9,
         };
         let serial = with_num_threads(1, || run(&Algorithm::LocalSearch(params.clone()), &oracle));
         let threaded =

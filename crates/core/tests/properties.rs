@@ -154,7 +154,6 @@ proptest! {
         let refine = Algorithm::LocalSearch(LocalSearchParams {
             init: LocalSearchInit::Given(start.clone()),
             max_passes: 50,
-            epsilon: 1e-9,
         });
         let refined = run(&refine, &oracle);
         prop_assert!(

@@ -114,7 +114,6 @@ fn run_all(oracle: &DenseOracle, threads: usize) -> MetricsSnapshot {
                     &Algorithm::LocalSearch(LocalSearchParams {
                         init: LocalSearchInit::Random { k: 8, seed: 99 },
                         max_passes: 3,
-                        epsilon: 1e-9,
                     }),
                     oracle,
                 ),

@@ -168,7 +168,6 @@ fn local_search_postprocessing_only_improves() {
             &Algorithm::LocalSearch(LocalSearchParams {
                 init: LocalSearchInit::Given(start.clone()),
                 max_passes: 50,
-                epsilon: 1e-9,
             }),
             &oracle,
         );
