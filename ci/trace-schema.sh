@@ -79,7 +79,7 @@ expect "$R" 'v["metrics.kernels_row_batches"] > 0' \
     "kernels_row_batches did not fire -- banded fill not batching rows?"
 # Timings (ISSUE 9): the spans this workload must traverse are present with
 # real time attributed, and the allocation nests inside the dense build.
-# cost_eval and lower_bound name the consensus tail's two O(n^2) sums.
+# cost_eval and lower_bound name the consensus tail's cost and bound.
 for span in local_search dense_build condensed_alloc cost_eval lower_bound; do
     expect "$R" "(\"timings.$span.count\" in v)" "timings: $span span missing"
 done

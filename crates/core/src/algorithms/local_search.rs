@@ -11,8 +11,12 @@
 //! through the per-cluster sums `M(v, C_i) = Σ_{u ∈ C_i} X_vu`:
 //! with `T_v = Σ_u X_vu` the move cost collapses to
 //! `d(v, C_i) = 2·M(v, C_i) − T_v + (n − 1) − |C_i \ {v}|`,
-//! so evaluating all clusters for one node costs `O(n)` oracle lookups and
-//! a pass over the data is `O(n²)` — matching the paper's `O(I·n²)`.
+//! so evaluating all clusters for one node costs `O(n)` oracle lookups
+//! plus `O(live clusters)` candidate costs, and a pass over the data is
+//! `O(n²)` — matching the paper's `O(I·n²)`. Cluster ids are renumbered
+//! in order whenever empty slots outnumber the live clusters, so the
+//! candidate scan never walks the thousands of ids a singleton start
+//! leaves empty.
 //!
 //! LOCALSEARCH doubles as a post-processing step for any other algorithm
 //! (see [`LocalSearchInit::Given`]); the experiments show it improves solutions
@@ -103,11 +107,11 @@ const EPSILON: f64 = 1e-9;
 /// Resumed runs are **bit-identical** to uninterrupted ones: the snapshot
 /// carries the labels, the pass/node cursor, and the pass-level `moved`
 /// flag, which together determine every subsequent steepest-descent
-/// decision. (Cluster *ids* may differ after a resume when the interrupted
-/// run had empty trailing clusters, but [`Clustering::from_labels`]
-/// normalizes ids by first occurrence, and move evaluation never depends on
-/// id values — only on the relative order of non-empty clusters, which is
-/// preserved.)
+/// decision. (Cluster *ids* may differ after a resume, since the resumed
+/// run has no empty trailing slots and compacts on its own schedule, but
+/// [`Clustering::from_labels`] normalizes ids by first occurrence, and move
+/// evaluation never depends on id values — only on the relative order of
+/// non-empty clusters, which compaction and fresh singletons preserve.)
 pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: &LocalSearchParams,
@@ -233,18 +237,7 @@ fn descend<O: DistanceOracle + Sync + ?Sized>(
             ),
             None => (start.labels().to_vec(), 0, 0, false, 0),
         };
-    // Cluster sizes, indexed by label; empty slots may appear as nodes move
-    // out and are reused only implicitly (fresh singletons get new ids).
-    let mut sizes: Vec<usize> = {
-        let k = (labels.iter().copied().max().unwrap_or(0) + 1) as usize;
-        let mut s = vec![0usize; k];
-        for &l in &labels {
-            s[l as usize] += 1;
-        }
-        s
-    };
-
-    let mut m_sums: Vec<f64> = Vec::new();
+    let mut clusters = Clusters::new(&labels);
     let mut meter = budget.meter_from(done);
     let mut heartbeat = telemetry::Heartbeat::new("local_search", n as u64).with_budget(budget);
     for pass in first_pass..max_passes {
@@ -273,8 +266,9 @@ fn descend<O: DistanceOracle + Sync + ?Sized>(
                 }
                 return (labels, interrupt.status(), meter.iterations());
             }
-            if visit_node(oracle, v, &mut labels, &mut sizes, &mut m_sums) {
+            if clusters.visit(oracle, v, &mut labels) {
                 moved = true;
+                clusters.compact_if_sparse(&mut labels);
             }
             // Progress within the current pass; each pass restarts the
             // cursor, so `done/total` reads as pass completion.
@@ -303,72 +297,143 @@ fn descend<O: DistanceOracle + Sync + ?Sized>(
     (labels, RunStatus::Converged, meter.iterations())
 }
 
-/// Evaluate all candidate moves for node `v` against the current labels and
-/// apply the best strictly improving one. Returns `true` if the node moved.
-fn visit_node<O: DistanceOracle + ?Sized>(
-    oracle: &O,
-    v: usize,
-    labels: &mut [u32],
-    sizes: &mut Vec<usize>,
-    m_sums: &mut Vec<f64>,
-) -> bool {
-    let n = labels.len();
-    let k = sizes.len();
-    telemetry::metrics().ls_nodes_visited.incr_if_enabled();
-    m_sums.clear();
-    m_sums.resize(k, 0.0);
-    let t_v = oracle.accumulate_row(v, labels, m_sums);
-    let cur = labels[v] as usize;
-    let others = (n - 1) as f64;
-    // d(v, C_i) = 2·M_i − T_v + (n−1) − |C_i \ {v}|
-    let move_cost = |i: usize, sizes: &[usize]| -> f64 {
-        let size_wo_v = sizes[i] - usize::from(i == cur);
-        2.0 * m_sums[i] - t_v + others - size_wo_v as f64
-    };
-    let singleton_cost = others - t_v;
+/// The descent's per-cluster state, indexed by cluster id. Nodes moving
+/// out leave empty slots and a fresh singleton takes the next id, so ids
+/// are renumbered in order ([`Clusters::compact_if_sparse`]) once the slots
+/// outnumber twice the live clusters: a visit then scans `O(live)` slots,
+/// not every id ever used.
+struct Clusters {
+    sizes: Vec<u32>,
+    live: usize,
+    // Scratch for one visit: `M(v, C_i)` per slot.
+    m_sums: Vec<f64>,
+}
 
-    let mut best_i = usize::MAX; // MAX = fresh singleton
-    let mut best_cost = singleton_cost;
-    for i in 0..k {
-        if sizes[i] == 0 && i != cur {
-            continue;
+impl Clusters {
+    fn new(labels: &[u32]) -> Self {
+        let k = labels.iter().max().map_or(0, |&l| l as usize + 1);
+        let mut sizes = vec![0u32; k];
+        for &l in labels {
+            sizes[l as usize] += 1;
         }
-        let c = move_cost(i, sizes);
-        if c < best_cost {
-            best_cost = c;
-            best_i = i;
+        let live = sizes.iter().filter(|&&s| s > 0).count();
+        Clusters {
+            sizes,
+            live,
+            m_sums: Vec::new(),
         }
     }
-    let cur_cost = move_cost(cur, sizes);
-    if best_cost < cur_cost - EPSILON && best_i != cur {
+
+    /// Renumber the live clusters `0..live` in id order when the slots
+    /// outnumber twice the live clusters. The map is monotone, so the
+    /// relative order of live clusters, and with it every tie-break and
+    /// every `M(v, C_i)` summation order, is unchanged.
+    fn compact_if_sparse(&mut self, labels: &mut [u32]) {
+        if self.sizes.len() <= 2 * self.live {
+            return;
+        }
+        let mut next = 0;
+        let renumber: Vec<u32> = self
+            .sizes
+            .iter()
+            .map(|&size| {
+                let id = next;
+                next += u32::from(size > 0);
+                id
+            })
+            .collect();
+        for label in labels.iter_mut() {
+            *label = renumber[*label as usize];
+        }
+        self.sizes.retain(|&size| size > 0);
+    }
+
+    /// Evaluate all candidate moves for node `v` against the current
+    /// labels and apply the best strictly improving one. Returns `true` if
+    /// the node moved.
+    fn visit<O: DistanceOracle + ?Sized>(
+        &mut self,
+        oracle: &O,
+        v: usize,
+        labels: &mut [u32],
+    ) -> bool {
+        let n = labels.len();
+        telemetry::metrics().ls_nodes_visited.incr_if_enabled();
+        let m_sums = &mut self.m_sums;
+        m_sums.clear();
+        m_sums.resize(self.sizes.len(), 0.0);
+        let t_v = oracle.accumulate_row(v, labels, m_sums);
+        let cur = labels[v] as usize;
+        let others = (n - 1) as f64;
+        // From here on `sizes[i]` is `|C_i \ {v}|` for every slot.
+        let sizes = &mut self.sizes;
         sizes[cur] -= 1;
-        let target = if best_i == usize::MAX {
-            if sizes[cur] == 0 {
-                // Moving a singleton to a fresh singleton is a
-                // no-op; keep the label. (Unreachable because the
-                // costs are equal, but kept for safety.)
-                cur
-            } else {
-                sizes.push(0);
-                sizes.len() - 1
-            }
+        // d(v, C_i) = 2·M_i − T_v + (n−1) − |C_i \ {v}|. An empty slot
+        // (M = +0.0, size 0) costs exactly `singleton_cost`, so under the
+        // strict `<` it never wins and needs no branch.
+        let move_cost = |m: f64, size: u32| 2.0 * m - t_v + others - f64::from(size);
+        let singleton_cost = others - t_v;
+        let best_cost = min_cost(m_sums, sizes, singleton_cost, move_cost);
+        // The first slot at the minimum, as a serial strict-`<` scan keeps;
+        // `None` is a fresh singleton.
+        let best = if best_cost < singleton_cost {
+            (0..sizes.len()).position(|i| move_cost(m_sums[i], sizes[i]) == best_cost)
         } else {
-            best_i
+            None
         };
-        sizes[target] += 1;
-        labels[v] = target as u32;
-        let m = telemetry::metrics();
-        m.ls_moves.incr_if_enabled();
-        // The move's strict cost improvement; accumulated serially (the
-        // descent visits nodes one at a time), so the sum's rounding order
-        // is fixed and the total is bit-reproducible.
-        let delta = cur_cost - best_cost;
-        m.ls_improvement.add_if_enabled(delta);
-        m.ls_delta_hist.observe_if_enabled(delta);
-        true
-    } else {
-        false
+        let cur_cost = move_cost(m_sums[cur], sizes[cur]);
+        if best_cost < cur_cost - EPSILON && best != Some(cur) {
+            let target = best.unwrap_or_else(|| {
+                sizes.push(0);
+                self.live += 1;
+                sizes.len() - 1
+            });
+            if sizes[cur] == 0 {
+                self.live -= 1;
+            }
+            sizes[target] += 1;
+            labels[v] = target as u32;
+            let m = telemetry::metrics();
+            m.ls_moves.incr_if_enabled();
+            // The move's strict cost improvement; accumulated serially (the
+            // descent visits nodes one at a time), so the sum's rounding
+            // order is fixed and the total is bit-reproducible.
+            let delta = cur_cost - best_cost;
+            m.ls_improvement.add_if_enabled(delta);
+            m.ls_delta_hist.observe_if_enabled(delta);
+            true
+        } else {
+            sizes[cur] += 1;
+            false
+        }
     }
+}
+
+/// The least of `singleton_cost` and `cost(m_sums[i], sizes[i])` over all
+/// slots, as four independent running minima. A minimum is exact in any
+/// order, so this equals the serial scan's.
+fn min_cost(
+    m_sums: &[f64],
+    sizes: &[u32],
+    singleton_cost: f64,
+    cost: impl Fn(f64, u32) -> f64,
+) -> f64 {
+    let mut lanes = [singleton_cost; 4];
+    let mut m4 = m_sums.chunks_exact(4);
+    let mut s4 = sizes.chunks_exact(4);
+    for (m, s) in (&mut m4).zip(&mut s4) {
+        for j in 0..4 {
+            let c = cost(m[j], s[j]);
+            if c < lanes[j] {
+                lanes[j] = c;
+            }
+        }
+    }
+    let mut best = lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]));
+    for (&m, &s) in m4.remainder().iter().zip(s4.remainder()) {
+        best = best.min(cost(m, s));
+    }
+    best
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use crate::algorithms::{
     AgglomerativeParams, Algorithm, BallsParams, LocalSearchInit, LocalSearchParams,
 };
 use crate::clustering::{Clustering, PartialClustering};
-use crate::cost::{correlation_cost, lower_bound};
+use crate::cost::{correlation_cost, exact_cost, lower_bound};
 use crate::distance::disagreement_distance_gauged;
 use crate::error::AggResult;
 use crate::exact::{branch_and_bound, MAX_BNB_N};
@@ -320,6 +320,7 @@ impl ConsensusBuilder {
             inputs.iter().map(PartialClustering::from_total).collect();
         let mut result = self.try_aggregate_partial(partial)?;
         if !result.sampled && result.cost.is_finite() {
+            let _span = crate::span!("disagreements", n = result.clustering.len());
             // Contingency tables are charged to the budget's gauge so
             // `--mem-budget` diagnostics see transient usage too.
             let gauge = self.budget.mem_gauge();
@@ -589,16 +590,22 @@ impl ConsensusBuilder {
             clustering = refined.clustering;
         }
 
-        let cost = {
+        let (cost, disagreements) = {
             let _span = crate::span!("cost_eval", n = n);
-            correlation_cost(oracle, &clustering)
+            match exact_cost(oracle, &clustering) {
+                Some(exact) => (exact.value(), exact.disagreements(m)),
+                None => {
+                    let cost = correlation_cost(oracle, &clustering);
+                    (cost, (cost * m as f64).round() as u64)
+                }
+            }
         };
         let lower = {
             let _span = crate::span!("lower_bound", n = n);
             lower_bound(oracle)
         };
         Ok(ConsensusResult {
-            disagreements: (cost * m as f64).round() as u64,
+            disagreements,
             lower_bound: Some(lower),
             sampled: false,
             status,

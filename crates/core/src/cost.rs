@@ -17,15 +17,53 @@
 //! All `O(n²)` sums here run as deterministic chunked reductions over
 //! [`crate::parallel`]: fixed chunk boundaries, partials combined in chunk
 //! order, so the value is bit-identical at any thread count.
+//!
+//! On an oracle with [`DistanceOracle::exact_codes`] (a coded dense matrix
+//! built from total or `Coin(½)` inputs) the cost and the bound are
+//! integers over the scale `den` instead, with `num = den·X_uv`: the bound
+//! `Σ_{u<v} min(num, den − num)` and the all-split cost
+//! `Σ_{u<v} (den − num)` come from totals the matrix's fill counted, and the
+//! cost adds `Σ_{same-cluster pairs} (2·num − den)`, reading only the
+//! within-cluster pairs. Each `f64` is then the one rounding of
+//! `num/den`.
+
+use std::ops::Range;
 
 use crate::clustering::Clustering;
 use crate::instance::DistanceOracle;
 use crate::parallel;
 
-/// The correlation-clustering cost `d(C)` (Problem 2). `O(n²)` oracle
-/// lookups, parallelized over pair chunks.
+/// `d(C)` as the exact fraction `num/den`, from [`exact_cost`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExactCost {
+    /// `den·d(C)`.
+    pub num: u64,
+    /// The oracle's [`DistanceOracle::exact_scale`].
+    pub den: u32,
+}
+
+impl ExactCost {
+    /// The `f64` nearest to `num/den`.
+    pub fn value(self) -> f64 {
+        self.num as f64 / f64::from(self.den)
+    }
+
+    /// `m·d(C)` rounded half up, for an instance of `m` input clusterings:
+    /// for total inputs (`den = m`) exactly `num`, the number of
+    /// disagreements `D(C)`; for `Coin(½)` (`den = 2m`) the expected number.
+    pub fn disagreements(self, m: usize) -> u64 {
+        let den = u128::from(self.den);
+        ((u128::from(self.num) * m as u128 + den / 2) / den) as u64
+    }
+}
+
+/// The correlation-clustering cost `d(C)` (Problem 2): [`exact_cost`]'s
+/// value where the oracle has exact codes, else `O(n²)` oracle lookups,
+/// parallelized over pair chunks.
 pub fn correlation_cost<O: DistanceOracle + Sync + ?Sized>(oracle: &O, c: &Clustering) -> f64 {
-    assert_eq!(oracle.len(), c.len(), "oracle and clustering sizes differ");
+    if let Some(cost) = exact_cost(oracle, c) {
+        return cost.value();
+    }
     parallel::sum_pairs(c.len(), |u, v| {
         let x = oracle.dist(u, v);
         if c.same_cluster(u, v) {
@@ -34,6 +72,41 @@ pub fn correlation_cost<O: DistanceOracle + Sync + ?Sized>(oracle: &O, c: &Clust
             1.0 - x
         }
     })
+}
+
+/// `d(C)` as an exact fraction, or `None` when the oracle has no
+/// [`DistanceOracle::exact_codes`]. `O(n + Σ|C_i|²)`: only the
+/// within-cluster pairs are read.
+pub fn exact_cost<O: DistanceOracle + Sync + ?Sized>(
+    oracle: &O,
+    c: &Clustering,
+) -> Option<ExactCost> {
+    assert_eq!(oracle.len(), c.len(), "oracle and clustering sizes differ");
+    let codes = oracle.exact_codes()?;
+    let clusters = c.clusters();
+    let within: i64 = parallel::sum_jobs(member_row_jobs(&clusters), |(members, rows)| {
+        codes.within_numerator(members, rows)
+    });
+    let num = codes.split_numerator() as i64 + within;
+    Some(ExactCost {
+        num: num as u64,
+        den: codes.den(),
+    })
+}
+
+/// Jobs over the pairs inside each cluster: (cluster members, a range of
+/// member rows), split so one huge cluster still spreads across workers.
+/// Boundaries depend only on the clustering, keeping any partial-sum order
+/// deterministic.
+fn member_row_jobs(clusters: &[Vec<usize>]) -> Vec<(&[usize], Range<usize>)> {
+    let mut jobs = Vec::new();
+    for members in clusters {
+        let len = members.len();
+        for rows in parallel::balanced_ranges(len, 8192, |i| len - 1 - i) {
+            jobs.push((members.as_slice(), rows));
+        }
+    }
+    jobs
 }
 
 /// The cost of the all-singletons clustering: `B = Σ_{u<v} (1 − X_uv)`.
@@ -53,17 +126,7 @@ pub fn split_everything_cost<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> f
 pub fn within_cost<O: DistanceOracle + Sync + ?Sized>(oracle: &O, c: &Clustering) -> f64 {
     assert_eq!(oracle.len(), c.len(), "oracle and clustering sizes differ");
     let clusters = c.clusters();
-    // Job list: (cluster, row range of its member list), split so one huge
-    // cluster still spreads across workers. Boundaries depend only on the
-    // clustering, keeping the partial-sum order deterministic.
-    let mut jobs: Vec<(&[usize], std::ops::Range<usize>)> = Vec::new();
-    for members in &clusters {
-        let len = members.len();
-        for rows in parallel::balanced_ranges(len, 8192, |i| len - 1 - i) {
-            jobs.push((members.as_slice(), rows));
-        }
-    }
-    parallel::sum_jobs(jobs, |(members, rows)| {
+    parallel::sum_jobs(member_row_jobs(&clusters), |(members, rows)| {
         let mut w = 0.0;
         for i in rows {
             let u = members[i];
@@ -80,8 +143,13 @@ pub fn within_cost<O: DistanceOracle + Sync + ?Sized>(oracle: &O, c: &Clustering
 ///
 /// Every clustering pays at least `min(X, 1 − X)` on each pair, so no
 /// solution — including the optimum — can cost less. The "Lower bound" rows
-/// of Tables 2 and 3 are `m` times this value.
+/// of Tables 2 and 3 are `m` times this value. With
+/// [`DistanceOracle::exact_codes`] it is the fill's exact
+/// `Σ min(den·X, den − den·X) / den`, read in `O(1)`.
 pub fn lower_bound<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> f64 {
+    if let Some(codes) = oracle.exact_codes() {
+        return codes.bound_numerator() as f64 / f64::from(codes.den());
+    }
     parallel::sum_pairs(oracle.len(), |u, v| {
         let x = oracle.dist(u, v);
         x.min(1.0 - x)

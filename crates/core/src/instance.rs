@@ -138,6 +138,16 @@ pub trait DistanceOracle {
         numerators_each(self, u, vs, den, out);
     }
 
+    /// The exact integer view of a coded matrix: every pair's numerator
+    /// `den·X_uv` over its [`DistanceOracle::exact_scale`], and the sums
+    /// `Σ num` and `Σ min(num, den − num)` over all pairs that its fill
+    /// counted, from which [`crate::cost`] takes the lower bound without
+    /// reading a pair and the cost from the within-cluster pairs alone.
+    /// `None` unless the oracle holds both.
+    fn exact_codes(&self) -> Option<ExactCodes<'_>> {
+        None
+    }
+
     /// Per-cluster label counts of `members`, member `i` in cluster
     /// `labels[i]` (clusters numbered from 0), from which
     /// [`ClusterCounts::numerators_into`] gives any non-member's exact
@@ -311,6 +321,9 @@ pub struct DenseOracle {
     // Set on coded matrices built from clusterings whose table entries are
     // all exact fractions `k/den`.
     scale: Option<Scale>,
+    // Counted by the fill of a matrix with a scale, dropped by any
+    // mutation.
+    totals: Option<PairTotals>,
     m: Option<usize>,
     // Keeps the matrix's bytes on the owning budget's MemGauge for as long
     // as the oracle lives; None for ungoverned constructions.
@@ -331,6 +344,7 @@ impl DenseOracle {
             table,
             values: Vec::new(),
             scale: None,
+            totals: None,
             m: None,
             charge: None,
         }
@@ -344,6 +358,7 @@ impl DenseOracle {
             table: Vec::new(),
             values,
             scale: None,
+            totals: None,
             m: None,
             charge: None,
         }
@@ -416,10 +431,11 @@ impl DenseOracle {
             n,
             || (),
             parallel::pairwise(pair),
+            drop,
             &RunBudget::unlimited(),
         );
         // An unlimited budget never trips.
-        Self::from_condensed(n, fill.unwrap_or_default())
+        Self::from_condensed(n, fill.unwrap_or_default().0)
     }
 
     /// Validating variant of [`DenseOracle::from_fn`]: every distance is
@@ -616,10 +632,11 @@ impl DenseOracle {
                     debug_assert!((0.0..=1.0).contains(entry), "distance {entry} out of [0,1]");
                 }
             },
+            drop,
             &RunBudget::unlimited(),
         );
         // An unlimited budget never trips.
-        let values = fill.unwrap_or_default();
+        let (values, _) = fill.unwrap_or_default();
         let pairs = values.len() as u64;
         if tail_members < clusterings.len() {
             crate::telemetry::metrics()
@@ -656,7 +673,8 @@ impl DenseOracle {
     /// Mutable access to one entry (test/bench construction helper). A
     /// value the matrix has not held before gets the next free code; past
     /// [`MAX_DISTANCE_CODES`] distinct values the matrix keeps its values
-    /// instead. A value new to the matrix drops its exact scale.
+    /// instead. A value new to the matrix drops its exact scale, and any
+    /// edit drops its pair totals (so its [`DistanceOracle::exact_codes`]).
     ///
     /// # Panics
     /// Panics if `u == v` or `d` is not in `[0, 1]`.
@@ -664,6 +682,7 @@ impl DenseOracle {
         assert_ne!(u, v, "diagonal is fixed at zero");
         assert!((0.0..=1.0).contains(&d), "distance {d} out of [0,1]");
         let n = self.n;
+        self.totals = None;
         if self.is_coded() {
             let found = self.table.iter().position(|x| x.to_bits() == d.to_bits());
             if found.is_some() || self.table.len() < MAX_DISTANCE_CODES {
@@ -759,6 +778,17 @@ impl DistanceOracle for DenseOracle {
         self.scale.as_ref().map(|scale| scale.den)
     }
 
+    fn exact_codes(&self) -> Option<ExactCodes<'_>> {
+        let (scale, totals) = (self.scale.as_ref()?, self.totals?);
+        Some(ExactCodes {
+            n: self.n,
+            codes: &self.codes,
+            nums: &scale.nums,
+            den: scale.den,
+            totals,
+        })
+    }
+
     /// One contiguous slice of row `u`'s codes, decoded through the
     /// code → numerator table. Counts one dense read per pair.
     fn numerators_into(&self, u: usize, vs: Range<usize>, den: u32, out: &mut [u32]) {
@@ -799,6 +829,60 @@ impl DistanceOracle for DenseOracle {
         Self::coded(s, codes, self.table.clone())
             .with_scale(self.scale.clone())
             .with_num_clusterings(self.m)
+    }
+}
+
+/// A coded [`DenseOracle`]'s exact integer view, handed out by
+/// [`DistanceOracle::exact_codes`]: each pair's numerator `den·X_uv`, read
+/// through the code → numerator table, and two sums over all pairs that
+/// the matrix's fill counted.
+#[derive(Clone, Copy, Debug)]
+pub struct ExactCodes<'a> {
+    n: usize,
+    codes: &'a [u16],
+    nums: &'a [u32],
+    den: u32,
+    totals: PairTotals,
+}
+
+impl ExactCodes<'_> {
+    /// The scale `den` of the numerators.
+    pub fn den(&self) -> u32 {
+        self.den
+    }
+
+    /// `Σ_{u<v} (den − den·X_uv)`: `den` times the cost of splitting every
+    /// pair apart. No pair is read.
+    pub fn split_numerator(&self) -> u64 {
+        let pairs = (self.n * self.n.saturating_sub(1) / 2) as u64;
+        u64::from(self.den) * pairs - self.totals.num
+    }
+
+    /// `Σ_{u<v} min(den·X_uv, den − den·X_uv)`: `den` times the per-pair
+    /// lower bound. No pair is read.
+    pub fn bound_numerator(&self) -> u64 {
+        self.totals.bound
+    }
+
+    /// `Σ (2·den·X_uv − den)` over the pairs `(members[i], members[j])`
+    /// with `i` in `rows` and `j > i`: one job's share of the within-cluster
+    /// term of the cost's numerator, `members` ascending. Counts one dense
+    /// read per pair.
+    pub(crate) fn within_numerator(&self, members: &[usize], rows: Range<usize>) -> i64 {
+        let (mut sum, mut pairs) = (0u64, 0u64);
+        for i in rows {
+            let row = &self.codes[members[i] * self.n..][..self.n];
+            let rest = &members[i + 1..];
+            pairs += rest.len() as u64;
+            sum += rest
+                .iter()
+                .map(|&v| u64::from(self.nums[usize::from(row[v])]))
+                .sum::<u64>();
+        }
+        crate::telemetry::metrics()
+            .oracle_dense_evals
+            .add_if_enabled(pairs);
+        2 * sum as i64 - i64::from(self.den) * pairs as i64
     }
 }
 
@@ -1002,7 +1086,9 @@ impl ClusteringsOracle {
 
     /// Every upper-triangle pair, written as `entry(sep, missing)` by
     /// [`parallel::try_fill_upper`] in `layout` and the matrix's preferred
-    /// band.
+    /// band. With `scale`, each job also sums its pairs' numerators into
+    /// its own [`PairTotals`], and the jobs' integer totals are added up,
+    /// so they are the same at any thread count.
     ///
     /// Total inputs go through the batched `sep_row_into` kernel with one
     /// scratch count buffer per worker job (counted by
@@ -1012,44 +1098,91 @@ impl ClusteringsOracle {
         &self,
         layout: Layout,
         entry: impl Fn(u32, u32) -> T + Sync,
+        scale: Option<&Scale>,
         budget: &RunBudget,
-    ) -> Result<Vec<T>, Interrupt> {
+    ) -> Result<(Vec<T>, Option<PairTotals>), Interrupt> {
         let band = self.preferred_band();
         let metrics = crate::telemetry::metrics();
-        if self.partial {
-            return parallel::try_fill_upper(
+        // A job's segment buffer is dropped when it ends; only its totals
+        // are kept.
+        let scratch = || (vec![0u32; band], PairTotals::default());
+        let totals_only = |(_, totals): (Vec<u32>, PairTotals)| totals;
+        let (data, jobs) = if self.partial {
+            parallel::try_fill_upper(
                 self.n,
                 layout,
                 band,
-                || (),
-                |(): &mut (), u, vs, seg: &mut [T]| {
-                    for (out, v) in seg.iter_mut().zip(vs) {
+                scratch,
+                |(codes, totals): &mut (Vec<u32>, PairTotals), u, vs, seg: &mut [T]| {
+                    let codes = &mut codes[..seg.len()];
+                    for ((out, code), v) in seg.iter_mut().zip(codes.iter_mut()).zip(vs) {
                         let (sep, missing) = self.packed.sep_missing(u, v);
                         *out = entry(sep, missing);
+                        *code = u32::from(self.code(sep, missing));
+                    }
+                    // A second pass: looking the numerators up inside the
+                    // pair loop above made the whole fill twice as slow.
+                    if let Some(scale) = scale {
+                        // At most 4096 pairs of numerators `≤ den ≤ 512`.
+                        let (mut num, mut bound) = (0u32, 0u32);
+                        for &code in codes.iter() {
+                            let k = scale.nums[code as usize];
+                            num += k;
+                            bound += k.min(scale.den - k);
+                        }
+                        totals.num += u64::from(num);
+                        totals.bound += u64::from(bound);
                     }
                     metrics.oracle_lazy_evals.add_if_enabled(seg.len() as u64);
                     metrics.oracle_packed_evals.add_if_enabled(seg.len() as u64);
                 },
+                totals_only,
                 budget,
-            );
-        }
-        let data = parallel::try_fill_upper(
-            self.n,
-            layout,
-            band,
-            || vec![0u32; band],
-            |counts: &mut Vec<u32>, u, vs, seg: &mut [T]| {
-                let counts = &mut counts[..seg.len()];
-                self.packed.sep_row_into(u, vs.start, counts);
-                for (out, &sep) in seg.iter_mut().zip(counts.iter()) {
-                    *out = entry(sep, 0);
-                }
-            },
-            budget,
-        )?;
-        let pairs = self.n * self.n.saturating_sub(1) / 2;
-        metrics.oracle_packed_evals.add_if_enabled(pairs as u64);
-        Ok(data)
+            )?
+        } else {
+            let m = self.m as u32;
+            let fill = parallel::try_fill_upper(
+                self.n,
+                layout,
+                band,
+                scratch,
+                |(counts, totals): &mut (Vec<u32>, PairTotals), u, vs, seg: &mut [T]| {
+                    let counts = &mut counts[..seg.len()];
+                    self.packed.sep_row_into(u, vs.start, counts);
+                    if scale.is_none() {
+                        for (out, &sep) in seg.iter_mut().zip(counts.iter()) {
+                            *out = entry(sep, 0);
+                        }
+                        return;
+                    }
+                    // Total inputs prove `den = m`, where a pair's numerator
+                    // is its count of separating inputs. A segment of at
+                    // most 4096 pairs sums numerators `≤ m ≤ 65 535` in
+                    // `u32`, inside the writing loop, which keeps it vector.
+                    let (mut num, mut bound) = (0u32, 0u32);
+                    for (out, &sep) in seg.iter_mut().zip(counts.iter()) {
+                        *out = entry(sep, 0);
+                        num += sep;
+                        bound += sep.min(m - sep);
+                    }
+                    totals.num += u64::from(num);
+                    totals.bound += u64::from(bound);
+                },
+                totals_only,
+                budget,
+            )?;
+            let pairs = self.n * self.n.saturating_sub(1) / 2;
+            metrics.oracle_packed_evals.add_if_enabled(pairs as u64);
+            fill
+        };
+        let totals = scale.map(|_| {
+            jobs.iter()
+                .fold(PairTotals::default(), |sum, job| PairTotals {
+                    num: sum.num + job.num,
+                    bound: sum.bound + job.bound,
+                })
+        });
+        Ok((data, totals))
     }
 
     /// The dense matrix of this instance: the upper triangle's codes filled
@@ -1059,16 +1192,30 @@ impl ClusteringsOracle {
         let m = Some(self.m);
         let Some(table) = self.code_table() else {
             let xuv = |sep, missing| self.xuv(sep, missing);
-            let values = self.try_fill_counts(Layout::Condensed, xuv, budget)?;
+            let (values, _) = self.try_fill_counts(Layout::Condensed, xuv, None, budget)?;
             return Ok(DenseOracle::uncoded(self.n, values).with_num_clusterings(m));
         };
         let code = |sep, missing| self.code(sep, missing);
-        let mut codes = self.try_fill_counts(Layout::Square, code, budget)?;
+        let scale = self.scale.as_ref();
+        let (mut codes, totals) = self.try_fill_counts(Layout::Square, code, scale, budget)?;
         mirror_upper(&mut codes, self.n);
-        Ok(DenseOracle::coded(self.n, codes, table)
-            .with_scale(self.scale.clone())
-            .with_num_clusterings(m))
+        Ok(DenseOracle {
+            totals,
+            ..DenseOracle::coded(self.n, codes, table)
+                .with_scale(self.scale.clone())
+                .with_num_clusterings(m)
+        })
     }
+}
+
+/// Sums over the upper triangle's pairs of their numerators `num =
+/// den·X_uv` over a proven scale: `Σ num` and `Σ min(num, den − num)`,
+/// counted by the dense fill. The cost of splitting every pair apart and
+/// the lower bound follow from them without reading a pair.
+#[derive(Clone, Copy, Debug, Default)]
+struct PairTotals {
+    num: u64,
+    bound: u64,
 }
 
 impl DistanceOracle for ClusteringsOracle {
@@ -1147,6 +1294,7 @@ impl DistanceOracle for ClusteringsOracle {
             s,
             || (),
             parallel::pairwise(pair),
+            drop,
             &RunBudget::unlimited(),
         );
         let pairs = (s * s.saturating_sub(1) / 2) as u64;
@@ -1154,7 +1302,7 @@ impl DistanceOracle for ClusteringsOracle {
         metrics.oracle_lazy_evals.add_if_enabled(pairs);
         metrics.oracle_packed_evals.add_if_enabled(pairs);
         // An unlimited budget never trips.
-        let mut codes = fill.unwrap_or_default();
+        let (mut codes, _) = fill.unwrap_or_default();
         mirror_upper(&mut codes, s);
         DenseOracle::coded(s, codes, table)
             .with_scale(self.scale.clone())

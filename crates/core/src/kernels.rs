@@ -334,9 +334,12 @@ impl LabelMatrix {
     }
 
     /// Hand a row batch to this matrix's SIMD tier. Returns `false` when
-    /// the lanes are `u32` (SWAR on every tier), or the tier is universal
-    /// (scalar/SWAR) or compiled out on this arch, in which case the
-    /// caller runs the portable path.
+    /// the lanes are `u32` (SWAR on every tier), the tier is universal
+    /// (scalar/SWAR) or compiled out on this arch, or the tier is SSE2 and
+    /// a row holds at most 4 words, in which case the caller runs the
+    /// portable path. SSE2 compares a row's whole padded stride in 128-bit
+    /// groups while the SWAR unroll touches only the real words, which is
+    /// as fast or faster for rows of up to 4 words (DESIGN §6g).
     #[inline]
     fn sep_rows_simd(&self, a: &[u64], rows: &[u64], out: &mut [u32]) -> bool {
         if self.width != LaneWidth::U16 {
@@ -353,7 +356,7 @@ impl LabelMatrix {
                 true
             }
             #[cfg(target_arch = "x86_64")]
-            Tier::Sse2 => {
+            Tier::Sse2 if self.words_per_row > 4 => {
                 // SAFETY: as above — SSE2+POPCNT available, stride-sized
                 // slices (stride is a multiple of 4, hence of 2).
                 unsafe { simd::x86::sep_rows16_sse2(a, rows, self.stride, out) }

@@ -171,7 +171,9 @@ pub mod x86 {
     }
 
     /// Batch row kernel, SSE2+POPCNT, `u16` lanes: two words per 128-bit
-    /// compare, `movemask` 16 bits, hardware `popcnt` reduction.
+    /// compare, `movemask` 16 bits, hardware `popcnt` reduction. The SSE2
+    /// tier calls it only for rows of more than 4 words; shorter rows go
+    /// to the SWAR unroll, which skips the padding words.
     ///
     /// # Safety
     /// Requires SSE2 and POPCNT (guaranteed by tier selection). Same

@@ -173,23 +173,25 @@ impl CondensedMatrix {
         let n = oracle.len();
         let band = oracle.preferred_band();
         if let Some(den) = sums_den(n, oracle.exact_scale()) {
-            let sums = parallel::try_fill_upper(
+            let (sums, _) = parallel::try_fill_upper(
                 n,
                 Layout::Condensed,
                 band,
                 || (),
                 |(): &mut (), u, vs, seg: &mut [u32]| oracle.numerators_into(u, vs, den, seg),
+                drop,
                 budget,
             )?;
             return Ok(Cells::Sums { sums, den });
         }
         let pair = |u, v| oracle.dist(u, v);
-        let values = parallel::try_fill_upper(
+        let (values, _) = parallel::try_fill_upper(
             n,
             Layout::Condensed,
             band,
             || (),
             parallel::pairwise(pair),
+            drop,
             budget,
         )?;
         Ok(Cells::Values(values))

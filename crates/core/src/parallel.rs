@@ -201,13 +201,14 @@ where
 /// Deterministic sum of `f(job)` over a fixed job list, one partial per
 /// job, combined in job order. The caller fixes the job boundaries (e.g.
 /// via [`balanced_ranges`]) so the grouping is independent of thread count.
-pub fn sum_jobs<T, F>(jobs: Vec<T>, f: F) -> f64
+pub fn sum_jobs<T, R, F>(jobs: Vec<T>, f: F) -> R
 where
     T: Send,
-    F: Fn(T) -> f64 + Sync,
+    R: Copy + Default + Send + std::iter::Sum,
+    F: Fn(T) -> R + Sync,
 {
-    let mut partials = vec![0.0f64; jobs.len()];
-    let zipped: Vec<(T, &mut f64)> = jobs.into_iter().zip(partials.iter_mut()).collect();
+    let mut partials = vec![R::default(); jobs.len()];
+    let zipped: Vec<(T, &mut R)> = jobs.into_iter().zip(partials.iter_mut()).collect();
     run_jobs(zipped, |(job, slot)| *slot = f(job));
     partials.into_iter().sum()
 }
@@ -294,7 +295,9 @@ fn alloc_prefaulted<T: Copy + Default>(len: usize) -> Vec<T> {
 /// column-band)` intersection goes to `g(scratch, u, lo..hi, seg)`, where
 /// `seg` holds the entries for pairs `(u, lo), …, (u, hi − 1)` and
 /// `scratch` is the job's own `make_scratch()` value, reused across all of
-/// its segments. Every entry is written exactly once at its place, so a `g`
+/// its segments; when the job ends, `finish(scratch)` is kept and returned
+/// with the buffer, one per job in job order (a job's row split depends
+/// only on `n`). Every entry is written exactly once at its place, so a `g`
 /// that writes pure per-pair values produces the identical buffer at any
 /// thread count, band width and row split.
 ///
@@ -303,34 +306,39 @@ fn alloc_prefaulted<T: Copy + Default>(len: usize) -> Vec<T> {
 /// buffer is then dropped and the interrupt returned. Iteration caps are
 /// algorithm-level and are not consumed here, and memory is reserved by
 /// the caller.
-pub fn try_fill_upper<T, S, M, G>(
+pub fn try_fill_upper<T, S, R, M, G, F>(
     n: usize,
     layout: Layout,
     band: usize,
     make_scratch: M,
     g: G,
+    finish: F,
     budget: &RunBudget,
-) -> Result<Vec<T>, Interrupt>
+) -> Result<(Vec<T>, Vec<R>), Interrupt>
 where
     T: Copy + Default + Send,
+    R: Send,
     M: Fn() -> S + Sync,
     G: Fn(&mut S, usize, Range<usize>, &mut [T]) + Sync,
+    F: Fn(S) -> R + Sync,
 {
     let band = band.clamp(1, n.max(1));
     let entries = |rows: Range<usize>| -> usize { rows.map(|u| layout.row_len(n, u)).sum() };
     let len = entries(0..n);
     let mut data = alloc_prefaulted(len);
-    let mut jobs: Vec<(Range<usize>, &mut [T])> = Vec::new();
+    let ranges = row_ranges(n);
+    let mut finished: Vec<Option<R>> = ranges.iter().map(|_| None).collect();
+    let mut jobs: Vec<(Range<usize>, &mut [T], &mut Option<R>)> = Vec::new();
     let mut rest: &mut [T] = &mut data;
-    for rows in row_ranges(n) {
+    for (rows, slot) in ranges.into_iter().zip(finished.iter_mut()) {
         let (head, tail) = rest.split_at_mut(entries(rows.clone()));
-        jobs.push((rows, head));
+        jobs.push((rows, head, slot));
         rest = tail;
     }
     // The first trip wins; later jobs see it and skip their work.
     let tripped: OnceLock<Interrupt> = OnceLock::new();
     let _fill = crate::span!("condensed_fill", len = len);
-    run_jobs(jobs, |(rows, out)| {
+    run_jobs(jobs, |(rows, out, slot)| {
         if tripped.get().is_some() {
             return;
         }
@@ -358,9 +366,10 @@ where
             }
             band_start = band_end;
         }
+        *slot = Some(finish(scratch));
     });
     match tripped.into_inner() {
-        None => Ok(data),
+        None => Ok((data, finished.into_iter().flatten().collect())),
         Some(interrupt) => Err(interrupt),
     }
 }
@@ -493,7 +502,8 @@ mod tests {
                     for threads in [1usize, 4] {
                         let fill = |budget: &RunBudget| {
                             with_num_threads(threads, || {
-                                try_fill_upper(n, layout, band, || 0usize, g, budget)
+                                try_fill_upper(n, layout, band, || 0usize, g, drop, budget)
+                                    .map(|(data, _)| data)
                             })
                         };
                         let at = format!("n={n} {layout:?} band={band} threads={threads}");
@@ -521,9 +531,10 @@ mod tests {
             2,
             || (),
             pairwise(f),
+            drop,
             &RunBudget::unlimited(),
         );
-        assert_eq!(full.map(|d| d[0]), Ok(f(0, 1)));
+        assert_eq!(full.map(|(d, _)| d[0]), Ok(f(0, 1)));
     }
 
     #[test]

@@ -8,16 +8,22 @@
 //! * `accumulate_row` leaves the same bits as the per-element loop on
 //!   every oracle kind;
 //! * a caller's oracle with more distinct distances than codes still
-//!   restricts, densifies and samples.
+//!   restricts, densifies and samples;
+//! * the cost, lower bound and `E_D` a coded matrix of total or `Coin(½)`
+//!   inputs reports as exact integers over its scale equal the pair sums,
+//!   at any thread count, and an edited matrix goes back to the pair pass.
 
 use aggclust_core::algorithms::balls::BallsParams;
 use aggclust_core::algorithms::sampling::{sampling, SamplingParams};
 use aggclust_core::algorithms::Algorithm;
 use aggclust_core::clustering::{Clustering, PartialClustering};
+use aggclust_core::cost::{correlation_cost, exact_cost, lower_bound};
+use aggclust_core::distance::total_disagreement;
 use aggclust_core::instance::{
     ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle,
 };
-use aggclust_core::{MissingPolicy, RunBudget, RunCtx};
+use aggclust_core::parallel::with_num_threads;
+use aggclust_core::{ConsensusBuilder, MissingPolicy, RunBudget, RunCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -174,4 +180,156 @@ fn sampling_runs_on_a_caller_oracle_with_continuous_distances() {
     let params = SamplingParams::new(400, Algorithm::Balls(BallsParams::default()), 1);
     let details = sampling(&oracle, &params, &mut RunCtx::new(&RunBudget::unlimited())).unwrap();
     assert_eq!(details.clustering.len(), 600);
+}
+
+/// `(d(C), lower bound)` by a serial per-pair `f64` sum, and the same two
+/// as exact numerators `Σ round(den·X)` over `den`.
+fn pair_sums(oracle: &impl DistanceOracle, c: &Clustering, den: u32) -> ((f64, f64), (u64, u64)) {
+    let (mut cost, mut bound) = (0.0, 0.0);
+    let (mut cost_num, mut bound_num) = (0u64, 0u64);
+    for u in 0..oracle.len() {
+        for v in u + 1..oracle.len() {
+            let x = oracle.dist(u, v);
+            let num = (x * f64::from(den)).round() as u64;
+            let den = u64::from(den);
+            bound += x.min(1.0 - x);
+            bound_num += num.min(den - num);
+            if c.same_cluster(u, v) {
+                cost += x;
+                cost_num += num;
+            } else {
+                cost += 1.0 - x;
+                cost_num += den - num;
+            }
+        }
+    }
+    ((cost, bound), (cost_num, bound_num))
+}
+
+/// Random total and `Coin(½)` instances with a candidate clustering each.
+fn exact_cases() -> Vec<(String, CorrelationInstance, Clustering)> {
+    let mut cases = Vec::new();
+    for seed in 0..6u64 {
+        let n = 20 + 13 * seed as usize;
+        let m = 2 + seed as usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let candidate = Clustering::from_labels((0..n).map(|_| rng.gen_range(0..4)).collect());
+        let total =
+            CorrelationInstance::from_partial(total_inputs(n, m, seed), MissingPolicy::Coin(0.5));
+        let coin =
+            CorrelationInstance::from_partial(partial_inputs(n, m, seed), MissingPolicy::Coin(0.5));
+        cases.push((format!("total n={n} m={m}"), total, candidate.clone()));
+        cases.push((format!("coin(1/2) n={n} m={m}"), coin, candidate));
+    }
+    cases
+}
+
+#[test]
+fn exact_cost_and_bound_equal_the_pair_sums() {
+    for (at, instance, c) in exact_cases() {
+        let dense = instance.dense_oracle();
+        let den = dense.exact_scale().expect("a proven scale");
+        assert!(dense.exact_codes().is_some(), "{at}: exact codes");
+        let ((cost_f64, bound_f64), (cost_num, bound_num)) = pair_sums(&dense, &c, den);
+        let cost = correlation_cost(&dense, &c);
+        let bound = lower_bound(&dense);
+        assert!(
+            (cost - cost_f64).abs() <= 1e-9 * cost_f64,
+            "{at}: {cost} vs {cost_f64}"
+        );
+        assert!(
+            (bound - bound_f64).abs() <= 1e-9 * bound_f64,
+            "{at}: {bound} vs {bound_f64}"
+        );
+        // The one rounding of the independently summed numerators.
+        let exact = exact_cost(&dense, &c).expect("exact cost");
+        assert_eq!((exact.num, exact.den), (cost_num, den), "{at}");
+        assert_eq!(
+            cost.to_bits(),
+            (cost_num as f64 / f64::from(den)).to_bits(),
+            "{at}"
+        );
+        assert_eq!(
+            bound.to_bits(),
+            (bound_num as f64 / f64::from(den)).to_bits(),
+            "{at}"
+        );
+        // The lazy oracle keeps the pair pass.
+        let lazy = instance.lazy_oracle();
+        assert!(lazy.exact_codes().is_none(), "{at}");
+        assert!(
+            (correlation_cost(&lazy, &c) - cost).abs() <= 1e-9 * cost,
+            "{at}"
+        );
+    }
+}
+
+#[test]
+fn exact_disagreements_count_the_total_inputs_exactly() {
+    for seed in 0..4u64 {
+        let (n, m) = (30 + 11 * seed as usize, 3 + seed as usize);
+        let inputs: Vec<Clustering> = total_inputs(n, m, seed)
+            .iter()
+            .map(PartialClustering::complete_with_singletons)
+            .collect();
+        let dense = DenseOracle::from_clusterings(&inputs);
+        let mut rng = StdRng::seed_from_u64(seed + 100);
+        for _ in 0..5 {
+            let c = Clustering::from_labels((0..n).map(|_| rng.gen_range(0..5)).collect());
+            let exact = exact_cost(&dense, &c).expect("exact cost");
+            assert_eq!(exact.disagreements(m), total_disagreement(&inputs, &c));
+        }
+        // The pipeline that does not recount reports the same integer.
+        let partial = inputs.iter().map(PartialClustering::from_total).collect();
+        let result = ConsensusBuilder::new()
+            .try_aggregate_partial(partial)
+            .unwrap();
+        assert_eq!(
+            result.disagreements,
+            total_disagreement(&inputs, &result.clustering),
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn exact_totals_are_the_same_at_any_thread_count() {
+    for (at, instance, c) in exact_cases() {
+        let read = |threads| {
+            with_num_threads(threads, || {
+                let dense = instance.dense_oracle();
+                let codes = dense.exact_codes().expect("exact codes");
+                (
+                    codes.split_numerator(),
+                    codes.bound_numerator(),
+                    exact_cost(&dense, &c),
+                )
+            })
+        };
+        assert_eq!(read(1), read(4), "{at}");
+    }
+}
+
+#[test]
+fn an_edited_matrix_falls_back_to_the_pair_pass() {
+    let (_, instance, c) = exact_cases().swap_remove(0);
+    let mut dense = instance.dense_oracle();
+    let den = dense.exact_scale().expect("a proven scale");
+    // A value the matrix already codes keeps the scale, but the fill's
+    // totals no longer describe the matrix.
+    let x = dense.dist(0, 2);
+    dense.set(0, 1, x);
+    assert_eq!(dense.exact_scale(), Some(den));
+    assert!(dense.exact_codes().is_none());
+    assert!(exact_cost(&dense, &c).is_none());
+    let ((cost_f64, bound_f64), _) = pair_sums(&dense, &c, den);
+    assert!((correlation_cost(&dense, &c) - cost_f64).abs() <= 1e-9 * cost_f64);
+    assert!((lower_bound(&dense) - bound_f64).abs() <= 1e-9 * bound_f64);
+    // Restricted and caller-built matrices never carry totals.
+    assert!(instance
+        .dense_oracle()
+        .restrict(&[0, 1, 2])
+        .exact_codes()
+        .is_none());
+    assert!(DenseOracle::from_fn(5, |_, _| 0.5).exact_codes().is_none());
 }

@@ -10,9 +10,12 @@ use aggclust_core::distance::{
     disagreement_distance, disagreement_distance_naive, total_disagreement,
 };
 use aggclust_core::exact::optimal_clustering;
-use aggclust_core::instance::{DenseOracle, DistanceOracle};
-use aggclust_core::{RunBudget, RunCtx};
+use aggclust_core::instance::{ClusteringsOracle, DenseOracle, DistanceOracle};
+use aggclust_core::parallel::with_num_threads;
+use aggclust_core::snapshot::{load_snapshot, AlgorithmSnapshot, Checkpointer, SnapshotLoad};
+use aggclust_core::{RunBudget, RunCtx, RunStatus};
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// `algorithm` on `oracle` under an unlimited budget.
 fn run<O: DistanceOracle + Sync>(algorithm: &Algorithm, oracle: &O) -> Clustering {
@@ -254,4 +257,203 @@ proptest! {
             3.0 * opt.cost
         );
     }
+}
+
+/// The LOCALSEARCH descent as it ran before its candidate scan was
+/// compacted: every cluster id ever used is a slot, empty ones skipped by
+/// a branch, sizes kept as `usize`, fresh singletons appended. The
+/// equivalence tests below hold the library to its labels.
+fn slot_walk_local_search<O: DistanceOracle + ?Sized>(
+    oracle: &O,
+    start: &[u32],
+    max_passes: usize,
+) -> Clustering {
+    const EPSILON: f64 = 1e-9;
+    let n = oracle.len();
+    let mut labels = start.to_vec();
+    if n <= 1 {
+        return Clustering::from_labels(labels);
+    }
+    let mut sizes = vec![0usize; labels.iter().max().map_or(0, |&l| l as usize + 1)];
+    for &l in &labels {
+        sizes[l as usize] += 1;
+    }
+    let mut m_sums: Vec<f64> = Vec::new();
+    for _ in 0..max_passes {
+        let mut moved = false;
+        for v in 0..n {
+            let k = sizes.len();
+            m_sums.clear();
+            m_sums.resize(k, 0.0);
+            let t_v = oracle.accumulate_row(v, &labels, &mut m_sums);
+            let cur = labels[v] as usize;
+            let others = (n - 1) as f64;
+            let move_cost = |i: usize, sizes: &[usize]| {
+                let size_wo_v = sizes[i] - usize::from(i == cur);
+                2.0 * m_sums[i] - t_v + others - size_wo_v as f64
+            };
+            let singleton_cost = others - t_v;
+            let (mut best_i, mut best_cost) = (usize::MAX, singleton_cost);
+            for i in 0..k {
+                if sizes[i] == 0 && i != cur {
+                    continue;
+                }
+                let c = move_cost(i, &sizes);
+                if c < best_cost {
+                    best_cost = c;
+                    best_i = i;
+                }
+            }
+            let cur_cost = move_cost(cur, &sizes);
+            if best_cost < cur_cost - EPSILON && best_i != cur {
+                sizes[cur] -= 1;
+                let target = if best_i == usize::MAX {
+                    sizes.push(0);
+                    sizes.len() - 1
+                } else {
+                    best_i
+                };
+                sizes[target] += 1;
+                labels[v] = target as u32;
+                moved = true;
+            }
+        }
+        if !moved {
+            break;
+        }
+    }
+    Clustering::from_labels(labels)
+}
+
+/// The start labels `init` gives LOCALSEARCH: a zero-pass run returns them
+/// (normalized, as every start is).
+fn start_labels<O: DistanceOracle + Sync>(oracle: &O, init: &LocalSearchInit) -> Vec<u32> {
+    let params = LocalSearchParams {
+        init: init.clone(),
+        max_passes: 0,
+    };
+    run(&Algorithm::LocalSearch(params), oracle)
+        .labels()
+        .to_vec()
+}
+
+/// LOCALSEARCH from `init` labels `oracle` exactly as the slot walk does,
+/// at 1 and 2 threads.
+fn assert_matches_the_slot_walk<O: DistanceOracle + Sync>(
+    oracle: &O,
+    init: &LocalSearchInit,
+    at: &str,
+) {
+    let expected = slot_walk_local_search(oracle, &start_labels(oracle, init), 200);
+    for threads in [1, 2] {
+        let params = LocalSearchParams {
+            init: init.clone(),
+            max_passes: 200,
+        };
+        let got = with_num_threads(threads, || run(&Algorithm::LocalSearch(params), oracle));
+        assert_eq!(got, expected, "{at} at {threads} threads");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Compacting cluster ids and the branch-free candidate scan change no
+    /// decision: the coded dense, `from_fn` and lazy oracles, from
+    /// singletons, a random start and a given start, all give the slot
+    /// walk's labels. The `from_fn` distances are multiples of 1/6, so
+    /// candidate costs tie often and the first-slot tie-break is exercised.
+    #[test]
+    fn local_search_matches_the_full_slot_walk(
+        (inputs, given, coarse, seed) in (2usize..70).prop_flat_map(|n| {
+            (
+                clusterings_strategy(n, 2..6, 5),
+                clustering_strategy(n, 4),
+                prop::collection::vec(0u32..7, n * n),
+                any::<u64>(),
+            )
+        })
+    ) {
+        let n = given.len();
+        let dense = DenseOracle::from_clusterings(&inputs);
+        let from_fn = DenseOracle::from_fn(n, |u, v| f64::from(coarse[u * n + v]) / 6.0);
+        let lazy = ClusteringsOracle::from_total(&inputs);
+        let inits = [
+            LocalSearchInit::Singletons,
+            LocalSearchInit::Random { k: 3, seed },
+            LocalSearchInit::Given(given),
+        ];
+        for init in &inits {
+            assert_matches_the_slot_walk(&dense, init, &format!("coded dense, {init:?}"));
+            assert_matches_the_slot_walk(&from_fn, init, &format!("from_fn, {init:?}"));
+            assert_matches_the_slot_walk(&lazy, init, &format!("lazy, {init:?}"));
+        }
+    }
+}
+
+#[test]
+fn local_search_resumed_just_after_a_compaction_matches_the_uninterrupted_run() {
+    // 60 objects in 6 planted blocks, two noisy inputs: from singletons the
+    // first pass merges most slots away, so ids are compacted several
+    // times. A snapshot whose largest label is below the previous one's
+    // was taken right after a compaction.
+    let n = 60;
+    let inputs: Vec<Clustering> = (0..3)
+        .map(|i| {
+            Clustering::from_labels(
+                (0..n)
+                    .map(|v| ((v / 10 + usize::from(v % (7 + i) == 0)) % 6) as u32)
+                    .collect(),
+            )
+        })
+        .collect();
+    let oracle = DenseOracle::from_clusterings(&inputs);
+    let params = LocalSearchParams::default();
+    let ctx_run = |budget: &RunBudget,
+                   resume: Option<&AlgorithmSnapshot>,
+                   ckpt: Option<&mut Checkpointer>| {
+        Algorithm::LocalSearch(params.clone())
+            .run(
+                &oracle,
+                &mut RunCtx {
+                    budget,
+                    resume,
+                    ckpt,
+                },
+            )
+            .unwrap()
+    };
+    let full = ctx_run(&RunBudget::unlimited(), None, None);
+    assert_eq!(
+        full.clustering,
+        slot_walk_local_search(&oracle, &start_labels(&oracle, &params.init), 200)
+    );
+    let dir = std::env::temp_dir().join(format!("aggclust_ls_compaction_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ckpt.bin");
+    let mut previous_slots = n as u32;
+    let mut after_compaction = 0;
+    for cap in 1..full.iterations {
+        // Only the final checkpoint at the interrupt is written.
+        let mut ckpt = Checkpointer::new(&path, Duration::from_secs(3600));
+        let budget = RunBudget::unlimited().with_max_iters(cap);
+        let partial = ctx_run(&budget, None, Some(&mut ckpt));
+        assert_eq!(partial.status, RunStatus::BudgetExceeded, "cap {cap}");
+        let SnapshotLoad::Loaded(snap) = load_snapshot(&path) else {
+            panic!("cap {cap}: no snapshot");
+        };
+        let AlgorithmSnapshot::LocalSearch(ls) = &snap.state else {
+            panic!("cap {cap}: wrong snapshot variant");
+        };
+        let slots = ls.labels.iter().max().map_or(0, |&l| l + 1);
+        if slots < previous_slots {
+            after_compaction += 1;
+            let resumed = ctx_run(&RunBudget::unlimited(), Some(&snap.state), None);
+            assert_eq!(resumed.clustering, full.clustering, "cap {cap}");
+            assert_eq!(resumed.iterations, full.iterations, "cap {cap}");
+        }
+        previous_slots = slots;
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(after_compaction > 0, "no snapshot followed a compaction");
 }
