@@ -10,7 +10,8 @@
 #   Phase B — 16 clock-skew / delay / alloc plans. Runs may be cut short
 #             (anytime contract) but must exit with a documented code,
 #             never panic, and always write full-length labels.
-#   Phase C — typed-error check: an injected dataset-read failure must
+#   Phase C — typed-error check: an injected dataset-read failure, and an
+#             injected failure to create the --trace-out file, must
 #             surface as exit 3 (I/O error), not a panic or exit 101.
 #   Phase D — determinism: the same plan and seed replay the same
 #             injection sequence ("fault injected at ..." stderr lines).
@@ -124,6 +125,14 @@ if [ "$code" -ne 3 ]; then
 fi
 grep -q "panicked" "$WORK/c.err" && { echo "FAIL: panic"; exit 1; }
 echo "OK: injected dataset-read fault surfaced as exit 3"
+code=0
+"$BIN" "${args[@]}" --output "$WORK/c.txt" --trace-out "$WORK/c.jsonl" \
+    --fault-plan "trace.create=io_error" 2> "$WORK/c.err" || code=$?
+if [ "$code" -ne 3 ] || ! grep -q "creating trace file" "$WORK/c.err"; then
+    echo "FAIL: expected exit 3 for an injected trace-file failure, got $code"
+    cat "$WORK/c.err"; exit 1
+fi
+echo "OK: injected trace-file fault surfaced as exit 3"
 
 echo "== phase D: same plan + seed => same injection sequence =="
 # Checkpoint cadence 0 saves on every iteration, so with --threads 1 the

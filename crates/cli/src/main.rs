@@ -52,7 +52,8 @@ COMMON OPTIONS:
                           (overrides RAYON_NUM_THREADS; default: auto)
     --log-level LEVEL     stderr verbosity: error | warn | info (default) |
                           debug | trace; the AGGCLUST_LOG environment
-                          variable sets the default, the flag wins
+                          variable sets the default (same names), the
+                          flag wins
     --trace-out PATH      write a machine-readable JSONL trace (one JSON
                           object per span/event) alongside the run
     --progress            render rate-limited progress heartbeats (phase,
@@ -126,17 +127,18 @@ fn main() -> ExitCode {
         eprintln!("error: {}", e.message()); // lint:allow-eprintln
         return ExitCode::from(e.exit_code());
     }
-    let telemetry = match telemetry::init(&args) {
-        Ok(telemetry) => telemetry,
+    // Armed for the whole process, before the trace file is created, so
+    // every site the run touches is in scope (`trace.create` included);
+    // dropping the guard at exit disarms them again.
+    let _fault_guard = match arm_fault_plan(&args) {
+        Ok(guard) => guard,
         Err(e) => {
             eprintln!("error: {}", e.message()); // lint:allow-eprintln
             return ExitCode::from(e.exit_code());
         }
     };
-    // Armed for the whole process so every site the run touches is in
-    // scope; dropping the guard at exit disarms them again.
-    let _fault_guard = match arm_fault_plan(&args) {
-        Ok(guard) => guard,
+    let telemetry = match telemetry::init(&args) {
+        Ok(telemetry) => telemetry,
         Err(e) => {
             eprintln!("error: {}", e.message()); // lint:allow-eprintln
             return ExitCode::from(e.exit_code());

@@ -870,3 +870,118 @@ fn exact_flag_solves_small_instances() {
     assert_eq!(labels, vec!["0", "1", "0", "1", "2", "2"]);
     fs::remove_file(input).ok();
 }
+
+#[test]
+fn a_mistyped_aggclust_log_is_a_usage_error_unless_the_flag_wins() {
+    let input = tmp("log-env.csv", FIGURE1);
+    let run = |extra: &[&str]| {
+        bin()
+            .env("AGGCLUST_LOG", "loud")
+            .args(["aggregate", "--input", input.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let out = run(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("AGGCLUST_LOG"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let out = run(&["--log-level", "warn"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    fs::remove_file(input).ok();
+}
+
+/// One warning under `--log-level trace --trace-out`, with and without
+/// `--progress`: the stderr log, the JSONL trace and the heartbeat lines
+/// are all rendered by the one installed collector.
+#[test]
+fn trace_level_logs_spans_and_the_trace_pairs_them() {
+    let input = tmp("trace-level.csv", &planted_csv(300, 6));
+    let trace = std::env::temp_dir().join("aggclust-cli-trace-level.jsonl");
+    for progress in [false, true] {
+        let mut cmd = bin();
+        cmd.env("AGGCLUST_SIMD", "avx512")
+            .args(["aggregate", "--input", input.to_str().unwrap()])
+            .args([
+                "--log-level",
+                "trace",
+                "--trace-out",
+                trace.to_str().unwrap(),
+            ]);
+        if progress {
+            cmd.arg("--progress");
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "--progress {progress}: {stderr}"
+        );
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.starts_with("[trace] span consensus opened [n=300 ")),
+            "{stderr}"
+        );
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.starts_with("[debug] span consensus closed in ")
+                    && l.contains(" ms [n=300 ")),
+            "{stderr}"
+        );
+        let warnings = lines
+            .iter()
+            .filter(|l| l.starts_with("warning: unknown AGGCLUST_SIMD value"))
+            .count();
+        assert_eq!(warnings, 1, "{stderr}");
+
+        let records = fs::read_to_string(&trace).unwrap();
+        let warn_events = records
+            .lines()
+            .filter(|r| {
+                r.starts_with(r#"{"type":"event","#)
+                    && r.contains(r#""level":"warn","message":"unknown AGGCLUST_SIMD value"#)
+            })
+            .count();
+        assert_eq!(warn_events, 1, "{records}");
+        let ids = |kind: &str| {
+            let mut ids: Vec<u64> = records
+                .lines()
+                .filter(|r| r.starts_with(&format!(r#"{{"type":"{kind}","#)))
+                .map(|r| {
+                    let rest = r.split(r#","id":"#).nth(1).unwrap();
+                    rest.split(',').next().unwrap().parse().unwrap()
+                })
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let starts = ids("span_start");
+        assert!(!starts.is_empty(), "{records}");
+        assert_eq!(starts, ids("span_end"), "{records}");
+    }
+    fs::remove_file(input).ok();
+    fs::remove_file(trace).ok();
+}
+
+#[test]
+fn a_fault_plan_reaches_the_trace_file() {
+    let input = tmp("trace-fault.csv", FIGURE1);
+    let trace = std::env::temp_dir().join("aggclust-cli-trace-fault.jsonl");
+    let out = bin()
+        .args(["aggregate", "--input", input.to_str().unwrap()])
+        .args(["--trace-out", trace.to_str().unwrap()])
+        .args(["--fault-plan", "trace.create=io_error"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("creating trace file"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    fs::remove_file(input).ok();
+    fs::remove_file(trace).ok();
+}

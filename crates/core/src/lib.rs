@@ -84,17 +84,20 @@ pub mod test_support;
 
 /// Thin observability facade: one import (`use aggclust_core::obs;` or
 /// `use aggclust_core::obs::*;`) brings in the span/event macros, the
-/// [`telemetry::Collector`] plumbing, the metrics registry, and the
-/// mockable [`telemetry::Clock`]. Downstream crates (cli, bench) use this
-/// instead of reaching into [`telemetry`] piecemeal.
+/// [`telemetry::Collector`] plumbing, the metrics registry, the run report
+/// and the mockable [`telemetry::Clock`]. The library ships no collector:
+/// the `aggclust` CLI installs its own, which renders the stderr log, the
+/// `--progress` lines and the `--trace-out` JSONL. Downstream crates (cli,
+/// bench) use this facade instead of reaching into [`telemetry`]
+/// piecemeal.
 pub mod obs {
     pub use crate::kernels::dispatch as simd_dispatch;
     pub use crate::telemetry::{
         clear_collector, collector_active, current_tid, dispatch_event, host_report_json,
-        install_collector, metrics, metrics_enabled, run_report_json, set_metrics_enabled,
-        set_timing_clock, span_stats, timing_now_ns, Cadence, Clock, Collector, Counter, Event,
-        Gauge, Heartbeat, JsonlSink, Level, MaxGauge, MetricsSnapshot, ProgressSink, SpanData,
-        SpanGuard, SpanStats, SpanTiming, StderrSink, TeeCollector, TimingsSnapshot, Value,
+        install_collector, json_string, metrics, metrics_enabled, run_report_json,
+        set_metrics_enabled, set_timing_clock, span_stats, timing_now_ns, Cadence, Clock,
+        Collector, Counter, Event, Gauge, Heartbeat, Level, MaxGauge, MetricsSnapshot, SpanData,
+        SpanGuard, SpanStats, SpanTiming, TimingsSnapshot, Value,
     };
     pub use crate::{event, info, span, warn};
 }

@@ -30,12 +30,11 @@
 //!   events (phase, done/total, memory, deadline remaining, ETA) from
 //!   the algorithm loops; [`Cadence`] is the shared "has the period
 //!   elapsed" ticker also used by [`crate::snapshot::Checkpointer`].
-//! * **Sinks** — [`StderrSink`] (a leveled human logger, filterable via
-//!   the `AGGCLUST_LOG` environment variable or CLI `--log-level`),
-//!   [`JsonlSink`] (one JSON object per span/event for `--trace-out`),
-//!   and [`TeeCollector`] to fan out to several sinks at once.
-//!   [`MetricsSnapshot::to_json`] renders the registry as the
-//!   machine-readable run report behind `--metrics-out`.
+//! * **Run report** — [`run_report_json`] renders the host block, the
+//!   span timings, the fault log and the registry
+//!   ([`MetricsSnapshot::to_json`]) as one JSON object. How spans and
+//!   events reach a terminal or a trace file is the embedding tool's
+//!   choice: the `aggclust` CLI installs its own [`Collector`].
 //! * **Clock** — [`Clock`] is the monotonic time source used by
 //!   [`crate::robust::RunBudget`] deadlines and
 //!   [`crate::snapshot::Checkpointer`] cadence; [`Clock::mock`] gives
@@ -43,9 +42,8 @@
 //!   without real sleeps.
 
 use std::cell::RefCell;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -77,17 +75,8 @@ impl Level {
             "info" => Some(Level::Info),
             "debug" => Some(Level::Debug),
             "trace" => Some(Level::Trace),
-            "off" | "none" => None,
             _ => None,
         }
-    }
-
-    /// The level requested by the `AGGCLUST_LOG` environment variable, if
-    /// set to a recognized name.
-    pub fn from_env() -> Option<Level> {
-        std::env::var("AGGCLUST_LOG")
-            .ok()
-            .and_then(|s| Level::parse(&s))
     }
 
     /// Lower-case display name (`"warn"`, `"info"`, ...).
@@ -1421,337 +1410,19 @@ pub fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
-fn fields_json(fields: &[(&'static str, Value)]) -> String {
-    let mut s = String::from("{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&json_string(k));
-        s.push(':');
-        s.push_str(&v.to_json());
-    }
-    s.push('}');
-    s
-}
-
-// ---------------------------------------------------------------------------
-// Sinks
-// ---------------------------------------------------------------------------
-
-/// A leveled human logger writing one line per event to stderr. Span
-/// closes are logged at [`Level::Debug`], span opens at [`Level::Trace`].
-///
-/// Line format follows CLI conventions so routing a message through the
-/// logger is byte-identical to the `eprintln!` it replaces: errors are
-/// prefixed `error: `, warnings `warning: `, info lines are bare.
-/// Structured fields are appended only when the sink's threshold is
-/// [`Level::Debug`] or chattier — the machine-readable home for fields is
-/// [`JsonlSink`], not the human log.
-#[derive(Debug)]
-pub struct StderrSink {
-    min: Level,
-}
-
-impl StderrSink {
-    /// Log events at `min` and below (toward [`Level::Error`]).
-    pub fn new(min: Level) -> StderrSink {
-        StderrSink { min }
-    }
-
-    fn fields_suffix(&self, fields: &[(&'static str, Value)]) -> String {
-        if self.min >= Level::Debug {
-            fields_human(fields)
-        } else {
-            String::new()
-        }
-    }
-}
-
-fn fields_human(fields: &[(&'static str, Value)]) -> String {
-    if fields.is_empty() {
-        return String::new();
-    }
-    let parts: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    format!(" [{}]", parts.join(" "))
-}
-
-impl Collector for StderrSink {
-    fn enabled(&self, level: Level) -> bool {
-        level <= self.min
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        let prefix = match event.level {
-            Level::Error => "error: ",
-            Level::Warn => "warning: ",
-            Level::Info => "",
-            Level::Debug => "[debug] ",
-            Level::Trace => "[trace] ",
-        };
-        // The stderr sink IS the error-reporting path for telemetry.
-        eprintln!(
-            "{prefix}{}{}",
-            event.message,
-            self.fields_suffix(event.fields)
-        ); // lint:allow-eprintln
-    }
-
-    fn span_start(&self, span: &SpanData) {
-        if self.enabled(Level::Trace) {
-            eprintln!(
-                "[trace] span {} opened{}",
-                span.name,
-                fields_human(&span.fields)
-            ); // lint:allow-eprintln
-        }
-    }
-
-    fn span_end(&self, span: &SpanData, elapsed: Duration) {
-        if self.enabled(Level::Debug) {
-            eprintln!(
-                "[debug] span {} closed in {:.3} ms{}",
-                span.name,
-                elapsed.as_secs_f64() * 1e3,
-                fields_human(&span.fields)
-            ); // lint:allow-eprintln
-        }
-    }
-}
-
-/// Renders only the rate-limited `progress` heartbeats (see [`Heartbeat`])
-/// as single human-readable stderr lines, ignoring every other event and
-/// all spans. Meant to ride in a [`TeeCollector`] next to a quieter
-/// [`StderrSink`]: the CLI's `--progress` flag without dragging the whole
-/// debug firehose along.
-///
-/// Line shape (fields appear when the heartbeat carried them):
-///
-/// ```text
-/// progress: local_search 2500/5000 (50.0%) elapsed 1.2s eta 1.3s mem 12.4 MB deadline 3.0s
-/// ```
-#[derive(Debug, Default)]
-pub struct ProgressSink;
-
-impl ProgressSink {
-    /// A fresh progress renderer.
-    pub fn new() -> ProgressSink {
-        ProgressSink
-    }
-}
-
-fn field_u64(fields: &[(&'static str, Value)], key: &str) -> Option<u64> {
-    fields.iter().find_map(|(k, v)| match v {
-        Value::U64(x) if *k == key => Some(*x),
-        _ => None,
-    })
-}
-
-fn human_secs(ms: u64) -> String {
-    format!("{:.1}s", ms as f64 / 1e3)
-}
-
-impl Collector for ProgressSink {
-    fn enabled(&self, level: Level) -> bool {
-        // Heartbeats are emitted at Debug; chattier levels are not needed.
-        level <= Level::Debug
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        if event.message != "progress" {
-            return;
-        }
-        let phase = event
-            .fields
-            .iter()
-            .find_map(|(k, v)| match v {
-                Value::Str(s) if *k == "phase" => Some(s.as_str()),
-                _ => None,
-            })
-            .unwrap_or("?");
-        let done = field_u64(event.fields, "done").unwrap_or(0);
-        let total = field_u64(event.fields, "total").unwrap_or(0);
-        let mut line = format!("progress: {phase} {done}/{total}");
-        if total > 0 {
-            line.push_str(&format!(" ({:.1}%)", 100.0 * done as f64 / total as f64));
-        }
-        if let Some(ms) = field_u64(event.fields, "elapsed_ms") {
-            line.push_str(&format!(" elapsed {}", human_secs(ms)));
-        }
-        if let Some(ms) = field_u64(event.fields, "eta_ms") {
-            line.push_str(&format!(" eta {}", human_secs(ms)));
-        }
-        if let Some(bytes) = field_u64(event.fields, "mem_bytes") {
-            line.push_str(&format!(" mem {:.1} MB", bytes as f64 / (1 << 20) as f64));
-        }
-        if let Some(ms) = field_u64(event.fields, "deadline_remaining_ms") {
-            line.push_str(&format!(" deadline {}", human_secs(ms)));
-        }
-        eprintln!("{line}"); // lint:allow-eprintln
-    }
-
-    fn span_start(&self, _span: &SpanData) {}
-
-    fn span_end(&self, _span: &SpanData, _elapsed: Duration) {}
-}
-
-/// A machine-readable trace sink: one JSON object per line (JSONL), one
-/// line per event / span start / span end.
-///
-/// Record shapes (`tid` is [`current_tid`] — the key for rebuilding
-/// per-thread span stacks offline):
-///
-/// ```json
-/// {"type":"event","ts_ns":123,"tid":1,"level":"info","message":"...","fields":{...}}
-/// {"type":"span_start","ts_ns":123,"tid":1,"span":"balls","id":7,"fields":{...}}
-/// {"type":"span_end","ts_ns":456,"tid":1,"span":"balls","id":7,"elapsed_ns":333,"fields":{...}}
-/// ```
-pub struct JsonlSink {
-    out: Mutex<Box<dyn Write + Send>>,
-    clock: Clock,
-    max: Level,
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink").field("max", &self.max).finish()
-    }
-}
-
-impl JsonlSink {
-    /// Trace into any writer, recording events at `max` and below.
-    pub fn new(out: Box<dyn Write + Send>, max: Level) -> JsonlSink {
-        JsonlSink {
-            out: Mutex::new(out),
-            clock: Clock::system(),
-            max,
-        }
-    }
-
-    /// Trace into a freshly created (truncated) file.
-    pub fn to_file(path: &std::path::Path, max: Level) -> std::io::Result<JsonlSink> {
-        let file = crate::iofs::create("trace.create", path)?;
-        Ok(JsonlSink::new(Box::new(std::io::BufWriter::new(file)), max))
-    }
-
-    fn write_line(&self, line: String) {
-        if let Ok(mut out) = self.out.lock() {
-            // A full disk should not take the algorithm down with it.
-            let _ = writeln!(out, "{line}");
-            let _ = out.flush();
-        }
-    }
-}
-
-impl Collector for JsonlSink {
-    fn enabled(&self, level: Level) -> bool {
-        level <= self.max
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        self.write_line(format!(
-            "{{\"type\":\"event\",\"ts_ns\":{},\"tid\":{},\"level\":{},\"message\":{},\"fields\":{}}}",
-            self.clock.now_ns(),
-            current_tid(),
-            json_string(event.level.as_str()),
-            json_string(event.message),
-            fields_json(event.fields),
-        ));
-    }
-
-    fn span_start(&self, span: &SpanData) {
-        self.write_line(format!(
-            "{{\"type\":\"span_start\",\"ts_ns\":{},\"tid\":{},\"span\":{},\"id\":{},\"fields\":{}}}",
-            self.clock.now_ns(),
-            current_tid(),
-            json_string(span.name),
-            span.id,
-            fields_json(&span.fields),
-        ));
-    }
-
-    fn span_end(&self, span: &SpanData, elapsed: Duration) {
-        self.write_line(format!(
-            "{{\"type\":\"span_end\",\"ts_ns\":{},\"tid\":{},\"span\":{},\"id\":{},\"elapsed_ns\":{},\"fields\":{}}}",
-            self.clock.now_ns(),
-            current_tid(),
-            json_string(span.name),
-            span.id,
-            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            fields_json(&span.fields),
-        ));
-    }
-}
-
-/// Fans spans and events out to several collectors.
-#[derive(Default)]
-pub struct TeeCollector {
-    sinks: Vec<Arc<dyn Collector>>,
-}
-
-impl std::fmt::Debug for TeeCollector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeCollector")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl TeeCollector {
-    /// An empty tee (drops everything until sinks are added).
-    pub fn new() -> TeeCollector {
-        TeeCollector::default()
-    }
-
-    /// Add a sink.
-    pub fn push(&mut self, sink: Arc<dyn Collector>) {
-        self.sinks.push(sink);
-    }
-
-    /// `true` when no sinks are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl Collector for TeeCollector {
-    fn enabled(&self, level: Level) -> bool {
-        self.sinks.iter().any(|s| s.enabled(level))
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        for s in &self.sinks {
-            if s.enabled(event.level) {
-                s.event(event);
-            }
-        }
-    }
-
-    fn span_start(&self, span: &SpanData) {
-        for s in &self.sinks {
-            s.span_start(span);
-        }
-    }
-
-    fn span_end(&self, span: &SpanData, elapsed: Duration) {
-        for s in &self.sinks {
-            s.span_end(span, elapsed);
-        }
-    }
-}
-
 /// Serializes the library tests that touch process-global state: those
 /// that flip the collector or the metrics switch, read global counter
 /// deltas. The rest of the suite runs in parallel threads.
 #[cfg(test)]
 pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Records every span and event as one line: `event <level>
     /// <message>`, `span_start <name>` or `span_end <name>`, each followed
@@ -1769,6 +1440,15 @@ mod tests {
                 r.push(s);
             }
         }
+    }
+
+    /// ` [k=v k=v]`, or nothing for no fields.
+    fn fields_human(fields: &[(&'static str, Value)]) -> String {
+        if fields.is_empty() {
+            return String::new();
+        }
+        let parts: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        format!(" [{}]", parts.join(" "))
     }
 
     impl Collector for Recorder {
@@ -2017,48 +1697,6 @@ mod tests {
             });
         }
         assert!(!evaluated.get());
-    }
-
-    #[test]
-    fn jsonl_sink_emits_valid_lines() {
-        use std::sync::Arc as StdArc;
-        #[derive(Clone, Default)]
-        struct Shared(StdArc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = Shared::default();
-        let sink = JsonlSink::new(Box::new(buf.clone()), Level::Trace);
-        sink.event(&Event {
-            level: Level::Info,
-            message: "m\"sg",
-            fields: &[("k", Value::F64(0.5))],
-        });
-        let span = SpanData {
-            name: "s",
-            id: 42,
-            fields: vec![("n", Value::U64(9))],
-        };
-        sink.span_start(&span);
-        sink.span_end(&span, Duration::from_nanos(77));
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"type\":\"event\""));
-        assert!(lines[0].contains("\"message\":\"m\\\"sg\""));
-        assert!(lines[0].contains("\"k\":0.5"));
-        assert!(lines[1].contains("\"type\":\"span_start\""));
-        assert!(lines[1].contains("\"id\":42"));
-        assert!(lines[2].contains("\"elapsed_ns\":77"));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
     }
 
     #[test]

@@ -60,10 +60,8 @@ enum Rec {
 
 /// Test double capturing the full span stream with the emitting thread's
 /// tid (collectors run inline on the instrumented thread, so
-/// [`current_tid`] here observes the same value a [`JsonlSink`] would
-/// stamp on the record).
-///
-/// [`JsonlSink`]: aggclust_core::telemetry::JsonlSink
+/// [`current_tid`] here observes the same value the CLI's `--trace-out`
+/// trace would stamp on the record).
 #[derive(Default)]
 struct RecordingCollector {
     recs: Mutex<Vec<Rec>>,
