@@ -5,13 +5,15 @@
 # singletons, reads every distance through the lazy oracle — and its labels
 # must be byte-identical to an unconstrained run at 1, 2 and 4 threads.
 #
-# Second case, AGGLOMERATIVE at n = 3000, m = 10, whose linkage copy sits
-# next to 18 MB of dense codes. Total inputs keep an 18 MB copy of exact
-# u32 sums: 20-30 MB caps hold the codes but not codes + copy, so each such
-# run must take the SAMPLING rung (warning, sampled result, exit 0); at
-# 40-60 MB both fit and the labels must match the unconstrained run. The
-# same input with every 7th label missing under `--missing ignore` has no
-# exact scale and keeps the 36 MB f64 copy: 20-50 MB sample, 60 MB fits.
+# Second case, AGGLOMERATIVE at n = 3000, m = 10, which merges in one
+# condensed triangle filled straight from the packed labels (no dense code
+# matrix next to it; the refinement builds its 18 MB of codes only once
+# the triangle is dropped). Total inputs keep an 18 MB triangle of exact
+# u32 sums: 10-15 MB caps cannot hold it, so each such run must take the
+# SAMPLING rung (warning, sampled result, exit 0); at 20-60 MB it fits and
+# the labels must match the unconstrained run byte for byte. The same
+# input with every 7th label missing under `--missing ignore` has no exact
+# scale and keeps a 36 MB f64 triangle: 20-30 MB sample, 40-60 MB fit.
 #
 # The caller wraps this script in `timeout 600`.
 set -euo pipefail
@@ -124,7 +126,7 @@ agglo_window() {
     "$BIN" aggregate --input "$csv" "$@" --output "$WORK/agglo-ref.txt" --log-level error
 
     for mb in $sample_caps; do
-        echo "== AGGLOMERATIVE capped ($name, --mem-budget-mb $mb: codes fit, codes + copy do not) =="
+        echo "== AGGLOMERATIVE capped ($name, --mem-budget-mb $mb: the triangle does not fit) =="
         "$BIN" aggregate --input "$csv" "$@" --mem-budget-mb "$mb" \
             --output "$WORK/agglo-capped.txt" 2> "$WORK/agglo-capped.err" || {
             echo "FAIL: capped AGGLOMERATIVE run exited $?"
@@ -149,7 +151,7 @@ agglo_window() {
     done
 
     for mb in $dense_caps; do
-        echo "== AGGLOMERATIVE capped ($name, --mem-budget-mb $mb: codes + copy fit) =="
+        echo "== AGGLOMERATIVE capped ($name, --mem-budget-mb $mb: the triangle fits) =="
         "$BIN" aggregate --input "$csv" "$@" --mem-budget-mb "$mb" \
             --output "$WORK/agglo-capped.txt" 2> "$WORK/agglo-capped.err" || {
             cat "$WORK/agglo-capped.err"
@@ -165,5 +167,5 @@ agglo_window() {
     done
 }
 
-agglo_window "total inputs, u32 sums" "$WORK/agglo.csv" "20 30" "40 50 60"
-agglo_window "Ignore, f64 copy" "$WORK/agglo-ignore.csv" "20 30 40 50" "60" --missing ignore
+agglo_window "total inputs, u32 sums" "$WORK/agglo.csv" "10 15" "20 30 40 50 60"
+agglo_window "Ignore, f64 triangle" "$WORK/agglo-ignore.csv" "20 30" "40 50 60" --missing ignore

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Perf-regression gate (ISSUE 9):
 #
-#   1. Run the pinned workload — n = 5000 planted 9-block input,
-#      LOCALSEARCH, --threads 1, --seed 0, AGGCLUST_SIMD=swar — and diff
-#      its run report against the committed baseline with aggclust-trace.
+#   1. Run each pinned workload — the n = 5000 planted 9-block input,
+#      --threads 1, --seed 0, AGGCLUST_SIMD=swar, once with LOCALSEARCH
+#      and once with AGGLOMERATIVE (both --no-refine) — and diff its run
+#      report against its committed baseline with aggclust-trace.
 #      Deterministic work counters are gated exactly (any drift means the
-#      algorithm did different work); span self-time *shares* are gated
-#      with a generous tolerance (absolute times do not transfer across
-#      machines, shares mostly do).
-#   2. Validate the committed baseline with `aggclust-trace check`, so a
+#      algorithm did different work; mem_high_water_bytes catches a second
+#      O(n^2) structure); span self-time *shares* are gated with a
+#      generous tolerance (absolute times do not transfer across machines,
+#      shares mostly do).
+#   2. Validate the committed baselines with `aggclust-trace check`, so a
 #      re-recorded baseline must pass the run-report schema. (The gate's
 #      self-test — doctored baselines must FAIL it, since a gate that
 #      cannot fail is not a gate — is crates/trace/tests/perf_gate.rs,
@@ -31,8 +33,15 @@ if [ ! -x "$TRACE_BIN" ]; then
     cargo build --release -q -p aggclust-trace
 fi
 
-BASELINE=ci/baselines/local_search_n5000.json
-[ -f "$BASELINE" ] || { echo "missing baseline $BASELINE" >&2; exit 1; }
+# Each pinned workload: its --algorithm and its committed baseline.
+WORKLOADS=(
+    "local-search ci/baselines/local_search_n5000.json"
+    "agglomerative ci/baselines/agglomerative_n5000.json"
+)
+for workload in "${WORKLOADS[@]}"; do
+    baseline=${workload#* }
+    [ -f "$baseline" ] || { echo "missing baseline $baseline" >&2; exit 1; }
+done
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -53,28 +62,33 @@ awk -v n=5000 'BEGIN {
 # wall-clock measurement could see it through the noise.
 GATED_COUNTERS=oracle_dense_evals,oracle_packed_evals,oracle_lazy_evals,ls_passes,ls_nodes_visited,ls_moves,kernels_row_batches,mem_high_water_bytes
 
+# run_workload ALGORITHM REPORT [TRACE]
 run_workload() {
     AGGCLUST_SIMD=swar "$BIN" aggregate --input "$WORK/in5000.csv" \
-        --algorithm local-search --no-refine --threads 1 --seed 0 \
-        --metrics-out "$1" --output /dev/null --log-level error \
-        ${2:+--trace-out "$2"}
+        --algorithm "$1" --no-refine --threads 1 --seed 0 \
+        --metrics-out "$2" --output /dev/null --log-level error \
+        ${3:+--trace-out "$3"}
 }
 
-echo "== pinned workload: n=5000 local-search, threads=1, swar tier =="
-run_workload "$WORK/current.json" "$WORK/trace.jsonl"
+for workload in "${WORKLOADS[@]}"; do
+    algorithm=${workload%% *}
+    baseline=${workload#* }
+    echo "== pinned workload: n=5000 $algorithm, threads=1, swar tier =="
+    run_workload "$algorithm" "$WORK/$algorithm.json" "$WORK/$algorithm.jsonl"
 
-echo "== gate: current vs committed baseline =="
-"$TRACE_BIN" diff --before "$BASELINE" --after "$WORK/current.json" \
-    --gate-counters "$GATED_COUNTERS" \
-    --share-tolerance-pts 25 --min-ns 20000000 \
-    --fail-on-regression
+    echo "== gate: current vs $baseline =="
+    "$TRACE_BIN" diff --before "$baseline" --after "$WORK/$algorithm.json" \
+        --gate-counters "$GATED_COUNTERS" \
+        --share-tolerance-pts 25 --min-ns 20000000 \
+        --fail-on-regression
 
-echo "== baseline schema: the committed baseline must pass check =="
-"$TRACE_BIN" check --report "$BASELINE" > /dev/null
-echo "OK: $BASELINE passes the run-report schema"
+    echo "== baseline schema: the committed baseline must pass check =="
+    "$TRACE_BIN" check --report "$baseline" > /dev/null
+    echo "OK: $baseline passes the run-report schema"
+done
 
 echo "== flamegraph fold smoke-check =="
-"$TRACE_BIN" fold --trace "$WORK/trace.jsonl" > "$WORK/folded.txt"
+"$TRACE_BIN" fold --trace "$WORK/local-search.jsonl" > "$WORK/folded.txt"
 # Folded-stack grammar: 'name(;name)* <integer>' per line, nothing else.
 awk '!/^[A-Za-z0-9_]+(;[A-Za-z0-9_]+)* [0-9]+$/ { print "bad folded line: " $0; bad = 1 }
      END { exit bad }' "$WORK/folded.txt"

@@ -10,17 +10,26 @@
 //! `m = 3` input clusterings.
 //!
 //! The implementation delegates to the shared nearest-neighbor-chain engine
-//! in [`crate::linkage`] (`O(n²)` time after the `O(n²)` matrix build),
-//! mathematically identical to the naive `O(n³)` greedy procedure because
-//! average linkage is reducible. For total and `Coin(½)` inputs the engine
-//! works on exact integer pair sums, so ties and the ½ cut are decided
-//! without rounding.
+//! in [`crate::linkage`] (`O(n²)` time after the `O(n²)` fill of its
+//! condensed triangle), mathematically identical to the naive `O(n³)`
+//! greedy procedure because average linkage is reducible. For total and
+//! `Coin(½)` inputs the engine works on exact integer pair sums, so ties
+//! and the ½ cut are decided without rounding.
+//!
+//! The triangle is the run's one `O(n²)` structure. The consensus pipeline
+//! fills it straight from the packed labels of the lazy
+//! [`crate::instance::ClusteringsOracle`], with no code matrix, and prices
+//! the result without reading a pair: the fill counts `Σ num` and
+//! `Σ min(num, den − num)` over all pairs (the all-split cost and the
+//! lower bound), and the merges the cut applies add their exact sums
+//! `S_AB`, each within-cluster pair once, at the merge that joined it.
 
 use crate::clustering::Clustering;
+use crate::cost::ExactCost;
 use crate::error::{AggError, AggResult};
 use crate::instance::DistanceOracle;
 use crate::linkage::{linkage_with, CondensedMatrix, LinkageMethod};
-use crate::robust::{RunCtx, RunOutcome};
+use crate::robust::{Interrupt, RunCtx, RunOutcome};
 use crate::snapshot::AlgorithmSnapshot;
 
 /// Parameters for AGGLOMERATIVE.
@@ -60,25 +69,56 @@ impl AgglomerativeParams {
 }
 
 /// Run AGGLOMERATIVE under `ctx`, the engine behind
-/// [`Algorithm::Agglomerative`](super::Algorithm::Agglomerative).
-///
-/// One budget iteration per merge; the `O(n²)` matrix build polls the
-/// budget between parallel row chunks. On a trip during the build the
-/// result degrades to singletons; on a trip mid-merging the partial
-/// dendrogram is cut as usual, yielding a valid (finer) clustering whose
-/// applied merges each lowered the cost.
-///
-/// The distance matrix is rebuilt on every (re)start — it is derived data —
-/// and the merges of an AGGLOMERATIVE snapshot in `ctx.resume` are
-/// *replayed* through the identical update sequence (exact sum additions,
-/// or Lance–Williams in `f64`), which reproduces the matrix state
-/// bit-for-bit before new merges continue (see [`linkage_with`]). A
-/// snapshot inconsistent with this instance falls back to a fresh run.
+/// [`Algorithm::Agglomerative`](super::Algorithm::Agglomerative):
+/// [`run_priced`]'s outcome, with a trip during the triangle's fill
+/// degraded to singletons (no partial matrix to salvage: the only valid
+/// anytime answer before any merge is the all-singletons start).
 pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     params: AgglomerativeParams,
     ctx: &mut RunCtx<'_>,
 ) -> AggResult<RunOutcome> {
+    Ok(match run_priced(oracle, params, ctx)? {
+        Ok(priced) => priced.outcome,
+        Err(interrupt) => RunOutcome {
+            clustering: Clustering::singletons(oracle.len()),
+            status: interrupt.status(),
+            iterations: 0,
+        },
+    })
+}
+
+/// An AGGLOMERATIVE outcome and, when its triangle held exact sums, its
+/// price.
+#[derive(Debug)]
+pub(crate) struct Priced {
+    pub(crate) outcome: RunOutcome,
+    /// `d(C)` of the outcome as an exact fraction, and `den` times the
+    /// instance's per-pair lower bound: the same integers as
+    /// [`crate::cost::exact_cost`] and [`crate::cost::lower_bound`] on a
+    /// coded matrix of the same oracle.
+    pub(crate) exact: Option<(ExactCost, u64)>,
+}
+
+/// Run AGGLOMERATIVE under `ctx` and price its result from the fill and
+/// the merges; `Err` when the budget trips during the triangle's fill.
+///
+/// One budget iteration per merge; the `O(n²)` fill polls the budget
+/// between parallel row chunks. On a trip mid-merging the partial
+/// dendrogram is cut as usual, yielding a valid (finer) clustering whose
+/// applied merges each lowered the cost, and priced the same way.
+///
+/// The triangle is rebuilt on every (re)start — it is derived data — and
+/// the merges of an AGGLOMERATIVE snapshot in `ctx.resume` are *replayed*
+/// through the identical update sequence (exact sum additions, or
+/// Lance–Williams in `f64`), which reproduces the matrix state bit-for-bit
+/// before new merges continue (see [`linkage_with`]). A snapshot
+/// inconsistent with this instance falls back to a fresh run.
+pub(crate) fn run_priced<O: DistanceOracle + Sync + ?Sized>(
+    oracle: &O,
+    params: AgglomerativeParams,
+    ctx: &mut RunCtx<'_>,
+) -> AggResult<Result<Priced, Interrupt>> {
     if params.threshold.is_nan() {
         return Err(AggError::invalid_parameter("threshold", "must not be NaN"));
     }
@@ -86,30 +126,40 @@ pub(crate) fn run<O: DistanceOracle + Sync + ?Sized>(
     let resuming = matches!(ctx.resume, Some(AlgorithmSnapshot::Agglomerative(_)));
     let _span = crate::span!("agglomerative", n = n, resuming = resuming);
     if n == 0 {
-        return Ok(RunOutcome::converged(Clustering::from_labels(Vec::new())));
+        return Ok(Ok(Priced {
+            outcome: RunOutcome::converged(Clustering::from_labels(Vec::new())),
+            exact: None,
+        }));
     }
     let matrix = match CondensedMatrix::try_from_oracle(oracle, ctx.budget) {
         Ok(matrix) => matrix,
-        Err(interrupt) => {
-            // No partial matrix to salvage: the only valid anytime answer
-            // before any merge is the all-singletons start.
-            return Ok(RunOutcome {
-                clustering: Clustering::singletons(n),
-                status: interrupt.status(),
-                iterations: 0,
-            });
-        }
+        Err(interrupt) => return Ok(Err(interrupt)),
     };
+    let totals = matrix.exact_totals();
     let (dendrogram, status, iterations) = linkage_with(matrix, LinkageMethod::Average, ctx);
-    let clustering = match params.num_clusters {
-        Some(k) => dendrogram.cut_num_clusters(k.clamp(1, n)),
-        None => dendrogram.cut_height(params.threshold),
+    let applied = match params.num_clusters {
+        Some(k) => dendrogram.applied_for_num_clusters(k.clamp(1, n)),
+        None => dendrogram.applied_below(params.threshold),
     };
-    Ok(RunOutcome {
-        clustering,
-        status,
-        iterations,
-    })
+    let exact = totals.and_then(|(den, totals)| {
+        let within = dendrogram.within_numerator(&applied, den)?;
+        let num = totals.split_numerator(n, den) as i64 + within;
+        Some((
+            ExactCost {
+                num: num as u64,
+                den,
+            },
+            totals.bound,
+        ))
+    });
+    Ok(Ok(Priced {
+        outcome: RunOutcome {
+            clustering: dendrogram.replay(&applied),
+            status,
+            iterations,
+        },
+        exact,
+    }))
 }
 
 #[cfg(test)]

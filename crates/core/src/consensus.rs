@@ -24,16 +24,17 @@
 //! automatically above a size threshold where the dense `O(n²)` matrix
 //! stops being reasonable.
 
+use crate::algorithms::agglomerative::{self, Priced};
 use crate::algorithms::sampling::{sampling, SamplingParams};
 use crate::algorithms::{
     AgglomerativeParams, Algorithm, BallsParams, LocalSearchInit, LocalSearchParams,
 };
 use crate::clustering::{Clustering, PartialClustering};
-use crate::cost::{correlation_cost, exact_cost, lower_bound};
+use crate::cost::{correlation_cost, exact_cost, lower_bound, ExactCost};
 use crate::distance::disagreement_distance_gauged;
 use crate::error::AggResult;
 use crate::exact::{branch_and_bound, MAX_BNB_N};
-use crate::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
+use crate::instance::{ClusteringsOracle, CorrelationInstance, DistanceOracle, MissingPolicy};
 use crate::linkage::CondensedMatrix;
 use crate::robust::{Interrupt, RunBudget, RunCtx, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, Snapshot};
@@ -50,11 +51,11 @@ use std::time::Duration;
 /// moment it is recorded.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Warning {
-    /// The dense distance matrix was refused by the memory cap and the run
-    /// degraded to SAMPLING with a sample whose matrix fits.
+    /// AGGLOMERATIVE's condensed triangle was refused by the memory cap
+    /// and the run degraded to SAMPLING with a sample whose triangle fits.
     MemoryDegradedToSampling {
-        /// Bytes AGGLOMERATIVE would have needed: the dense matrix plus
-        /// its `f64` working copy.
+        /// Bytes AGGLOMERATIVE would have needed: its condensed triangle
+        /// ([`CondensedMatrix::bytes`]), the run's one `O(n²)` structure.
         requested: u64,
         /// The configured memory cap in bytes.
         limit: u64,
@@ -318,8 +319,10 @@ impl ConsensusBuilder {
     pub fn try_aggregate(&self, inputs: &[Clustering]) -> AggResult<ConsensusResult> {
         let partial: Vec<PartialClustering> =
             inputs.iter().map(PartialClustering::from_total).collect();
-        let mut result = self.try_aggregate_partial(partial)?;
-        if !result.sampled && result.cost.is_finite() {
+        let (mut result, exact) = self.aggregate(partial)?;
+        // An exact price at `den = m` already counts `D(C)`; any other
+        // count is recounted from contingency tables.
+        if !exact && !result.sampled && result.cost.is_finite() {
             let _span = crate::span!("disagreements", n = result.clustering.len());
             // Contingency tables are charged to the budget's gauge so
             // `--mem-budget` diagnostics see transient usage too.
@@ -339,16 +342,21 @@ impl ConsensusBuilder {
     /// Graceful-degradation chain:
     /// 1. `n` over the sampling threshold → SAMPLING (budgeted).
     /// 2. Dense matrix refused by the **memory cap** → the `O(n·m)` lazy
-    ///    oracle (same answer, no quadratic memory) — except AGGLOMERATIVE,
-    ///    which needs its own `f64` working copy next to the dense matrix:
-    ///    when the two together do not fit, it degrades to SAMPLING with
-    ///    the sample clamped to fit the cap. Each step leaves a warning.
-    ///    The lazy oracle answers through the packed SWAR rows of
+    ///    oracle (same answer, no quadratic memory). The lazy oracle
+    ///    answers through the packed SWAR rows of
     ///    [`crate::kernels::LabelMatrix`] (`O(n·m/4)` words, bit-identical
     ///    to the dense values), so this fallback trades build time, not
-    ///    per-distance cost.
-    /// 3. Dense matrix build trips the time budget → singleton clustering
-    ///    plus a warning (no time left to do anything smarter).
+    ///    per-distance cost. AGGLOMERATIVE builds no dense matrix for its
+    ///    main stage: it fills its condensed triangle
+    ///    ([`CondensedMatrix::bytes`]) straight from the lazy oracle, and
+    ///    when the triangle does not fit the cap it degrades to SAMPLING
+    ///    with the sample clamped so the sample's triangle fits. Its
+    ///    refinement builds the dense matrix only once the triangle is
+    ///    dropped, falling back to the lazy oracle in turn. Each step
+    ///    leaves a warning.
+    /// 3. Dense matrix (or AGGLOMERATIVE's triangle) build trips the time
+    ///    budget → singleton clustering plus a warning (no time left to do
+    ///    anything smarter).
     /// 4. `prefer_exact` on a too-large instance → warning, then the BALLS
     ///    3-approximation instead of an error.
     /// 5. Budget trips mid-refinement → the partially refined consensus is
@@ -362,6 +370,12 @@ impl ConsensusBuilder {
         &self,
         inputs: Vec<PartialClustering>,
     ) -> AggResult<ConsensusResult> {
+        Ok(self.aggregate(inputs)?.0)
+    }
+
+    /// [`ConsensusBuilder::try_aggregate_partial`], and whether the result's
+    /// `disagreements` is exact: priced as an [`ExactCost`] at `den = m`.
+    fn aggregate(&self, inputs: Vec<PartialClustering>) -> AggResult<(ConsensusResult, bool)> {
         let m = inputs.len();
         let instance = CorrelationInstance::try_from_partial(inputs, self.missing_policy)?;
         let n = instance.len();
@@ -393,27 +407,22 @@ impl ConsensusBuilder {
 
         if n > self.sampling_threshold {
             let params = SamplingParams::new(self.sample_size, self.algorithm.clone(), self.seed);
-            return self.run_sampling(
-                &instance.lazy_oracle(),
-                &params,
-                Vec::new(),
-                &mut ckpt,
-                resume_main,
-            );
+            let lazy = instance.lazy_oracle();
+            let result = self.run_sampling(&lazy, &params, Vec::new(), &mut ckpt, resume_main)?;
+            return Ok((result, false));
         }
 
         let mut warnings = Vec::new();
-        // AGGLOMERATIVE is the one algorithm that cannot run from a lazy
-        // oracle: it merges in a working copy of the matrix (`u32` sums or
-        // `f64` distances, `CondensedMatrix::bytes`), held next to the dense
-        // codes. Its rung is sized from both, here and only here; when they
-        // do not fit the cap, it degrades to SAMPLING with the sample
-        // clamped so *its* working copy fits what is left.
-        if matches!(self.algorithm, Algorithm::Agglomerative(_)) && !self.prefer_exact {
+        if let (Algorithm::Agglomerative(params), false) = (&self.algorithm, self.prefer_exact) {
+            // AGGLOMERATIVE merges in a condensed triangle (`u32` sums or
+            // `f64` distances, `CondensedMatrix::bytes`) filled straight
+            // from the lazy oracle, its one O(n²) structure. When the
+            // triangle does not fit the cap, it degrades to SAMPLING with
+            // the sample clamped so *its* triangle fits what is left.
+            let lazy = instance.lazy_oracle();
             if let Some(limit) = self.budget.mem_limit_bytes() {
-                let lazy = instance.lazy_oracle();
                 let scale = lazy.exact_scale();
-                let requested = lazy.dense_bytes() + CondensedMatrix::bytes(n, scale);
+                let requested = CondensedMatrix::bytes(n, scale);
                 let headroom = limit.saturating_sub(self.budget.mem_gauge().used_bytes());
                 if requested > headroom {
                     let s = self
@@ -429,8 +438,21 @@ impl ConsensusBuilder {
                         },
                     );
                     let params = SamplingParams::new(s, self.algorithm.clone(), self.seed);
-                    return self.run_sampling(&lazy, &params, warnings, &mut ckpt, resume_main);
+                    let result =
+                        self.run_sampling(&lazy, &params, warnings, &mut ckpt, resume_main)?;
+                    return Ok((result, false));
                 }
+            }
+            // A stage-1 resume skips the main stage, and so the triangle.
+            if !(self.refine && resume_refine.is_some()) {
+                return self.agglomerate(
+                    &instance,
+                    &lazy,
+                    *params,
+                    warnings,
+                    &mut ckpt,
+                    resume_main,
+                );
             }
         }
         let dense = match instance.try_dense_oracle(&self.budget) {
@@ -443,7 +465,6 @@ impl ConsensusBuilder {
                 let lazy = instance.lazy_oracle();
                 return self.finish_with_oracle(
                     &lazy,
-                    n,
                     m,
                     warnings,
                     &mut ckpt,
@@ -451,30 +472,9 @@ impl ConsensusBuilder {
                     resume_refine,
                 );
             }
-            Err(interrupt) => {
-                // Budget died before we even had distances: the only valid
-                // anytime answer is the trivial clustering.
-                push_warning(&mut warnings, Warning::MatrixBuildInterrupted);
-                return Ok(ConsensusResult {
-                    clustering: Clustering::singletons(n),
-                    cost: f64::NAN,
-                    disagreements: 0,
-                    lower_bound: None,
-                    sampled: false,
-                    status: interrupt.status(),
-                    warnings,
-                });
-            }
+            Err(interrupt) => return Ok(build_interrupted(n, interrupt, warnings)),
         };
-        self.finish_with_oracle(
-            &dense,
-            n,
-            m,
-            warnings,
-            &mut ckpt,
-            resume_main,
-            resume_refine,
-        )
+        self.finish_with_oracle(&dense, m, warnings, &mut ckpt, resume_main, resume_refine)
     }
 
     /// The run context of one pipeline stage: this builder's budget, the
@@ -524,24 +524,76 @@ impl ConsensusBuilder {
         })
     }
 
+    /// AGGLOMERATIVE from the lazy oracle's condensed triangle, priced from
+    /// the fill and the merges ([`agglomerative::run_priced`]). With
+    /// refinement, the dense matrix is built only after the triangle is
+    /// dropped, so the run holds one `O(n²)` structure at a time; the
+    /// refined result is priced on that matrix.
+    fn agglomerate(
+        &self,
+        instance: &CorrelationInstance,
+        lazy: &ClusteringsOracle,
+        params: AgglomerativeParams,
+        mut warnings: Vec<Warning>,
+        ckpt: &mut Option<Checkpointer>,
+        resume_main: Option<&AlgorithmSnapshot>,
+    ) -> AggResult<(ConsensusResult, bool)> {
+        let (n, m) = (instance.len(), instance.num_clusterings());
+        if let Some(c) = ckpt.as_mut() {
+            c.set_stage(0);
+        }
+        let ctx = &mut self.ctx(resume_main, ckpt);
+        let Priced { outcome, exact } = match agglomerative::run_priced(lazy, params, ctx)? {
+            Ok(priced) => priced,
+            Err(interrupt) => return Ok(build_interrupted(n, interrupt, warnings)),
+        };
+        let (clustering, mut status) = (outcome.clustering, outcome.status);
+        if self.refine_now(status, ckpt, &mut warnings) {
+            match instance.try_dense_oracle(&self.budget) {
+                Ok(dense) => {
+                    return self
+                        .refine_and_price(&dense, m, clustering, status, warnings, ckpt, None)
+                }
+                Err(Interrupt::MemoryExceeded { requested, limit }) => {
+                    push_warning(
+                        &mut warnings,
+                        Warning::MemoryDegradedToLazyOracle { requested, limit },
+                    );
+                    return self
+                        .refine_and_price(lazy, m, clustering, status, warnings, ckpt, None);
+                }
+                // No time left to build the matrix, so none to refine:
+                // the main stage's result stands.
+                Err(interrupt) => {
+                    push_warning(&mut warnings, Warning::RefinementInterrupted);
+                    status = status.combine(interrupt.status());
+                }
+            }
+        }
+        let price = match exact {
+            Some((cost, bound)) => Price::from_merges(cost, bound, m),
+            None => Price::on(lazy, &clustering, m),
+        };
+        Ok(price.result(clustering, status, warnings))
+    }
+
     /// The main-algorithm + refinement tail, generic over the oracle so the
     /// memory-degraded lazy path shares every line with the dense path.
-    #[allow(clippy::too_many_arguments)]
     fn finish_with_oracle<O: DistanceOracle + Sync>(
         &self,
         oracle: &O,
-        n: usize,
         m: usize,
         mut warnings: Vec<Warning>,
         ckpt: &mut Option<Checkpointer>,
         resume_main: Option<&AlgorithmSnapshot>,
         resume_refine: Option<&AlgorithmSnapshot>,
-    ) -> AggResult<ConsensusResult> {
+    ) -> AggResult<(ConsensusResult, bool)> {
+        let n = oracle.len();
         // A refinement-stage snapshot already contains the labels the main
         // stage produced (and every refinement move since); re-running the
         // main stage would discard resumed work.
         let skip_main = self.refine && resume_refine.is_some();
-        let (mut clustering, mut status) = if skip_main {
+        let (clustering, status) = if skip_main {
             (Clustering::singletons(n), RunStatus::Converged)
         } else if self.prefer_exact {
             if n <= MAX_BNB_N {
@@ -565,61 +617,167 @@ impl ConsensusBuilder {
                 .run(oracle, &mut self.ctx(resume_main, ckpt))?;
             (outcome.clustering, outcome.status)
         };
+        if self.refine_now(status, ckpt, &mut warnings) {
+            return self.refine_and_price(
+                oracle,
+                m,
+                clustering,
+                status,
+                warnings,
+                ckpt,
+                resume_refine,
+            );
+        }
+        Ok(Price::on(oracle, &clustering, m).result(clustering, status, warnings))
+    }
 
-        // When checkpointing, a tripped main stage keeps its final stage-0
-        // snapshot: running refinement now would overwrite it with a
-        // stage-1 snapshot of the *partial* main result, and a later resume
-        // could then never finish the main stage.
+    /// Whether to refine a main stage that ended with `status`. When
+    /// checkpointing, a tripped main stage keeps its final stage-0
+    /// snapshot: running refinement now would overwrite it with a stage-1
+    /// snapshot of the *partial* main result, and a later resume could then
+    /// never finish the main stage.
+    fn refine_now(
+        &self,
+        status: RunStatus,
+        ckpt: &Option<Checkpointer>,
+        warnings: &mut Vec<Warning>,
+    ) -> bool {
         let refine_now = self.refine && (status.is_converged() || ckpt.is_none());
         if self.refine && !refine_now {
-            push_warning(&mut warnings, Warning::RefinementSkippedForResume);
+            push_warning(warnings, Warning::RefinementSkippedForResume);
         }
-        if refine_now {
-            if let Some(c) = ckpt.as_mut() {
-                c.set_stage(1);
-            }
-            let refine = Algorithm::LocalSearch(LocalSearchParams {
-                init: LocalSearchInit::Given(clustering),
-                ..LocalSearchParams::default()
-            });
-            let refined = refine.run(oracle, &mut self.ctx(resume_refine, ckpt))?;
-            if !refined.status.is_converged() {
-                push_warning(&mut warnings, Warning::RefinementInterrupted);
-            }
-            status = status.combine(refined.status);
-            clustering = refined.clustering;
-        }
+        refine_now
+    }
 
-        let (cost, disagreements) = {
+    /// The LOCALSEARCH refinement pass over the main stage's `clustering`
+    /// on `oracle`, resumed from `resume_refine` when given, then its
+    /// price there.
+    #[allow(clippy::too_many_arguments)]
+    fn refine_and_price<O: DistanceOracle + Sync>(
+        &self,
+        oracle: &O,
+        m: usize,
+        clustering: Clustering,
+        status: RunStatus,
+        mut warnings: Vec<Warning>,
+        ckpt: &mut Option<Checkpointer>,
+        resume_refine: Option<&AlgorithmSnapshot>,
+    ) -> AggResult<(ConsensusResult, bool)> {
+        if let Some(c) = ckpt.as_mut() {
+            c.set_stage(1);
+        }
+        let refine = Algorithm::LocalSearch(LocalSearchParams {
+            init: LocalSearchInit::Given(clustering),
+            ..LocalSearchParams::default()
+        });
+        let refined = refine.run(oracle, &mut self.ctx(resume_refine, ckpt))?;
+        if !refined.status.is_converged() {
+            push_warning(&mut warnings, Warning::RefinementInterrupted);
+        }
+        let (clustering, status) = (refined.clustering, status.combine(refined.status));
+        Ok(Price::on(oracle, &clustering, m).result(clustering, status, warnings))
+    }
+}
+
+/// The result of a run whose budget tripped before it had distances: the
+/// only valid anytime answer is the trivial clustering.
+fn build_interrupted(
+    n: usize,
+    interrupt: Interrupt,
+    mut warnings: Vec<Warning>,
+) -> (ConsensusResult, bool) {
+    push_warning(&mut warnings, Warning::MatrixBuildInterrupted);
+    let result = ConsensusResult {
+        clustering: Clustering::singletons(n),
+        cost: f64::NAN,
+        disagreements: 0,
+        lower_bound: None,
+        sampled: false,
+        status: interrupt.status(),
+        warnings,
+    };
+    (result, false)
+}
+
+/// A result's cost, disagreements and lower bound.
+struct Price {
+    cost: f64,
+    disagreements: u64,
+    lower_bound: f64,
+    /// `disagreements` is `D(C)` itself: the cost is an [`ExactCost`] at
+    /// `den = m`.
+    exact: bool,
+}
+
+impl Price {
+    /// `clustering` priced on `oracle`: [`exact_cost`] where the oracle has
+    /// exact codes, else the `O(n²)` pair passes.
+    fn on<O: DistanceOracle + Sync>(oracle: &O, clustering: &Clustering, m: usize) -> Self {
+        let n = clustering.len();
+        let cost = {
             let _span = crate::span!("cost_eval", n = n);
-            match exact_cost(oracle, &clustering) {
-                Some(exact) => (exact.value(), exact.disagreements(m)),
-                None => {
-                    let cost = correlation_cost(oracle, &clustering);
-                    (cost, (cost * m as f64).round() as u64)
-                }
-            }
+            exact_cost(oracle, clustering).ok_or_else(|| correlation_cost(oracle, clustering))
         };
         let lower = {
             let _span = crate::span!("lower_bound", n = n);
             lower_bound(oracle)
         };
-        Ok(ConsensusResult {
-            disagreements,
-            lower_bound: Some(lower),
+        Self::new(cost, lower, m)
+    }
+
+    /// AGGLOMERATIVE's own price: the exact `cost` and `den` times the
+    /// lower bound, from the triangle's fill and the applied merges. No
+    /// pair is read, so no pass is spanned.
+    fn from_merges(cost: ExactCost, bound: u64, m: usize) -> Self {
+        let lower = ExactCost {
+            num: bound,
+            den: cost.den,
+        };
+        Self::new(Ok(cost), lower.value(), m)
+    }
+
+    fn new(cost: Result<ExactCost, f64>, lower_bound: f64, m: usize) -> Self {
+        match cost {
+            Ok(exact) => Price {
+                cost: exact.value(),
+                disagreements: exact.disagreements(m),
+                lower_bound,
+                exact: exact.den as usize == m,
+            },
+            Err(cost) => Price {
+                cost,
+                disagreements: (cost * m as f64).round() as u64,
+                lower_bound,
+                exact: false,
+            },
+        }
+    }
+
+    /// The consensus result of a dense run priced at `self`, and whether
+    /// its disagreement count is exact.
+    fn result(
+        self,
+        clustering: Clustering,
+        status: RunStatus,
+        warnings: Vec<Warning>,
+    ) -> (ConsensusResult, bool) {
+        let result = ConsensusResult {
+            disagreements: self.disagreements,
+            lower_bound: Some(self.lower_bound),
             sampled: false,
             status,
             warnings,
-            cost,
+            cost: self.cost,
             clustering,
-        })
+        };
+        (result, self.exact)
     }
 }
 
-/// Largest sample size whose AGGLOMERATIVE working copy
+/// Largest sample size whose AGGLOMERATIVE triangle
 /// ([`CondensedMatrix::bytes`] at the oracle's exact `scale`) fits in
-/// `bytes`. The copy, not the sample's dense codes, is what the budget
-/// charges. A copy only grows with the sample size, so a binary search
+/// `bytes`. The triangle, not the sample's dense codes, is what the budget
+/// charges. A triangle only grows with the sample size, so a binary search
 /// finds the size exactly.
 fn largest_sample_within(bytes: u64, scale: Option<u32>) -> usize {
     let fits =
@@ -903,7 +1061,7 @@ mod tests {
         assert_eq!(largest_sample_within(3, Some(10)), 1);
         assert_eq!(largest_sample_within(4, Some(10)), 2);
         assert_eq!(largest_sample_within(2_000, Some(10)), 32);
-        // Past the sums' `u32` bound the copy takes 8 bytes per pair again:
+        // Past the sums' `u32` bound the triangle takes 8 bytes per pair again:
         // at den = 2⁶ sums fit up to 16 383 objects (64·8 191·8 192 < 2³²).
         let at_bound = CondensedMatrix::bytes(16_383, Some(64));
         assert_eq!(at_bound, 4 * 16_383 * 16_382 / 2);
@@ -1211,30 +1369,31 @@ mod tests {
         assert_eq!(budget.mem_gauge().used_bytes(), 0);
     }
 
-    /// [`shifted_inputs`]' AGGLOMERATIVE footprint: 12 840 bytes of codes
-    /// plus the 4·80·79/2 = 12 640-byte working copy of `u32` sums (the
-    /// inputs are total, so every distance is an exact multiple of ¼).
-    const AGGLOMERATIVE_BYTES: u64 = 12_840 + 12_640;
+    /// [`shifted_inputs`]' AGGLOMERATIVE footprint: the 4·80·79/2 =
+    /// 12 640-byte triangle of `u32` sums (the inputs are total, so every
+    /// distance is an exact multiple of ¼). The refinement's dense codes
+    /// take 12 840 bytes, but only once the triangle is gone.
+    const AGGLOMERATIVE_BYTES: u64 = 12_640;
 
     #[test]
-    fn agglomerative_degrades_to_sampling_when_the_codes_fit_but_the_copy_does_not() {
+    fn agglomerative_samples_when_its_triangle_does_not_fit() {
         let _guard = crate::telemetry::global_state_lock();
-        // 20 000 bytes hold the codes but not codes + copy. The rung is
-        // decided up front, so the run samples instead of building the
-        // codes and then losing the copy to the cap.
-        let limit = 20_000;
+        // One byte short of the triangle. The rung is decided up front, so
+        // the run samples instead of building the triangle and losing it
+        // to the cap.
+        let limit = AGGLOMERATIVE_BYTES - 1;
         let budget = RunBudget::unlimited().with_mem_limit_bytes(limit);
         let capped = ConsensusBuilder::new()
             .budget(budget.clone())
             .try_aggregate(&shifted_inputs())
             .unwrap();
-        // 2·s·(s−1) ≤ 20 000 → s = 100, clamped to the 80 objects.
+        // 2·s·(s−1) ≤ 12 639 → s = 79.
         assert_eq!(
             capped.warnings,
             vec![Warning::MemoryDegradedToSampling {
                 requested: AGGLOMERATIVE_BYTES,
                 limit,
-                sample_size: 80,
+                sample_size: 79,
             }]
         );
         assert!(capped.sampled);
@@ -1244,30 +1403,46 @@ mod tests {
     }
 
     #[test]
-    fn agglomerative_runs_dense_exactly_when_codes_and_copy_fit() {
+    fn agglomerative_runs_dense_exactly_when_its_triangle_fits() {
         let _guard = crate::telemetry::global_state_lock();
         let inputs = shifted_inputs();
-        let unconstrained = ConsensusBuilder::new().try_aggregate(&inputs).unwrap();
-        let at = |limit: u64| {
-            ConsensusBuilder::new()
-                .budget(RunBudget::unlimited().with_mem_limit_bytes(limit))
+        let at = |limit: u64, refine: bool| {
+            let budget = RunBudget::unlimited().with_mem_limit_bytes(limit);
+            let result = ConsensusBuilder::new()
+                .refine(refine)
+                .budget(budget.clone())
                 .try_aggregate(&inputs)
-                .unwrap()
+                .unwrap();
+            assert_eq!(budget.mem_gauge().used_bytes(), 0);
+            assert!(result.status.is_converged());
+            result
         };
-        let fits = at(AGGLOMERATIVE_BYTES);
-        assert!(fits.warnings.is_empty(), "{:?}", fits.warnings);
-        assert!(fits.status.is_converged());
-        assert_eq!(fits.clustering, unconstrained.clustering);
-        let short = at(AGGLOMERATIVE_BYTES - 1);
-        assert!(short.sampled);
-        assert!(short.status.is_converged());
-        assert!(matches!(
-            short.warnings[..],
-            [Warning::MemoryDegradedToSampling {
-                requested: AGGLOMERATIVE_BYTES,
-                ..
-            }]
-        ));
+        for refine in [false, true] {
+            let unconstrained = ConsensusBuilder::new()
+                .refine(refine)
+                .try_aggregate(&inputs)
+                .unwrap();
+            // The refinement's codes fit once the triangle is dropped.
+            let fits = at(12_840, refine);
+            assert!(fits.warnings.is_empty(), "{:?}", fits.warnings);
+            assert_eq!(fits.clustering, unconstrained.clustering);
+            assert_eq!(fits.cost.to_bits(), unconstrained.cost.to_bits());
+            // The triangle alone fits: the main stage runs dense, and the
+            // refinement, whose codes do not fit, reads the lazy oracle.
+            let tight = at(AGGLOMERATIVE_BYTES, refine);
+            assert!(!tight.sampled);
+            assert_eq!(tight.clustering, unconstrained.clustering);
+            let expected = if refine {
+                vec![Warning::MemoryDegradedToLazyOracle {
+                    requested: 12_840,
+                    limit: AGGLOMERATIVE_BYTES,
+                }]
+            } else {
+                Vec::new()
+            };
+            assert_eq!(tight.warnings, expected);
+            assert!(at(AGGLOMERATIVE_BYTES - 1, refine).sampled);
+        }
     }
 
     #[test]
@@ -1323,6 +1498,44 @@ mod tests {
         }
         assert!(resumed_runs > 0, "no cap interrupted the run");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn try_aggregate_counts_the_disagreements_exactly_with_or_without_a_recount() {
+        let _guard = crate::telemetry::global_state_lock();
+        let inputs = shifted_inputs();
+        let algorithms = [
+            Algorithm::Agglomerative(AgglomerativeParams::default()),
+            Algorithm::LocalSearch(Default::default()),
+            Algorithm::Balls(BallsParams::practical()),
+        ];
+        for algorithm in algorithms {
+            let name = algorithm.name();
+            for refine in [false, true] {
+                let build = || {
+                    ConsensusBuilder::new()
+                        .algorithm(algorithm.clone())
+                        .refine(refine)
+                };
+                // Priced exactly at `den = m`: `E_D` is the pipeline's own
+                // count. A cap that refuses the dense codes (but holds
+                // AGGLOMERATIVE's triangle) sends the run, or its
+                // refinement, to the lazy oracle, and `E_D` is recounted.
+                let dense = build().try_aggregate(&inputs).unwrap();
+                let capped = build()
+                    .budget(RunBudget::unlimited().with_mem_limit_bytes(AGGLOMERATIVE_BYTES))
+                    .try_aggregate(&inputs)
+                    .unwrap();
+                for result in [dense, capped] {
+                    assert!(!result.sampled, "{name}");
+                    assert_eq!(
+                        result.disagreements,
+                        crate::distance::total_disagreement(&inputs, &result.clustering),
+                        "{name}, refine {refine}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

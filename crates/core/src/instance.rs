@@ -854,8 +854,7 @@ impl ExactCodes<'_> {
     /// `Σ_{u<v} (den − den·X_uv)`: `den` times the cost of splitting every
     /// pair apart. No pair is read.
     pub fn split_numerator(&self) -> u64 {
-        let pairs = (self.n * self.n.saturating_sub(1) / 2) as u64;
-        u64::from(self.den) * pairs - self.totals.num
+        self.totals.split_numerator(self.n, self.den)
     }
 
     /// `Σ_{u<v} min(den·X_uv, den − den·X_uv)`: `den` times the per-pair
@@ -1176,11 +1175,8 @@ impl ClusteringsOracle {
             fill
         };
         let totals = scale.map(|_| {
-            jobs.iter()
-                .fold(PairTotals::default(), |sum, job| PairTotals {
-                    num: sum.num + job.num,
-                    bound: sum.bound + job.bound,
-                })
+            jobs.into_iter()
+                .fold(PairTotals::default(), PairTotals::add)
         });
         Ok((data, totals))
     }
@@ -1210,12 +1206,40 @@ impl ClusteringsOracle {
 
 /// Sums over the upper triangle's pairs of their numerators `num =
 /// den·X_uv` over a proven scale: `Σ num` and `Σ min(num, den − num)`,
-/// counted by the dense fill. The cost of splitting every pair apart and
-/// the lower bound follow from them without reading a pair.
+/// counted by the dense fill and by the linkage triangle's fill. The cost
+/// of splitting every pair apart and the lower bound follow from them
+/// without reading a pair.
 #[derive(Clone, Copy, Debug, Default)]
-struct PairTotals {
-    num: u64,
-    bound: u64,
+pub(crate) struct PairTotals {
+    pub(crate) num: u64,
+    pub(crate) bound: u64,
+}
+
+impl PairTotals {
+    /// The totals of the numerators `nums` at scale `den`.
+    pub(crate) fn of(nums: &[u32], den: u32) -> Self {
+        let (mut num, mut bound) = (0u64, 0u64);
+        for &k in nums {
+            num += u64::from(k);
+            bound += u64::from(k.min(den - k));
+        }
+        PairTotals { num, bound }
+    }
+
+    /// The totals of two disjoint sets of pairs.
+    pub(crate) fn add(self, other: Self) -> Self {
+        PairTotals {
+            num: self.num + other.num,
+            bound: self.bound + other.bound,
+        }
+    }
+
+    /// `Σ_{u<v} (den − num)` over the `n(n−1)/2` pairs of `n` objects these
+    /// totals count: `den` times the cost of splitting every pair apart.
+    pub(crate) fn split_numerator(self, n: usize, den: u32) -> u64 {
+        let pairs = (n as u64) * (n.saturating_sub(1) as u64) / 2;
+        u64::from(den) * pairs - self.num
+    }
 }
 
 impl DistanceOracle for ClusteringsOracle {
@@ -1243,6 +1267,39 @@ impl DistanceOracle for ClusteringsOracle {
 
     fn exact_scale(&self) -> Option<u32> {
         self.scale.as_ref().map(|scale| scale.den)
+    }
+
+    /// Straight from the packed label rows at the proven scale: total
+    /// inputs through the batched `sep_row_into` kernel (at `den = m` a
+    /// pair's numerator is its count of separating inputs), partial inputs
+    /// per pair through `sep_missing` and the code → numerator table
+    /// (`2·sep + missing` under `Coin(½)`). The counters move once per
+    /// call, as in the dense fill; any other `den` rounds `dist` per pair.
+    fn numerators_into(&self, u: usize, vs: Range<usize>, den: u32, out: &mut [u32]) {
+        let Some(scale) = self.scale.as_ref().filter(|scale| scale.den == den) else {
+            return numerators_each(self, u, vs, den, out);
+        };
+        let metrics = crate::telemetry::metrics();
+        metrics.oracle_packed_evals.add_if_enabled(out.len() as u64);
+        if !self.partial {
+            debug_assert_eq!(den as usize, self.m);
+            self.packed.sep_row_into(u, vs.start, out);
+            return;
+        }
+        metrics.oracle_lazy_evals.add_if_enabled(out.len() as u64);
+        for (out, v) in out.iter_mut().zip(vs.clone()) {
+            let (sep, missing) = self.packed.sep_missing(u, v);
+            *out = u32::from(self.code(sep, missing));
+        }
+        // A second pass, as in the dense fill: the lookup inside the pair
+        // loop above slows it down.
+        for out in out.iter_mut() {
+            *out = scale.nums[*out as usize];
+        }
+        // The diagonal is 0 whatever labels `u` is missing.
+        if vs.contains(&u) {
+            out[u - vs.start] = 0;
+        }
     }
 
     fn num_clusterings(&self) -> Option<usize> {

@@ -19,11 +19,20 @@
 //! keeps `u32` pair sums `S_AB = Σ den·X_uv` instead, in half the bytes.
 //! Average linkage then merges by integer addition and compares averages
 //! by cross-multiplication, so equal averages tie exactly.
+//!
+//! The matrix is filled from any oracle through
+//! [`DistanceOracle::numerators_into`]; from the lazy
+//! [`crate::instance::ClusteringsOracle`] that reads the packed labels
+//! directly, so AGGLOMERATIVE needs no dense code matrix next to it. The
+//! fill of a matrix of sums also counts `Σ num` and `Σ min(num, den − num)`
+//! over all pairs, and a [`Dendrogram`] built on sums keeps each merge's
+//! `S_AB`: from the two, AGGLOMERATIVE prices its cut exactly without
+//! reading a pair.
 
 use std::sync::Arc;
 
 use crate::clustering::Clustering;
-use crate::instance::DistanceOracle;
+use crate::instance::{DistanceOracle, PairTotals};
 use crate::parallel::{self, Layout};
 use crate::robust::{Interrupt, MemCharge, RunBudget, RunCtx, RunStatus};
 use crate::snapshot::{AgglomerativeSnapshot, AlgorithmSnapshot, Checkpointer, MergeRecord};
@@ -67,8 +76,13 @@ impl LinkageMethod {
 enum Cells {
     /// Distances.
     Values(Vec<f64>),
-    /// Exact numerators `den·X_uv`: the pair sums of average linkage.
-    Sums { sums: Vec<u32>, den: u32 },
+    /// Exact numerators `den·X_uv`: the pair sums of average linkage, with
+    /// the totals over all pairs that their fill counted.
+    Sums {
+        sums: Vec<u32>,
+        den: u32,
+        totals: PairTotals,
+    },
 }
 
 /// Whether `u32` pair sums over `n` objects at scale `den` cannot
@@ -123,8 +137,9 @@ impl CondensedMatrix {
     ///
     /// When the oracle has an exact scale `den` and the sums of `n`
     /// objects fit `u32`, the matrix holds the numerators `den·X_uv`
-    /// ([`DistanceOracle::numerators_into`]); otherwise the `f64`
-    /// distances.
+    /// ([`DistanceOracle::numerators_into`]), and the fill's jobs also sum
+    /// `Σ num` and `Σ min(num, den − num)` over the pairs they write;
+    /// otherwise the `f64` distances.
     pub fn from_oracle<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> Self {
         CondensedMatrix {
             n: oracle.len(),
@@ -173,16 +188,23 @@ impl CondensedMatrix {
         let n = oracle.len();
         let band = oracle.preferred_band();
         if let Some(den) = sums_den(n, oracle.exact_scale()) {
-            let (sums, _) = parallel::try_fill_upper(
+            let (sums, jobs) = parallel::try_fill_upper(
                 n,
                 Layout::Condensed,
                 band,
-                || (),
-                |(): &mut (), u, vs, seg: &mut [u32]| oracle.numerators_into(u, vs, den, seg),
-                drop,
+                PairTotals::default,
+                |totals: &mut PairTotals, u, vs, seg: &mut [u32]| {
+                    oracle.numerators_into(u, vs, den, seg);
+                    *totals = totals.add(PairTotals::of(seg, den));
+                },
+                |totals| totals,
                 budget,
             )?;
-            return Ok(Cells::Sums { sums, den });
+            // Integer totals: the same at any thread count.
+            let totals = jobs
+                .into_iter()
+                .fold(PairTotals::default(), PairTotals::add);
+            return Ok(Cells::Sums { sums, den, totals });
         }
         let pair = |u, v| oracle.dist(u, v);
         let (values, _) = parallel::try_fill_upper(
@@ -195,6 +217,15 @@ impl CondensedMatrix {
             budget,
         )?;
         Ok(Cells::Values(values))
+    }
+
+    /// The scale and the pair totals of a matrix of sums: what
+    /// [`crate::algorithms::agglomerative`] prices its result from.
+    pub(crate) fn exact_totals(&self) -> Option<(u32, PairTotals)> {
+        match self.cells {
+            Cells::Sums { den, totals, .. } => Some((den, totals)),
+            Cells::Values(_) => None,
+        }
     }
 
     /// Bytes this matrix holds against a budget's
@@ -227,7 +258,7 @@ impl CondensedMatrix {
         let i = self.idx(u, v);
         match &self.cells {
             Cells::Values(values) => values[i],
-            Cells::Sums { sums, den } => f64::from(sums[i]) / f64::from(*den),
+            Cells::Sums { sums, den, .. } => f64::from(sums[i]) / f64::from(*den),
         }
     }
 }
@@ -264,6 +295,9 @@ pub struct Merge {
 pub struct Dendrogram {
     n: usize,
     merges: Vec<Merge>,
+    // The exact pair sum `S_AB` each merge joined, when the linkage ran on
+    // a matrix of sums; empty otherwise.
+    sums: Vec<u32>,
 }
 
 impl Dendrogram {
@@ -306,21 +340,58 @@ impl Dendrogram {
     /// # Panics
     /// Panics if `k` is 0 or greater than `n` (for `n > 0`).
     pub fn cut_num_clusters(&self, k: usize) -> Clustering {
+        self.replay(&self.applied_for_num_clusters(k))
+    }
+
+    /// The merges [`Dendrogram::cut_num_clusters`] applies, in the order
+    /// it applies them.
+    pub(crate) fn applied_for_num_clusters(&self, k: usize) -> Vec<usize> {
         assert!(k >= 1 && k <= self.n.max(1), "k = {k} out of range");
         let to_apply = (self.n - k).min(self.merges.len());
-        self.replay(&self.sorted_merge_order()[..to_apply])
+        let mut order = self.sorted_merge_order();
+        order.truncate(to_apply);
+        order
     }
 
     /// Flat clustering obtained by applying every merge with
     /// `height < threshold` (strict, matching the paper's "merge while the
     /// closest pair's average distance is less than ½").
     pub fn cut_height(&self, threshold: f64) -> Clustering {
+        self.replay(&self.applied_below(threshold))
+    }
+
+    /// The merges [`Dendrogram::cut_height`] applies, in the order it
+    /// applies them.
+    pub(crate) fn applied_below(&self, threshold: f64) -> Vec<usize> {
         let order = self.sorted_merge_order();
-        let keep: Vec<usize> = order
+        order
             .into_iter()
             .filter(|&i| self.merges[i].height < threshold)
-            .collect();
-        self.replay(&keep)
+            .collect()
+    }
+
+    /// `Σ (2·S_AB − den·|A|·|B|)` over the `applied` merges of a linkage
+    /// run on sums at scale `den`: the within-cluster term of the cut's
+    /// cost numerator (see [`crate::cost`]). The applied set of either cut
+    /// is downward-closed, so each pair inside a cut cluster is counted
+    /// once, at the merge that joined it. No pair is read. `None` when the
+    /// linkage ran on `f64` distances.
+    pub(crate) fn within_numerator(&self, applied: &[usize], den: u32) -> Option<i64> {
+        if self.sums.len() != self.merges.len() {
+            return None;
+        }
+        let size = |node: usize| match node.checked_sub(self.n) {
+            Some(i) => self.merges[i].size as i64,
+            None => 1,
+        };
+        let within = applied
+            .iter()
+            .map(|&i| {
+                let Merge { a, b, .. } = self.merges[i];
+                2 * i64::from(self.sums[i]) - i64::from(den) * size(a) * size(b)
+            })
+            .sum();
+        Some(within)
     }
 
     /// Replay a set of merges through a union-find over the node-id space.
@@ -328,7 +399,7 @@ impl Dendrogram {
     /// For monotone linkages the applied set (a height-sorted prefix) is
     /// downward-closed in the merge tree, so every referenced child node
     /// already has its leaves attached when its parent merge is applied.
-    fn replay(&self, merge_indices: &[usize]) -> Clustering {
+    pub(crate) fn replay(&self, merge_indices: &[usize]) -> Clustering {
         let total = self.n + self.merges.len();
         let mut parent: Vec<usize> = (0..total).collect();
 
@@ -446,7 +517,7 @@ pub fn linkage_with(
         charge: _charge,
     } = dist;
     let cells = match cells {
-        Cells::Sums { sums, den } if method != LinkageMethod::Average => Cells::Values(
+        Cells::Sums { sums, den, .. } if method != LinkageMethod::Average => Cells::Values(
             sums.into_iter()
                 .map(|k| f64::from(k) / f64::from(den))
                 .collect(),
@@ -468,6 +539,7 @@ pub fn linkage_with(
             Dendrogram {
                 n,
                 merges: Vec::new(),
+                sums: Vec::new(),
             },
             RunStatus::Converged,
             0,
@@ -478,7 +550,7 @@ pub fn linkage_with(
         Cells::Values(values) => {
             Chain::new(LanceWilliams(method), n, values).run(budget, resume, ckpt)
         }
-        Cells::Sums { sums, den } => {
+        Cells::Sums { sums, den, .. } => {
             Chain::new(AverageSums { den: den.into() }, n, sums).run(budget, resume, ckpt)
         }
     }
@@ -504,6 +576,11 @@ trait Engine {
     ) -> Self::Cell;
     /// The height of the merge of `A` and `B` at entry `d_ab`.
     fn height(&self, d_ab: Self::Cell, sa: usize, sb: usize) -> f64;
+    /// The exact pair sum `S_AB` the entry `d_ab` holds, for an engine
+    /// that keeps one.
+    fn pair_sum(_d_ab: Self::Cell) -> Option<u32> {
+        None
+    }
 }
 
 /// `f64` distances under any [`LinkageMethod`].
@@ -560,6 +637,10 @@ impl Engine for AverageSums {
     fn height(&self, d_ab: u32, sa: usize, sb: usize) -> f64 {
         f64::from(d_ab) / (self.den * sa as u64 * sb as u64) as f64
     }
+
+    fn pair_sum(d_ab: u32) -> Option<u32> {
+        Some(d_ab)
+    }
 }
 
 /// The NN-chain's working state over a condensed triangle.
@@ -573,6 +654,7 @@ struct Chain<E: Engine> {
     size: Vec<usize>,
     node_id: Vec<usize>,
     merges: Vec<Merge>,
+    sums: Vec<u32>,
 }
 
 impl<E: Engine> Chain<E> {
@@ -586,6 +668,10 @@ impl<E: Engine> Chain<E> {
             size: vec![1; n],
             node_id: (0..n).collect(),
             merges: Vec::with_capacity(n.saturating_sub(1)),
+            // Allocated up front: growing it merge by merge left small
+            // blocks among the big ones and raised SAMPLING's peak RSS by
+            // 2.5 MB at 50 000 objects.
+            sums: Vec::with_capacity(n.saturating_sub(1)),
         }
     }
 
@@ -651,6 +737,7 @@ impl<E: Engine> Chain<E> {
             height: self.engine.height(d_ab, sa, sb),
             size: sa + sb,
         });
+        self.sums.extend(E::pair_sum(d_ab));
         self.node_id[y] = self.n + self.merges.len() - 1;
     }
 
@@ -700,6 +787,7 @@ impl<E: Engine> Chain<E> {
                 let dendrogram = Dendrogram {
                     n,
                     merges: self.merges,
+                    sums: self.sums,
                 };
                 return (dendrogram, interrupt.status(), meter.iterations());
             }
@@ -743,6 +831,7 @@ impl<E: Engine> Chain<E> {
         let dendrogram = Dendrogram {
             n,
             merges: self.merges,
+            sums: self.sums,
         };
         (dendrogram, RunStatus::Converged, meter.iterations())
     }

@@ -4,16 +4,19 @@ use aggclust_core::algorithms::{
     best::best_clustering, AgglomerativeParams, Algorithm, BallsParams, FurthestParams,
     LocalSearchInit, LocalSearchParams,
 };
-use aggclust_core::clustering::Clustering;
-use aggclust_core::cost::{correlation_cost, lower_bound};
+use aggclust_core::clustering::{Clustering, PartialClustering};
+use aggclust_core::cost::{correlation_cost, exact_cost, lower_bound};
 use aggclust_core::distance::{
     disagreement_distance, disagreement_distance_naive, total_disagreement,
 };
 use aggclust_core::exact::optimal_clustering;
-use aggclust_core::instance::{ClusteringsOracle, DenseOracle, DistanceOracle};
+use aggclust_core::instance::{
+    ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy,
+};
+use aggclust_core::linkage::{linkage, CondensedMatrix, Dendrogram, LinkageMethod};
 use aggclust_core::parallel::with_num_threads;
 use aggclust_core::snapshot::{load_snapshot, AlgorithmSnapshot, Checkpointer, SnapshotLoad};
-use aggclust_core::{RunBudget, RunCtx, RunStatus};
+use aggclust_core::{ConsensusBuilder, RunBudget, RunCtx, RunStatus};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -456,4 +459,216 @@ fn local_search_resumed_just_after_a_compaction_matches_the_uninterrupted_run() 
     }
     std::fs::remove_dir_all(&dir).ok();
     assert!(after_compaction > 0, "no snapshot followed a compaction");
+}
+
+/// The inputs of one AGGLOMERATIVE equivalence case: `labels` as total
+/// inputs (a missing label read as cluster 0) under `Coin(½)` for `kind`
+/// 0, as partial inputs under `Coin(½)` for 1 and under `Ignore` for 2.
+fn agglomerative_case(
+    labels: &[Vec<Option<u32>>],
+    kind: u8,
+) -> (Vec<PartialClustering>, MissingPolicy) {
+    let inputs = labels
+        .iter()
+        .map(|column| match kind {
+            0 => column.iter().map(|l| Some(l.unwrap_or(0))).collect(),
+            _ => column.clone(),
+        })
+        .map(PartialClustering::from_labels)
+        .collect();
+    let policy = match kind {
+        2 => MissingPolicy::Ignore,
+        _ => MissingPolicy::Coin(0.5),
+    };
+    (inputs, policy)
+}
+
+/// Every merge of `dendrogram` with its height's bits.
+fn merges_with_bits(dendrogram: &Dendrogram) -> Vec<(usize, usize, u64, usize)> {
+    dendrogram
+        .merges()
+        .iter()
+        .map(|m| (m.a, m.b, m.height.to_bits(), m.size))
+        .collect()
+}
+
+/// AGGLOMERATIVE from the lazy oracle's triangle (filled straight from the
+/// packed labels, as the consensus pipeline runs it) against the run on
+/// the copy of the dense codes: the same merges, height bits included, the
+/// same labels from the threshold cut and the `num_clusters` cut at 1 and
+/// 2 threads, and, after a budget trip mid-merge and a resume from its
+/// snapshot, the same labels again.
+fn assert_lazy_agglomerative_matches_dense(
+    inputs: Vec<PartialClustering>,
+    policy: MissingPolicy,
+    k: usize,
+    what: &str,
+) {
+    let instance = CorrelationInstance::from_partial(inputs, policy);
+    let (lazy, dense) = (instance.lazy_oracle(), instance.dense_oracle());
+    let n = instance.len();
+    for threads in [1, 2] {
+        let [from_lazy, from_dense] = [
+            CondensedMatrix::from_oracle(&lazy),
+            CondensedMatrix::from_oracle(&dense),
+        ]
+        .map(|matrix| with_num_threads(threads, || linkage(matrix, LinkageMethod::Average)));
+        assert_eq!(
+            merges_with_bits(&from_lazy),
+            merges_with_bits(&from_dense),
+            "{what}: merges at {threads} threads"
+        );
+    }
+    // One directory per call: the tests calling this run concurrently.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("aggclust_agglo_lazy_{}_{call}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ckpt.bin");
+    for params in [
+        AgglomerativeParams::paper(),
+        AgglomerativeParams::with_num_clusters(k),
+    ] {
+        let algorithm = Algorithm::Agglomerative(params);
+        let reference = run(&algorithm, &dense);
+        for threads in [1, 2] {
+            let labels = with_num_threads(threads, || run(&algorithm, &lazy));
+            assert_eq!(labels, reference, "{what}: {params:?} at {threads} threads");
+        }
+        // Half the merges, then the cap trips and a snapshot is forced.
+        let cap = (n as u64 - 1) / 2;
+        let mut ckpt = Checkpointer::new(&path, Duration::from_secs(3600));
+        let budget = RunBudget::unlimited().with_max_iters(cap);
+        let ctx = &mut RunCtx {
+            budget: &budget,
+            resume: None,
+            ckpt: Some(&mut ckpt),
+        };
+        let partial = algorithm.run(&lazy, ctx).unwrap();
+        assert_eq!(partial.status, RunStatus::BudgetExceeded, "{what}");
+        let SnapshotLoad::Loaded(snap) = load_snapshot(&path) else {
+            panic!("{what}: no snapshot after the trip");
+        };
+        let unlimited = RunBudget::unlimited();
+        let resumed = algorithm
+            .run(
+                &lazy,
+                &mut RunCtx {
+                    budget: &unlimited,
+                    resume: Some(&snap.state),
+                    ckpt: None,
+                },
+            )
+            .unwrap();
+        assert_eq!(resumed.clustering, reference, "{what}: {params:?} resumed");
+        std::fs::remove_file(&path).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The consensus pipeline's AGGLOMERATIVE result, priced from its
+/// triangle's fill and its merges (or, without an exact scale, by the pair
+/// passes on the lazy oracle), against the dense pricing of the same
+/// labels: the cost, the lower bound and `E_D` agree bit for bit. For total
+/// inputs `try_aggregate` keeps that exact count as `D(C)`.
+fn assert_agglomerative_prices_like_the_dense_matrix(
+    inputs: Vec<PartialClustering>,
+    policy: MissingPolicy,
+    k: usize,
+    what: &str,
+) {
+    let m = inputs.len();
+    let instance = CorrelationInstance::from_partial(inputs.clone(), policy);
+    let dense = instance.dense_oracle();
+    for params in [
+        AgglomerativeParams::paper(),
+        AgglomerativeParams::with_num_clusters(k),
+    ] {
+        let algorithm = Algorithm::Agglomerative(params);
+        let builder = ConsensusBuilder::new()
+            .algorithm(algorithm.clone())
+            .missing_policy(policy)
+            .refine(false);
+        let result = builder.try_aggregate_partial(inputs.clone()).unwrap();
+        let labels = run(&algorithm, &dense);
+        assert_eq!(result.clustering, labels, "{what}: {params:?}");
+        let cost = correlation_cost(&dense, &labels);
+        assert_eq!(result.cost.to_bits(), cost.to_bits(), "{what}: {params:?}");
+        assert_eq!(
+            result.lower_bound.map(f64::to_bits),
+            Some(lower_bound(&dense).to_bits()),
+            "{what}: {params:?}"
+        );
+        let disagreements = match exact_cost(&dense, &labels) {
+            Some(exact) => exact.disagreements(m),
+            None => (cost * m as f64).round() as u64,
+        };
+        assert_eq!(result.disagreements, disagreements, "{what}: {params:?}");
+        if inputs.iter().all(|c| c.num_missing() == 0) {
+            let totals: Vec<Clustering> = inputs
+                .iter()
+                .map(|c| Clustering::from_labels(c.labels().iter().flatten().copied().collect()))
+                .collect();
+            for refine in [false, true] {
+                let result = builder
+                    .clone()
+                    .refine(refine)
+                    .try_aggregate(&totals)
+                    .unwrap();
+                assert_eq!(
+                    result.disagreements,
+                    total_disagreement(&totals, &result.clustering),
+                    "{what}: {params:?}, refine {refine}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn agglomerative_from_the_lazy_triangle_equals_the_dense_copied_run(
+        (labels, kind, k) in (2usize..40).prop_flat_map(|n| {
+            (
+                prop::collection::vec(
+                    prop::collection::vec(prop::option::weighted(0.8, 0u32..5), n),
+                    2..6,
+                ),
+                0u8..3,
+                1..=n,
+            )
+        })
+    ) {
+        let (inputs, policy) = agglomerative_case(&labels, kind);
+        let what = format!("kind {kind}");
+        assert_lazy_agglomerative_matches_dense(inputs.clone(), policy, k, &what);
+        assert_agglomerative_prices_like_the_dense_matrix(inputs, policy, k, &what);
+    }
+}
+
+/// [`assert_lazy_agglomerative_matches_dense`] and
+/// [`assert_agglomerative_prices_like_the_dense_matrix`] at n = 400, where
+/// the fill splits into several chunk jobs, so 2 threads fill in parallel.
+#[test]
+fn agglomerative_from_the_lazy_triangle_equals_the_dense_copied_run_over_many_jobs() {
+    let n = 400;
+    let labels: Vec<Vec<Option<u32>>> = (0..5u32)
+        .map(|j| {
+            (0..n as u32)
+                .map(|v| {
+                    let label = (v % 9 + u32::from(v % (5 + j) == 0)) % 9;
+                    (v % (7 + j) != 3).then_some(label)
+                })
+                .collect()
+        })
+        .collect();
+    for kind in 0..3 {
+        let (inputs, policy) = agglomerative_case(&labels, kind);
+        let what = format!("n = {n}, kind {kind}");
+        assert_lazy_agglomerative_matches_dense(inputs.clone(), policy, 9, &what);
+        assert_agglomerative_prices_like_the_dense_matrix(inputs, policy, 9, &what);
+    }
 }

@@ -23,7 +23,7 @@ use aggclust_core::algorithms::local_search::LocalSearchInit;
 use aggclust_core::algorithms::{
     AgglomerativeParams, Algorithm, BallsParams, FurthestParams, LocalSearchParams,
 };
-use aggclust_core::clustering::Clustering;
+use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::consensus::ConsensusBuilder;
 use aggclust_core::instance::{DenseOracle, DistanceOracle};
 use aggclust_core::parallel::with_num_threads;
@@ -172,6 +172,42 @@ fn capped_runs_count_lazy_evaluations_identically_at_every_thread_count() {
         let (again, delta) = run(threads, cap());
         assert_eq!(again.clustering, dense.clustering, "{threads} threads");
         assert_eq!(delta, t1, "1-thread vs {threads}-thread counters differ");
+    }
+}
+
+/// AGGLOMERATIVE in the consensus pipeline evaluates each pair once, in
+/// its triangle's fill from the packed labels, and reads none when it
+/// prices the result: the cost comes from the merges and the lower bound
+/// from the fill's totals.
+#[test]
+fn agglomerative_prices_its_result_without_reading_a_pair() {
+    let _guard = metrics_lock();
+    let n = 300;
+    let total = noisy_inputs(n, 5, 6, 0.2, 13);
+    let with_missing: Vec<PartialClustering> = total
+        .iter()
+        .map(|c| {
+            let labels = (0..n).map(|v| (v % 7 != 3).then_some(c.label(v)));
+            PartialClustering::from_labels(labels.collect())
+        })
+        .collect();
+    let pairs = (n * (n - 1) / 2) as u64;
+    let cases = [
+        (total.iter().map(PartialClustering::from_total).collect(), 0),
+        (with_missing, pairs),
+    ];
+    for (inputs, lazy_evals) in cases {
+        let (result, delta) = measured(|| {
+            ConsensusBuilder::new()
+                .refine(false)
+                .try_aggregate_partial(inputs)
+                .expect("valid instance")
+        });
+        assert!(result.lower_bound.is_some() && result.cost.is_finite());
+        assert_eq!(delta.oracle_dense_evals, 0);
+        assert_eq!(delta.oracle_packed_evals, pairs);
+        assert_eq!(delta.oracle_lazy_evals, lazy_evals);
+        assert_eq!(delta.linkage_merges, n as u64 - 1);
     }
 }
 

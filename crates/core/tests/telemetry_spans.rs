@@ -24,12 +24,13 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
+use aggclust_core::algorithms::Algorithm;
 use aggclust_core::span;
 use aggclust_core::telemetry::{
     clear_collector, current_tid, install_collector, set_metrics_enabled, set_timing_clock,
     span_stats, Clock, Collector, Event, Level, SpanData,
 };
-use aggclust_core::{Clustering, ConsensusBuilder};
+use aggclust_core::{Clustering, ConsensusBuilder, RunBudget};
 use proptest::prelude::*;
 
 fn telemetry_lock() -> MutexGuard<'static, ()> {
@@ -318,34 +319,56 @@ fn hand_checked_attribution_depth2() {
     assert!(before.3 <= root.max_ns.get(), "max gauge is monotone");
 }
 
-/// `ConsensusBuilder::try_aggregate` recounts `E_D` from contingency tables
-/// after the pipeline: that pass has its own `disagreements` span, opened
-/// once on the calling thread after the `consensus` span has closed.
+/// Where the pipeline's count of `E_D` is not exact, as on the
+/// memory-capped lazy oracle, `ConsensusBuilder::try_aggregate` recounts it
+/// from contingency tables after the pipeline: that pass has its own
+/// `disagreements` span, opened once on the calling thread after the
+/// `consensus` span has closed. A dense run of total inputs prices `D(C)`
+/// exactly and recounts nothing.
 #[test]
 fn the_disagreement_recount_has_its_own_span_after_the_consensus() {
     let _guard = telemetry_lock();
     let inputs: Vec<Clustering> = (0..3)
         .map(|i| Clustering::from_labels((0..40).map(|v| ((v + i) / 5 % 4) as u32).collect()))
         .collect();
-    let collector = Arc::new(RecordingCollector::default());
-    install_collector(collector.clone());
-    let result = ConsensusBuilder::new().try_aggregate(&inputs).unwrap();
-    clear_collector();
-    assert!(!result.sampled);
-    let tid = current_tid();
-    let recs = collector.recs.lock().unwrap();
-    let here: Vec<(bool, &str)> = recs
-        .iter()
-        .filter_map(|rec| match *rec {
-            Rec::Start { tid: t, name, .. } if t == tid => Some((true, name)),
-            Rec::End { tid: t, name, .. } if t == tid => Some((false, name)),
-            _ => None,
-        })
-        .collect();
-    let starts = |span: &str| here.iter().filter(|&&rec| rec == (true, span)).count();
-    assert_eq!(starts("disagreements"), 1, "{here:?}");
-    assert_eq!(starts("consensus"), 1, "{here:?}");
+    let spans = |builder: ConsensusBuilder| {
+        let collector = Arc::new(RecordingCollector::default());
+        install_collector(collector.clone());
+        let result = builder.try_aggregate(&inputs).unwrap();
+        clear_collector();
+        assert!(!result.sampled);
+        let tid = current_tid();
+        let recs = collector.recs.lock().unwrap();
+        let here: Vec<(bool, &'static str)> = recs
+            .iter()
+            .filter_map(|rec| match *rec {
+                Rec::Start { tid: t, name, .. } if t == tid => Some((true, name)),
+                Rec::End { tid: t, name, .. } if t == tid => Some((false, name)),
+                _ => None,
+            })
+            .collect();
+        here
+    };
+    // 40 objects' dense codes need 3 232 bytes: the capped run reads the
+    // lazy oracle and prices in `f64`.
+    let here = spans(
+        ConsensusBuilder::new()
+            .algorithm(Algorithm::LocalSearch(Default::default()))
+            .budget(RunBudget::unlimited().with_mem_limit_bytes(3_000)),
+    );
+    let starts =
+        |here: &[(bool, &str)], span: &str| here.iter().filter(|&&rec| rec == (true, span)).count();
+    assert_eq!(starts(&here, "disagreements"), 1, "{here:?}");
+    assert_eq!(starts(&here, "consensus"), 1, "{here:?}");
     let consensus_end = here.iter().position(|&rec| rec == (false, "consensus"));
     let recount = here.iter().position(|&rec| rec == (true, "disagreements"));
     assert!(consensus_end.unwrap() < recount.unwrap(), "{here:?}");
+    for exact in [
+        ConsensusBuilder::new(),
+        ConsensusBuilder::new().algorithm(Algorithm::LocalSearch(Default::default())),
+    ] {
+        let here = spans(exact);
+        assert_eq!(starts(&here, "disagreements"), 0, "{here:?}");
+        assert_eq!(starts(&here, "consensus"), 1, "{here:?}");
+    }
 }
