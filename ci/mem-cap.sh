@@ -3,7 +3,10 @@
 # cap far below the ~800 MB dense-matrix footprint must degrade to the
 # O(n*m) lazy oracle — the run warns "lazy oracle", not SAMPLING and not
 # singletons, reads every distance through the lazy oracle — and its labels
-# must be byte-identical to an unconstrained run at 1, 2 and 4 threads.
+# must be byte-identical to an unconstrained run at 1, 2 and 4 threads,
+# and its `--log-level info` summary line (`aggregated ... (cost ...,
+# lower bound ...)`) identical to the unconstrained run's: the lazy oracle
+# prices the labels in the same exact integers as the dense matrix.
 #
 # Second case, AGGLOMERATIVE at n = 3000, m = 10, which merges in one
 # condensed triangle filled straight from the packed labels (no dense code
@@ -52,7 +55,13 @@ args=(aggregate --input "$WORK/input.csv" --algorithm balls --no-refine
       --sampling-threshold 20001)
 
 echo "== reference (unconstrained: dense matrix in RAM) =="
-"$BIN" "${args[@]}" --output "$WORK/ref.txt" --log-level error
+"$BIN" "${args[@]}" --output "$WORK/ref.txt" --log-level info 2> "$WORK/ref.err"
+summary() { grep '^aggregated ' "$1"; }
+ref_summary=$(summary "$WORK/ref.err")
+case "$ref_summary" in
+    *"(cost "*", lower bound "*")") echo "reference: $ref_summary" ;;
+    *) echo "FAIL: no priced summary line in the reference run"; cat "$WORK/ref.err"; exit 1 ;;
+esac
 
 for threads in 1 2 4; do
     echo "== capped (--mem-budget-mb 64, --threads $threads) =="
@@ -63,7 +72,7 @@ for threads in 1 2 4; do
         report=(--metrics-out "$WORK/capped.json")
     fi
     "$BIN" "${args[@]}" --mem-budget-mb 64 --threads "$threads" "${report[@]}" \
-        --output "$WORK/capped.txt" 2> "$WORK/capped.err" || {
+        --log-level info --output "$WORK/capped.txt" 2> "$WORK/capped.err" || {
         cat "$WORK/capped.err"
         exit 1
     }
@@ -92,6 +101,14 @@ for threads in 1 2 4; do
     fi
     cmp "$WORK/ref.txt" "$WORK/capped.txt"
     echo "OK: capped labels are byte-identical to the unconstrained run"
+    capped_summary=$(summary "$WORK/capped.err")
+    if [ "$capped_summary" != "$ref_summary" ]; then
+        echo "FAIL: capped summary differs from the unconstrained run"
+        echo "  reference: $ref_summary"
+        echo "  capped:    $capped_summary"
+        exit 1
+    fi
+    echo "OK: capped summary line is identical to the unconstrained run's"
 done
 
 # n = 3000, m = 10: a 12-cluster planted truth with 20 % of each input's

@@ -496,9 +496,8 @@ fn cmd_eval(args: &Args) -> Result<(), CliError> {
         inputs,
         parse_policy(args)?,
     )?;
-    let oracle = instance.dense_oracle();
-    let cost = aggclust_core::cost::correlation_cost(&oracle, &candidate);
-    let lb = aggclust_core::cost::lower_bound(&oracle);
+    // Priced on the lazy oracle: the dense matrix's bits, without its n².
+    let (cost, lb) = aggclust_core::cost::cost_and_bound(&instance.lazy_oracle(), &candidate);
     println!("objects:          {}", candidate.len());
     println!("clusters:         {}", candidate.num_clusters());
     println!("cost d(C):        {cost:.4}");

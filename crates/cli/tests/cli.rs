@@ -100,6 +100,70 @@ fn aggregate_eval_round_trip() {
     fs::remove_file(output).ok();
 }
 
+/// `eval` prices a candidate on the lazy oracle and prints the numbers the
+/// dense matrix gives, for total inputs, `Coin(½)` with missing labels
+/// (exact integers over the scale) and `Ignore` with missing labels (one
+/// `f64` pass with the bits of the dense matrix's two).
+#[test]
+fn eval_prints_the_dense_price_under_every_policy() {
+    use aggclust_core::cost::{correlation_cost, lower_bound};
+    use aggclust_core::instance::{CorrelationInstance, MissingPolicy};
+    // 300 objects, 44 850 pairs: several chunks of the pair pass.
+    let n = 300u32;
+    let row = |v: u32, missing: bool| -> String {
+        (0..5u32)
+            .map(|j| {
+                if missing && v % (4 + j) == 1 {
+                    "?".to_string()
+                } else {
+                    ((v * (j + 2) / 9 + u32::from(v.is_multiple_of(5 + j))) % 7).to_string()
+                }
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let labels: String = (0..n).map(|v| format!("{}\n", v % 7)).collect();
+    let candidate = tmp("eval-candidate.txt", &labels);
+    let cases = [
+        ("total", false, "coin", MissingPolicy::Coin(0.5)),
+        ("coin", true, "coin", MissingPolicy::Coin(0.5)),
+        ("ignore", true, "ignore", MissingPolicy::Ignore),
+    ];
+    for (name, missing, flag, policy) in cases {
+        let csv: String = (0..n).map(|v| row(v, missing) + "\n").collect();
+        let input = tmp(&format!("eval-{name}.csv"), &csv);
+        let out = bin()
+            .args(["eval", "--input", input.to_str().unwrap()])
+            .args([
+                "--candidate",
+                candidate.to_str().unwrap(),
+                "--missing",
+                flag,
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{name}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let inputs = aggclust_cli::csv::parse_label_matrix(&csv, ',', false).unwrap();
+        let m = inputs.len() as f64;
+        let dense = CorrelationInstance::try_from_partial(inputs, policy)
+            .unwrap()
+            .dense_oracle();
+        let c = aggclust_core::Clustering::from_labels((0..n).map(|v| v % 7).collect());
+        let (cost, lb) = (correlation_cost(&dense, &c), lower_bound(&dense));
+        for line in [
+            format!("cost d(C):        {cost:.4}"),
+            format!("lower bound:      {lb:.4}"),
+            format!("gap to bound:     {:.2}%", 100.0 * (cost - lb) / lb),
+            format!("E_D = m·d(C):     {:.1}", cost * m),
+        ] {
+            assert!(stdout.contains(&line), "{name}: {line:?} not in {stdout}");
+        }
+        fs::remove_file(input).ok();
+    }
+    fs::remove_file(candidate).ok();
+}
+
 #[test]
 fn all_algorithms_run() {
     let input = tmp("algos.csv", FIGURE1);

@@ -95,8 +95,8 @@ pub(crate) struct Priced {
     pub(crate) outcome: RunOutcome,
     /// `d(C)` of the outcome as an exact fraction, and `den` times the
     /// instance's per-pair lower bound: the same integers as
-    /// [`crate::cost::exact_cost`] and [`crate::cost::lower_bound`] on a
-    /// coded matrix of the same oracle.
+    /// [`crate::cost::exact_cost`] and [`crate::cost::lower_bound`] on the
+    /// same oracle.
     pub(crate) exact: Option<(ExactCost, u64)>,
 }
 

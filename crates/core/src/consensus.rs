@@ -30,8 +30,7 @@ use crate::algorithms::{
     AgglomerativeParams, Algorithm, BallsParams, LocalSearchInit, LocalSearchParams,
 };
 use crate::clustering::{Clustering, PartialClustering};
-use crate::cost::{correlation_cost, exact_cost, lower_bound, ExactCost};
-use crate::distance::disagreement_distance_gauged;
+use crate::cost::{self, ExactCost};
 use crate::error::AggResult;
 use crate::exact::{branch_and_bound, MAX_BNB_N};
 use crate::instance::{ClusteringsOracle, CorrelationInstance, DistanceOracle, MissingPolicy};
@@ -317,22 +316,7 @@ impl ConsensusBuilder {
     /// the best consensus found so far, tagged via `status` and explained in
     /// `warnings`.
     pub fn try_aggregate(&self, inputs: &[Clustering]) -> AggResult<ConsensusResult> {
-        let partial: Vec<PartialClustering> =
-            inputs.iter().map(PartialClustering::from_total).collect();
-        let (mut result, exact) = self.aggregate(partial)?;
-        // An exact price at `den = m` already counts `D(C)`; any other
-        // count is recounted from contingency tables.
-        if !exact && !result.sampled && result.cost.is_finite() {
-            let _span = crate::span!("disagreements", n = result.clustering.len());
-            // Contingency tables are charged to the budget's gauge so
-            // `--mem-budget` diagnostics see transient usage too.
-            let gauge = self.budget.mem_gauge();
-            result.disagreements = inputs
-                .iter()
-                .map(|c| disagreement_distance_gauged(c, &result.clustering, Some(gauge)))
-                .sum();
-        }
-        Ok(result)
+        self.try_aggregate_partial(inputs.iter().map(PartialClustering::from_total).collect())
     }
 
     /// Aggregate partial clusterings (missing labels allowed), with the same
@@ -370,12 +354,6 @@ impl ConsensusBuilder {
         &self,
         inputs: Vec<PartialClustering>,
     ) -> AggResult<ConsensusResult> {
-        Ok(self.aggregate(inputs)?.0)
-    }
-
-    /// [`ConsensusBuilder::try_aggregate_partial`], and whether the result's
-    /// `disagreements` is exact: priced as an [`ExactCost`] at `den = m`.
-    fn aggregate(&self, inputs: Vec<PartialClustering>) -> AggResult<(ConsensusResult, bool)> {
         let m = inputs.len();
         let instance = CorrelationInstance::try_from_partial(inputs, self.missing_policy)?;
         let n = instance.len();
@@ -408,8 +386,7 @@ impl ConsensusBuilder {
         if n > self.sampling_threshold {
             let params = SamplingParams::new(self.sample_size, self.algorithm.clone(), self.seed);
             let lazy = instance.lazy_oracle();
-            let result = self.run_sampling(&lazy, &params, Vec::new(), &mut ckpt, resume_main)?;
-            return Ok((result, false));
+            return self.run_sampling(&lazy, &params, Vec::new(), &mut ckpt, resume_main);
         }
 
         let mut warnings = Vec::new();
@@ -438,9 +415,7 @@ impl ConsensusBuilder {
                         },
                     );
                     let params = SamplingParams::new(s, self.algorithm.clone(), self.seed);
-                    let result =
-                        self.run_sampling(&lazy, &params, warnings, &mut ckpt, resume_main)?;
-                    return Ok((result, false));
+                    return self.run_sampling(&lazy, &params, warnings, &mut ckpt, resume_main);
                 }
             }
             // A stage-1 resume skips the main stage, and so the triangle.
@@ -537,7 +512,7 @@ impl ConsensusBuilder {
         mut warnings: Vec<Warning>,
         ckpt: &mut Option<Checkpointer>,
         resume_main: Option<&AlgorithmSnapshot>,
-    ) -> AggResult<(ConsensusResult, bool)> {
+    ) -> AggResult<ConsensusResult> {
         let (n, m) = (instance.len(), instance.num_clusterings());
         if let Some(c) = ckpt.as_mut() {
             c.set_stage(0);
@@ -571,7 +546,7 @@ impl ConsensusBuilder {
             }
         }
         let price = match exact {
-            Some((cost, bound)) => Price::from_merges(cost, bound, m),
+            Some((cost, bound)) => Price::from_integers(cost, bound, m),
             None => Price::on(lazy, &clustering, m),
         };
         Ok(price.result(clustering, status, warnings))
@@ -587,7 +562,7 @@ impl ConsensusBuilder {
         ckpt: &mut Option<Checkpointer>,
         resume_main: Option<&AlgorithmSnapshot>,
         resume_refine: Option<&AlgorithmSnapshot>,
-    ) -> AggResult<(ConsensusResult, bool)> {
+    ) -> AggResult<ConsensusResult> {
         let n = oracle.len();
         // A refinement-stage snapshot already contains the labels the main
         // stage produced (and every refinement move since); re-running the
@@ -662,7 +637,7 @@ impl ConsensusBuilder {
         mut warnings: Vec<Warning>,
         ckpt: &mut Option<Checkpointer>,
         resume_refine: Option<&AlgorithmSnapshot>,
-    ) -> AggResult<(ConsensusResult, bool)> {
+    ) -> AggResult<ConsensusResult> {
         if let Some(c) = ckpt.as_mut() {
             c.set_stage(1);
         }
@@ -685,9 +660,9 @@ fn build_interrupted(
     n: usize,
     interrupt: Interrupt,
     mut warnings: Vec<Warning>,
-) -> (ConsensusResult, bool) {
+) -> ConsensusResult {
     push_warning(&mut warnings, Warning::MatrixBuildInterrupted);
-    let result = ConsensusResult {
+    ConsensusResult {
         clustering: Clustering::singletons(n),
         cost: f64::NAN,
         disagreements: 0,
@@ -695,8 +670,7 @@ fn build_interrupted(
         sampled: false,
         status: interrupt.status(),
         warnings,
-    };
-    (result, false)
+    }
 }
 
 /// A result's cost, disagreements and lower bound.
@@ -704,64 +678,55 @@ struct Price {
     cost: f64,
     disagreements: u64,
     lower_bound: f64,
-    /// `disagreements` is `D(C)` itself: the cost is an [`ExactCost`] at
-    /// `den = m`.
-    exact: bool,
 }
 
 impl Price {
-    /// `clustering` priced on `oracle`: [`exact_cost`] where the oracle has
-    /// exact codes, else the `O(n²)` pair passes.
+    /// `clustering` priced on `oracle`: exactly from the oracle's pair
+    /// totals where it has a scale (the bound's share of the work, under
+    /// `lower_bound`) and its within-cluster pairs (`cost_eval`), else one
+    /// `f64` pair pass for both (`cost_eval`).
     fn on<O: DistanceOracle + Sync>(oracle: &O, clustering: &Clustering, m: usize) -> Self {
         let n = clustering.len();
-        let cost = {
-            let _span = crate::span!("cost_eval", n = n);
-            exact_cost(oracle, clustering).ok_or_else(|| correlation_cost(oracle, clustering))
-        };
-        let lower = {
+        let totals = {
             let _span = crate::span!("lower_bound", n = n);
-            lower_bound(oracle)
+            cost::exact_totals(oracle)
         };
-        Self::new(cost, lower, m)
-    }
-
-    /// AGGLOMERATIVE's own price: the exact `cost` and `den` times the
-    /// lower bound, from the triangle's fill and the applied merges. No
-    /// pair is read, so no pass is spanned.
-    fn from_merges(cost: ExactCost, bound: u64, m: usize) -> Self {
-        let lower = ExactCost {
-            num: bound,
-            den: cost.den,
-        };
-        Self::new(Ok(cost), lower.value(), m)
-    }
-
-    fn new(cost: Result<ExactCost, f64>, lower_bound: f64, m: usize) -> Self {
-        match cost {
-            Ok(exact) => Price {
-                cost: exact.value(),
-                disagreements: exact.disagreements(m),
-                lower_bound,
-                exact: exact.den as usize == m,
-            },
-            Err(cost) => Price {
-                cost,
-                disagreements: (cost * m as f64).round() as u64,
-                lower_bound,
-                exact: false,
-            },
+        let _span = crate::span!("cost_eval", n = n);
+        match totals {
+            Some((den, totals)) => Self::from_integers(
+                cost::exact_cost_with(oracle, clustering, den, totals),
+                totals.bound,
+                m,
+            ),
+            None => {
+                let (cost, lower_bound) = cost::cost_and_bound(oracle, clustering);
+                Price {
+                    cost,
+                    disagreements: (cost * m as f64).round() as u64,
+                    lower_bound,
+                }
+            }
         }
     }
 
-    /// The consensus result of a dense run priced at `self`, and whether
-    /// its disagreement count is exact.
+    /// The exact `cost` with `den` times the lower bound, `bound`; for `m`
+    /// total inputs (`den = m`) `disagreements` is `D(C)` itself.
+    fn from_integers(cost: ExactCost, bound: u64, m: usize) -> Self {
+        Price {
+            cost: cost.value(),
+            disagreements: cost.disagreements(m),
+            lower_bound: bound as f64 / f64::from(cost.den),
+        }
+    }
+
+    /// The consensus result of a dense run priced at `self`.
     fn result(
         self,
         clustering: Clustering,
         status: RunStatus,
         warnings: Vec<Warning>,
-    ) -> (ConsensusResult, bool) {
-        let result = ConsensusResult {
+    ) -> ConsensusResult {
+        ConsensusResult {
             disagreements: self.disagreements,
             lower_bound: Some(self.lower_bound),
             sampled: false,
@@ -769,8 +734,7 @@ impl Price {
             warnings,
             cost: self.cost,
             clustering,
-        };
-        (result, self.exact)
+        }
     }
 }
 
@@ -1254,6 +1218,19 @@ mod tests {
 
     const LAZY_CAP: u64 = 8 * 1024;
 
+    /// `capped` reports the bits of `reference`'s cost, lower bound and
+    /// `E_D`: one price whichever oracle served it.
+    fn assert_same_price(capped: &ConsensusResult, reference: &ConsensusResult, at: &str) {
+        assert_eq!(capped.cost.to_bits(), reference.cost.to_bits(), "{at}");
+        assert_eq!(
+            capped.lower_bound.map(f64::to_bits),
+            reference.lower_bound.map(f64::to_bits),
+            "{at}"
+        );
+        assert!(capped.lower_bound.is_some(), "{at}");
+        assert_eq!(capped.disagreements, reference.disagreements, "{at}");
+    }
+
     #[test]
     fn capped_run_matches_the_unconstrained_run_for_every_oracle_generic_algorithm() {
         let _guard = crate::telemetry::global_state_lock();
@@ -1277,11 +1254,7 @@ mod tests {
                 .unwrap();
             let name = algorithm.name();
             assert_eq!(capped.clustering, unconstrained.clustering, "{name}");
-            assert_eq!(
-                capped.cost.to_bits(),
-                unconstrained.cost.to_bits(),
-                "{name}"
-            );
+            assert_same_price(&capped, &unconstrained, name);
             assert_eq!(
                 capped.warnings,
                 vec![Warning::MemoryDegradedToLazyOracle {
@@ -1310,7 +1283,11 @@ mod tests {
                 .collect()
         };
         let inputs = shifted_inputs();
-        for policy in [MissingPolicy::Ignore, MissingPolicy::Coin(0.3)] {
+        for policy in [
+            MissingPolicy::Ignore,
+            MissingPolicy::Coin(0.5),
+            MissingPolicy::Coin(0.3),
+        ] {
             let build = || {
                 ConsensusBuilder::new()
                     .algorithm(Algorithm::LocalSearch(Default::default()))
@@ -1323,6 +1300,7 @@ mod tests {
                 .try_aggregate_partial(partial(&inputs))
                 .unwrap();
             assert_eq!(capped.clustering, unconstrained.clustering, "{policy:?}");
+            assert_same_price(&capped, &unconstrained, &format!("{policy:?}"));
             assert!(
                 matches!(
                     capped.warnings[..],
@@ -1517,15 +1495,18 @@ mod tests {
                         .algorithm(algorithm.clone())
                         .refine(refine)
                 };
-                // Priced exactly at `den = m`: `E_D` is the pipeline's own
-                // count. A cap that refuses the dense codes (but holds
-                // AGGLOMERATIVE's triangle) sends the run, or its
-                // refinement, to the lazy oracle, and `E_D` is recounted.
+                // Priced exactly at `den = m`, `E_D` is the pipeline's own
+                // count, also where a cap that refuses the dense codes (but
+                // holds AGGLOMERATIVE's triangle) sends the run, or its
+                // refinement, to the lazy oracle: nothing is recounted.
                 let dense = build().try_aggregate(&inputs).unwrap();
                 let capped = build()
                     .budget(RunBudget::unlimited().with_mem_limit_bytes(AGGLOMERATIVE_BYTES))
                     .try_aggregate(&inputs)
                     .unwrap();
+                let at = format!("{name}, refine {refine}");
+                assert_eq!(capped.clustering, dense.clustering, "{at}");
+                assert_same_price(&capped, &dense, &at);
                 for result in [dense, capped] {
                     assert!(!result.sampled, "{name}");
                     assert_eq!(

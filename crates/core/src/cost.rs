@@ -18,20 +18,23 @@
 //! [`crate::parallel`]: fixed chunk boundaries, partials combined in chunk
 //! order, so the value is bit-identical at any thread count.
 //!
-//! On an oracle with [`DistanceOracle::exact_codes`] (a coded dense matrix
-//! built from total or `Coin(½)` inputs) the cost and the bound are
-//! integers over the scale `den` instead, with `num = den·X_uv`: the bound
-//! `Σ_{u<v} min(num, den − num)` and the all-split cost
-//! `Σ_{u<v} (den − num)` come from totals the matrix's fill counted, and the
-//! cost adds `Σ_{same-cluster pairs} (2·num − den)`, reading only the
-//! within-cluster pairs. Each `f64` is then the one rounding of
-//! `num/den`.
+//! On an oracle with an [`DistanceOracle::exact_scale`] `den` — every
+//! oracle built from total or `Coin(½)` inputs, dense, lazy or restricted
+//! — the cost and the bound are integers over `den` instead, with `num =
+//! den·X_uv`: the bound `Σ_{u<v} min(num, den − num)` and the all-split
+//! cost `Σ_{u<v} (den − num)` come from [`DistanceOracle::pair_totals`],
+//! and the cost adds `Σ_{same-cluster pairs} (2·num − den)`, reading only
+//! the within-cluster pairs through `dist`, which the scale makes exact.
+//! Each `f64` is then the one rounding of `num/den`, whichever oracle
+//! served it. Without a scale (`Ignore` with missing labels, weighted
+//! inputs, caller distances) both are `f64` pair sums, which
+//! [`cost_and_bound`] takes in one pass.
 
 use std::ops::Range;
 
 use crate::clustering::Clustering;
-use crate::instance::DistanceOracle;
-use crate::parallel;
+use crate::instance::{DistanceOracle, PairTotals};
+use crate::parallel::{self, Sum2};
 
 /// `d(C)` as the exact fraction `num/den`, from [`exact_cost`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,41 +60,63 @@ impl ExactCost {
     }
 }
 
+/// An oracle's scale and pair totals: everything an exact price needs
+/// besides the within-cluster pairs. `None` without a scale.
+pub(crate) fn exact_totals<O: DistanceOracle + Sync + ?Sized>(
+    oracle: &O,
+) -> Option<(u32, PairTotals)> {
+    Some((oracle.exact_scale()?, oracle.pair_totals()?))
+}
+
 /// The correlation-clustering cost `d(C)` (Problem 2): [`exact_cost`]'s
-/// value where the oracle has exact codes, else `O(n²)` oracle lookups,
+/// value where the oracle has an exact scale, else `O(n²)` oracle lookups,
 /// parallelized over pair chunks.
 pub fn correlation_cost<O: DistanceOracle + Sync + ?Sized>(oracle: &O, c: &Clustering) -> f64 {
-    if let Some(cost) = exact_cost(oracle, c) {
-        return cost.value();
-    }
-    parallel::sum_pairs(c.len(), |u, v| {
-        let x = oracle.dist(u, v);
-        if c.same_cluster(u, v) {
-            x
-        } else {
-            1.0 - x
-        }
-    })
+    cost_and_bound(oracle, c).0
 }
 
 /// `d(C)` as an exact fraction, or `None` when the oracle has no
-/// [`DistanceOracle::exact_codes`]. `O(n + Σ|C_i|²)`: only the
-/// within-cluster pairs are read.
+/// [`DistanceOracle::exact_scale`]. Reads the within-cluster pairs, `O(n +
+/// Σ|C_i|²)`, next to [`DistanceOracle::pair_totals`].
 pub fn exact_cost<O: DistanceOracle + Sync + ?Sized>(
     oracle: &O,
     c: &Clustering,
 ) -> Option<ExactCost> {
+    let (den, totals) = exact_totals(oracle)?;
+    Some(exact_cost_with(oracle, c, den, totals))
+}
+
+/// [`exact_cost`] from the oracle's scale `den` and pair `totals`: the
+/// all-split numerator plus `Σ (2·round(den·X_uv) − den)` over the
+/// within-cluster pairs.
+pub(crate) fn exact_cost_with<O: DistanceOracle + Sync + ?Sized>(
+    oracle: &O,
+    c: &Clustering,
+    den: u32,
+    totals: PairTotals,
+) -> ExactCost {
     assert_eq!(oracle.len(), c.len(), "oracle and clustering sizes differ");
-    let codes = oracle.exact_codes()?;
     let clusters = c.clusters();
+    let scale = f64::from(den);
     let within: i64 = parallel::sum_jobs(member_row_jobs(&clusters), |(members, rows)| {
-        codes.within_numerator(members, rows)
+        let (mut sum, mut pairs) = (0u64, 0u64);
+        for i in rows {
+            let (u, rest) = (members[i], &members[i + 1..]);
+            pairs += rest.len() as u64;
+            for &v in rest {
+                // `den·X_uv` is within an ulp of its integer numerator, so
+                // truncating it plus ½ rounds it (`round` is a libm call
+                // without SSE4.1, several times slower).
+                sum += (oracle.dist(u, v) * scale + 0.5) as u64;
+            }
+        }
+        2 * sum as i64 - i64::from(den) * pairs as i64
     });
-    let num = codes.split_numerator() as i64 + within;
-    Some(ExactCost {
+    let num = totals.split_numerator(c.len(), den) as i64 + within;
+    ExactCost {
         num: num as u64,
-        den: codes.den(),
-    })
+        den,
+    }
 }
 
 /// Jobs over the pairs inside each cluster: (cluster members, a range of
@@ -143,17 +168,34 @@ pub fn within_cost<O: DistanceOracle + Sync + ?Sized>(oracle: &O, c: &Clustering
 ///
 /// Every clustering pays at least `min(X, 1 − X)` on each pair, so no
 /// solution — including the optimum — can cost less. The "Lower bound" rows
-/// of Tables 2 and 3 are `m` times this value. With
-/// [`DistanceOracle::exact_codes`] it is the fill's exact
-/// `Σ min(den·X, den − den·X) / den`, read in `O(1)`.
+/// of Tables 2 and 3 are `m` times this value. With an
+/// [`DistanceOracle::exact_scale`] it is the exact `Σ min(den·X, den −
+/// den·X) / den` of [`DistanceOracle::pair_totals`].
 pub fn lower_bound<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> f64 {
-    if let Some(codes) = oracle.exact_codes() {
-        return codes.bound_numerator() as f64 / f64::from(codes.den());
+    match exact_totals(oracle) {
+        Some((den, totals)) => totals.bound as f64 / f64::from(den),
+        None => parallel::sum_pairs(oracle.len(), |u, v| {
+            let x = oracle.dist(u, v);
+            x.min(1.0 - x)
+        }),
     }
-    parallel::sum_pairs(oracle.len(), |u, v| {
+}
+
+/// [`correlation_cost`] and [`lower_bound`] together, with the same bits
+/// as the two calls: from one [`DistanceOracle::pair_totals`] where the
+/// oracle has a scale, else one `f64` pair pass carrying both sums.
+pub fn cost_and_bound<O: DistanceOracle + Sync + ?Sized>(oracle: &O, c: &Clustering) -> (f64, f64) {
+    assert_eq!(oracle.len(), c.len(), "oracle and clustering sizes differ");
+    if let Some((den, totals)) = exact_totals(oracle) {
+        let cost = exact_cost_with(oracle, c, den, totals);
+        return (cost.value(), totals.bound as f64 / f64::from(den));
+    }
+    let Sum2(cost, bound) = parallel::sum_pairs(c.len(), |u, v| {
         let x = oracle.dist(u, v);
-        x.min(1.0 - x)
-    })
+        let cost = if c.same_cluster(u, v) { x } else { 1.0 - x };
+        Sum2(cost, x.min(1.0 - x))
+    });
+    (cost, bound)
 }
 
 #[cfg(test)]
@@ -233,6 +275,64 @@ mod tests {
         // (3 of them), 2/3 (2), 1 (the rest of the 15 pairs at various
         // values). Just sanity-check it is positive and ≤ 5/3.
         assert!(lb > 0.0 && lb <= 5.0 / 3.0 + 1e-12);
+    }
+
+    #[test]
+    fn the_fused_pass_has_the_bits_of_the_two_passes() {
+        use crate::clustering::PartialClustering;
+        use crate::instance::{CorrelationInstance, MissingPolicy};
+        use crate::parallel::with_num_threads;
+        // 400 objects: 79 800 pairs, several chunks of at least 8192.
+        let n = 400;
+        let inputs: Vec<PartialClustering> = (0..5u32)
+            .map(|j| {
+                let label = |v: u32| (v % (3 + j) != 1).then_some((v * (j + 1) / 7) % 6);
+                PartialClustering::from_labels((0..n as u32).map(label).collect())
+            })
+            .collect();
+        let ignore = CorrelationInstance::from_partial(inputs, MissingPolicy::Ignore).lazy_oracle();
+        assert_eq!(ignore.exact_scale(), None);
+        let from_fn =
+            DenseOracle::from_fn(n, |u, v| ((u * 7919 + v * 104_729) % 1000) as f64 / 999.0);
+        assert_eq!(from_fn.exact_scale(), None);
+        let candidate = Clustering::from_labels((0..n as u32).map(|v| v % 9).collect());
+        // Each sum in its own single-lane pass, as the cost and the bound
+        // were summed before the passes were fused.
+        fn apart<O: DistanceOracle + Sync>(oracle: &O, c: &Clustering) -> (f64, f64) {
+            let cost = parallel::sum_pairs(c.len(), |u, v| {
+                let x = oracle.dist(u, v);
+                if c.same_cluster(u, v) {
+                    x
+                } else {
+                    1.0 - x
+                }
+            });
+            let bound = parallel::sum_pairs(c.len(), |u, v| {
+                let x = oracle.dist(u, v);
+                x.min(1.0 - x)
+            });
+            (cost, bound)
+        }
+        let bits = |(cost, bound): (f64, f64)| (cost.to_bits(), bound.to_bits());
+        for threads in [1, 2, 4] {
+            with_num_threads(threads, || {
+                for (fused, two) in [
+                    (
+                        cost_and_bound(&ignore, &candidate),
+                        apart(&ignore, &candidate),
+                    ),
+                    (
+                        cost_and_bound(&from_fn, &candidate),
+                        apart(&from_fn, &candidate),
+                    ),
+                ] {
+                    assert_eq!(bits(fused), bits(two), "{threads} threads");
+                }
+                let cost = correlation_cost(&ignore, &candidate);
+                let bound = lower_bound(&ignore);
+                assert_eq!(bits((cost, bound)), bits(apart(&ignore, &candidate)));
+            });
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! version ([`disagreement_distance`]) used everywhere else.
 
 use crate::clustering::Clustering;
-use crate::robust::MemGauge;
 
 /// Cell-count ceiling for the dense contingency table in
 /// [`pairs_together_both`]. `k₁·k₂` at or below this (4M cells, 32 MiB)
@@ -30,22 +29,6 @@ const DENSE_TABLE_MAX_CELLS: usize = 1 << 22;
 /// packs each object's label pair into one `u64` key and sorts — an
 /// `O(n log n)` run-length count with no hashing and `O(n)` memory.
 pub fn pairs_together_both(c1: &Clustering, c2: &Clustering) -> u64 {
-    pairs_together_both_gauged(c1, c2, None)
-}
-
-/// [`pairs_together_both`] with the dense contingency table's allocation
-/// charged to a [`MemGauge`] for the duration of the computation.
-///
-/// Budget-governed callers (the consensus pipeline under `--mem-budget-mb`)
-/// route through this so the gauge reflects transient `k₁ × k₂` tables, not
-/// just long-lived distance matrices. The charge is purely observational —
-/// contingency tables are bounded by `DENSE_TABLE_MAX_CELLS` (32 MiB),
-/// the sparse fallback's key vector by `8n` bytes, and neither is refused.
-pub fn pairs_together_both_gauged(
-    c1: &Clustering,
-    c2: &Clustering,
-    gauge: Option<&MemGauge>,
-) -> u64 {
     assert_eq!(
         c1.len(),
         c2.len(),
@@ -53,7 +36,6 @@ pub fn pairs_together_both_gauged(
     );
     let (k1, k2) = (c1.num_clusters(), c2.num_clusters());
     if let Some(cells) = k1.checked_mul(k2).filter(|&c| c <= DENSE_TABLE_MAX_CELLS) {
-        let _charge = gauge.map(|g| g.charge(cells as u64 * 8));
         let mut table = vec![0u64; cells];
         for v in 0..c1.len() {
             table[c1.label(v) as usize * k2 + c2.label(v) as usize] += 1;
@@ -62,7 +44,6 @@ pub fn pairs_together_both_gauged(
         // c·(c−1)/2 term against u64 underflow at c = 0.
         table.iter().map(|&c| c * c.saturating_sub(1) / 2).sum()
     } else {
-        let _charge = gauge.map(|g| g.charge(c1.len() as u64 * 8));
         let mut keys: Vec<u64> = (0..c1.len())
             .map(|v| (u64::from(c1.label(v)) << 32) | u64::from(c2.label(v)))
             .collect();
@@ -99,20 +80,7 @@ pub fn pairs_together_both_gauged(
 /// assert_eq!(disagreement_distance(&c1, &c2), 3);
 /// ```
 pub fn disagreement_distance(c1: &Clustering, c2: &Clustering) -> u64 {
-    disagreement_distance_gauged(c1, c2, None)
-}
-
-/// [`disagreement_distance`] with contingency-table memory charged to a
-/// [`MemGauge`] while the table is live (see [`pairs_together_both_gauged`]).
-pub fn disagreement_distance_gauged(
-    c1: &Clustering,
-    c2: &Clustering,
-    gauge: Option<&MemGauge>,
-) -> u64 {
-    let p1 = c1.pairs_together();
-    let p2 = c2.pairs_together();
-    let p12 = pairs_together_both_gauged(c1, c2, gauge);
-    p1 + p2 - 2 * p12
+    c1.pairs_together() + c2.pairs_together() - 2 * pairs_together_both(c1, c2)
 }
 
 /// Quadratic reference implementation of [`disagreement_distance`], used to
@@ -255,19 +223,6 @@ mod tests {
         // Only {2,3} is co-clustered by both: c1 pairs {0,1},{2,3},{4,5};
         // c2 separates 0|1 and 4|5.
         assert_eq!(pairs_together_both(&small1, &small2), 1);
-    }
-
-    #[test]
-    fn gauged_distance_matches_ungauged_and_releases_the_charge() {
-        let a = c(&[0, 0, 1, 1, 2]);
-        let b = c(&[0, 1, 1, 2, 2]);
-        let gauge = MemGauge::new();
-        assert_eq!(
-            disagreement_distance_gauged(&a, &b, Some(&gauge)),
-            disagreement_distance(&a, &b)
-        );
-        // The table charge is RAII-scoped to the computation.
-        assert_eq!(gauge.used_bytes(), 0);
     }
 
     #[test]

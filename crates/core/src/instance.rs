@@ -17,6 +17,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::iter::Sum;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -138,14 +139,17 @@ pub trait DistanceOracle {
         numerators_each(self, u, vs, den, out);
     }
 
-    /// The exact integer view of a coded matrix: every pair's numerator
-    /// `den·X_uv` over its [`DistanceOracle::exact_scale`], and the sums
-    /// `Σ num` and `Σ min(num, den − num)` over all pairs that its fill
-    /// counted, from which [`crate::cost`] takes the lower bound without
-    /// reading a pair and the cost from the within-cluster pairs alone.
-    /// `None` unless the oracle holds both.
-    fn exact_codes(&self) -> Option<ExactCodes<'_>> {
-        None
+    /// `Σ num` and `Σ min(num, den − num)` over all pairs `u < v`, `num =
+    /// den·X_uv` at the [`DistanceOracle::exact_scale`] `den`: from them
+    /// [`crate::cost`] takes the lower bound and the cost of splitting every
+    /// pair, exactly. `None` without a scale. By default one streaming pass
+    /// of [`DistanceOracle::numerators_into`] over row jobs, summed as
+    /// integers; an oracle whose build counted them returns those.
+    fn pair_totals(&self) -> Option<PairTotals>
+    where
+        Self: Sync,
+    {
+        stream_totals(self)
     }
 
     /// Per-cluster label counts of `members`, member `i` in cluster
@@ -257,6 +261,25 @@ fn numerators_each<O: DistanceOracle + ?Sized>(
     }
 }
 
+/// The default [`DistanceOracle::pair_totals`]: each row's numerators in
+/// segments of the oracle's preferred band, into one scratch buffer per
+/// row job, no stored matrix.
+fn stream_totals<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> Option<PairTotals> {
+    let (n, den, band) = (oracle.len(), oracle.exact_scale()?, oracle.preferred_band());
+    Some(parallel::sum_jobs(parallel::row_ranges(n), |rows| {
+        let (mut nums, mut totals) = (vec![0u32; band], PairTotals::default());
+        for u in rows {
+            for lo in (u + 1..n).step_by(band) {
+                let vs = lo..(lo + band).min(n);
+                let nums = &mut nums[..vs.len()];
+                oracle.numerators_into(u, vs, den, nums);
+                totals = totals.add(PairTotals::of(nums, den));
+            }
+        }
+        totals
+    }))
+}
+
 /// The per-pair [`DistanceOracle::restrict`]: the subset's distances
 /// evaluated in parallel and coded like [`DenseOracle::from_fn_sync`].
 fn restrict_each<O: DistanceOracle + Sync>(oracle: &O, subset: &[usize]) -> DenseOracle {
@@ -318,8 +341,9 @@ pub struct DenseOracle {
     codes: Vec<u16>,
     table: Vec<f64>,
     values: Vec<f64>,
-    // Set on coded matrices built from clusterings whose table entries are
-    // all exact fractions `k/den`.
+    // Set on matrices built from clusterings whose distances are all exact
+    // fractions `k/den`: coded ones, whose table it decodes, and those of
+    // over 65 535 total inputs, which keep values.
     scale: Option<Scale>,
     // Counted by the fill of a matrix with a scale, dropped by any
     // mutation.
@@ -651,7 +675,7 @@ impl DenseOracle {
         Self::from_condensed(n, values).with_num_clusterings(Some(clusterings.len()))
     }
 
-    /// Tag a coded matrix with the proven scale of its table.
+    /// Tag the matrix with the proven scale of its distances.
     fn with_scale(mut self, scale: Option<Scale>) -> Self {
         self.scale = scale;
         self
@@ -673,8 +697,9 @@ impl DenseOracle {
     /// Mutable access to one entry (test/bench construction helper). A
     /// value the matrix has not held before gets the next free code; past
     /// [`MAX_DISTANCE_CODES`] distinct values the matrix keeps its values
-    /// instead. A value new to the matrix drops its exact scale, and any
-    /// edit drops its pair totals (so its [`DistanceOracle::exact_codes`]).
+    /// instead. A value that is no `k/den` drops the exact scale, and any
+    /// edit drops the pair totals the fill counted (so
+    /// [`DistanceOracle::pair_totals`] streams them again).
     ///
     /// # Panics
     /// Panics if `u == v` or `d` is not in `[0, 1]`.
@@ -705,12 +730,17 @@ impl DenseOracle {
             self.table = Vec::new();
             self.scale = None;
         }
+        self.scale = self
+            .scale
+            .take()
+            .filter(|scale| numerator(d, scale.den).is_some());
         self.values[condensed_index(n, u.min(v), u.max(v))] = d;
     }
 
-    /// `true` when the matrix holds codes rather than values.
+    /// `true` when the matrix holds codes rather than values (a matrix on
+    /// no objects holds neither, and counts as coded).
     fn is_coded(&self) -> bool {
-        self.values.is_empty() && !self.codes.is_empty()
+        self.values.is_empty() && self.codes.len() == self.n * self.n
     }
 
     /// `X_uv`, uncounted. A coded matrix answers from its codes; an
@@ -778,22 +808,17 @@ impl DistanceOracle for DenseOracle {
         self.scale.as_ref().map(|scale| scale.den)
     }
 
-    fn exact_codes(&self) -> Option<ExactCodes<'_>> {
-        let (scale, totals) = (self.scale.as_ref()?, self.totals?);
-        Some(ExactCodes {
-            n: self.n,
-            codes: &self.codes,
-            nums: &scale.nums,
-            den: scale.den,
-            totals,
-        })
+    /// The totals the fill counted, else [`DistanceOracle::pair_totals`]'s
+    /// streaming pass.
+    fn pair_totals(&self) -> Option<PairTotals> {
+        self.totals.or_else(|| stream_totals(self))
     }
 
     /// One contiguous slice of row `u`'s codes, decoded through the
     /// code → numerator table. Counts one dense read per pair.
     fn numerators_into(&self, u: usize, vs: Range<usize>, den: u32, out: &mut [u32]) {
         match &self.scale {
-            Some(scale) if scale.den == den => {
+            Some(scale) if scale.den == den && self.is_coded() => {
                 crate::telemetry::metrics()
                     .oracle_dense_evals
                     .add_if_enabled(out.len() as u64);
@@ -829,59 +854,6 @@ impl DistanceOracle for DenseOracle {
         Self::coded(s, codes, self.table.clone())
             .with_scale(self.scale.clone())
             .with_num_clusterings(self.m)
-    }
-}
-
-/// A coded [`DenseOracle`]'s exact integer view, handed out by
-/// [`DistanceOracle::exact_codes`]: each pair's numerator `den·X_uv`, read
-/// through the code → numerator table, and two sums over all pairs that
-/// the matrix's fill counted.
-#[derive(Clone, Copy, Debug)]
-pub struct ExactCodes<'a> {
-    n: usize,
-    codes: &'a [u16],
-    nums: &'a [u32],
-    den: u32,
-    totals: PairTotals,
-}
-
-impl ExactCodes<'_> {
-    /// The scale `den` of the numerators.
-    pub fn den(&self) -> u32 {
-        self.den
-    }
-
-    /// `Σ_{u<v} (den − den·X_uv)`: `den` times the cost of splitting every
-    /// pair apart. No pair is read.
-    pub fn split_numerator(&self) -> u64 {
-        self.totals.split_numerator(self.n, self.den)
-    }
-
-    /// `Σ_{u<v} min(den·X_uv, den − den·X_uv)`: `den` times the per-pair
-    /// lower bound. No pair is read.
-    pub fn bound_numerator(&self) -> u64 {
-        self.totals.bound
-    }
-
-    /// `Σ (2·den·X_uv − den)` over the pairs `(members[i], members[j])`
-    /// with `i` in `rows` and `j > i`: one job's share of the within-cluster
-    /// term of the cost's numerator, `members` ascending. Counts one dense
-    /// read per pair.
-    pub(crate) fn within_numerator(&self, members: &[usize], rows: Range<usize>) -> i64 {
-        let (mut sum, mut pairs) = (0u64, 0u64);
-        for i in rows {
-            let row = &self.codes[members[i] * self.n..][..self.n];
-            let rest = &members[i + 1..];
-            pairs += rest.len() as u64;
-            sum += rest
-                .iter()
-                .map(|&v| u64::from(self.nums[usize::from(row[v])]))
-                .sum::<u64>();
-        }
-        crate::telemetry::metrics()
-            .oracle_dense_evals
-            .add_if_enabled(pairs);
-        2 * sum as i64 - i64::from(self.den) * pairs as i64
     }
 }
 
@@ -952,7 +924,7 @@ impl ClusteringsOracle {
     }
 
     /// The oracle over validated inputs: packs the labels and proves the
-    /// code table's scale once.
+    /// scale of [`ClusteringsOracle::xuv_table`] once.
     fn assemble(clusterings: &[PartialClustering], policy: MissingPolicy) -> Self {
         let m = clusterings.len();
         let mut oracle = ClusteringsOracle {
@@ -963,7 +935,7 @@ impl ClusteringsOracle {
             policy,
             scale: None,
         };
-        oracle.scale = oracle.code_table().and_then(|table| Scale::of(&table, m));
+        oracle.scale = oracle.xuv_table().and_then(|table| Scale::of(&table, m));
         oracle
     }
 
@@ -1053,15 +1025,23 @@ impl ClusteringsOracle {
         (missing * (self.m as u32 + 1) + sep) as u16
     }
 
-    /// The code → `X_uv` table of this oracle's dense matrices, entry
+    /// `xuv(sep, missing)` at index `missing·(m + 1) + sep`, for every
+    /// count a pair can take: the `m + 1` of total inputs at any `m` (the
+    /// code limit bounds codes, not the scale), the `(m + 1)²` of partial
+    /// ones while they fit codes. Entry 0 (`sep = missing = 0`) is `0.0`.
+    /// While [`ClusteringsOracle::code_count`] admits codes, this is the
+    /// code → `X_uv` table of the oracle's dense matrices, entry
     /// [`ClusteringsOracle::code`]`(sep, missing)` holding `xuv(sep,
-    /// missing)`; `None` when the codes do not fit. Code 0 (`sep = missing
-    /// = 0`) is `0.0`.
-    fn code_table(&self) -> Option<Vec<f64>> {
-        let per_missing = self.m as u32 + 1;
-        let count = self.code_count()? as u32;
-        let entries = (0..count).map(|code| self.xuv(code % per_missing, code / per_missing));
-        Some(entries.collect())
+    /// missing)`.
+    fn xuv_table(&self) -> Option<Vec<f64>> {
+        let per_missing = self.m + 1;
+        let count = if self.partial {
+            self.code_count()?
+        } else {
+            per_missing
+        };
+        let entry = |i: usize| self.xuv((i % per_missing) as u32, (i / per_missing) as u32);
+        Some((0..count).map(entry).collect())
     }
 
     /// `(den, w_sep, w_miss)` when every pair's numerator is exactly
@@ -1072,8 +1052,8 @@ impl ClusteringsOracle {
     /// weights reproduce once two inputs can be missing.
     fn lane_weights(&self) -> Option<(u32, u32, u32)> {
         let scale = self.scale.as_ref()?;
-        let num = |sep, missing| scale.nums[usize::from(self.code(sep, missing))];
         let m = self.m as u32;
+        let num = |sep: u32, missing: u32| scale.nums[(missing * (m + 1) + sep) as usize];
         let max_missing = if self.partial { m } else { 0 };
         let w_sep = num(1, 0);
         let w_miss = if self.partial { num(0, 1) } else { 0 };
@@ -1174,10 +1154,7 @@ impl ClusteringsOracle {
             metrics.oracle_packed_evals.add_if_enabled(pairs as u64);
             fill
         };
-        let totals = scale.map(|_| {
-            jobs.into_iter()
-                .fold(PairTotals::default(), PairTotals::add)
-        });
+        let totals = scale.map(|_| jobs.into_iter().sum());
         Ok((data, totals))
     }
 
@@ -1186,10 +1163,12 @@ impl ClusteringsOracle {
     /// condensed values, when the codes do not fit.
     fn try_dense(&self, budget: &RunBudget) -> Result<DenseOracle, Interrupt> {
         let m = Some(self.m);
-        let Some(table) = self.code_table() else {
+        let Some(table) = self.code_count().and_then(|_| self.xuv_table()) else {
             let xuv = |sep, missing| self.xuv(sep, missing);
             let (values, _) = self.try_fill_counts(Layout::Condensed, xuv, None, budget)?;
-            return Ok(DenseOracle::uncoded(self.n, values).with_num_clusterings(m));
+            return Ok(DenseOracle::uncoded(self.n, values)
+                .with_scale(self.scale.clone())
+                .with_num_clusterings(m));
         };
         let code = |sep, missing| self.code(sep, missing);
         let scale = self.scale.as_ref();
@@ -1205,14 +1184,16 @@ impl ClusteringsOracle {
 }
 
 /// Sums over the upper triangle's pairs of their numerators `num =
-/// den·X_uv` over a proven scale: `Σ num` and `Σ min(num, den − num)`,
+/// den·X_uv` over a proven scale, from [`DistanceOracle::pair_totals`] or
 /// counted by the dense fill and by the linkage triangle's fill. The cost
 /// of splitting every pair apart and the lower bound follow from them
 /// without reading a pair.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct PairTotals {
-    pub(crate) num: u64,
-    pub(crate) bound: u64,
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PairTotals {
+    /// `Σ num`.
+    pub num: u64,
+    /// `Σ min(num, den − num)`: `den` times the per-pair lower bound.
+    pub bound: u64,
 }
 
 impl PairTotals {
@@ -1239,6 +1220,12 @@ impl PairTotals {
     pub(crate) fn split_numerator(self, n: usize, den: u32) -> u64 {
         let pairs = (n as u64) * (n.saturating_sub(1) as u64) / 2;
         u64::from(den) * pairs - self.num
+    }
+}
+
+impl Sum for PairTotals {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(PairTotals::default(), PairTotals::add)
     }
 }
 
@@ -1329,41 +1316,19 @@ impl DistanceOracle for ClusteringsOracle {
             .unwrap_or_else(|_| DenseOracle::empty())
     }
 
-    /// Codes the subset's pairs straight from the packed labels, in
-    /// parallel; each pair counts as one lazy evaluation.
+    /// The dense matrix of the subset's own oracle: its packed label rows
+    /// gathered, the policy and scale kept, built like every dense matrix
+    /// of this oracle (so with its pair totals when the scale is proven).
     fn restrict(&self, subset: &[usize]) -> DenseOracle {
-        let Some(table) = self.code_table() else {
-            return restrict_each(self, subset);
-        };
-        let s = subset.len();
-        let pair = |i: usize, j: usize| {
-            let (a, b) = (subset[i], subset[j]);
-            if a == b {
-                0
-            } else {
-                let (sep, missing) = self.packed.sep_missing(a, b);
-                self.code(sep, missing)
-            }
-        };
-        let fill = parallel::try_fill_upper(
-            s,
-            Layout::Square,
-            s,
-            || (),
-            parallel::pairwise(pair),
-            drop,
-            &RunBudget::unlimited(),
-        );
-        let pairs = (s * s.saturating_sub(1) / 2) as u64;
-        let metrics = crate::telemetry::metrics();
-        metrics.oracle_lazy_evals.add_if_enabled(pairs);
-        metrics.oracle_packed_evals.add_if_enabled(pairs);
-        // An unlimited budget never trips.
-        let (mut codes, _) = fill.unwrap_or_default();
-        mirror_upper(&mut codes, s);
-        DenseOracle::coded(s, codes, table)
-            .with_scale(self.scale.clone())
-            .with_num_clusterings(Some(self.m))
+        ClusteringsOracle {
+            n: subset.len(),
+            m: self.m,
+            policy: self.policy,
+            packed: self.packed.rows(subset),
+            partial: self.partial,
+            scale: self.scale.clone(),
+        }
+        .to_dense()
     }
 }
 
@@ -2113,6 +2078,13 @@ mod tests {
             let dense = instance.try_dense_oracle(&budget).expect("unlimited");
             assert_eq!(dense.mem_charge_bytes(), Some(bytes), "m = {m}");
             assert_eq!(dense.is_coded(), coded, "m = {m}");
+            // Total inputs prove `den = m` at any `m`; partial inputs past
+            // the code limit prove no scale.
+            let scale = (!partial).then_some(m as u32);
+            assert_eq!(lazy.exact_scale(), scale, "m = {m}");
+            assert_eq!(dense.exact_scale(), scale, "m = {m}");
+            assert_eq!(lazy.pair_totals(), dense.pair_totals(), "m = {m}");
+            assert_eq!(lazy.pair_totals().is_some(), !partial, "m = {m}");
             assert_reads(&dense, |u, v| lazy.dist(u, v));
             assert_reads(&lazy.restrict(&[5, 0, 3, 1]), |u, v| {
                 lazy.dist([5, 0, 3, 1][u], [5, 0, 3, 1][v])

@@ -284,6 +284,18 @@ impl LabelMatrix {
         self.tier
     }
 
+    /// The rows `subset`, in `subset` order: the packed labels of those
+    /// objects, with this matrix's lanes, width and tier.
+    pub(crate) fn rows(&self, subset: &[usize]) -> LabelMatrix {
+        let row = |v: usize| &self.words[v * self.stride..(v + 1) * self.stride];
+        LabelMatrix {
+            n: subset.len(),
+            words: subset.iter().flat_map(|&v| row(v)).copied().collect(),
+            valid: self.valid.clone(),
+            ..*self
+        }
+    }
+
     /// Heap bytes held by the packed words and masks (for `MemGauge`
     /// accounting on governed paths).
     pub fn bytes(&self) -> u64 {

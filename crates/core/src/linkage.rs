@@ -201,9 +201,7 @@ impl CondensedMatrix {
                 budget,
             )?;
             // Integer totals: the same at any thread count.
-            let totals = jobs
-                .into_iter()
-                .fold(PairTotals::default(), PairTotals::add);
+            let totals = jobs.into_iter().sum();
             return Ok(Cells::Sums { sums, den, totals });
         }
         let pair = |u, v| oracle.dist(u, v);

@@ -26,7 +26,7 @@
 //! ever spawned.
 
 use std::cell::Cell;
-use std::ops::Range;
+use std::ops::{AddAssign, Range};
 use std::sync::OnceLock;
 
 use crate::robust::{Interrupt, RunBudget};
@@ -163,8 +163,9 @@ pub fn balanced_ranges(
 }
 
 /// Row ranges covering `0..n` such that each range holds roughly the same
-/// number of pairs `(u, v)` with `u` in the range and `u < v < n`.
-fn row_ranges(n: usize) -> Vec<Range<usize>> {
+/// number of pairs `(u, v)` with `u` in the range and `u < v < n`: the
+/// row jobs of every pair loop here.
+pub(crate) fn row_ranges(n: usize) -> Vec<Range<usize>> {
     balanced_ranges(n, MIN_CHUNK_PAIRS, |u| n - 1 - u)
 }
 
@@ -215,12 +216,14 @@ where
 
 /// Deterministic sum of `f(u, v)` over all pairs `u < v < n`, chunked by
 /// row ranges; within a chunk pairs are visited in `(u asc, v asc)` order.
-pub fn sum_pairs<F>(n: usize, f: F) -> f64
+/// `R` is `f64`, or [`Sum2`] to carry two sums through one pass.
+pub fn sum_pairs<R, F>(n: usize, f: F) -> R
 where
-    F: Fn(usize, usize) -> f64 + Sync,
+    R: Copy + Default + Send + std::iter::Sum + AddAssign,
+    F: Fn(usize, usize) -> R + Sync,
 {
     sum_jobs(row_ranges(n), |rows| {
-        let mut acc = 0.0;
+        let mut acc = R::default();
         for u in rows {
             for v in u + 1..n {
                 acc += f(u, v);
@@ -228,6 +231,27 @@ where
         }
         acc
     })
+}
+
+/// Two `f64` sums carried through one [`sum_pairs`] pass. Each lane is
+/// added, and its chunk partials combined, exactly as a lone `f64` sum
+/// would be, so each has the bits of its own pass.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Sum2(pub f64, pub f64);
+
+impl AddAssign for Sum2 {
+    fn add_assign(&mut self, other: Sum2) {
+        self.0 += other.0;
+        self.1 += other.1;
+    }
+}
+
+impl std::iter::Sum for Sum2 {
+    /// Each lane summed by `f64`'s own `Sum`, in order.
+    fn sum<I: Iterator<Item = Sum2>>(iter: I) -> Sum2 {
+        let (a, b): (Vec<f64>, Vec<f64>) = iter.map(|s| (s.0, s.1)).unzip();
+        Sum2(a.into_iter().sum(), b.into_iter().sum())
+    }
 }
 
 /// Where [`try_fill_upper`] puts the pairs `(u, v)`, `u < v`, of row `u`.

@@ -9,9 +9,11 @@
 //!   every oracle kind;
 //! * a caller's oracle with more distinct distances than codes still
 //!   restricts, densifies and samples;
-//! * the cost, lower bound and `E_D` a coded matrix of total or `Coin(½)`
-//!   inputs reports as exact integers over its scale equal the pair sums,
-//!   at any thread count, and an edited matrix goes back to the pair pass.
+//! * the cost, lower bound and `E_D` of total or `Coin(½)` inputs, exact
+//!   integers over the scale, equal the pair sums at any thread count, and
+//!   are the same on the coded matrix, the lazy oracle and an edited
+//!   matrix that keeps its scale; a matrix that loses it goes back to the
+//!   pair pass.
 
 use aggclust_core::algorithms::balls::BallsParams;
 use aggclust_core::algorithms::sampling::{sampling, SamplingParams};
@@ -229,7 +231,7 @@ fn exact_cost_and_bound_equal_the_pair_sums() {
     for (at, instance, c) in exact_cases() {
         let dense = instance.dense_oracle();
         let den = dense.exact_scale().expect("a proven scale");
-        assert!(dense.exact_codes().is_some(), "{at}: exact codes");
+        assert!(dense.pair_totals().is_some(), "{at}: pair totals");
         let ((cost_f64, bound_f64), (cost_num, bound_num)) = pair_sums(&dense, &c, den);
         let cost = correlation_cost(&dense, &c);
         let bound = lower_bound(&dense);
@@ -254,13 +256,17 @@ fn exact_cost_and_bound_equal_the_pair_sums() {
             (bound_num as f64 / f64::from(den)).to_bits(),
             "{at}"
         );
-        // The lazy oracle keeps the pair pass.
+        // The lazy oracle streams the same totals and prices the same
+        // integers.
         let lazy = instance.lazy_oracle();
-        assert!(lazy.exact_codes().is_none(), "{at}");
-        assert!(
-            (correlation_cost(&lazy, &c) - cost).abs() <= 1e-9 * cost,
+        assert_eq!(lazy.pair_totals(), dense.pair_totals(), "{at}");
+        assert_eq!(exact_cost(&lazy, &c), Some(exact), "{at}");
+        assert_eq!(
+            correlation_cost(&lazy, &c).to_bits(),
+            cost.to_bits(),
             "{at}"
         );
+        assert_eq!(lower_bound(&lazy).to_bits(), bound.to_bits(), "{at}");
     }
 }
 
@@ -297,12 +303,12 @@ fn exact_totals_are_the_same_at_any_thread_count() {
     for (at, instance, c) in exact_cases() {
         let read = |threads| {
             with_num_threads(threads, || {
-                let dense = instance.dense_oracle();
-                let codes = dense.exact_codes().expect("exact codes");
+                let (dense, lazy) = (instance.dense_oracle(), instance.lazy_oracle());
                 (
-                    codes.split_numerator(),
-                    codes.bound_numerator(),
+                    dense.pair_totals().expect("pair totals"),
+                    lazy.pair_totals(),
                     exact_cost(&dense, &c),
+                    exact_cost(&lazy, &c),
                 )
             })
         };
@@ -311,25 +317,33 @@ fn exact_totals_are_the_same_at_any_thread_count() {
 }
 
 #[test]
-fn an_edited_matrix_falls_back_to_the_pair_pass() {
+fn an_edited_matrix_streams_its_totals_while_it_keeps_its_scale() {
     let (_, instance, c) = exact_cases().swap_remove(0);
     let mut dense = instance.dense_oracle();
     let den = dense.exact_scale().expect("a proven scale");
-    // A value the matrix already codes keeps the scale, but the fill's
-    // totals no longer describe the matrix.
+    // A value the matrix already codes keeps the scale; the fill's totals
+    // no longer describe the matrix, so they are streamed again.
     let x = dense.dist(0, 2);
     dense.set(0, 1, x);
     assert_eq!(dense.exact_scale(), Some(den));
-    assert!(dense.exact_codes().is_none());
+    let ((cost_f64, bound_f64), (cost_num, bound_num)) = pair_sums(&dense, &c, den);
+    assert_eq!(dense.pair_totals().map(|t| t.bound), Some(bound_num));
+    let exact = exact_cost(&dense, &c).expect("exact cost");
+    assert_eq!((exact.num, exact.den), (cost_num, den));
+    // A value that is no `k/den` drops the scale: back to the pair pass.
+    dense.set(0, 1, 0.1);
+    assert_eq!(dense.exact_scale(), None);
+    assert!(dense.pair_totals().is_none());
     assert!(exact_cost(&dense, &c).is_none());
-    let ((cost_f64, bound_f64), _) = pair_sums(&dense, &c, den);
-    assert!((correlation_cost(&dense, &c) - cost_f64).abs() <= 1e-9 * cost_f64);
-    assert!((lower_bound(&dense) - bound_f64).abs() <= 1e-9 * bound_f64);
-    // Restricted and caller-built matrices never carry totals.
-    assert!(instance
-        .dense_oracle()
-        .restrict(&[0, 1, 2])
-        .exact_codes()
-        .is_none());
-    assert!(DenseOracle::from_fn(5, |_, _| 0.5).exact_codes().is_none());
+    let ((cost_f64_after, bound_f64_after), _) = pair_sums(&dense, &c, den);
+    assert!((correlation_cost(&dense, &c) - cost_f64_after).abs() <= 1e-9 * cost_f64);
+    assert!((lower_bound(&dense) - bound_f64_after).abs() <= 1e-9 * bound_f64);
+    // A restricted matrix streams the totals of its own pairs; caller-built
+    // matrices have no scale.
+    let subset = [0, 1, 2, 7, 11];
+    assert_eq!(
+        instance.dense_oracle().restrict(&subset).pair_totals(),
+        instance.lazy_oracle().restrict(&subset).pair_totals()
+    );
+    assert!(DenseOracle::from_fn(5, |_, _| 0.5).pair_totals().is_none());
 }

@@ -5,7 +5,7 @@ use aggclust_core::algorithms::{
     LocalSearchInit, LocalSearchParams,
 };
 use aggclust_core::clustering::{Clustering, PartialClustering};
-use aggclust_core::cost::{correlation_cost, exact_cost, lower_bound};
+use aggclust_core::cost::{correlation_cost, cost_and_bound, exact_cost, lower_bound};
 use aggclust_core::distance::{
     disagreement_distance, disagreement_distance_naive, total_disagreement,
 };
@@ -670,5 +670,113 @@ fn agglomerative_from_the_lazy_triangle_equals_the_dense_copied_run_over_many_jo
         let what = format!("n = {n}, kind {kind}");
         assert_lazy_agglomerative_matches_dense(inputs.clone(), policy, 9, &what);
         assert_agglomerative_prices_like_the_dense_matrix(inputs, policy, 9, &what);
+    }
+}
+
+/// The bits of every price `oracle` gives `c`: the exact cost's value,
+/// `correlation_cost`, `lower_bound` and `cost_and_bound`.
+fn price_bits<O: DistanceOracle + Sync>(oracle: &O, c: &Clustering) -> [Option<u64>; 5] {
+    let (cost, bound) = cost_and_bound(oracle, c);
+    [
+        exact_cost(oracle, c).map(|exact| exact.value().to_bits()),
+        Some(correlation_cost(oracle, c).to_bits()),
+        Some(lower_bound(oracle).to_bits()),
+        Some(cost.to_bits()),
+        Some(bound.to_bits()),
+    ]
+}
+
+/// One price on every oracle of the same inputs: the lazy oracle, its dense
+/// matrix, and a restriction of either to `subset` against the subset's
+/// own lazy oracle and its dense matrix. Each prices exactly, with the same
+/// bits; the lazy oracle streams the totals its dense fill counts.
+fn assert_one_price(
+    inputs: Vec<PartialClustering>,
+    policy: MissingPolicy,
+    c: &Clustering,
+    subset: &[usize],
+    what: &str,
+) {
+    let lazy = ClusteringsOracle::new(inputs.clone(), policy);
+    let dense = lazy.to_dense();
+    assert!(lazy.pair_totals().is_some(), "{what}");
+    assert_eq!(lazy.pair_totals(), dense.pair_totals(), "{what}");
+    let full = price_bits(&lazy, c);
+    assert!(full[0].is_some(), "{what}: exact");
+    assert_eq!(full[0], full[1], "{what}");
+    assert_eq!(price_bits(&dense, c), full, "{what}: dense");
+    let own_inputs: Vec<PartialClustering> = inputs
+        .iter()
+        .map(|input| {
+            PartialClustering::from_labels(subset.iter().map(|&v| input.labels()[v]).collect())
+        })
+        .collect();
+    let own = ClusteringsOracle::new(own_inputs, policy);
+    let sub_c = c.restrict(subset);
+    let expected = price_bits(&own, &sub_c);
+    assert!(expected[0].is_some(), "{what}: exact subset");
+    for (name, sub) in [
+        ("own dense", own.to_dense()),
+        ("lazy restricted", lazy.restrict(subset)),
+        ("dense restricted", dense.restrict(subset)),
+    ] {
+        assert_eq!(price_bits(&sub, &sub_c), expected, "{what}: {name}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn every_oracle_of_total_and_coin_inputs_prices_the_same_bits(
+        (labels, kind, candidate, chosen) in (0usize..48).prop_flat_map(|n| {
+            (
+                prop::collection::vec(
+                    prop::collection::vec(prop::option::weighted(0.8, 0u32..5), n),
+                    1..7,
+                ),
+                0u8..2,
+                clustering_strategy(n, 5),
+                prop::collection::vec(any::<bool>(), n),
+            )
+        })
+    ) {
+        let (inputs, policy) = agglomerative_case(&labels, kind);
+        // Renumbered in descending order, so the restriction reorders.
+        let subset: Vec<usize> = (0..chosen.len()).rev().filter(|&v| chosen[v]).collect();
+        for threads in [1, 2] {
+            let what = format!("kind {kind}, {threads} threads");
+            with_num_threads(threads, || {
+                assert_one_price(inputs.clone(), policy, &candidate, &subset, &what)
+            });
+        }
+    }
+}
+
+/// [`assert_one_price`] at n = 700, where the streaming totals pass and the
+/// dense fill both split into many row jobs and column bands.
+#[test]
+fn every_oracle_prices_the_same_bits_over_many_jobs() {
+    let n = 700;
+    let labels: Vec<Vec<Option<u32>>> = (0..6u32)
+        .map(|j| {
+            (0..n as u32)
+                .map(|v| {
+                    let label = (v % 11 + u32::from(v % (3 + j) == 0)) % 11;
+                    (v % (5 + j) != 2).then_some(label)
+                })
+                .collect()
+        })
+        .collect();
+    let candidate = Clustering::from_labels((0..n as u32).map(|v| v % 11).collect());
+    let subset: Vec<usize> = (0..n).filter(|v| v % 3 != 1).collect();
+    for kind in 0..2 {
+        let (inputs, policy) = agglomerative_case(&labels, kind);
+        for threads in [1, 4] {
+            let what = format!("n = {n}, kind {kind}, {threads} threads");
+            with_num_threads(threads, || {
+                assert_one_price(inputs.clone(), policy, &candidate, &subset, &what)
+            });
+        }
     }
 }

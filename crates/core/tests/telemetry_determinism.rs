@@ -25,7 +25,8 @@ use aggclust_core::algorithms::{
 };
 use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::consensus::ConsensusBuilder;
-use aggclust_core::instance::{DenseOracle, DistanceOracle};
+use aggclust_core::cost::{cost_and_bound, exact_cost, lower_bound};
+use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
 use aggclust_core::parallel::with_num_threads;
 use aggclust_core::snapshot::{load_snapshot, Checkpointer, SnapshotLoad};
 use aggclust_core::telemetry::{metrics, set_metrics_enabled, MetricsSnapshot};
@@ -209,6 +210,59 @@ fn agglomerative_prices_its_result_without_reading_a_pair() {
         assert_eq!(delta.oracle_lazy_evals, lazy_evals);
         assert_eq!(delta.linkage_merges, n as u64 - 1);
     }
+}
+
+/// On total inputs the lazy oracle prices exactly from its packed rows: its
+/// lower bound streams each of the n(n−1)/2 pairs once through the batched
+/// kernel, with no lazy evaluation, and the cost adds one lazy read per
+/// within-cluster pair. A restricted sample is filled by the same kernel.
+/// Where no scale exists (`Ignore` with missing labels) the cost and the
+/// bound share one `f64` pass: one lazy read per pair.
+#[test]
+fn lazy_pricing_of_total_inputs_makes_packed_evaluations_only() {
+    let _guard = metrics_lock();
+    let n = 300;
+    let total = noisy_inputs(n, 5, 6, 0.2, 17);
+    let pairs = (n * (n - 1) / 2) as u64;
+    let lazy = CorrelationInstance::from_clusterings(&total).lazy_oracle();
+    let (_, delta) = measured(|| lower_bound(&lazy));
+    assert_eq!(delta.oracle_packed_evals, pairs);
+    assert_eq!(delta.oracle_lazy_evals, 0);
+    assert_eq!(delta.oracle_dense_evals, 0);
+    assert!(delta.kernels_row_batches > 0);
+
+    let c = &total[0];
+    let within: u64 = c
+        .clusters()
+        .iter()
+        .map(|m| (m.len() * (m.len() - 1) / 2) as u64)
+        .sum();
+    let (cost, delta) = measured(|| exact_cost(&lazy, c));
+    assert!(cost.is_some());
+    assert_eq!(delta.oracle_packed_evals, pairs + within);
+    assert_eq!(delta.oracle_lazy_evals, within);
+
+    let subset: Vec<usize> = (0..n).step_by(2).collect();
+    let s = subset.len() as u64;
+    let (sample, delta) = measured(|| lazy.restrict(&subset));
+    assert!(sample.pair_totals().is_some());
+    assert_eq!(delta.oracle_packed_evals, s * (s - 1) / 2);
+    assert_eq!(delta.oracle_lazy_evals, 0);
+    assert!(delta.kernels_row_batches > 0);
+
+    let with_missing: Vec<PartialClustering> = total
+        .iter()
+        .map(|c| {
+            PartialClustering::from_labels(
+                (0..n).map(|v| (v % 7 != 3).then_some(c.label(v))).collect(),
+            )
+        })
+        .collect();
+    let ignore =
+        CorrelationInstance::from_partial(with_missing, MissingPolicy::Ignore).lazy_oracle();
+    assert_eq!(ignore.exact_scale(), None);
+    let (_, delta) = measured(|| cost_and_bound(&ignore, c));
+    assert_eq!(delta.oracle_lazy_evals, pairs);
 }
 
 /// Interrupt a LOCALSEARCH run at the iteration cap (checkpointing every

@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use aggclust_core::algorithms::Algorithm;
+use aggclust_core::distance::total_disagreement;
 use aggclust_core::span;
 use aggclust_core::telemetry::{
     clear_collector, current_tid, install_collector, set_metrics_enabled, set_timing_clock,
@@ -319,14 +320,12 @@ fn hand_checked_attribution_depth2() {
     assert!(before.3 <= root.max_ns.get(), "max gauge is monotone");
 }
 
-/// Where the pipeline's count of `E_D` is not exact, as on the
-/// memory-capped lazy oracle, `ConsensusBuilder::try_aggregate` recounts it
-/// from contingency tables after the pipeline: that pass has its own
-/// `disagreements` span, opened once on the calling thread after the
-/// `consensus` span has closed. A dense run of total inputs prices `D(C)`
-/// exactly and recounts nothing.
+/// Every oracle of total inputs prices `D(C)` exactly, the memory-capped
+/// lazy one included, so `ConsensusBuilder::try_aggregate` recounts
+/// nothing: no run opens a `disagreements` span, and the capped run's
+/// `E_D` is the contingency count of its labels.
 #[test]
-fn the_disagreement_recount_has_its_own_span_after_the_consensus() {
+fn a_capped_run_prices_its_disagreements_exactly_without_a_recount() {
     let _guard = telemetry_lock();
     let inputs: Vec<Clustering> = (0..3)
         .map(|i| Clustering::from_labels((0..40).map(|v| ((v + i) / 5 % 4) as u32).collect()))
@@ -337,6 +336,10 @@ fn the_disagreement_recount_has_its_own_span_after_the_consensus() {
         let result = builder.try_aggregate(&inputs).unwrap();
         clear_collector();
         assert!(!result.sampled);
+        assert_eq!(
+            result.disagreements,
+            total_disagreement(&inputs, &result.clustering)
+        );
         let tid = current_tid();
         let recs = collector.recs.lock().unwrap();
         let here: Vec<(bool, &'static str)> = recs
@@ -350,7 +353,7 @@ fn the_disagreement_recount_has_its_own_span_after_the_consensus() {
         here
     };
     // 40 objects' dense codes need 3 232 bytes: the capped run reads the
-    // lazy oracle and prices in `f64`.
+    // lazy oracle.
     let here = spans(
         ConsensusBuilder::new()
             .algorithm(Algorithm::LocalSearch(Default::default()))
@@ -358,16 +361,11 @@ fn the_disagreement_recount_has_its_own_span_after_the_consensus() {
     );
     let starts =
         |here: &[(bool, &str)], span: &str| here.iter().filter(|&&rec| rec == (true, span)).count();
-    assert_eq!(starts(&here, "disagreements"), 1, "{here:?}");
-    assert_eq!(starts(&here, "consensus"), 1, "{here:?}");
-    let consensus_end = here.iter().position(|&rec| rec == (false, "consensus"));
-    let recount = here.iter().position(|&rec| rec == (true, "disagreements"));
-    assert!(consensus_end.unwrap() < recount.unwrap(), "{here:?}");
-    for exact in [
+    let uncapped = [
         ConsensusBuilder::new(),
         ConsensusBuilder::new().algorithm(Algorithm::LocalSearch(Default::default())),
-    ] {
-        let here = spans(exact);
+    ];
+    for here in std::iter::once(here).chain(uncapped.map(spans)) {
         assert_eq!(starts(&here, "disagreements"), 0, "{here:?}");
         assert_eq!(starts(&here, "consensus"), 1, "{here:?}");
     }
