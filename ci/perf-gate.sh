@@ -2,9 +2,10 @@
 # Perf-regression gate (ISSUE 9):
 #
 #   1. Run each pinned workload — the n = 5000 planted 9-block input,
-#      --threads 1, --seed 0, AGGCLUST_SIMD=swar, once with LOCALSEARCH
-#      and once with AGGLOMERATIVE (both --no-refine) — and diff its run
-#      report against its committed baseline with aggclust-trace.
+#      --threads 1, --seed 0, AGGCLUST_SIMD=swar: LOCALSEARCH and
+#      AGGLOMERATIVE with --no-refine, and the default pipeline
+#      (AGGLOMERATIVE refined by LOCALSEARCH) — and diff its run report
+#      against its committed baseline with aggclust-trace.
 #      Deterministic work counters are gated exactly (any drift means the
 #      algorithm did different work; mem_high_water_bytes catches a second
 #      O(n^2) structure); span self-time *shares* are gated with a
@@ -33,13 +34,15 @@ if [ ! -x "$TRACE_BIN" ]; then
     cargo build --release -q -p aggclust-trace
 fi
 
-# Each pinned workload: its --algorithm and its committed baseline.
+# Each pinned workload: its --algorithm, whether the LOCALSEARCH
+# refinement runs, and its committed baseline.
 WORKLOADS=(
-    "local-search ci/baselines/local_search_n5000.json"
-    "agglomerative ci/baselines/agglomerative_n5000.json"
+    "local-search no-refine ci/baselines/local_search_n5000.json"
+    "agglomerative no-refine ci/baselines/agglomerative_n5000.json"
+    "agglomerative refine ci/baselines/default_n5000.json"
 )
 for workload in "${WORKLOADS[@]}"; do
-    baseline=${workload#* }
+    baseline=${workload##* }
     [ -f "$baseline" ] || { echo "missing baseline $baseline" >&2; exit 1; }
 done
 
@@ -62,22 +65,24 @@ awk -v n=5000 'BEGIN {
 # wall-clock measurement could see it through the noise.
 GATED_COUNTERS=oracle_dense_evals,oracle_packed_evals,oracle_lazy_evals,ls_passes,ls_nodes_visited,ls_moves,kernels_row_batches,mem_high_water_bytes
 
-# run_workload ALGORITHM REPORT [TRACE]
+# run_workload ALGORITHM REFINE REPORT [TRACE]
 run_workload() {
+    local refine=()
+    [ "$2" = refine ] || refine=(--no-refine)
     AGGCLUST_SIMD=swar "$BIN" aggregate --input "$WORK/in5000.csv" \
-        --algorithm "$1" --no-refine --threads 1 --seed 0 \
-        --metrics-out "$2" --output /dev/null --log-level error \
-        ${3:+--trace-out "$3"}
+        --algorithm "$1" "${refine[@]}" --threads 1 --seed 0 \
+        --metrics-out "$3" --output /dev/null --log-level error \
+        ${4:+--trace-out "$4"}
 }
 
 for workload in "${WORKLOADS[@]}"; do
-    algorithm=${workload%% *}
-    baseline=${workload#* }
-    echo "== pinned workload: n=5000 $algorithm, threads=1, swar tier =="
-    run_workload "$algorithm" "$WORK/$algorithm.json" "$WORK/$algorithm.jsonl"
+    read -r algorithm refine baseline <<< "$workload"
+    name=$(basename "$baseline" .json)
+    echo "== pinned workload: n=5000 $algorithm ($refine), threads=1, swar tier =="
+    run_workload "$algorithm" "$refine" "$WORK/$name.json" "$WORK/$name.jsonl"
 
     echo "== gate: current vs $baseline =="
-    "$TRACE_BIN" diff --before "$baseline" --after "$WORK/$algorithm.json" \
+    "$TRACE_BIN" diff --before "$baseline" --after "$WORK/$name.json" \
         --gate-counters "$GATED_COUNTERS" \
         --share-tolerance-pts 25 --min-ns 20000000 \
         --fail-on-regression
@@ -88,7 +93,7 @@ for workload in "${WORKLOADS[@]}"; do
 done
 
 echo "== flamegraph fold smoke-check =="
-"$TRACE_BIN" fold --trace "$WORK/local-search.jsonl" > "$WORK/folded.txt"
+"$TRACE_BIN" fold --trace "$WORK/local_search_n5000.jsonl" > "$WORK/folded.txt"
 # Folded-stack grammar: 'name(;name)* <integer>' per line, nothing else.
 awk '!/^[A-Za-z0-9_]+(;[A-Za-z0-9_]+)* [0-9]+$/ { print "bad folded line: " $0; bad = 1 }
      END { exit bad }' "$WORK/folded.txt"

@@ -269,11 +269,10 @@ fn oracle_comparison(seed: u64, rows: usize) {
     let (dataset, _) = mushrooms_like(seed);
     let dataset = dataset.subsample_random(rows, seed);
     let exp = CategoricalExperiment::prepare(dataset);
-    let lazy = exp.instance.lazy_oracle();
     let algo = Algorithm::Balls(BallsParams::practical());
 
     let (dense_result, dense_secs) = timed(|| run(&algo, &exp.oracle));
-    let (lazy_result, lazy_secs) = timed(|| run(&algo, &lazy));
+    let (lazy_result, lazy_secs) = timed(|| run(&algo, &exp.instance));
     assert_eq!(dense_result, lazy_result, "oracles must agree");
 
     let mut table = Table::new(&["oracle", "lookup cost", "Balls time(s)", "memory"]);

@@ -17,7 +17,7 @@ use aggclust_bench::{run_sampling, timed};
 use aggclust_cli::args::Args;
 use aggclust_core::algorithms::sampling::SamplingParams;
 use aggclust_core::algorithms::{Algorithm, FurthestParams};
-use aggclust_core::instance::{ClusteringsOracle, MissingPolicy};
+use aggclust_core::instance::{CorrelationInstance, MissingPolicy};
 use aggclust_data::presets::census_like_scaled;
 use aggclust_data::to_clusterings::heterogeneous_clusterings;
 use aggclust_metrics::classification_error;
@@ -54,7 +54,7 @@ fn main() {
         aggclust_data::to_clusterings::attribute_clusterings(&dataset)
     };
     println!("{} input clusterings", clusterings.len());
-    let oracle = ClusteringsOracle::new(clusterings, MissingPolicy::Coin(0.5));
+    let oracle = CorrelationInstance::from_partial(clusterings, MissingPolicy::Coin(0.5));
 
     let params = SamplingParams::new(sample, Algorithm::Furthest(FurthestParams::default()), seed);
     let (details, secs) = timed(|| run_sampling(&oracle, &params));

@@ -27,7 +27,7 @@ use aggclust_cli::args::Args;
 use aggclust_core::algorithms::sampling::SamplingParams;
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm};
 use aggclust_core::clustering::Clustering;
-use aggclust_core::instance::{ClusteringsOracle, DistanceOracle};
+use aggclust_core::instance::{CorrelationInstance, DistanceOracle};
 use aggclust_data::presets::mushrooms_like;
 use aggclust_data::synth2d::gaussian_with_noise;
 use aggclust_metrics::classification_error;
@@ -153,7 +153,7 @@ fn scale_part(args: &Args, seed: u64) {
 
         // Lazy oracle: distances computed on demand from the 9 label
         // vectors — the full matrix would not fit for n = 1M.
-        let oracle = ClusteringsOracle::from_total(&inputs);
+        let oracle = CorrelationInstance::from_clusterings(&inputs);
         let params = SamplingParams::new(
             1000,
             Algorithm::Agglomerative(AgglomerativeParams::default()),

@@ -6,9 +6,9 @@
 use aggclust_core::algorithms::{
     AgglomerativeParams, Algorithm, BallsParams, FurthestParams, LocalSearchParams,
 };
-use aggclust_core::clustering::Clustering;
+use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::cost::{correlation_cost, lower_bound};
-use aggclust_core::instance::{CorrelationInstance, DenseOracle, MissingPolicy};
+use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
 use aggclust_data::categorical::CategoricalDataset;
 use aggclust_data::to_clusterings::attribute_clusterings;
 use aggclust_metrics::classification_error;
@@ -35,6 +35,8 @@ pub struct RosterRow {
 pub struct CategoricalExperiment {
     /// The dataset under test.
     pub dataset: CategoricalDataset,
+    /// The attribute clusterings (the BESTCLUSTERING candidates).
+    pub clusterings: Vec<PartialClustering>,
     /// The instance built from the attribute clusterings (coin policy ½).
     pub instance: CorrelationInstance,
     /// Precomputed dense distances.
@@ -46,10 +48,12 @@ impl CategoricalExperiment {
     /// missing-value policy) and precompute the dense oracle.
     pub fn prepare(dataset: CategoricalDataset) -> Self {
         let clusterings = attribute_clusterings(&dataset);
-        let instance = CorrelationInstance::from_partial(clusterings, MissingPolicy::Coin(0.5));
+        let instance =
+            CorrelationInstance::from_partial(clusterings.clone(), MissingPolicy::Coin(0.5));
         let oracle = instance.dense_oracle();
         CategoricalExperiment {
             dataset,
+            clusterings,
             instance,
             oracle,
         }
@@ -99,7 +103,7 @@ impl CategoricalExperiment {
     pub fn best_clustering_row(&self) -> RosterRow {
         let (result, secs) = crate::timed(|| {
             let mut best: Option<(f64, Clustering)> = None;
-            for input in self.instance.inputs() {
+            for input in &self.clusterings {
                 let candidate = input.complete_with_singletons();
                 let cost = correlation_cost(&self.oracle, &candidate);
                 if best.as_ref().is_none_or(|(c, _)| cost < *c) {
@@ -108,7 +112,7 @@ impl CategoricalExperiment {
             }
             // Unreachable fallback: instances always carry >= 1 input.
             best.map_or_else(
-                || Clustering::singletons(self.instance.len()),
+                || Clustering::singletons(self.oracle.len()),
                 |(_, candidate)| candidate,
             )
         });

@@ -20,11 +20,12 @@ use aggclust_core::algorithms::{
 use aggclust_core::clustering::PartialClustering;
 use aggclust_core::consensus::ConsensusBuilder;
 use aggclust_core::failpoint::{self, FaultPlan};
-use aggclust_core::instance::MissingPolicy;
+use aggclust_core::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
 use aggclust_core::iofs;
 use aggclust_core::obs;
+use aggclust_core::robust::Interrupt;
 use aggclust_core::snapshot::{load_snapshot, RetryPolicy, SnapshotLoad};
-use aggclust_core::{CancelToken, RunBudget, RunStatus};
+use aggclust_core::{CancelToken, RunBudget, RunStatus, Warning};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -492,12 +493,9 @@ fn cmd_eval(args: &Args) -> Result<(), CliError> {
             inputs[0].len()
         )));
     }
-    let instance = aggclust_core::instance::CorrelationInstance::try_from_partial(
-        inputs,
-        parse_policy(args)?,
-    )?;
+    let instance = CorrelationInstance::try_from_partial(inputs, parse_policy(args)?)?;
     // Priced on the lazy oracle: the dense matrix's bits, without its n².
-    let (cost, lb) = aggclust_core::cost::cost_and_bound(&instance.lazy_oracle(), &candidate);
+    let (cost, lb) = aggclust_core::cost::cost_and_bound(&instance, &candidate);
     println!("objects:          {}", candidate.len());
     println!("clusters:         {}", candidate.num_clusters());
     println!("cost d(C):        {cost:.4}");
@@ -520,12 +518,31 @@ fn cmd_eval(args: &Args) -> Result<(), CliError> {
 fn cmd_diagnose(args: &Args) -> Result<(), CliError> {
     let budget = args.run_budget();
     let inputs = load_inputs(args, Some(&budget))?;
-    let instance = aggclust_core::instance::CorrelationInstance::try_from_partial(
-        inputs,
-        parse_policy(args)?,
-    )?;
-    let oracle = instance.dense_oracle();
-    let hist = aggclust_metrics::stability::agreement_histogram(&oracle, 10);
+    let instance = CorrelationInstance::try_from_partial(inputs, parse_policy(args)?)?;
+    // The n² matrix is built under the run's budget. When the memory cap
+    // refuses it, the instance itself answers with the same numbers: the
+    // rung the aggregation pipeline takes.
+    match instance.try_dense_oracle(&budget) {
+        Ok(dense) => print_diagnosis(&dense),
+        Err(Interrupt::MemoryExceeded { requested, limit }) => {
+            obs::warn!(Warning::MemoryDegradedToLazyOracle { requested, limit }.to_string());
+            print_diagnosis(&instance)
+        }
+        Err(interrupt) => Err(match interrupt.status() {
+            RunStatus::Cancelled => {
+                CliError::Cancelled("run cancelled while building the distance matrix".into())
+            }
+            _ => CliError::BudgetExceeded(
+                "run budget exceeded while building the distance matrix".into(),
+            ),
+        }),
+    }
+}
+
+/// Print the pairwise-distance histogram, the ambiguous pairs and the top
+/// outlier candidates of `oracle`.
+fn print_diagnosis<O: DistanceOracle + Sync>(oracle: &O) -> Result<(), CliError> {
+    let hist = aggclust_metrics::stability::agreement_histogram(oracle, 10);
     let total: u64 = hist.iter().sum();
     println!("pairwise distance histogram (10 bins over [0,1]):");
     for (b, &count) in hist.iter().enumerate() {
@@ -544,18 +561,14 @@ fn cmd_diagnose(args: &Args) -> Result<(), CliError> {
             bar
         );
     }
-    let ambiguous = aggclust_metrics::stability::ambiguous_pair_fraction(&oracle, 0.25, 0.75);
+    let ambiguous = aggclust_metrics::stability::ambiguous_pair_fraction(oracle, 0.25, 0.75);
     println!(
         "\nambiguous pairs (X in (0.25, 0.75)): {:.1}%",
         100.0 * ambiguous
     );
-    let outliers = aggclust_metrics::stability::top_outliers(&oracle, 10.min(oracle_len(&oracle)));
+    let outliers = aggclust_metrics::stability::top_outliers(oracle, 10.min(oracle.len()));
     println!("top outlier candidates (object indices): {outliers:?}");
     Ok(())
-}
-
-fn oracle_len(o: &impl aggclust_core::instance::DistanceOracle) -> usize {
-    o.len()
 }
 
 fn cmd_demo() -> Result<(), CliError> {

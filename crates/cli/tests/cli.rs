@@ -1,5 +1,6 @@
 //! End-to-end tests of the `aggclust` binary.
 
+use aggclust_core::instance::{CorrelationInstance, MissingPolicy};
 use std::fs;
 use std::process::Command;
 
@@ -723,6 +724,55 @@ fn mem_budget_degrades_to_the_lazy_oracle_with_identical_labels() {
     let stderr = String::from_utf8_lossy(&capped.stderr);
     assert!(stderr.contains("lazy oracle"), "{stderr}");
     assert_eq!(unlimited.stdout, capped.stdout);
+    fs::remove_file(input).ok();
+}
+
+/// `metrics.mem_high_water_bytes` of a `--metrics-out` run report.
+fn high_water(report: &str) -> u64 {
+    let key = "\"mem_high_water_bytes\":";
+    let at = report.find(key).expect("report carries the high-water") + key.len();
+    let digits: String = report[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn diagnose_builds_its_matrix_under_the_memory_cap() {
+    // n = 800: the dense matrix needs 800²·2 ≈ 1.3 MB of u16 codes. The
+    // uncapped run charges exactly what the governed build reserves; a
+    // 1 MB cap refuses it, and the instance itself answers with the same
+    // numbers.
+    let csv = planted_csv(800, 8);
+    let input = tmp("diag-mem.csv", &csv);
+    let run = |tag: &str, extra: &[&str]| {
+        let report = std::env::temp_dir().join(format!("aggclust-cli-diag-mem-{tag}.json"));
+        let mut args = vec![
+            "diagnose",
+            "--input",
+            input.to_str().unwrap(),
+            "--metrics-out",
+            report.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let out = bin().args(&args).output().unwrap();
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        let water = high_water(&fs::read_to_string(&report).unwrap());
+        fs::remove_file(report).ok();
+        (out, water)
+    };
+    let inputs = aggclust_cli::csv::parse_label_matrix(&csv, ',', false).unwrap();
+    let instance = CorrelationInstance::try_from_partial(inputs, MissingPolicy::default()).unwrap();
+    // The matrix and its code table, and the packed labels its fill reads.
+    let charged = instance.dense_bytes() + instance.packed_bytes();
+    let (uncapped, water) = run("uncapped", &[]);
+    assert_eq!(water, charged);
+    let (capped, water) = run("capped", &["--mem-budget-mb", "1"]);
+    assert!(water <= 1 << 20, "high-water {water} over the 1 MB cap");
+    let stderr = String::from_utf8_lossy(&capped.stderr);
+    assert!(stderr.contains("lazy oracle"), "{stderr}");
+    assert_eq!(capped.stdout, uncapped.stdout);
     fs::remove_file(input).ok();
 }
 

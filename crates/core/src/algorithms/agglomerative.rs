@@ -17,8 +17,8 @@
 //! and the ½ cut are decided without rounding.
 //!
 //! The triangle is the run's one `O(n²)` structure. The consensus pipeline
-//! fills it straight from the packed labels of the lazy
-//! [`crate::instance::ClusteringsOracle`], with no code matrix, and prices
+//! fills it straight from the packed labels of the
+//! [`crate::instance::CorrelationInstance`], with no code matrix, and prices
 //! the result without reading a pair: the fill counts `Σ num` and
 //! `Σ min(num, den − num)` over all pairs (the all-split cost and the
 //! lower bound), and the merges the cut applies add their exact sums

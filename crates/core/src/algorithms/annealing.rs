@@ -353,7 +353,7 @@ mod tests {
         // contract is the same bits on every oracle kind.
         let inputs = noisy_inputs();
         let dense = DenseOracle::from_clusterings(&inputs);
-        let lazy = crate::instance::ClusteringsOracle::from_total(&inputs);
+        let lazy = crate::instance::CorrelationInstance::from_clusterings(&inputs);
         for seed in [0u64, 5, 9] {
             let params = AnnealingParams {
                 seed,

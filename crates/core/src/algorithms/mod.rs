@@ -105,7 +105,7 @@ mod tests {
     use super::*;
     use crate::clustering::Clustering;
     use crate::error::AggError;
-    use crate::instance::{ClusteringsOracle, DenseOracle};
+    use crate::instance::{CorrelationInstance, DenseOracle};
     use crate::robust::RunBudget;
 
     fn figure1_oracle() -> DenseOracle {
@@ -280,7 +280,7 @@ mod tests {
         let named = local_search_from_budgeted(&dense, &start, 200, 1e-9, &budget).unwrap();
         assert_eq!(named.clustering, unlimited(refine, &dense));
 
-        let lazy = ClusteringsOracle::from_total(&inputs);
+        let lazy = CorrelationInstance::from_clusterings(&inputs);
         let params = SamplingParams::new(20, agglomerative, 7);
         let single = sampling(&lazy, &params, &mut RunCtx::new(&budget)).unwrap();
         assert_eq!(

@@ -432,7 +432,7 @@ mod tests {
     use super::*;
     use crate::algorithms::{unlimited, AgglomerativeParams, BallsParams};
     use crate::cost::correlation_cost;
-    use crate::instance::{ClusteringsOracle, DenseOracle};
+    use crate::instance::{CorrelationInstance, DenseOracle};
     use crate::snapshot::Checkpointer;
 
     fn c(labels: &[u32]) -> Clustering {
@@ -538,7 +538,7 @@ mod tests {
     #[test]
     fn works_on_lazy_oracle() {
         let (inputs, dense) = blocks_instance();
-        let lazy = ClusteringsOracle::from_total(&inputs);
+        let lazy = CorrelationInstance::from_clusterings(&inputs);
         let params = SamplingParams::new(
             20,
             Algorithm::Agglomerative(AgglomerativeParams::default()),

@@ -33,7 +33,7 @@ use crate::clustering::{Clustering, PartialClustering};
 use crate::cost::{self, ExactCost};
 use crate::error::AggResult;
 use crate::exact::{branch_and_bound, MAX_BNB_N};
-use crate::instance::{ClusteringsOracle, CorrelationInstance, DistanceOracle, MissingPolicy};
+use crate::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
 use crate::linkage::CondensedMatrix;
 use crate::robust::{Interrupt, RunBudget, RunCtx, RunStatus};
 use crate::snapshot::{AlgorithmSnapshot, Checkpointer, Snapshot};
@@ -316,7 +316,11 @@ impl ConsensusBuilder {
     /// the best consensus found so far, tagged via `status` and explained in
     /// `warnings`.
     pub fn try_aggregate(&self, inputs: &[Clustering]) -> AggResult<ConsensusResult> {
-        self.try_aggregate_partial(inputs.iter().map(PartialClustering::from_total).collect())
+        let instance = CorrelationInstance::try_from_clusterings(inputs)?;
+        // No label is missing, so the policy never applies; an invalid one
+        // is still refused, as for partial inputs.
+        self.missing_policy.validate()?;
+        self.aggregate_instance(instance)
     }
 
     /// Aggregate partial clusterings (missing labels allowed), with the same
@@ -325,14 +329,14 @@ impl ConsensusBuilder {
     ///
     /// Graceful-degradation chain:
     /// 1. `n` over the sampling threshold → SAMPLING (budgeted).
-    /// 2. Dense matrix refused by the **memory cap** → the `O(n·m)` lazy
-    ///    oracle (same answer, no quadratic memory). The lazy oracle
-    ///    answers through the packed SWAR rows of
+    /// 2. Dense matrix refused by the **memory cap** → the instance read
+    ///    as the `O(n·m)` lazy oracle (same answer, no quadratic memory).
+    ///    It answers through the packed SWAR rows of
     ///    [`crate::kernels::LabelMatrix`] (`O(n·m/4)` words, bit-identical
     ///    to the dense values), so this fallback trades build time, not
     ///    per-distance cost. AGGLOMERATIVE builds no dense matrix for its
     ///    main stage: it fills its condensed triangle
-    ///    ([`CondensedMatrix::bytes`]) straight from the lazy oracle, and
+    ///    ([`CondensedMatrix::bytes`]) straight from the packed labels, and
     ///    when the triangle does not fit the cap it degrades to SAMPLING
     ///    with the sample clamped so the sample's triangle fits. Its
     ///    refinement builds the dense matrix only once the triangle is
@@ -354,9 +358,16 @@ impl ConsensusBuilder {
         &self,
         inputs: Vec<PartialClustering>,
     ) -> AggResult<ConsensusResult> {
-        let m = inputs.len();
-        let instance = CorrelationInstance::try_from_partial(inputs, self.missing_policy)?;
-        let n = instance.len();
+        self.aggregate_instance(CorrelationInstance::try_from_partial(
+            inputs,
+            self.missing_policy,
+        )?)
+    }
+
+    /// The pipeline of [`ConsensusBuilder::try_aggregate_partial`] on a
+    /// validated instance.
+    fn aggregate_instance(&self, instance: CorrelationInstance) -> AggResult<ConsensusResult> {
+        let (n, m) = (instance.len(), instance.num_clusterings());
         let _span = crate::span!(
             "consensus",
             n = n,
@@ -385,20 +396,18 @@ impl ConsensusBuilder {
 
         if n > self.sampling_threshold {
             let params = SamplingParams::new(self.sample_size, self.algorithm.clone(), self.seed);
-            let lazy = instance.lazy_oracle();
-            return self.run_sampling(&lazy, &params, Vec::new(), &mut ckpt, resume_main);
+            return self.run_sampling(&instance, &params, Vec::new(), &mut ckpt, resume_main);
         }
 
         let mut warnings = Vec::new();
         if let (Algorithm::Agglomerative(params), false) = (&self.algorithm, self.prefer_exact) {
             // AGGLOMERATIVE merges in a condensed triangle (`u32` sums or
             // `f64` distances, `CondensedMatrix::bytes`) filled straight
-            // from the lazy oracle, its one O(n²) structure. When the
-            // triangle does not fit the cap, it degrades to SAMPLING with
-            // the sample clamped so *its* triangle fits what is left.
-            let lazy = instance.lazy_oracle();
+            // from the instance's labels, its one O(n²) structure. When
+            // the triangle does not fit the cap, it degrades to SAMPLING
+            // with the sample clamped so *its* triangle fits what is left.
             if let Some(limit) = self.budget.mem_limit_bytes() {
-                let scale = lazy.exact_scale();
+                let scale = instance.exact_scale();
                 let requested = CondensedMatrix::bytes(n, scale);
                 let headroom = limit.saturating_sub(self.budget.mem_gauge().used_bytes());
                 if requested > headroom {
@@ -415,19 +424,12 @@ impl ConsensusBuilder {
                         },
                     );
                     let params = SamplingParams::new(s, self.algorithm.clone(), self.seed);
-                    return self.run_sampling(&lazy, &params, warnings, &mut ckpt, resume_main);
+                    return self.run_sampling(&instance, &params, warnings, &mut ckpt, resume_main);
                 }
             }
             // A stage-1 resume skips the main stage, and so the triangle.
             if !(self.refine && resume_refine.is_some()) {
-                return self.agglomerate(
-                    &instance,
-                    &lazy,
-                    *params,
-                    warnings,
-                    &mut ckpt,
-                    resume_main,
-                );
+                return self.agglomerate(&instance, *params, warnings, &mut ckpt, resume_main);
             }
         }
         let dense = match instance.try_dense_oracle(&self.budget) {
@@ -437,9 +439,8 @@ impl ConsensusBuilder {
                     &mut warnings,
                     Warning::MemoryDegradedToLazyOracle { requested, limit },
                 );
-                let lazy = instance.lazy_oracle();
                 return self.finish_with_oracle(
-                    &lazy,
+                    &instance,
                     m,
                     warnings,
                     &mut ckpt,
@@ -499,7 +500,7 @@ impl ConsensusBuilder {
         })
     }
 
-    /// AGGLOMERATIVE from the lazy oracle's condensed triangle, priced from
+    /// AGGLOMERATIVE from the instance's condensed triangle, priced from
     /// the fill and the merges ([`agglomerative::run_priced`]). With
     /// refinement, the dense matrix is built only after the triangle is
     /// dropped, so the run holds one `O(n²)` structure at a time; the
@@ -507,7 +508,6 @@ impl ConsensusBuilder {
     fn agglomerate(
         &self,
         instance: &CorrelationInstance,
-        lazy: &ClusteringsOracle,
         params: AgglomerativeParams,
         mut warnings: Vec<Warning>,
         ckpt: &mut Option<Checkpointer>,
@@ -518,7 +518,7 @@ impl ConsensusBuilder {
             c.set_stage(0);
         }
         let ctx = &mut self.ctx(resume_main, ckpt);
-        let Priced { outcome, exact } = match agglomerative::run_priced(lazy, params, ctx)? {
+        let Priced { outcome, exact } = match agglomerative::run_priced(instance, params, ctx)? {
             Ok(priced) => priced,
             Err(interrupt) => return Ok(build_interrupted(n, interrupt, warnings)),
         };
@@ -535,7 +535,7 @@ impl ConsensusBuilder {
                         Warning::MemoryDegradedToLazyOracle { requested, limit },
                     );
                     return self
-                        .refine_and_price(lazy, m, clustering, status, warnings, ckpt, None);
+                        .refine_and_price(instance, m, clustering, status, warnings, ckpt, None);
                 }
                 // No time left to build the matrix, so none to refine:
                 // the main stage's result stands.
@@ -547,7 +547,7 @@ impl ConsensusBuilder {
         }
         let price = match exact {
             Some((cost, bound)) => Price::from_integers(cost, bound, m),
-            None => Price::on(lazy, &clustering, m),
+            None => Price::on(instance, &clustering, m),
         };
         Ok(price.result(clustering, status, warnings))
     }
@@ -1229,6 +1229,57 @@ mod tests {
         );
         assert!(capped.lower_bound.is_some(), "{at}");
         assert_eq!(capped.disagreements, reference.disagreements, "{at}");
+    }
+
+    #[test]
+    fn total_and_partial_routes_aggregate_alike() {
+        // `try_aggregate` packs the totals' labels directly,
+        // `try_aggregate_partial` their `PartialClustering::from_total`
+        // views: the same labels and the same price bits for every
+        // algorithm, with and without refinement, at 1 and 2 threads, and
+        // on the SAMPLING path.
+        let inputs = shifted_inputs();
+        let partial = || inputs.iter().map(PartialClustering::from_total).collect();
+        let algorithms = [
+            Algorithm::Agglomerative(Default::default()),
+            Algorithm::Balls(BallsParams::practical()),
+            Algorithm::Furthest(Default::default()),
+            Algorithm::LocalSearch(Default::default()),
+            Algorithm::Pivot(Default::default()),
+            Algorithm::Annealing(crate::algorithms::AnnealingParams {
+                sweeps: 10,
+                ..Default::default()
+            }),
+        ];
+        for algorithm in algorithms {
+            for (refine, threshold) in [(true, 6000), (false, 6000), (true, 40)] {
+                let builder = ConsensusBuilder::new()
+                    .algorithm(algorithm.clone())
+                    .refine(refine)
+                    .sampling_threshold(threshold)
+                    .sample_size(20)
+                    .seed(3);
+                for threads in [1, 2] {
+                    let at = format!(
+                        "{} refine {refine} n > {threshold} {threads}",
+                        algorithm.name()
+                    );
+                    let (total, partial) = crate::parallel::with_num_threads(threads, || {
+                        let total = builder.try_aggregate(&inputs).unwrap();
+                        (total, builder.try_aggregate_partial(partial()).unwrap())
+                    });
+                    assert_eq!(total.clustering, partial.clustering, "{at}");
+                    assert_eq!(total.cost.to_bits(), partial.cost.to_bits(), "{at}");
+                    assert_eq!(
+                        total.lower_bound.map(f64::to_bits),
+                        partial.lower_bound.map(f64::to_bits),
+                        "{at}"
+                    );
+                    assert_eq!(total.disagreements, partial.disagreements, "{at}");
+                    assert_eq!(total.sampled, threshold < inputs[0].len(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -290,7 +290,7 @@ mod tests {
                 PartialClustering::from_labels((0..n as u32).map(label).collect())
             })
             .collect();
-        let ignore = CorrelationInstance::from_partial(inputs, MissingPolicy::Ignore).lazy_oracle();
+        let ignore = CorrelationInstance::from_partial(inputs, MissingPolicy::Ignore);
         assert_eq!(ignore.exact_scale(), None);
         let from_fn =
             DenseOracle::from_fn(n, |u, v| ((u * 7919 + v * 104_729) % 1000) as f64 / 999.0);

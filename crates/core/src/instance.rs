@@ -11,9 +11,10 @@
 //!
 //! * [`DenseOracle`] — a precomputed `n × n` matrix of `u16` distance
 //!   codes (`O(1)` lookups, `2n²` bytes, contiguous rows), or
-//! * [`ClusteringsOracle`] — on-the-fly computation from the `m` label
-//!   vectors (`O(m)` lookups, `O(nm)` memory), which is what makes
-//!   [`crate::algorithms::sampling`] scale to millions of objects.
+//! * [`CorrelationInstance`] itself — on-the-fly computation from the
+//!   packed labels of the `m` input clusterings (`O(m)` lookups, `O(nm)`
+//!   memory), which is what makes [`crate::algorithms::sampling`] scale to
+//!   millions of objects.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -176,13 +177,24 @@ pub trait DistanceOracle {
     }
 
     /// Dense oracle restricted to a subset of the objects, renumbered
-    /// `0..subset.len()`.
+    /// `0..subset.len()`. `subset` lists distinct objects: a repeated
+    /// object's pair is no diagonal, and a [`CorrelationInstance`] reads it
+    /// from the object's labels, a nonzero `Coin` / `Ignore` distance where
+    /// a label is missing.
     fn restrict(&self, subset: &[usize]) -> DenseOracle
     where
         Self: Sized + Sync,
     {
         restrict_each(self, subset)
     }
+}
+
+/// `true` when `subset` lists no object twice ([`DistanceOracle::restrict`]'s
+/// contract).
+fn distinct(subset: &[usize]) -> bool {
+    let mut sorted = subset.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|pair| pair[0] != pair[1])
 }
 
 /// Index into the condensed upper-triangle representation for `u < v`.
@@ -205,9 +217,59 @@ fn numerator(x: f64, den: u32) -> Option<u32> {
     ((k / den).to_bits() == x.to_bits()).then_some(k as u32)
 }
 
+/// The object count `n` that the input clusterings' lengths `lens` agree
+/// on: the one check of empty input (degenerate) and of mismatched object
+/// counts (invalid) behind every constructor that takes clusterings.
+fn object_count(mut lens: impl Iterator<Item = usize>) -> AggResult<usize> {
+    let n = lens
+        .next()
+        .ok_or_else(|| AggError::degenerate("need at least one input clustering"))?;
+    match lens.find(|&len| len != n) {
+        Some(bad) => Err(AggError::invalid_instance(format!(
+            "input clusterings disagree on the object count: {n} vs {bad}"
+        ))),
+        None => Ok(n),
+    }
+}
+
+/// The checks of the weighted constructors: the inputs' object count, one
+/// non-negative weight per clustering, and a positive finite weight sum.
+fn check_weights(clusterings: &[Clustering], weights: &[f64]) -> AggResult<()> {
+    object_count(clusterings.iter().map(Clustering::len))?;
+    if clusterings.len() != weights.len() {
+        return Err(AggError::invalid_instance(format!(
+            "{} clusterings but {} weights",
+            clusterings.len(),
+            weights.len()
+        )));
+    }
+    if let Some(w) = weights.iter().find(|w| w.is_nan() || **w < 0.0) {
+        return Err(AggError::invalid_instance(format!(
+            "weight {w} is negative or NaN"
+        )));
+    }
+    let total: f64 = weights.iter().sum();
+    if !total.is_finite() || total <= 0.0 {
+        return Err(AggError::invalid_instance(format!(
+            "weights must sum to a finite positive value, got {total}"
+        )));
+    }
+    Ok(())
+}
+
+/// Panic with `checked`'s error: the constructors documented to panic
+/// reject what their `try_` variants return as errors, in the same words.
+fn assert_valid(checked: AggResult<()>) {
+    assert!(
+        checked.is_ok(),
+        "{}",
+        checked.map_or_else(|e| e.to_string(), |()| String::new())
+    );
+}
+
 /// The proven scale of a code table: every entry is the `f64` nearest to
 /// `nums[code] / den`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Scale {
     den: u32,
     nums: Vec<u32>,
@@ -283,6 +345,7 @@ fn stream_totals<O: DistanceOracle + Sync + ?Sized>(oracle: &O) -> Option<PairTo
 /// The per-pair [`DistanceOracle::restrict`]: the subset's distances
 /// evaluated in parallel and coded like [`DenseOracle::from_fn_sync`].
 fn restrict_each<O: DistanceOracle + Sync>(oracle: &O, subset: &[usize]) -> DenseOracle {
+    debug_assert!(distinct(subset), "restrict: subset repeats an object");
     DenseOracle::from_fn_sync(subset.len(), |u, v| oracle.dist(subset[u], subset[v]))
         .with_num_clusterings(oracle.num_clusterings())
 }
@@ -321,7 +384,7 @@ fn mirror_upper(codes: &mut [u16], n: usize) {
 /// ([`DistanceOracle::accumulate_row`]) streams `2n` bytes. Code 0 is the
 /// diagonal and always maps to `0.0`. A matrix built from input
 /// clusterings codes each pair as `missing·(m+1) + sep` and its table
-/// holds the exact [`ClusteringsOracle`] value for those counts; a matrix
+/// holds the exact [`CorrelationInstance`] value for those counts; a matrix
 /// built from arbitrary values ([`DenseOracle::from_fn`] and friends)
 /// assigns codes in `(u asc, v asc)` first-appearance order, so codes
 /// never depend on the thread count. A matrix with more than
@@ -487,18 +550,7 @@ impl DenseOracle {
     /// and mismatched object counts come back as typed errors instead of
     /// panics.
     pub fn try_from_clusterings(clusterings: &[Clustering]) -> AggResult<Self> {
-        if clusterings.is_empty() {
-            return Err(AggError::degenerate("need at least one input clustering"));
-        }
-        let n = clusterings[0].len();
-        if let Some(bad) = clusterings.iter().find(|c| c.len() != n) {
-            return Err(AggError::invalid_instance(format!(
-                "input clusterings disagree on the object count: {} vs {}",
-                n,
-                bad.len()
-            )));
-        }
-        Ok(DenseOracle::from_clusterings(clusterings))
+        Ok(CorrelationInstance::try_from_clusterings(clusterings)?.dense_oracle())
     }
 
     /// Validating variant of [`DenseOracle::from_weighted_clusterings`]:
@@ -508,35 +560,7 @@ impl DenseOracle {
         clusterings: &[Clustering],
         weights: &[f64],
     ) -> AggResult<Self> {
-        if clusterings.is_empty() {
-            return Err(AggError::degenerate("need at least one input clustering"));
-        }
-        if clusterings.len() != weights.len() {
-            return Err(AggError::invalid_instance(format!(
-                "{} clusterings but {} weights",
-                clusterings.len(),
-                weights.len()
-            )));
-        }
-        if let Some(w) = weights.iter().find(|w| w.is_nan() || **w < 0.0) {
-            return Err(AggError::invalid_instance(format!(
-                "weight {w} is negative or NaN"
-            )));
-        }
-        let total: f64 = weights.iter().sum();
-        if !total.is_finite() || total <= 0.0 {
-            return Err(AggError::invalid_instance(format!(
-                "weights must sum to a positive finite value, got {total}"
-            )));
-        }
-        let n = clusterings[0].len();
-        if let Some(bad) = clusterings.iter().find(|c| c.len() != n) {
-            return Err(AggError::invalid_instance(format!(
-                "input clusterings disagree on the object count: {} vs {}",
-                n,
-                bad.len()
-            )));
-        }
+        check_weights(clusterings, weights)?;
         Ok(DenseOracle::from_weighted_clusterings(clusterings, weights))
     }
 
@@ -566,29 +590,12 @@ impl DenseOracle {
     /// `kernels_fallback_scalar` metric).
     ///
     /// # Panics
-    /// Panics on length mismatch, NaN or negative weights, or all-zero
-    /// weights (same wording as the errors of
-    /// [`DenseOracle::try_from_weighted_clusterings`]).
+    /// Panics on what [`DenseOracle::try_from_weighted_clusterings`]
+    /// returns as errors, in the same words.
     pub fn from_weighted_clusterings(clusterings: &[Clustering], weights: &[f64]) -> Self {
-        assert_eq!(
-            clusterings.len(),
-            weights.len(),
-            "one weight per clustering required"
-        );
-        assert!(!clusterings.is_empty(), "need at least one clustering");
-        let bad = weights.iter().find(|w| w.is_nan() || **w < 0.0);
-        assert!(
-            bad.is_none(),
-            "weight {} is negative or NaN",
-            bad.copied().unwrap_or(f64::NAN)
-        );
+        assert_valid(check_weights(clusterings, weights));
         let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
         let n = clusterings[0].len();
-        assert!(
-            clusterings.iter().all(|c| c.len() == n),
-            "all clusterings must cover the same objects"
-        );
         let _span = crate::span!("dense_build", n = n, m = clusterings.len());
         enum Block {
             Packed(f64, LabelMatrix),
@@ -840,6 +847,7 @@ impl DistanceOracle for DenseOracle {
         if !self.is_coded() {
             return restrict_each(self, subset);
         }
+        debug_assert!(distinct(subset), "restrict: subset repeats an object");
         let (n, s, all) = (self.n, subset.len(), &self.codes);
         let mut codes = vec![0u16; s * s];
         for (out, &a) in codes.chunks_mut(s.max(1)).zip(subset) {
@@ -857,17 +865,20 @@ impl DistanceOracle for DenseOracle {
     }
 }
 
-/// Lazy oracle computing `X_uv` from the input clusterings on each call,
-/// honoring a [`MissingPolicy`] for partial clusterings.
+/// A correlation-clustering instance built from `m` input clusterings —
+/// the bridge between Problem 1 (clustering aggregation) and Problem 2
+/// (correlation clustering) — and its lazy oracle, which computes `X_uv`
+/// from the labels on each call, honoring a [`MissingPolicy`] for partial
+/// clusterings.
 ///
-/// Lookup is `O(m)`; memory is `O(nm)` — suitable for the SAMPLING
-/// algorithm on large datasets where only a sparse set of pairs is ever
-/// queried. Lookups are served by the packed SWAR kernels
-/// ([`crate::kernels`]): construction transposes the inputs into a
-/// [`LabelMatrix`] once, and each `dist` call XOR-scans two label rows
-/// instead of chasing `m` separate label vectors.
+/// Construction validates the inputs and transposes them into a packed
+/// [`LabelMatrix`] once; the caller's label vectors are not kept. Each
+/// `dist` call XOR-scans two label rows through the packed SWAR kernels
+/// ([`crate::kernels`]): lookup is `O(m)` and memory `O(nm)`, which suits
+/// SAMPLING on large datasets where only a sparse set of pairs is ever
+/// queried. [`CorrelationInstance::dense_oracle`] precomputes every pair.
 #[derive(Clone, Debug)]
-pub struct ClusteringsOracle {
+pub struct CorrelationInstance {
     n: usize,
     // Number of input clusterings.
     m: usize,
@@ -876,78 +887,113 @@ pub struct ClusteringsOracle {
     // Some input lacks a label somewhere.
     partial: bool,
     // The proven scale of the code table, shared by every dense matrix
-    // built from this oracle.
+    // built from this instance.
     scale: Option<Scale>,
 }
 
-impl ClusteringsOracle {
-    /// Build from partial clusterings with the given missing-value policy.
-    pub fn new(clusterings: Vec<PartialClustering>, policy: MissingPolicy) -> Self {
-        Self::checked(&clusterings, policy)
+/// The lazy oracle's former name, which the benchmark harness still uses:
+/// delete with the next benchmark change.
+pub type ClusteringsOracle = CorrelationInstance;
+
+impl CorrelationInstance {
+    /// Build from total clusterings.
+    ///
+    /// # Panics
+    /// Panics on what [`CorrelationInstance::try_from_clusterings`]
+    /// returns as errors, in the same words.
+    pub fn from_clusterings(inputs: &[Clustering]) -> Self {
+        assert_valid(object_count(inputs.iter().map(Clustering::len)).map(drop));
+        Self::pack_total(inputs)
     }
 
-    /// [`ClusteringsOracle::new`] over borrowed inputs: the oracle keeps
-    /// their packed labels, not the inputs.
-    fn checked(clusterings: &[PartialClustering], policy: MissingPolicy) -> Self {
-        assert!(!clusterings.is_empty(), "need at least one clustering");
-        let n = clusterings[0].len();
-        assert!(
-            clusterings.iter().all(|c| c.len() == n),
-            "all clusterings must cover the same objects"
-        );
-        if let MissingPolicy::Coin(p) = policy {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "coin probability {p} out of [0,1]"
-            );
-        }
-        Self::assemble(clusterings, policy)
+    /// Validating variant of [`CorrelationInstance::from_clusterings`]:
+    /// empty input and mismatched object counts come back as typed errors.
+    pub fn try_from_clusterings(inputs: &[Clustering]) -> AggResult<Self> {
+        object_count(inputs.iter().map(Clustering::len))?;
+        Ok(Self::pack_total(inputs))
     }
 
-    /// Validating variant of [`ClusteringsOracle::new`]: empty input,
-    /// mismatched object counts, and an out-of-range coin probability come
-    /// back as typed errors instead of panics.
-    pub fn try_new(clusterings: Vec<PartialClustering>, policy: MissingPolicy) -> AggResult<Self> {
-        if clusterings.is_empty() {
-            return Err(AggError::degenerate("need at least one input clustering"));
-        }
-        let n = clusterings[0].len();
-        if let Some(bad) = clusterings.iter().find(|c| c.len() != n) {
-            return Err(AggError::invalid_instance(format!(
-                "input clusterings disagree on the object count: {} vs {}",
-                n,
-                bad.len()
-            )));
-        }
-        policy.validate()?;
-        Ok(Self::assemble(&clusterings, policy))
+    /// The instance over validated total inputs, under the default policy
+    /// (no label is missing, so it never applies). A total label packs as
+    /// its `PartialClustering::from_total` would.
+    fn pack_total(inputs: &[Clustering]) -> Self {
+        let all: Vec<usize> = (0..inputs.len()).collect();
+        let packed = LabelMatrix::from_total_indexed(inputs, &all);
+        Self::assemble(packed, false, MissingPolicy::default())
     }
 
-    /// The oracle over validated inputs: packs the labels and proves the
-    /// scale of [`ClusteringsOracle::xuv_table`] once.
-    fn assemble(clusterings: &[PartialClustering], policy: MissingPolicy) -> Self {
-        let m = clusterings.len();
-        let mut oracle = ClusteringsOracle {
-            n: clusterings[0].len(),
-            m,
-            packed: LabelMatrix::from_partial(clusterings),
-            partial: clusterings.iter().any(|c| c.num_missing() > 0),
+    /// Build from partial clusterings with an explicit missing-value policy.
+    ///
+    /// # Panics
+    /// Panics on what [`CorrelationInstance::try_from_partial`] returns as
+    /// errors, in the same words, except inputs missing every label.
+    pub fn from_partial(inputs: Vec<PartialClustering>, policy: MissingPolicy) -> Self {
+        assert_valid(Self::check(&inputs, policy));
+        Self::pack(&inputs, policy)
+    }
+
+    /// [`CorrelationInstance::from_partial`] under the name the benchmark
+    /// harness uses: delete with the next benchmark change.
+    pub fn new(inputs: Vec<PartialClustering>, policy: MissingPolicy) -> Self {
+        Self::from_partial(inputs, policy)
+    }
+
+    /// Validating variant of [`CorrelationInstance::from_partial`]: empty
+    /// input, mismatched object counts, an out-of-range coin probability,
+    /// inputs whose labels are missing *everywhere* (no pair carries any
+    /// information, so no consensus is defined) come back as typed errors
+    /// instead of panics or garbage.
+    pub fn try_from_partial(
+        inputs: Vec<PartialClustering>,
+        policy: MissingPolicy,
+    ) -> AggResult<Self> {
+        Self::check(&inputs, policy)?;
+        if !inputs[0].is_empty() && inputs.iter().all(|c| c.num_missing() == c.len()) {
+            return Err(AggError::degenerate(
+                "every label is missing in every input clustering",
+            ));
+        }
+        Ok(Self::pack(&inputs, policy))
+    }
+
+    /// The checks every partial constructor makes: the inputs' object
+    /// count and the policy's parameter.
+    fn check(inputs: &[PartialClustering], policy: MissingPolicy) -> AggResult<()> {
+        object_count(inputs.iter().map(PartialClustering::len))?;
+        policy.validate()
+    }
+
+    /// The instance over validated partial inputs.
+    fn pack(inputs: &[PartialClustering], policy: MissingPolicy) -> Self {
+        let partial = inputs.iter().any(|c| c.num_missing() > 0);
+        Self::assemble(LabelMatrix::from_partial(inputs), partial, policy)
+    }
+
+    /// The instance over packed labels: proves the scale of
+    /// [`CorrelationInstance::xuv_table`] once.
+    fn assemble(packed: LabelMatrix, partial: bool, policy: MissingPolicy) -> Self {
+        let mut instance = CorrelationInstance {
+            n: packed.len(),
+            m: packed.lanes(),
             policy,
+            packed,
+            partial,
             scale: None,
         };
-        oracle.scale = oracle.xuv_table().and_then(|table| Scale::of(&table, m));
-        oracle
+        let table = instance.xuv_table();
+        instance.scale = table.and_then(|table| Scale::of(&table, instance.m));
+        instance
     }
 
-    /// Build from total clusterings (no missing labels).
-    pub fn from_total(clusterings: &[Clustering]) -> Self {
-        ClusteringsOracle::new(
-            clusterings
-                .iter()
-                .map(PartialClustering::from_total)
-                .collect(),
-            MissingPolicy::default(),
-        )
+    /// A copy of this instance, under the lazy oracle's name the benchmark
+    /// harness uses: delete with the next benchmark change.
+    pub fn lazy_oracle(&self) -> Self {
+        self.clone()
+    }
+
+    /// Number of input clusterings `m`.
+    pub fn num_clusterings(&self) -> usize {
+        self.m
     }
 
     /// The missing-value policy in effect.
@@ -1019,7 +1065,7 @@ impl ClusteringsOracle {
 
     /// The code of a pair that `sep` inputs separate and `missing` cannot
     /// judge: `missing·(m+1) + sep`. Only meaningful when
-    /// [`ClusteringsOracle::code_count`] is `Some`.
+    /// [`CorrelationInstance::code_count`] is `Some`.
     #[inline]
     fn code(&self, sep: u32, missing: u32) -> u16 {
         (missing * (self.m as u32 + 1) + sep) as u16
@@ -1029,9 +1075,9 @@ impl ClusteringsOracle {
     /// count a pair can take: the `m + 1` of total inputs at any `m` (the
     /// code limit bounds codes, not the scale), the `(m + 1)²` of partial
     /// ones while they fit codes. Entry 0 (`sep = missing = 0`) is `0.0`.
-    /// While [`ClusteringsOracle::code_count`] admits codes, this is the
+    /// While [`CorrelationInstance::code_count`] admits codes, this is the
     /// code → `X_uv` table of the oracle's dense matrices, entry
-    /// [`ClusteringsOracle::code`]`(sep, missing)` holding `xuv(sep,
+    /// [`CorrelationInstance::code`]`(sep, missing)` holding `xuv(sep,
     /// missing)`.
     fn xuv_table(&self) -> Option<Vec<f64>> {
         let per_missing = self.m + 1;
@@ -1061,6 +1107,38 @@ impl ClusteringsOracle {
             (0..=m - missing).all(|sep| num(sep, missing) == sep * w_sep + missing * w_miss)
         });
         linear.then_some((scale.den, w_sep, w_miss))
+    }
+
+    /// Precompute the full distance matrix (`O(n² m)` time,
+    /// [`CorrelationInstance::dense_bytes`] bytes) from the packed label
+    /// rows, in cache-blocked bands: all-total inputs through the batched
+    /// separation kernel, partial inputs per pair.
+    pub fn dense_oracle(&self) -> DenseOracle {
+        let _span = crate::span!("dense_build", n = self.n, m = self.m);
+        self.to_dense()
+    }
+
+    /// Budgeted variant of [`CorrelationInstance::dense_oracle`]: the
+    /// matrix and its code table ([`CorrelationInstance::dense_bytes`]) are
+    /// reserved against the budget's memory cap first —
+    /// [`Interrupt::MemoryExceeded`] if they do not fit, letting the caller
+    /// degrade to reading this instance itself — and the `O(n² m)` fill
+    /// then polls `budget` between row chunks and reports the interrupt
+    /// instead of blowing through a deadline on a large instance. The
+    /// returned oracle holds its memory charge for as long as it lives.
+    pub fn try_dense_oracle(&self, budget: &RunBudget) -> Result<DenseOracle, Interrupt> {
+        let _span = crate::span!("dense_build", n = self.n, m = self.m);
+        let charge = budget.try_reserve(self.dense_bytes())?;
+        // The fill streams the packed labels: observe them on the gauge
+        // (high-water accounting) for its duration, without holding them
+        // against the cap afterwards.
+        let packed_charge = budget.mem_gauge().charge(self.packed_bytes());
+        let dense = self.try_dense(budget)?;
+        drop(packed_charge);
+        Ok(DenseOracle {
+            charge: Some(Arc::new(charge)),
+            ..dense
+        })
     }
 
     /// Every upper-triangle pair, written as `entry(sep, missing)` by
@@ -1229,7 +1307,7 @@ impl Sum for PairTotals {
     }
 }
 
-impl DistanceOracle for ClusteringsOracle {
+impl DistanceOracle for CorrelationInstance {
     #[inline]
     fn len(&self) -> usize {
         self.n
@@ -1320,7 +1398,8 @@ impl DistanceOracle for ClusteringsOracle {
     /// gathered, the policy and scale kept, built like every dense matrix
     /// of this oracle (so with its pair totals when the scale is proven).
     fn restrict(&self, subset: &[usize]) -> DenseOracle {
-        ClusteringsOracle {
+        debug_assert!(distinct(subset), "restrict: subset repeats an object");
+        CorrelationInstance {
             n: subset.len(),
             m: self.m,
             policy: self.policy,
@@ -1473,125 +1552,6 @@ impl<'a> ClusterCounts<'a> {
     }
 }
 
-/// A correlation-clustering instance built from input clusterings — the
-/// bridge between Problem 1 (clustering aggregation) and Problem 2
-/// (correlation clustering).
-///
-/// Holds the inputs and hands out either oracle flavor.
-#[derive(Clone, Debug)]
-pub struct CorrelationInstance {
-    inputs: Vec<PartialClustering>,
-    policy: MissingPolicy,
-    n: usize,
-}
-
-impl CorrelationInstance {
-    /// Build from total clusterings.
-    pub fn from_clusterings(inputs: &[Clustering]) -> Self {
-        Self::from_partial(
-            inputs.iter().map(PartialClustering::from_total).collect(),
-            MissingPolicy::default(),
-        )
-    }
-
-    /// Build from partial clusterings with an explicit missing-value policy.
-    pub fn from_partial(inputs: Vec<PartialClustering>, policy: MissingPolicy) -> Self {
-        assert!(!inputs.is_empty(), "need at least one clustering");
-        let n = inputs[0].len();
-        assert!(
-            inputs.iter().all(|c| c.len() == n),
-            "all clusterings must cover the same objects"
-        );
-        CorrelationInstance { inputs, policy, n }
-    }
-
-    /// Validating variant of [`CorrelationInstance::from_partial`]: empty
-    /// input, mismatched object counts, an out-of-range coin probability,
-    /// inputs whose labels are missing *everywhere* (no pair carries any
-    /// information, so no consensus is defined) come back as typed errors
-    /// instead of panics or garbage.
-    pub fn try_from_partial(
-        inputs: Vec<PartialClustering>,
-        policy: MissingPolicy,
-    ) -> AggResult<Self> {
-        if inputs.is_empty() {
-            return Err(AggError::degenerate("need at least one input clustering"));
-        }
-        let n = inputs[0].len();
-        if let Some(bad) = inputs.iter().find(|c| c.len() != n) {
-            return Err(AggError::invalid_instance(format!(
-                "input clusterings disagree on the object count: {} vs {}",
-                n,
-                bad.len()
-            )));
-        }
-        policy.validate()?;
-        if n > 0 && inputs.iter().all(|c| c.num_missing() == c.len()) {
-            return Err(AggError::degenerate(
-                "every label is missing in every input clustering",
-            ));
-        }
-        Ok(CorrelationInstance { inputs, policy, n })
-    }
-
-    /// Number of objects.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` if there are no objects.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of input clusterings `m`.
-    pub fn num_clusterings(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// The input clusterings.
-    pub fn inputs(&self) -> &[PartialClustering] {
-        &self.inputs
-    }
-
-    /// Precompute the full distance matrix (`O(n² m)` time,
-    /// [`ClusteringsOracle::dense_bytes`] bytes) from the packed label rows,
-    /// in cache-blocked bands: all-total inputs through the batched
-    /// separation kernel, partial inputs per pair.
-    pub fn dense_oracle(&self) -> DenseOracle {
-        let _span = crate::span!("dense_build", n = self.n, m = self.inputs.len());
-        self.lazy_oracle().to_dense()
-    }
-
-    /// A lazy per-pair oracle (`O(m)` per lookup).
-    pub fn lazy_oracle(&self) -> ClusteringsOracle {
-        ClusteringsOracle::checked(&self.inputs, self.policy)
-    }
-
-    /// Budgeted variant of [`CorrelationInstance::dense_oracle`]: the
-    /// matrix and its code table ([`ClusteringsOracle::dense_bytes`]) are
-    /// reserved against the budget's memory cap first — [`Interrupt::MemoryExceeded`] if they do not fit,
-    /// letting the caller degrade to the `O(nm)` lazy oracle — and the
-    /// `O(n² m)` fill then polls `budget` between row chunks and reports the
-    /// interrupt instead of blowing through a deadline on a large instance.
-    /// The returned oracle holds its memory charge for as long as it lives.
-    pub fn try_dense_oracle(&self, budget: &RunBudget) -> Result<DenseOracle, Interrupt> {
-        let _span = crate::span!("dense_build", n = self.n, m = self.inputs.len());
-        let lazy = self.lazy_oracle();
-        let charge = budget.try_reserve(lazy.dense_bytes())?;
-        // The packed label matrix is transient scratch for the fill:
-        // observe it on the gauge (high-water accounting) for the fill's
-        // duration without holding it against the cap afterwards.
-        let packed_charge = budget.mem_gauge().charge(lazy.packed_bytes());
-        let dense = lazy.try_dense(budget)?;
-        drop(packed_charge);
-        Ok(DenseOracle {
-            charge: Some(Arc::new(charge)),
-            ..dense
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1630,7 +1590,7 @@ mod tests {
     fn dense_and_lazy_agree() {
         let cs = figure1();
         let dense = DenseOracle::from_clusterings(&cs);
-        let lazy = ClusteringsOracle::from_total(&cs);
+        let lazy = CorrelationInstance::from_clusterings(&cs);
         for u in 0..6 {
             for v in 0..6 {
                 assert!((dense.dist(u, v) - lazy.dist(u, v)).abs() < 1e-12);
@@ -1675,7 +1635,7 @@ mod tests {
         // Two clusterings; the second is missing on object 1.
         let p1 = PartialClustering::from_labels(vec![Some(0), Some(0), Some(1)]);
         let p2 = PartialClustering::from_labels(vec![Some(0), None, Some(0)]);
-        let o = ClusteringsOracle::new(vec![p1, p2], MissingPolicy::Ignore);
+        let o = CorrelationInstance::from_partial(vec![p1, p2], MissingPolicy::Ignore);
         // Pair (0,1): only clustering 1 is informative, it co-clusters.
         assert_eq!(o.dist(0, 1), 0.0);
         // Pair (0,2): both informative; c1 separates, c2 joins.
@@ -1686,7 +1646,7 @@ mod tests {
     fn missing_policy_ignore_no_information() {
         let p1 = PartialClustering::from_labels(vec![None, Some(0)]);
         let p2 = PartialClustering::from_labels(vec![Some(0), None]);
-        let o = ClusteringsOracle::new(vec![p1, p2], MissingPolicy::Ignore);
+        let o = CorrelationInstance::from_partial(vec![p1, p2], MissingPolicy::Ignore);
         assert_eq!(o.dist(0, 1), 0.5);
     }
 
@@ -1694,11 +1654,14 @@ mod tests {
     fn missing_policy_coin() {
         let p1 = PartialClustering::from_labels(vec![Some(0), Some(0), Some(1)]);
         let p2 = PartialClustering::from_labels(vec![Some(0), None, Some(0)]);
-        let o = ClusteringsOracle::new(vec![p1.clone(), p2.clone()], MissingPolicy::Coin(0.5));
+        let o = CorrelationInstance::from_partial(
+            vec![p1.clone(), p2.clone()],
+            MissingPolicy::Coin(0.5),
+        );
         // Pair (0,1): c1 joins (0), c2 missing (expected 0.5) → X = 0.25.
         assert!((o.dist(0, 1) - 0.25).abs() < 1e-12);
         // With p = 1 the coin always reports "together": X = 0.
-        let o1 = ClusteringsOracle::new(vec![p1, p2], MissingPolicy::Coin(1.0));
+        let o1 = CorrelationInstance::from_partial(vec![p1, p2], MissingPolicy::Coin(1.0));
         assert_eq!(o1.dist(0, 1), 0.0);
     }
 
@@ -1708,16 +1671,15 @@ mod tests {
         assert_eq!(inst.len(), 6);
         assert_eq!(inst.num_clusterings(), 3);
         let dense = inst.dense_oracle();
-        let lazy = inst.lazy_oracle();
         for u in 0..6 {
             for v in 0..6 {
-                assert!((dense.dist(u, v) - lazy.dist(u, v)).abs() < 1e-12);
+                assert!((dense.dist(u, v) - inst.dist(u, v)).abs() < 1e-12);
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "same objects")]
+    #[should_panic(expected = "disagree on the object count: 2 vs 3")]
     fn mismatched_lengths_rejected() {
         let _ = DenseOracle::from_clusterings(&[c(&[0, 1]), c(&[0, 1, 2])]);
     }
@@ -1899,13 +1861,48 @@ mod tests {
         }
         let inputs = vec![PartialClustering::from_total(&c(&[0, 1]))];
         assert!(matches!(
-            CorrelationInstance::try_from_partial(inputs.clone(), MissingPolicy::Coin(f64::NAN)),
+            CorrelationInstance::try_from_partial(inputs, MissingPolicy::Coin(f64::NAN)),
             Err(AggError::InvalidParameter { .. })
         ));
-        assert!(matches!(
-            ClusteringsOracle::try_new(inputs, MissingPolicy::Coin(f64::NAN)),
-            Err(AggError::InvalidParameter { .. })
-        ));
+    }
+
+    #[test]
+    fn total_inputs_pack_as_their_partial_views() {
+        // `from_clusterings` packs the totals' labels directly, the partial
+        // route packs `PartialClustering::from_total`: the same words and
+        // scale, the same distances and numerators, for `u16` lanes and,
+        // past 65 535 clusters, `u32` lanes.
+        let singletons = Clustering::from_labels((0..70_000).collect());
+        let wide = vec![
+            singletons.clone(),
+            Clustering::from_labels(vec![0; 70_000]),
+            singletons,
+        ];
+        let narrow: Vec<Clustering> = (1..=7)
+            .map(|i| Clustering::from_labels((0..97).map(|v| (v * i / 3) % 5).collect()))
+            .collect();
+        for totals in [figure1(), narrow, wide] {
+            let direct = CorrelationInstance::from_clusterings(&totals);
+            let partial = totals.iter().map(PartialClustering::from_total).collect();
+            let via = CorrelationInstance::from_partial(partial, MissingPolicy::Ignore);
+            assert_eq!(direct.packed, via.packed);
+            assert_eq!(direct.scale, via.scale);
+            assert_eq!(
+                (direct.n, direct.m, direct.partial),
+                (via.n, via.m, via.partial)
+            );
+            let n = direct.len().min(120);
+            let den = direct.exact_scale().expect("total inputs prove den = m");
+            let (mut a, mut b) = (vec![0u32; n], vec![0u32; n]);
+            for u in 0..n {
+                for v in 0..n {
+                    assert_eq!(direct.dist(u, v).to_bits(), via.dist(u, v).to_bits());
+                }
+                direct.numerators_into(u, 0..n, den, &mut a);
+                via.numerators_into(u, 0..n, den, &mut b);
+                assert_eq!(a, b, "row {u}");
+            }
+        }
     }
 
     /// A distance function over `n` objects whose `(u asc, v asc)` values
@@ -2066,14 +2063,13 @@ mod tests {
             let inputs = varied_inputs(n, m, partial);
             let instance = CorrelationInstance::try_from_partial(inputs, MissingPolicy::Ignore)
                 .expect("valid");
-            let lazy = instance.lazy_oracle();
             let bytes = if coded {
                 let codes = if partial { (m + 1) * (m + 1) } else { m + 1 };
                 2 * 36 + 8 * codes as u64
             } else {
                 8 * 15
             };
-            assert_eq!(lazy.dense_bytes(), bytes, "m = {m}");
+            assert_eq!(instance.dense_bytes(), bytes, "m = {m}");
             let budget = RunBudget::unlimited();
             let dense = instance.try_dense_oracle(&budget).expect("unlimited");
             assert_eq!(dense.mem_charge_bytes(), Some(bytes), "m = {m}");
@@ -2081,13 +2077,13 @@ mod tests {
             // Total inputs prove `den = m` at any `m`; partial inputs past
             // the code limit prove no scale.
             let scale = (!partial).then_some(m as u32);
-            assert_eq!(lazy.exact_scale(), scale, "m = {m}");
+            assert_eq!(instance.exact_scale(), scale, "m = {m}");
             assert_eq!(dense.exact_scale(), scale, "m = {m}");
-            assert_eq!(lazy.pair_totals(), dense.pair_totals(), "m = {m}");
-            assert_eq!(lazy.pair_totals().is_some(), !partial, "m = {m}");
-            assert_reads(&dense, |u, v| lazy.dist(u, v));
-            assert_reads(&lazy.restrict(&[5, 0, 3, 1]), |u, v| {
-                lazy.dist([5, 0, 3, 1][u], [5, 0, 3, 1][v])
+            assert_eq!(instance.pair_totals(), dense.pair_totals(), "m = {m}");
+            assert_eq!(instance.pair_totals().is_some(), !partial, "m = {m}");
+            assert_reads(&dense, |u, v| instance.dist(u, v));
+            assert_reads(&instance.restrict(&[5, 0, 3, 1]), |u, v| {
+                instance.dist([5, 0, 3, 1][u], [5, 0, 3, 1][v])
             });
         }
     }
@@ -2099,13 +2095,13 @@ mod tests {
             for policy in [MissingPolicy::Ignore, MissingPolicy::Coin(0.3)] {
                 let instance =
                     CorrelationInstance::from_partial(varied_inputs(n, 7, partial), policy);
-                let lazy = instance.lazy_oracle();
                 for threads in [1usize, 2, 4] {
-                    let budget = RunBudget::unlimited().with_mem_limit_bytes(lazy.dense_bytes());
+                    let budget =
+                        RunBudget::unlimited().with_mem_limit_bytes(instance.dense_bytes());
                     let dense = crate::parallel::with_num_threads(threads, || {
                         instance.try_dense_oracle(&budget).expect("fits exactly")
                     });
-                    assert_reads(&dense, |u, v| lazy.dist(u, v));
+                    assert_reads(&dense, |u, v| instance.dist(u, v));
                 }
             }
         }
@@ -2118,7 +2114,7 @@ mod tests {
         let n = 20;
         let instance =
             CorrelationInstance::from_partial(varied_inputs(n, 3, true), MissingPolicy::Ignore);
-        let need = instance.lazy_oracle().dense_bytes();
+        let need = instance.dense_bytes();
         assert_eq!(need, 2 * 400 + 8 * 16);
         let tight = RunBudget::unlimited().with_mem_limit_bytes(need - 1);
         match instance.try_dense_oracle(&tight) {
@@ -2140,7 +2136,7 @@ mod tests {
         let instance = CorrelationInstance::from_clusterings(&figure1());
         // 6 objects → 6² u16 codes → 72 bytes, plus the 4-entry code table
         // of m = 3 total inputs (32 bytes); a cap below that refuses.
-        assert_eq!(instance.lazy_oracle().dense_bytes(), 72 + 32);
+        assert_eq!(instance.dense_bytes(), 72 + 32);
         let tight = RunBudget::unlimited().with_mem_limit_bytes(103);
         match instance.try_dense_oracle(&tight) {
             Err(Interrupt::MemoryExceeded { requested, limit }) => {

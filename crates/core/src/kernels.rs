@@ -153,7 +153,7 @@ pub enum LaneWidth {
 /// row-major matrix of packed lane codes (see the module docs for the
 /// layout). Row `v` answers "which cluster does each input place `v` in?"
 /// in `ceil(m / lanes)` consecutive words (strided to [`STRIDE_WORDS`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LabelMatrix {
     n: usize,
     lanes: usize,

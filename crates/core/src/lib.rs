@@ -46,10 +46,13 @@
 //! let c2 = Clustering::from_labels(vec![0, 1, 0, 1, 2, 3]);
 //! let c3 = Clustering::from_labels(vec![0, 1, 0, 1, 2, 2]);
 //!
+//! // The instance validates and packs the labels once. It is itself a
+//! // distance oracle, reading `X_uv` from the packed labels on demand;
+//! // `instance.dense_oracle()` precomputes every pair instead.
 //! let instance = CorrelationInstance::from_clusterings(&[c1, c2, c3]);
 //! let budget = RunBudget::unlimited();
 //! let aggregated = Algorithm::Agglomerative(AgglomerativeParams::default())
-//!     .run(&instance.dense_oracle(), &mut RunCtx::new(&budget))?
+//!     .run(&instance, &mut RunCtx::new(&budget))?
 //!     .clustering;
 //!
 //! // The optimal aggregate groups {v1,v3}, {v2,v4}, {v5,v6}.

@@ -21,8 +21,8 @@
 //! by cross-multiplication, so equal averages tie exactly.
 //!
 //! The matrix is filled from any oracle through
-//! [`DistanceOracle::numerators_into`]; from the lazy
-//! [`crate::instance::ClusteringsOracle`] that reads the packed labels
+//! [`DistanceOracle::numerators_into`]; from a
+//! [`crate::instance::CorrelationInstance`] that reads the packed labels
 //! directly, so AGGLOMERATIVE needs no dense code matrix next to it. The
 //! fill of a matrix of sums also counts `Σ num` and `Σ min(num, den − num)`
 //! over all pairs, and a [`Dendrogram`] built on sums keeps each merge's
@@ -132,7 +132,7 @@ impl CondensedMatrix {
 
     /// Copy the distances out of any [`DistanceOracle`] (in parallel),
     /// walking pairs in cache-blocked column bands so packed lazy oracles
-    /// ([`crate::instance::ClusteringsOracle`]) stream their label rows
+    /// ([`crate::instance::CorrelationInstance`]) stream their label rows
     /// cache-resident. Same matrix as a row-major fill.
     ///
     /// When the oracle has an exact scale `den` and the sums of `n`
@@ -1468,7 +1468,7 @@ mod tests {
     #[test]
     fn the_copy_keeps_sums_exactly_for_total_and_coin_half_inputs() {
         use crate::clustering::{Clustering, PartialClustering};
-        use crate::instance::{ClusteringsOracle, CorrelationInstance, DenseOracle, MissingPolicy};
+        use crate::instance::{CorrelationInstance, DenseOracle, MissingPolicy};
         let is_sums = |m: &CondensedMatrix| matches!(m.cells, Cells::Sums { .. });
         let (partial, _, _) = tied_inputs(7, 12, 4, true);
         let total: Vec<Clustering> = tied_inputs(8, 12, 4, false)
@@ -1483,21 +1483,18 @@ mod tests {
         let dense_total = DenseOracle::from_clusterings(&total);
         assert_eq!(dense_total.exact_scale(), Some(4));
         assert_eq!(coin(0.5).dense_oracle().exact_scale(), Some(8));
-        assert_eq!(coin(0.5).lazy_oracle().exact_scale(), Some(8));
-        assert_eq!(
-            coin(0.5).lazy_oracle().restrict(&[1, 3, 5]).exact_scale(),
-            Some(8)
-        );
+        assert_eq!(coin(0.5).exact_scale(), Some(8));
+        assert_eq!(coin(0.5).restrict(&[1, 3, 5]).exact_scale(), Some(8));
         assert_eq!(dense_total.restrict(&[0, 2]).exact_scale(), Some(4));
         for sums in [
             CondensedMatrix::from_oracle(&dense_total),
             CondensedMatrix::from_oracle(&coin(0.5).dense_oracle()),
-            CondensedMatrix::from_oracle(&coin(0.5).lazy_oracle()),
+            CondensedMatrix::from_oracle(&coin(0.5)),
         ] {
             assert!(is_sums(&sums));
         }
         // The lazy oracle's numerators are the dense codes' numerators.
-        let lazy = CondensedMatrix::from_oracle(&coin(0.5).lazy_oracle());
+        let lazy = CondensedMatrix::from_oracle(&coin(0.5));
         let dense = CondensedMatrix::from_oracle(&coin(0.5).dense_oracle());
         assert!(
             matches!((&lazy.cells, &dense.cells), (Cells::Sums { sums: a, .. }, Cells::Sums { sums: b, .. }) if a == b)
@@ -1510,9 +1507,9 @@ mod tests {
             assert_eq!(oracle.exact_scale(), None);
             assert!(!is_sums(&CondensedMatrix::from_oracle(&oracle)));
         }
-        assert_eq!(ignore.lazy_oracle().exact_scale(), None);
+        assert_eq!(ignore.exact_scale(), None);
         assert!(!is_sums(&CondensedMatrix::from_fn(4, |_, _| 0.5)));
-        let uncounted = ClusteringsOracle::new(
+        let uncounted = CorrelationInstance::from_partial(
             vec![PartialClustering::from_total(&total[0])],
             MissingPolicy::Coin(0.3),
         );

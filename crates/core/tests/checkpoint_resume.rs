@@ -334,7 +334,7 @@ fn blocks_instance(n: usize) -> CorrelationInstance {
 fn refused_dense_allocation_charges_nothing() {
     let instance = blocks_instance(200);
     // The code matrix plus the 4-entry code table of m = 3 total inputs.
-    let need = instance.lazy_oracle().dense_bytes();
+    let need = instance.dense_bytes();
     assert_eq!(need, 2 * 200 * 200 + 32);
     let budget = RunBudget::unlimited().with_mem_limit_bytes(need - 1);
     match instance.try_dense_oracle(&budget) {
@@ -351,7 +351,7 @@ fn refused_dense_allocation_charges_nothing() {
 #[test]
 fn admitted_dense_oracle_holds_its_charge_until_drop() {
     let instance = blocks_instance(120);
-    let need = instance.lazy_oracle().dense_bytes();
+    let need = instance.dense_bytes();
     let budget = RunBudget::unlimited().with_mem_limit_bytes(need + 1024);
     let oracle = instance.try_dense_oracle(&budget).expect("fits under cap");
     assert_eq!(budget.mem_gauge().used_bytes(), need);

@@ -16,9 +16,7 @@ use aggclust_core::algorithms::sampling::{sampling, SamplingDetails, SamplingPar
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm, BallsParams};
 use aggclust_core::assign::ClusterAssigner;
 use aggclust_core::clustering::{Clustering, PartialClustering};
-use aggclust_core::instance::{
-    ClusteringsOracle, CorrelationInstance, DistanceOracle, MissingPolicy,
-};
+use aggclust_core::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
 use aggclust_core::parallel::with_num_threads;
 use aggclust_core::snapshot::{load_snapshot, AlgorithmSnapshot, Checkpointer, SnapshotLoad};
 use aggclust_core::telemetry::{
@@ -120,14 +118,13 @@ fn check_counts(
 ) -> usize {
     let n = parts[0].len();
     let instance = CorrelationInstance::from_partial(parts, policy);
-    let lazy = instance.lazy_oracle();
     let dense = instance.dense_oracle();
     let (members, labels) = members(seed, n, twins);
-    let counts = lazy
+    let counts = instance
         .cluster_counts(&members, &labels)
         .expect("total and Coin(½) inputs take the counts path");
     let den = counts.den();
-    assert_eq!(lazy.exact_scale(), Some(den));
+    assert_eq!(instance.exact_scale(), Some(den));
     assert_eq!(dense.exact_scale(), Some(den));
     assert!(dense.cluster_counts(&members, &labels).is_none());
     let assigner = ClusterAssigner::new(Clustering::from_labels(labels.clone()));
@@ -137,9 +134,12 @@ fn check_counts(
     let mut from_counts = vec![0i64; clusters];
     for v in (0..n).filter(|v| !members.contains(v)) {
         counts.numerators_into(v, &mut from_counts);
-        let from_lazy = pair_numerators(&lazy, den, v, &members, &labels, clusters);
+        let from_lazy = pair_numerators(&instance, den, v, &members, &labels, clusters);
         let from_dense = pair_numerators(&dense, den, v, &members, &labels, clusters);
-        assert_eq!(from_counts, from_lazy, "object {v}: counts vs lazy pairs");
+        assert_eq!(
+            from_counts, from_lazy,
+            "object {v}: counts vs instance pairs"
+        );
         assert_eq!(from_counts, from_dense, "object {v}: counts vs dense pairs");
         let decision = assigner.assign_exact(&from_counts, den);
         assert_eq!(decision, assigner.assign_exact(&from_dense, den));
@@ -195,7 +195,7 @@ fn the_oracle_declines_where_weights_cannot_reproduce_its_distances() {
     let labels = [0, 0, 1, 1];
     let partial = inputs(3, 12, 3, 3, 0.3, false);
     assert!(partial.iter().any(|c| c.num_missing() > 0));
-    let lazy = |policy| ClusteringsOracle::new(partial.clone(), policy);
+    let lazy = |policy| CorrelationInstance::from_partial(partial.clone(), policy);
     // Ignore with missing labels divides by the per-pair count of judging
     // inputs: scale or not, no fixed weights fit.
     assert!(lazy(MissingPolicy::Ignore)
@@ -220,7 +220,7 @@ fn the_oracle_declines_where_weights_cannot_reproduce_its_distances() {
         Some(3)
     );
     let total = inputs(3, 12, 3, 3, 0.0, false);
-    let ignore = ClusteringsOracle::new(total, MissingPolicy::Ignore);
+    let ignore = CorrelationInstance::from_partial(total, MissingPolicy::Ignore);
     assert_eq!(
         ignore.cluster_counts(&members, &labels).map(|c| c.den()),
         Some(3)
@@ -240,8 +240,8 @@ fn sampling_labels_match_between_lazy_and_dense_oracles() {
     for seed in 0..6u64 {
         for missing in [0.0, 0.2] {
             let parts = inputs(seed, 150, 5, 4, missing, seed % 3 == 0);
-            let instance = CorrelationInstance::from_partial(parts, MissingPolicy::Coin(0.5));
-            let (lazy, dense) = (instance.lazy_oracle(), instance.dense_oracle());
+            let lazy = CorrelationInstance::from_partial(parts, MissingPolicy::Coin(0.5));
+            let dense = lazy.dense_oracle();
             for base in &bases {
                 let p = params(base.clone(), 30, seed);
                 assert_eq!(
@@ -258,7 +258,7 @@ fn sampling_labels_match_between_lazy_and_dense_oracles() {
 /// resume from the on-disk snapshot, and compare with the uninterrupted run.
 fn interrupt_and_resume_on_the_lazy_oracle(missing: f64, threads: usize) {
     let parts = inputs(17, 120, 4, 4, missing, false);
-    let oracle = ClusteringsOracle::new(parts, MissingPolicy::Coin(0.5));
+    let oracle = CorrelationInstance::from_partial(parts, MissingPolicy::Coin(0.5));
     let p = params(
         Algorithm::Agglomerative(AgglomerativeParams::default()),
         30,
@@ -373,7 +373,8 @@ impl Collector for Spans {
 fn the_assignment_phase_has_its_own_span_naming_the_path() {
     let parts = inputs(5, 80, 4, 3, 0.0, false);
     let instance = CorrelationInstance::from_partial(parts.clone(), MissingPolicy::Coin(0.5));
-    let ignore = ClusteringsOracle::new(inputs(5, 80, 4, 3, 0.3, false), MissingPolicy::Ignore);
+    let ignore =
+        CorrelationInstance::from_partial(inputs(5, 80, 4, 3, 0.3, false), MissingPolicy::Ignore);
     let p = params(
         Algorithm::Agglomerative(AgglomerativeParams::default()),
         20,
@@ -384,7 +385,7 @@ fn the_assignment_phase_has_its_own_span_naming_the_path() {
         seen: Mutex::new(Vec::new()),
     });
     install_collector(spans.clone());
-    run_sampling(&instance.lazy_oracle(), &p);
+    run_sampling(&instance, &p);
     run_sampling(&instance.dense_oracle(), &p);
     run_sampling(&ignore, &p);
     clear_collector();

@@ -1,7 +1,7 @@
 //! The dense matrix stores one `u16` code per pair and a code → `X_uv`
 //! table. These tests pin that the coding is invisible to every reader:
 //!
-//! * `DenseOracle::dist` returns the bits `ClusteringsOracle::dist`
+//! * `DenseOracle::dist` returns the bits `CorrelationInstance::dist`
 //!   computes, for total inputs, every coin probability and `Ignore`
 //!   (including pairs no input can judge), at several input counts;
 //! * the dense `restrict` / `to_dense` overrides return the same bits;
@@ -21,9 +21,7 @@ use aggclust_core::algorithms::Algorithm;
 use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::cost::{correlation_cost, exact_cost, lower_bound};
 use aggclust_core::distance::total_disagreement;
-use aggclust_core::instance::{
-    ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle,
-};
+use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle};
 use aggclust_core::parallel::with_num_threads;
 use aggclust_core::{ConsensusBuilder, MissingPolicy, RunBudget, RunCtx};
 use rand::rngs::StdRng;
@@ -89,15 +87,14 @@ fn dense_dist_is_bit_identical_to_the_lazy_oracle() {
             for policy in POLICIES {
                 let at = format!("m={m} {kind} {policy:?}");
                 let instance = CorrelationInstance::from_partial(inputs.clone(), policy);
-                let lazy = instance.lazy_oracle();
                 let dense = instance.dense_oracle();
-                assert_same_bits(&dense, &lazy, &at);
-                assert_same_bits(&lazy.to_dense(), &lazy, &at);
+                assert_same_bits(&dense, &instance, &at);
+                assert_same_bits(&instance.to_dense(), &instance, &at);
                 let budgeted = instance.try_dense_oracle(&RunBudget::unlimited());
-                assert_same_bits(&budgeted.expect("unlimited"), &lazy, &at);
+                assert_same_bits(&budgeted.expect("unlimited"), &instance, &at);
                 let expected =
-                    DenseOracle::from_fn(subset.len(), |i, j| lazy.dist(subset[i], subset[j]));
-                assert_same_bits(&lazy.restrict(&subset), &expected, &at);
+                    DenseOracle::from_fn(subset.len(), |i, j| instance.dist(subset[i], subset[j]));
+                assert_same_bits(&instance.restrict(&subset), &expected, &at);
                 assert_same_bits(&dense.restrict(&subset), &expected, &at);
             }
         }
@@ -143,7 +140,7 @@ fn accumulate_row_matches_the_per_element_loop_on_every_oracle() {
     ] {
         let instance = CorrelationInstance::from_partial(inputs.clone(), MissingPolicy::Coin(0.3));
         assert_accumulates_like_the_loop(&instance.dense_oracle(), &format!("dense {kind}"));
-        let lazy = ClusteringsOracle::new(inputs, MissingPolicy::Coin(0.3));
+        let lazy = CorrelationInstance::from_partial(inputs, MissingPolicy::Coin(0.3));
         assert_accumulates_like_the_loop(&lazy, &format!("lazy {kind}"));
     }
     let values = DenseOracle::from_fn(N, |u, v| ((u * 7 + v * 13) % 11) as f64 / 11.0);
@@ -258,15 +255,14 @@ fn exact_cost_and_bound_equal_the_pair_sums() {
         );
         // The lazy oracle streams the same totals and prices the same
         // integers.
-        let lazy = instance.lazy_oracle();
-        assert_eq!(lazy.pair_totals(), dense.pair_totals(), "{at}");
-        assert_eq!(exact_cost(&lazy, &c), Some(exact), "{at}");
+        assert_eq!(instance.pair_totals(), dense.pair_totals(), "{at}");
+        assert_eq!(exact_cost(&instance, &c), Some(exact), "{at}");
         assert_eq!(
-            correlation_cost(&lazy, &c).to_bits(),
+            correlation_cost(&instance, &c).to_bits(),
             cost.to_bits(),
             "{at}"
         );
-        assert_eq!(lower_bound(&lazy).to_bits(), bound.to_bits(), "{at}");
+        assert_eq!(lower_bound(&instance).to_bits(), bound.to_bits(), "{at}");
     }
 }
 
@@ -303,12 +299,12 @@ fn exact_totals_are_the_same_at_any_thread_count() {
     for (at, instance, c) in exact_cases() {
         let read = |threads| {
             with_num_threads(threads, || {
-                let (dense, lazy) = (instance.dense_oracle(), instance.lazy_oracle());
+                let dense = instance.dense_oracle();
                 (
                     dense.pair_totals().expect("pair totals"),
-                    lazy.pair_totals(),
+                    instance.pair_totals(),
                     exact_cost(&dense, &c),
-                    exact_cost(&lazy, &c),
+                    exact_cost(&instance, &c),
                 )
             })
         };
@@ -343,7 +339,7 @@ fn an_edited_matrix_streams_its_totals_while_it_keeps_its_scale() {
     let subset = [0, 1, 2, 7, 11];
     assert_eq!(
         instance.dense_oracle().restrict(&subset).pair_totals(),
-        instance.lazy_oracle().restrict(&subset).pair_totals()
+        instance.restrict(&subset).pair_totals()
     );
     assert!(DenseOracle::from_fn(5, |_, _| 0.5).pair_totals().is_none());
 }

@@ -10,7 +10,7 @@
 
 use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::distance::{disagreement_distance, total_disagreement};
-use aggclust_core::instance::{ClusteringsOracle, DenseOracle, DistanceOracle, MissingPolicy};
+use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
 use aggclust_core::kernels::reference;
 
 // ---------------------------------------------------------------- JSON --
@@ -323,7 +323,7 @@ fn golden_partial_instance_under_both_policies() {
 
     let coin = MissingPolicy::Coin(p);
     let expected_coin = expected_x(&fixture, "coin_x_num", "coin_x_den");
-    let oracle = ClusteringsOracle::new(ps.clone(), coin);
+    let oracle = CorrelationInstance::from_partial(ps.clone(), coin);
     check_condensed_bits(n, &expected_coin, |u, v| oracle.dist(u, v), "coin packed");
     check_condensed_bits(
         n,
@@ -342,7 +342,7 @@ fn golden_partial_instance_under_both_policies() {
             frac[0] as f64 / frac[1] as f64
         })
         .collect();
-    let oracle = ClusteringsOracle::new(ps.clone(), MissingPolicy::Ignore);
+    let oracle = CorrelationInstance::from_partial(ps.clone(), MissingPolicy::Ignore);
     check_condensed_bits(
         n,
         &expected_ignore,

@@ -9,7 +9,7 @@
 //! host can reach** (scalar, SWAR, SSE2, AVX2, NEON where available).
 
 use aggclust_core::clustering::{Clustering, PartialClustering};
-use aggclust_core::instance::{ClusteringsOracle, DenseOracle, DistanceOracle, MissingPolicy};
+use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
 use aggclust_core::kernels::{dispatch, reference, LaneWidth};
 use aggclust_core::parallel::with_num_threads;
 use proptest::prelude::*;
@@ -113,7 +113,7 @@ fn packed_dense_matches_reference_across_the_size_grid_under_every_tier() {
 fn packed_lazy_matches_reference_across_the_size_grid_under_every_tier() {
     for &n in &N_GRID {
         if n == 0 {
-            continue; // ClusteringsOracle rejects zero-length inputs lists only; n=0 is fine, but there are no pairs.
+            continue; // CorrelationInstance rejects only an empty list of inputs; n=0 is fine, but there are no pairs.
         }
         for &m in &M_GRID {
             let k = 1 + ((3 * n + m) % 13) as u32;
@@ -134,7 +134,7 @@ fn packed_lazy_matches_reference_across_the_size_grid_under_every_tier() {
                 }
                 for tier in dispatch::reachable_tiers() {
                     let oracle = dispatch::with_forced_tier(tier, || {
-                        ClusteringsOracle::new(ps.clone(), policy)
+                        CorrelationInstance::from_partial(ps.clone(), policy)
                     });
                     for &(u, v, want) in &pairs {
                         assert_bits_eq(
@@ -195,7 +195,7 @@ proptest! {
         for policy in [MissingPolicy::Ignore, MissingPolicy::Coin(p)] {
             for tier in dispatch::reachable_tiers() {
                 let oracle =
-                    dispatch::with_forced_tier(tier, || ClusteringsOracle::new(ps.clone(), policy));
+                    dispatch::with_forced_tier(tier, || CorrelationInstance::from_partial(ps.clone(), policy));
                 for u in 0..n {
                     for v in (u + 1)..n {
                         assert_bits_eq(
@@ -275,7 +275,7 @@ fn lane_boundary_cluster_counts_pick_the_right_width() {
         ];
         for tier in dispatch::reachable_tiers() {
             let oracle = dispatch::with_forced_tier(tier, || {
-                ClusteringsOracle::from_total(&[c1.clone(), c2.clone()])
+                CorrelationInstance::from_clusterings(&[c1.clone(), c2.clone()])
             });
             assert_eq!(oracle.packed().width(), width, "k={k}");
             // The full O(n²) sweep is infeasible at this size; a

@@ -10,9 +10,7 @@ use aggclust_core::distance::{
     disagreement_distance, disagreement_distance_naive, total_disagreement,
 };
 use aggclust_core::exact::optimal_clustering;
-use aggclust_core::instance::{
-    ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy,
-};
+use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
 use aggclust_core::linkage::{linkage, CondensedMatrix, Dendrogram, LinkageMethod};
 use aggclust_core::parallel::with_num_threads;
 use aggclust_core::snapshot::{load_snapshot, AlgorithmSnapshot, Checkpointer, SnapshotLoad};
@@ -380,7 +378,7 @@ proptest! {
         let n = given.len();
         let dense = DenseOracle::from_clusterings(&inputs);
         let from_fn = DenseOracle::from_fn(n, |u, v| f64::from(coarse[u * n + v]) / 6.0);
-        let lazy = ClusteringsOracle::from_total(&inputs);
+        let lazy = CorrelationInstance::from_clusterings(&inputs);
         let inits = [
             LocalSearchInit::Singletons,
             LocalSearchInit::Random { k: 3, seed },
@@ -504,9 +502,9 @@ fn assert_lazy_agglomerative_matches_dense(
     k: usize,
     what: &str,
 ) {
-    let instance = CorrelationInstance::from_partial(inputs, policy);
-    let (lazy, dense) = (instance.lazy_oracle(), instance.dense_oracle());
-    let n = instance.len();
+    let lazy = CorrelationInstance::from_partial(inputs, policy);
+    let dense = lazy.dense_oracle();
+    let n = lazy.len();
     for threads in [1, 2] {
         let [from_lazy, from_dense] = [
             CondensedMatrix::from_oracle(&lazy),
@@ -697,7 +695,7 @@ fn assert_one_price(
     subset: &[usize],
     what: &str,
 ) {
-    let lazy = ClusteringsOracle::new(inputs.clone(), policy);
+    let lazy = CorrelationInstance::from_partial(inputs.clone(), policy);
     let dense = lazy.to_dense();
     assert!(lazy.pair_totals().is_some(), "{what}");
     assert_eq!(lazy.pair_totals(), dense.pair_totals(), "{what}");
@@ -711,7 +709,7 @@ fn assert_one_price(
             PartialClustering::from_labels(subset.iter().map(|&v| input.labels()[v]).collect())
         })
         .collect();
-    let own = ClusteringsOracle::new(own_inputs, policy);
+    let own = CorrelationInstance::from_partial(own_inputs, policy);
     let sub_c = c.restrict(subset);
     let expected = price_bits(&own, &sub_c);
     assert!(expected[0].is_some(), "{what}: exact subset");

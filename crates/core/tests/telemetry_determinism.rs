@@ -224,7 +224,7 @@ fn lazy_pricing_of_total_inputs_makes_packed_evaluations_only() {
     let n = 300;
     let total = noisy_inputs(n, 5, 6, 0.2, 17);
     let pairs = (n * (n - 1) / 2) as u64;
-    let lazy = CorrelationInstance::from_clusterings(&total).lazy_oracle();
+    let lazy = CorrelationInstance::from_clusterings(&total);
     let (_, delta) = measured(|| lower_bound(&lazy));
     assert_eq!(delta.oracle_packed_evals, pairs);
     assert_eq!(delta.oracle_lazy_evals, 0);
@@ -258,8 +258,7 @@ fn lazy_pricing_of_total_inputs_makes_packed_evaluations_only() {
             )
         })
         .collect();
-    let ignore =
-        CorrelationInstance::from_partial(with_missing, MissingPolicy::Ignore).lazy_oracle();
+    let ignore = CorrelationInstance::from_partial(with_missing, MissingPolicy::Ignore);
     assert_eq!(ignore.exact_scale(), None);
     let (_, delta) = measured(|| cost_and_bound(&ignore, c));
     assert_eq!(delta.oracle_lazy_evals, pairs);

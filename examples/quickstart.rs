@@ -30,8 +30,10 @@ fn main() -> Result<(), AggError> {
 
     // Reduce to correlation clustering: X_uv = fraction of clusterings
     // separating u and v (Figure 2 of the paper).
-    let instance = CorrelationInstance::from_clusterings(&inputs);
-    let oracle = instance.dense_oracle();
+    // The instance packs the labels once and is itself the distance
+    // oracle, read lazily; `instance.dense_oracle()` would precompute all
+    // pairs, with the same distances.
+    let oracle = CorrelationInstance::from_clusterings(&inputs);
     println!("\nDerived distances (Figure 2):");
     println!("  X(v1,v3) = {:.3}  (solid edge, 1/3)", oracle.dist(0, 2));
     println!("  X(v1,v2) = {:.3}  (dashed edge, 2/3)", oracle.dist(0, 1));

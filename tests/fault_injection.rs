@@ -13,7 +13,7 @@ use aggclust_core::algorithms::{
 use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::consensus::ConsensusBuilder;
 use aggclust_core::cost::correlation_cost;
-use aggclust_core::instance::{ClusteringsOracle, CorrelationInstance, DenseOracle, MissingPolicy};
+use aggclust_core::instance::{CorrelationInstance, DenseOracle, MissingPolicy};
 use aggclust_core::test_support::{for_each_bit_flip, for_each_truncation, SPOT_BITS};
 use aggclust_core::{AggError, CancelToken, RunBudget, RunCtx, RunStatus};
 use aggclust_tests::{adversarial_disagreeing, clustering, corrupt_bytes, truncate_text};
@@ -148,7 +148,7 @@ proptest! {
             // uncertainty under the coin model).
             {
                 use aggclust_core::instance::DistanceOracle as _;
-                ClusteringsOracle::new(
+                CorrelationInstance::from_partial(
                     vec![PartialClustering::from_labels(vec![None; 4])],
                     MissingPolicy::default(),
                 )
@@ -387,7 +387,7 @@ fn localsearch_deadline_on_large_instance_returns_best_so_far() {
         })
         .collect();
     // Lazy oracle: the dense n² matrix would dominate the deadline.
-    let oracle = ClusteringsOracle::new(inputs, MissingPolicy::default());
+    let oracle = CorrelationInstance::from_partial(inputs, MissingPolicy::default());
 
     let start = Clustering::singletons(n);
     let budget = RunBudget::unlimited().with_deadline(Duration::from_millis(50));
@@ -425,7 +425,7 @@ fn sampling_respects_a_deadline_on_a_large_instance() {
             PartialClustering::from_labels(labels)
         })
         .collect();
-    let oracle = ClusteringsOracle::new(inputs, MissingPolicy::default());
+    let oracle = CorrelationInstance::from_partial(inputs, MissingPolicy::default());
     let params = SamplingParams::new(
         400,
         Algorithm::Agglomerative(AgglomerativeParams::default()),

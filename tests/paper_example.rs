@@ -11,9 +11,7 @@ use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::{correlation_cost, lower_bound};
 use aggclust_core::distance::{disagreement_distance, total_disagreement};
 use aggclust_core::exact::optimal_clustering;
-use aggclust_core::instance::{
-    ClusteringsOracle, CorrelationInstance, DenseOracle, DistanceOracle,
-};
+use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle};
 use aggclust_core::{RunBudget, RunCtx};
 use aggclust_metrics::disagreement::{disagreement_error, expected_disagreement_error};
 
@@ -117,13 +115,13 @@ fn metrics_agree_with_the_core() {
 fn lazy_and_dense_oracles_agree_on_the_example() {
     let inputs = figure1_inputs();
     let dense = DenseOracle::from_clusterings(&inputs);
-    let lazy = ClusteringsOracle::from_total(&inputs);
     let instance = CorrelationInstance::from_clusterings(&inputs);
+    let built = instance.dense_oracle();
     for u in 0..6 {
         for v in 0..6 {
             let d = dense.dist(u, v);
-            assert!((d - lazy.dist(u, v)).abs() < 1e-12);
-            assert!((d - instance.dense_oracle().dist(u, v)).abs() < 1e-12);
+            assert!((d - instance.dist(u, v)).abs() < 1e-12);
+            assert!((d - built.dist(u, v)).abs() < 1e-12);
         }
     }
 }

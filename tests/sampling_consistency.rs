@@ -5,9 +5,7 @@ use aggclust_core::algorithms::sampling::{sampling, SampleSize, SamplingDetails,
 use aggclust_core::algorithms::{AgglomerativeParams, Algorithm, BallsParams};
 use aggclust_core::clustering::Clustering;
 use aggclust_core::cost::correlation_cost;
-use aggclust_core::instance::{
-    ClusteringsOracle, CorrelationInstance, DistanceOracle, MissingPolicy,
-};
+use aggclust_core::instance::{CorrelationInstance, DistanceOracle, MissingPolicy};
 use aggclust_core::{RunBudget, RunCtx};
 use aggclust_data::presets::votes_like;
 use aggclust_data::to_clusterings::attribute_clusterings;
@@ -50,7 +48,7 @@ fn lazy_oracle_scales_where_dense_would_not_be_needed() {
     // SAMPLING in O(n·s) lookups.
     let n = 20_000;
     let inputs = block_inputs(n, 6, 5, 1);
-    let oracle = ClusteringsOracle::from_total(&inputs);
+    let oracle = CorrelationInstance::from_clusterings(&inputs);
     let params = SamplingParams::new(
         120,
         Algorithm::Agglomerative(AgglomerativeParams::default()),
@@ -68,7 +66,7 @@ fn lazy_oracle_scales_where_dense_would_not_be_needed() {
 fn sample_size_log_policy() {
     let n = 10_000;
     let inputs = block_inputs(n, 4, 4, 3);
-    let oracle = ClusteringsOracle::from_total(&inputs);
+    let oracle = CorrelationInstance::from_clusterings(&inputs);
     let params = SamplingParams {
         size: SampleSize::LogFactor(12.0),
         base: Algorithm::Agglomerative(AgglomerativeParams::default()),
@@ -135,7 +133,7 @@ fn sampling_classification_error_converges() {
 #[test]
 fn deterministic_and_seed_sensitive() {
     let inputs = block_inputs(2_000, 5, 4, 9);
-    let oracle = ClusteringsOracle::from_total(&inputs);
+    let oracle = CorrelationInstance::from_clusterings(&inputs);
     let mk = |seed| SamplingParams::new(60, Algorithm::Balls(BallsParams::practical()), seed);
     assert_eq!(
         run_sampling(&oracle, &mk(1)).clustering,
@@ -156,7 +154,7 @@ fn deterministic_and_seed_sensitive() {
 fn restricted_oracle_matches_parent() {
     let inputs = block_inputs(500, 4, 3, 21);
     let dense = CorrelationInstance::from_clusterings(&inputs).dense_oracle();
-    let lazy = ClusteringsOracle::from_total(&inputs);
+    let lazy = CorrelationInstance::from_clusterings(&inputs);
     let subset: Vec<usize> = (0..500).step_by(7).collect();
     let rd = dense.restrict(&subset);
     let rl = lazy.restrict(&subset);
