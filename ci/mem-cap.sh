@@ -8,7 +8,12 @@
 # lower bound ...)`) identical to the unconstrained run's: the lazy oracle
 # prices the labels in the same exact integers as the dense matrix.
 #
-# Second case, AGGLOMERATIVE at n = 3000, m = 10, which merges in one
+# Second case, the same input on the SAMPLING path with BALLS: uncapped,
+# then capped under the sample's 5.1 MB matrix, which the sub-run must
+# refuse and replace with the sample's lazy instance (same labels, tracked
+# high-water under the cap).
+#
+# Third case, AGGLOMERATIVE at n = 3000, m = 10, which merges in one
 # condensed triangle filled straight from the packed labels (no dense code
 # matrix next to it; the refinement builds its 18 MB of codes only once
 # the triangle is dropped). Total inputs keep an 18 MB triangle of exact
@@ -110,6 +115,39 @@ for threads in 1 2 4; do
     fi
     echo "OK: capped summary line is identical to the unconstrained run's"
 done
+
+# The same n = 20000 input on its default SAMPLING path with BALLS: the
+# sample of 1600 has a 5.1 MB matrix of u16 codes, which the uncapped run
+# charges and a 2 MB cap refuses; BALLS then reads the sample's lazy
+# instance and must write the uncapped labels byte for byte, with the
+# tracked high-water under the cap.
+sampling_args=(aggregate --input "$WORK/input.csv" --algorithm balls)
+sample_matrix=$((2 * 1600 * 1600))
+high_water() {
+    "$TRACE_BIN" check --report "$1" | awk '$1 == "metrics.mem_high_water_bytes" { print $2 }'
+}
+echo "== SAMPLING with BALLS (uncapped) =="
+"$BIN" "${sampling_args[@]}" --metrics-out "$WORK/sampling-ref.json" \
+    --output "$WORK/sampling-ref.txt" --log-level error
+water=$(high_water "$WORK/sampling-ref.json")
+if [ "$water" -lt "$sample_matrix" ]; then
+    echo "FAIL: uncapped SAMPLING high-water $water is under the sample matrix's $sample_matrix bytes"
+    exit 1
+fi
+echo "OK: uncapped SAMPLING charges its sample matrix (high-water $water bytes)"
+echo "== SAMPLING with BALLS (--mem-budget-mb 2: the sample matrix does not fit) =="
+"$BIN" "${sampling_args[@]}" --mem-budget-mb 2 --metrics-out "$WORK/sampling-capped.json" \
+    --output "$WORK/sampling-capped.txt" --log-level error || {
+    echo "FAIL: capped SAMPLING run exited $?"
+    exit 1
+}
+cmp "$WORK/sampling-ref.txt" "$WORK/sampling-capped.txt"
+water=$(high_water "$WORK/sampling-capped.json")
+if [ "$water" -gt $((2 * 1024 * 1024)) ]; then
+    echo "FAIL: capped SAMPLING high-water $water is over the 2 MB cap"
+    exit 1
+fi
+echo "OK: capped SAMPLING labels are byte-identical, high-water $water bytes"
 
 # n = 3000, m = 10: a 12-cluster planted truth with 20 % of each input's
 # labels redrawn, from a Park-Miller generator so every awk agrees.

@@ -777,6 +777,53 @@ fn diagnose_builds_its_matrix_under_the_memory_cap() {
 }
 
 #[test]
+fn sampling_builds_its_sample_matrix_under_the_memory_cap() {
+    // SAMPLING with BALLS on a sample of 1000 of 3000 objects: the
+    // sample's matrix needs 2·1000² bytes of u16 codes and their table.
+    // The uncapped run charges it; a 1 MB cap refuses it, and BALLS reads
+    // the sample's lazy instance instead, writing the same labels.
+    let csv = planted_csv(3000, 8);
+    let input = tmp("sampling-mem.csv", &csv);
+    let run = |tag: &str, extra: &[&str]| {
+        let report = std::env::temp_dir().join(format!("aggclust-cli-sampling-mem-{tag}.json"));
+        let mut args = vec![
+            "aggregate",
+            "--input",
+            input.to_str().unwrap(),
+            "--algorithm",
+            "balls",
+            "--sample",
+            "1000",
+            "--metrics-out",
+            report.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {out:?}");
+        let water = high_water(&fs::read_to_string(&report).unwrap());
+        fs::remove_file(report).ok();
+        (out, water)
+    };
+    let sample_rows: String = csv
+        .lines()
+        .take(1000)
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let inputs = aggclust_cli::csv::parse_label_matrix(&sample_rows, ',', false).unwrap();
+    let sample = CorrelationInstance::try_from_partial(inputs, MissingPolicy::default()).unwrap();
+    let (uncapped, water) = run("uncapped", &[]);
+    assert!(
+        water >= sample.dense_bytes(),
+        "high-water {water} under the sample matrix's {} bytes",
+        sample.dense_bytes()
+    );
+    let (capped, water) = run("capped", &["--mem-budget-mb", "1"]);
+    assert!(water <= 1 << 20, "high-water {water} over the 1 MB cap");
+    assert_eq!(capped.stdout, uncapped.stdout);
+    fs::remove_file(input).ok();
+}
+
+#[test]
 fn mem_budget_labels_do_not_depend_on_the_thread_count() {
     // The lazy-oracle path of a capped run writes the uncapped labels
     // byte for byte at every thread count.

@@ -8,7 +8,12 @@
 //! 1. **Pre-processing**: draw a uniform sample `S` (size `O(log n)`
 //!    suffices, by a Chernoff argument, for every *large* cluster to be
 //!    hit with high probability).
-//! 2. **Clustering**: run the base algorithm on the restricted instance.
+//! 2. **Clustering**: run the base algorithm on the sample's instance
+//!    ([`DistanceOracle::run_on_subset`]). On a
+//!    [`crate::instance::CorrelationInstance`] that is the sample's own
+//!    packed label rows: AGGLOMERATIVE fills its triangle straight from
+//!    them, and any other base reads a dense matrix built under the run's
+//!    budget, or the rows themselves when the memory cap refuses it.
 //! 3. **Post-processing**: every non-sampled node joins the sample cluster
 //!    of least cost — or becomes a singleton — using the same `M(v, C_i)`
 //!    bookkeeping as LOCALSEARCH. Where the oracle offers
@@ -16,7 +21,7 @@
 //!    label counts of the sample, in exact integers and without a pair
 //!    read (DESIGN §6). Because small clusters may be missed by the
 //!    sample, all singletons are then collected and aggregated once more
-//!    among themselves.
+//!    among themselves, on their instance as in phase 2.
 
 use super::Algorithm;
 use crate::assign::ClusterAssigner;
@@ -232,8 +237,7 @@ pub fn sampling<O: DistanceOracle + Sync>(
 
         // Phase 2: aggregate the sample with the base algorithm.
         let t0 = Instant::now();
-        let sub = oracle.restrict(&smp);
-        let base_outcome = params.base.run(&sub, &mut RunCtx::new(budget))?;
+        let base_outcome = oracle.run_on_subset(&smp, &params.base, &mut RunCtx::new(budget))?;
         cluster_time = t0.elapsed();
         status = base_outcome.status;
         iterations = base_outcome.iterations;
@@ -363,8 +367,7 @@ pub fn sampling<O: DistanceOracle + Sync>(
         telemetry::metrics()
             .sampling_reclustered
             .add_if_enabled(singleton_nodes.len() as u64);
-        let sub = oracle.restrict(&singleton_nodes);
-        let re = params.base.run(&sub, &mut RunCtx::new(budget))?;
+        let re = oracle.run_on_subset(&singleton_nodes, &params.base, &mut RunCtx::new(budget))?;
         status = status.combine(re.status);
         iterations = iterations.saturating_add(re.iterations);
         for (i, &v) in singleton_nodes.iter().enumerate() {

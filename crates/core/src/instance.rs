@@ -22,11 +22,12 @@ use std::iter::Sum;
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::algorithms::Algorithm;
 use crate::clustering::{Clustering, PartialClustering};
 use crate::error::{AggError, AggResult};
 use crate::kernels::{self, LabelMatrix};
 use crate::parallel::{self, Layout};
-use crate::robust::{Interrupt, MemCharge, RunBudget};
+use crate::robust::{Interrupt, MemCharge, RunBudget, RunCtx, RunOutcome};
 
 /// How a clustering with missing labels contributes to pairwise distances
 /// (paper §2, "Missing values").
@@ -124,6 +125,15 @@ pub trait DistanceOracle {
         accumulate_each(self, v, labels, sums)
     }
 
+    /// Write `X_uv` for every `v` in `vs` to `out`: one segment of row
+    /// `u`'s distances. An override must write the same bits as this
+    /// per-pair loop.
+    fn values_into(&self, u: usize, vs: Range<usize>, out: &mut [f64]) {
+        for (out, v) in out.iter_mut().zip(vs) {
+            *out = self.dist(u, v);
+        }
+    }
+
     /// The integer `den` for which every distance is exactly `k/den` with
     /// an integer `k`: `dist` returns the `f64` nearest to `k/den`, so
     /// `(dist·den).round()` recovers `k` and sums of distances can be kept
@@ -186,6 +196,23 @@ pub trait DistanceOracle {
         Self: Sized + Sync,
     {
         restrict_each(self, subset)
+    }
+
+    /// Run `algorithm` on the instance restricted to `subset` (renumbered
+    /// `0..subset.len()`, distinct objects as for
+    /// [`DistanceOracle::restrict`]): by default on the
+    /// [`DistanceOracle::restrict`]ed matrix. An oracle that serves a
+    /// subset without that matrix overrides this, with the same outcome.
+    fn run_on_subset(
+        &self,
+        subset: &[usize],
+        algorithm: &Algorithm,
+        ctx: &mut RunCtx<'_>,
+    ) -> AggResult<RunOutcome>
+    where
+        Self: Sized + Sync,
+    {
+        algorithm.run(&self.restrict(subset), ctx)
     }
 }
 
@@ -985,6 +1012,22 @@ impl CorrelationInstance {
         instance
     }
 
+    /// The instance over `subset`'s packed label rows, renumbered
+    /// `0..subset.len()`: the policy, the `partial` flag and the scale are
+    /// kept, so its distances, codes and numerators are this instance's
+    /// bit for bit. `subset` lists distinct objects.
+    pub(crate) fn subset(&self, subset: &[usize]) -> Self {
+        debug_assert!(distinct(subset), "subset repeats an object");
+        CorrelationInstance {
+            n: subset.len(),
+            m: self.m,
+            policy: self.policy,
+            packed: self.packed.rows(subset),
+            partial: self.partial,
+            scale: self.scale.clone(),
+        }
+    }
+
     /// A copy of this instance, under the lazy oracle's name the benchmark
     /// harness uses: delete with the next benchmark change.
     pub fn lazy_oracle(&self) -> Self {
@@ -1330,6 +1373,25 @@ impl DistanceOracle for CorrelationInstance {
         self.xuv(sep, missing)
     }
 
+    /// `dist` over the segment, with the counters moved once per call: the
+    /// same bits and the same counts as a `dist` per pair.
+    fn values_into(&self, u: usize, vs: Range<usize>, out: &mut [f64]) {
+        let metrics = crate::telemetry::metrics();
+        let diagonal = vs.contains(&u);
+        metrics.oracle_lazy_evals.add_if_enabled(out.len() as u64);
+        metrics
+            .oracle_packed_evals
+            .add_if_enabled((out.len() - usize::from(diagonal)) as u64);
+        for (out, v) in out.iter_mut().zip(vs.clone()) {
+            let (sep, missing) = self.packed.sep_missing(u, v);
+            *out = self.xuv(sep, missing);
+        }
+        // The diagonal is 0 whatever labels `u` is missing.
+        if diagonal {
+            out[u - vs.start] = 0.0;
+        }
+    }
+
     fn exact_scale(&self) -> Option<u32> {
         self.scale.as_ref().map(|scale| scale.den)
     }
@@ -1394,20 +1456,38 @@ impl DistanceOracle for CorrelationInstance {
             .unwrap_or_else(|_| DenseOracle::empty())
     }
 
-    /// The dense matrix of the subset's own oracle: its packed label rows
-    /// gathered, the policy and scale kept, built like every dense matrix
-    /// of this oracle (so with its pair totals when the scale is proven).
+    /// The dense matrix of the subset's own instance (its packed label
+    /// rows gathered, the policy and scale kept), built like every dense
+    /// matrix of this oracle (so with its pair totals when the scale is
+    /// proven).
     fn restrict(&self, subset: &[usize]) -> DenseOracle {
-        debug_assert!(distinct(subset), "restrict: subset repeats an object");
-        CorrelationInstance {
-            n: subset.len(),
-            m: self.m,
-            policy: self.policy,
-            packed: self.packed.rows(subset),
-            partial: self.partial,
-            scale: self.scale.clone(),
+        self.subset(subset).to_dense()
+    }
+
+    /// On the subset's own instance, as for
+    /// [`DistanceOracle::restrict`], with no matrix of the whole subset
+    /// for AGGLOMERATIVE, whose triangle fills straight from its packed
+    /// rows. Any other algorithm runs on the subset's dense matrix,
+    /// built under `ctx.budget` (charged against its memory cap, in a
+    /// `dense_build` span); when the budget refuses or interrupts that
+    /// build, it reads the subset's instance instead, the pipeline's
+    /// lazy-oracle rung. Both give the same distances bit for bit, so the
+    /// same outcome, and an algorithm handed a tripped deadline or cancel
+    /// ends the way its anytime rule says.
+    fn run_on_subset(
+        &self,
+        subset: &[usize],
+        algorithm: &Algorithm,
+        ctx: &mut RunCtx<'_>,
+    ) -> AggResult<RunOutcome> {
+        let sub = self.subset(subset);
+        if let Algorithm::Agglomerative(_) = algorithm {
+            return algorithm.run(&sub, ctx);
         }
-        .to_dense()
+        match sub.try_dense_oracle(ctx.budget) {
+            Ok(dense) => algorithm.run(&dense, ctx),
+            Err(_) => algorithm.run(&sub, ctx),
+        }
     }
 }
 

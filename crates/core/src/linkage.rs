@@ -21,7 +21,8 @@
 //! by cross-multiplication, so equal averages tie exactly.
 //!
 //! The matrix is filled from any oracle through
-//! [`DistanceOracle::numerators_into`]; from a
+//! [`DistanceOracle::numerators_into`] (or [`DistanceOracle::values_into`]
+//! for `f64` distances), one row segment per call; from a
 //! [`crate::instance::CorrelationInstance`] that reads the packed labels
 //! directly, so AGGLOMERATIVE needs no dense code matrix next to it. The
 //! fill of a matrix of sums also counts `Σ num` and `Σ min(num, den − num)`
@@ -204,13 +205,12 @@ impl CondensedMatrix {
             let totals = jobs.into_iter().sum();
             return Ok(Cells::Sums { sums, den, totals });
         }
-        let pair = |u, v| oracle.dist(u, v);
         let (values, _) = parallel::try_fill_upper(
             n,
             Layout::Condensed,
             band,
             || (),
-            parallel::pairwise(pair),
+            |(): &mut (), u, vs, seg: &mut [f64]| oracle.values_into(u, vs, seg),
             drop,
             budget,
         )?;

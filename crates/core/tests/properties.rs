@@ -1,8 +1,9 @@
 //! Property-based tests for the core invariants of clustering aggregation.
 
+use aggclust_core::algorithms::sampling::{sampling, SamplingParams};
 use aggclust_core::algorithms::{
-    best::best_clustering, AgglomerativeParams, Algorithm, BallsParams, FurthestParams,
-    LocalSearchInit, LocalSearchParams,
+    best::best_clustering, AgglomerativeParams, Algorithm, AnnealingParams, BallsParams,
+    FurthestParams, LocalSearchInit, LocalSearchParams, PivotParams,
 };
 use aggclust_core::clustering::{Clustering, PartialClustering};
 use aggclust_core::cost::{correlation_cost, cost_and_bound, exact_cost, lower_bound};
@@ -13,6 +14,7 @@ use aggclust_core::exact::optimal_clustering;
 use aggclust_core::instance::{CorrelationInstance, DenseOracle, DistanceOracle, MissingPolicy};
 use aggclust_core::linkage::{linkage, CondensedMatrix, Dendrogram, LinkageMethod};
 use aggclust_core::parallel::with_num_threads;
+use aggclust_core::robust::CancelToken;
 use aggclust_core::snapshot::{load_snapshot, AlgorithmSnapshot, Checkpointer, SnapshotLoad};
 use aggclust_core::{ConsensusBuilder, RunBudget, RunCtx, RunStatus};
 use proptest::prelude::*;
@@ -776,5 +778,167 @@ fn every_oracle_prices_the_same_bits_over_many_jobs() {
                 assert_one_price(inputs.clone(), policy, &candidate, &subset, &what)
             });
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The lazy oracle's row segments of distances hold `dist`'s bits,
+    /// the diagonal's `0.0` included, under `Coin(½)` and `Ignore`.
+    #[test]
+    fn values_into_writes_the_bits_of_dist(
+        (labels, kind) in (2usize..30).prop_flat_map(|n| {
+            (
+                prop::collection::vec(
+                    prop::collection::vec(prop::option::weighted(0.8, 0u32..5), n),
+                    2..6,
+                ),
+                0u8..3,
+            )
+        })
+    ) {
+        let (inputs, policy) = agglomerative_case(&labels, kind);
+        let lazy = CorrelationInstance::from_partial(inputs, policy);
+        let n = lazy.len();
+        let mut out = vec![f64::NAN; n];
+        for u in 0..n {
+            for lo in 0..n {
+                for hi in lo..=n {
+                    let seg = &mut out[..hi - lo];
+                    lazy.values_into(u, lo..hi, seg);
+                    for (v, x) in (lo..hi).zip(seg.iter()) {
+                        let want = lazy.dist(u, v).to_bits();
+                        prop_assert_eq!(x.to_bits(), want, "kind {} ({}, {})", kind, u, v);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every base algorithm SAMPLING takes, with parameters small enough for
+/// a property test.
+fn sampling_bases() -> Vec<Algorithm> {
+    vec![
+        Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        Algorithm::Balls(BallsParams::default()),
+        Algorithm::Furthest(FurthestParams::default()),
+        Algorithm::LocalSearch(LocalSearchParams::default()),
+        Algorithm::Pivot(PivotParams::default()),
+        Algorithm::Annealing(AnnealingParams {
+            sweeps: 10,
+            ..Default::default()
+        }),
+    ]
+}
+
+/// SAMPLING on the lazy instance, whose sub-runs read the subsets' packed
+/// rows (AGGLOMERATIVE) or build the subsets' matrices under the budget
+/// (every other base), against SAMPLING on the instance's dense matrix,
+/// whose sub-runs restrict that matrix: the same labels, status, iteration
+/// count and phase bookkeeping for every base at 1 and 2 threads, without
+/// limits, with an iteration cap that trips inside the sample's sub-run,
+/// under a memory cap that refuses the sample's matrix, and cancelled.
+fn assert_lazy_sampling_matches_dense(
+    inputs: Vec<PartialClustering>,
+    policy: MissingPolicy,
+    sample: usize,
+    seed: u64,
+    what: &str,
+) {
+    let lazy = CorrelationInstance::from_partial(inputs, policy);
+    let dense = lazy.to_dense();
+    let s = sample.min(lazy.len()) as u64;
+    let cancel = CancelToken::new();
+    cancel.cancel();
+    let budgets = [
+        RunBudget::unlimited(),
+        RunBudget::unlimited().with_max_iters(s / 2),
+        // Under the sample's `2s²` bytes of codes and their table, over
+        // its `2s(s−1)`-byte `u32` triangle.
+        RunBudget::unlimited().with_mem_limit_bytes(2 * s * s),
+        RunBudget::unlimited().with_cancel_token(cancel),
+    ];
+    for base in sampling_bases() {
+        let params = SamplingParams::new(sample, base.clone(), seed);
+        for (b, budget) in budgets.iter().enumerate() {
+            for threads in [1, 2] {
+                let [from_lazy, from_dense] = with_num_threads(threads, || {
+                    [
+                        sampled_with(&lazy, &params, budget),
+                        sampled_with(&dense, &params, budget),
+                    ]
+                });
+                assert_eq!(
+                    from_lazy,
+                    from_dense,
+                    "{what}: {} under budget {b} at {threads} threads",
+                    base.name()
+                );
+            }
+        }
+    }
+}
+
+/// What a SAMPLING run decided: labels, status, iterations, sample
+/// clusters and singletons before the recluster.
+fn sampled_with<O: DistanceOracle + Sync>(
+    oracle: &O,
+    params: &SamplingParams,
+    budget: &RunBudget,
+) -> (Clustering, RunStatus, u64, usize, usize) {
+    let d = sampling(oracle, params, &mut RunCtx::new(budget)).unwrap();
+    (
+        d.clustering,
+        d.status,
+        d.iterations,
+        d.sample_clusters,
+        d.singletons_before_recluster,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn sampling_on_the_lazy_instance_equals_sampling_on_its_dense_matrix(
+        (labels, kind, sample, seed) in (8usize..60).prop_flat_map(|n| {
+            (
+                prop::collection::vec(
+                    prop::collection::vec(prop::option::weighted(0.8, 0u32..5), n),
+                    2..6,
+                ),
+                0u8..3,
+                2..=n,
+                0u64..1000,
+            )
+        })
+    ) {
+        let (inputs, policy) = agglomerative_case(&labels, kind);
+        let what = format!("kind {kind}, sample {sample}, seed {seed}");
+        assert_lazy_sampling_matches_dense(inputs, policy, sample, seed, &what);
+    }
+}
+
+/// [`assert_lazy_sampling_matches_dense`] at n = 600 with a sample of 200,
+/// where the sub-runs' fills split into several row jobs, so 2 threads
+/// fill in parallel.
+#[test]
+fn sampling_on_the_lazy_instance_equals_sampling_on_its_dense_matrix_over_many_jobs() {
+    let n = 600;
+    let labels: Vec<Vec<Option<u32>>> = (0..5u32)
+        .map(|j| {
+            (0..n as u32)
+                .map(|v| {
+                    let label = (v % 13 + u32::from(v % (3 + j) == 0)) % 13;
+                    (v % (7 + j) != 3).then_some(label)
+                })
+                .collect()
+        })
+        .collect();
+    for kind in 0..3 {
+        let (inputs, policy) = agglomerative_case(&labels, kind);
+        assert_lazy_sampling_matches_dense(inputs, policy, 200, 5, &format!("kind {kind}"));
     }
 }

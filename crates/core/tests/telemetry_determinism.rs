@@ -20,6 +20,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use aggclust_core::algorithms::local_search::LocalSearchInit;
+use aggclust_core::algorithms::sampling::{sampling, SamplingParams};
 use aggclust_core::algorithms::{
     AgglomerativeParams, Algorithm, BallsParams, FurthestParams, LocalSearchParams,
 };
@@ -210,6 +211,27 @@ fn agglomerative_prices_its_result_without_reading_a_pair() {
         assert_eq!(delta.oracle_lazy_evals, lazy_evals);
         assert_eq!(delta.linkage_merges, n as u64 - 1);
     }
+}
+
+/// SAMPLING with an AGGLOMERATIVE base on total inputs reads no dense
+/// matrix: the sample's and the leftover singletons' triangles fill
+/// straight from their packed rows, one packed evaluation per pair of
+/// each, and the assignment reads label counts, not pairs.
+#[test]
+fn agglomerative_sampling_of_total_inputs_makes_no_dense_evaluation() {
+    let _guard = metrics_lock();
+    let inputs = noisy_inputs(2000, 5, 12, 0.3, 23);
+    let lazy = CorrelationInstance::from_clusterings(&inputs);
+    let agglomerative = Algorithm::Agglomerative(AgglomerativeParams::paper());
+    let params = SamplingParams::new(300, agglomerative, 3);
+    let (details, delta) =
+        measured(|| sampling(&lazy, &params, &mut RunCtx::new(&RunBudget::unlimited())).unwrap());
+    let pairs = |k: usize| (k * k.saturating_sub(1) / 2) as u64;
+    let (s, reclustered) = (details.sample.len(), details.singletons_before_recluster);
+    assert!(reclustered >= 2, "no recluster to count: {reclustered}");
+    assert_eq!(delta.oracle_dense_evals, 0);
+    assert_eq!(delta.oracle_lazy_evals, 0);
+    assert_eq!(delta.oracle_packed_evals, pairs(s) + pairs(reclustered));
 }
 
 /// On total inputs the lazy oracle prices exactly from its packed rows: its

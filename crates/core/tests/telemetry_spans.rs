@@ -24,15 +24,18 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use aggclust_core::algorithms::Algorithm;
+use aggclust_core::algorithms::sampling::{sampling, SamplingParams};
+use aggclust_core::algorithms::{AgglomerativeParams, Algorithm, BallsParams};
 use aggclust_core::distance::total_disagreement;
 use aggclust_core::span;
 use aggclust_core::telemetry::{
     clear_collector, current_tid, install_collector, set_metrics_enabled, set_timing_clock,
     span_stats, Clock, Collector, Event, Level, SpanData,
 };
-use aggclust_core::{Clustering, ConsensusBuilder, RunBudget};
+use aggclust_core::{Clustering, ConsensusBuilder, CorrelationInstance, RunBudget, RunCtx};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn telemetry_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -368,5 +371,69 @@ fn a_capped_run_prices_its_disagreements_exactly_without_a_recount() {
     for here in std::iter::once(here).chain(uncapped.map(spans)) {
         assert_eq!(starts(&here, "disagreements"), 0, "{here:?}");
         assert_eq!(starts(&here, "consensus"), 1, "{here:?}");
+    }
+}
+
+/// SAMPLING's two sub-runs do their `O(s²)` work under named spans, not in
+/// the `sampling` span's self-time: AGGLOMERATIVE fills its triangle
+/// inside `agglomerative`, and any other base's matrix is built inside
+/// `dense_build`. Every pair fill (`condensed_alloc` and `condensed_fill`)
+/// opened on this thread during the run has one of them as its parent,
+/// one fill per sub-run.
+#[test]
+fn sampling_sub_runs_fill_their_pairs_under_named_spans() {
+    let _guard = telemetry_lock();
+    // A 12-block truth with a third of every input's labels redrawn, so
+    // that some objects join no sample cluster and are reclustered.
+    let mut rng = StdRng::seed_from_u64(5);
+    let inputs: Vec<Clustering> = (0..5)
+        .map(|_| {
+            let labels = (0..1500u32).map(|v| {
+                if rng.gen_bool(0.35) {
+                    rng.gen_range(0..12)
+                } else {
+                    v % 12
+                }
+            });
+            Clustering::from_labels(labels.collect())
+        })
+        .collect();
+    let lazy = CorrelationInstance::from_clusterings(&inputs);
+    for base in [
+        Algorithm::Agglomerative(AgglomerativeParams::paper()),
+        Algorithm::Balls(BallsParams::default()),
+    ] {
+        let collector = Arc::new(RecordingCollector::default());
+        install_collector(collector.clone());
+        let params = SamplingParams::new(200, base.clone(), 1);
+        let details = sampling(&lazy, &params, &mut RunCtx::new(&RunBudget::unlimited())).unwrap();
+        clear_collector();
+        let reclustered = details.singletons_before_recluster;
+        assert!(reclustered >= 2, "{}: no recluster", base.name());
+        let owner = match base {
+            Algorithm::Agglomerative(_) => "agglomerative",
+            _ => "dense_build",
+        };
+        let tid = current_tid();
+        let mut stack: Vec<&'static str> = Vec::new();
+        let mut fills = 0;
+        for rec in collector.recs.lock().unwrap().iter() {
+            match *rec {
+                Rec::Start { tid: t, name, .. } if t == tid => {
+                    if name == "condensed_alloc" || name == "condensed_fill" {
+                        assert_eq!(stack.last(), Some(&owner), "{name} in {stack:?}");
+                        assert!(stack.contains(&"sampling"), "{name} in {stack:?}");
+                        fills += usize::from(name == "condensed_fill");
+                    }
+                    stack.push(name);
+                }
+                Rec::End { tid: t, name, .. } if t == tid => {
+                    assert_eq!(stack.pop(), Some(name));
+                }
+                _ => {}
+            }
+        }
+        // The sample's sub-run and the recluster's.
+        assert_eq!(fills, 2, "{}", base.name());
     }
 }
